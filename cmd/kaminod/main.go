@@ -325,13 +325,13 @@ func open(dir string, opts kamino.Options) (*kamino.Pool, *kvstore.Store, error)
 
 // checkMode rejects engines that cannot back a durable network store:
 // nolog tears data on crash or abort, and inplace is the chain-replica
-// engine (no abort; recovery needs a chain neighbour — use kaminochain).
+// engine (no abort; recovery needs a chain neighbour — see kamino/chain).
 func checkMode(mode kamino.Mode) error {
 	switch mode {
 	case kamino.ModeNoLog:
 		return fmt.Errorf("mode %q is the unsafe benchmark baseline (crashes and aborts tear data); it cannot back a durable store", mode)
 	case kamino.ModeInPlace:
-		return fmt.Errorf("mode %q is the chain-replica engine (no abort, recovery needs a chain neighbour); use kaminochain instead", mode)
+		return fmt.Errorf("mode %q is the chain-replica engine (no abort, recovery needs a chain neighbour); it runs only inside a chain (package kamino/chain; see examples/replicated)", mode)
 	}
 	return nil
 }

@@ -32,7 +32,8 @@ func KVSetup(pool *kamino.Pool) error {
 	})
 }
 
-// kvMaps caches the attached Map per pool (replicas reuse across ops).
+// kvMaps caches the attached Map per pool (replicas reuse across ops);
+// Replica.Close drops its pool's entry.
 var kvMaps sync.Map // *kamino.Pool -> *phash.Map
 
 func kvMap(pool *kamino.Pool) (*phash.Map, error) {

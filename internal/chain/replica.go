@@ -599,6 +599,9 @@ func (r *Replica) Close() error {
 	r.stopExecutor()
 	r.cfg.Transport.Unregister(r.id)
 	r.failWaiters(&RedirectError{ViewID: r.cfg.Manager.View().ID, Head: r.cfg.Manager.View().Head()})
+	// The KV operations cache their attached map per pool; without this the
+	// cache would keep the closed pool and its NVM regions reachable.
+	kvMaps.Delete(r.pool)
 	return r.pool.Close()
 }
 

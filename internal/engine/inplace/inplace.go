@@ -315,9 +315,12 @@ func (e *Engine) Begin() (engine.Tx, error) {
 	return &tx{e: e, tl: tl, writeSet: make(map[heap.ObjID]wsEntry)}, nil
 }
 
+// wsEntry tracks one write-set member; dirty, the part of the block this
+// transaction changed, is all that commit has to flush.
 type wsEntry struct {
 	class    int
 	writable bool
+	dirty    engine.Extent
 }
 
 type tx struct {
@@ -343,7 +346,8 @@ func (t *tx) Add(obj heap.ObjID) error {
 		if err := t.e.timedAppend(t.tl, intentlog.Entry{Op: intentlog.OpWrite, Class: uint32(ws.class), Obj: uint64(obj)}); err != nil {
 			return err
 		}
-		t.writeSet[obj] = wsEntry{class: ws.class, writable: true}
+		ws.writable = true
+		t.writeSet[obj] = ws
 		return nil
 	}
 	t.lockObj(obj)
@@ -390,6 +394,8 @@ func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
 	if err := t.e.heap.Write(obj, off, data); err != nil {
 		return err
 	}
+	ws.dirty.Grow(off, len(data))
+	t.writeSet[obj] = ws
 	t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
 	return nil
 }
@@ -430,7 +436,7 @@ func (t *tx) Alloc(size int) (heap.ObjID, error) {
 	if err := t.e.heap.CommitAlloc(obj); err != nil {
 		return heap.Nil, err
 	}
-	t.writeSet[obj] = wsEntry{class: cls, writable: true}
+	t.writeSet[obj] = wsEntry{class: cls, writable: true, dirty: engine.WholeBlock(cls)}
 	return obj, nil
 }
 
@@ -442,6 +448,8 @@ func (t *tx) Free(obj heap.ObjID) error {
 		if err := t.e.timedAppend(t.tl, intentlog.Entry{Op: intentlog.OpFree, Class: uint32(ws.class), Obj: uint64(obj)}); err != nil {
 			return err
 		}
+		ws.dirty = engine.WholeBlock(ws.class)
+		t.writeSet[obj] = ws
 	} else {
 		t.lockObj(obj)
 		cls, err := t.e.heap.ClassOf(obj)
@@ -453,7 +461,7 @@ func (t *tx) Free(obj heap.ObjID) error {
 			t.e.locks.Unlock(uint64(obj), t.owner())
 			return err
 		}
-		t.writeSet[obj] = wsEntry{class: cls, writable: false}
+		t.writeSet[obj] = wsEntry{class: cls, writable: false, dirty: engine.WholeBlock(cls)}
 	}
 	t.frees = append(t.frees, obj)
 	return nil
@@ -466,7 +474,7 @@ func (t *tx) Commit() error {
 	reg := t.e.heap.Region()
 	start := time.Now()
 	for obj, ws := range t.writeSet {
-		if err := reg.Flush(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.class); err != nil {
+		if err := ws.dirty.Flush(reg, obj); err != nil {
 			return err
 		}
 	}

@@ -31,10 +31,12 @@ type backend interface {
 	// copied reports that such an on-demand copy was made.
 	ensure(obj heap.ObjID, class int) (copied bool, err error)
 
-	// syncToBackup copies obj's current main-heap block to the backup
-	// and persists it. Called off the critical path by the applier, and
-	// during recovery of committed transactions.
-	syncToBackup(obj heap.ObjID, class int) error
+	// syncToBackup copies the dirty extent of obj's main-heap block to
+	// the backup and persists it; an empty extent (added, never written)
+	// costs nothing. The applier, off the critical path, passes what the
+	// transaction changed; recovery of committed transactions passes the
+	// whole block — the log records objects, not bytes.
+	syncToBackup(obj heap.ObjID, dirty engine.Extent) error
 
 	// restoreFromBackup copies the backup copy over obj's main-heap
 	// block and persists it. Used by aborts and crash recovery.
@@ -63,9 +65,11 @@ func newSimpleBackend(main, backup *nvm.Region, o *obs.Registry) (*simpleBackend
 
 func (b *simpleBackend) ensure(heap.ObjID, int) (bool, error) { return false, nil }
 
-func (b *simpleBackend) syncToBackup(obj heap.ObjID, class int) error {
-	off := int(obj) - heap.BlockHeaderSize
-	n := heap.BlockHeaderSize + class
+func (b *simpleBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
+	off, n := dirty.Range(obj)
+	if n == 0 {
+		return nil
+	}
 	if err := nvm.Copy(b.backup, off, b.main, off, n); err != nil {
 		return err
 	}
@@ -281,16 +285,21 @@ func (b *dynamicBackend) ensure(obj heap.ObjID, class int) (bool, error) {
 		return false, err
 	}
 	breg := b.bheap.Region()
+	// The copy is fenced before the prefix that makes rebuild trust it: one
+	// fence for both would let a crash keep the prefix over a torn copy.
+	if err := nvm.Copy(breg, int(backupObj)+dynPrefix, b.main, int(obj)-heap.BlockHeaderSize, blockLen); err != nil {
+		return false, err
+	}
+	if err := breg.Persist(int(backupObj)+dynPrefix, blockLen); err != nil {
+		return false, err
+	}
 	var pfx [dynPrefix]byte
 	binary.LittleEndian.PutUint64(pfx[:], uint64(obj))
 	binary.LittleEndian.PutUint32(pfx[8:], uint32(blockLen))
 	if err := breg.Write(int(backupObj), pfx[:]); err != nil {
 		return false, err
 	}
-	if err := nvm.Copy(breg, int(backupObj)+dynPrefix, b.main, int(obj)-heap.BlockHeaderSize, blockLen); err != nil {
-		return false, err
-	}
-	if err := breg.Persist(int(backupObj), dynPrefix+blockLen); err != nil {
+	if err := breg.Persist(int(backupObj), dynPrefix); err != nil {
 		return false, err
 	}
 	b.mu.Lock()
@@ -355,7 +364,11 @@ func (b *dynamicBackend) lookup(obj heap.ObjID) (*dynEntry, bool) {
 	return e, ok
 }
 
-func (b *dynamicBackend) syncToBackup(obj heap.ObjID, class int) error {
+func (b *dynamicBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
+	off, n := dirty.Range(obj)
+	if n == 0 {
+		return nil
+	}
 	e, ok := b.lookup(obj)
 	if !ok {
 		// No copy (object allocated this transaction and never since
@@ -363,15 +376,15 @@ func (b *dynamicBackend) syncToBackup(obj heap.ObjID, class int) error {
 		// future write will create the copy on demand.
 		return nil
 	}
-	n := heap.BlockHeaderSize + class
-	if n > e.blockLen {
-		return fmt.Errorf("kamino: backup copy of %d is %d bytes, need %d", obj, e.blockLen, n)
+	if dirty.Hi > e.blockLen {
+		return fmt.Errorf("kamino: backup copy of %d is %d bytes, need %d", obj, e.blockLen, dirty.Hi)
 	}
 	breg := b.bheap.Region()
-	if err := nvm.Copy(breg, int(e.backupObj)+dynPrefix, b.main, int(obj)-heap.BlockHeaderSize, n); err != nil {
+	boff := int(e.backupObj) + dynPrefix + dirty.Lo
+	if err := nvm.Copy(breg, boff, b.main, off, n); err != nil {
 		return err
 	}
-	if err := breg.Persist(int(e.backupObj)+dynPrefix, n); err != nil {
+	if err := breg.Persist(boff, n); err != nil {
 		return err
 	}
 	b.synced.Add(uint64(n))

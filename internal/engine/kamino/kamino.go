@@ -152,7 +152,7 @@ type commitReq struct {
 
 type lockedObj struct {
 	obj   heap.ObjID
-	class int
+	dirty engine.Extent // what the transaction changed: all the applier copies
 }
 
 // New formats fresh regions and returns a running engine. If backupReg is
@@ -489,7 +489,7 @@ func (e *Engine) applyOne(req applyReq) error {
 	txid := req.tl.TxID()
 	start := time.Now()
 	for _, lo := range req.objs {
-		if err := e.backend.syncToBackup(lo.obj, lo.class); err != nil {
+		if err := e.backend.syncToBackup(lo.obj, lo.dirty); err != nil {
 			return err
 		}
 		tr.BackupSync(txid, uint64(lo.obj))
@@ -619,7 +619,7 @@ func (e *Engine) Recover() error {
 				}
 			}
 			for _, ent := range v.Entries {
-				if err := e.backend.syncToBackup(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
+				if err := e.backend.syncToBackup(heap.ObjID(ent.Obj), engine.WholeBlock(int(ent.Class))); err != nil {
 					return err
 				}
 			}
@@ -661,10 +661,14 @@ func (e *Engine) Begin() (engine.Tx, error) {
 
 // wsEntry tracks one write-set member. writable is false for objects that
 // were only Free'd: they are locked and logged, but in-place writes require
-// a prior Add (which installs the backup copy aborts restore from).
+// a prior Add (which installs the backup copy aborts restore from). dirty
+// is the part of the block this transaction changed: grown by Write, the
+// whole block for allocated and freed objects (whose header changes too).
+// Commit flushes, and the applier copies to the backup, only that extent.
 type wsEntry struct {
 	class    int
 	writable bool
+	dirty    engine.Extent
 }
 
 type tx struct {
@@ -742,7 +746,8 @@ func (t *tx) Add(obj heap.ObjID) error {
 		}); err != nil {
 			return err
 		}
-		t.writeSet[obj] = wsEntry{class: ws.class, writable: true}
+		ws.writable = true
+		t.writeSet[obj] = ws
 		return nil
 	}
 	t.lockObj(obj)
@@ -787,6 +792,8 @@ func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
 	if err := t.e.heap.Write(obj, off, data); err != nil {
 		return err
 	}
+	ws.dirty.Grow(off, len(data))
+	t.writeSet[obj] = ws
 	t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
 	return nil
 }
@@ -834,7 +841,7 @@ func (t *tx) Alloc(size int) (heap.ObjID, error) {
 	if err := t.e.heap.CommitAlloc(obj); err != nil {
 		return heap.Nil, err
 	}
-	t.writeSet[obj] = wsEntry{class: cls, writable: true}
+	t.writeSet[obj] = wsEntry{class: cls, writable: true, dirty: engine.WholeBlock(cls)}
 	return obj, nil
 }
 
@@ -852,6 +859,8 @@ func (t *tx) Free(obj heap.ObjID) error {
 		}); err != nil {
 			return err
 		}
+		ws.dirty = engine.WholeBlock(ws.class)
+		t.writeSet[obj] = ws
 	} else {
 		t.lockObj(obj)
 		cls, err := t.e.heap.ClassOf(obj)
@@ -867,7 +876,7 @@ func (t *tx) Free(obj heap.ObjID) error {
 			t.e.locks.Unlock(uint64(obj), t.owner())
 			return err
 		}
-		t.writeSet[obj] = wsEntry{class: cls, writable: false}
+		t.writeSet[obj] = wsEntry{class: cls, writable: false, dirty: engine.WholeBlock(cls)}
 	}
 	t.frees = append(t.frees, obj)
 	return nil
@@ -902,7 +911,7 @@ func (t *tx) Commit() error {
 	reg := t.e.heap.Region()
 	start := time.Now()
 	for obj, ws := range t.writeSet {
-		if err := reg.Flush(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.class); err != nil {
+		if err := ws.dirty.Flush(reg, obj); err != nil {
 			return err
 		}
 	}
@@ -950,7 +959,7 @@ func (t *tx) Commit() error {
 	}
 	objs := make([]lockedObj, 0, len(t.writeSet))
 	for obj, ws := range t.writeSet {
-		objs = append(objs, lockedObj{obj: obj, class: ws.class})
+		objs = append(objs, lockedObj{obj: obj, dirty: ws.dirty})
 	}
 	t.done = true
 	t.e.commits.Add(1)

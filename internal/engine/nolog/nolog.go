@@ -151,14 +151,16 @@ func (e *Engine) Begin() (engine.Tx, error) {
 	}
 	id := e.nextID.Add(1)
 	e.trc().TxBegin(id)
-	return &tx{e: e, id: id, writeSet: make(map[heap.ObjID]bool)}, nil
+	return &tx{e: e, id: id, writeSet: make(map[heap.ObjID]engine.Extent)}, nil
 }
 
 type tx struct {
-	e        *Engine
-	id       uint64
-	done     bool
-	writeSet map[heap.ObjID]bool // true if allocated by this tx
+	e    *Engine
+	id   uint64
+	done bool
+	// writeSet maps each locked object to the part of its block this
+	// transaction changed — all that commit has to flush.
+	writeSet map[heap.ObjID]engine.Extent
 	reads    []heap.ObjID
 	frees    []heap.ObjID
 }
@@ -193,7 +195,7 @@ func (t *tx) Add(obj heap.ObjID) error {
 		t.e.locks.Unlock(uint64(obj), t.owner())
 		return err
 	}
-	t.writeSet[obj] = false
+	t.writeSet[obj] = engine.Extent{}
 	return nil
 }
 
@@ -201,12 +203,15 @@ func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if _, ok := t.writeSet[obj]; !ok {
+	dirty, ok := t.writeSet[obj]
+	if !ok {
 		return fmt.Errorf("%w: %d", engine.ErrNotInTx, obj)
 	}
 	if err := t.e.heap.Write(obj, off, data); err != nil {
 		return err
 	}
+	dirty.Grow(off, len(data))
+	t.writeSet[obj] = dirty
 	t.e.trc().InPlaceWrite(t.id, uint64(obj), int(obj)+off, len(data))
 	return nil
 }
@@ -235,7 +240,7 @@ func (t *tx) Alloc(size int) (heap.ObjID, error) {
 	}
 	t.e.locks.Lock(uint64(obj), t.owner())
 	t.e.trc().LockAcquire(t.id, uint64(obj))
-	t.writeSet[obj] = true
+	t.writeSet[obj] = engine.WholeBlock(heap.ClassForSize(size))
 	return obj, nil
 }
 
@@ -246,6 +251,11 @@ func (t *tx) Free(obj heap.ObjID) error {
 	if err := t.Add(obj); err != nil {
 		return err
 	}
+	cls, err := t.e.heap.ClassOf(obj)
+	if err != nil {
+		return err
+	}
+	t.writeSet[obj] = engine.WholeBlock(cls)
 	t.frees = append(t.frees, obj)
 	return nil
 }
@@ -268,12 +278,8 @@ func (t *tx) Commit() error {
 	}
 	reg := t.e.heap.Region()
 	start := time.Now()
-	for obj := range t.writeSet {
-		off, n, err := t.e.heap.Range(obj)
-		if err != nil {
-			return err
-		}
-		if err := reg.Flush(off, n); err != nil {
+	for obj, dirty := range t.writeSet {
+		if err := dirty.Flush(reg, obj); err != nil {
 			return err
 		}
 	}

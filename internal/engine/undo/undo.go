@@ -230,15 +230,17 @@ func (e *Engine) Begin() (engine.Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tx{e: e, tl: tl, writeSet: make(map[heap.ObjID]bool)}, nil
+	return &tx{e: e, tl: tl, writeSet: make(map[heap.ObjID]engine.Extent)}, nil
 }
 
 type tx struct {
-	e        *Engine
-	tl       *intentlog.TxLog
-	done     bool
-	began    bool                // TxBegin emitted (first write intent)
-	writeSet map[heap.ObjID]bool // true if allocated by this tx
+	e     *Engine
+	tl    *intentlog.TxLog
+	done  bool
+	began bool // TxBegin emitted (first write intent)
+	// writeSet maps each locked object to the part of its block this
+	// transaction changed — all that commit has to flush.
+	writeSet map[heap.ObjID]engine.Extent
 	reads    []heap.ObjID
 	frees    []heap.ObjID
 }
@@ -317,7 +319,7 @@ func (t *tx) Add(obj heap.ObjID) error {
 		tr.IntentAppend(t.ID(), uint64(obj), off, n, intentlog.OpWrite.String())
 		tr.Span(string(obs.PhaseCriticalCopy), t.ID(), d)
 	}
-	t.writeSet[obj] = false
+	t.writeSet[obj] = engine.Extent{}
 	return nil
 }
 
@@ -325,12 +327,15 @@ func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
 	if t.done {
 		return engine.ErrTxDone
 	}
-	if _, ok := t.writeSet[obj]; !ok {
+	dirty, ok := t.writeSet[obj]
+	if !ok {
 		return fmt.Errorf("%w: %d", engine.ErrNotInTx, obj)
 	}
 	if err := t.e.heap.Write(obj, off, data); err != nil {
 		return err
 	}
+	dirty.Grow(off, len(data))
+	t.writeSet[obj] = dirty
 	t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
 	return nil
 }
@@ -384,7 +389,7 @@ func (t *tx) Alloc(size int) (heap.ObjID, error) {
 		t.traceBegin(tr)
 		tr.LockAcquire(t.ID(), uint64(obj))
 	}
-	t.writeSet[obj] = true
+	t.writeSet[obj] = engine.WholeBlock(cls)
 	return obj, nil
 }
 
@@ -412,6 +417,7 @@ func (t *tx) Free(obj heap.ObjID) error {
 		off, n := t.tl.EntryRange(t.tl.Len() - 1)
 		tr.IntentAppend(t.ID(), uint64(obj), off, n, intentlog.OpFree.String())
 	}
+	t.writeSet[obj] = engine.WholeBlock(cls)
 	t.frees = append(t.frees, obj)
 	return nil
 }
@@ -445,12 +451,8 @@ func (t *tx) Commit() error {
 	}
 	reg := t.e.heap.Region()
 	start := time.Now()
-	for obj := range t.writeSet {
-		off, n, err := t.e.heap.Range(obj)
-		if err != nil {
-			return err
-		}
-		if err := reg.Flush(off, n); err != nil {
+	for obj, dirty := range t.writeSet {
+		if err := dirty.Flush(reg, obj); err != nil {
 			return err
 		}
 	}

@@ -472,18 +472,11 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 	if err := h.fillSegDir(chunkOff, newBump, need); err != nil {
 		return Nil, err
 	}
-	// Persist the bump pointer before any block is handed out so that a
-	// committed transaction can never reference space beyond the durable
-	// bump (Rescan would not find it after a crash).
-	if err := h.reg.Store64(offBump, newBump); err != nil {
-		return Nil, err
-	}
-	if err := h.reg.Persist(offBump, 8); err != nil {
-		return Nil, err
-	}
 	// Write every block's class size now (stable across alloc/free cycles
 	// and needed by Rescan); states remain free until CommitAlloc. One
-	// contiguous persist covers the whole chunk's headers.
+	// contiguous persist covers the whole chunk's headers, and comes before
+	// the bump that exposes them to Rescan: a durable bump over unformatted
+	// space is a heap that cannot be rescanned.
 	for b := 0; b < blocks; b++ {
 		off := int(chunkOff + uint64(b)*need)
 		if err := h.reg.Store32(off+bhSize, uint32(cls)); err != nil {
@@ -494,6 +487,15 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 		}
 	}
 	if err := h.reg.Persist(int(chunkOff), blocks*int(need)); err != nil {
+		return Nil, err
+	}
+	// Persist the bump pointer before any block is handed out so that a
+	// committed transaction can never reference space beyond the durable
+	// bump (Rescan would not find it after a crash).
+	if err := h.reg.Store64(offBump, newBump); err != nil {
+		return Nil, err
+	}
+	if err := h.reg.Persist(offBump, 8); err != nil {
 		return Nil, err
 	}
 	h.bump.Store(newBump)

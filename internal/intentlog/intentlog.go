@@ -16,6 +16,16 @@
 // the slot header, which makes a torn final append harmless (the engine only
 // modifies an object after its intent's fence, so an unfenced intent implies
 // an unmodified object).
+//
+// A transaction's first append also opens its slot: the header line (Running,
+// the transaction id, the counters) and the entry line are flushed together
+// and that one fence covers both — there is no separate "begin" persist.
+// However a crash tears the two lines apart, recovery sees nothing: with
+// neither durable the previous owner's freed header stands; the entry alone
+// sits under a header that is still Free; the header alone names an entry
+// line still tagged by an older transaction, a Running slot with nothing in
+// it. Attach resumes the id counter above every entry tag as well as every
+// header, so an id that reached the device only as a tag is never reissued.
 package intentlog
 
 import (
@@ -360,6 +370,16 @@ func Attach(reg *nvm.Region) (*Log, error) {
 		if txid > maxTx {
 			maxTx = txid
 		}
+		// A first append persists header and entry 0 under one fence, so
+		// a crash can leave entry 0 tagged with an id no header recorded;
+		// reissued, that id would validate the stale entry. Resume above it.
+		tag, err := reg.Load64(l.entryOff(i, 0) + eOffTxID)
+		if err != nil {
+			return nil, err
+		}
+		if tag > maxTx {
+			maxTx = tag
+		}
 		if st == StateFree {
 			l.pushSlot(i)
 		}
@@ -410,15 +430,16 @@ type TxLog struct {
 	txid     uint64
 	n        int
 	dataUsed int
-	inited   bool // slot header durably initialized (first append)
+	inited   bool // slot header written by this transaction (first append)
 	released bool
 }
 
-// Begin claims a free slot and durably marks it Running. When all slots are
-// occupied (committed transactions whose backup sync is still pending hold
-// theirs), Begin blocks until one frees — backpressure on the asynchronous
-// applier rather than an error. The fast path touches only per-shard
-// mutexes; the global wait lock is taken only once every shard is empty.
+// Begin claims a free slot; the first append durably marks it Running (see
+// newTx). When all slots are occupied (committed transactions whose backup
+// sync is still pending hold theirs), Begin blocks until one frees —
+// backpressure on the asynchronous applier rather than an error. The fast
+// path touches only per-shard mutexes; the global wait lock is taken only
+// once every shard is empty.
 func (l *Log) Begin() (*TxLog, error) {
 	if slot, ok := l.tryAcquire(); ok {
 		return l.newTx(slot), nil
@@ -447,39 +468,40 @@ func (l *Log) TryBegin() (*TxLog, error) {
 }
 
 // newTx binds a claimed slot to a fresh transaction id. The slot's
-// durable header is NOT touched here: it is initialized lazily by the
-// first append (ensureInit), so a transaction that never logs anything —
-// the read-only case, the bulk of most workloads — claims and returns
-// its slot without a single device operation. The durable image of such
-// a slot stays whatever the last logging transaction left (a freed or
-// empty header), which recovery already resolves to a no-op.
+// durable header is NOT touched here: the transaction's first append opens
+// the slot (storeCount), so a transaction that never logs anything — the
+// read-only case, the bulk of most workloads — claims and returns its slot
+// without a single device operation. The durable image of such a slot
+// stays whatever the last logging transaction left (a freed or empty
+// header), which recovery already resolves to a no-op.
 func (l *Log) newTx(slot int) *TxLog {
 	return &TxLog{l: l, slot: slot, txid: l.nextTxID.Add(1)}
 }
 
-// ensureInit durably initializes the slot header (Running state, txid,
-// zeroed counters) before the transaction's first slot write. The header
-// is one cache line: assembling it in a buffer and issuing one store +
-// one persist has the same failure atomicity as field-by-field stores
-// (the line persists as a unit either way) at a quarter of the device
-// writes. It must run before any entry or data-area write so a crash
-// can never expose stale header fields alongside new payload.
-func (t *TxLog) ensureInit() error {
-	if t.inited {
-		return nil
-	}
+// storeCount stores one of the slot header's counters and flushes the
+// header line; every caller fences before it returns. The transaction's
+// first call opens the slot instead: it stores the whole one-line header —
+// Running, the transaction id, both counters as they stand — which persists
+// as a unit, under the same fence as the payload flushed alongside (the
+// package comment shows every torn outcome is harmless).
+func (t *TxLog) storeCount(field int, v uint32) error {
 	off := t.l.slotOff(t.slot)
+	if t.inited {
+		if err := t.l.reg.Store32(off+field, v); err != nil {
+			return err
+		}
+		return t.l.reg.Flush(off+field, 4)
+	}
 	var hdr [sOffDataUse + 4]byte
 	binary.LittleEndian.PutUint32(hdr[sOffState:], uint32(StateRunning))
+	binary.LittleEndian.PutUint32(hdr[sOffNEnt:], uint32(t.n))
 	binary.LittleEndian.PutUint64(hdr[sOffTxID:], t.txid)
+	binary.LittleEndian.PutUint32(hdr[sOffDataUse:], uint32(t.dataUsed))
 	if err := t.l.reg.Write(off, hdr[:]); err != nil {
 		return err
 	}
-	if err := t.l.reg.Persist(off, slotHdrSize); err != nil {
-		return err
-	}
 	t.inited = true
-	return nil
+	return t.l.reg.Flush(off, slotHdrSize)
 }
 
 // TxID returns the transaction's id.
@@ -504,9 +526,6 @@ func (t *TxLog) Append(e Entry) error {
 	if t.n >= t.l.cfg.EntriesPerSlot {
 		return ErrEntriesFull
 	}
-	if err := t.ensureInit(); err != nil {
-		return err
-	}
 	off := t.l.entryOff(t.slot, t.n)
 	var buf [entrySize]byte
 	buf[eOffOp] = byte(e.Op)
@@ -522,16 +541,13 @@ func (t *TxLog) Append(e Entry) error {
 		return err
 	}
 	t.n++
-	hdr := t.l.slotOff(t.slot)
-	if err := t.l.reg.Store32(hdr+sOffNEnt, uint32(t.n)); err != nil {
-		return err
-	}
-	if err := t.l.reg.Flush(hdr+sOffNEnt, 4); err != nil {
+	if err := t.storeCount(sOffNEnt, uint32(t.n)); err != nil {
 		return err
 	}
 	// One fence covers both the entry and the count (paper §6.2: "one
-	// flush instruction after all the write intents are declared"). If a
-	// crash tears them apart, the txid tag invalidates the entry.
+	// flush instruction after all the write intents are declared"), and on
+	// the first append the header that opens the slot. If a crash tears
+	// them apart, the txid tag invalidates the entry.
 	t.l.reg.Fence()
 	return nil
 }
@@ -544,9 +560,6 @@ func (t *TxLog) AppendWithData(e Entry, data []byte) (Entry, error) {
 	if t.dataUsed+len(data) > t.l.cfg.DataBytesPerSlot {
 		return Entry{}, ErrDataFull
 	}
-	if err := t.ensureInit(); err != nil {
-		return Entry{}, err
-	}
 	doff := t.l.dataOff(t.slot) + t.dataUsed
 	if err := t.l.reg.Write(doff, data); err != nil {
 		return Entry{}, err
@@ -557,11 +570,7 @@ func (t *TxLog) AppendWithData(e Entry, data []byte) (Entry, error) {
 	e.DataOff = uint32(t.dataUsed)
 	e.DataLen = uint32(len(data))
 	t.dataUsed += len(data)
-	hdr := t.l.slotOff(t.slot)
-	if err := t.l.reg.Store32(hdr+sOffDataUse, uint32(t.dataUsed)); err != nil {
-		return Entry{}, err
-	}
-	if err := t.l.reg.Flush(hdr+sOffDataUse, 4); err != nil {
+	if err := t.storeCount(sOffDataUse, uint32(t.dataUsed)); err != nil {
 		return Entry{}, err
 	}
 	if err := t.Append(e); err != nil {
@@ -577,19 +586,13 @@ func (t *TxLog) ReserveData(n int) (regionOff int, dataOff uint32, err error) {
 	if t.dataUsed+n > t.l.cfg.DataBytesPerSlot {
 		return 0, 0, ErrDataFull
 	}
-	if err := t.ensureInit(); err != nil {
-		return 0, 0, err
-	}
 	doff := t.l.dataOff(t.slot) + t.dataUsed
 	o := uint32(t.dataUsed)
 	t.dataUsed += n
-	hdr := t.l.slotOff(t.slot)
-	if err := t.l.reg.Store32(hdr+sOffDataUse, uint32(t.dataUsed)); err != nil {
+	if err := t.storeCount(sOffDataUse, uint32(t.dataUsed)); err != nil {
 		return 0, 0, err
 	}
-	if err := t.l.reg.Persist(hdr+sOffDataUse, 4); err != nil {
-		return 0, 0, err
-	}
+	t.l.reg.Fence()
 	return doff, o, nil
 }
 
@@ -678,8 +681,8 @@ func (l *Log) SetStateBatch(ts []*TxLog, s State) error {
 // crash image may then still read Running or Committed with zero
 // entries, which recovery resolves to a freed slot with no effects —
 // exactly what a durable Free would have produced. The next writer of
-// the slot re-persists the whole header line in initSlot before any of
-// its entries can become visible.
+// the slot rewrites the whole header line (storeCount) under the same fence
+// as its first entry, and that entry is valid only under the new header.
 func (t *TxLog) Release() error {
 	if t.released {
 		return nil

@@ -144,6 +144,8 @@ type Region struct {
 	// so SetTracer is safe against concurrent region use; nil when
 	// tracing is off (the common case: one atomic load per mutation).
 	tracer atomic.Pointer[trace.Tracer]
+
+	fenceHook atomic.Pointer[func()] // see SetFenceHook
 }
 
 // stripeOf maps a line index to its stripe.
@@ -427,6 +429,9 @@ func (r *Region) Flush(off, n int) error {
 // stripe is drained is simply not yet durable, the same outcome as if the
 // racing write had happened after the whole fence.
 func (r *Region) Fence() {
+	if h := r.fenceHook.Load(); h != nil {
+		(*h)()
+	}
 	r.statMu.Lock()
 	r.stats.Fences++
 	r.statMu.Unlock()
@@ -452,6 +457,17 @@ func (r *Region) Fence() {
 		spin(r.latency.Fence)
 	}
 	r.traceFence()
+}
+
+// SetFenceHook makes every Fence call fn first (nil removes it), at the one
+// instant each line flushed since the previous fence may or may not be
+// durable. Crash-point enumeration tests power-fail the region from it.
+func (r *Region) SetFenceHook(fn func()) {
+	if fn == nil {
+		r.fenceHook.Store(nil)
+		return
+	}
+	r.fenceHook.Store(&fn)
 }
 
 // persistLine copies one line from the volatile view to the durable image.

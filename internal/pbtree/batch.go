@@ -140,7 +140,7 @@ func (t *Tree) batchPutInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, v
 	if _, found := search(leaf.keys, key); !found && len(leaf.keys) >= t.order {
 		return ErrBatchNeedsSplit
 	}
-	return t.putInLeaf(tx, leafObj, key, func([]byte, bool) ([]byte, error) { return val, nil })
+	return t.putInLeaf(tx, leafObj, key, val, nil)
 }
 
 // batchDeleteInLeaf removes key from the latched leaf (lazy, like Delete).

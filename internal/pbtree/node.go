@@ -3,6 +3,7 @@ package pbtree
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"kaminotx/kamino"
 )
@@ -161,13 +162,20 @@ func search(keys []uint64, key uint64) (int, bool) {
 
 func valueSize(n int) int { return 4 + n }
 
+// valueBufs recycles writeValue's encode buffers.
+var valueBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeValue stores val, length prefix and bytes, as a single write (one
+// device store, one dirty extent); tx.Write copies out of the buffer, so it
+// goes straight back to the pool.
 func (t *Tree) writeValue(tx *kamino.Tx, obj kamino.ObjID, val []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(val)))
-	if err := tx.Write(obj, 0, hdr[:]); err != nil {
-		return err
-	}
-	return tx.Write(obj, 4, val)
+	bp := valueBufs.Get().(*[]byte)
+	buf := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(len(val)))
+	buf = append(buf, val...)
+	err := tx.Write(obj, 0, buf)
+	*bp = buf
+	valueBufs.Put(bp)
+	return err
 }
 
 func decodeValue(b []byte) ([]byte, error) {

@@ -259,13 +259,14 @@ func (t *Tree) Get(key uint64) ([]byte, bool, error) {
 
 // Put inserts or updates key with val.
 func (t *Tree) Put(key uint64, val []byte) error {
-	return t.Modify(key, func([]byte, bool) ([]byte, error) { return val, nil })
+	_, err := t.PutT(key, val)
+	return err
 }
 
 // PutT is Put returning the engine transaction id that installed the
 // value (the last attempt's id when root splits forced retries).
 func (t *Tree) PutT(key uint64, val []byte) (uint64, error) {
-	return t.ModifyT(key, func([]byte, bool) ([]byte, error) { return val, nil })
+	return t.put(key, val, nil)
 }
 
 // Modify atomically installs fn(currentValue, found) as key's new value in
@@ -280,8 +281,18 @@ func (t *Tree) Modify(key uint64, fn func(old []byte, found bool) ([]byte, error
 // that installed the value (root-split transactions along the way are
 // not reported; the id identifies the write itself).
 func (t *Tree) ModifyT(key uint64, fn func(old []byte, found bool) ([]byte, error)) (uint64, error) {
+	return t.put(key, nil, fn)
+}
+
+// modifyFn computes a key's new value from its current one. Nil stands for
+// a plain put, which never decodes (copies) the value it overwrites.
+type modifyFn func(old []byte, found bool) ([]byte, error)
+
+// put stores val — or fn's result, when fn is non-nil — under key,
+// retrying while the root has to be split first.
+func (t *Tree) put(key uint64, val []byte, fn modifyFn) (uint64, error) {
 	for {
-		txid, retry, err := t.tryPut(key, fn)
+		txid, retry, err := t.tryPut(key, val, fn)
 		if err != nil {
 			return txid, err
 		}
@@ -293,7 +304,7 @@ func (t *Tree) ModifyT(key uint64, fn func(old []byte, found bool) ([]byte, erro
 
 // tryPut performs one insert attempt; it reports retry=true when the root
 // was full and had to be split (the operation restarts afterwards).
-func (t *Tree) tryPut(key uint64, fn func([]byte, bool) ([]byte, error)) (txid uint64, retry bool, err error) {
+func (t *Tree) tryPut(key uint64, val []byte, fn modifyFn) (txid uint64, retry bool, err error) {
 	var un unlockers
 	defer un.runAll()
 	txid, err = t.pool.UpdateT(func(tx *kamino.Tx) error {
@@ -326,7 +337,7 @@ func (t *Tree) tryPut(key uint64, fn func([]byte, bool) ([]byte, error)) (txid u
 		// root node's latch (splitRoot latches the old root node), so
 		// the pointer latch is released here rather than at commit.
 		t.rootLatch.RUnlock()
-		return t.descendPut(tx, &un, rootObj, root, false, key, fn)
+		return t.descendPut(tx, &un, rootObj, root, false, key, val, fn)
 	})
 	return txid, retry, err
 }
@@ -443,7 +454,7 @@ func (t *Tree) splitChild(tx *kamino.Tx, obj kamino.ObjID, nd *node) (uint64, ka
 // latches until the transaction finishes, because engines that publish
 // writes at commit time (copy-on-write) must not expose a latched-free
 // node whose physical image is mid-replacement.
-func (t *Tree) descendPut(tx *kamino.Tx, un *unlockers, curObj kamino.ObjID, cur *node, curDirty bool, key uint64, fn func([]byte, bool) ([]byte, error)) error {
+func (t *Tree) descendPut(tx *kamino.Tx, un *unlockers, curObj kamino.ObjID, cur *node, curDirty bool, key uint64, val []byte, fn modifyFn) error {
 	curLatch := t.latch(curObj)
 	// release disposes of cur's latch once the descent moves past it (or
 	// fails): clean nodes unlock immediately, dirty ones at commit.
@@ -511,24 +522,27 @@ func (t *Tree) descendPut(tx *kamino.Tx, un *unlockers, curObj kamino.ObjID, cur
 		release()
 		curObj, cur, curLatch, curDirty = childObj, child, cl, childDirty
 	}
-	un.add(curLatch.Unlock) // the leaf is always written: hold to commit
-	return t.putInLeaf(tx, curObj, key, fn)
+	// The leaf is written, or read through the transaction on behalf of a
+	// write to one of its values: hold its latch to commit either way.
+	un.add(curLatch.Unlock)
+	return t.putInLeaf(tx, curObj, key, val, fn)
 }
 
 // putInLeaf inserts or updates key in the latched, non-full leaf, storing
-// fn(oldValue, found).
-func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, fn func([]byte, bool) ([]byte, error)) error {
-	if err := tx.Add(leafObj); err != nil {
-		return err
-	}
+// val, or fn(oldValue, found) when fn is non-nil.
+//
+// The leaf is read through the transaction before any intent on it is
+// declared, because the common case never changes it: a value that fits its
+// object is overwritten in place, and the transaction logs, locks, flushes
+// and backs up the value object alone. Only the two paths that store into
+// the leaf — an outgrown value, a new key — declare its write intent.
+func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, val []byte, fn modifyFn) error {
 	leaf, err := t.readNodeTx(tx, leafObj)
 	if err != nil {
 		return err
 	}
 	i, found := search(leaf.keys, key)
 	if found {
-		// Update in place if the value object can hold it; otherwise
-		// replace the value object.
 		valObj := leaf.ptrs[i]
 		if err := tx.Add(valObj); err != nil {
 			return err
@@ -537,17 +551,20 @@ func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, fn fun
 		if err != nil {
 			return err
 		}
-		oldVal, err := decodeValue(old)
-		if err != nil {
-			return err
-		}
-		val, err := fn(oldVal, true)
-		if err != nil {
-			return err
+		if fn != nil {
+			oldVal, err := decodeValue(old)
+			if err != nil {
+				return err
+			}
+			if val, err = fn(oldVal, true); err != nil {
+				return err
+			}
 		}
 		if valueSize(len(val)) <= len(old) {
 			return t.writeValue(tx, valObj, val)
 		}
+		// Outgrown: move the value to a larger object and repoint the
+		// leaf at it.
 		newVal, err := tx.Alloc(valueSize(len(val)))
 		if err != nil {
 			return err
@@ -559,11 +576,12 @@ func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, fn fun
 			return err
 		}
 		leaf.ptrs[i] = newVal
-		return t.writeNode(tx, leafObj, leaf)
+		return t.storeLeaf(tx, leafObj, leaf)
 	}
-	val, err := fn(nil, false)
-	if err != nil {
-		return err
+	if fn != nil {
+		if val, err = fn(nil, false); err != nil {
+			return err
+		}
 	}
 	valObj, err := tx.Alloc(valueSize(len(val)))
 	if err != nil {
@@ -574,6 +592,15 @@ func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, fn fun
 	}
 	leaf.keys = append(leaf.keys[:i], append([]uint64{key}, leaf.keys[i:]...)...)
 	leaf.ptrs = append(leaf.ptrs[:i], append([]kamino.ObjID{valObj}, leaf.ptrs[i:]...)...)
+	return t.storeLeaf(tx, leafObj, leaf)
+}
+
+// storeLeaf declares the write intent on a leaf already read through tx and
+// stores its new contents.
+func (t *Tree) storeLeaf(tx *kamino.Tx, leafObj kamino.ObjID, leaf *node) error {
+	if err := tx.Add(leafObj); err != nil {
+		return err
+	}
 	return t.writeNode(tx, leafObj, leaf)
 }
 
