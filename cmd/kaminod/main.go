@@ -56,7 +56,6 @@ func main() {
 		window      = flag.Int("window", 64, "per-connection pipeline window (in-flight requests)")
 		maxInflight = flag.Int("max-inflight", 1024, "server-wide admission budget before shedding")
 		batchOps    = flag.Int("batch-ops", 32, "max write operations coalesced per engine transaction (1 disables)")
-		batchDelay  = flag.Duration("batch-delay", 0, "how long the batcher waits for company after a write")
 		maxValue    = flag.Int("max-value", 1<<20, "largest accepted put payload in bytes")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz, /readyz, /debug/requests, /debug/pprof ('' = off)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -174,7 +173,6 @@ func main() {
 		Window:        *window,
 		MaxInflight:   *maxInflight,
 		BatchOps:      *batchOps,
-		BatchDelay:    *batchDelay,
 		MaxValueBytes: *maxValue,
 		DefaultTenant: *defTenant,
 		Tenants:       tenantNames,

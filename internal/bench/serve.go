@@ -87,11 +87,10 @@ func Serve(c Config) error {
 		return err
 	}
 	srv, err := server.New(ln, server.Options{
-		Store:      store,
-		BatchDelay: 50 * time.Microsecond,
-		Tenants:    []string{"audit"},
-		Obs:        srvReg,
-		Trace:      c.Trace,
+		Store:   store,
+		Tenants: []string{"audit"},
+		Obs:     srvReg,
+		Trace:   c.Trace,
 	})
 	if err != nil {
 		ln.Close()

@@ -1,8 +1,6 @@
 package kamino
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"kaminotx/internal/engine"
@@ -65,55 +63,10 @@ func TestGroupCommitAbsorbsConcurrentMarkers(t *testing.T) {
 	const txsPerWorker = 50
 
 	// One object per worker avoids lock conflicts so commits overlap.
-	objs := make([]heap.ObjID, workers)
-	for i := range objs {
-		tx, err := e.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		obj, err := tx.Alloc(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		objs[i] = obj
-	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < txsPerWorker; i++ {
-				tx, err := e.Begin()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if err := tx.Add(objs[w]); err != nil {
-					errCh <- fmt.Errorf("worker %d add: %w", w, err)
-					tx.Abort()
-					return
-				}
-				if err := tx.Write(objs[w], 0, []byte{byte(i), byte(w)}); err != nil {
-					errCh <- fmt.Errorf("worker %d write: %w", w, err)
-					tx.Abort()
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					errCh <- fmt.Errorf("worker %d commit: %w", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	objs := allocObjs(t, e, workers)
+	commitLoad(t, e, objs, txsPerWorker)
+	if t.Failed() {
+		t.FailNow()
 	}
 	e.Drain()
 

@@ -110,6 +110,7 @@ type Engine struct {
 	wg       sync.WaitGroup  // applier + committer goroutines
 	inFlt    sync.WaitGroup  // outstanding post-commit syncs
 	pending  atomic.Int64    // committed txs whose backup sync hasn't finished
+	polling  atomic.Int32    // this engine's goroutines polling now (see pollers)
 	closed   atomic.Bool
 
 	applyErr atomic.Value // error
@@ -126,6 +127,7 @@ type Engine struct {
 	depWaits   *obs.Counter
 	grpEpochs  *obs.Counter // group-commit fence epochs issued
 	grpCommits *obs.Counter // transactions committed through group commit
+	parks      *obs.Counter // times an applier or the committer parked on its queue
 
 	phStall   *obs.PhaseStat // dependent-lock acquisition time
 	phIntent  *obs.PhaseStat // intent-log append persist
@@ -312,6 +314,7 @@ func newEngine(h *heap.Heap, l *intentlog.Log, locks *locktable.Table, be backen
 		depWaits:   o.Counter("dependent_waits"),
 		grpEpochs:  o.Counter("group_commit_epochs"),
 		grpCommits: o.Counter("group_committed_txs"),
+		parks:      o.Counter("applier_parks"),
 		phStall:    o.Phase(obs.PhaseDependentStall),
 		phIntent:   o.Phase(obs.PhaseIntentPersist),
 		phHeap:     o.Phase(obs.PhaseHeapPersist),
@@ -353,6 +356,7 @@ func (e *Engine) start(cfg Config) {
 		}
 		return 0
 	})
+	e.obs.Gauge("engine_pollers", func() uint64 { return uint64(e.polling.Load()) })
 	for i := 0; i < cfg.ApplierWorkers; i++ {
 		e.wg.Add(1)
 		go e.applier(e.applyChs[i])
@@ -366,15 +370,15 @@ func (e *Engine) start(cfg Config) {
 
 // committer is the group-commit thread: it gathers whatever commit markers
 // are pending, persists them under one flush+fence epoch via SetStateBatch,
-// and wakes every covered transaction. Like the applier it spins briefly
-// before parking, because a parked-goroutine wakeup would be charged to
-// every commit's critical path.
+// and wakes every covered transaction. Like the applier it receives through
+// recvPolling, because a parked-goroutine wakeup would be charged to every
+// commit's critical path.
 func (e *Engine) committer() {
 	defer e.wg.Done()
 	pending := make([]commitReq, 0, 64)
 	tls := make([]*intentlog.TxLog, 0, 64)
 	for {
-		req, ok := e.nextCommit()
+		req, ok := recvPolling(e, e.commitCh)
 		if !ok {
 			return
 		}
@@ -405,31 +409,18 @@ func (e *Engine) committer() {
 	}
 }
 
-func (e *Engine) nextCommit() (commitReq, bool) {
-	for i := 0; i < applierSpins; i++ {
-		select {
-		case req, ok := <-e.commitCh:
-			return req, ok
-		default:
-			runtime.Gosched()
-		}
-	}
-	req, ok := <-e.commitCh
-	return req, ok
-}
-
 // applier is the paper's background Transaction Coordinator thread: it
 // rolls the backup forward for committed transactions and only then
 // releases the transaction's locks and intent-log slot.
 //
-// The receive spins briefly before parking: a parked goroutine costs
-// microseconds to wake, which would be charged to every dependent
-// transaction's critical path — on real hardware the backup writer is a
-// polling thread for exactly this reason.
+// The receive polls briefly before parking when the process-wide budget
+// allows (recvPolling): a parked goroutine costs microseconds to wake, which
+// would be charged to every dependent transaction's critical path — on real
+// hardware the backup writer is a polling thread for exactly this reason.
 func (e *Engine) applier(ch chan applyReq) {
 	defer e.wg.Done()
 	for {
-		req, ok := e.nextReq(ch)
+		req, ok := recvPolling(e, ch)
 		if !ok {
 			return
 		}
@@ -441,27 +432,74 @@ func (e *Engine) applier(ch chan applyReq) {
 	}
 }
 
-// applierSpins tunes the pre-park spin: worthwhile only when a spare core
-// can absorb it. On a single-core host spinning just steals time from the
-// transaction threads.
-var applierSpins = func() int {
-	if runtime.NumCPU() <= 1 {
-		return 0
-	}
-	return 2000
-}()
+// pollSpins is how many times a polling goroutine yields and looks again
+// before it gives up and parks on its channel.
+const pollSpins = 2000
 
-func (e *Engine) nextReq(ch chan applyReq) (applyReq, bool) {
-	for i := 0; i < applierSpins; i++ {
-		select {
-		case req, ok := <-ch:
-			return req, ok
-		default:
-			runtime.Gosched()
+// pollers counts the engine goroutines (appliers and group committers of
+// every engine in the process) that are polling right now; pollersHigh is
+// its high-water mark. At most GOMAXPROCS-1 may poll at a time, and with one
+// processor none does.
+//
+// A poller waits by runtime.Gosched, which re-enters the global run queue,
+// and the scheduler drains that queue before it looks at the network poller
+// or lets a processor go idle. So a processor held by a poller never notices
+// a ready socket, and with a poller on every processor a served request
+// waits until somebody's spins run out. One processor fewer than there are
+// keeps the benefit — a commit finds its applier awake, and the process is
+// kept out of the futex sleep a closed loop would otherwise pay on every
+// hand-off — and leaves one processor to the goroutines doing the work
+// (DESIGN.md §10.1).
+var pollers, pollersHigh atomic.Int32
+
+// acquirePoll takes a slot of the polling budget if one is free.
+func acquirePoll() bool {
+	budget := int32(runtime.GOMAXPROCS(0) - 1)
+	for {
+		n := pollers.Load()
+		if n >= budget {
+			return false
+		}
+		if pollers.CompareAndSwap(n, n+1) {
+			for {
+				hw := pollersHigh.Load()
+				if n+1 <= hw || pollersHigh.CompareAndSwap(hw, n+1) {
+					return true
+				}
+			}
 		}
 	}
-	req, ok := <-ch
-	return req, ok
+}
+
+// recvPolling receives from ch for one of e's background goroutines. If
+// nothing is queued and the budget has a slot it polls for pollSpins yields
+// before parking; over budget it parks at once.
+func recvPolling[T any](e *Engine, ch <-chan T) (v T, ok bool) {
+	select {
+	case v, ok = <-ch:
+		return v, ok
+	default:
+	}
+	if acquirePoll() {
+		e.polling.Add(1)
+		got := false
+		for i := 0; i < pollSpins && !got; i++ {
+			runtime.Gosched()
+			select {
+			case v, ok = <-ch:
+				got = true
+			default:
+			}
+		}
+		e.polling.Add(-1)
+		pollers.Add(-1)
+		if got {
+			return v, ok
+		}
+	}
+	e.parks.Inc()
+	v, ok = <-ch
+	return v, ok
 }
 
 // routeApply picks the worker queue for a committed transaction: the shard

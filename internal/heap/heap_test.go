@@ -101,7 +101,7 @@ func TestAllocZeroesPayload(t *testing.T) {
 
 func TestFreeListReuse(t *testing.T) {
 	h := newHeap(t, 1<<16)
-	h.SetShards(1) // deterministic LIFO reuse
+	h.SetShards(1)       // deterministic LIFO reuse
 	a := alloc(t, h, 40) // class 48
 	bumpAfterA := h.Bump()
 	spares := h.FreeCount(48) // chunk carving pre-formats surplus blocks

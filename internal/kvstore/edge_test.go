@@ -180,4 +180,3 @@ func TestConcurrentSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-

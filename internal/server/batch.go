@@ -49,31 +49,21 @@ func (s *Server) batcher() {
 	}
 }
 
-// gather extends batch with immediately-available key-disjoint puts until
-// a cap is hit or a boundary op (delete, or a key already in the batch)
-// arrives; the boundary op is returned to seed the next batch.
+// gather extends batch with the key-disjoint puts already queued — what
+// arrived while the previous transaction ran — until a cap is hit or a
+// boundary op (delete, or a key already in the batch) turns up; the boundary
+// op is returned to seed the next batch. It never waits: a timer short
+// enough to be worth having rounds up to the runtime's 1 ms poll tick on an
+// idle process, and under load the queue is already full.
 func (s *Server) gather(batch *[]*wreq) *wreq {
 	keys := map[uint64]bool{(*batch)[0].key: true}
 	bytes := len((*batch)[0].value)
-	var timer <-chan time.Time
-	if s.opts.BatchDelay > 0 {
-		timer = time.After(s.opts.BatchDelay)
-	}
 	for len(*batch) < s.opts.BatchOps && bytes < s.opts.BatchBytes {
 		var w *wreq
-		if timer != nil {
-			select {
-			case w = <-s.writeCh:
-			case <-timer:
-			}
-		} else {
-			select {
-			case w = <-s.writeCh:
-			default:
-			}
-		}
-		if w == nil {
-			break
+		select {
+		case w = <-s.writeCh:
+		default:
+			return nil
 		}
 		if w.delete || keys[w.key] {
 			return w // boundary: preserves per-key arrival order

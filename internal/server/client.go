@@ -50,7 +50,7 @@ type Call struct {
 	// Trace is the request's end-to-end trace id: the id the client
 	// sent (minted when tracing is enabled), or 0. After the response
 	// arrives, Resp.Trace additionally carries any server-minted id.
-	Trace uint64
+	Trace  uint64
 	id     uint64
 	sentAt time.Time
 }

@@ -71,9 +71,10 @@ type Options struct {
 	// BatchBytes caps a batch's total value payload. Default 256 KiB.
 	BatchBytes int
 
-	// BatchDelay is how long the batcher waits for company after the
-	// first write of a batch. Default 0 (never wait: batches form only
-	// from genuinely concurrent writes).
+	// BatchDelay is no longer consulted: the batcher takes what queued
+	// while its previous transaction ran and never waits (batches form
+	// only from genuinely concurrent writes). The field remains so that
+	// callers which set it keep compiling.
 	BatchDelay time.Duration
 
 	// MaxValueBytes rejects larger put payloads as bad requests before
@@ -173,8 +174,15 @@ type Server struct {
 	stop   chan struct{} // closed by Close: stops batcher and accept loop
 	closed atomic.Bool
 
-	reqWG  sync.WaitGroup // in-flight requests (accepted, not yet completed)
-	connWG sync.WaitGroup // live connection handlers
+	// reqMu orders request admission against the Drain and Quiesce waits:
+	// a request is counted and a waiter looks under the same lock (a
+	// WaitGroup forbids Add from zero beside a Wait, which is exactly what
+	// a request arriving during a drain does).
+	reqMu   sync.Mutex
+	reqs    int           // in-flight requests (accepted, not yet completed)
+	reqIdle chan struct{} // non-nil while somebody waits; closed when reqs reaches 0
+
+	connWG  sync.WaitGroup // live connection handlers
 	batchWG sync.WaitGroup
 
 	connMu sync.Mutex
@@ -398,7 +406,7 @@ type pending struct {
 	kind     transport.KVKind
 	tenant   string
 	key      uint64
-	bytes    int  // put payload size
+	bytes    int // put payload size
 	trace    uint64
 	wantNs   bool      // client asked for PhaseNs in the response
 	start    time.Time // decode end: the request's server wall starts here
@@ -418,9 +426,47 @@ func (s *Server) finish(p *pending, fill func(*transport.KVResponse)) {
 		if p.token {
 			<-s.admit
 		}
-		s.reqWG.Done()
+		s.endReq()
 		close(p.done)
 	})
+}
+
+// beginReq counts a decoded request as in flight; finish ends it.
+func (s *Server) beginReq() {
+	s.reqMu.Lock()
+	s.reqs++
+	s.reqMu.Unlock()
+}
+
+func (s *Server) endReq() {
+	s.reqMu.Lock()
+	s.reqs--
+	if s.reqs == 0 && s.reqIdle != nil {
+		close(s.reqIdle)
+		s.reqIdle = nil
+	}
+	s.reqMu.Unlock()
+}
+
+// waitIdle blocks until no request is in flight, or returns ctx.Err() if
+// the context ends first.
+func (s *Server) waitIdle(ctx context.Context) error {
+	s.reqMu.Lock()
+	if s.reqs == 0 {
+		s.reqMu.Unlock()
+		return nil
+	}
+	if s.reqIdle == nil {
+		s.reqIdle = make(chan struct{})
+	}
+	idle := s.reqIdle
+	s.reqMu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // fail is finish with just a status and error text.
@@ -451,11 +497,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		bw := bufio.NewWriter(conn)
 		enc := transport.NewKVEncoder(bw)
 		for p := range order {
-			<-p.done
+			var err error
+			select {
+			case <-p.done:
+			default:
+				// This slot is unfinished: send the finished responses
+				// buffered ahead of it before waiting.
+				err = bw.Flush()
+				<-p.done
+			}
 			orderNs := time.Since(p.doneAt).Nanoseconds()
 			s.fillBreakdown(p, orderNs)
 			w0 := time.Now()
-			err := enc.Response(&p.resp)
+			if err == nil {
+				err = enc.Response(&p.resp)
+			}
 			if err == nil && len(order) == 0 {
 				err = bw.Flush()
 			}
@@ -481,7 +537,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		now := time.Now()
-		s.reqWG.Add(1)
+		s.beginReq()
 		p := &pending{
 			done:     make(chan struct{}),
 			kind:     req.Kind,
@@ -743,15 +799,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		s.ln.Close()
 	}
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := s.waitIdle(ctx); err != nil {
+		return err
 	}
 	// Every response slot is complete; writers flush as their queues
 	// drain. Closing the read sides unblocks decode loops so handlers
@@ -794,15 +843,8 @@ func (s *Server) Quiesce(ctx context.Context, fn func() error) error {
 		return errors.New("server: quiesce already in progress")
 	}
 	defer s.paused.Store(false)
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := s.waitIdle(ctx); err != nil {
+		return err
 	}
 	return fn()
 }

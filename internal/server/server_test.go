@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 
 // startServer builds an in-memory store and serves it on a loopback
 // listener, returning the server and its address.
-func startServer(t *testing.T, opts Options) (*Server, string) {
+func startServer(t testing.TB, opts Options) (*Server, string) {
 	t.Helper()
 	if opts.Store == nil {
 		p, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 32 << 20, Strict: true})
@@ -43,7 +44,7 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {
@@ -176,7 +177,7 @@ func TestPipelineOrder(t *testing.T) {
 // TestBatching drives concurrent writers and checks the batcher actually
 // coalesced multiple operations per engine transaction.
 func TestBatching(t *testing.T) {
-	srv, addr := startServer(t, Options{BatchDelay: 200 * time.Microsecond})
+	srv, addr := startServer(t, Options{})
 	const conns = 4
 	const perConn = 200
 	errs := make(chan error, conns)
@@ -223,6 +224,56 @@ func TestBatching(t *testing.T) {
 	n, err := c.Count("")
 	if err != nil || n != conns*perConn {
 		t.Fatalf("Count = %d %v, want %d", n, err, conns*perConn)
+	}
+}
+
+// TestLonePutNotDelayed: the batcher never waits for company, whatever
+// BatchDelay says — a lone put is acknowledged as soon as it has committed.
+func TestLonePutNotDelayed(t *testing.T) {
+	_, addr := startServer(t, Options{BatchDelay: time.Second})
+	c := dial(t, addr)
+	start := time.Now()
+	if err := c.Put("", 1, []byte("alone")); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("lone put took %v: the batcher waited", d)
+	}
+}
+
+// TestWriterFlushesBeforeStalledSlot: a finished response must reach the
+// client while the connection's next request is still executing, not sit in
+// the response writer's buffer behind it.
+func TestWriterFlushesBeforeStalledSlot(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	c := dial(t, addr)
+	srv.writeMu.Lock() // stalls the batcher's next transaction
+	unlock := sync.OnceFunc(srv.writeMu.Unlock)
+	defer unlock()
+	ping, err := c.Send(&transport.KVRequest{Kind: transport.KVPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := c.Send(&transport.KVRequest{Kind: transport.KVPut, Key: 1, Value: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ping.Done:
+	case <-time.After(2 * time.Second):
+		t.Error("ping response held behind the stalled put")
+	}
+	select {
+	case <-put.Done:
+		t.Error("put acknowledged while the store was locked")
+	default:
+	}
+	unlock()
+	if _, err := put.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ping.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -473,5 +524,37 @@ func TestTraceContinuity(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no slow-ring record for trace %#x", call.Trace)
+	}
+}
+
+// BenchmarkLoopbackPut is one put at a time over loopback TCP: a full
+// client round trip with no pipelining and nothing to batch, on the pool
+// shape the gated benchmark serves (kamino-simple, 2 appliers). It is the
+// in-repo twin of the benchmark ladder's client.tcp_put_ns.
+func BenchmarkLoopbackPut(b *testing.B) {
+	p, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 64 << 20, ApplierWorkers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { p.Close() })
+	st, err := kvstore.Create(p, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, addr := startServer(b, Options{Store: st})
+	c := dial(b, addr)
+	const keys = 1024
+	val := make([]byte, 1024)
+	for k := uint64(0); k < keys; k++ {
+		if err := c.Put("", k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Put("", uint64(i)%keys, val); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
