@@ -18,12 +18,11 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l is not clean:"; echo "$$out"; exit 1; fi
 
-# race runs the measurement layer, every engine, and the sharded
-# concurrency layers under the race detector: the shared Timer/Collector,
-# the workload generators, the engines' counter/phase instrumentation, the
-# trace recorder, and the striped locktable / per-shard heap arenas /
-# partitioned intent log / striped NVM line mutexes are all touched from
-# multiple goroutines. The chain, membership, and persistent-queue
+# race runs the measurement layer, every engine, and the layers under them
+# under the race detector: the shared Timer/Collector, the workload
+# generators, the engines' counter/phase instrumentation, the trace
+# recorder, and the lock table, heap allocator, intent log and NVM line
+# mutexes are all touched from multiple goroutines. The chain, membership, and persistent-queue
 # packages ride along: their view-change and watcher tests only catch the
 # historical races under the detector. The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
@@ -53,7 +52,7 @@ bench: build
 # checked-in baselines.
 BENCH_JSON_FLAGS = -keys 2000 -ops 500 -threads 2 -bench-out out
 bench-json: build
-	$(GO) run ./cmd/kaminobench -experiment fig12,chainscale,threadscale,chaos,serve,recovery $(BENCH_JSON_FLAGS)
+	$(GO) run ./cmd/kaminobench -experiment fig12,chainscale,chaos,serve,recovery $(BENCH_JSON_FLAGS)
 
 benchdiff: bench-json
 	$(GO) run ./tools/benchdiff . out

@@ -8,8 +8,7 @@
 //	kaminobench -experiment fig12 -trace-out fig12.trace.json -audit
 //
 // Experiments: fig1, fig12, fig13, fig14, fig15, fig16, fig17, fig18,
-// table1, dependent, worstcase, ablation, chainscale, threadscale, chaos,
-// all.
+// table1, dependent, worstcase, ablation, chainscale, chaos, all.
 //
 // With -trace-out, every pool the experiments create records its NVM
 // device and transaction lifecycle events into a ring buffer, exported at
@@ -82,7 +81,6 @@ var experiments = []struct {
 	{"worstcase", "repeated same-object updates by size", bench.WorstCase},
 	{"ablation", "design-choice ablations via mechanism counters", bench.Ablation},
 	{"chainscale", "chain throughput vs hop batch size and chain length", bench.ChainScaling},
-	{"threadscale", "throughput vs threads and concurrency shard count", bench.ThreadScale},
 	{"chaos", "kill-rebuild-rejoin schedules under live chain load", bench.Chaos},
 	{"serve", "network service: pipelining, latency under load, drain audit", bench.Serve},
 	{"recovery", "restart cost: TTFT and time-to-full-throughput vs heap size and dirty fraction", bench.Recovery},
@@ -101,7 +99,6 @@ func main() {
 		batchBytes  = flag.Int("batch-bytes", 0, "chain hop batch payload cap in bytes (0 = default 256 KiB)")
 		batchDelay  = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
 		groupCommit = flag.Bool("group-commit", false, "group-commit intent-log persists inside each chain replica's engine")
-		shards      = flag.Int("shards", 0, "concurrency shards per pool: lock-table buckets, heap arenas, intent-log slot groups (0 = per-layer defaults; threadscale sweeps its own counts)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live observability JSON on this HTTP address (e.g. :8089)")
 		benchOut    = flag.String("bench-out", "", "write BENCH_<experiment>.json artifacts into this directory")
 		profileDir  = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
@@ -135,7 +132,6 @@ func main() {
 		ChainBatchBytes:  *batchBytes,
 		ChainBatchDelay:  *batchDelay,
 		ChainGroupCommit: *groupCommit,
-		Shards:           *shards,
 		Out:              os.Stdout,
 	}
 	var recorder *trace.Recorder

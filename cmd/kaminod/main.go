@@ -47,7 +47,6 @@ func main() {
 		dir         = flag.String("dir", "", "pool directory (required; created on first start)")
 		mode        = flag.String("mode", string(kamino.ModeSimple), "engine for a new store: "+kamino.ModeNames())
 		heap        = flag.Int("heap", 64<<20, "heap size for a new store")
-		shards      = flag.Int("shards", 0, "engine concurrency shards (0 = auto)")
 		appliers    = flag.Int("appliers", 0, "backup-sync applier workers for kamino modes (0 = auto)")
 		groupCommit = flag.Bool("group-commit", false, "enable intent-log group commit")
 		tenantsFlag = flag.String("tenants", "", "comma-separated tenant names to register at startup")
@@ -138,7 +137,6 @@ func main() {
 	pool, store, err := open(*dir, kamino.Options{
 		Mode:           kamino.Mode(*mode),
 		HeapSize:       *heap,
-		Shards:         *shards,
 		ApplierWorkers: *appliers,
 		GroupCommit:    *groupCommit,
 		Dir:            *dir,
@@ -287,14 +285,13 @@ func writeTrace(path string, rec *trace.Recorder) error {
 }
 
 // open reopens an existing pool directory or creates a fresh store. A
-// reopen passes the runtime tunables (shards, appliers, group commit,
+// reopen passes the runtime tunables (appliers, group commit,
 // tracing) as an Open override: they take effect for the recovery scans
 // themselves, and conflicts with the stored structural options fail fast
 // instead of being silently ignored.
 func open(dir string, opts kamino.Options) (*kamino.Pool, *kvstore.Store, error) {
 	if _, err := os.Stat(dir + "/pool.json"); err == nil {
 		pool, err := kamino.Open(dir, kamino.Options{
-			Shards:         opts.Shards,
 			ApplierWorkers: opts.ApplierWorkers,
 			GroupCommit:    opts.GroupCommit,
 			Trace:          opts.Trace,

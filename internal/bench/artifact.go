@@ -74,7 +74,6 @@ type ArtifactConfig struct {
 	FenceLatency     time.Duration `json:"fence_latency_ns"`
 	ChainBatchOps    int           `json:"chain_batch_ops,omitempty"`
 	ChainGroupCommit bool          `json:"chain_group_commit,omitempty"`
-	Shards           int           `json:"shards,omitempty"`
 }
 
 // Cell is one measured data point: an engine under a workload at a thread
@@ -196,7 +195,6 @@ func RunArtifact(experiment string, run func(Config) error, cfg Config) (*Artifa
 			FenceLatency:     cfg.FenceLatency,
 			ChainBatchOps:    cfg.ChainBatchOps,
 			ChainGroupCommit: cfg.ChainGroupCommit,
-			Shards:           cfg.Shards,
 		},
 		Cells:      cfg.art.cells,
 		Registries: cfg.agg.snapshots(),

@@ -61,7 +61,6 @@ func (c Config) measureTPCC(mode kamino.Mode) (Result, error) {
 		LogEntriesPerSlot:   128,
 		LogDataBytesPerSlot: 1 << 20,
 		ApplierWorkers:      2,
-		Shards:              c.Shards,
 		FlushLatency:        c.FlushLatency,
 		FenceLatency:        c.FenceLatency,
 	})
@@ -395,7 +394,6 @@ func (c Config) worstCaseRun(mode kamino.Mode, size int) (time.Duration, error) 
 		Mode:         mode,
 		HeapSize:     16 << 20,
 		LogSlots:     64,
-		Shards:       c.Shards,
 		FlushLatency: c.FlushLatency,
 		FenceLatency: c.FenceLatency,
 	})

@@ -53,11 +53,6 @@ type Config struct {
 	// ChainGroupCommit enables intent-log group commit inside every chain
 	// replica's local engine (kaminobench -group-commit).
 	ChainGroupCommit bool
-	// Shards is the concurrency shard count handed to every pool the
-	// experiments create (lock-table buckets, heap arenas, intent-log slot
-	// groups; kaminobench -shards). Zero keeps each layer's GOMAXPROCS-scaled
-	// default. ThreadScale sweeps shard counts itself and ignores this.
-	Shards int
 	// Out receives the report. Required.
 	Out io.Writer
 	// Metrics, if set, receives the live observability registry of every
@@ -146,7 +141,6 @@ func (c Config) poolFor(mode kamino.Mode, alpha float64) (*kamino.Pool, error) {
 		LogSlots:          256,
 		LogEntriesPerSlot: 64,
 		ApplierWorkers:    2,
-		Shards:            c.Shards,
 		FlushLatency:      c.FlushLatency,
 		FenceLatency:      c.FenceLatency,
 		Trace:             c.Trace,

@@ -64,7 +64,6 @@ func (c Config) recoveryRun(mode kamino.Mode, scale int, dirty float64) error {
 		LogSlots:          256,
 		LogEntriesPerSlot: 64,
 		ApplierWorkers:    2,
-		Shards:            c.Shards,
 		FlushLatency:      c.FlushLatency,
 		FenceLatency:      c.FenceLatency,
 		Trace:             c.Trace,

@@ -59,7 +59,6 @@ func Serve(c Config) error {
 		LogSlots:          256,
 		LogEntriesPerSlot: 64,
 		ApplierWorkers:    2,
-		Shards:            c.Shards,
 		FlushLatency:      c.FlushLatency,
 		FenceLatency:      c.FenceLatency,
 		Trace:             c.Trace,

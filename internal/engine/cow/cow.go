@@ -9,161 +9,57 @@ package cow
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
-	"kaminotx/internal/locktable"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/recovery"
-	"kaminotx/internal/trace"
 )
 
-// Engine is the copy-on-write engine.
+// Engine is the copy-on-write engine: the shared skeleton plus the shadow
+// copy Add makes, the edits routed to it, and the copy-back at commit.
 type Engine struct {
-	heap  *heap.Heap
-	log   *intentlog.Log
-	locks *locktable.Table
-	obs   *obs.Registry
+	*engine.Base
 
-	recov []recovery.StageReport // stage timings of the Open that built us
-	tr    atomic.Pointer[trace.Tracer]
-
-	commits  *obs.Counter
-	aborts   *obs.Counter
-	critCopy *obs.Counter
-	depWaits *obs.Counter
-
-	phStall    *obs.PhaseStat // dependent-lock acquisition time
+	critCopy   *obs.Counter
 	phCritCopy *obs.PhaseStat // shadow creation copy
 	phIntent   *obs.PhaseStat // pre-marker shadow/alloc persist
-	phMarker   *obs.PhaseStat // commit-marker persist
 	phCopyBack *obs.PhaseStat // post-commit shadow-to-original apply
 }
 
-func newEngine(h *heap.Heap, l *intentlog.Log, heapReg, logReg *nvm.Region) *Engine {
-	o := obs.New("cow")
-	heapReg.ExportObs(o, "nvm.main")
-	logReg.ExportObs(o, "nvm.log")
+func newEngine(b *engine.Base) *Engine {
 	return &Engine{
-		heap: h, log: l, locks: locktable.New(), obs: o,
-		commits:    o.Counter("commits"),
-		aborts:     o.Counter("aborts"),
-		critCopy:   o.Counter("bytes_copied_critical"),
-		depWaits:   o.Counter("dependent_waits"),
-		phStall:    o.Phase(obs.PhaseDependentStall),
-		phCritCopy: o.Phase(obs.PhaseCriticalCopy),
-		phIntent:   o.Phase(obs.PhaseIntentPersist),
-		phMarker:   o.Phase(obs.PhaseCommitPersist),
-		phCopyBack: o.Phase(obs.PhaseCopyBack),
+		Base:       b,
+		critCopy:   b.Obs().Counter("bytes_copied_critical"),
+		phCritCopy: b.Obs().Phase(obs.PhaseCriticalCopy),
+		phIntent:   b.Obs().Phase(obs.PhaseIntentPersist),
+		phCopyBack: b.Obs().Phase(obs.PhaseCopyBack),
 	}
 }
 
 // New formats a fresh heap and log and returns an engine over them.
 func New(heapReg, logReg *nvm.Region, logCfg intentlog.Config) (*Engine, error) {
-	return NewSharded(heapReg, logReg, logCfg, 0)
-}
-
-// NewSharded is New with an explicit concurrency shard count for the lock
-// table, heap allocator, and intent-log free-slot pool (0 selects each
-// layer's default). Sharding is volatile-only; it never changes what is
-// written to NVM.
-func NewSharded(heapReg, logReg *nvm.Region, logCfg intentlog.Config, shards int) (*Engine, error) {
-	h, err := heap.Format(heapReg)
+	b, err := engine.Format("cow", engine.Regions{Main: heapReg, Log: logReg}, logCfg)
 	if err != nil {
 		return nil, err
 	}
-	l, err := intentlog.Format(logReg, logCfg)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(h, l, heapReg, logReg)
-	e.reshard(shards)
-	return e, nil
+	return newEngine(b), nil
 }
 
 // Open attaches to existing regions, runs crash recovery, and rebuilds the
 // heap free lists.
 func Open(heapReg, logReg *nvm.Region) (*Engine, error) {
-	return OpenSharded(heapReg, logReg, 0)
-}
-
-// OpenSharded is Open with an explicit concurrency shard count (see
-// NewSharded).
-func OpenSharded(heapReg, logReg *nvm.Region, shards int) (*Engine, error) {
-	h, err := heap.Attach(heapReg)
+	b, err := engine.Attach("cow", engine.Regions{Main: heapReg, Log: logReg})
 	if err != nil {
 		return nil, err
 	}
-	l, err := intentlog.Attach(logReg)
-	if err != nil {
+	e := newEngine(b)
+	if err := b.Reopen(nil, e.Recover); err != nil {
 		return nil, err
 	}
-	e := newEngine(h, l, heapReg, logReg)
-	pipe := recovery.New(e.obs, 2)
-	if err := pipe.Run(obs.PhaseRecoveryLogReplay, e.Recover); err != nil {
-		return nil, err
-	}
-	if err := pipe.Run(obs.PhaseRecoveryRescan, h.Rescan); err != nil {
-		return nil, err
-	}
-	e.recov = pipe.Report()
-	e.reshard(shards)
 	return e, nil
-}
-
-// reshard retunes the volatile concurrency structures. Called only between
-// construction/recovery and the first transaction, while no locks are held
-// and no slots are in flight.
-func (e *Engine) reshard(n int) {
-	if n <= 0 {
-		return
-	}
-	e.locks = locktable.NewSharded(n)
-	e.heap.SetShards(n)
-	e.log.SetShards(n)
-}
-
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "cow" }
-
-// Heap implements engine.Engine.
-func (e *Engine) Heap() *heap.Heap { return e.heap }
-
-// Drain implements engine.Engine; CoW is fully synchronous.
-func (e *Engine) Drain() {}
-
-// Close implements engine.Engine.
-func (e *Engine) Close() error { return nil }
-
-// Obs implements engine.Engine.
-func (e *Engine) Obs() *obs.Registry { return e.obs }
-
-// RecoveryReport returns the stage timings of the Open that produced this
-// engine (nil for a freshly formatted engine).
-func (e *Engine) RecoveryReport() []recovery.StageReport { return e.recov }
-
-// SetTracer implements engine.Engine.
-func (e *Engine) SetTracer(t *trace.Tracer) {
-	if t != nil && !t.Enabled() {
-		t = nil
-	}
-	e.tr.Store(t)
-}
-
-func (e *Engine) trc() *trace.Tracer { return e.tr.Load() }
-
-// Stats implements engine.Engine.
-func (e *Engine) Stats() engine.Stats {
-	return engine.Stats{
-		Commits:             e.commits.Load(),
-		Aborts:              e.aborts.Load(),
-		BytesCopiedCritical: e.critCopy.Load(),
-		DependentWaits:      e.depWaits.Load(),
-	}
 }
 
 // Recover finishes committed transactions (shadow copy-back and deferred
@@ -171,29 +67,18 @@ func (e *Engine) Stats() engine.Stats {
 // Originals are untouched until commit, so incomplete transactions need no
 // data restoration.
 func (e *Engine) Recover() error {
-	return e.log.RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
+	return e.Log().RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
 		switch v.State {
 		case intentlog.StateCommitted:
-			if err := e.applyShadows(v.Entries, func(dataOff uint32, n int) ([]byte, error) {
-				return v.Data(dataOff, n)
-			}); err != nil {
+			if err := e.applyShadows(v.Entries, v.Data); err != nil {
 				return err
 			}
-			for _, ent := range v.Entries {
-				if ent.Op == intentlog.OpFree {
-					if err := e.heap.ApplyFree(heap.ObjID(ent.Obj)); err != nil {
-						return err
-					}
-				}
+			if err := e.RedoFrees(v.Entries); err != nil {
+				return err
 			}
 		case intentlog.StateRunning, intentlog.StateAborted:
-			for i := len(v.Entries) - 1; i >= 0; i-- {
-				ent := v.Entries[i]
-				if ent.Op == intentlog.OpAlloc {
-					if err := e.heap.RollbackAlloc(heap.ObjID(ent.Obj), int(ent.Class)); err != nil {
-						return err
-					}
-				}
+			if err := e.Rollback(nil, 0, v.Entries, nil); err != nil {
+				return err
 			}
 		}
 		return v.Free()
@@ -202,7 +87,7 @@ func (e *Engine) Recover() error {
 
 // applyShadows copies every shadow back onto its original and persists it.
 func (e *Engine) applyShadows(entries []intentlog.Entry, data func(uint32, int) ([]byte, error)) error {
-	reg := e.heap.Region()
+	reg := e.Heap().Region()
 	for _, ent := range entries {
 		if ent.Op != intentlog.OpWrite {
 			continue
@@ -225,348 +110,150 @@ func (e *Engine) applyShadows(entries []intentlog.Entry, data func(uint32, int) 
 
 // Begin implements engine.Engine.
 func (e *Engine) Begin() (engine.Tx, error) {
-	if err := e.heap.TouchEpoch(); err != nil {
-		return nil, err
-	}
-	tl, err := e.log.Begin()
+	bt, err := e.BeginTx()
 	if err != nil {
 		return nil, err
 	}
-	e.trc().TxBegin(tl.TxID())
-	return &tx{e: e, tl: tl, shadows: make(map[heap.ObjID]shadow), allocs: make(map[heap.ObjID]bool)}, nil
+	return &tx{BaseTx: bt, e: e, shadows: make(map[heap.ObjID]shadow)}, nil
 }
 
 // shadow locates an object's editable copy in the log's data area.
 type shadow struct {
 	regionOff int // offset of the block copy in the log region
-	dataOff   uint32
 	blockLen  int
 }
 
+// tx keeps, beside the skeleton's write set (which holds the locks), the
+// shadow of every object Add was called on. Objects allocated by this
+// transaction have none: they are written directly, being invisible until
+// commit, and an abort unwinds the whole allocation.
 type tx struct {
+	engine.BaseTx
 	e       *Engine
-	tl      *intentlog.TxLog
-	done    bool
 	shadows map[heap.ObjID]shadow
-	allocs  map[heap.ObjID]bool
-	reads   []heap.ObjID
-	frees   []heap.ObjID
-}
-
-func (t *tx) ID() uint64             { return t.tl.TxID() }
-func (t *tx) owner() locktable.Owner { return locktable.Owner(t.tl.TxID()) }
-
-func (t *tx) inWriteSet(obj heap.ObjID) bool {
-	if _, ok := t.shadows[obj]; ok {
-		return true
-	}
-	return t.allocs[obj]
-}
-
-// lockObj acquires obj's write lock, attributing any blocking to the
-// dependent-stall phase.
-func (t *tx) lockObj(obj heap.ObjID) {
-	if t.e.locks.TryLock(uint64(obj), t.owner()) {
-		t.e.trc().LockAcquire(t.ID(), uint64(obj))
-		return
-	}
-	t.e.depWaits.Add(1)
-	stallStart := time.Now()
-	t.e.locks.Lock(uint64(obj), t.owner())
-	d := time.Since(stallStart)
-	t.e.phStall.Observe(d)
-	if tr := t.e.trc(); tr != nil {
-		tr.LockAcquire(t.ID(), uint64(obj))
-		tr.Span(string(obs.PhaseDependentStall), t.ID(), d)
-	}
-}
-
-// traceAppend emits the intent event for the entry just appended.
-func (t *tx) traceAppend(obj heap.ObjID, op intentlog.Op) {
-	if tr := t.e.trc(); tr != nil {
-		off, n := t.tl.EntryRange(t.tl.Len() - 1)
-		tr.IntentAppend(t.ID(), uint64(obj), off, n, op.String())
-	}
 }
 
 // Add creates the object's persistent shadow copy in the critical path.
 func (t *tx) Add(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	locked := false
-	if sh, ok := t.shadows[obj]; ok {
-		if sh.blockLen >= 0 {
-			return nil
-		}
-		// Lock-only marker from a prior Free: upgrade to a real
-		// shadow without re-locking.
-		locked = true
-	} else if t.allocs[obj] {
-		return nil
-	}
-	if !locked {
-		t.lockObj(obj)
-	}
-	fail := func(err error) error {
-		if !locked {
-			t.e.locks.Unlock(uint64(obj), t.owner())
-		}
+	cls, ok, err := t.Declare(obj)
+	if !ok {
 		return err
 	}
-	// Header reads only under the object lock: a committer's copy-back
-	// rewrites the whole block, header included.
-	cls, err := t.e.heap.ClassOf(obj)
+	return t.Admit(obj, cls, t.makeShadow(obj, cls))
+}
+
+func (t *tx) makeShadow(obj heap.ObjID, cls int) error {
+	blockOff, blockLen, err := t.e.Heap().Range(obj)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	blockOff, blockLen, err := t.e.heap.Range(obj)
+	start := time.Now()
+	regionOff, dataOff, err := t.Log().ReserveData(blockLen)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	copyStart := time.Now()
-	regionOff, dataOff, err := t.tl.ReserveData(blockLen)
-	if err != nil {
-		return fail(err)
-	}
-	logReg := t.e.log.Region()
-	if err := nvm.Copy(logReg, regionOff, t.e.heap.Region(), blockOff, blockLen); err != nil {
-		return fail(err)
+	logReg := t.e.Log().Region()
+	if err := nvm.Copy(logReg, regionOff, t.e.Heap().Region(), blockOff, blockLen); err != nil {
+		return err
 	}
 	if err := logReg.Persist(regionOff, blockLen); err != nil {
-		return fail(err)
+		return err
 	}
-	if err := t.tl.Append(intentlog.Entry{
+	if err := t.Log().Append(intentlog.Entry{
 		Op:      intentlog.OpWrite,
 		Class:   uint32(cls),
 		Obj:     uint64(obj),
 		DataOff: dataOff,
 		DataLen: uint32(blockLen),
 	}); err != nil {
-		return fail(err)
+		return err
 	}
-	d := time.Since(copyStart)
+	d := time.Since(start)
 	t.e.phCritCopy.Observe(d)
 	t.e.critCopy.Add(uint64(blockLen))
-	t.traceAppend(obj, intentlog.OpWrite)
-	t.e.trc().Span(string(obs.PhaseCriticalCopy), t.ID(), d)
-	t.shadows[obj] = shadow{regionOff: regionOff, dataOff: dataOff, blockLen: blockLen}
+	if tr := t.Tracer(); tr != nil {
+		t.TraceAppend(obj, intentlog.OpWrite)
+		tr.Span(string(obs.PhaseCriticalCopy), t.ID(), d)
+	}
+	t.shadows[obj] = shadow{regionOff: regionOff, blockLen: blockLen}
 	return nil
 }
 
-// Write edits the shadow, not the original. Objects allocated by this
-// transaction are written directly: they are invisible until commit and an
-// abort unwinds the whole allocation.
+// Write edits the shadow, not the original.
 func (t *tx) Write(obj heap.ObjID, off int, data []byte) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if t.allocs[obj] {
-		if err := t.e.heap.Write(obj, off, data); err != nil {
-			return err
-		}
-		t.e.trc().InPlaceWrite(t.ID(), uint64(obj), int(obj)+off, len(data))
-		return nil
-	}
 	sh, ok := t.shadows[obj]
-	if !ok {
-		return fmt.Errorf("%w: %d", engine.ErrNotInTx, obj)
+	if !ok || t.Done() {
+		return t.BaseTx.Write(obj, off, data)
 	}
 	cls := sh.blockLen - heap.BlockHeaderSize
 	if off < 0 || off+len(data) > cls {
 		return fmt.Errorf("%w: write [%d,%d) in object of %d bytes",
 			heap.ErrOutOfObject, off, off+len(data), cls)
 	}
-	return t.e.log.Region().Write(sh.regionOff+heap.BlockHeaderSize+off, data)
+	return t.e.Log().Region().Write(sh.regionOff+heap.BlockHeaderSize+off, data)
 }
 
-// Read returns the transaction's view: the shadow if obj is in the write
-// set, else the original under a read lock.
+// Read returns the transaction's view: the shadow if obj has one, else the
+// original (under a read lock unless obj is in the write set).
 func (t *tx) Read(obj heap.ObjID) ([]byte, error) {
-	if t.done {
-		return nil, engine.ErrTxDone
+	sh, ok := t.shadows[obj]
+	if !ok || t.Done() {
+		return t.BaseTx.Read(obj)
 	}
-	if sh, ok := t.shadows[obj]; ok && sh.blockLen >= 0 {
-		return t.e.log.Region().ReadSlice(sh.regionOff+heap.BlockHeaderSize, sh.blockLen-heap.BlockHeaderSize)
-	} else if !ok && !t.allocs[obj] {
-		t.e.locks.RLock(uint64(obj), t.owner())
-		t.reads = append(t.reads, obj)
-	}
-	return t.e.heap.Bytes(obj)
+	return t.e.Log().Region().ReadSlice(sh.regionOff+heap.BlockHeaderSize, sh.blockLen-heap.BlockHeaderSize)
 }
 
-func (t *tx) Alloc(size int) (heap.ObjID, error) {
-	if t.done {
-		return heap.Nil, engine.ErrTxDone
-	}
-	obj, err := t.e.heap.Reserve(size)
-	if err != nil {
-		return heap.Nil, err
-	}
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return heap.Nil, err
-	}
-	if err := t.tl.Append(intentlog.Entry{
-		Op:    intentlog.OpAlloc,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		relErr := t.e.heap.ReleaseReservation(obj)
-		if relErr != nil {
-			return heap.Nil, fmt.Errorf("%w (and release failed: %v)", err, relErr)
-		}
-		return heap.Nil, err
-	}
-	t.traceAppend(obj, intentlog.OpAlloc)
-	if err := t.e.heap.CommitAlloc(obj); err != nil {
-		return heap.Nil, err
-	}
-	t.e.locks.Lock(uint64(obj), t.owner())
-	t.e.trc().LockAcquire(t.ID(), uint64(obj))
-	t.allocs[obj] = true
-	return obj, nil
-}
-
-func (t *tx) Free(obj heap.ObjID) error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if !t.inWriteSet(obj) {
-		// Lock without shadowing: the free only takes effect at
-		// commit, and the original is never edited.
-		t.lockObj(obj)
-		t.shadows[obj] = shadow{blockLen: -1} // lock-only marker
-	}
-	cls, err := t.e.heap.ClassOf(obj)
-	if err != nil {
-		return err
-	}
-	if err := t.tl.Append(intentlog.Entry{
-		Op:    intentlog.OpFree,
-		Class: uint32(cls),
-		Obj:   uint64(obj),
-	}); err != nil {
-		return err
-	}
-	t.traceAppend(obj, intentlog.OpFree)
-	t.frees = append(t.frees, obj)
-	return nil
-}
-
-func (t *tx) finish() {
-	// Reads release before writes: an upgraded object's read holds are
-	// absorbed by its write lock and must not outlive it.
-	for _, obj := range t.reads {
-		t.e.locks.RUnlock(uint64(obj), t.owner())
-	}
-	for obj := range t.shadows {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-	}
-	for obj := range t.allocs {
-		t.e.locks.Unlock(uint64(obj), t.owner())
-	}
-	t.done = true
-}
-
+// Commit makes the shadows and the fresh allocations durable before the
+// commit record — recovery replays the copy-back from them — and after it
+// applies the shadows to the originals (the paper's "copy to original").
 func (t *tx) Commit() error {
-	if t.done {
+	if t.Done() {
 		return engine.ErrTxDone
 	}
-	logReg := t.e.log.Region()
-	heapReg := t.e.heap.Region()
-	// Make the shadows and fresh allocations durable before the commit
-	// record; recovery replays the copy-back from them.
+	if t.ReadOnly() {
+		return t.Finish()
+	}
+	logReg := t.e.Log().Region()
+	heapReg := t.e.Heap().Region()
 	start := time.Now()
 	for _, sh := range t.shadows {
-		if sh.blockLen < 0 {
-			continue
-		}
 		if err := logReg.Flush(sh.regionOff, sh.blockLen); err != nil {
 			return err
 		}
 	}
 	logReg.Fence()
-	for obj := range t.allocs {
-		off, n, err := t.e.heap.Range(obj)
-		if err != nil {
-			return err
-		}
-		if err := heapReg.Flush(off, n); err != nil {
-			return err
+	for obj, ws := range t.WriteSet() {
+		// Writable without a shadow: allocated by this transaction.
+		if _, shadowed := t.shadows[obj]; ws.Writable && !shadowed {
+			if err := ws.Dirty.Flush(heapReg, obj); err != nil {
+				return err
+			}
 		}
 	}
 	heapReg.Fence()
 	d := time.Since(start)
 	t.e.phIntent.Observe(d)
-	tr := t.e.trc()
+	tr := t.Tracer()
 	tr.Span(string(obs.PhaseIntentPersist), t.ID(), d)
-	start = time.Now()
-	if err := t.tl.SetState(intentlog.StateCommitted); err != nil {
+	if err := t.PersistMarker(); err != nil {
 		return err
 	}
-	d = time.Since(start)
-	t.e.phMarker.Observe(d)
-	if tr != nil {
-		tr.CommitMarker(t.ID())
-		tr.Span(string(obs.PhaseCommitPersist), t.ID(), d)
-	}
-	// Apply the shadows to the originals (the paper's "copy to
-	// original"), then the deferred frees.
-	entries, err := t.tl.Entries()
+	entries, err := t.Log().Entries()
 	if err != nil {
 		return err
 	}
 	start = time.Now()
-	if err := t.e.applyShadows(entries, func(dataOff uint32, n int) ([]byte, error) {
-		return t.tl.Data(dataOff, n)
-	}); err != nil {
+	if err := t.e.applyShadows(entries, t.Log().Data); err != nil {
 		return err
 	}
 	d = time.Since(start)
 	t.e.phCopyBack.Observe(d)
 	tr.Span(string(obs.PhaseCopyBack), t.ID(), d)
 	for _, sh := range t.shadows {
-		if sh.blockLen > 0 {
-			t.e.critCopy.Add(uint64(sh.blockLen))
-		}
+		t.e.critCopy.Add(uint64(sh.blockLen))
 	}
-	for _, obj := range t.frees {
-		if err := t.e.heap.ApplyFree(obj); err != nil {
-			return err
-		}
-	}
-	if err := t.tl.Release(); err != nil {
-		return err
-	}
-	t.finish()
-	t.e.commits.Add(1)
-	return nil
+	return t.Finish()
 }
 
-func (t *tx) Abort() error {
-	if t.done {
-		return engine.ErrTxDone
-	}
-	if err := t.tl.SetState(intentlog.StateAborted); err != nil {
-		return err
-	}
-	tr := t.e.trc()
-	for obj := range t.allocs {
-		cls, err := t.e.heap.ClassOf(obj)
-		if err != nil {
-			return err
-		}
-		if err := t.e.heap.RollbackAlloc(obj, cls); err != nil {
-			return err
-		}
-		tr.Rollback(t.ID(), uint64(obj))
-	}
-	if err := t.tl.Release(); err != nil {
-		return err
-	}
-	t.finish()
-	t.e.aborts.Add(1)
-	tr.Abort(t.ID())
-	return nil
-}
+// Abort has nothing to restore: the originals were never edited.
+func (t *tx) Abort() error { return t.AbortWith(nil) }

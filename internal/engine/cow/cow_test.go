@@ -12,16 +12,18 @@ import (
 
 var logCfg = intentlog.Config{Slots: 32, EntriesPerSlot: 32, DataBytesPerSlot: 16 << 10}
 
-func TestConformance(t *testing.T) {
-	enginetest.Run(t, enginetest.Factory{
+// factory builds cow engines over regions of the given device mode: strict
+// for the conformance suite's crash cases, fast for the benchmark.
+func factory(mode nvm.Mode) enginetest.Factory {
+	return enginetest.Factory{
 		Name:   "cow",
 		Atomic: true,
-		New: func(t *testing.T) *enginetest.Instance {
-			heapReg, err := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})
+		New: func(t testing.TB) *enginetest.Instance {
+			heapReg, err := nvm.New(1<<20, nvm.Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
-			logReg, err := nvm.New(logCfg.RegionSize(), nvm.Options{Mode: nvm.ModeStrict})
+			logReg, err := nvm.New(logCfg.RegionSize(), nvm.Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,8 +43,12 @@ func TestConformance(t *testing.T) {
 			}
 			return inst
 		},
-	})
+	}
 }
+
+func TestConformance(t *testing.T) { enginetest.Run(t, factory(nvm.ModeStrict)) }
+
+func BenchmarkTx1(b *testing.B) { enginetest.BenchTx1(b, factory(nvm.ModeFast)) }
 
 // CoW-specific: the original must be untouched until commit.
 func TestOriginalUntouchedBeforeCommit(t *testing.T) {

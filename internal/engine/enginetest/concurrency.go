@@ -18,10 +18,9 @@ import (
 // events slipped through under parallelism; for intent-logging engines it
 // means every in-place store was preceded by an intent entry.
 //
-// RunConcurrency is exported separately from Run so engines that cannot
-// abort (the in-place chain-replica baseline) can still run the parallel
-// parts of the contract.
-func RunConcurrency(t *testing.T, f Factory) {
+// An engine that cannot abort or recover alone (the in-place chain-replica
+// engine) still runs the parallel part of the contract.
+func runConcurrency(t *testing.T, f Factory) {
 	t.Run("ParallelDisjoint", func(t *testing.T) { testParallelDisjoint(t, f) })
 	if f.Atomic && f.New(t).Crash != nil {
 		t.Run("CrashMidBurst", func(t *testing.T) { testCrashMidBurst(t, f) })

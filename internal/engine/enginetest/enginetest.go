@@ -1,5 +1,5 @@
 // Package enginetest is a conformance suite run against every transaction
-// engine (kamino simple/dynamic, undo, cow, nolog). The same behavioural
+// engine (kamino simple/dynamic, undo, cow, nolog, inplace). The same behavioural
 // contract — visibility, isolation, atomicity under abort and under crash —
 // is what lets the paper's benchmarks compare mechanisms on identical
 // application code.
@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
+	"kaminotx/internal/trace"
 )
 
 // Instance is one engine under test plus its crash-restart hook.
@@ -34,10 +36,10 @@ type Instance struct {
 // Factory creates fresh engine instances for the suite.
 type Factory struct {
 	Name string
-	// Atomic is false for the nolog baseline: abort/crash tests that
-	// require rollback are skipped.
+	// Atomic is false for the nolog baseline and the in-place replica
+	// engine: abort/crash tests that require rollback are skipped.
 	Atomic bool
-	New    func(t *testing.T) *Instance
+	New    func(t testing.TB) *Instance
 }
 
 // Run executes the conformance suite against the factory.
@@ -49,6 +51,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("AllocCommit", func(t *testing.T) { testAllocCommit(t, f) })
 	t.Run("FreeCommitReusesBlock", func(t *testing.T) { testFreeCommit(t, f) })
 	t.Run("Isolation", func(t *testing.T) { testIsolation(t, f) })
+	t.Run("ReadOnlyLeavesNoMark", func(t *testing.T) { testReadOnlyLeavesNoMark(t, f) })
 	if f.Atomic {
 		t.Run("AbortRestores", func(t *testing.T) { testAbortRestores(t, f) })
 		t.Run("AbortUnwindsAlloc", func(t *testing.T) { testAbortUnwindsAlloc(t, f) })
@@ -61,7 +64,7 @@ func Run(t *testing.T, f Factory) {
 		t.Run("CrashMidTxAllocRollsBack", func(t *testing.T) { testCrashMidAlloc(t, f) })
 		t.Run("PropertyCrashAtomicity", func(t *testing.T) { testPropertyCrashAtomicity(t, f) })
 	}
-	RunConcurrency(t, f)
+	runConcurrency(t, f)
 }
 
 // mustAlloc creates and commits an object with the given contents,
@@ -100,6 +103,57 @@ func readObj(t *testing.T, e engine.Engine, obj heap.ObjID, n int) []byte {
 		t.Fatalf("Commit: %v", err)
 	}
 	return out
+}
+
+// deviceCounts sums, over every NVM region of the engine, the registry's
+// nvm.<region>.<field> gauges for each of the given fields.
+func deviceCounts(e engine.Engine, fields ...string) map[string]uint64 {
+	sums := make(map[string]uint64, len(fields))
+	for name, v := range e.Obs().Snapshot().Gauges {
+		for _, field := range fields {
+			if strings.HasPrefix(name, "nvm.") && strings.HasSuffix(name, "."+field) {
+				sums[field] += v
+			}
+		}
+	}
+	return sums
+}
+
+// testReadOnlyLeavesNoMark: a transaction with an empty write set finishes
+// — by Commit, or by Abort as Pool.View ends it — without a store, a flush
+// or a fence on any region and without a trace event. It runs after the
+// engine's first transaction, which may durably bump the checkpoint epoch.
+func testReadOnlyLeavesNoMark(t *testing.T, f Factory) {
+	inst := f.New(t)
+	defer inst.Engine.Close()
+	e := inst.Engine
+	obj := mustAlloc(t, e, []byte("settled"))
+	e.Drain()
+	rec := trace.NewRecorder(1 << 8)
+	e.SetTracer(rec.Tracer(e.Name() + "#ro"))
+
+	before := deviceCounts(e, "fences", "flushes", "writes")
+	for _, finish := range []func(engine.Tx) error{engine.Tx.Commit, engine.Tx.Abort} {
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read(obj); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := deviceCounts(e, "fences", "flushes", "writes")
+	for field, was := range before {
+		if after[field] != was {
+			t.Errorf("read-only transactions moved nvm.*.%s from %d to %d", field, was, after[field])
+		}
+	}
+	if n := rec.Total(); n != 0 {
+		t.Errorf("read-only transactions emitted %d trace events", n)
+	}
 }
 
 func testCommitVisible(t *testing.T, f Factory) {

@@ -13,15 +13,19 @@ import (
 
 var logCfg = intentlog.Config{Slots: 16, EntriesPerSlot: 16}
 
-func newEngine(t *testing.T) (*inplace.Engine, *nvm.Region, *nvm.Region) {
+func newEngine(t testing.TB) (*inplace.Engine, *nvm.Region, *nvm.Region) {
+	return newEngineMode(t, nvm.ModeStrict)
+}
+
+func newEngineMode(t testing.TB, mode nvm.Mode) (*inplace.Engine, *nvm.Region, *nvm.Region) {
 	t.Helper()
-	heapReg, err := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})
+	heapReg, err := nvm.New(1<<20, nvm.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := logCfg
 	cfg.DataBytesPerSlot = 0
-	logReg, err := nvm.New(cfg.RegionSize(), nvm.Options{Mode: nvm.ModeStrict})
+	logReg, err := nvm.New(cfg.RegionSize(), nvm.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,20 +74,26 @@ func TestCommitAndReopen(t *testing.T) {
 	}
 }
 
-// The in-place engine cannot abort, so it runs only the concurrency half
-// of the conformance suite: parallel disjoint-key transactions with the
-// trace audited for store-without-intent violations. (CrashMidBurst needs
-// rollback, which in-place delegates to neighbour replicas.)
-func TestConcurrencyConformance(t *testing.T) {
-	enginetest.RunConcurrency(t, enginetest.Factory{
+// factory builds in-place engines for the shared suite. The engine cannot
+// abort a write set or recover alone, so Atomic is false and there is no
+// Crash hook: the suite's visibility, isolation and read-only cases and its
+// parallel disjoint-key case (trace audited for store-without-intent) run;
+// the abort and crash cases need rollback, which in-place delegates to
+// neighbour replicas.
+func factory(mode nvm.Mode) enginetest.Factory {
+	return enginetest.Factory{
 		Name:   "inplace",
 		Atomic: false,
-		New: func(t *testing.T) *enginetest.Instance {
-			e, _, _ := newEngine(t)
+		New: func(t testing.TB) *enginetest.Instance {
+			e, _, _ := newEngineMode(t, mode)
 			return &enginetest.Instance{Engine: e}
 		},
-	})
+	}
 }
+
+func TestConformance(t *testing.T) { enginetest.Run(t, factory(nvm.ModeStrict)) }
+
+func BenchmarkTx1(b *testing.B) { enginetest.BenchTx1(b, factory(nvm.ModeFast)) }
 
 func TestAbortUnsupported(t *testing.T) {
 	e, _, _ := newEngine(t)

@@ -41,9 +41,6 @@ type backend interface {
 	// restoreFromBackup copies the backup copy over obj's main-heap
 	// block and persists it. Used by aborts and crash recovery.
 	restoreFromBackup(obj heap.ObjID, class int) error
-
-	// bytesSynced reports cumulative bytes copied by syncToBackup.
-	bytesSynced() uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -89,8 +86,6 @@ func (b *simpleBackend) restoreFromBackup(obj heap.ObjID, class int) error {
 	return b.main.Persist(off, n)
 }
 
-func (b *simpleBackend) bytesSynced() uint64 { return b.synced.Load() }
-
 // ---------------------------------------------------------------------------
 // Dynamic backend: partial backup with a persistent lookup structure and a
 // volatile LRU (paper §4, §6.4).
@@ -119,7 +114,7 @@ type dynamicBackend struct {
 
 	synced     *obs.Counter
 	misses     *obs.Counter
-	missBytes  *obs.Counter
+	missBytes  *obs.Counter // a miss copies one block in the critical path
 	evictions  *obs.Counter
 	phMissCopy *obs.PhaseStat // on-demand backup copy (critical path)
 }
@@ -133,7 +128,7 @@ func newDynamicBackend(main *nvm.Region, bheap *heap.Heap, locks *locktable.Tabl
 		lru:        list.New(),
 		synced:     o.Counter("bytes_copied_async"),
 		misses:     o.Counter("backup_misses"),
-		missBytes:  o.Counter("backup_miss_bytes"),
+		missBytes:  o.Counter("bytes_copied_critical"),
 		evictions:  o.Counter("backup_evictions"),
 		phMissCopy: o.Phase(obs.PhaseCriticalCopy),
 	}
@@ -405,8 +400,6 @@ func (b *dynamicBackend) restoreFromBackup(obj heap.ObjID, class int) error {
 	}
 	return b.main.Persist(int(obj)-heap.BlockHeaderSize, n)
 }
-
-func (b *dynamicBackend) bytesSynced() uint64 { return b.synced.Load() }
 
 // size returns the number of live backup copies (tests and the
 // backup_resident_copies gauge).

@@ -6,19 +6,7 @@ import (
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
-	"kaminotx/internal/nvm"
 )
-
-// devTotals sums the device counters of an engine's three regions.
-func devTotals(regs ...*nvm.Region) (s nvm.Stats) {
-	for _, r := range regs {
-		st := r.Stats()
-		s.Fences += st.Fences
-		s.LinesFlushed += st.LinesFlushed
-		s.BytesWritten += st.BytesWritten
-	}
-	return s
-}
 
 func allocFilled(t testing.TB, e *Engine, size int) heap.ObjID {
 	t.Helper()
@@ -128,49 +116,4 @@ func TestExtentGrow(t *testing.T) {
 	if off, n := engine.WholeBlock(256).Range(4096); off != 4096-heap.BlockHeaderSize || n != heap.BlockHeaderSize+256 {
 		t.Fatalf("whole block = [%d,+%d)", off, n)
 	}
-}
-
-// BenchmarkTx1 is the benchmark ladder's engine rung: one transaction adds
-// one object and overwrites 1 KiB of it. Device counts per transaction are
-// reported in the ladder's units.
-func BenchmarkTx1(b *testing.B) {
-	const valueSize, objects = 1024, 512
-	ropts := nvm.Options{Mode: nvm.ModeFast}
-	m, _ := nvm.New(4<<20, ropts)
-	bk, _ := nvm.New(4<<20, ropts)
-	l, _ := nvm.New(testCfg.Log.RegionSize(), ropts)
-	e, err := New(m, bk, l, testCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	objs := make([]heap.ObjID, objects)
-	for i := range objs {
-		objs[i] = allocFilled(b, e, valueSize+4)
-	}
-	val := bytes.Repeat([]byte{3}, valueSize)
-	before := devTotals(m, bk, l)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx, err := e.Begin()
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj := objs[i*31%objects]
-		if err := tx.Add(obj); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Write(obj, 0, val); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	e.Drain()
-	after, n := devTotals(m, bk, l), float64(b.N)
-	b.ReportMetric(float64(after.Fences-before.Fences)/n, "fences/op")
-	b.ReportMetric(float64(after.LinesFlushed-before.LinesFlushed)/n, "lines/op")
-	b.ReportMetric(float64(after.BytesWritten-before.BytesWritten)/n, "B-written/op")
 }

@@ -3,7 +3,6 @@ package kamino
 import (
 	"testing"
 
-	"kaminotx/internal/engine"
 	"kaminotx/internal/engine/enginetest"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
@@ -20,31 +19,7 @@ var gcCfg = Config{
 // isolation, crash atomicity) must hold unchanged with the group committer
 // on the commit path.
 func TestConformanceGroupCommit(t *testing.T) {
-	enginetest.Run(t, enginetest.Factory{
-		Name:   "kamino-simple/groupcommit",
-		Atomic: true,
-		New: func(t *testing.T) *enginetest.Instance {
-			mainReg, backupReg, logReg := regions(t, mainSize)
-			e, err := New(mainReg, backupReg, logReg, gcCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst := &enginetest.Instance{Engine: e}
-			inst.Crash = func() (engine.Engine, error) {
-				e.Drain()
-				for _, r := range []*nvm.Region{mainReg, backupReg, logReg} {
-					if err := r.Crash(); err != nil {
-						return nil, err
-					}
-				}
-				if err := e.Close(); err != nil {
-					return nil, err
-				}
-				return Open(mainReg, backupReg, logReg, gcCfg)
-			}
-			return inst
-		},
-	})
+	enginetest.Run(t, factory("kamino-simple/groupcommit", mainSize, gcCfg, nvm.ModeStrict))
 }
 
 // TestGroupCommitAbsorbsConcurrentMarkers: under concurrent commit load the

@@ -13,19 +13,22 @@ import (
 
 const mainSize = 1 << 20
 
-func regions(t *testing.T, backupSize int) (mainReg, backupReg, logReg *nvm.Region) {
+func regions(t testing.TB, backupSize int) (mainReg, backupReg, logReg *nvm.Region) {
+	return regionsMode(t, backupSize, nvm.ModeStrict)
+}
+
+func regionsMode(t testing.TB, backupSize int, mode nvm.Mode) (mainReg, backupReg, logReg *nvm.Region) {
 	t.Helper()
 	var err error
-	mainReg, err = nvm.New(mainSize, nvm.Options{Mode: nvm.ModeStrict})
+	mainReg, err = nvm.New(mainSize, nvm.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	backupReg, err = nvm.New(backupSize, nvm.Options{Mode: nvm.ModeStrict})
+	backupReg, err = nvm.New(backupSize, nvm.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := intentlog.Config{Slots: 32, EntriesPerSlot: 32, DataBytesPerSlot: 0}
-	logReg, err = nvm.New(cfg.RegionSize(), nvm.Options{Mode: nvm.ModeStrict})
+	logReg, err = nvm.New(testCfg.Log.RegionSize(), nvm.Options{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +37,16 @@ func regions(t *testing.T, backupSize int) (mainReg, backupReg, logReg *nvm.Regi
 
 var testCfg = Config{Log: intentlog.Config{Slots: 32, EntriesPerSlot: 32, DataBytesPerSlot: 0}}
 
-func factory(name string, backupSize int) enginetest.Factory {
+// factory builds engines with the given backup size and configuration over
+// regions of the given device mode: strict for the conformance suite's
+// crash cases, fast for the benchmark.
+func factory(name string, backupSize int, cfg Config, mode nvm.Mode) enginetest.Factory {
 	return enginetest.Factory{
 		Name:   name,
 		Atomic: true,
-		New: func(t *testing.T) *enginetest.Instance {
-			mainReg, backupReg, logReg := regions(t, backupSize)
-			e, err := New(mainReg, backupReg, logReg, testCfg)
+		New: func(t testing.TB) *enginetest.Instance {
+			mainReg, backupReg, logReg := regionsMode(t, backupSize, mode)
+			e, err := New(mainReg, backupReg, logReg, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +61,7 @@ func factory(name string, backupSize int) enginetest.Factory {
 				if err := e.Close(); err != nil {
 					return nil, err
 				}
-				return Open(mainReg, backupReg, logReg, testCfg)
+				return Open(mainReg, backupReg, logReg, cfg)
 			}
 			return inst
 		},
@@ -63,12 +69,16 @@ func factory(name string, backupSize int) enginetest.Factory {
 }
 
 func TestConformanceSimple(t *testing.T) {
-	enginetest.Run(t, factory("kamino-simple", mainSize))
+	enginetest.Run(t, factory("kamino-simple", mainSize, testCfg, nvm.ModeStrict))
 }
 
 func TestConformanceDynamic(t *testing.T) {
 	// α ≈ 0.25: small enough to exercise misses and evictions.
-	enginetest.Run(t, factory("kamino-dynamic", mainSize/4))
+	enginetest.Run(t, factory("kamino-dynamic", mainSize/4, testCfg, nvm.ModeStrict))
+}
+
+func BenchmarkTx1(b *testing.B) {
+	enginetest.BenchTx1(b, factory("kamino-simple", mainSize, testCfg, nvm.ModeFast))
 }
 
 func TestNameReflectsMode(t *testing.T) {
@@ -175,14 +185,14 @@ func TestCrashBetweenCommitAndBackupSync(t *testing.T) {
 	if err := tx.Write(obj, 0, []byte("v2......")); err != nil {
 		t.Fatal(err)
 	}
-	reg := e.heap.Region()
-	for o, ws := range tx.writeSet {
-		if err := reg.Flush(int(o)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.class); err != nil {
+	reg := e.Heap().Region()
+	for o, ws := range tx.WriteSet() {
+		if err := reg.Flush(int(o)-heap.BlockHeaderSize, heap.BlockHeaderSize+ws.Class); err != nil {
 			t.Fatal(err)
 		}
 	}
 	reg.Fence()
-	if err := tx.tl.SetState(intentlog.StateCommitted); err != nil {
+	if err := tx.Log().SetState(intentlog.StateCommitted); err != nil {
 		t.Fatal(err)
 	}
 	// Power failure now.
@@ -335,8 +345,10 @@ func TestDynamicEvictionCorrectness(t *testing.T) {
 		t.Errorf("expected misses and evictions, got misses=%d evictions=%d",
 			s.BackupMisses, s.BackupEvictions)
 	}
-	if s.BytesCopiedCritical == 0 {
-		t.Error("dynamic misses must count as critical-path copies")
+	// Every miss copies one whole block in the critical path.
+	if want := s.BackupMisses * uint64(heap.BlockHeaderSize+heap.ClassForSize(1024)); s.BytesCopiedCritical != want {
+		t.Errorf("critical-path copy bytes = %d, want %d (%d misses of one block each)",
+			s.BytesCopiedCritical, want, s.BackupMisses)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 	"kaminotx/internal/nvm"
 )
 
-func TestConformance(t *testing.T) {
-	enginetest.Run(t, enginetest.Factory{
+func factory(mode nvm.Mode) enginetest.Factory {
+	return enginetest.Factory{
 		Name:   "nolog",
 		Atomic: false,
-		New: func(t *testing.T) *enginetest.Instance {
-			reg, err := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})
+		New: func(t testing.TB) *enginetest.Instance {
+			reg, err := nvm.New(1<<20, nvm.Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -23,8 +23,12 @@ func TestConformance(t *testing.T) {
 			}
 			return &enginetest.Instance{Engine: e}
 		},
-	})
+	}
 }
+
+func TestConformance(t *testing.T) { enginetest.Run(t, factory(nvm.ModeStrict)) }
+
+func BenchmarkTx1(b *testing.B) { enginetest.BenchTx1(b, factory(nvm.ModeFast)) }
 
 func TestReopen(t *testing.T) {
 	reg, err := nvm.New(1<<20, nvm.Options{Mode: nvm.ModeStrict})

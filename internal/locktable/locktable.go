@@ -18,9 +18,8 @@ import (
 	"sync"
 )
 
-// DefaultShards is the bucket count used by New. It matches the historical
-// fixed shard count; NewSharded tunes it (the bench harness and kaminobench
-// expose it as -shards).
+// DefaultShards is the bucket count used by New, and by every engine.
+// NewSharded picks another; only tests do.
 const DefaultShards = 64
 
 // maxShards bounds NewSharded requests; beyond this the per-bucket maps

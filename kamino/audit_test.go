@@ -89,10 +89,7 @@ func runAuditedWorkload(t *testing.T, pool *Pool, withAborts bool) {
 
 // TestAuditAllEngines: every engine, run under a contended workload with
 // injected full and partial crashes, must produce an event stream the
-// auditor accepts. Pools run at Shards: 16 so every shard boundary —
-// lock-table buckets, heap arenas, intent-log slot groups, NVM stripes,
-// and the applier pool — is crossed while the auditor watches; the
-// per-layer defaults are exercised by the rest of the suite.
+// auditor accepts.
 func TestAuditAllEngines(t *testing.T) {
 	modes := []struct {
 		mode       Mode
@@ -114,7 +111,6 @@ func TestAuditAllEngines(t *testing.T) {
 				Alpha:    0.5,
 				Strict:   true,
 				Trace:    rec,
-				Shards:   16,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -92,13 +92,6 @@ type Options struct {
 	// copy-back order). Default GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
 
-	// Shards tunes the concurrency sharding of every volatile layer under
-	// the engine: lock-table buckets, heap-allocator shards, and the
-	// intent-log free-slot pool. It never changes what is written to NVM,
-	// so any shard count can reopen any pool image. Zero selects each
-	// layer's default (scaled to GOMAXPROCS).
-	Shards int
-
 	// GroupCommit enables intent-log group commit for Kamino modes: a
 	// dedicated committer absorbs concurrent transactions' commit-marker
 	// persists into one flush+fence epoch. Worthwhile under concurrent
@@ -152,7 +145,7 @@ type Options struct {
 }
 
 // applyOverrides merges an Open-time override into stored options. Runtime
-// tunables (Shards, ApplierWorkers, GroupCommit, latencies, Trace,
+// tunables (ApplierWorkers, GroupCommit, latencies, Trace,
 // Blackbox, BlackboxBytes) replace the stored value when set. Structural
 // fields describe the checkpointed images and cannot be changed by
 // reopening: a non-zero structural field in the override must equal the
@@ -178,9 +171,6 @@ func (o Options) applyOverrides(ov Options) (Options, error) {
 		if !f.zero && f.conflict {
 			return o, fmt.Errorf("override %s=%v conflicts with stored pool (%v); structural options cannot change on reopen", f.name, f.over, f.stored)
 		}
-	}
-	if ov.Shards != 0 {
-		o.Shards = ov.Shards
 	}
 	if ov.ApplierWorkers != 0 {
 		o.ApplierWorkers = ov.ApplierWorkers
@@ -244,8 +234,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BlackboxBytes == 0 {
 		o.BlackboxBytes = 1 << 20
 	}
-	// ApplierWorkers and Shards zero values flow through to the engine,
-	// which picks GOMAXPROCS-scaled defaults.
+	// A zero ApplierWorkers flows through to the engine, which picks a
+	// GOMAXPROCS-scaled default.
 	return o, nil
 }
 

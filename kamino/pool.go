@@ -184,49 +184,42 @@ func (p *Pool) makeIndexRegion() error {
 	return err
 }
 
+// makeEngine builds the mode's engine over the pool's regions: each
+// mechanism has one constructor for fresh regions and one that reopens.
 func (p *Pool) makeEngine(fresh bool) error {
+	main, log, logCfg := p.mainReg, p.logReg, p.opts.logConfig()
 	var err error
-	switch p.opts.Mode {
-	case ModeSimple, ModeDynamic:
-		cfg := kamino.Config{Log: p.opts.logConfig(), ApplierWorkers: p.opts.ApplierWorkers, GroupCommit: p.opts.GroupCommit, Shards: p.opts.Shards}
-		if !fresh {
-			// Offer the restored lookup-table snapshot (if any); the
-			// engine uses it only when its epoch still matches the image.
-			if data, ok := p.idxStash[backupIndexSection]; ok {
-				cfg.BackupIndex = &kamino.BackupIndexSnapshot{Epoch: p.idxStashEpoch, Data: data}
-			}
-		}
+	switch mode := p.opts.Mode; {
+	case mode == ModeSimple || mode == ModeDynamic:
+		cfg := kamino.Config{Log: logCfg, ApplierWorkers: p.opts.ApplierWorkers, GroupCommit: p.opts.GroupCommit}
 		if fresh {
-			p.eng, err = kamino.New(p.mainReg, p.backupReg, p.logReg, cfg)
-		} else {
-			p.eng, err = kamino.Open(p.mainReg, p.backupReg, p.logReg, cfg)
+			p.eng, err = kamino.New(main, p.backupReg, log, cfg)
+			break
 		}
-	case ModeUndo:
-		if fresh {
-			p.eng, err = undo.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = undo.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
+		// Offer the restored lookup-table snapshot (if any); the engine
+		// uses it only when its epoch still matches the image.
+		if data, ok := p.idxStash[backupIndexSection]; ok {
+			cfg.BackupIndex = &kamino.BackupIndexSnapshot{Epoch: p.idxStashEpoch, Data: data}
 		}
-	case ModeCoW:
-		if fresh {
-			p.eng, err = cow.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = cow.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
-		}
-	case ModeNoLog:
-		if fresh {
-			p.eng, err = nolog.NewSharded(p.mainReg, p.opts.Shards)
-		} else {
-			p.eng, err = nolog.OpenSharded(p.mainReg, p.opts.Shards)
-		}
-	case ModeInPlace:
-		if fresh {
-			p.eng, err = inplace.NewSharded(p.mainReg, p.logReg, p.opts.logConfig(), p.opts.Shards)
-		} else {
-			p.eng, err = inplace.OpenSharded(p.mainReg, p.logReg, p.opts.Shards)
-		}
+		p.eng, err = kamino.Open(main, p.backupReg, log, cfg)
+	case mode == ModeUndo && fresh:
+		p.eng, err = undo.New(main, log, logCfg)
+	case mode == ModeUndo:
+		p.eng, err = undo.Open(main, log)
+	case mode == ModeCoW && fresh:
+		p.eng, err = cow.New(main, log, logCfg)
+	case mode == ModeCoW:
+		p.eng, err = cow.Open(main, log)
+	case mode == ModeNoLog && fresh:
+		p.eng, err = nolog.New(main)
+	case mode == ModeNoLog:
+		p.eng, err = nolog.Open(main)
+	case mode == ModeInPlace && fresh:
+		p.eng, err = inplace.New(main, log, logCfg)
+	case mode == ModeInPlace:
+		p.eng, err = inplace.Open(main, log)
 	default:
-		err = fmt.Errorf("kamino: unknown mode %q", p.opts.Mode)
+		err = fmt.Errorf("kamino: unknown mode %q", mode)
 	}
 	if err != nil {
 		// Leave no typed-nil engine behind: Close checks p.eng == nil to
@@ -603,7 +596,6 @@ type poolMeta struct {
 	LogDataBytesPerSlot int     `json:"log_data_bytes_per_slot"`
 	Strict              bool    `json:"strict"`
 
-	Shards         int  `json:"shards,omitempty"`
 	ApplierWorkers int  `json:"applier_workers,omitempty"`
 	GroupCommit    bool `json:"group_commit,omitempty"`
 }
@@ -644,7 +636,6 @@ func (p *Pool) Checkpoint() error {
 		LogEntriesPerSlot:   p.opts.LogEntriesPerSlot,
 		LogDataBytesPerSlot: p.opts.LogDataBytesPerSlot,
 		Strict:              p.opts.Strict,
-		Shards:              p.opts.Shards,
 		ApplierWorkers:      p.opts.ApplierWorkers,
 		GroupCommit:         p.opts.GroupCommit,
 	}
@@ -680,13 +671,13 @@ func (p *Pool) Checkpoint() error {
 // or Close, running crash recovery over the restored images.
 //
 // An optional Options value overrides runtime tunables for this
-// incarnation — Shards, ApplierWorkers, GroupCommit, FlushLatency,
-// FenceLatency, Trace, Blackbox, BlackboxBytes. Structural fields (Mode,
+// incarnation — ApplierWorkers, GroupCommit, FlushLatency, FenceLatency,
+// Trace, Blackbox, BlackboxBytes. Structural fields (Mode,
 // HeapSize, log geometry, …) describe the stored images; setting one in
 // the override to anything but its zero value or the stored value is a
 // configuration error. This replaces the old post-hoc attach pattern
 // (Pool.SetTrace): every knob is in force before recovery runs, so even
-// the recovery scans are traced and sharded as configured.
+// the recovery scans are traced as configured.
 func Open(dir string, overrides ...Options) (*Pool, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, "pool.json"))
 	if err != nil {
@@ -705,7 +696,6 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 		LogEntriesPerSlot:   meta.LogEntriesPerSlot,
 		LogDataBytesPerSlot: meta.LogDataBytesPerSlot,
 		Strict:              meta.Strict,
-		Shards:              meta.Shards,
 		ApplierWorkers:      meta.ApplierWorkers,
 		GroupCommit:         meta.GroupCommit,
 		Dir:                 dir,

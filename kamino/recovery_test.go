@@ -8,6 +8,8 @@ package kamino_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -129,7 +131,6 @@ func TestOpenOverrides(t *testing.T) {
 		HeapSize:    4 << 20,
 		Dir:         dir,
 		GroupCommit: true,
-		Shards:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestOpenOverrides(t *testing.T) {
 
 	// Tunable overrides apply; data is intact.
 	rec := trace.NewRecorder(1 << 14)
-	pool, err = kamino.Open(dir, kamino.Options{Shards: 2, ApplierWorkers: 1, Trace: rec})
+	pool, err = kamino.Open(dir, kamino.Options{ApplierWorkers: 1, Trace: rec})
 	if err != nil {
 		t.Fatalf("Open with tunable overrides: %v", err)
 	}
@@ -184,6 +185,26 @@ func TestOpenOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open with matching structural values: %v", err)
 	}
+	pool.Close()
+
+	// A pool.json from when there was a Shards option still opens.
+	metaPath := filepath.Join(dir, "pool.json")
+	meta, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta = bytes.Replace(meta, []byte("{"), []byte(`{"shards": 4,`), 1)
+	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pool, err = kamino.Open(dir)
+	if err != nil {
+		t.Fatalf(`Open with "shards": 4 in pool.json: %v`, err)
+	}
+	if store, err = kvstore.Open(pool); err != nil {
+		t.Fatal(err)
+	}
+	verifyStore(t, store, model)
 	pool.Close()
 }
 
