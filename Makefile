@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race doccheck check bench bench-json benchdiff bench-gate chaos-smoke audit-overhead serve-smoke recovery-smoke
+.PHONY: build test vet fmt race fuzz-smoke doccheck check bench bench-json benchdiff bench-gate chaos-smoke audit-overhead serve-smoke recovery-smoke
 
 build:
 	$(GO) build ./...
@@ -39,9 +39,16 @@ race:
 doccheck:
 	$(GO) run ./tools/doccheck cmd internal kamino tools
 
+# fuzz-smoke runs the ring-image fuzzer for ten seconds past its seed
+# corpus (which every `go test` already runs): pqueue.Attach must answer any
+# bytes with an error or a usable queue. The minimizer is capped because its
+# default budget, a minute per new input, would otherwise eat the run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzAttach -fuzztime=10s -fuzzminimizetime=1s ./internal/pqueue/
+
 # check is the full gate: tier-1 build+test plus gofmt, vet, the race pass,
-# and the godoc-coverage check.
-check: build fmt vet test race doccheck
+# the fuzz smoke, and the godoc-coverage check.
+check: build fmt vet test race fuzz-smoke doccheck
 
 bench: build
 	$(GO) run ./cmd/kaminobench -experiment fig12

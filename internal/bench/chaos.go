@@ -382,20 +382,14 @@ func (c Config) chaosWatchdog(cl *chainpkg.Cluster) *obs.Watchdog {
 		}
 		return regs[1].Snapshot().Gauges["backup_pending_txs"]
 	}, 10))
-	// Acknowledged-prefix truncation should keep persistent queues far
-	// below capacity; 80% occupancy on any queue means truncation stopped.
+	// Acknowledged-prefix truncation should keep each replica's ring far
+	// below capacity; 80% occupancy — its two ranges share the one ring —
+	// means truncation stopped.
 	wd.Add(obs.ThresholdProbe("queue-high-water", func() uint64 {
 		var worst uint64
 		for _, qs := range cl.QueueStats() {
 			if qs.InputCap > 0 {
-				if pct := qs.InputBytes * 100 / qs.InputCap; pct > worst {
-					worst = pct
-				}
-			}
-			if qs.InflightCap > 0 {
-				if pct := qs.InflightBytes * 100 / qs.InflightCap; pct > worst {
-					worst = pct
-				}
+				worst = max(worst, (qs.InputBytes+qs.InflightBytes)*100/qs.InputCap)
 			}
 		}
 		return worst

@@ -173,7 +173,7 @@ func stageAndReboot(t *testing.T, tc *testChain, pos int, partialSeed int64) map
 	// change) never resent.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		nIn, _ := target.getInput().Len()
+		_, nIn, _ := target.getRing().Counts()
 		if nIn == ops {
 			break
 		}
@@ -279,8 +279,8 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 			// transport-unregistered window has no deliveries to lose.
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				nFlt, _ := head.getInflight().Len()
-				nTail, _ := tail.getInput().Len()
+				nFlt, _, _ := head.getRing().Counts()
+				_, nTail, _ := tail.getRing().Counts()
 				if nFlt == ops && nTail == ops {
 					break
 				}

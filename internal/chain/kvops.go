@@ -15,64 +15,72 @@ import (
 // one transaction on each replica, so recovery replay is exactly-once by
 // idempotence.
 
-const kvBuckets = 1024
-
-// KVSetup initializes the hash table identically on every replica and
-// links it to the pool root.
+// KVSetup is a KV chain's Config.Setup. On a fresh pool it creates the hash
+// table, identically on every replica, and links it to the pool root; on a
+// pool that already holds one — a joiner's transferred image — it attaches
+// to it. Either way the map is cached for the replica's operations, so none
+// of them, and no client's lock-key extraction, ever looks into the pool to
+// find it. The directory is sized to the heap — one bucket per 8 KiB, never
+// fewer than 1024 nor more than one allocation holds — so that even a heap
+// full of small values averages a handful of entries per chain: a put or a
+// tail read walks, and read-locks, every entry ahead of its own.
 func KVSetup(pool *kamino.Pool) error {
-	m, err := phash.Create(pool, kvBuckets)
-	if err != nil {
-		return err
-	}
-	return pool.Update(func(tx *kamino.Tx) error {
-		if err := tx.Add(pool.Root()); err != nil {
-			return err
-		}
-		return tx.SetPtr(pool.Root(), 0, m.Dir())
-	})
-}
-
-// kvMaps caches the attached Map per pool (replicas reuse across ops);
-// Replica.Close drops its pool's entry.
-var kvMaps sync.Map // *kamino.Pool -> *phash.Map
-
-func kvMap(pool *kamino.Pool) (*phash.Map, error) {
-	if m, ok := kvMaps.Load(pool); ok {
-		return m.(*phash.Map), nil
-	}
 	var dir kamino.ObjID
 	if err := pool.View(func(tx *kamino.Tx) error {
 		var err error
 		dir, err = tx.Ptr(pool.Root(), 0)
 		return err
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	if dir == kamino.Nil {
-		return nil, errors.New("chain: pool has no KV map (KVSetup not run?)")
-	}
-	m, err := phash.Attach(pool, dir)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := kvMaps.LoadOrStore(pool, m)
-	return actual.(*phash.Map), nil
-}
-
-// kvBucketKey maps a KV key to its abstract admission-lock key: the hash
-// bucket, since operations in the same bucket can touch shared chain
-// objects.
-func kvBucketKey(key uint64) uint64 {
-	return (key * 0x9e3779b97f4a7c15) % kvBuckets
-}
-
-// kvLockKeys extracts the admission-lock keys of a put/delete. Malformed
-// args lock nothing; the operation itself rejects them at execution.
-func kvLockKeys(args []byte) []uint64 {
-	if len(args) < 8 {
+	if dir != kamino.Nil {
+		m, err := phash.Attach(pool, dir)
+		if err != nil {
+			return err
+		}
+		kvMaps.Store(pool, m)
 		return nil
 	}
-	return []uint64{kvBucketKey(binary.LittleEndian.Uint64(args))}
+	n := pool.Engine().Heap().Region().Size() / (8 << 10)
+	m, err := phash.Create(pool, min(max(1024, n), phash.MaxBuckets))
+	if err != nil {
+		return err
+	}
+	if err := pool.Update(func(tx *kamino.Tx) error {
+		if err := tx.Add(pool.Root()); err != nil {
+			return err
+		}
+		return tx.SetPtr(pool.Root(), 0, m.Dir())
+	}); err != nil {
+		return err
+	}
+	kvMaps.Store(pool, m)
+	return nil
+}
+
+// kvMaps holds each pool's map from KVSetup until Replica.Close drops it.
+// A reboot keeps the pool, and the map's cached bucket ids are immutable,
+// so the entry outlives the engine underneath it.
+var kvMaps sync.Map // *kamino.Pool -> *phash.Map
+
+func kvMap(pool *kamino.Pool) (*phash.Map, error) {
+	m, ok := kvMaps.Load(pool)
+	if !ok {
+		return nil, errors.New("chain: pool has no KV map (KVSetup not run?)")
+	}
+	return m.(*phash.Map), nil
+}
+
+// kvLockKeys extracts the admission-lock key of a put/delete: its hash
+// bucket in the pool's map, since operations in the same bucket can touch
+// shared chain objects. Malformed args, or a pool without a map, lock
+// nothing; the operation itself rejects them at execution.
+func kvLockKeys(pool *kamino.Pool, args []byte) []uint64 {
+	m, err := kvMap(pool)
+	if err != nil || len(args) < 8 {
+		return nil
+	}
+	return []uint64{uint64(m.BucketIndex(binary.LittleEndian.Uint64(args)))}
 }
 
 // EncodeKV packs a put's key and value.

@@ -80,8 +80,8 @@ func (r *Replica) onViewChange(v membership.View) {
 }
 
 // promoteToHead converts an in-place replica into the chain's new head: it
-// builds a local backup, recovers the admission-lock set from the in-flight
-// queue, and resumes sequence numbering (§5.2).
+// builds a local backup, recovers the admission-lock set from the ring's
+// in-flight range, and resumes sequence numbering (§5.2).
 func (r *Replica) promoteToHead() error {
 	r.mu.Lock()
 	promoted := r.promoted
@@ -100,35 +100,26 @@ func (r *Replica) promoteToHead() error {
 	// resume numbering after them, and re-drive them down the chain
 	// (replicas deduplicate, so this is safe even if they already saw
 	// them). The old head's clients are gone; completions are dropped.
-	recs, err := r.getInflight().All()
+	recs, err := r.getRing().Inflight()
 	if err != nil {
 		return err
 	}
 	// Sequence numbering must resume after every number this replica has
 	// ever seen, not just what is still in flight. After a reboot wiped
-	// lastExec and the in-flight queue is empty (all acked), deriving
+	// lastExec and the in-flight range is empty (all acked), deriving
 	// nextSeq from in-flight records alone would restart numbering at 1
 	// and every new operation would be silently dropped by the replicas'
-	// duplicate-seq filters. The queues' LastSeq cursors are persistent
-	// (pqueue header hOffSeq) and monotone — floor on both.
-	maxSeq := lastExec
-	if s := r.getInflight().LastSeq(); s > maxSeq {
-		maxSeq = s
-	}
-	if s := r.getInput().LastSeq(); s > maxSeq {
-		maxSeq = s
-	}
+	// duplicate-seq filters. The ring's LastSeq is persistent (pqueue
+	// header hOffSeq), monotone, and no lower than any record it holds.
+	maxSeq := max(lastExec, r.getRing().LastSeq())
 	r.headMu.Lock()
 	for _, rec := range recs {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
 		_, keysFn, err := r.cfg.Registry.write(rec.Name)
 		if err != nil {
 			r.headMu.Unlock()
 			return err
 		}
-		keys := keysFn(rec.Args)
+		keys := keysFn(r.pool, rec.Args)
 		for _, k := range keys {
 			r.lockedBy[k] = struct{}{}
 		}
@@ -142,11 +133,11 @@ func (r *Replica) promoteToHead() error {
 
 	// An acknowledgment can race with the rebuild above: delivered between
 	// the in-flight snapshot and the lock re-admission, its AckThrough
-	// truncated the queue but its completeThrough found no locks to
-	// release yet. Reconcile against the queue now that the locks exist —
+	// truncated the ring but its completeThrough found no locks to
+	// release yet. Reconcile against the ring now that the locks exist —
 	// anything no longer in flight is complete. An ack landing after this
 	// point sees the populated lock table and releases normally.
-	left, err := r.getInflight().All()
+	left, err := r.getRing().Inflight()
 	if err != nil {
 		return err
 	}
@@ -158,22 +149,16 @@ func (r *Replica) promoteToHead() error {
 
 	view := r.currentView()
 	if succ, ok := view.Successor(r.id); ok {
-		for _, rec := range recs {
-			_ = r.cfg.Transport.Send(succ, &transport.Message{
-				Kind: transport.KindOp, From: r.id, ViewID: view.ID,
-				Seq: rec.Seq, Name: rec.Name, Args: rec.Args, Trace: rec.Trace,
-			})
-		}
-		r.cResends.Add(uint64(len(recs)))
+		r.resend(view, succ, recs)
 	} else {
 		// Single-node chain: everything in flight is trivially
 		// complete.
-		if err := r.getInflight().AckThrough(maxSeq); err != nil {
+		if err := r.ackThrough(maxSeq); err != nil {
 			return err
 		}
 		r.completeThrough(maxSeq)
 	}
-	// A replica promoted mid-stream inherits its middle-era input backlog:
+	// A replica promoted mid-stream inherits its middle-era pending backlog:
 	// records accepted but not yet executed and forwarded. They must be
 	// fully drained before the pipeline restarts, because the head's
 	// batcher is a second writer to the same engine — admission control
@@ -182,32 +167,20 @@ func (r *Replica) promoteToHead() error {
 	// deadlock on shared hash-bucket objects even for disjoint keys) and
 	// break the allocation-order determinism the neighbour-copy recovery
 	// protocol needs. Draining after the in-flight resends keeps the
-	// successor's input queue in ascending sequence order.
+	// successor's ring in ascending sequence order.
 	return r.drainInputBacklog()
 }
 
 // drainInputBacklog synchronously executes and forwards every record still
-// in the input queue, exactly as the executor/forwarder pipeline would.
+// pending in the ring, exactly as the executor/forwarder pipeline would.
 // Callers must hold the pipeline stopped: this is the single writer while
 // it runs.
 func (r *Replica) drainInputBacklog() error {
-	cur := r.getInput().Cursor()
+	cur := r.getRing().Cursor()
 	for {
-		batch := make([]pqueue.Record, 0, r.cfg.BatchOps)
-		bytes := 0
-		for len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes {
-			rec, err := cur.Next()
-			if errors.Is(err, pqueue.ErrEmpty) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			batch = append(batch, rec)
-			bytes += len(rec.Args)
-		}
-		if len(batch) == 0 {
-			return nil
+		batch, err := r.nextBatch(cur)
+		if err != nil || len(batch) == 0 {
+			return err
 		}
 		if err := r.executeBatch(batch); err != nil {
 			return err
@@ -221,12 +194,12 @@ func (r *Replica) drainInputBacklog() error {
 // ackAllInflight lets a newly promoted tail acknowledge all forwarded
 // transactions to the head. The acknowledgment is a Call, not a
 // fire-and-forget Send: only once the head has actually processed it may
-// the records leave the in-flight queue. A lost ack used to truncate the
-// queue anyway, permanently leaking the head's admission locks for those
+// the records leave the in-flight range. A lost ack used to truncate it
+// anyway, permanently leaking the head's admission locks for those
 // sequence numbers; now the records are retained and the repair ticker
 // (reacker) retries until a head confirms.
 func (r *Replica) ackAllInflight(v membership.View) {
-	recs, err := r.getInflight().All()
+	recs, err := r.getRing().Inflight()
 	if err != nil {
 		r.fatal(err)
 		return
@@ -242,7 +215,7 @@ func (r *Replica) ackAllInflight(v membership.View) {
 		return
 	}
 	r.cTailAcks.Add(uint64(len(recs)))
-	if err := r.getInflight().AckThrough(last.Seq); err != nil {
+	if err := r.ackThrough(last.Seq); err != nil {
 		r.fatal(err)
 	}
 }
@@ -263,16 +236,17 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 	if view.Tail() != r.id {
 		// A middle receiving a duplicate it has already executed is being
 		// probed by an upstream repair resend; silently dropping it would
-		// strand the sender. Two cases. If this replica's in-flight queue
-		// has acked past seq, the cleanup chain already certified that the
+		// strand the sender. Two cases. If this replica's ring has acked
+		// past seq, the cleanup chain already certified that the
 		// tail acknowledged it — answer with a cleanup to the predecessor,
 		// deliberately including the head: the steady-state chain stops
 		// cleanups short of the head (it hears the tail ack directly), but
 		// a promoted head whose tail ack died with its predecessor has
 		// only this path left to release its re-admitted admission locks.
-		// Otherwise the record is still in flight here — pass the probe
-		// downstream so the tail can regenerate the acknowledgment.
-		if r.getInflight().Acked() >= seq {
+		// Otherwise the record is still in the ring — in flight, or sent
+		// and about to be marked so — pass the probe downstream so the
+		// tail can regenerate the acknowledgment.
+		if r.getRing().Acked() >= seq {
 			if pred, ok := view.Predecessor(r.id); ok {
 				_ = r.cfg.Transport.Send(pred, &transport.Message{
 					Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: seq,
@@ -284,17 +258,13 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 		if !ok {
 			return
 		}
-		recs, err := r.getInflight().All()
+		recs, err := r.getRing().All()
 		if err != nil {
 			return
 		}
-		for _, rec := range recs {
+		for i, rec := range recs {
 			if rec.Seq == seq {
-				_ = r.cfg.Transport.Send(succ, &transport.Message{
-					Kind: transport.KindOp, From: r.id, ViewID: view.ID,
-					Seq: rec.Seq, Name: rec.Name, Args: rec.Args, Trace: rec.Trace,
-				})
-				r.cResends.Add(1)
+				r.resend(view, succ, recs[i:i+1])
 				return
 			}
 		}
@@ -314,7 +284,7 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 // reacker is the per-incarnation repair ticker. A tail holding retained
 // in-flight records (an ack the head never confirmed) re-acknowledges them
 // every ResendInterval until one lands. A head whose oldest in-flight
-// record has made no progress between two ticks re-drives the queue down
+// record has made no progress between two ticks re-drives that range down
 // the chain: one-shot acks and cleanups can be lost across a view change
 // (addressed to a head that died before delivery), and without a retry
 // the admission locks for those records would be stranded forever.
@@ -331,7 +301,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 		}
 		view := r.currentView()
 		if view.Head() == r.id {
-			recs, err := r.getInflight().All()
+			recs, err := r.getRing().Inflight()
 			if err != nil || len(recs) == 0 {
 				stalledFloor = 0
 				continue
@@ -346,17 +316,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 				// records; resending them all every tick turns the
 				// repair ticker into a storm that starves the transfer.)
 				if succ, ok := view.Successor(r.id); ok {
-					n := len(recs)
-					if n > 16 {
-						n = 16
-					}
-					for _, rec := range recs[:n] {
-						_ = r.cfg.Transport.Send(succ, &transport.Message{
-							Kind: transport.KindOp, From: r.id, ViewID: view.ID,
-							Seq: rec.Seq, Name: rec.Name, Args: rec.Args, Trace: rec.Trace,
-						})
-					}
-					r.cResends.Add(uint64(n))
+					r.resend(view, succ, recs[:min(len(recs), 16)])
 				}
 			}
 			stalledFloor = floor
@@ -365,7 +325,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 		if view.Tail() != r.id {
 			continue
 		}
-		if !r.getInflight().Empty() {
+		if fl, _ := r.getRing().Usage(); fl.Bytes > 0 {
 			r.ackAllInflight(view)
 		}
 	}
@@ -373,11 +333,17 @@ func (r *Replica) reacker(stop chan struct{}) {
 
 // resendInflight re-forwards in-flight transactions to a new successor.
 func (r *Replica) resendInflight(v membership.View, succ transport.NodeID) {
-	recs, err := r.getInflight().All()
+	recs, err := r.getRing().Inflight()
 	if err != nil {
 		r.fatal(err)
 		return
 	}
+	r.resend(v, succ, recs)
+}
+
+// resend re-forwards records one by one; the receiver deduplicates by
+// sequence number, so resending is always safe.
+func (r *Replica) resend(v membership.View, succ transport.NodeID, recs []pqueue.Record) {
 	for _, rec := range recs {
 		_ = r.cfg.Transport.Send(succ, &transport.Message{
 			Kind: transport.KindOp, From: r.id, ViewID: v.ID,
@@ -396,17 +362,14 @@ func (r *Replica) resendInflight(v membership.View, succ transport.NodeID) {
 // local backup if it is (still) the head, by rolling forward from the
 // predecessor if it is a non-head, or by rolling back from the successor if
 // it finds itself newly promoted (Figure 9). The executor then resumes the
-// input queue; re-execution is safe because replicated operations are
+// ring's pending range; re-execution is safe because replicated operations are
 // idempotent.
 func (r *Replica) Reboot() error {
 	return r.reboot(func() error {
 		if err := r.pool.Crash(); err != nil {
 			return err
 		}
-		if err := r.inputReg.Crash(); err != nil {
-			return err
-		}
-		return r.inflightReg.Crash()
+		return r.ringReg.Crash()
 	})
 }
 
@@ -414,7 +377,7 @@ func (r *Replica) Reboot() error {
 // flushed-but-unfenced cache line independently survives or is lost,
 // decided deterministically from seed (see Pool.CrashPartial). It
 // exercises recovery from the torn states a fence would have excluded —
-// e.g. a queue batch whose records persisted but whose header did not.
+// e.g. a ring append whose records persisted but whose header did not.
 func (r *Replica) RebootPartial(seed int64) error {
 	keep := func(line int) bool {
 		h := uint64(seed)*0x9E3779B97F4A7C15 + uint64(line)
@@ -427,15 +390,12 @@ func (r *Replica) RebootPartial(seed int64) error {
 		if err := r.pool.CrashPartial(seed); err != nil {
 			return err
 		}
-		if err := r.inputReg.CrashPartial(keep); err != nil {
-			return err
-		}
-		return r.inflightReg.CrashPartial(keep)
+		return r.ringReg.CrashPartial(keep)
 	})
 }
 
 // reboot runs the quick-reboot protocol around the given power-failure
-// model, which must crash the pool and both queue regions.
+// model, which must crash the pool and the ring region.
 func (r *Replica) reboot(crash func() error) error {
 	if !r.cfg.Strict {
 		return errors.New("chain: Reboot requires Strict replicas")
@@ -457,22 +417,18 @@ func (r *Replica) reboot(crash func() error) error {
 	r.stopExecutor()
 	r.cfg.Transport.Unregister(r.id)
 
-	// Power failure: heap/log regions and both queues lose volatile
+	// Power failure: heap/log regions and the ring lose volatile
 	// state. Pool.Crash also reopens the engine, which for in-place
 	// replicas surfaces pending transactions.
 	if err := crash(); err != nil {
 		return err
 	}
-	inputQ, err := pqueue.Attach(r.inputReg)
-	if err != nil {
-		return err
-	}
-	inflightQ, err := pqueue.Attach(r.inflightReg)
+	ring, err := pqueue.Attach(r.ringReg)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.inputQ, r.inflightQ = inputQ, inflightQ
+	r.ring = ring
 	r.mu.Unlock()
 
 	// Revalidate membership (§5.3: all messages carry a viewID; the
@@ -481,12 +437,12 @@ func (r *Replica) reboot(crash func() error) error {
 	if err != nil {
 		return fmt.Errorf("chain: rejoin: %w", err)
 	}
-	// The volatile executed counter did not survive, but the input queue
-	// did: everything that ever left it was executed first, so its floor
-	// (LastSeq when empty, else the oldest remaining record minus one)
-	// is a sound lower bound. Restoring 0 instead would make a rebooted
+	// The volatile executed counter did not survive, but the ring did:
+	// everything that ever left its pending range was executed first, so
+	// that range's floor (LastSeq when empty, else the oldest pending
+	// record minus one) is a sound lower bound. Restoring 0 instead would make a rebooted
 	// tail refuse to re-acknowledge duplicates it has long executed.
-	floor, err := executedFloor(inputQ)
+	floor, err := executedFloor(ring)
 	if err != nil {
 		return err
 	}
@@ -547,7 +503,7 @@ func (r *Replica) reboot(crash func() error) error {
 		}
 	}
 
-	// Back online: serve messages and resume the input queue.
+	// Back online: serve messages and resume the pending range.
 	if err := r.cfg.Transport.Register(r.id, r.handle); err != nil {
 		return err
 	}

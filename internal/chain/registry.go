@@ -26,9 +26,10 @@ type ReadFunc func(pool *kamino.Pool, args []byte) ([]byte, error)
 
 // LockKeysFunc maps an operation's arguments to the abstract lock keys the
 // head uses for dependency admission control (paper §5.1: the head never
-// admits dependent transactions concurrently). Conservative over-locking is
-// safe; under-locking is not.
-type LockKeysFunc func(args []byte) []uint64
+// admits dependent transactions concurrently), given the head's pool, whose
+// structures decide which operations share objects. Conservative
+// over-locking is safe; under-locking is not.
+type LockKeysFunc func(pool *kamino.Pool, args []byte) []uint64
 
 // Registry holds the replicated operations. Every replica of a chain must
 // be built with an identical registry.

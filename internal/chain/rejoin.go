@@ -17,21 +17,21 @@ import (
 //  1. KindStateSnap freezes the donor at a transaction boundary (pipeline
 //     stopped, async engine work drained) and returns a snapshot nonce,
 //     the heap image size, the snapshot's sequence floor, and the donor's
-//     unexecuted input-queue suffix.
+//     pending suffix (the ring records it has not executed and handed on).
 //  2. KindStateChunk calls copy the heap image in bounded chunks — the
 //     bulk-object analogue of the recovery KindFetch path. The nonce
 //     guards against the donor crashing or timing out mid-transfer.
 //  3. The joiner reloads its engine over the copied image, seeds its
-//     persistent queues' duplicate filters with the snapshot floor,
-//     replays the input suffix into its own input queue, registers, and
-//     joins the view via membership.AddTail.
+//     ring's duplicate filter with the snapshot floor, replays the pending
+//     suffix into its own ring, registers, and joins the view via
+//     membership.AddTail.
 //  4. KindStateDone releases the donor, which resumes its pipeline.
 //
 // The frozen donor keeps serving tail reads; writes stall (no tail acks)
 // for the duration of the copy, which is the availability dip the chaos
 // experiment measures. Everything the donor executed before the freeze is
-// inside the image; everything it had not executed is still in its durable
-// input queue and is re-forwarded to the joiner after the view change, so
+// inside the image; everything it had not executed is still pending in its
+// durable ring and is re-forwarded to the joiner after the view change, so
 // records are never lost and re-execution is safe by the registered
 // operations' idempotence contract.
 
@@ -69,11 +69,11 @@ func (r *Replica) serveStateSnap(msg *transport.Message) *transport.Message {
 		r.releaseSnapshot(nonce)
 		return &transport.Message{Kind: transport.KindError, Err: err.Error()}
 	}
-	snapSeq, err := executedFloor(r.getInput())
+	snapSeq, err := executedFloor(r.getRing())
 	if err != nil {
 		return fail(err)
 	}
-	suffix, err := r.getInput().All()
+	suffix, err := r.getRing().Pending()
 	if err != nil {
 		return fail(err)
 	}
@@ -142,8 +142,8 @@ func (r *Replica) releaseSnapshot(nonce uint64) {
 // JoinAsTail builds a replacement replica, catches it up by state transfer
 // from the chain's current tail, and joins it to the view as the new tail.
 // The returned replica is live and a chain member. cfg must match the
-// chain's (same Registry, Transport, Manager, sizes); Setup is not run —
-// application state arrives with the image.
+// chain's (same Registry, Transport, Manager, sizes); Setup runs after the
+// image has arrived, to attach to the application state inside it.
 func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Registry == nil || cfg.Transport == nil || cfg.Manager == nil {
@@ -160,6 +160,7 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	abort := func(err error) (*Replica, error) {
+		kvMaps.Delete(r.pool)
 		r.pool.Close()
 		return nil, err
 	}
@@ -216,18 +217,20 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 	// replica's durable cursors: everything <= snapSeq is inside the
 	// image and globally complete, so re-forwarded records at or below it
 	// must be dropped as duplicates, and the executed counter starts
-	// there. The donor's unexecuted suffix replays into the local input
-	// queue; the donor will re-forward it too, and whoever arrives second
-	// is deduplicated.
+	// there. The donor's pending suffix replays into the local ring; the
+	// donor will re-forward it too, and whoever arrives second is
+	// deduplicated.
 	if err := r.pool.Reload(); err != nil {
 		release()
 		return abort(fmt.Errorf("chain: reopening pool over transferred image: %w", err))
 	}
-	if err := r.getInput().SeedSeq(snapSeq); err != nil {
-		release()
-		return abort(err)
+	if cfg.Setup != nil {
+		if err := cfg.Setup(r.pool); err != nil {
+			release()
+			return abort(err)
+		}
 	}
-	if err := r.getInflight().SeedSeq(snapSeq); err != nil {
+	if err := r.getRing().SeedSeq(snapSeq); err != nil {
 		release()
 		return abort(err)
 	}
@@ -236,7 +239,7 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		for i, op := range snap.Batch {
 			recs[i] = pqueue.Record{Seq: op.Seq, Trace: op.Trace, Name: op.Name, Args: op.Args}
 		}
-		if err := r.getInput().AppendBatch(recs); err != nil {
+		if err := r.getRing().AppendBatch(recs); err != nil {
 			release()
 			return abort(err)
 		}

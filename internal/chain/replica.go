@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kaminotx/internal/halving"
 	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
 	"kaminotx/internal/nvm"
@@ -41,7 +42,8 @@ type Config struct {
 	// head), < 1 dynamic (Kamino-Tx-Dynamic head, the paper's
 	// Kamino-Tx-Amortized chain when combined with in-place replicas).
 	Alpha float64
-	// QueueBytes sizes the persistent input and in-flight queues.
+	// QueueBytes sizes the replica's persistent ring: twice this, one share
+	// for the pending range and one for the in-flight range.
 	QueueBytes int
 	// LogSlots / LogEntriesPerSlot size each replica's intent log.
 	LogSlots          int
@@ -91,9 +93,11 @@ type Config struct {
 	Transport transport.Transport
 	Manager   *membership.Manager
 
-	// Setup initializes application state identically on every replica
-	// (e.g. creating the hash table); it runs once at replica creation
-	// and must be deterministic.
+	// Setup prepares application state on the replica's pool, once,
+	// before the replica goes on the air. On a fresh pool it creates the
+	// state (e.g. the hash table), deterministically, so that every
+	// replica's is identical; on a joiner's pool it runs after the
+	// transferred image is in place and attaches to what arrived.
 	Setup func(pool *kamino.Pool) error
 
 	// Trace, when non-nil, records the replica's chain protocol events
@@ -153,15 +157,13 @@ type Replica struct {
 	id  transport.NodeID
 	cfg Config
 
-	pool        *kamino.Pool
-	inputQ      *pqueue.Queue
-	inflightQ   *pqueue.Queue
-	inputReg    *nvm.Region
-	inflightReg *nvm.Region
+	pool    *kamino.Pool
+	ring    *pqueue.Queue // pending and in-flight records (see pqueue)
+	ringReg *nvm.Region
 
 	obs        *obs.Registry
 	cSubmits   *obs.Counter // ops accepted at the head
-	cApplied   *obs.Counter // ops executed from the input queue
+	cApplied   *obs.Counter // ops executed from the ring's pending range
 	cForwarded *obs.Counter // ops sent to the successor
 	cTailAcks  *obs.Counter // tail acknowledgments sent
 	cAcksRecv  *obs.Counter // tail acknowledgments received (head)
@@ -241,12 +243,12 @@ func NewReplica(id transport.NodeID, cfg Config) (*Replica, error) {
 	return r, nil
 }
 
-// newReplicaCore builds a replica's pool, persistent queues, and
+// newReplicaCore builds a replica's pool, persistent ring, and
 // observability but leaves it offline: no transport handler, no membership
 // watcher, no pipeline. NewReplica brings members online immediately;
 // JoinAsTail (rejoin.go) keeps a replacement replica offline until state
-// transfer has filled its heap. runSetup is false for joiners, whose
-// application state arrives as a copied image instead of from Setup.
+// transfer has filled its heap. runSetup is false for joiners, which run
+// Setup themselves once the copied image is in place.
 func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Replica, error) {
 	var mode kamino.Mode
 	switch cfg.Mode {
@@ -281,11 +283,6 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Setup != nil && runSetup {
-		if err := cfg.Setup(pool); err != nil {
-			return nil, err
-		}
-	}
 	ropts := nvm.Options{
 		Mode: nvm.ModeFast,
 		Latency: nvm.LatencyModel{
@@ -296,67 +293,64 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 	if cfg.Strict {
 		ropts.Mode = nvm.ModeStrict
 	}
-	inputReg, err := nvm.New(cfg.QueueBytes, ropts)
+	ringReg, err := nvm.New(2*cfg.QueueBytes, ropts)
 	if err != nil {
 		return nil, err
 	}
-	inputQ, err := pqueue.Format(inputReg)
+	ring, err := pqueue.Format(ringReg)
 	if err != nil {
 		return nil, err
 	}
-	inflightReg, err := nvm.New(cfg.QueueBytes, ropts)
-	if err != nil {
-		return nil, err
-	}
-	inflightQ, err := pqueue.Format(inflightReg)
-	if err != nil {
-		return nil, err
+	// Last of what can fail: Setup may leave state keyed by the pool (the
+	// KV map cache) that only Close drops.
+	if cfg.Setup != nil && runSetup {
+		if err := cfg.Setup(pool); err != nil {
+			return nil, err
+		}
 	}
 
 	o := obs.New("chain/" + string(id))
 	r := &Replica{
-		id:          id,
-		cfg:         cfg,
-		pool:        pool,
-		inputQ:      inputQ,
-		inflightQ:   inflightQ,
-		inputReg:    inputReg,
-		inflightReg: inflightReg,
-		obs:         o,
-		cSubmits:    o.Counter("submits"),
-		cApplied:    o.Counter("applied"),
-		cForwarded:  o.Counter("forwarded"),
-		cTailAcks:   o.Counter("tail_acks"),
-		cAcksRecv:   o.Counter("acks_received"),
-		cCleanups:   o.Counter("cleanups"),
-		cDedup:      o.Counter("dedup_dropped"),
-		cFetches:    o.Counter("fetches_served"),
-		cResends:    o.Counter("resends"),
-		cBatches:    o.Counter("batches"),
-		cBatchOps:   o.Counter("batch_ops"),
-		cSplits:     o.Counter("batch_splits"),
-		notify:      make(chan struct{}, 1),
-		submitCh:    make(chan *submitReq, 1024),
-		lockedBy:    make(map[uint64]struct{}),
-		seqLocks:    make(map[uint64][]uint64),
-		waiters:     make(map[uint64]chan error),
-		seqTrace:    make(map[uint64]uint64),
+		id:         id,
+		cfg:        cfg,
+		pool:       pool,
+		ring:       ring,
+		ringReg:    ringReg,
+		obs:        o,
+		cSubmits:   o.Counter("submits"),
+		cApplied:   o.Counter("applied"),
+		cForwarded: o.Counter("forwarded"),
+		cTailAcks:  o.Counter("tail_acks"),
+		cAcksRecv:  o.Counter("acks_received"),
+		cCleanups:  o.Counter("cleanups"),
+		cDedup:     o.Counter("dedup_dropped"),
+		cFetches:   o.Counter("fetches_served"),
+		cResends:   o.Counter("resends"),
+		cBatches:   o.Counter("batches"),
+		cBatchOps:  o.Counter("batch_ops"),
+		cSplits:    o.Counter("batch_splits"),
+		notify:     make(chan struct{}, 1),
+		submitCh:   make(chan *submitReq, 1024),
+		lockedBy:   make(map[uint64]struct{}),
+		seqLocks:   make(map[uint64][]uint64),
+		waiters:    make(map[uint64]chan error),
+		seqTrace:   make(map[uint64]uint64),
 	}
-	// The queue regions' device counters surface the persist cost of the
+	// The ring region's device counters surface the persist cost of the
 	// chain protocol itself (batching exists to shrink these).
-	inputReg.ExportObs(o, "nvm.inputq")
-	inflightReg.ExportObs(o, "nvm.inflightq")
-	// Live queue depths: records waiting to execute and batches forwarded
-	// but not yet acked by the tail. A growing inflight gauge means the
-	// downstream chain is the bottleneck.
-	o.Gauge("input_records", func() uint64 { return queueLen(r.getInput()) })
-	o.Gauge("inflight_records", func() uint64 { return queueLen(r.getInflight()) })
-	// Queue-truncation telemetry: live ring occupancy and the high-water
-	// mark prove the acknowledged-prefix pruning keeps the logs bounded.
-	o.Gauge("inputq_bytes", func() uint64 { return r.getInput().Occupied() })
-	o.Gauge("inputq_highwater", func() uint64 { return r.getInput().HighWater() })
-	o.Gauge("inflightq_bytes", func() uint64 { return r.getInflight().Occupied() })
-	o.Gauge("inflightq_highwater", func() uint64 { return r.getInflight().HighWater() })
+	ringReg.ExportObs(o, "nvm.ring")
+	// Live depths of the ring's two ranges: records waiting to execute and
+	// records forwarded but not yet acked by the tail. A growing inflight
+	// gauge means the downstream chain is the bottleneck. A mid-reboot read
+	// error reads as empty rather than failing the snapshot.
+	o.Gauge("input_records", func() uint64 { _, n, _ := r.getRing().Counts(); return uint64(n) })
+	o.Gauge("inflight_records", func() uint64 { n, _, _ := r.getRing().Counts(); return uint64(n) })
+	// Truncation telemetry: each range's live occupancy and high-water
+	// mark prove the acknowledged-prefix pruning keeps the ring bounded.
+	o.Gauge("inputq_bytes", func() uint64 { _, in := r.getRing().Usage(); return in.Bytes })
+	o.Gauge("inputq_highwater", func() uint64 { _, in := r.getRing().Usage(); return in.HighWater })
+	o.Gauge("inflightq_bytes", func() uint64 { fl, _ := r.getRing().Usage(); return fl.Bytes })
+	o.Gauge("inflightq_highwater", func() uint64 { fl, _ := r.getRing().Usage(); return fl.HighWater })
 	if cfg.Trace != nil {
 		r.tr = cfg.Trace.Tracer("chain/" + string(id))
 		r.traceBase = fnv64a(string(id)) &^ 0xFFFFFFFF
@@ -385,16 +379,6 @@ func (r *Replica) goLive() error {
 	r.watchCancel = r.cfg.Manager.Watch(r.onViewChange)
 	r.startExecutor()
 	return nil
-}
-
-// queueLen samples a persistent queue's record count for a gauge; a
-// mid-crash-simulation read error reads as empty rather than failing.
-func queueLen(q *pqueue.Queue) uint64 {
-	n, err := q.Len()
-	if err != nil || n < 0 {
-		return 0
-	}
-	return uint64(n)
 }
 
 // fnv64a hashes a node id into the high bits of its trace-id space, so
@@ -431,14 +415,6 @@ func (r *Replica) LockedKeys() int {
 	return len(r.lockedBy)
 }
 
-// QueueStats reports the replica's persistent-queue ring occupancy and
-// high-water marks in bytes (input, in-flight). The chaos experiment uses
-// them to prove acknowledged-prefix truncation keeps the logs bounded.
-func (r *Replica) QueueStats() (inputBytes, inputHigh, inflightBytes, inflightHigh uint64) {
-	in, fl := r.getInput(), r.getInflight()
-	return in.Occupied(), in.HighWater(), fl.Occupied(), fl.HighWater()
-}
-
 // DebugInfo is the structured repair-relevant state of a replica:
 // execution floor, sequence counter, queue spans, and the admission-lock
 // table. It serializes to JSON for the /debug/chain endpoint and rides
@@ -449,9 +425,9 @@ type DebugInfo struct {
 	LastExec uint64 `json:"last_exec"`
 	// NextSeq is the head's next sequence number to mint (0 off-head).
 	NextSeq uint64 `json:"next_seq"`
-	// InputLast is the input queue's last appended sequence number.
+	// InputLast is the ring's last appended sequence number.
 	InputLast uint64 `json:"input_last"`
-	// Inflight counts un-acknowledged records in the in-flight queue;
+	// Inflight counts un-acknowledged records in the ring's in-flight range;
 	// InflightFloor/InflightLast bound their sequence span (0/0 when
 	// empty).
 	Inflight      int    `json:"inflight"`
@@ -476,11 +452,11 @@ func (d DebugInfo) String() string {
 }
 
 // DebugInfo samples the replica's repair-relevant state. Safe to call at
-// any point where the replica's queues exist, including from the pool's
+// any point where the replica's ring exists, including from the pool's
 // crash-context callback during a reboot (no replica locks are held
 // around the pool crash).
 func (r *Replica) DebugInfo() DebugInfo {
-	recs, _ := r.getInflight().All()
+	recs, _ := r.getRing().Inflight()
 	var flFloor, flLast uint64
 	if len(recs) > 0 {
 		flFloor, flLast = recs[0].Seq, recs[len(recs)-1].Seq
@@ -502,7 +478,7 @@ func (r *Replica) DebugInfo() DebugInfo {
 	return DebugInfo{
 		LastExec:      r.lastExecSeq(),
 		NextSeq:       nextSeq,
-		InputLast:     r.getInput().LastSeq(),
+		InputLast:     r.getRing().LastSeq(),
 		Inflight:      len(recs),
 		InflightFloor: flFloor,
 		InflightLast:  flLast,
@@ -517,21 +493,14 @@ func (r *Replica) DebugInfo() DebugInfo {
 // admission lock names its owner instead of hanging the run.
 func (r *Replica) DebugState() string { return r.DebugInfo().String() }
 
-// QueueUsage reports one persistent queue ring's occupancy in bytes.
-type QueueUsage struct {
-	Occupied  uint64 `json:"occupied_bytes"`
-	HighWater uint64 `json:"high_water_bytes"`
-	Capacity  uint64 `json:"capacity_bytes"`
-}
-
-// QueueUsage samples both queue rings (input, in-flight) with their
-// capacities — the /debug/queues endpoint and the queue high-water
-// watchdog probe read this.
-func (r *Replica) QueueUsage() (input, inflight QueueUsage) {
-	in, fl := r.getInput(), r.getInflight()
-	input = QueueUsage{Occupied: in.Occupied(), HighWater: in.HighWater(), Capacity: in.Capacity()}
-	inflight = QueueUsage{Occupied: fl.Occupied(), HighWater: fl.HighWater(), Capacity: fl.Capacity()}
-	return input, inflight
+// QueueUsage samples the ring's two ranges (pending input, in-flight) and
+// the capacity they share — the /debug/queues endpoint, the queue
+// high-water watchdog probe and the chaos experiment (to prove
+// acknowledged-prefix truncation keeps the ring bounded) read this.
+func (r *Replica) QueueUsage() (input, inflight pqueue.Usage, capacity uint64) {
+	q := r.getRing()
+	inflight, input = q.Usage()
+	return input, inflight, q.Capacity()
 }
 
 // IsHead reports whether this replica currently heads the chain.
@@ -541,17 +510,19 @@ func (r *Replica) IsHead() bool {
 	return r.view.Head() == r.id
 }
 
-// getInput and getInflight guard the queue pointers, which Reboot swaps.
-func (r *Replica) getInput() *pqueue.Queue {
+// getRing guards the ring pointer, which Reboot swaps.
+func (r *Replica) getRing() *pqueue.Queue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.inputQ
+	return r.ring
 }
 
-func (r *Replica) getInflight() *pqueue.Queue {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inflightQ
+// ackThrough records the chain's acknowledgment of everything through seq
+// in the ring and prunes it — never past what this replica has executed: a
+// joiner replays its donor's pending suffix and can acknowledge a record
+// the donor itself has yet to execute, and that record must stay.
+func (r *Replica) ackThrough(seq uint64) error {
+	return r.getRing().AckThrough(min(seq, r.lastExecSeq()))
 }
 
 // stopExecutor halts the pipeline goroutines; startExecutor restarts them.
@@ -566,11 +537,11 @@ func (r *Replica) stopExecutor() {
 	r.wg.Wait()
 }
 
-// startExecutor spawns one pipeline incarnation: the executor applies input
+// startExecutor spawns one pipeline incarnation: the executor applies pending
 // records and hands them to the forwarder, which batches them downstream,
 // while the batcher coalesces head submissions. The stop channel and the
 // executor→forwarder channel are per-incarnation so a Reboot never mixes
-// records from the pre-crash queues into the new pipeline.
+// records from the pre-crash ring into the new pipeline.
 func (r *Replica) startExecutor() {
 	r.stopMu.Lock()
 	r.stop = make(chan struct{})
@@ -645,13 +616,13 @@ func (r *Replica) lastExecSeq() uint64 {
 	return r.lastExec
 }
 
-// executedFloor derives the executed prefix from a persistent input queue:
-// records leave the input queue only after execution and forwarding, so if
-// the queue is empty everything ever enqueued (LastSeq) has executed, and
-// otherwise everything before its oldest record has. Reboot restores
-// lastExec from this — the volatile counter does not survive a crash.
+// executedFloor derives the executed prefix from a persistent ring: records
+// leave the pending range only after execution and forwarding, so if it is
+// empty everything ever enqueued (LastSeq) has executed, and otherwise
+// everything before its oldest record has. Reboot restores lastExec from
+// this — the volatile counter does not survive a crash.
 func executedFloor(q *pqueue.Queue) (uint64, error) {
-	rec, err := q.Peek()
+	rec, err := q.Cursor().Next()
 	if errors.Is(err, pqueue.ErrEmpty) {
 		return q.LastSeq(), nil
 	}
@@ -732,7 +703,7 @@ func (r *Replica) Submit(name string, args []byte) error {
 	if err != nil {
 		return err
 	}
-	keys := keysFn(args)
+	keys := keysFn(r.pool, args)
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
 	// Admission control (paper §5.1): a transaction whose lock keys
@@ -742,10 +713,10 @@ func (r *Replica) Submit(name string, args []byte) error {
 
 	// Hand off to the batcher, which executes, assigns the sequence
 	// number, and forwards — possibly coalesced with concurrent
-	// submissions into one downstream message and one in-flight-queue
-	// persist. The batcher is single-threaded, so downstream execution
-	// order equals head execution order. The stop-channel select covers a
-	// dead pipeline with a full submit channel: instead of blocking on a
+	// submissions into one downstream message and one ring append. The
+	// batcher is single-threaded, so downstream execution order equals
+	// head execution order. The stop-channel select covers a dead
+	// pipeline with a full submit channel: instead of blocking on a
 	// handoff nobody will drain, the client gets a redirect and retries.
 	// Once handed off, the request always gets an answer: a live batcher
 	// completes it, a reboot's re-drive completes it after recovery, and
@@ -843,32 +814,25 @@ func (r *Replica) batcher(stop chan struct{}) {
 // write set overflows a log slot — the batch splits in half and retries,
 // converging to per-operation execution and per-operation errors.
 func (r *Replica) applyReqs(reqs []*submitReq, failed map[*submitReq]error) {
-	if len(reqs) == 1 {
-		req := reqs[0]
-		if err := r.pool.Update(func(tx *kamino.Tx) error { return req.fn(tx, r.pool, req.args) }); err != nil {
-			failed[req] = err
-		}
-		return
-	}
-	err := r.pool.Update(func(tx *kamino.Tx) error {
-		for _, req := range reqs {
-			if err := req.fn(tx, r.pool, req.args); err != nil {
-				return err
+	_ = halving.Run(reqs, func(reqs []*submitReq) error {
+		err := r.pool.Update(func(tx *kamino.Tx) error {
+			for _, req := range reqs {
+				if err := req.fn(tx, r.pool, req.args); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil && len(reqs) == 1 {
+			failed[reqs[0]], err = err, nil // its own error; the rest carry on
 		}
-		return nil
-	})
-	if err != nil {
-		r.cSplits.Add(1)
-		mid := len(reqs) / 2
-		r.applyReqs(reqs[:mid], failed)
-		r.applyReqs(reqs[mid:], failed)
-	}
+		return err
+	}, r.cSplits.Inc)
 }
 
 // processBatch executes a batch of admitted submissions in order, persists
-// the survivors to the in-flight queue under one flush+fence epoch, and
-// forwards them downstream as one message. Aborted operations (Figure 8)
+// the survivors to the ring's in-flight range under one flush+fence epoch,
+// and forwards them downstream as one message. Aborted operations (Figure 8)
 // are answered immediately and consume no sequence number.
 func (r *Replica) processBatch(reqs []*submitReq) {
 	view := r.currentView()
@@ -911,7 +875,7 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.completeThrough(last)
 		return
 	}
-	if err := r.getInflight().AppendBatch(recs); err != nil {
+	if err := r.getRing().AppendExecuted(recs); err != nil {
 		r.headMu.Lock()
 		for _, rec := range recs {
 			for _, k := range r.seqLocks[rec.Seq] {
@@ -930,7 +894,7 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 	}
 	succ, _ := view.Successor(r.id)
 	// A failed send means the successor just died; repair resends from
-	// the in-flight queue, so the error is intentionally dropped and the
+	// the in-flight range, so the error is intentionally dropped and the
 	// clients keep waiting for the tail acknowledgment.
 	r.sendBatch(view, succ, recs)
 	for _, rec := range recs {
@@ -1080,28 +1044,19 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 		}
 	}
 	switch msg.Kind {
-	case transport.KindOp:
-		if msg.Seq <= r.getInput().LastSeq() {
-			r.cDedup.Add(1)
-			// A duplicate means upstream never saw this prefix complete;
-			// if this tail already executed it, the original ack was
-			// lost — regenerate it instead of staying silent.
-			r.reackIfExecuted(msg.Seq)
-			return nil // duplicate delivery after repair/resend
+	case transport.KindOp, transport.KindOpBatch:
+		// One durable ring append (one flush+fence epoch) for the whole
+		// batch; a lone KindOp is a batch of one. Ops are in chain order,
+		// so filtering duplicates by the highest seen sequence keeps the
+		// remainder contiguous.
+		ops := msg.Batch
+		if msg.Kind == transport.KindOp {
+			ops = []transport.BatchedOp{{Seq: msg.Seq, Trace: msg.Trace, Name: msg.Name, Args: msg.Args}}
 		}
-		if err := r.getInput().Enqueue(pqueue.Record{Seq: msg.Seq, Trace: msg.Trace, Name: msg.Name, Args: msg.Args}); err != nil {
-			r.fatal(err)
-			return nil
-		}
-		r.kick()
-	case transport.KindOpBatch:
-		// One durable input-queue append (one flush+fence epoch) for the
-		// whole batch. Ops are in chain order, so filtering duplicates by
-		// the highest seen sequence keeps the remainder contiguous.
-		in := r.getInput()
+		in := r.getRing()
 		last := in.LastSeq()
-		recs := make([]pqueue.Record, 0, len(msg.Batch))
-		for _, op := range msg.Batch {
+		recs := make([]pqueue.Record, 0, len(ops))
+		for _, op := range ops {
 			if op.Seq <= last {
 				r.cDedup.Add(1)
 				continue
@@ -1109,6 +1064,10 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 			recs = append(recs, pqueue.Record{Seq: op.Seq, Trace: op.Trace, Name: op.Name, Args: op.Args})
 		}
 		if len(recs) == 0 {
+			// Only duplicates (a repair resend): upstream never saw this
+			// prefix complete; if this tail already executed it, the
+			// original ack was lost — regenerate it instead of staying
+			// silent.
 			r.reackIfExecuted(msg.Seq)
 			return nil
 		}
@@ -1124,17 +1083,17 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 		// AckThrough persists the completion floor so a rebooted head
 		// knows these are done rather than merely forwarded.
 		r.cAcksRecv.Add(1)
-		if err := r.getInflight().AckThrough(msg.Seq); err != nil {
+		if err := r.ackThrough(msg.Seq); err != nil {
 			r.fatal(err)
 		}
 		r.completeThrough(msg.Seq)
 	case transport.KindCleanup:
 		r.cCleanups.Add(1)
-		if err := r.getInflight().AckThrough(msg.Seq); err != nil {
+		if err := r.ackThrough(msg.Seq); err != nil {
 			r.fatal(err)
 		}
 		// A cleanup certifies the tail acknowledged everything through
-		// msg.Seq. On a middle that only truncates the in-flight queue, but
+		// msg.Seq. On a middle that only truncates the in-flight range, but
 		// a promoted head may be holding re-admitted admission locks for
 		// these very records while the tail's direct ack was addressed to
 		// the dead predecessor (stale view) and lost — the cleanup arriving
@@ -1196,16 +1155,17 @@ func (r *Replica) serveFetch(msg *transport.Message) *transport.Message {
 // ---------------------------------------------------------------------------
 // Pipeline (non-head replicas; the head executes in the batcher)
 //
-// The executor applies input-queue records and streams them to the
+// The executor applies the ring's pending records and streams them to the
 // forwarder over a channel, so this replica can execute record k+1 while
-// its downstream work for record k (persist, send) is still in progress.
-// Records stay in the durable input queue until the forwarder has made
-// them durable downstream: a crash anywhere re-executes the suffix, which
-// is safe because replicated operations are idempotent.
+// its downstream work for record k (send, cursor move) is still in
+// progress. Records stay pending in the durable ring until the forwarder
+// has sent them on: a crash anywhere re-executes and re-sends the suffix,
+// which is safe because replicated operations are idempotent and the
+// successor deduplicates.
 
 func (r *Replica) executor(stop chan struct{}, fwd chan pqueue.Record) {
 	defer r.wg.Done()
-	cur := r.getInput().Cursor()
+	cur := r.getRing().Cursor()
 	for {
 		select {
 		case <-stop:
@@ -1218,28 +1178,16 @@ func (r *Replica) executor(stop chan struct{}, fwd chan pqueue.Record) {
 				return
 			default:
 			}
-			// Drain whatever is ready, up to one batch, and apply it as
-			// one local transaction (see executeBatch).
-			batch := make([]pqueue.Record, 0, r.cfg.BatchOps)
-			bytes := 0
-			for len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes {
-				rec, err := cur.Next()
-				if errors.Is(err, pqueue.ErrEmpty) {
-					break
-				}
-				if err != nil {
-					r.fatal(err)
-					return
-				}
-				batch = append(batch, rec)
-				bytes += len(rec.Args)
+			batch, err := r.nextBatch(cur)
+			if err == nil && len(batch) > 0 {
+				err = r.executeBatch(batch)
+			}
+			if err != nil {
+				r.fatal(err)
+				return
 			}
 			if len(batch) == 0 {
 				break
-			}
-			if err := r.executeBatch(batch); err != nil {
-				r.fatal(err)
-				return
 			}
 			for _, rec := range batch {
 				select {
@@ -1252,21 +1200,23 @@ func (r *Replica) executor(stop chan struct{}, fwd chan pqueue.Record) {
 	}
 }
 
-// execute applies one replicated operation to the local pool.
-func (r *Replica) execute(rec pqueue.Record) error {
-	fn, _, err := r.cfg.Registry.write(rec.Name)
-	if err != nil {
-		return err
+// nextBatch takes whatever pending records are ready under the cursor, up to
+// one batch (BatchOps records or BatchBytes of arguments), to be applied as
+// one local transaction.
+func (r *Replica) nextBatch(cur *pqueue.Cursor) ([]pqueue.Record, error) {
+	batch := make([]pqueue.Record, 0, r.cfg.BatchOps)
+	for bytes := 0; len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes; {
+		rec, err := cur.Next()
+		if errors.Is(err, pqueue.ErrEmpty) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		batch = append(batch, rec)
+		bytes += len(rec.Args)
 	}
-	if err := r.pool.Update(func(tx *kamino.Tx) error { return fn(tx, r.pool, rec.Args) }); err != nil {
-		return fmt.Errorf("chain: applying seq %d (%s): %w", rec.Seq, rec.Name, err)
-	}
-	r.cApplied.Add(1)
-	r.tr.ChainApply(rec.Trace, rec.Seq)
-	r.mu.Lock()
-	r.lastExec = rec.Seq
-	r.mu.Unlock()
-	return nil
+	return batch, nil
 }
 
 // executeBatch applies a batch of replicated operations as one local
@@ -1274,46 +1224,36 @@ func (r *Replica) execute(rec pqueue.Record) error {
 // The head admits only key-disjoint operations into flight, so combining
 // them is outcome-equivalent to applying them one by one; a crash mid-batch
 // rolls the whole transaction back (or recovery resolves it), and the
-// records — still in the durable input queue — re-execute on reboot. If the
+// records — still pending in the durable ring — re-execute on reboot. If the
 // combined transaction fails (one operation aborts, or the write set
 // overflows a log slot), the batch splits in half and retries, converging to
-// per-operation execution.
+// per-operation execution, where a failure is fatal to the replica.
 func (r *Replica) executeBatch(recs []pqueue.Record) error {
-	if len(recs) == 1 {
-		return r.execute(recs[0])
-	}
-	fns := make([]WriteFunc, len(recs))
-	for i, rec := range recs {
-		fn, _, err := r.cfg.Registry.write(rec.Name)
-		if err != nil {
-			return fmt.Errorf("chain: applying seq %d (%s): %w", rec.Seq, rec.Name, err)
-		}
-		fns[i] = fn
-	}
-	err := r.pool.Update(func(tx *kamino.Tx) error {
-		for i, rec := range recs {
-			if err := fns[i](tx, r.pool, rec.Args); err != nil {
-				return err
+	return halving.Run(recs, func(recs []pqueue.Record) error {
+		err := r.pool.Update(func(tx *kamino.Tx) error {
+			for _, rec := range recs {
+				fn, _, err := r.cfg.Registry.write(rec.Name)
+				if err != nil {
+					return err
+				}
+				if err := fn(tx, r.pool, rec.Args); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("chain: applying seq %d..%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
 		}
+		r.cApplied.Add(uint64(len(recs)))
+		for _, rec := range recs {
+			r.tr.ChainApply(rec.Trace, rec.Seq)
+		}
+		r.mu.Lock()
+		r.lastExec = recs[len(recs)-1].Seq
+		r.mu.Unlock()
 		return nil
-	})
-	if err != nil {
-		r.cSplits.Add(1)
-		mid := len(recs) / 2
-		if err := r.executeBatch(recs[:mid]); err != nil {
-			return err
-		}
-		return r.executeBatch(recs[mid:])
-	}
-	r.cApplied.Add(uint64(len(recs)))
-	for _, rec := range recs {
-		r.tr.ChainApply(rec.Trace, rec.Seq)
-	}
-	r.mu.Lock()
-	r.lastExec = recs[len(recs)-1].Seq
-	r.mu.Unlock()
-	return nil
+	}, r.cSplits.Inc)
 }
 
 // forwarder drains executed records and moves them along the chain in
@@ -1347,38 +1287,23 @@ func (r *Replica) forwarder(stop chan struct{}, fwd chan pqueue.Record) {
 	}
 }
 
-// forwardBatch moves one batch of executed records downstream. Middles
-// persist the batch to the in-flight queue (one flush+fence epoch), send it
-// to the successor, and only then retire it from the input queue; the tail
-// acknowledges the whole prefix to the head before retiring, so a crash can
-// only re-execute and re-ack, never strand a client.
+// forwardBatch moves one batch of executed records downstream. A middle
+// sends it to the successor and then moves the ring's done cursor past it —
+// the records were durable here before they were executed, so the cursor
+// move is the only persist and it follows the send; a crash in between
+// re-executes and re-sends the batch, which the successor deduplicates. The
+// tail acknowledges the whole prefix to the head before retiring it, so a
+// crash can only re-execute and re-ack, never strand a client.
 func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	view := r.currentView()
 	last := recs[len(recs)-1]
 	if succ, ok := view.Successor(r.id); ok {
-		// Re-executed records (crash between in-flight persist and
-		// input retire) are already durable in flight; skip re-appending
-		// but still resend — the successor deduplicates.
-		fresh := recs
-		if lastIn := r.getInflight().LastSeq(); lastIn >= recs[0].Seq {
-			fresh = make([]pqueue.Record, 0, len(recs))
-			for _, rec := range recs {
-				if rec.Seq > lastIn {
-					fresh = append(fresh, rec)
-				}
-			}
-		}
-		if len(fresh) > 0 {
-			if err := r.getInflight().AppendBatch(fresh); err != nil {
-				return err
-			}
-		}
 		r.sendBatch(view, succ, recs)
 		for _, rec := range recs {
 			r.tr.ChainForward(rec.Trace, rec.Seq)
 		}
 		r.cForwarded.Add(uint64(len(recs)))
-		return r.getInput().DropThrough(last.Seq)
+		return r.getRing().MarkDone(last.Seq)
 	}
 	// Tail: one acknowledgment completes the whole prefix at the head,
 	// and one cleanup retires it upstream.
@@ -1394,5 +1319,5 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 			Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: last.Seq,
 		})
 	}
-	return r.getInput().DropThrough(last.Seq)
+	return r.getRing().DropThrough(last.Seq)
 }

@@ -210,8 +210,8 @@ func TestTailKillNoLockLeak(t *testing.T) {
 	waitFor(t, "admission locks to drain", func() bool { return head.LockedKeys() == 0 })
 	newTail := tc.replicas[tc.mgr.View().Tail()]
 	waitFor(t, "new tail in-flight queue to truncate", func() bool {
-		_, _, inflight, _ := newTail.QueueStats()
-		return inflight == 0
+		_, inflight, _ := newTail.QueueUsage()
+		return inflight.Bytes == 0
 	})
 	waitErrFree(t, tc)
 }
@@ -427,7 +427,7 @@ func TestCleanupReleasesPromotedHeadLocks(t *testing.T) {
 	// Simulate the lock state promoteToHead rebuilds when the old head died
 	// with this record still awaiting cleanup: key 7 re-admitted under the
 	// record's sequence number.
-	seq := head.getInflight().LastSeq()
+	seq := head.getRing().LastSeq()
 	head.headMu.Lock()
 	head.lockedBy[7] = struct{}{}
 	head.seqLocks[seq] = []uint64{7}
@@ -453,7 +453,7 @@ func dumpChainState(t *testing.T, tc *testChain) {
 	tc.mu.RLock()
 	defer tc.mu.RUnlock()
 	for id, rep := range tc.replicas {
-		recs, _ := rep.getInflight().All()
+		recs, _ := rep.getRing().Inflight()
 		var fl []uint64
 		for _, rec := range recs {
 			fl = append(fl, rec.Seq)
@@ -470,7 +470,7 @@ func dumpChainState(t *testing.T, tc *testChain) {
 		nextSeq := rep.nextSeq
 		rep.headMu.Unlock()
 		t.Logf("%s: lastExec=%d nextSeq=%d inputLast=%d inflight=%v lockedBy=%v seqLocks=%v",
-			id, rep.LastExec(), nextSeq, rep.getInput().LastSeq(), fl, locked, seqLocks)
+			id, rep.LastExec(), nextSeq, rep.getRing().LastSeq(), fl, locked, seqLocks)
 	}
 }
 
@@ -592,8 +592,8 @@ func TestMiddleAnswersProbeWithCleanup(t *testing.T) {
 	putRetry(t, tc, 1, []byte("a"))
 	putRetry(t, tc, 2, []byte("b"))
 	head, mid := tc.get("n0"), tc.get("n1")
-	waitFor(t, "middle sees a cleanup", func() bool { return mid.getInflight().Acked() > 0 })
-	seq := mid.getInflight().Acked()
+	waitFor(t, "middle sees a cleanup", func() bool { return mid.getRing().Acked() > 0 })
+	seq := mid.getRing().Acked()
 
 	// Plant the leak: the head holds a re-admitted lock for a record the
 	// whole chain has completed, and its tail ack is gone for good.

@@ -33,6 +33,13 @@ type Tx interface {
 	// before obj may be modified.
 	Add(obj heap.ObjID) error
 
+	// Lock acquires obj's write lock without declaring a write intent:
+	// nothing is logged or copied, Write refuses the object, and the
+	// lock is released when the transaction ends, with its read locks. A
+	// structure takes it on the one object that serializes its writers
+	// and follows with Add only if that object turns out to change.
+	Lock(obj heap.ObjID) error
+
 	// Write stores data at byte offset off within obj's payload. The
 	// object must be in the write set (Add, or allocated by this Tx).
 	Write(obj heap.ObjID, off int, data []byte) error

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
@@ -52,6 +53,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("FreeCommitReusesBlock", func(t *testing.T) { testFreeCommit(t, f) })
 	t.Run("Isolation", func(t *testing.T) { testIsolation(t, f) })
 	t.Run("ReadOnlyLeavesNoMark", func(t *testing.T) { testReadOnlyLeavesNoMark(t, f) })
+	t.Run("BareLock", func(t *testing.T) { testBareLock(t, f) })
 	if f.Atomic {
 		t.Run("AbortRestores", func(t *testing.T) { testAbortRestores(t, f) })
 		t.Run("AbortUnwindsAlloc", func(t *testing.T) { testAbortUnwindsAlloc(t, f) })
@@ -153,6 +155,138 @@ func testReadOnlyLeavesNoMark(t *testing.T, f Factory) {
 	}
 	if n := rec.Total(); n != 0 {
 		t.Errorf("read-only transactions emitted %d trace events", n)
+	}
+}
+
+// testBareLock covers Lock, the write lock without a write intent: it
+// leaves no mark on any device or the trace and refuses Write; Add upgrades
+// it; Commit and Abort release it exactly once; and it serializes
+// transactions that read an object before declaring it — the walk a hash
+// bucket's writers make, which deadlocks on the read-to-write upgrade when
+// nothing orders them.
+func testBareLock(t *testing.T, f Factory) {
+	inst := f.New(t)
+	defer inst.Engine.Close()
+	e := inst.Engine
+	guard := mustAlloc(t, e, []byte("guard"))
+	obj := mustAlloc(t, e, make([]byte, 8))
+	e.Drain()
+	begin := func() engine.Tx {
+		t.Helper()
+		tx, err := e.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+
+	rec := trace.NewRecorder(1 << 8)
+	e.SetTracer(rec.Tracer(e.Name() + "#lock"))
+	before := deviceCounts(e, "fences", "flushes", "writes")
+	for _, finish := range []func(engine.Tx) error{engine.Tx.Commit, engine.Tx.Abort} {
+		tx := begin()
+		if err := tx.Lock(guard); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Lock(guard); err != nil {
+			t.Fatalf("second Lock: %v", err)
+		}
+		if _, err := tx.Read(guard); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(guard, 0, []byte("G")); err == nil {
+			t.Error("Write to a bare-locked object did not error")
+		}
+		if err := finish(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Lock(guard); err == nil {
+			t.Error("Lock on a spent transaction did not error")
+		}
+	}
+	for field, was := range before {
+		if now := deviceCounts(e, field)[field]; now != was {
+			t.Errorf("bare-lock transactions moved nvm.*.%s from %d to %d", field, was, now)
+		}
+	}
+	if n := rec.Total(); n != 0 {
+		t.Errorf("bare-lock transactions emitted %d trace events", n)
+	}
+	e.SetTracer(nil)
+
+	// Both finishes released the lock: an upgrade takes it again at once,
+	// writes through it, and releases it once (a second release panics).
+	tx := begin()
+	if err := tx.Lock(guard); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Add(guard); err != nil {
+		t.Fatalf("Add after Lock: %v", err)
+	}
+	if err := tx.Lock(guard); err != nil {
+		t.Fatalf("Lock after Add: %v", err)
+	}
+	if err := tx.Write(guard, 0, []byte("G")); err != nil {
+		t.Fatalf("Write after upgrade: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.Drain()
+	if got := readObj(t, e, guard, 5); string(got) != "Guard" {
+		t.Errorf("after upgraded write: %q", got)
+	}
+
+	// Read, then declare, under the guard: no deadlock, no lost update.
+	const writers, perWriter = 3, 50
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			for i := 0; i < perWriter; i++ {
+				tx, err := e.Begin()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.Lock(guard); err != nil {
+					errs <- err
+					return
+				}
+				b, err := tx.Read(obj)
+				if err != nil {
+					errs <- err
+					return
+				}
+				v := b[0] + 1
+				if err := tx.Add(obj); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.Write(obj, 0, []byte{v}); err != nil {
+					errs <- err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("writers under a bare lock deadlocked")
+		}
+	}
+	e.Drain()
+	if got := readObj(t, e, obj, 1); got[0] != writers*perWriter {
+		t.Errorf("counter = %d, want %d (lost updates)", got[0], writers*perWriter)
 	}
 }
 

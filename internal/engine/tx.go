@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kaminotx/internal/heap"
@@ -25,9 +26,9 @@ type WriteEntry struct {
 }
 
 // BaseTx is the transaction skeleton over a Base: identity, the write set,
-// the read set and the deferred frees, the locks behind them, and every
-// step of a transaction's life that does not depend on the atomicity
-// mechanism. A mechanism embeds it and supplies Add (Declare, its own
+// the read set, the bare locks and the deferred frees, the locks behind
+// them, and every step of a transaction's life that does not depend on the
+// atomicity mechanism. A mechanism embeds it and supplies Add (Declare, its own
 // record, Admit), and Abort (AbortWith its restore); Commit, Write and Read
 // as they stand are those of a mechanism that edits in place and holds its
 // write locks no longer than the transaction.
@@ -39,6 +40,7 @@ type BaseTx struct {
 	began bool // TxBegin emitted (first write intent)
 	ws    map[heap.ObjID]WriteEntry
 	reads []heap.ObjID
+	held  []heap.ObjID // write-locked by Lock, no intent declared
 	frees []heap.ObjID
 }
 
@@ -100,10 +102,20 @@ func (t *BaseTx) traceBegin(tr *trace.Tracer) {
 }
 
 // lock acquires obj's write lock, attributing any blocking on a prior
-// transaction's unreconciled write set to the dependent-stall phase.
-func (t *BaseTx) lock(obj heap.ObjID) {
+// transaction's unreconciled write set to the dependent-stall phase. With
+// intent false the lock is a bare one (see Lock) and leaves the trace alone:
+// a transaction that declares no write intent leaves no trace of any kind.
+// With intent true the lock is the write set's, and a bare lock already held
+// on obj becomes that one: the table's locks are reentrant and release whole.
+func (t *BaseTx) lock(obj heap.ObjID, intent bool) {
+	tr := t.Tracer()
+	if !intent {
+		tr = nil
+	} else if i := slices.Index(t.held, obj); i >= 0 {
+		t.held = slices.Delete(t.held, i, i+1)
+	}
 	if t.b.locks.TryLock(uint64(obj), t.Owner()) {
-		if tr := t.Tracer(); tr != nil {
+		if tr != nil {
 			t.traceBegin(tr)
 			tr.LockAcquire(t.id, uint64(obj))
 		}
@@ -114,19 +126,36 @@ func (t *BaseTx) lock(obj heap.ObjID) {
 	t.b.locks.Lock(uint64(obj), t.Owner())
 	d := time.Since(start)
 	t.b.phStall.Observe(d)
-	if tr := t.Tracer(); tr != nil {
+	if tr != nil {
 		t.traceBegin(tr)
 		tr.LockAcquire(t.id, uint64(obj))
 		tr.Span(string(obs.PhaseDependentStall), t.id, d)
 	}
 }
 
+// Lock implements Tx: obj's write lock and nothing else. The object joins
+// neither the write set nor the log, so Write refuses it, commit persists
+// nothing for it, an abort has nothing to restore, and a mechanism that
+// keeps write locks past commit (Kamino's applier) never sees it: the lock
+// drops with the read locks when the transaction ends. A later Add upgrades
+// it to a declared intent without locking again.
+func (t *BaseTx) Lock(obj heap.ObjID) error {
+	if t.done {
+		return ErrTxDone
+	}
+	if _, ok := t.ws[obj]; !ok && !slices.Contains(t.held, obj) {
+		t.lock(obj, false)
+		t.held = append(t.held, obj)
+	}
+	return nil
+}
+
 // Declare opens a write-intent declaration on obj. ok is false when there
 // is nothing to do — obj is already writable in this transaction — or err
 // says why not. Otherwise obj's write lock is held — taken here, blocking
 // while a prior dependent transaction is unreconciled, unless an earlier
-// Free already holds it — and class is its payload class; the mechanism
-// makes its record and closes the declaration with Admit.
+// Free or Lock already holds it — and class is its payload class; the
+// mechanism makes its record and closes the declaration with Admit.
 func (t *BaseTx) Declare(obj heap.ObjID) (class int, ok bool, err error) {
 	if t.done {
 		return 0, false, ErrTxDone
@@ -134,7 +163,7 @@ func (t *BaseTx) Declare(obj heap.ObjID) (class int, ok bool, err error) {
 	if ws, held := t.ws[obj]; held {
 		return ws.Class, !ws.Writable, nil
 	}
-	t.lock(obj)
+	t.lock(obj, true)
 	// Header reads only under the object lock: a committed Free rewrites
 	// the header (free-list link), and a rollback or copy-back the whole
 	// block, while the lock is still held.
@@ -261,7 +290,7 @@ func (t *BaseTx) Free(obj heap.ObjID) error {
 	}
 	ws, held := t.ws[obj]
 	if !held {
-		t.lock(obj)
+		t.lock(obj, true)
 		cls, err := t.b.heap.ClassOf(obj)
 		if err != nil {
 			t.b.locks.Unlock(uint64(obj), t.Owner())
@@ -349,10 +378,10 @@ func (t *BaseTx) Finish() error {
 }
 
 // Detach ends a committed transaction whose write set must outlive it: the
-// deferred frees take effect, the read locks drop — they impose no pending
-// window — and the transaction is spent and counted. The write locks and
-// the log slot pass to the caller, who releases them once the write set is
-// reconciled (Kamino's applier, after the backup sync).
+// deferred frees take effect, the read locks and the bare locks drop — they
+// impose no pending window — and the transaction is spent and counted. The
+// write locks and the log slot pass to the caller, who releases them once
+// the write set is reconciled (Kamino's applier, after the backup sync).
 func (t *BaseTx) Detach() error {
 	if err := t.applyFrees(); err != nil {
 		return err
@@ -405,9 +434,14 @@ func (t *BaseTx) applyFrees() error {
 	return nil
 }
 
+// unlockReads drops the read locks, then the bare write locks: a bare-locked
+// object's read holds were absorbed by its write lock and must not outlive it.
 func (t *BaseTx) unlockReads() {
 	for _, obj := range t.reads {
 		t.b.locks.RUnlock(uint64(obj), t.Owner())
+	}
+	for _, obj := range t.held {
+		t.b.locks.Unlock(uint64(obj), t.Owner())
 	}
 }
 

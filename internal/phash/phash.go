@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"kaminotx/internal/heap"
 	"kaminotx/kamino"
 )
 
@@ -46,52 +47,53 @@ type Map struct {
 	buckets []kamino.ObjID
 }
 
+// MaxBuckets is the largest directory a single heap allocation holds.
+const MaxBuckets = (heap.MaxAlloc - dirOffBuckets) / 8
+
 // Create allocates a map with nbuckets chains. Bucket objects are created
-// in chunked transactions to respect the intent-log write-set bound.
+// in chunked transactions to respect the intent-log write-set bound; the
+// directory is allocated last and filled by the transaction that allocates
+// it. A fresh allocation has no old contents to copy, so no engine ever
+// declares an intent on the directory and Create costs the same per bucket
+// whatever nbuckets is — an undo or copy-on-write Add of the directory
+// would have to fit it in a log slot's data area. Nothing is reachable
+// until the caller links Dir somewhere, so a crash inside Create leaks the
+// buckets made so far and no more.
 func Create(pool *kamino.Pool, nbuckets int) (*Map, error) {
-	if nbuckets <= 0 {
-		return nil, fmt.Errorf("phash: nbuckets must be positive")
+	if nbuckets <= 0 || nbuckets > MaxBuckets {
+		return nil, fmt.Errorf("phash: nbuckets %d not in 1..%d", nbuckets, MaxBuckets)
 	}
-	m := &Map{pool: pool, n: nbuckets}
-	err := pool.Update(func(tx *kamino.Tx) error {
-		dir, err := tx.Alloc(dirOffBuckets + nbuckets*8)
-		if err != nil {
-			return err
-		}
-		if err := tx.SetUint64(dir, dirOffN, uint64(nbuckets)); err != nil {
-			return err
-		}
-		m.dir = dir
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	m := &Map{pool: pool, n: nbuckets, buckets: make([]kamino.ObjID, nbuckets)}
 	const chunk = 32
 	for start := 0; start < nbuckets; start += chunk {
-		end := start + chunk
-		if end > nbuckets {
-			end = nbuckets
-		}
+		end := min(start+chunk, nbuckets)
 		if err := pool.Update(func(tx *kamino.Tx) error {
-			if err := tx.Add(m.dir); err != nil {
-				return err
-			}
 			for i := start; i < end; i++ {
 				b, err := tx.Alloc(bktSize)
 				if err != nil {
 					return err
 				}
-				if err := tx.SetPtr(m.dir, dirOffBuckets+i*8, b); err != nil {
-					return err
-				}
+				m.buckets[i] = b
 			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
-	if err := m.loadBuckets(); err != nil {
+	img := make([]byte, dirOffBuckets+nbuckets*8)
+	binary.LittleEndian.PutUint64(img[dirOffN:], uint64(nbuckets))
+	for i, b := range m.buckets {
+		binary.LittleEndian.PutUint64(img[dirOffBuckets+i*8:], uint64(b))
+	}
+	err := pool.Update(func(tx *kamino.Tx) error {
+		dir, err := tx.Alloc(len(img))
+		if err != nil {
+			return err
+		}
+		m.dir = dir
+		return tx.Write(dir, 0, img)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -105,7 +107,7 @@ func Attach(pool *kamino.Pool, dir kamino.ObjID) (*Map, error) {
 		if err != nil {
 			return err
 		}
-		if n == 0 || n > 1<<28 {
+		if n == 0 || n > MaxBuckets {
 			return fmt.Errorf("phash: object %d is not a map directory", dir)
 		}
 		m.n = int(n)
@@ -184,10 +186,13 @@ func (m *Map) Get(tx *kamino.Tx, key uint64) ([]byte, bool, error) {
 //
 // Writers take the bucket's write lock up front, so writers to the same
 // bucket are mutually exclusive for the whole operation. Without this,
-// interleaved chain walks that upgrade entry read locks can deadlock.
+// interleaved chain walks that upgrade entry read locks can deadlock. The
+// lock alone: the bucket's write intent is declared only on the paths that
+// rewrite its head pointer, so an in-place overwrite logs, flushes and backs
+// up the entry and nothing else.
 func (m *Map) Put(tx *kamino.Tx, key uint64, val []byte) error {
 	bkt := m.bucket(key)
-	if err := tx.Add(bkt); err != nil {
+	if err := tx.Lock(bkt); err != nil {
 		return err
 	}
 	head, err := tx.Ptr(bkt, bktOffHead)
@@ -270,12 +275,12 @@ func (m *Map) allocEntry(tx *kamino.Tx, key uint64, val []byte, next kamino.ObjI
 }
 
 // Update atomically applies fn to key's current value within tx: the
-// bucket's write intent is declared before the read, so concurrent
-// updaters of the same bucket serialize instead of racing to upgrade entry
-// read locks. fn receives (nil, false) for an absent key; returning an
-// error aborts the caller's transaction.
+// bucket's write lock is taken before the read, so concurrent updaters of
+// the same bucket serialize instead of racing to upgrade entry read locks.
+// fn receives (nil, false) for an absent key; returning an error aborts the
+// caller's transaction.
 func (m *Map) Update(tx *kamino.Tx, key uint64, fn func(old []byte, found bool) ([]byte, error)) error {
-	if err := tx.Add(m.bucket(key)); err != nil {
+	if err := tx.Lock(m.bucket(key)); err != nil {
 		return err
 	}
 	old, found, err := m.Get(tx, key)
@@ -293,7 +298,7 @@ func (m *Map) Update(tx *kamino.Tx, key uint64, fn func(old []byte, found bool) 
 // Put, it locks the bucket up front.
 func (m *Map) Delete(tx *kamino.Tx, key uint64) (bool, error) {
 	bkt := m.bucket(key)
-	if err := tx.Add(bkt); err != nil {
+	if err := tx.Lock(bkt); err != nil {
 		return false, err
 	}
 	cur, err := tx.Ptr(bkt, bktOffHead)

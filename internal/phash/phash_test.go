@@ -215,3 +215,64 @@ func TestAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// A directory larger than a log slot's data area (64 KiB by default) must
+// still be creatable on every engine: Create fills it in the transaction
+// that allocates it, so undo and copy-on-write never copy it into a slot.
+func TestCreateLargeDirectoryAllModes(t *testing.T) {
+	const buckets = 16 << 10 // 128 KiB of bucket pointers
+	for _, mode := range []kamino.Mode{
+		kamino.ModeSimple, kamino.ModeDynamic, kamino.ModeUndo,
+		kamino.ModeCoW, kamino.ModeNoLog, kamino.ModeInPlace,
+	} {
+		t.Run(string(mode), func(t *testing.T) {
+			p, err := kamino.Create(kamino.Options{Mode: mode, HeapSize: 16 << 20, Alpha: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			m, err := Create(p, buckets)
+			if err != nil {
+				t.Fatalf("Create(%d): %v", buckets, err)
+			}
+			if err := p.Update(func(tx *kamino.Tx) error {
+				return m.Put(tx, 7, []byte("seven"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// Attach reads the directory back from the pool, so it
+			// checks what Create persisted rather than what it cached.
+			m2, err := Attach(p, m.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.View(func(tx *kamino.Tx) error {
+				v, ok, err := m2.Get(tx, 7)
+				if err != nil || !ok || string(v) != "seven" {
+					return fmt.Errorf("Get(7) = %q %v %v", v, ok, err)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range m.buckets {
+				if m.buckets[i] != m2.buckets[i] {
+					t.Fatalf("bucket %d: created %d, attached %d", i, m.buckets[i], m2.buckets[i])
+				}
+			}
+		})
+	}
+}
+
+func TestCreateRejectsOversizedDirectory(t *testing.T) {
+	p, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, n := range []int{0, -1, MaxBuckets + 1} {
+		if _, err := Create(p, n); err == nil {
+			t.Errorf("Create(%d) accepted", n)
+		}
+	}
+}

@@ -1,13 +1,18 @@
-// Package pqueue implements the persistent operation queues chain replicas
-// keep in NVM (paper §5.1): the input queue of received-but-unexecuted
-// transactions and the in-flight queue of forwarded transactions awaiting
-// clean-up acknowledgments.
+// Package pqueue implements the persistent operation ring a chain replica
+// keeps in NVM (paper §5.1). One ring holds what the paper calls two queues:
+// the in-flight range of transactions executed here and handed on, awaiting
+// the tail's acknowledgment, and behind it the pending range of transactions
+// received but not yet executed and handed on.
 //
-// The queue is a byte ring over an NVM region with persistent head/tail
-// cursors. A record becomes durable before Enqueue returns; Dequeue only
-// advances the persistent head cursor, so a crash re-presents any records
-// whose processing did not complete (consumers deduplicate by sequence
-// number).
+// The ring is a byte ring over an NVM region whose cursors
+//
+//	head <= done <= tail
+//
+// all live in the one header cache line: [head, done) is in flight,
+// [done, tail) is pending. A record is durable before the append that
+// carried it returns; executing and acknowledging only move cursors, each
+// move one persist of the header line, so a crash re-presents whatever a
+// cursor had not durably passed (consumers deduplicate by sequence number).
 package pqueue
 
 import (
@@ -30,6 +35,12 @@ const (
 	hOffTail  = 24 // u64 logical byte offset past newest record
 	hOffSeq   = 32 // u64 highest sequence number ever enqueued
 	hOffAcked = 40 // u64 highest sequence number acknowledged complete
+	hOffDone  = 48 // u64 logical byte offset of oldest pending record
+
+	// The cursors: one persist covers them all, and because they share a
+	// cache line a power failure keeps all of one persist's stores or none.
+	hOffCursors = hOffHead
+	cursorsLen  = hOffDone + 8 - hOffHead
 
 	// record header: total u32 (aligned length incl. header), seq u64,
 	// trace u64, nameLen u16, argsLen u32
@@ -44,17 +55,21 @@ type Record struct {
 	Args  []byte
 }
 
-// Queue is a persistent FIFO of records.
+// Queue is a persistent FIFO of records with an executed-through cursor.
 type Queue struct {
 	reg *nvm.Region
 
 	mu      sync.Mutex
 	cap     uint64
 	head    uint64 // logical offsets; physical = offset % cap + hdrSize
+	done    uint64
 	tail    uint64
 	lastSeq uint64 // highest seq ever enqueued (duplicate-delivery filter)
 	acked   uint64 // highest seq acknowledged globally complete (persistent)
-	hiWater uint64 // max bytes ever occupied (volatile; resets on Attach)
+	dirty   bool   // a cursor was stored since the last header persist
+
+	// Max bytes ever occupied, per range (volatile; reset on Attach).
+	hiInflight, hiPending uint64
 }
 
 // Errors.
@@ -64,13 +79,19 @@ var (
 	ErrBadMagic = errors.New("pqueue: region is not a formatted queue")
 )
 
+func capacityOf(reg *nvm.Region) uint64 {
+	if reg.Size() <= hdrSize {
+		return 0
+	}
+	return uint64(reg.Size()-hdrSize) / recAlign * recAlign
+}
+
 // Format initializes a queue using all of reg beyond the header.
 func Format(reg *nvm.Region) (*Queue, error) {
-	capacity := uint64(reg.Size() - hdrSize)
+	capacity := capacityOf(reg)
 	if capacity < 1024 {
 		return nil, fmt.Errorf("pqueue: region too small (%d bytes)", reg.Size())
 	}
-	capacity = capacity / recAlign * recAlign
 	if err := reg.Zero(0, hdrSize); err != nil {
 		return nil, err
 	}
@@ -86,42 +107,50 @@ func Format(reg *nvm.Region) (*Queue, error) {
 	return &Queue{reg: reg, cap: capacity}, nil
 }
 
-// Attach reopens a formatted queue, restoring the persistent cursors.
+// Attach reopens a formatted queue, restoring the persistent cursors. An
+// image whose cursors are out of order, or whose records do not chain from
+// head through done to tail, is rejected rather than trusted.
 func Attach(reg *nvm.Region) (*Queue, error) {
-	magic, err := reg.Load64(hOffMagic)
-	if err != nil {
-		return nil, err
+	var h [hdrSize / 8]uint64
+	for i := range h {
+		v, err := reg.Load64(i * 8)
+		if err != nil {
+			return nil, err
+		}
+		h[i] = v
 	}
-	if magic != qMagic {
+	if h[hOffMagic/8] != qMagic {
 		return nil, ErrBadMagic
 	}
-	capacity, err := reg.Load64(hOffCap)
+	q := &Queue{
+		reg: reg, cap: h[hOffCap/8],
+		head: h[hOffHead/8], done: h[hOffDone/8], tail: h[hOffTail/8],
+		lastSeq: h[hOffSeq/8], acked: h[hOffAcked/8],
+	}
+	if q.cap == 0 || q.cap != capacityOf(reg) {
+		return nil, fmt.Errorf("pqueue: corrupt capacity %d for a %d-byte region", q.cap, reg.Size())
+	}
+	// Logical offsets only grow; one within reach of wrapping uint64 was
+	// never written by an append.
+	if q.head > q.done || q.done > q.tail || q.tail-q.head > q.cap || q.tail > 1<<62 {
+		return nil, fmt.Errorf("pqueue: corrupt cursors head=%d done=%d tail=%d cap=%d", q.head, q.done, q.tail, q.cap)
+	}
+	if q.acked > q.lastSeq {
+		return nil, fmt.Errorf("pqueue: corrupt acked cursor %d > lastSeq %d", q.acked, q.lastSeq)
+	}
+	onBoundary, maxSeq := q.done == q.tail, uint64(0)
+	end, err := q.scan(q.head, func(off uint64, h recHeader) bool {
+		onBoundary = onBoundary || off == q.done
+		maxSeq = max(maxSeq, h.seq)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	head, err := reg.Load64(hOffHead)
-	if err != nil {
-		return nil, err
+	if end != q.tail || !onBoundary || maxSeq > q.lastSeq {
+		return nil, fmt.Errorf("pqueue: corrupt image: records chain to %d, not the tail; or done=%d is no record boundary; or record seq %d > lastSeq %d", end, q.done, maxSeq, q.lastSeq)
 	}
-	tail, err := reg.Load64(hOffTail)
-	if err != nil {
-		return nil, err
-	}
-	if capacity == 0 || head > tail || tail-head > capacity {
-		return nil, fmt.Errorf("pqueue: corrupt cursors head=%d tail=%d cap=%d", head, tail, capacity)
-	}
-	lastSeq, err := reg.Load64(hOffSeq)
-	if err != nil {
-		return nil, err
-	}
-	acked, err := reg.Load64(hOffAcked)
-	if err != nil {
-		return nil, err
-	}
-	if acked > lastSeq {
-		return nil, fmt.Errorf("pqueue: corrupt acked cursor %d > lastSeq %d", acked, lastSeq)
-	}
-	return &Queue{reg: reg, cap: capacity, head: head, tail: tail, lastSeq: lastSeq, acked: acked}, nil
+	return q, nil
 }
 
 // LastSeq returns the highest sequence number ever enqueued (persistent).
@@ -132,9 +161,28 @@ func (q *Queue) LastSeq() uint64 {
 	return q.lastSeq
 }
 
+// store sets one cursor, in memory and in the header line; flush makes
+// every cursor stored since the last one durable with a single persist.
+func (q *Queue) store(off int, field *uint64, v uint64) error {
+	if *field == v {
+		return nil
+	}
+	*field = v
+	q.dirty = true
+	return q.reg.Store64(off, v)
+}
+
+func (q *Queue) flush() error {
+	if !q.dirty {
+		return nil
+	}
+	q.dirty = false
+	return q.reg.Persist(hOffCursors, cursorsLen)
+}
+
 // SeedSeq durably raises the duplicate-delivery floor to at least seq
 // without enqueuing anything. A replica that joins after state transfer
-// seeds its queues with the snapshot's sequence number so re-forwarded
+// seeds its ring with the snapshot's sequence number so re-forwarded
 // records already covered by the transferred image are dropped as
 // duplicates rather than re-executed.
 func (q *Queue) SeedSeq(seq uint64) error {
@@ -143,11 +191,10 @@ func (q *Queue) SeedSeq(seq uint64) error {
 	if seq <= q.lastSeq {
 		return nil
 	}
-	q.lastSeq = seq
-	if err := q.reg.Store64(hOffSeq, q.lastSeq); err != nil {
+	if err := q.store(hOffSeq, &q.lastSeq, seq); err != nil {
 		return err
 	}
-	return q.reg.Persist(hOffSeq, 8)
+	return q.flush()
 }
 
 // Acked returns the highest sequence number recorded as globally complete
@@ -159,41 +206,53 @@ func (q *Queue) Acked() uint64 {
 }
 
 // AckThrough records that every sequence number <= seq is globally complete
-// and prunes the acknowledged prefix from the front of the queue (OnvaKV's
-// head-prunable file, applied to the ring: the acked cursor persists first,
-// then the head cursor moves past every record it covers, so a crash
-// between the two re-prunes rather than resurrects). Unlike DropThrough,
-// the floor survives reboots: recovery can tell "forwarded but maybe
-// incomplete" from "confirmed complete" instead of re-acknowledging blindly.
+// and prunes the acknowledged prefix from the front of the ring (OnvaKV's
+// head-prunable file, applied to the ring). The floor and the head cursor
+// are stored into the header line and persisted once: 8-byte stores reach a
+// line in program order and a power failure keeps or drops a line whole, so
+// the floor is durable no later than the head that relies on it. Unlike
+// DropThrough's, the floor survives reboots: recovery can tell "forwarded
+// but maybe incomplete" from "confirmed complete". Pruning does not stop at
+// done — an acknowledgment can overtake the forwarder's own MarkDone — so
+// the caller must not acknowledge past what it has executed.
 func (q *Queue) AckThrough(seq uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if seq > q.lastSeq {
+		seq = q.lastSeq
+	}
 	if seq > q.acked {
-		q.acked = seq
-		if err := q.reg.Store64(hOffAcked, q.acked); err != nil {
-			return err
-		}
-		if err := q.reg.Persist(hOffAcked, 8); err != nil {
+		if err := q.store(hOffAcked, &q.acked, seq); err != nil {
 			return err
 		}
 	}
 	return q.dropThroughLocked(seq)
 }
 
-// Occupied returns the bytes currently held by queued records.
-func (q *Queue) Occupied() uint64 {
+// Usage is one range's byte occupancy and its high-water mark since Attach.
+type Usage struct{ Bytes, HighWater uint64 }
+
+// Usage reports the ring's two ranges: in flight (executed and handed on,
+// unacknowledged) and pending (received, not yet executed and handed on).
+func (q *Queue) Usage() (inflight, pending Usage) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.tail - q.head
+	return Usage{q.done - q.head, q.hiInflight}, Usage{q.tail - q.done, q.hiPending}
 }
 
-// HighWater returns the maximum byte occupancy ever observed by this queue
-// handle (volatile: Attach restarts the watermark). The chaos experiment
-// reports it to prove truncation keeps the logs bounded.
-func (q *Queue) HighWater() uint64 {
+// Counts returns how many records each range holds.
+func (q *Queue) Counts() (inflight, pending int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.hiWater
+	_, err = q.scan(q.head, func(off uint64, _ recHeader) bool {
+		if off < q.done {
+			inflight++
+		} else {
+			pending++
+		}
+		return true
+	})
+	return inflight, pending, err
 }
 
 // Capacity returns the ring's data capacity in bytes.
@@ -206,53 +265,47 @@ func recSize(r Record) uint64 {
 	return (n + recAlign - 1) / recAlign * recAlign
 }
 
+// span splits the n bytes at logical offset off into their physical
+// extents: one, or two when they wrap around the ring's end.
+func (q *Queue) span(off uint64, n int) (phys, first int) {
+	phys = int(off%q.cap) + hdrSize
+	first = int(q.cap) + hdrSize - phys
+	if first > n {
+		first = n
+	}
+	return phys, first
+}
+
 // write copies p at logical offset off, handling ring wrap-around.
 func (q *Queue) write(off uint64, p []byte) error {
-	phys := int(off%q.cap) + hdrSize
-	first := int(q.cap) + hdrSize - phys
-	if first >= len(p) {
-		return q.reg.Write(phys, p)
-	}
-	if err := q.reg.Write(phys, p[:first]); err != nil {
+	phys, first := q.span(off, len(p))
+	if err := q.reg.Write(phys, p[:first]); err != nil || first == len(p) {
 		return err
 	}
 	return q.reg.Write(hdrSize, p[first:])
 }
 
 func (q *Queue) persist(off uint64, n int) error {
-	phys := int(off%q.cap) + hdrSize
-	first := int(q.cap) + hdrSize - phys
-	if first >= n {
-		return q.reg.Persist(phys, n)
-	}
+	phys, first := q.span(off, n)
 	if err := q.reg.Flush(phys, first); err != nil {
 		return err
 	}
-	if err := q.reg.Flush(hdrSize, n-first); err != nil {
-		return err
+	if first < n {
+		if err := q.reg.Flush(hdrSize, n-first); err != nil {
+			return err
+		}
 	}
 	q.reg.Fence()
 	return nil
 }
 
-// read copies n bytes at logical offset off into a fresh slice.
-func (q *Queue) read(off uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	phys := int(off%q.cap) + hdrSize
-	first := int(q.cap) + hdrSize - phys
-	if first >= n {
-		if err := q.reg.Read(phys, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+// read fills p from logical offset off.
+func (q *Queue) read(off uint64, p []byte) error {
+	phys, first := q.span(off, len(p))
+	if err := q.reg.Read(phys, p[:first]); err != nil || first == len(p) {
+		return err
 	}
-	if err := q.reg.Read(phys, out[:first]); err != nil {
-		return nil, err
-	}
-	if err := q.reg.Read(hdrSize, out[first:]); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return q.reg.Read(hdrSize, p[first:])
 }
 
 // encodeRecord serializes r into buf, which must be recSize(r) bytes.
@@ -266,20 +319,26 @@ func encodeRecord(buf []byte, r Record) {
 	copy(buf[recHdr+len(r.Name):], r.Args)
 }
 
-// Enqueue durably appends r. On return the record and the tail cursor are
-// persisted.
-func (q *Queue) Enqueue(r Record) error {
-	return q.AppendBatch([]Record{r})
+// AppendBatch durably appends every record in recs to the pending range as
+// one persist epoch: all records are written contiguously at the tail and
+// flushed under a single fence, then the header line with the tail cursor
+// and lastSeq is persisted — two fences total regardless of len(recs), where
+// per-record appends would pay two each. Either every record becomes
+// durable (the tail cursor moved past them all) or none does (a crash before
+// the cursor persist leaves the old tail, and recovery never reads past it).
+func (q *Queue) AppendBatch(recs []Record) error {
+	return q.append(recs, false)
 }
 
-// AppendBatch durably appends every record in recs as one persist epoch:
-// all records are written contiguously at the tail and flushed under a
-// single fence, then the tail/lastSeq header line is persisted — two fences
-// total regardless of len(recs), where per-record Enqueues would pay two
-// each. Either every record becomes durable (the tail cursor moved past
-// them all) or none does (a crash before the cursor persist leaves the old
-// tail, and recovery never reads past it).
-func (q *Queue) AppendBatch(recs []Record) error {
+// AppendExecuted is AppendBatch for records their appender has already
+// executed and is about to hand on — the chain's head: done moves with the
+// tail in the same header persist, so the records enter the in-flight range
+// directly. The pending range must be empty.
+func (q *Queue) AppendExecuted(recs []Record) error {
+	return q.append(recs, true)
+}
+
+func (q *Queue) append(recs []Record, executed bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -292,19 +351,19 @@ func (q *Queue) AppendBatch(recs []Record) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if executed && q.done != q.tail {
+		return fmt.Errorf("pqueue: AppendExecuted behind %d pending bytes", q.tail-q.done)
+	}
 	if total > q.cap-(q.tail-q.head) {
 		return fmt.Errorf("%w: need %d bytes, %d free", ErrFull, total, q.cap-(q.tail-q.head))
 	}
 	buf := make([]byte, total)
-	off := uint64(0)
-	maxSeq := q.lastSeq
+	off, maxSeq := uint64(0), q.lastSeq
 	for _, r := range recs {
 		sz := recSize(r)
 		encodeRecord(buf[off:off+sz], r)
 		off += sz
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
+		maxSeq = max(maxSeq, r.Seq)
 	}
 	if err := q.write(q.tail, buf); err != nil {
 		return err
@@ -312,82 +371,114 @@ func (q *Queue) AppendBatch(recs []Record) error {
 	if err := q.persist(q.tail, len(buf)); err != nil {
 		return err
 	}
-	q.tail += total
-	if occ := q.tail - q.head; occ > q.hiWater {
-		q.hiWater = occ
-	}
-	if err := q.reg.Store64(hOffTail, q.tail); err != nil {
+	// lastSeq, then tail, then done: like moveHead's, every prefix of the
+	// stores is a header Attach accepts (a floor above every record; the
+	// records pending), should a line ever reach the device between them.
+	if err := q.store(hOffSeq, &q.lastSeq, maxSeq); err != nil {
 		return err
 	}
-	if maxSeq > q.lastSeq {
-		q.lastSeq = maxSeq
-		if err := q.reg.Store64(hOffSeq, q.lastSeq); err != nil {
+	if err := q.store(hOffTail, &q.tail, q.tail+total); err != nil {
+		return err
+	}
+	if executed {
+		if err := q.store(hOffDone, &q.done, q.tail); err != nil {
 			return err
 		}
 	}
-	// Tail cursor and lastSeq share the header line: one persist.
-	return q.reg.Persist(hOffTail, 24)
+	q.noteUsage()
+	return q.flush()
+}
+
+// noteUsage raises the high-water marks to the current occupancy.
+func (q *Queue) noteUsage() {
+	q.hiInflight = max(q.hiInflight, q.done-q.head)
+	q.hiPending = max(q.hiPending, q.tail-q.done)
+}
+
+// recHeader is a decoded record header.
+type recHeader struct {
+	size, seq, trace uint64
+	nameLen, argsLen int
+}
+
+// headerAt reads and validates the header of the record at off, which must
+// lie in [head, tail): a record never extends past the tail.
+func (q *Queue) headerAt(off uint64) (recHeader, error) {
+	var b [recHdr]byte
+	if q.tail-off < recHdr {
+		return recHeader{}, fmt.Errorf("pqueue: corrupt record at %d (%d bytes before the tail)", off, q.tail-off)
+	}
+	if err := q.read(off, b[:]); err != nil {
+		return recHeader{}, err
+	}
+	h := recHeader{
+		size:    uint64(binary.LittleEndian.Uint32(b[0:])),
+		seq:     binary.LittleEndian.Uint64(b[4:]),
+		trace:   binary.LittleEndian.Uint64(b[12:]),
+		nameLen: int(binary.LittleEndian.Uint16(b[20:])),
+		argsLen: int(binary.LittleEndian.Uint32(b[22:])),
+	}
+	if h.size < recHdr || h.size%recAlign != 0 || h.size > q.tail-off || uint64(recHdr+h.nameLen+h.argsLen) > h.size {
+		return recHeader{}, fmt.Errorf("pqueue: corrupt record at %d (size %d)", off, h.size)
+	}
+	return h, nil
+}
+
+// scan visits record headers — never bodies — from the record boundary
+// from toward the tail, until visit returns false; it returns the offset of
+// the record it stopped at, or past the last one.
+func (q *Queue) scan(from uint64, visit func(off uint64, h recHeader) bool) (uint64, error) {
+	for from < q.tail {
+		h, err := q.headerAt(from)
+		if err != nil {
+			return from, err
+		}
+		if !visit(from, h) {
+			break
+		}
+		from += h.size
+	}
+	return from, nil
+}
+
+// skip returns the offset of the first record at or after from whose
+// sequence number exceeds seq, or the tail.
+func (q *Queue) skip(from, seq uint64) (uint64, error) {
+	return q.scan(from, func(_ uint64, h recHeader) bool { return h.seq <= seq })
 }
 
 func (q *Queue) decodeAt(off uint64) (Record, uint64, error) {
-	hdr, err := q.read(off, recHdr)
+	h, err := q.headerAt(off)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	sz := uint64(binary.LittleEndian.Uint32(hdr[0:]))
-	seq := binary.LittleEndian.Uint64(hdr[4:])
-	traceID := binary.LittleEndian.Uint64(hdr[12:])
-	nameLen := int(binary.LittleEndian.Uint16(hdr[20:]))
-	argsLen := int(binary.LittleEndian.Uint32(hdr[22:]))
-	if sz < recHdr || sz > q.cap || uint64(recHdr+nameLen+argsLen) > sz {
-		return Record{}, 0, fmt.Errorf("pqueue: corrupt record at %d (size %d)", off, sz)
-	}
-	body, err := q.read(off+recHdr, nameLen+argsLen)
-	if err != nil {
+	body := make([]byte, h.nameLen+h.argsLen)
+	if err := q.read(off+recHdr, body); err != nil {
 		return Record{}, 0, err
 	}
-	return Record{
-		Seq:   seq,
-		Trace: traceID,
-		Name:  string(body[:nameLen]),
-		Args:  append([]byte(nil), body[nameLen:]...),
-	}, sz, nil
+	return Record{Seq: h.seq, Trace: h.trace, Name: string(body[:h.nameLen]), Args: body[h.nameLen:]}, h.size, nil
 }
 
-// Peek returns the oldest record without removing it.
-func (q *Queue) Peek() (Record, error) {
+// MarkDone durably moves the done cursor past every pending record with
+// Seq <= seq: they were executed and handed on, and are now in flight. One
+// 8-byte store and one header persist; nothing when the cursor is already
+// there (an acknowledgment overtook it).
+func (q *Queue) MarkDone(seq uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.head == q.tail {
-		return Record{}, ErrEmpty
-	}
-	r, _, err := q.decodeAt(q.head)
-	return r, err
-}
-
-// Dequeue durably removes and returns the oldest record.
-func (q *Queue) Dequeue() (Record, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == q.tail {
-		return Record{}, ErrEmpty
-	}
-	r, sz, err := q.decodeAt(q.head)
+	done, err := q.skip(q.done, seq)
 	if err != nil {
-		return Record{}, err
+		return err
 	}
-	q.head += sz
-	if err := q.reg.Store64(hOffHead, q.head); err != nil {
-		return Record{}, err
+	if err := q.store(hOffDone, &q.done, done); err != nil {
+		return err
 	}
-	if err := q.reg.Persist(hOffHead, 8); err != nil {
-		return Record{}, err
-	}
-	return r, nil
+	q.noteUsage()
+	return q.flush()
 }
 
-// DropThrough durably removes all records with Seq <= seq from the front
-// (clean-up acknowledgments traveling up the chain).
+// DropThrough durably removes all records with Seq <= seq from the front,
+// in flight or pending (the tail retires what it has acknowledged).
 func (q *Queue) DropThrough(seq uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -395,29 +486,30 @@ func (q *Queue) DropThrough(seq uint64) error {
 }
 
 func (q *Queue) dropThroughLocked(seq uint64) error {
-	for q.head != q.tail {
-		r, sz, err := q.decodeAt(q.head)
-		if err != nil {
-			return err
-		}
-		if r.Seq > seq {
-			break
-		}
-		q.head += sz
-	}
-	if err := q.reg.Store64(hOffHead, q.head); err != nil {
+	head, err := q.skip(q.head, seq)
+	if err != nil {
 		return err
 	}
-	return q.reg.Persist(hOffHead, 8)
+	return q.moveHead(head)
 }
 
-// All returns every queued record oldest-first without removing them
-// (recovery and resend).
-func (q *Queue) All() ([]Record, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// moveHead raises done to the new head if it trails, stores the head cursor
+// after it (head <= done in every prefix of the stores), and persists the
+// header line once.
+func (q *Queue) moveHead(head uint64) error {
+	if err := q.store(hOffDone, &q.done, max(q.done, head)); err != nil {
+		return err
+	}
+	if err := q.store(hOffHead, &q.head, head); err != nil {
+		return err
+	}
+	return q.flush()
+}
+
+// records decodes [from, to) oldest-first.
+func (q *Queue) records(from, to uint64) ([]Record, error) {
 	var out []Record
-	for off := q.head; off != q.tail; {
+	for off := from; off != to; {
 		r, sz, err := q.decodeAt(off)
 		if err != nil {
 			return nil, err
@@ -428,35 +520,44 @@ func (q *Queue) All() ([]Record, error) {
 	return out, nil
 }
 
-// Len returns the number of queued records.
-func (q *Queue) Len() (int, error) {
-	rs, err := q.All()
-	return len(rs), err
-}
-
-// Empty reports whether the queue has no records.
-func (q *Queue) Empty() bool {
+// All returns every queued record oldest-first without removing them.
+func (q *Queue) All() ([]Record, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.head == q.tail
+	return q.records(q.head, q.tail)
 }
 
-// Cursor iterates a queue's records oldest-first without consuming them,
+// Inflight returns the records executed and handed on but not yet
+// acknowledged, oldest-first (recovery and resend).
+func (q *Queue) Inflight() ([]Record, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.records(q.head, q.done)
+}
+
+// Pending returns the records not yet executed and handed on, oldest-first.
+func (q *Queue) Pending() ([]Record, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.records(q.done, q.tail)
+}
+
+// Cursor iterates the pending records oldest-first without consuming them,
 // so a pipelined consumer can execute records while a later stage decides
-// when they may durably leave the queue (Dequeue / DropThrough). If the
-// queue's head overtakes the cursor (records dropped behind it), the
-// cursor clamps forward to the new head. Logical offsets grow
-// monotonically, so a cursor never sees a record twice.
+// when they durably count as done (MarkDone) or leave the ring
+// (DropThrough). If the done cursor overtakes this one (records retired
+// behind it), it clamps forward. Logical offsets grow monotonically, so a
+// cursor never sees a record twice.
 type Cursor struct {
 	q   *Queue
 	off uint64
 }
 
-// Cursor returns a cursor positioned at the oldest record.
+// Cursor returns a cursor positioned at the oldest pending record.
 func (q *Queue) Cursor() *Cursor {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return &Cursor{q: q, off: q.head}
+	return &Cursor{q: q, off: q.done}
 }
 
 // Next returns the record under the cursor and advances past it, or
@@ -464,9 +565,7 @@ func (q *Queue) Cursor() *Cursor {
 func (c *Cursor) Next() (Record, error) {
 	c.q.mu.Lock()
 	defer c.q.mu.Unlock()
-	if c.off < c.q.head {
-		c.off = c.q.head
-	}
+	c.off = max(c.off, c.q.done)
 	if c.off == c.q.tail {
 		return Record{}, ErrEmpty
 	}

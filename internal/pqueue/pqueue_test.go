@@ -21,38 +21,83 @@ func newQueue(t *testing.T, size int) *Queue {
 	return q
 }
 
+// put appends recs to the pending range, one AppendBatch.
+func put(t *testing.T, q *Queue, recs ...Record) {
+	t.Helper()
+	if err := q.AppendBatch(recs); err != nil {
+		t.Fatalf("AppendBatch(%d records from seq %d): %v", len(recs), recs[0].Seq, err)
+	}
+}
+
+// count returns how many records the ring holds, both ranges.
+func count(t *testing.T, q *Queue) int {
+	t.Helper()
+	inflight, pending, err := q.Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inflight + pending
+}
+
+// oldest returns the sequence number at the front of the ring.
+func oldest(t *testing.T, q *Queue) uint64 {
+	t.Helper()
+	all, err := q.All()
+	if err != nil || len(all) == 0 {
+		t.Fatalf("All = %d records, %v; want at least one", len(all), err)
+	}
+	return all[0].Seq
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 10; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op", Args: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op", Args: []byte{byte(i)}})
 	}
+	// The consumer's life: read the oldest pending record, hand it on
+	// (MarkDone), see it acknowledged (DropThrough) — in append order.
+	cur := q.Cursor()
 	for i := uint64(1); i <= 10; i++ {
-		r, err := q.Dequeue()
+		r, err := cur.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Seq != i || r.Args[0] != byte(i) {
-			t.Errorf("dequeued %+v, want seq %d", r, i)
+			t.Errorf("read %+v, want seq %d", r, i)
+		}
+		if err := q.MarkDone(i); err != nil {
+			t.Fatal(err)
+		}
+		if fl, err := q.Inflight(); err != nil || len(fl) != 1 || fl[0].Seq != i {
+			t.Fatalf("in flight after MarkDone(%d) = %+v %v", i, fl, err)
+		}
+		if err := q.DropThrough(i); err != nil {
+			t.Fatal(err)
+		}
+		if n := count(t, q); n != int(10-i) {
+			t.Fatalf("%d records after retiring %d, want %d", n, i, 10-i)
 		}
 	}
-	if _, err := q.Dequeue(); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty dequeue = %v", err)
+	if _, err := cur.Next(); !errors.Is(err, ErrEmpty) {
+		t.Errorf("read of an empty ring = %v", err)
 	}
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
 	q := newQueue(t, 4096)
-	if err := q.Enqueue(Record{Seq: 5, Name: "x"}); err != nil {
-		t.Fatal(err)
+	put(t, q, Record{Seq: 5, Name: "x"})
+	// Neither a fresh cursor nor the range views consume anything.
+	for range 2 {
+		r, err := q.Cursor().Next()
+		if err != nil || r.Seq != 5 {
+			t.Fatalf("Next = %+v %v", r, err)
+		}
+		if pend, err := q.Pending(); err != nil || len(pend) != 1 || pend[0].Seq != 5 {
+			t.Fatalf("Pending = %+v %v", pend, err)
+		}
 	}
-	r, err := q.Peek()
-	if err != nil || r.Seq != 5 {
-		t.Fatalf("Peek = %+v %v", r, err)
-	}
-	if n, _ := q.Len(); n != 1 {
-		t.Errorf("Len after Peek = %d", n)
+	if n := count(t, q); n != 1 {
+		t.Errorf("%d records after reading, want 1", n)
 	}
 }
 
@@ -61,16 +106,15 @@ func TestWrapAround(t *testing.T) {
 	args := make([]byte, 100)
 	// Push/pop more total bytes than the capacity to force wrapping.
 	seq := uint64(0)
+	cur := q.Cursor()
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 5; i++ {
 			seq++
 			args[0] = byte(seq)
-			if err := q.Enqueue(Record{Seq: seq, Name: fmt.Sprintf("op%d", seq), Args: args}); err != nil {
-				t.Fatalf("enqueue %d: %v", seq, err)
-			}
+			put(t, q, Record{Seq: seq, Name: fmt.Sprintf("op%d", seq), Args: args})
 		}
 		for i := 0; i < 5; i++ {
-			r, err := q.Dequeue()
+			r, err := cur.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,6 +125,19 @@ func TestWrapAround(t *testing.T) {
 				t.Fatalf("name corrupted: %q", r.Name)
 			}
 		}
+		// Half the rounds retire through the in-flight range, half
+		// straight from pending, as a middle and a tail do.
+		if round%2 == 0 {
+			if err := q.MarkDone(seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := q.DropThrough(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := count(t, q); n != 0 {
+		t.Errorf("%d records left", n)
 	}
 }
 
@@ -88,8 +145,8 @@ func TestFull(t *testing.T) {
 	q := newQueue(t, 2048)
 	big := make([]byte, 300)
 	var err error
-	for i := 0; i < 100; i++ {
-		err = q.Enqueue(Record{Seq: uint64(i), Name: "op", Args: big})
+	for i := 1; i < 100; i++ {
+		err = q.AppendBatch([]Record{{Seq: uint64(i), Name: "op", Args: big}})
 		if err != nil {
 			break
 		}
@@ -97,46 +154,50 @@ func TestFull(t *testing.T) {
 	if !errors.Is(err, ErrFull) {
 		t.Fatalf("never filled: %v", err)
 	}
-	// Draining frees space.
-	if _, err := q.Dequeue(); err != nil {
+	// Moving records in flight frees nothing; retiring one does.
+	if err := q.MarkDone(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Enqueue(Record{Seq: 999, Name: "op", Args: big}); err != nil {
-		t.Fatalf("enqueue after drain: %v", err)
+	if err := q.AppendBatch([]Record{{Seq: 998, Name: "op", Args: big}}); !errors.Is(err, ErrFull) {
+		t.Fatalf("append after MarkDone = %v, want ErrFull", err)
 	}
+	if err := q.DropThrough(1); err != nil {
+		t.Fatal(err)
+	}
+	put(t, q, Record{Seq: 999, Name: "op", Args: big})
 }
 
 func TestDropThrough(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 10; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op"}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op"})
+	}
+	// Dropping does not stop at done: 1-4 are in flight, 5-7 pending.
+	if err := q.MarkDone(4); err != nil {
+		t.Fatal(err)
 	}
 	if err := q.DropThrough(7); err != nil {
 		t.Fatal(err)
 	}
-	r, err := q.Peek()
-	if err != nil || r.Seq != 8 {
-		t.Fatalf("after DropThrough(7): %+v %v", r, err)
+	if got := oldest(t, q); got != 8 {
+		t.Fatalf("oldest after DropThrough(7) = %d", got)
 	}
-	if n, _ := q.Len(); n != 3 {
-		t.Errorf("Len = %d, want 3", n)
+	if fl, pend, err := q.Counts(); err != nil || fl != 0 || pend != 3 {
+		t.Errorf("Counts = %d in flight, %d pending, %v; want 0, 3", fl, pend, err)
 	}
 }
 
 func TestCrashDurability(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 5; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "persist", Args: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "persist", Args: []byte{byte(i)}})
 	}
-	// Dequeue two (persisted head advance), then crash.
-	for i := 0; i < 2; i++ {
-		if _, err := q.Dequeue(); err != nil {
-			t.Fatal(err)
-		}
+	// Hand three on, retire two (persisted cursor moves), then crash.
+	if err := q.MarkDone(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.DropThrough(2); err != nil {
+		t.Fatal(err)
 	}
 	if err := q.reg.Crash(); err != nil {
 		t.Fatal(err)
@@ -145,12 +206,16 @@ func TestCrashDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := q2.All()
+	fl, err := q2.Inflight()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 || all[0].Seq != 3 || all[2].Seq != 5 {
-		t.Errorf("after crash: %+v", all)
+	pend, err := q2.Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fl) != 1 || fl[0].Seq != 3 || len(pend) != 2 || pend[0].Seq != 4 || pend[1].Seq != 5 {
+		t.Errorf("after crash: in flight %+v, pending %+v", fl, pend)
 	}
 }
 
@@ -163,14 +228,17 @@ func TestAttachRejectsGarbage(t *testing.T) {
 
 func TestEmptyAndLen(t *testing.T) {
 	q := newQueue(t, 4096)
-	if !q.Empty() {
-		t.Error("fresh queue not empty")
+	fl, pend := q.Usage()
+	if n := count(t, q); n != 0 || fl.Bytes != 0 || pend.Bytes != 0 {
+		t.Errorf("fresh ring holds %d records, %d+%d bytes", n, fl.Bytes, pend.Bytes)
 	}
-	if err := q.Enqueue(Record{Seq: 1, Name: "a"}); err != nil {
+	if err := q.AppendExecuted([]Record{{Seq: 1, Name: "a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if q.Empty() {
-		t.Error("queue with record reports empty")
+	put(t, q, Record{Seq: 2, Name: "b"})
+	fl, pend = q.Usage()
+	if n := count(t, q); n != 2 || fl.Bytes == 0 || pend.Bytes == 0 {
+		t.Errorf("ring with one record in each range holds %d records, %d+%d bytes", n, fl.Bytes, pend.Bytes)
 	}
 }
 
@@ -227,9 +295,7 @@ func TestAppendBatchSingleFenceEpoch(t *testing.T) {
 	q2 := newQueue(t, 64<<10)
 	before = q2.reg.Stats().Fences
 	for i := uint64(1); i <= 16; i++ {
-		if err := q2.Enqueue(Record{Seq: i, Name: "op", Args: make([]byte, 64)}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q2, Record{Seq: i, Name: "op", Args: make([]byte, 64)})
 	}
 	serialFences := q2.reg.Stats().Fences - before
 
@@ -251,15 +317,10 @@ func TestAppendBatchWrapAround(t *testing.T) {
 	args := make([]byte, 200)
 	for round := 0; round < 4; round++ {
 		for i := uint64(0); i < 4; i++ {
-			seq := uint64(round)*4 + i + 1
-			if err := q.Enqueue(Record{Seq: seq, Name: "pad", Args: args}); err != nil {
-				t.Fatal(err)
-			}
+			put(t, q, Record{Seq: uint64(round)*4 + i + 1, Name: "pad", Args: args})
 		}
-		for i := 0; i < 4; i++ {
-			if _, err := q.Dequeue(); err != nil {
-				t.Fatal(err)
-			}
+		if err := q.DropThrough(uint64(round)*4 + 4); err != nil {
+			t.Fatal(err)
 		}
 	}
 	var batch []Record
@@ -290,17 +351,15 @@ func TestAppendBatchFull(t *testing.T) {
 		t.Fatalf("oversized batch = %v, want ErrFull", err)
 	}
 	// Nothing may have been admitted partially.
-	if n, _ := q.Len(); n != 0 {
-		t.Errorf("Len after failed batch = %d", n)
+	if n := count(t, q); n != 0 {
+		t.Errorf("%d records after failed batch", n)
 	}
 }
 
 func TestCursorDoesNotConsume(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 5; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op"}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op"})
 	}
 	cur := q.Cursor()
 	for i := uint64(1); i <= 5; i++ {
@@ -316,13 +375,11 @@ func TestCursorDoesNotConsume(t *testing.T) {
 		t.Errorf("exhausted cursor = %v, want ErrEmpty", err)
 	}
 	// The records are still all in the queue.
-	if n, _ := q.Len(); n != 5 {
-		t.Errorf("Len after cursor sweep = %d, want 5", n)
+	if n := count(t, q); n != 5 {
+		t.Errorf("%d records after cursor sweep, want 5", n)
 	}
 	// New records become visible to an exhausted cursor.
-	if err := q.Enqueue(Record{Seq: 6, Name: "op"}); err != nil {
-		t.Fatal(err)
-	}
+	put(t, q, Record{Seq: 6, Name: "op"})
 	r, err := cur.Next()
 	if err != nil || r.Seq != 6 {
 		t.Errorf("cursor after new enqueue = %+v %v", r, err)
@@ -332,9 +389,7 @@ func TestCursorDoesNotConsume(t *testing.T) {
 func TestCursorClampsToHead(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 6; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op"}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op"})
 	}
 	cur := q.Cursor()
 	if r, err := cur.Next(); err != nil || r.Seq != 1 {
@@ -364,9 +419,7 @@ func TestAckThroughPersistsAcrossReattach(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 10; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op"}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op"})
 	}
 	if err := q.AckThrough(6); err != nil {
 		t.Fatal(err)
@@ -374,8 +427,8 @@ func TestAckThroughPersistsAcrossReattach(t *testing.T) {
 	if got := q.Acked(); got != 6 {
 		t.Fatalf("Acked = %d, want 6", got)
 	}
-	if r, err := q.Peek(); err != nil || r.Seq != 7 {
-		t.Fatalf("Peek after AckThrough(6) = %+v %v", r, err)
+	if got := oldest(t, q); got != 7 {
+		t.Fatalf("oldest after AckThrough(6) = %d", got)
 	}
 	// Unlike DropThrough, the floor survives a power cycle: recovery can
 	// distinguish confirmed-complete from merely-forwarded.
@@ -389,17 +442,15 @@ func TestAckThroughPersistsAcrossReattach(t *testing.T) {
 	if got := q2.Acked(); got != 6 {
 		t.Fatalf("Acked after reattach = %d, want 6", got)
 	}
-	if r, err := q2.Peek(); err != nil || r.Seq != 7 {
-		t.Fatalf("Peek after reattach = %+v %v", r, err)
+	if got := oldest(t, q2); got != 7 {
+		t.Fatalf("oldest after reattach = %d", got)
 	}
 }
 
 func TestAckThroughMonotone(t *testing.T) {
 	q := newQueue(t, 8192)
 	for i := uint64(1); i <= 5; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op"}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op"})
 	}
 	if err := q.AckThrough(4); err != nil {
 		t.Fatal(err)
@@ -411,8 +462,8 @@ func TestAckThroughMonotone(t *testing.T) {
 	if got := q.Acked(); got != 4 {
 		t.Fatalf("Acked after regressing ack = %d, want 4", got)
 	}
-	if r, err := q.Peek(); err != nil || r.Seq != 5 {
-		t.Fatalf("Peek = %+v %v, want seq 5", r, err)
+	if got := oldest(t, q); got != 5 {
+		t.Fatalf("oldest = %d, want seq 5", got)
 	}
 }
 
@@ -454,30 +505,33 @@ func TestSeedSeqRaisesDuplicateFloor(t *testing.T) {
 
 func TestOccupiedAndHighWater(t *testing.T) {
 	q := newQueue(t, 8192)
-	if q.Occupied() != 0 || q.HighWater() != 0 {
-		t.Fatalf("fresh queue occupied=%d high=%d", q.Occupied(), q.HighWater())
+	if fl, pend := q.Usage(); fl != (Usage{}) || pend != (Usage{}) {
+		t.Fatalf("fresh ring usage %+v %+v", fl, pend)
 	}
 	for i := uint64(1); i <= 8; i++ {
-		if err := q.Enqueue(Record{Seq: i, Name: "op", Args: make([]byte, 64)}); err != nil {
-			t.Fatal(err)
-		}
+		put(t, q, Record{Seq: i, Name: "op", Args: make([]byte, 64)})
 	}
-	full := q.Occupied()
-	if full == 0 || q.HighWater() != full {
-		t.Fatalf("occupied=%d high=%d after enqueues", full, q.HighWater())
+	_, pend := q.Usage()
+	full := pend.Bytes
+	if full == 0 || pend.HighWater != full {
+		t.Fatalf("pending %+v after appends", pend)
 	}
-	// Truncation shrinks occupancy but the watermark records the peak.
+	if err := q.MarkDone(8); err != nil {
+		t.Fatal(err)
+	}
+	// Truncation shrinks occupancy but the watermarks record the peaks.
 	if err := q.AckThrough(8); err != nil {
 		t.Fatal(err)
 	}
-	if q.Occupied() != 0 {
-		t.Fatalf("occupied=%d after full ack", q.Occupied())
+	fl, pend := q.Usage()
+	if fl.Bytes != 0 || pend.Bytes != 0 {
+		t.Fatalf("occupied %d+%d after full ack", fl.Bytes, pend.Bytes)
 	}
-	if q.HighWater() != full {
-		t.Fatalf("high-water %d changed by truncation, want %d", q.HighWater(), full)
+	if fl.HighWater != full || pend.HighWater != full {
+		t.Fatalf("high-water %d/%d changed by truncation, want %d", fl.HighWater, pend.HighWater, full)
 	}
-	if q.Capacity() == 0 || q.HighWater() > q.Capacity() {
-		t.Fatalf("capacity=%d high=%d", q.Capacity(), q.HighWater())
+	if q.Capacity() == 0 || full > q.Capacity() {
+		t.Fatalf("capacity=%d high=%d", q.Capacity(), full)
 	}
 }
 
@@ -490,9 +544,7 @@ func TestAttachRejectsAckedBeyondSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Enqueue(Record{Seq: 3, Name: "op"}); err != nil {
-		t.Fatal(err)
-	}
+	put(t, q, Record{Seq: 3, Name: "op"})
 	// Corrupt the header: an acked floor ahead of every assigned sequence
 	// number is impossible and must be rejected, not trusted.
 	if err := reg.Store64(hOffAcked, 99); err != nil {

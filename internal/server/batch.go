@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"kaminotx/internal/halving"
 	"kaminotx/internal/kvstore"
 	"kaminotx/internal/obs"
 	"kaminotx/internal/transport"
@@ -75,15 +76,23 @@ func (s *Server) gather(batch *[]*wreq) *wreq {
 	return nil
 }
 
-// applyReqs executes a run of writes, halving on abort like the chain's
-// hop batcher: a full-batch transaction that fails (leaf split needed,
-// log slot overflow, any engine error) retries as two half batches, down
-// to single operations through the normal split-capable path, where a
-// residual failure is that one operation's own error.
+// applyReqs executes a run of writes, halving on abort by the rule the
+// chain's hop batcher uses (halving.Run): a full-batch transaction
+// that fails (leaf split needed, log slot overflow, any engine error)
+// retries as two half batches, down to single operations through the normal
+// split-capable path, where a residual failure is that one operation's own
+// error.
 func (s *Server) applyReqs(batch []*wreq) {
+	_ = halving.Run(batch, s.applyTogether, s.cSplits.Inc)
+}
+
+// applyTogether executes batch as one transaction and acknowledges its
+// members, or reports why it could not; a single write always gets its
+// answer here.
+func (s *Server) applyTogether(batch []*wreq) error {
 	if len(batch) == 1 {
 		s.applyOne(batch[0])
-		return
+		return nil
 	}
 	ops := make([]kvstore.Op, len(batch))
 	for i, w := range batch {
@@ -95,19 +104,16 @@ func (s *Server) applyReqs(batch []*wreq) {
 	txid, err := s.opts.Store.ApplyBatchT(ops)
 	engineNs := time.Since(e0).Nanoseconds()
 	s.writeMu.Unlock()
-	if err == nil {
-		s.cBatches.Inc()
-		s.cBatchOps.Add(uint64(len(batch)))
-		s.markEngineDone(batch, engineNs, txid)
-		for _, w := range batch {
-			s.ackWrite(w, false)
-		}
-		return
+	if err != nil {
+		return err
 	}
-	s.cSplits.Inc()
-	mid := len(batch) / 2
-	s.applyReqs(batch[:mid])
-	s.applyReqs(batch[mid:])
+	s.cBatches.Inc()
+	s.cBatchOps.Add(uint64(len(batch)))
+	s.markEngineDone(batch, engineNs, txid)
+	for _, w := range batch {
+		s.ackWrite(w, false)
+	}
+	return nil
 }
 
 // applyOne executes a single write through the ordinary engine path.

@@ -289,8 +289,9 @@ func (c *Cluster) DebugState() string {
 	return b.String()
 }
 
-// QueueStat reports one replica's persistent-queue ring occupancy,
-// high-water marks, and ring capacities, in bytes.
+// QueueStat reports, in bytes, the occupancy and high-water marks of the two
+// ranges of one replica's persistent ring — pending input and in-flight —
+// and the ring's capacity, which the two share (InputCap == InflightCap).
 type QueueStat struct {
 	ID            string `json:"id"`
 	InputBytes    uint64 `json:"input_bytes"`
@@ -315,11 +316,11 @@ func (c *Cluster) QueueStats() []QueueStat {
 		if !ok {
 			continue
 		}
-		in, fl := rep.QueueUsage()
+		in, fl, capacity := rep.QueueUsage()
 		out = append(out, QueueStat{
-			ID: string(id), InputBytes: in.Occupied, InputHigh: in.HighWater,
-			InflightBytes: fl.Occupied, InflightHigh: fl.HighWater,
-			InputCap: in.Capacity, InflightCap: fl.Capacity,
+			ID: string(id), InputBytes: in.Bytes, InputHigh: in.HighWater,
+			InflightBytes: fl.Bytes, InflightHigh: fl.HighWater,
+			InputCap: capacity, InflightCap: capacity,
 		})
 	}
 	return out

@@ -35,6 +35,13 @@ func (t *Tx) Add(obj ObjID) error {
 	return nil
 }
 
+// Lock takes obj's write lock without declaring a write intent: nothing is
+// logged, copied or persisted for obj, Write refuses it, and the lock drops
+// when the transaction ends (under Kamino modes it is not held for the
+// backup sync). Writers of a shared structure serialize on it; Add upgrades
+// it if obj turns out to change. obj does not join TouchedObjects.
+func (t *Tx) Lock(obj ObjID) error { return t.inner.Lock(obj) }
+
 // Write stores data at off within obj's payload. obj must be in the write
 // set (via Add or Alloc).
 func (t *Tx) Write(obj ObjID, off int, data []byte) error {
