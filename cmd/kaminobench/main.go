@@ -1,5 +1,7 @@
 // Command kaminobench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index).
+// figures (see DESIGN.md for the experiment index). It prints tables for
+// reading; numbers are compared, and gains claimed, only with the gated
+// benchmark under benchmark/ (benchmark/README.md).
 //
 // Usage:
 //
@@ -8,7 +10,9 @@
 //	kaminobench -experiment fig12 -trace-out fig12.trace.json -audit
 //
 // Experiments: fig1, fig12, fig13, fig14, fig15, fig16, fig17, fig18,
-// table1, dependent, worstcase, ablation, chainscale, chaos, all.
+// table1, dependent, worstcase, ablation, chainscale, or all; -experiment
+// takes one name or a comma-separated list, and an unknown name is an
+// error before anything runs.
 //
 // With -trace-out, every pool the experiments create records its NVM
 // device and transaction lifecycle events into a ring buffer, exported at
@@ -19,24 +23,13 @@
 // checks incrementally while the experiments execute, printing each
 // violation the moment it happens. With -metrics-addr, the live
 // observability hub is served at /, Prometheus text exposition at
-// /metrics, the time-series ring at /series, the trace ring at /trace,
-// pprof profiles at /debug/pprof/, liveness and readiness at /healthz
-// and /readyz, and structured introspection at /debug/chain,
-// /debug/locks, /debug/queues and /debug/trace/tail.
+// /metrics, the trace ring at /trace, pprof profiles at /debug/pprof/,
+// liveness and readiness at /healthz and /readyz, and structured
+// introspection at /debug/chain, /debug/locks, /debug/queues and
+// /debug/trace/tail.
 //
-// With -blackbox-dir DIR, chaos-experiment replica pools reserve an NVM
-// flight-recorder region: crashes persist the trace tail, obs snapshot
-// and chain debug state into the image, recovery retrieves the record,
-// and the harness copies it into DIR as JSON (decode with
-// tools/blackbox). A panic during any experiment also dumps a
-// process-level flight record into DIR before re-panicking.
-//
-// With -bench-out DIR, every experiment additionally writes a
-// machine-readable BENCH_<experiment>.json artifact into DIR — config,
-// measured cells with latency percentiles, per-engine observability
-// snapshots, and the sampled time series — for tools/benchdiff to compare
-// across runs. With -profile-dir DIR, each experiment writes
-// <experiment>.cpu.pprof and <experiment>.heap.pprof into DIR.
+// With -profile-dir DIR, each experiment writes <experiment>.cpu.pprof
+// and <experiment>.heap.pprof into DIR.
 package main
 
 import (
@@ -44,13 +37,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	rpprof "runtime/pprof"
 	"strconv"
 	"strings"
@@ -59,15 +52,18 @@ import (
 
 	"kaminotx/internal/bench"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/obs/series"
 	"kaminotx/internal/trace"
 )
 
-var experiments = []struct {
+// experiment is one entry of the index: a table or figure of the paper's
+// evaluation and the harness function that prints it.
+type experiment struct {
 	name string
 	desc string
 	run  func(bench.Config) error
-}{
+}
+
+var experiments = []experiment{
 	{"fig1", "logging overhead (YCSB + TPC-C, no-logging vs undo)", bench.Fig1},
 	{"fig12", "YCSB throughput, Kamino-Tx vs undo, 2/4/8 threads", bench.Fig12},
 	{"fig13", "YCSB + TPC-C latency, Kamino-Tx vs undo", bench.Fig13},
@@ -81,14 +77,46 @@ var experiments = []struct {
 	{"worstcase", "repeated same-object updates by size", bench.WorstCase},
 	{"ablation", "design-choice ablations via mechanism counters", bench.Ablation},
 	{"chainscale", "chain throughput vs hop batch size and chain length", bench.ChainScaling},
-	{"chaos", "kill-rebuild-rejoin schedules under live chain load", bench.Chaos},
-	{"serve", "network service: pipelining, latency under load, drain audit", bench.Serve},
-	{"recovery", "restart cost: TTFT and time-to-full-throughput vs heap size and dirty fraction", bench.Recovery},
+}
+
+// resolve turns the -experiment argument — a name, a comma-separated list
+// of names, or "all" — into the experiments to run, in index order. Names
+// are matched without regard to case or surrounding spaces. Any name not in
+// the index is an error: a list that silently dropped a misspelt entry is
+// how a CI job loses an experiment.
+func resolve(arg string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.ToLower(strings.TrimSpace(name))
+		known := name == "all"
+		for _, e := range experiments {
+			known = known || e.name == name
+		}
+		if !known {
+			return nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		want[name] = true
+	}
+	var out []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+// printIndex lists the experiments, one per line: -list, and the answer to
+// an unknown name.
+func printIndex(w io.Writer) {
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  %-10s %s\n", e.name, e.desc)
+	}
 }
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "experiment id (or 'all', or comma-separated list)")
+		names       = flag.String("experiment", "all", "experiment id (or 'all', or comma-separated list)")
 		keys        = flag.Int("keys", 50_000, "records preloaded into the store")
 		valueSize   = flag.Int("value", 1024, "value size in bytes")
 		ops         = flag.Int("ops", 10_000, "operations per worker thread")
@@ -100,25 +128,23 @@ func main() {
 		batchDelay  = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
 		groupCommit = flag.Bool("group-commit", false, "group-commit intent-log persists inside each chain replica's engine")
 		metricsAddr = flag.String("metrics-addr", "", "serve live observability JSON on this HTTP address (e.g. :8089)")
-		benchOut    = flag.String("bench-out", "", "write BENCH_<experiment>.json artifacts into this directory")
 		profileDir  = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
 		traceOut    = flag.String("trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
 		traceBuf    = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
 		audit       = flag.Bool("audit", false, "audit recorded events against the Kamino-Tx safety invariants (implies recording)")
 		auditLive   = flag.Bool("audit-live", false, "audit events online while experiments run, reporting violations as they happen (implies recording)")
-		blackboxDir = flag.String("blackbox-dir", "", "enable the NVM flight recorder on chaos replica pools and copy retrieved records into this directory (implies recording)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
-	// Benchmarks allocate large long-lived regions; keep the collector
-	// from churning them.
-	debug.SetGCPercent(400)
-
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("  %-10s %s\n", e.name, e.desc)
-		}
+		printIndex(os.Stdout)
 		return
+	}
+	selected, err := resolve(*names)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kaminobench: %v; the experiments are:\n", err)
+		printIndex(os.Stderr)
+		os.Exit(1)
 	}
 
 	cfg := bench.Config{
@@ -135,18 +161,13 @@ func main() {
 		Out:              os.Stdout,
 	}
 	var recorder *trace.Recorder
-	if *traceOut != "" || *audit || *auditLive || *blackboxDir != "" {
+	if *traceOut != "" || *audit || *auditLive {
 		recorder = trace.NewRecorder(*traceBuf)
 		cfg.Trace = recorder
 	}
-	if *blackboxDir != "" {
-		cfg.Blackbox = true
-		cfg.FlightDir = *blackboxDir
-	}
 	var auditor *trace.OnlineAuditor
 	var auditReg *obs.Registry
-	switch {
-	case *auditLive:
+	if *auditLive {
 		auditReg = obs.New("audit")
 		auditor = trace.AttachOnline(recorder, trace.OnlineOptions{
 			Obs: auditReg,
@@ -154,36 +175,21 @@ func main() {
 				fmt.Fprintf(os.Stderr, "audit-live: %s\n", v)
 			},
 		})
-		cfg.AuditMode = "online"
-		cfg.AuditViolations = func() int { return int(auditor.Stats().Violations) }
-	case *audit:
-		cfg.AuditMode = "post"
 	}
 	var srv *http.Server
-	var sampler *series.Sampler
-	if *metricsAddr != "" || *benchOut != "" {
-		// One process-wide hub and sampler: the harness slices each
-		// experiment's window out of the ring for its artifact, while the
-		// HTTP endpoints expose the whole run live.
-		hub := obs.NewHub()
-		cfg.Metrics = hub
-		sampler = series.New(hub, series.Options{})
-		cfg.Series = sampler
-		sampler.Start()
-		if auditReg != nil {
-			hub.Set(auditReg.Name(), auditReg)
-		}
-	}
 	startTime := time.Now()
 	var ready atomic.Bool
 	if *metricsAddr != "" {
-		hub := cfg.Metrics
+		hub := obs.NewHub()
+		cfg.Metrics = hub
+		if auditReg != nil {
+			hub.Set(auditReg.Name(), auditReg)
+		}
 		dbg := obs.NewDebugHub()
 		cfg.Debug = dbg
 		mux := http.NewServeMux()
 		mux.Handle("/", hub)
 		mux.Handle("/metrics", hub.PromHandler())
-		mux.Handle("/series", sampler)
 		if recorder != nil {
 			mux.Handle("/trace", trace.Handler(recorder))
 			mux.Handle("/debug/trace/tail", traceTailHandler(recorder))
@@ -193,7 +199,6 @@ func main() {
 		mux.Handle("/debug/chain", dbg.Handler("chain"))
 		mux.Handle("/debug/locks", dbg.Handler("locks"))
 		mux.Handle("/debug/queues", dbg.Handler("queues"))
-		mux.Handle("/debug/requests", dbg.Handler("requests"))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -217,9 +222,9 @@ func main() {
 			display = "localhost" + display
 		}
 		fmt.Printf("metrics: live registry snapshots at http://%s/ (JSON; ?label=substr filters),"+
-			" Prometheus text at /metrics, time series at /series, trace ring at /trace,"+
+			" Prometheus text at /metrics, trace ring at /trace,"+
 			" pprof at /debug/pprof/, health at /healthz and /readyz,"+
-			" introspection at /debug/{chain,locks,queues,requests,trace/tail}\n", display)
+			" introspection at /debug/{chain,locks,queues,trace/tail}\n", display)
 	}
 	fmt.Printf("kaminobench: keys=%d value=%dB ops/thread=%d threads=%d cpus=%d\n",
 		*keys, *valueSize, *ops, *threads, runtime.NumCPU())
@@ -229,34 +234,14 @@ func main() {
 			" 16-core testbed; latency comparisons remain meaningful.")
 	}
 
-	want := map[string]bool{}
-	if *experiment == "all" {
-		for _, e := range experiments {
-			want[e.name] = true
-		}
-	} else {
-		for _, name := range strings.Split(*experiment, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-
 	ready.Store(true)
-	ran := 0
-	for _, e := range experiments {
-		if !want[e.name] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
-		if err := runOne(cfg, e.name, e.run, *benchOut, *profileDir); err != nil {
+		if err := runOne(cfg, e, *profileDir); err != nil {
 			fmt.Fprintf(os.Stderr, "kaminobench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("[%s completed in %v]\n", e.name, time.Since(start).Round(time.Millisecond))
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "kaminobench: unknown experiment %q (use -list)\n", *experiment)
-		os.Exit(1)
 	}
 
 	auditFailed := false
@@ -269,9 +254,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "audit-live: %d violation(s) in %d events\n", st.Violations, st.Events)
 			auditFailed = true
 		}
-	}
-	if sampler != nil {
-		sampler.Stop()
 	}
 	if srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -312,48 +294,14 @@ func traceTailHandler(rec *trace.Recorder) http.Handler {
 	})
 }
 
-// dumpPanicRecord writes a process-level flight record (trace tail, hub
-// snapshots, panic value and stack) into the blackbox directory so a
-// crashed experiment leaves the same post-mortem evidence a replica
-// crash does. Best-effort: the panic is re-raised by the caller either
-// way.
-func dumpPanicRecord(cfg bench.Config, name string, r any) {
-	if cfg.FlightDir == "" {
-		return
-	}
-	fr := trace.BuildFlightRecord(cfg.Trace, "panic", 4096)
-	fr.Actor = "kaminobench/" + name
-	fr.Note = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
-	if cfg.Metrics != nil {
-		fr.Obs = cfg.Metrics.Snapshots()
-	}
-	raw, err := fr.Encode()
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(cfg.FlightDir, 0o755); err != nil {
-		return
-	}
-	path := filepath.Join(cfg.FlightDir, "panic-"+name+".json")
-	if os.WriteFile(path, raw, 0o644) == nil {
-		fmt.Fprintf(os.Stderr, "kaminobench: panic flight record: %s\n", path)
-	}
-}
-
-// runOne executes one experiment, optionally capturing its BENCH_*.json
-// artifact (-bench-out) and CPU/heap profiles (-profile-dir).
-func runOne(cfg bench.Config, name string, run func(bench.Config) error, benchOut, profileDir string) error {
-	defer func() {
-		if r := recover(); r != nil {
-			dumpPanicRecord(cfg, name, r)
-			panic(r)
-		}
-	}()
+// runOne executes one experiment, optionally capturing its CPU and heap
+// profiles (-profile-dir).
+func runOne(cfg bench.Config, e experiment, profileDir string) error {
 	if profileDir != "" {
 		if err := os.MkdirAll(profileDir, 0o755); err != nil {
 			return fmt.Errorf("profile dir: %w", err)
 		}
-		f, err := os.Create(filepath.Join(profileDir, name+".cpu.pprof"))
+		f, err := os.Create(filepath.Join(profileDir, e.name+".cpu.pprof"))
 		if err != nil {
 			return fmt.Errorf("cpu profile: %w", err)
 		}
@@ -366,24 +314,12 @@ func runOne(cfg bench.Config, name string, run func(bench.Config) error, benchOu
 			if cerr := f.Close(); cerr != nil {
 				fmt.Fprintf(os.Stderr, "kaminobench: cpu profile: %v\n", cerr)
 			}
-			if err := writeHeapProfile(filepath.Join(profileDir, name+".heap.pprof")); err != nil {
+			if err := writeHeapProfile(filepath.Join(profileDir, e.name+".heap.pprof")); err != nil {
 				fmt.Fprintf(os.Stderr, "kaminobench: heap profile: %v\n", err)
 			}
 		}()
 	}
-	if benchOut == "" {
-		return run(cfg)
-	}
-	art, err := bench.RunArtifact(name, run, cfg)
-	if err != nil {
-		return err
-	}
-	path, err := bench.WriteArtifact(benchOut, art)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("artifact: %s (%d cells, %d samples)\n", path, len(art.Cells), len(art.Series))
-	return nil
+	return e.run(cfg)
 }
 
 // writeHeapProfile snapshots the post-experiment live heap (after a GC, so

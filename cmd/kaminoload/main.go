@@ -16,10 +16,6 @@
 // mismatched value fails the run (the recovery smoke's
 // zero-lost-acked-writes gate after kill -9). A -verify invocation with
 // no explicit rates runs the gate alone and exits.
-//
-// With -bench-out DIR the sweep is also written as BENCH_serve.json
-// through the same artifact pipeline as kaminobench (cells keyed on the
-// requested rates).
 package main
 
 import (
@@ -30,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"kaminotx/internal/bench"
 	"kaminotx/internal/loadgen"
 	"kaminotx/internal/stats"
 	"kaminotx/internal/transport"
@@ -52,7 +47,6 @@ func main() {
 		preload   = flag.Bool("preload", false, "fill keys 0..keys-1 before measuring")
 		verify    = flag.Bool("verify", false, "read keys 0..keys-1 back and fail on any missing or mismatched payload (zero-lost-acked-writes gate)")
 		seed      = flag.Int64("seed", 1, "workload generator seed")
-		benchOut  = flag.String("bench-out", "", "directory for the BENCH_serve.json artifact ('' = off)")
 		breakdown = flag.Bool("breakdown", false, "request per-phase latency attribution from the server and print where tail time went")
 	)
 	flag.Parse()
@@ -87,7 +81,6 @@ func main() {
 
 	fmt.Printf("%-10s %10s %10s %9s %9s %9s %9s %7s %7s\n",
 		"offered/s", "issued", "achieved", "p50", "p90", "p99", "max", "shed", "errors")
-	var cells []bench.Cell
 	for _, r := range sweep {
 		res, err := loadgen.Run(loadgen.Config{
 			Addr:      *addr,
@@ -116,52 +109,15 @@ func main() {
 			res.Hist.Percentile(99).Round(time.Microsecond),
 			res.Hist.Max().Round(time.Microsecond),
 			res.Busy, res.Errors)
-		cell := bench.Cell{
-			Engine:   "kaminod",
-			Workload: "serve-load",
-			Threads:  *conns,
-			Params: map[string]float64{
-				"rate":      r,
-				"shed_info": float64(res.Busy),
-			},
-			OpsPerSec: res.Throughput,
-			Mean:      res.Hist.Mean(),
-			P50:       res.Hist.Percentile(50),
-			P90:       res.Hist.Percentile(90),
-			P99:       res.Hist.Percentile(99),
-			P999:      res.Hist.Percentile(99.9),
-			Max:       res.Hist.Max(),
-		}
-		cells = append(cells, cell)
 		if *breakdown {
-			cells = append(cells, printAttribution(res, r, *conns)...)
+			printAttribution(res)
 		}
-	}
-
-	if *benchOut != "" {
-		art := &bench.Artifact{
-			Schema:     bench.ArtifactSchema,
-			Experiment: "serve",
-			Config: bench.ArtifactConfig{
-				Keys:      int(*keys),
-				ValueSize: *valueSize,
-				Threads:   *conns,
-			},
-			Cells: cells,
-		}
-		path, err := bench.WriteArtifact(*benchOut, art)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("artifact: %s\n", path)
 	}
 }
 
 // printAttribution reports where one rate's time went — the server's
-// per-phase split plus the network+queue remainder it cannot see — and
-// returns one latency-only cell per component so -bench-out artifacts
-// carry the phases for benchdiff.
-func printAttribution(res *loadgen.Result, rate float64, conns int) []bench.Cell {
+// per-phase split plus the network+queue remainder it cannot see.
+func printAttribution(res *loadgen.Result) {
 	type comp struct {
 		name string
 		h    *stats.Histogram
@@ -172,7 +128,6 @@ func printAttribution(res *loadgen.Result, rate float64, conns int) []bench.Cell
 		comps = append(comps, comp{ph.String(), res.Phase[ph]})
 	}
 	fmt.Printf("  %-14s %10s %10s %10s\n", "component", "p50", "p99", "p999")
-	var cells []bench.Cell
 	for _, cp := range comps {
 		if cp.h == nil || cp.h.Count() == 0 {
 			continue
@@ -181,20 +136,7 @@ func printAttribution(res *loadgen.Result, rate float64, conns int) []bench.Cell
 			cp.h.Percentile(50).Round(time.Microsecond),
 			cp.h.Percentile(99).Round(time.Microsecond),
 			cp.h.Percentile(99.9).Round(time.Microsecond))
-		cells = append(cells, bench.Cell{
-			Engine:   "kaminod",
-			Workload: "serve-phase/" + cp.name,
-			Threads:  conns,
-			Params:   map[string]float64{"rate": rate},
-			Mean:     cp.h.Mean(),
-			P50:      cp.h.Percentile(50),
-			P90:      cp.h.Percentile(90),
-			P99:      cp.h.Percentile(99),
-			P999:     cp.h.Percentile(99.9),
-			Max:      cp.h.Max(),
-		})
 	}
-	return cells
 }
 
 // parseRates resolves the sweep: -rates wins, else the single -rate.

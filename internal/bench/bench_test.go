@@ -2,11 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kaminotx/internal/obs"
+	"kaminotx/internal/workload"
 	"kaminotx/kamino"
 	chainpkg "kaminotx/kamino/chain"
 )
@@ -136,5 +139,81 @@ func TestChainBreakdownIncludesReplicas(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("chain breakdown missing %q:\n%s", want, s)
 		}
+	}
+}
+
+func TestObsAggAbsorbIdempotent(t *testing.T) {
+	src := obs.New("kamino")
+	src.Counter("commits").Add(7)
+	agg := newObsAgg()
+	agg.absorb(src)
+	agg.absorb(src) // same registry again: must not double
+	if len(agg.order) != 1 {
+		t.Fatalf("got %d labels, want 1", len(agg.order))
+	}
+	if got := agg.regs["kamino"].Snapshot().Counters["commits"]; got != 7 {
+		t.Errorf("commits = %d after double absorb, want 7", got)
+	}
+	// A different registry with the same label still merges.
+	src2 := obs.New("kamino")
+	src2.Counter("commits").Add(3)
+	agg.absorb(src2)
+	if got := agg.regs["kamino"].Snapshot().Counters["commits"]; got != 10 {
+		t.Errorf("commits = %d after second registry, want 10", got)
+	}
+}
+
+// TestMeasuredPoolsAreCollectable runs measureYCSB's steps — load, run,
+// collect, close — several times on one Config and checks that the harness
+// keeps no closed pool's regions reachable. The breakdown accumulator used
+// to remember every registry it had absorbed, and a registry's gauge
+// closures reach its pool, so an experiment's live heap grew by two regions
+// per cell until the process was killed.
+func TestMeasuredPoolsAreCollectable(t *testing.T) {
+	const rounds = 4
+	var out bytes.Buffer
+	cfg := tiny(&out)
+	cfg.Metrics = obs.NewHub() // -metrics-addr: may hold the last pool per label, no more
+	cfg = cfg.WithDefaults()
+	mix, err := workload.MixFor('A')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Int32
+	for round := 0; round < rounds; round++ {
+		pool, store, err := cfg.loadStore(kamino.ModeSimple, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The finalizer goes on the main region's backing array: a pool
+		// sits on reference cycles, and a finalizer on a cycle never runs.
+		mem, err := pool.Engine().Heap().Region().ReadSlice(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&mem[0], func(*byte) { collected.Add(1) })
+		if _, err := cfg.runYCSB(store, mix, 1); err != nil {
+			t.Fatal(err)
+		}
+		cfg.collect(pool)
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Finalizers run on their own goroutine some time after the collection
+	// that found the object unreachable.
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() < rounds-1 && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got < rounds-1 {
+		t.Fatalf("%d of %d closed pools' heap regions were collected; all but the last must be", got, rounds)
+	}
+	// The accumulator outlives the pools it absorbed, as it does in an
+	// experiment, which prints it last.
+	cfg.printBreakdown()
+	if !strings.Contains(out.String(), "[kamino]") {
+		t.Errorf("breakdown lost the absorbed pools:\n%s", out.String())
 	}
 }

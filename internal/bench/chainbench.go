@@ -129,15 +129,7 @@ func (c Config) runChainYCSB(cl *chainpkg.Cluster, mix workload.Mix, threads int
 		return Result{}, err
 	}
 	elapsed := time.Since(start).Seconds()
-	return resultFrom(col.Histogram(), float64(col.Ops())/elapsed), nil
-}
-
-// chainLabel names the cluster mode for artifact cells.
-func chainLabel(mode chainpkg.Mode) string {
-	if mode == chainpkg.ModeTraditional {
-		return "chain-traditional"
-	}
-	return "chain-kamino"
+	return Result{OpsPerSec: float64(col.Ops()) / elapsed, Mean: col.Histogram().Mean()}, nil
 }
 
 func (c Config) measureChain(mode chainpkg.Mode, w byte, threads int) (Result, error) {
@@ -159,11 +151,6 @@ func (c Config) measureChain(mode chainpkg.Mode, w byte, threads int) (Result, e
 		return Result{}, cerr
 	}
 	c.collectChain(cl)
-	c.recordCell(Cell{
-		Engine:   chainLabel(mode),
-		Workload: "YCSB-" + string(w),
-		Threads:  threads,
-	}.withResult(r))
 	return r, nil
 }
 
@@ -317,20 +304,9 @@ func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fences
 	f1, fl1 := chainPersistTotals(cl)
 	c.collectChain(cl)
 	total := float64(col.Ops())
-	r = resultFrom(col.Histogram(), total/elapsed)
+	r = Result{OpsPerSec: total / elapsed, Mean: col.Histogram().Mean()}
 	fencesPerOp = float64(f1-f0) / total
 	flushesPerOp = float64(fl1-fl0) / total
-	c.recordCell(Cell{
-		Engine:   chainLabel(chainpkg.ModeKamino),
-		Workload: "put",
-		Threads:  clients,
-		Params: map[string]float64{
-			"replicas":       float64(replicas),
-			"batch":          float64(batchOps),
-			"fences_per_op":  fencesPerOp,
-			"flushes_per_op": flushesPerOp,
-		},
-	}.withResult(r))
 	return r, fencesPerOp, flushesPerOp, nil
 }
 

@@ -115,16 +115,10 @@ func (c Config) measureTPCC(mode kamino.Mode) (Result, error) {
 		}
 	}
 	c.collect(pool)
-	r := Result{
+	return Result{
 		OpsPerSec: float64(total) / maxEl.Seconds(),
 		Mean:      time.Duration(uint64(sum) / total),
-	}
-	c.recordCell(Cell{
-		Engine:   pool.Obs().Name(),
-		Workload: "TPC-C",
-		Threads:  c.Threads,
-	}.withResult(r))
-	return r, nil
+	}, nil
 }
 
 // Fig12 reproduces Figure 12: YCSB throughput, Kamino-Tx-Simple vs
@@ -352,15 +346,7 @@ func (c Config) dependentRun(mode kamino.Mode, bursty bool) (avg, insertAvg time
 		insN = 1
 	}
 	c.collect(pool)
-	avg, insertAvg = sum/time.Duration(total), insSum/time.Duration(insN)
-	c.recordCell(Cell{
-		Engine:   pool.Obs().Name(),
-		Workload: "dependent-" + spacing(bursty),
-		Threads:  1,
-		Params:   map[string]float64{"insert_mean_ns": float64(insertAvg)},
-		Mean:     avg,
-	})
-	return avg, insertAvg, nil
+	return sum / time.Duration(total), insSum / time.Duration(insN), nil
 }
 
 // WorstCase reproduces the §7.1 worst-case microbenchmark: threads
@@ -427,13 +413,5 @@ func (c Config) worstCaseRun(mode kamino.Mode, size int) (time.Duration, error) 
 	}
 	el := time.Since(start)
 	c.collect(pool)
-	per := el / time.Duration(n)
-	c.recordCell(Cell{
-		Engine:   pool.Obs().Name(),
-		Workload: "worstcase",
-		Threads:  1,
-		Params:   map[string]float64{"size": float64(size)},
-		Mean:     per,
-	})
-	return per, nil
+	return el / time.Duration(n), nil
 }

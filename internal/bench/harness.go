@@ -15,7 +15,6 @@ import (
 
 	"kaminotx/internal/kvstore"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/obs/series"
 	"kaminotx/internal/stats"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/workload"
@@ -59,11 +58,6 @@ type Config struct {
 	// pool an experiment creates, keyed by engine label, so an HTTP
 	// listener (kaminobench -metrics-addr) can expose them while running.
 	Metrics *obs.Hub
-	// Series, if set, is the time-series sampler over Metrics; the harness
-	// embeds each experiment's sample window in its BENCH_*.json artifact
-	// and kaminobench serves the live ring at /series. RunArtifact fills
-	// both this and Metrics when unset.
-	Series *series.Sampler
 	// Trace, if set, records device and transaction lifecycle events of
 	// every pool an experiment creates (kaminobench -trace-out / -audit).
 	Trace *trace.Recorder
@@ -72,29 +66,10 @@ type Config struct {
 	// tables ("locks") and queue occupancy ("queues") — for the
 	// kaminobench /debug/* endpoints.
 	Debug *obs.DebugHub
-	// Blackbox enables the NVM flight recorder on the chaos experiment's
-	// replica pools (kaminobench -blackbox-dir): head reboots persist
-	// the trace tail, obs snapshot and chain debug state into the image.
-	Blackbox bool
-	// FlightDir, when non-empty, receives retrieved and watchdog-dumped
-	// flight records as <name>.json files (tools/blackbox decodes them).
-	FlightDir string
-	// AuditMode names the run's trace-audit mode for the reports that
-	// surface it (the chaos table's audit column): "off" when unaudited,
-	// "post" for an exit-time replay (kaminobench -audit), "online" for
-	// the live auditor (-audit-live). Empty reads as "off".
-	AuditMode string
-	// AuditViolations, if set, reports how many violations the online
-	// auditor has recorded so far, so long-running experiments can print
-	// a live count instead of waiting for the exit-time summary.
-	AuditViolations func() int
 
 	// agg accumulates per-engine obs snapshots over one experiment for
 	// the phase-breakdown table printed at its end.
 	agg *obsAgg
-	// art accumulates measured cells for the experiment's machine-readable
-	// artifact (RunArtifact); nil when no artifact was requested.
-	art *cellRecorder
 }
 
 // WithDefaults fills unset fields.
@@ -171,28 +146,11 @@ func (c Config) loadStore(mode kamino.Mode, alpha float64) (*kamino.Pool, *kvsto
 	return pool, store, nil
 }
 
-// Result is one measured cell.
+// Result is one measured cell: throughput and mean latency, the two
+// quantities the paper's figures plot.
 type Result struct {
 	OpsPerSec float64
 	Mean      time.Duration
-	P50       time.Duration
-	P90       time.Duration
-	P99       time.Duration
-	P999      time.Duration
-	Max       time.Duration
-}
-
-// resultFrom summarizes a merged histogram plus throughput into a Result.
-func resultFrom(h *stats.Histogram, opsPerSec float64) Result {
-	return Result{
-		OpsPerSec: opsPerSec,
-		Mean:      h.Mean(),
-		P50:       h.Percentile(50),
-		P90:       h.Percentile(90),
-		P99:       h.Percentile(99),
-		P999:      h.Percentile(99.9),
-		Max:       h.Max(),
-	}
 }
 
 // runYCSB drives the YCSB mix against a loaded store with the given number
@@ -250,7 +208,7 @@ func (c Config) runYCSB(store *kvstore.Store, mix workload.Mix, threads int) (Re
 		return Result{}, err
 	}
 	elapsed := time.Since(start).Seconds()
-	return resultFrom(col.Histogram(), float64(col.Ops())/elapsed), nil
+	return Result{OpsPerSec: float64(col.Ops()) / elapsed, Mean: col.Histogram().Mean()}, nil
 }
 
 // measureYCSB loads a fresh store for mode and runs one YCSB workload.
@@ -269,12 +227,6 @@ func (c Config) measureYCSB(mode kamino.Mode, alpha float64, w byte, threads int
 		return Result{}, err
 	}
 	c.collect(pool)
-	c.recordCell(Cell{
-		Engine:   pool.Obs().Name(),
-		Workload: "YCSB-" + string(w),
-		Threads:  threads,
-		Alpha:    alpha,
-	}.withResult(r))
 	return r, nil
 }
 

@@ -18,29 +18,33 @@ import (
 // Absorbing is idempotent per source registry: obs.Registry.Absorb adds
 // counter values wholesale, so folding the same registry in twice (an
 // experiment retrying a phase, or collect followed by a chain-wide
-// collectChain over the same replicas) would double every count. The seen
-// set makes the second absorb a no-op.
+// collectChain over the same replicas) would double every count. The mark
+// of having been absorbed lives on the source, as its mergedMark counter,
+// and not in a set here: a registry reaches its pool's regions through its
+// gauge closures, so a set of absorbed registries kept every closed pool of
+// an experiment alive (5 GB live in fig12 at 20,000 keys).
 type obsAgg struct {
 	mu    sync.Mutex
 	order []string
 	regs  map[string]*obs.Registry
-	seen  map[*obs.Registry]struct{}
 }
 
+// mergedMark names the counter absorb leaves on a source; summed into the
+// accumulator it reads as the number of registries merged under the label.
+const mergedMark = "registries_merged"
+
 func newObsAgg() *obsAgg {
-	return &obsAgg{
-		regs: make(map[string]*obs.Registry),
-		seen: make(map[*obs.Registry]struct{}),
-	}
+	return &obsAgg{regs: make(map[string]*obs.Registry)}
 }
 
 func (a *obsAgg) absorb(src *obs.Registry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, dup := a.seen[src]; dup {
+	mark := src.Counter(mergedMark)
+	if mark.Load() != 0 {
 		return
 	}
-	a.seen[src] = struct{}{}
+	mark.Inc()
 	label := src.Name()
 	acc, ok := a.regs[label]
 	if !ok {
@@ -49,18 +53,6 @@ func (a *obsAgg) absorb(src *obs.Registry) {
 		a.order = append(a.order, label)
 	}
 	acc.Absorb(src)
-}
-
-// snapshots returns the accumulated per-engine snapshots in first-absorbed
-// order (deterministic for a given experiment, so artifacts diff cleanly).
-func (a *obsAgg) snapshots() []obs.Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]obs.Snapshot, 0, len(a.order))
-	for _, label := range a.order {
-		out = append(out, a.regs[label].Snapshot())
-	}
-	return out
 }
 
 func (a *obsAgg) write(w io.Writer) {
@@ -98,7 +90,7 @@ func (c Config) collect(p *kamino.Pool) {
 // observeChain again after a view change (kill, rejoin, reboot,
 // failover) atomically retires the labels of replicas and engine
 // incarnations that no longer exist — crash-loop schedules must not
-// accumulate dead actors in /metrics and /series. It also registers the
+// accumulate dead actors in /metrics. It also registers the
 // cluster's live introspection sources for the /debug/* endpoints.
 func (c Config) observeChain(cl *chainpkg.Cluster) {
 	if c.Metrics != nil {

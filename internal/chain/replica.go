@@ -169,6 +169,7 @@ type Replica struct {
 	cAcksRecv  *obs.Counter // tail acknowledgments received (head)
 	cCleanups  *obs.Counter // cleanup messages handled
 	cDedup     *obs.Counter // duplicate deliveries dropped
+	cGaps      *obs.Counter // deliveries dropped for arriving ahead of an older record
 	cFetches   *obs.Counter // recovery fetches served to neighbours
 	cResends   *obs.Counter // in-flight re-forwards after view changes
 	cBatches   *obs.Counter // downstream sends (batched or not)
@@ -324,6 +325,7 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		cAcksRecv:  o.Counter("acks_received"),
 		cCleanups:  o.Counter("cleanups"),
 		cDedup:     o.Counter("dedup_dropped"),
+		cGaps:      o.Counter("gap_dropped"),
 		cFetches:   o.Counter("fetches_served"),
 		cResends:   o.Counter("resends"),
 		cBatches:   o.Counter("batches"),
@@ -877,6 +879,10 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 	}
 	if err := r.getRing().AppendExecuted(recs); err != nil {
 		r.headMu.Lock()
+		// The numbers go back with the records: downstream appends only the
+		// record that follows its last, so a number that was never sent
+		// would stall every later one.
+		r.nextSeq = recs[0].Seq - 1
 		for _, rec := range recs {
 			for _, k := range r.seqLocks[rec.Seq] {
 				delete(r.lockedBy, k)
@@ -1046,9 +1052,20 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 	switch msg.Kind {
 	case transport.KindOp, transport.KindOpBatch:
 		// One durable ring append (one flush+fence epoch) for the whole
-		// batch; a lone KindOp is a batch of one. Ops are in chain order,
-		// so filtering duplicates by the highest seen sequence keeps the
-		// remainder contiguous.
+		// batch; a lone KindOp is a batch of one. Ops within a message are
+		// in chain order, so filtering duplicates by the highest seen
+		// sequence keeps the remainder contiguous — provided the first new
+		// op is the one that follows it. Messages are not always in order:
+		// after a view change the sender's pipeline forwards new records to
+		// this replica while its onViewChange is still resending the older
+		// in-flight ones, and a removed replica can still be draining.
+		// Appending across the gap would make the older records look like
+		// duplicates when they do arrive; they would never execute here, and
+		// the tail's range acknowledgment would complete them at the head
+		// all the same — an acknowledged write on no surviving replica. So
+		// a message that starts past the gap is dropped: the sender still
+		// holds its records in flight, and the head's repair ticker
+		// re-drives them once the older ones have landed.
 		ops := msg.Batch
 		if msg.Kind == transport.KindOp {
 			ops = []transport.BatchedOp{{Seq: msg.Seq, Trace: msg.Trace, Name: msg.Name, Args: msg.Args}}
@@ -1060,6 +1077,10 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 			if op.Seq <= last {
 				r.cDedup.Add(1)
 				continue
+			}
+			if len(recs) == 0 && op.Seq != last+1 {
+				r.cGaps.Add(1)
+				return nil
 			}
 			recs = append(recs, pqueue.Record{Seq: op.Seq, Trace: op.Trace, Name: op.Name, Args: op.Args})
 		}
@@ -1304,6 +1325,16 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 		}
 		r.cForwarded.Add(uint64(len(recs)))
 		return r.getRing().MarkDone(last.Seq)
+	}
+	if view.Tail() != r.id {
+		// No successor and not the tail: the view no longer holds this
+		// replica, and its pipeline is finishing the batch it had in hand
+		// when onViewChange installed that view (stopExecutor waits for it).
+		// It must not take "no successor" for "tail": the head may still
+		// hold the old view, in which this replica passes the fencing check,
+		// and would complete clients and truncate records that no surviving
+		// replica has executed — an acknowledged write lost on every member.
+		return nil
 	}
 	// Tail: one acknowledgment completes the whole prefix at the head,
 	// and one cleanup retires it upstream.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kaminotx/internal/membership"
+	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 )
 
@@ -609,4 +610,77 @@ func TestMiddleAnswersProbeWithCleanup(t *testing.T) {
 	})
 	waitFor(t, "head admission lock released", func() bool { return head.LockedKeys() == 0 })
 	waitErrFree(t, tc)
+}
+
+// TestRemovedReplicaNeverAcksAsTail: onViewChange installs the view that
+// drops a replica before it stops that replica's pipeline, so the forwarder
+// can move one more batch under a view in which the replica has no
+// successor. That is not being the tail. The zombie's tail ack used to reach
+// a head still on the old view — where the sender is a member and passes
+// fencing — and complete writes that no surviving replica had executed; the
+// chaos schedule under the race detector lost acknowledged keys on every
+// member about one run in four.
+func TestRemovedReplicaNeverAcksAsTail(t *testing.T) {
+	tc := newTestChain(t, ModeKamino, 3, false)
+	mid := tc.get(tc.order[1])
+	without := membership.View{ID: tc.mgr.View().ID + 1, Members: []transport.NodeID{tc.order[0], tc.order[2]}}
+	mid.mu.Lock()
+	mid.view = without
+	mid.mu.Unlock()
+	if err := mid.forwardBatch([]pqueue.Record{{Seq: 1, Name: "put", Args: EncodeKV(1, []byte("v"))}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := mid.cTailAcks.Load(); n != 0 {
+		t.Fatalf("a replica outside the view sent %d tail ack(s)", n)
+	}
+	if n := mid.cForwarded.Load(); n != 0 {
+		t.Fatalf("a replica outside the view forwarded %d record(s) to a successor it does not have", n)
+	}
+}
+
+// TestOvertakingRecordsAreNotAppended: after a view change the new
+// predecessor's pipeline forwards fresh records while its onViewChange is
+// still resending the older in-flight ones, so a newer message can arrive
+// first. Appending it used to raise the ring's last sequence past the older
+// records, which then looked like duplicates and never executed here — while
+// the tail's range ack completed them at the head. The replica drops the
+// message that starts past the gap and takes it when it is resent in turn.
+func TestOvertakingRecordsAreNotAppended(t *testing.T) {
+	tc := newTestChain(t, ModeKamino, 3, false)
+	head, tail := tc.order[0], tc.get(tc.order[2])
+	tail.stopExecutor() // hold the ring still: this test is about what is appended
+	op := func(seq uint64) transport.BatchedOp {
+		return transport.BatchedOp{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})}
+	}
+	deliver := func(ops ...transport.BatchedOp) {
+		tail.handle(&transport.Message{
+			Kind: transport.KindOpBatch, From: head, ViewID: tc.mgr.View().ID,
+			Seq: ops[len(ops)-1].Seq, Batch: ops,
+		})
+	}
+	deliver(op(1), op(2))
+	deliver(op(5), op(6)) // overtook 3 and 4
+	if got := tail.getRing().LastSeq(); got != 2 {
+		t.Fatalf("ring's last sequence = %d after a message that skipped 3 and 4, want 2", got)
+	}
+	if n := tail.cGaps.Load(); n != 1 {
+		t.Fatalf("gap_dropped = %d, want 1", n)
+	}
+	deliver(op(2), op(3), op(4)) // the resend: one duplicate, then the missing records
+	deliver(op(5), op(6))        // and the overtaker again, now in turn
+	if got := tail.getRing().LastSeq(); got != 6 {
+		t.Fatalf("ring's last sequence = %d after the in-order resend, want 6", got)
+	}
+	recs, err := tail.getRing().Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("pending record %d has sequence %d: the ring is not a contiguous prefix", i, rec.Seq)
+		}
+	}
+	if len(recs) != 6 {
+		t.Fatalf("%d records pending, want 6", len(recs))
+	}
 }

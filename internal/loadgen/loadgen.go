@@ -13,8 +13,8 @@
 // In closed-loop mode (Rate == 0) each connection keeps Window requests
 // outstanding at all times and latency is measured from issue; this
 // measures the server's capacity rather than its behaviour at a given
-// offered rate, and is what the serve benchmark uses for calibration and
-// for the pipelining (window=1 vs window=N) comparison.
+// offered rate (kaminoload -rate 0), and is how a pipelined client
+// (window=N) is compared with a one-request-per-round-trip one (window=1).
 package loadgen
 
 import (

@@ -1,0 +1,272 @@
+package chain
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"kaminotx/internal/obs"
+	"kaminotx/internal/trace"
+)
+
+const (
+	// chaosWorkers partitioned clients each own chaosSpan keys, so clients
+	// never contend on admission locks and a stalled key isolates a bug
+	// rather than hiding behind another client's progress.
+	chaosWorkers = 6
+	chaosSpan    = 64
+	// chaosValueSize is the paper's 1 KiB record.
+	chaosValueSize = 1024
+	// chaosWedgeTimeout bounds the wait for the clients to stop after the
+	// schedule: a client wedged in head admission (a leaked admission
+	// lock) would otherwise hang the run with no diagnosis.
+	chaosWedgeTimeout = 30 * time.Second
+)
+
+// chaosValue encodes write counter ctr for key: verification decodes the
+// counter from the read-back value and compares it against the client's
+// acknowledged and attempted counters.
+func chaosValue(key, ctr uint64) []byte {
+	buf := make([]byte, chaosValueSize)
+	binary.LittleEndian.PutUint64(buf, ctr)
+	binary.LittleEndian.PutUint64(buf[8:], key)
+	return buf
+}
+
+// chaosWorker is one partitioned client: it owns keys [base, base+span)
+// and remembers, per key, the highest counter it attempted and the highest
+// the chain acknowledged.
+type chaosWorker struct {
+	base       uint64
+	attempt    map[uint64]uint64
+	acked      map[uint64]uint64
+	ops, fails uint64
+}
+
+func (w *chaosWorker) run(cl *Cluster, stop <-chan struct{}) {
+	for i := 0; ; i++ {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		key := w.base + uint64(i)%chaosSpan
+		w.ops++
+		if i%4 == 3 {
+			// Mix in tail reads: they exercise the read path's redirects
+			// and the frozen donor's read availability.
+			if _, _, err := cl.Get(key); err != nil {
+				w.fails++
+			}
+			continue
+		}
+		ctr := w.attempt[key] + 1
+		w.attempt[key] = ctr
+		if err := cl.Put(key, chaosValue(key, ctr)); err != nil {
+			w.fails++
+			continue
+		}
+		w.acked[key] = ctr
+	}
+}
+
+// chaosWatchdog wires the stall watchdog to a live cluster with the probes
+// the schedule can wedge: head admission making no progress while locks are
+// held, and a replica's ring filling toward capacity. Its alarms are
+// logged, not fatal: they say where to look when the test fails. (The
+// experiment this test replaces also watched the head engine's
+// backup_pending_txs gauge; Cluster.Obs reads each pool's engine pointer
+// with no lock, and a promotion or a reboot swaps it, so that probe was a
+// data race the moment the schedule ran under the detector.)
+func chaosWatchdog(cl *Cluster) *obs.Watchdog {
+	wd := obs.NewWatchdog(250*time.Millisecond, nil)
+	// 10 ticks at 250ms: two and a half seconds of held locks or waiters
+	// with zero executed transactions is a wedge, not a slow batch.
+	wd.Add(obs.StallProbe("admission-stuck", func() (uint64, uint64) {
+		infos := cl.DebugInfos()
+		if len(infos) == 0 {
+			return 0, 0
+		}
+		head := infos[0].Info
+		return head.LastExec, uint64(len(head.LockedKeys) + head.Waiters)
+	}, 10))
+	// Acknowledged-prefix truncation should keep each replica's ring far
+	// below capacity; 80% occupancy — its two ranges share the one ring —
+	// means truncation stopped.
+	wd.Add(obs.ThresholdProbe("queue-high-water", func() uint64 {
+		var worst uint64
+		for _, qs := range cl.QueueStats() {
+			if qs.InputCap > 0 {
+				worst = max(worst, (qs.InputBytes+qs.InflightBytes)*100/qs.InputCap)
+			}
+		}
+		return worst
+	}, 80))
+	return wd
+}
+
+// TestChaosSchedule drives a scripted crash schedule against a live
+// Kamino-Tx-Chain of 3 and of 5 strict, batched replicas: kill the middle
+// replica and rebuild it by state transfer, reboot the head through the
+// quick-reboot protocol (§5.3), kill the tail, and kill the head (forcing
+// a failover and client redirects) — all while partitioned clients keep
+// writing. Every client tracks the last write the chain acknowledged per
+// key; after the schedule every key is read back, and the test fails if
+// an acknowledged write was lost or a value nobody attempted appears, if
+// a replica reported an error, if the clients wedge, or if the online
+// auditor saw a persist-order violation anywhere in the chain.
+func TestChaosSchedule(t *testing.T) {
+	for _, replicas := range []int{3, 5} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) { chaosSchedule(t, replicas) })
+	}
+}
+
+func chaosSchedule(t *testing.T, replicas int) {
+	rec := trace.NewRecorder(0)
+	auditor := trace.AttachOnline(rec, trace.OnlineOptions{})
+	// Strict mode is on (the head reboot needs crash simulation) and hop
+	// batching is enabled so kills land mid-batch. Persists cost what the
+	// figures charge them (300 ns a line, 500 ns a fence) and hops 3 µs.
+	const keys = chaosWorkers * chaosSpan
+	cl, err := New(Options{
+		Mode:         ModeKamino,
+		Replicas:     replicas,
+		HeapSize:     keys*(chaosValueSize+256)*4 + (16 << 20),
+		Alpha:        0.5,
+		HopLatency:   3 * time.Microsecond,
+		FlushLatency: 300 * time.Nanosecond,
+		FenceLatency: 500 * time.Nanosecond,
+		Strict:       true,
+		BatchOps:     8,
+		BatchDelay:   100 * time.Microsecond,
+		Trace:        rec,
+		RetryWindow:  10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	wd := chaosWatchdog(cl)
+	wd.Start()
+	defer func() {
+		wd.Stop()
+		for _, a := range wd.Alarms() {
+			t.Logf("watchdog: %s", a)
+		}
+	}()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	workers := make([]*chaosWorker, chaosWorkers)
+	for i := range workers {
+		w := &chaosWorker{
+			base:    uint64(i) * chaosSpan,
+			attempt: make(map[uint64]uint64),
+			acked:   make(map[uint64]uint64),
+		}
+		workers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.run(cl, stop)
+		}()
+	}
+	// stopWorkers ends the load and waits for the clients; on a wedge it
+	// dumps every replica's repair state — the leaked lock's owner is
+	// visible in the lock tables.
+	stopWorkers := func() {
+		close(stop)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(chaosWedgeTimeout):
+			t.Fatalf("clients wedged after schedule (leaked admission lock?); chain state:\n%s", cl.DebugState())
+		}
+	}
+	// Each kill is followed by a rebuild-and-rejoin covering failure
+	// detection (immediate here), repair, state transfer, and joining the
+	// view.
+	killRejoin := func(position int) {
+		t.Helper()
+		t0 := time.Now()
+		if err := cl.KillReplica(position); err != nil {
+			stopWorkers()
+			t.Fatalf("kill position %d: %v", position, err)
+		}
+		if _, err := cl.AddReplica(); err != nil {
+			stopWorkers()
+			t.Fatalf("rejoin after killing position %d: %v", position, err)
+		}
+		t.Logf("position %d killed and rebuilt in %v", position, time.Since(t0).Round(time.Millisecond))
+	}
+	settle := func() { time.Sleep(50 * time.Millisecond) }
+
+	settle()
+	killRejoin(1) // middle
+	settle()
+	// The watchdog sits the reboot out: DebugInfos and QueueStats read the
+	// head's ring, and a reboot crashes the region under it.
+	wd.Stop()
+	if err := cl.RebootReplica(0); err != nil { // head power-cycle (§5.3)
+		stopWorkers()
+		t.Fatalf("head reboot: %v", err)
+	}
+	wd.Start()
+	settle()
+	killRejoin(len(cl.Members()) - 1) // tail
+	settle()
+	killRejoin(0) // head: failover + redirects
+	// Let traffic run against the final membership to prove the rebuilt
+	// chain is fully serving before the load stops.
+	time.Sleep(100 * time.Millisecond)
+	stopWorkers()
+	// Stop the watchdog before verification: the read-back loop makes no
+	// write progress by design, which a stall probe would misread.
+	wd.Stop()
+	if err := cl.Err(); err != nil {
+		t.Fatalf("replica error after schedule: %v", err)
+	}
+
+	// Every acknowledged write must still be readable at a counter at
+	// least as high as the last ack and no higher than the last attempt (a
+	// failed attempt may have committed; anything beyond it would be
+	// fabricated).
+	var ops, fails uint64
+	checked, lost := 0, 0
+	for _, w := range workers {
+		ops += w.ops
+		fails += w.fails
+		for key, ack := range w.acked {
+			val, ok, err := cl.Get(key)
+			if err != nil {
+				t.Fatalf("verify read key %d: %v", key, err)
+			}
+			checked++
+			if !ok || len(val) < 16 {
+				lost++
+				t.Errorf("key %d: acknowledged at counter %d, now missing", key, ack)
+				continue
+			}
+			ctr, owner := binary.LittleEndian.Uint64(val), binary.LittleEndian.Uint64(val[8:])
+			if ctr < ack || ctr > w.attempt[key] || owner != key {
+				lost++
+				t.Errorf("key %d: reads counter %d of key %d; acknowledged %d, attempted %d",
+					key, ctr, owner, ack, w.attempt[key])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no write was acknowledged during the schedule")
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acknowledged keys lost or corrupted", lost, checked)
+	}
+	for _, v := range auditor.Close() {
+		t.Errorf("online audit: %s", v)
+	}
+	t.Logf("%d ops, %d failed (%.2f%% available), %d keys verified, %d events audited",
+		ops, fails, 100*(1-float64(fails)/float64(ops)), checked, auditor.Stats().Events)
+}

@@ -1,6 +1,6 @@
 // Command blackbox decodes NVM flight records — the black-box captures a
-// pool persists into its image on crash, or the harness dumps on a
-// watchdog alarm or panic (kaminobench -blackbox-dir) — and prints a
+// pool persists into its image on crash (kamino.Options.Blackbox; a chain
+// hands them out through Cluster.FlightRecords) — and prints a
 // human-readable post-mortem: what triggered the capture, the obs
 // counters at that instant, the replica's structured chain state, and
 // the trace-event timeline of the process's final moments.
