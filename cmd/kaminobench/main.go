@@ -18,15 +18,14 @@
 // device and transaction lifecycle events into a ring buffer, exported at
 // exit as Chrome trace_event JSON (open in chrome://tracing or Perfetto)
 // or, when the filename ends in .jsonl, as one JSON event per line. With
-// -audit, the recorded events are checked against the Kamino-Tx safety
-// invariants and violations fail the run; -audit-live runs the same
-// checks incrementally while the experiments execute, printing each
-// violation the moment it happens. With -metrics-addr, the live
-// observability hub is served at /, Prometheus text exposition at
-// /metrics, the trace ring at /trace, pprof profiles at /debug/pprof/,
-// liveness and readiness at /healthz and /readyz, and structured
-// introspection at /debug/chain, /debug/locks, /debug/queues and
-// /debug/trace/tail.
+// -audit, every event is checked against the Kamino-Tx safety invariants
+// as it is recorded (the online auditor: nothing is lost to ring
+// wrap-around); each violation is printed the moment it happens and fails
+// the run. With -metrics-addr, the live observability hub is served at /,
+// Prometheus text exposition at /metrics, the trace ring's most recent
+// events at /trace, pprof profiles at /debug/pprof/, liveness and readiness
+// at /healthz and /readyz, and structured introspection at /debug/chain,
+// /debug/locks and /debug/queues.
 //
 // With -profile-dir DIR, each experiment writes <experiment>.cpu.pprof
 // and <experiment>.heap.pprof into DIR.
@@ -34,7 +33,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +43,6 @@ import (
 	"path/filepath"
 	"runtime"
 	rpprof "runtime/pprof"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -126,13 +123,11 @@ func main() {
 		batchOps    = flag.Int("batch-ops", 0, "chain hop batch size in ops (0/1 = unbatched; chainscale sweeps its own sizes)")
 		batchBytes  = flag.Int("batch-bytes", 0, "chain hop batch payload cap in bytes (0 = default 256 KiB)")
 		batchDelay  = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
-		groupCommit = flag.Bool("group-commit", false, "group-commit intent-log persists inside each chain replica's engine")
 		metricsAddr = flag.String("metrics-addr", "", "serve live observability JSON on this HTTP address (e.g. :8089)")
 		profileDir  = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
 		traceOut    = flag.String("trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
 		traceBuf    = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
-		audit       = flag.Bool("audit", false, "audit recorded events against the Kamino-Tx safety invariants (implies recording)")
-		auditLive   = flag.Bool("audit-live", false, "audit events online while experiments run, reporting violations as they happen (implies recording)")
+		audit       = flag.Bool("audit", false, "audit events against the Kamino-Tx safety invariants as they are recorded, reporting violations as they happen (implies recording)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -148,31 +143,30 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		Keys:             *keys,
-		ValueSize:        *valueSize,
-		OpsPerThread:     *ops,
-		Threads:          *threads,
-		FlushLatency:     *flush,
-		FenceLatency:     *fence,
-		ChainBatchOps:    *batchOps,
-		ChainBatchBytes:  *batchBytes,
-		ChainBatchDelay:  *batchDelay,
-		ChainGroupCommit: *groupCommit,
-		Out:              os.Stdout,
+		Keys:            *keys,
+		ValueSize:       *valueSize,
+		OpsPerThread:    *ops,
+		Threads:         *threads,
+		FlushLatency:    *flush,
+		FenceLatency:    *fence,
+		ChainBatchOps:   *batchOps,
+		ChainBatchBytes: *batchBytes,
+		ChainBatchDelay: *batchDelay,
+		Out:             os.Stdout,
 	}
 	var recorder *trace.Recorder
-	if *traceOut != "" || *audit || *auditLive {
+	if *traceOut != "" || *audit {
 		recorder = trace.NewRecorder(*traceBuf)
 		cfg.Trace = recorder
 	}
 	var auditor *trace.OnlineAuditor
 	var auditReg *obs.Registry
-	if *auditLive {
+	if *audit {
 		auditReg = obs.New("audit")
 		auditor = trace.AttachOnline(recorder, trace.OnlineOptions{
 			Obs: auditReg,
 			OnViolation: func(v trace.Violation) {
-				fmt.Fprintf(os.Stderr, "audit-live: %s\n", v)
+				fmt.Fprintf(os.Stderr, "audit: %s\n", v)
 			},
 		})
 	}
@@ -192,7 +186,6 @@ func main() {
 		mux.Handle("/metrics", hub.PromHandler())
 		if recorder != nil {
 			mux.Handle("/trace", trace.Handler(recorder))
-			mux.Handle("/debug/trace/tail", traceTailHandler(recorder))
 		}
 		mux.Handle("/healthz", obs.HealthHandler(startTime))
 		mux.Handle("/readyz", obs.ReadyHandler(ready.Load))
@@ -224,7 +217,7 @@ func main() {
 		fmt.Printf("metrics: live registry snapshots at http://%s/ (JSON; ?label=substr filters),"+
 			" Prometheus text at /metrics, trace ring at /trace,"+
 			" pprof at /debug/pprof/, health at /healthz and /readyz,"+
-			" introspection at /debug/{chain,locks,queues,trace/tail}\n", display)
+			" introspection at /debug/{chain,locks,queues}\n", display)
 	}
 	fmt.Printf("kaminobench: keys=%d value=%dB ops/thread=%d threads=%d cpus=%d\n",
 		*keys, *valueSize, *ops, *threads, runtime.NumCPU())
@@ -246,12 +239,12 @@ func main() {
 
 	auditFailed := false
 	if auditor != nil {
-		violations := auditor.Close()
+		auditor.Close()
 		st := auditor.Stats()
-		if len(violations) == 0 {
-			fmt.Printf("audit-live: %d events audited online, all safety invariants hold\n", st.Events)
+		if st.Violations == 0 {
+			fmt.Printf("audit: %d events audited, all safety invariants hold\n", st.Events)
 		} else {
-			fmt.Fprintf(os.Stderr, "audit-live: %d violation(s) in %d events\n", st.Violations, st.Events)
+			fmt.Fprintf(os.Stderr, "audit: %d violation(s) in %d events\n", st.Violations, st.Events)
 			auditFailed = true
 		}
 	}
@@ -262,8 +255,8 @@ func main() {
 		}
 		cancel()
 	}
-	if recorder != nil {
-		if err := finishTrace(recorder, *traceOut, *audit); err != nil {
+	if *traceOut != "" {
+		if err := finishTrace(recorder, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "kaminobench: %v\n", err)
 			os.Exit(1)
 		}
@@ -271,27 +264,6 @@ func main() {
 	if auditFailed {
 		os.Exit(1)
 	}
-}
-
-// traceTailHandler serves the most recent events of the trace ring as
-// JSON (?n=COUNT bounds the tail, default 256) — a cheap live peek at
-// what the experiment is doing right now, unlike /trace which exports
-// the entire retained ring.
-func traceTailHandler(rec *trace.Recorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 256
-		if s := req.URL.Query().Get("n"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				n = v
-			}
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec.Tail(n)); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }
 
 // runOne executes one experiment, optionally capturing its CPU and heap
@@ -337,43 +309,28 @@ func writeHeapProfile(path string) error {
 	return err
 }
 
-// finishTrace exports the recorded events and/or audits them.
-func finishTrace(rec *trace.Recorder, out string, audit bool) error {
+// finishTrace exports the recorded events (-trace-out).
+func finishTrace(rec *trace.Recorder, out string) error {
 	events := rec.Events()
 	if dropped := rec.Dropped(); dropped > 0 {
 		fmt.Printf("trace: ring wrapped, oldest %d of %d events dropped (raise -trace-buf)\n",
 			dropped, rec.Total())
 	}
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if strings.HasSuffix(out, ".jsonl") {
-			err = trace.WriteJSONL(f, events)
-		} else {
-			err = trace.WriteChrome(f, events)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("trace: writing %s: %w", out, err)
-		}
-		fmt.Printf("trace: %d events written to %s\n", len(events), out)
+	f, err := os.Create(out)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	if audit {
-		report := trace.AuditAll(events)
-		if len(report) == 0 {
-			fmt.Printf("audit: %d events, all safety invariants hold\n", len(events))
-			return nil
-		}
-		for actor, vs := range report {
-			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "audit: %s: %s\n", actor, v)
-			}
-		}
-		return fmt.Errorf("audit: safety invariant violations in %d actor(s)", len(report))
+	if strings.HasSuffix(out, ".jsonl") {
+		err = trace.WriteJSONL(f, events)
+	} else {
+		err = trace.WriteChrome(f, events)
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace: writing %s: %w", out, err)
+	}
+	fmt.Printf("trace: %d events written to %s\n", len(events), out)
 	return nil
 }

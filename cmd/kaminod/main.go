@@ -41,41 +41,56 @@ import (
 	"kaminotx/kamino"
 )
 
+// flags holds kaminod's command line. OPERATIONS.md's flag table documents
+// exactly the set defineFlags registers (flags_test.go compares the two).
+type flags struct {
+	addr, dir, mode, tenants, defTenant, metricsAddr, traceOut string
+
+	heap, appliers, window, maxInflight, batchOps, maxValue, traceBuf, slowN int
+
+	autoTenant            bool
+	drainWait, slowThresh time.Duration
+}
+
+// defineFlags registers every kaminod flag on fs.
+func defineFlags(fs *flag.FlagSet) *flags {
+	f := new(flags)
+	fs.StringVar(&f.addr, "addr", ":7070", "KV service listen address")
+	fs.StringVar(&f.dir, "dir", "", "pool directory (required; created on first start)")
+	fs.StringVar(&f.mode, "mode", string(kamino.ModeSimple), "engine for a new store: "+kamino.ModeNames())
+	fs.IntVar(&f.heap, "heap", 64<<20, "heap size for a new store")
+	fs.IntVar(&f.appliers, "appliers", 0, "backup-sync applier workers for kamino modes (0 = auto)")
+	fs.StringVar(&f.tenants, "tenants", "", "comma-separated tenant names to register at startup")
+	fs.BoolVar(&f.autoTenant, "auto-tenant", false, "register unknown tenant names on first use")
+	fs.StringVar(&f.defTenant, "default-tenant", "default", "tenant used by requests with no tenant name")
+	fs.IntVar(&f.window, "window", 64, "per-connection pipeline window (in-flight requests)")
+	fs.IntVar(&f.maxInflight, "max-inflight", 1024, "server-wide admission budget before shedding")
+	fs.IntVar(&f.batchOps, "batch-ops", 32, "max write operations coalesced per engine transaction (1 disables)")
+	fs.IntVar(&f.maxValue, "max-value", 1<<20, "largest accepted put payload in bytes")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "HTTP address for /metrics, /healthz, /readyz, /debug/requests, /debug/pprof ('' = off)")
+	fs.DurationVar(&f.drainWait, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
+	fs.StringVar(&f.traceOut, "trace-out", "", "write a Chrome trace_event export of request+engine spans here on shutdown ('' = tracing off)")
+	fs.IntVar(&f.traceBuf, "trace-buf", 1<<18, "trace recorder ring capacity (events)")
+	fs.IntVar(&f.slowN, "slow-requests", 32, "slow-request ring size served at /debug/requests")
+	fs.DurationVar(&f.slowThresh, "slow-threshold", 0, "wall-time threshold arming the slow-request watchdog alarm (0 = off)")
+	return f
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", ":7070", "KV service listen address")
-		dir         = flag.String("dir", "", "pool directory (required; created on first start)")
-		mode        = flag.String("mode", string(kamino.ModeSimple), "engine for a new store: "+kamino.ModeNames())
-		heap        = flag.Int("heap", 64<<20, "heap size for a new store")
-		appliers    = flag.Int("appliers", 0, "backup-sync applier workers for kamino modes (0 = auto)")
-		groupCommit = flag.Bool("group-commit", false, "enable intent-log group commit")
-		tenantsFlag = flag.String("tenants", "", "comma-separated tenant names to register at startup")
-		autoTenant  = flag.Bool("auto-tenant", false, "register unknown tenant names on first use")
-		defTenant   = flag.String("default-tenant", "default", "tenant used by requests with no tenant name")
-		window      = flag.Int("window", 64, "per-connection pipeline window (in-flight requests)")
-		maxInflight = flag.Int("max-inflight", 1024, "server-wide admission budget before shedding")
-		batchOps    = flag.Int("batch-ops", 32, "max write operations coalesced per engine transaction (1 disables)")
-		maxValue    = flag.Int("max-value", 1<<20, "largest accepted put payload in bytes")
-		metricsAddr = flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz, /readyz, /debug/requests, /debug/pprof ('' = off)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event export of request+engine spans here on shutdown ('' = tracing off)")
-		traceBuf    = flag.Int("trace-buf", 1<<18, "trace recorder ring capacity (events)")
-		slowN       = flag.Int("slow-requests", 32, "slow-request ring size served at /debug/requests")
-		slowThresh  = flag.Duration("slow-threshold", 0, "wall-time threshold arming the slow-request watchdog alarm (0 = off)")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if *dir == "" {
+	if f.dir == "" {
 		fmt.Fprintln(os.Stderr, "kaminod: -dir is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := checkMode(kamino.Mode(*mode)); err != nil {
+	if err := checkMode(kamino.Mode(f.mode)); err != nil {
 		fatal(err)
 	}
 
 	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.NewRecorder(*traceBuf)
+	if f.traceOut != "" {
+		rec = trace.NewRecorder(f.traceBuf)
 	}
 
 	// Readiness state machine, visible at /readyz before the pool even
@@ -103,7 +118,7 @@ func main() {
 	// rescan/log_replay/index_attach/warmup spans, /readyz=recovering).
 	hub := obs.NewHub()
 	var metricsSrv *http.Server
-	if *metricsAddr != "" {
+	if f.metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", hub)
 		mux.Handle("/metrics", hub.PromHandler())
@@ -121,7 +136,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mln, err := net.Listen("tcp", *metricsAddr)
+		mln, err := net.Listen("tcp", f.metricsAddr)
 		if err != nil {
 			fatal(fmt.Errorf("metrics listener: %w", err))
 		}
@@ -134,26 +149,25 @@ func main() {
 		logf("metrics on http://%s/ (snapshots), /metrics, /healthz, /readyz, /debug/requests, /debug/pprof/", mln.Addr())
 	}
 
-	pool, store, err := open(*dir, kamino.Options{
-		Mode:           kamino.Mode(*mode),
-		HeapSize:       *heap,
-		ApplierWorkers: *appliers,
-		GroupCommit:    *groupCommit,
-		Dir:            *dir,
+	pool, store, err := open(f.dir, kamino.Options{
+		Mode:           kamino.Mode(f.mode),
+		HeapSize:       f.heap,
+		ApplierWorkers: f.appliers,
+		Dir:            f.dir,
 		Trace:          rec,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	hub.Set(pool.Obs().Name(), pool.Obs())
-	logf("pool open: dir=%s engine=%s", *dir, pool.Mode())
+	logf("pool open: dir=%s engine=%s", f.dir, pool.Mode())
 	for _, st := range pool.RecoveryReport() {
 		logf("recovery: %-12s %s", st.Stage, st.Duration)
 	}
 
 	var tenantNames []string
-	if *tenantsFlag != "" {
-		for _, name := range strings.Split(*tenantsFlag, ",") {
+	if f.tenants != "" {
+		for _, name := range strings.Split(f.tenants, ",") {
 			if name = strings.TrimSpace(name); name != "" {
 				tenantNames = append(tenantNames, name)
 			}
@@ -161,24 +175,24 @@ func main() {
 	}
 	srvReg := obs.New("server")
 	hub.Set("server", srvReg)
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		pool.Close()
 		fatal(err)
 	}
 	srv, err := server.New(ln, server.Options{
 		Store:         store,
-		Window:        *window,
-		MaxInflight:   *maxInflight,
-		BatchOps:      *batchOps,
-		MaxValueBytes: *maxValue,
-		DefaultTenant: *defTenant,
+		Window:        f.window,
+		MaxInflight:   f.maxInflight,
+		BatchOps:      f.batchOps,
+		MaxValueBytes: f.maxValue,
+		DefaultTenant: f.defTenant,
 		Tenants:       tenantNames,
-		AutoTenant:    *autoTenant,
+		AutoTenant:    f.autoTenant,
 		Obs:           srvReg,
 		Trace:         rec,
-		SlowN:         *slowN,
-		SlowThreshold: *slowThresh,
+		SlowN:         f.slowN,
+		SlowThreshold: f.slowThresh,
 		OnSlowAlarm: func(a obs.Alarm) {
 			logf("slow request alarm: %s", a.Detail)
 		},
@@ -213,7 +227,7 @@ func main() {
 		pool.Close()
 		fatal(fmt.Errorf("startup checkpoint: %w", err))
 	}
-	logf("startup checkpoint written: %s", *dir)
+	logf("startup checkpoint written: %s", f.dir)
 	recovered.Store(true)
 
 	// Serve until a signal starts the drain. SIGTERM and SIGINT both mean
@@ -228,18 +242,18 @@ serve:
 		select {
 		case sig := <-sigc:
 			if sig == syscall.SIGUSR1 {
-				ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+				ctx, cancel := context.WithTimeout(context.Background(), f.drainWait)
 				start := time.Now()
 				err := srv.Quiesce(ctx, pool.Checkpoint)
 				cancel()
 				if err != nil {
 					logf("online checkpoint failed: %v", err)
 				} else {
-					logf("online checkpoint written: %s (paused %s)", *dir, time.Since(start).Round(time.Millisecond))
+					logf("online checkpoint written: %s (paused %s)", f.dir, time.Since(start).Round(time.Millisecond))
 				}
 				continue
 			}
-			logf("received %s: draining (timeout %s)", sig, *drainWait)
+			logf("received %s: draining (timeout %s)", sig, f.drainWait)
 			break serve
 		case err := <-serveErr:
 			pool.Close()
@@ -247,7 +261,7 @@ serve:
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	ctx, cancel := context.WithTimeout(context.Background(), f.drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		logf("drain incomplete: %v (in-flight work may be lost)", err)
@@ -261,12 +275,12 @@ serve:
 	if err := pool.Close(); err != nil { // checkpoints into -dir
 		fatal(fmt.Errorf("closing pool: %w", err))
 	}
-	logf("checkpoint written: %s", *dir)
+	logf("checkpoint written: %s", f.dir)
 	if rec != nil {
-		if err := writeTrace(*traceOut, rec); err != nil {
+		if err := writeTrace(f.traceOut, rec); err != nil {
 			fatal(fmt.Errorf("trace export: %w", err))
 		}
-		logf("trace written: %s (%d events, %d dropped)", *traceOut, rec.Total(), rec.Dropped())
+		logf("trace written: %s (%d events, %d dropped)", f.traceOut, rec.Total(), rec.Dropped())
 	}
 }
 
@@ -285,15 +299,14 @@ func writeTrace(path string, rec *trace.Recorder) error {
 }
 
 // open reopens an existing pool directory or creates a fresh store. A
-// reopen passes the runtime tunables (appliers, group commit,
-// tracing) as an Open override: they take effect for the recovery scans
+// reopen passes the runtime tunables (appliers, tracing) as an Open
+// override: they take effect for the recovery scans
 // themselves, and conflicts with the stored structural options fail fast
 // instead of being silently ignored.
 func open(dir string, opts kamino.Options) (*kamino.Pool, *kvstore.Store, error) {
 	if _, err := os.Stat(dir + "/pool.json"); err == nil {
 		pool, err := kamino.Open(dir, kamino.Options{
 			ApplierWorkers: opts.ApplierWorkers,
-			GroupCommit:    opts.GroupCommit,
 			Trace:          opts.Trace,
 		})
 		if err != nil {

@@ -64,7 +64,6 @@ func (c Config) newClusterN(mode chainpkg.Mode, replicas, batchOps int) (*chainp
 		BatchOps:     batchOps,
 		BatchBytes:   c.ChainBatchBytes,
 		BatchDelay:   c.ChainBatchDelay,
-		GroupCommit:  c.ChainGroupCommit,
 		Trace:        c.Trace,
 	})
 	if err != nil {

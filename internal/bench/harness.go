@@ -49,9 +49,6 @@ type Config struct {
 	ChainBatchOps   int
 	ChainBatchBytes int
 	ChainBatchDelay time.Duration
-	// ChainGroupCommit enables intent-log group commit inside every chain
-	// replica's local engine (kaminobench -group-commit).
-	ChainGroupCommit bool
 	// Out receives the report. Required.
 	Out io.Writer
 	// Metrics, if set, receives the live observability registry of every

@@ -72,9 +72,6 @@ type Config struct {
 	// batch is whatever has already queued, so an unloaded chain keeps
 	// per-op latency. Only meaningful with BatchOps > 1.
 	BatchDelay time.Duration
-	// GroupCommit enables intent-log group commit inside each replica's
-	// local engine (see kamino.Options.GroupCommit).
-	GroupCommit bool
 
 	// ResendInterval paces the repair ticker: a tail with retained
 	// in-flight records re-acknowledges them to the head at this
@@ -277,7 +274,6 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		FlushLatency:      cfg.FlushLatency,
 		FenceLatency:      cfg.FenceLatency,
 		Strict:            cfg.Strict,
-		GroupCommit:       cfg.GroupCommit,
 		Trace:             cfg.Trace,
 		Blackbox:          cfg.Blackbox,
 	})

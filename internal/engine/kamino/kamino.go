@@ -45,14 +45,6 @@ type Config struct {
 	// Defaults to GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
 
-	// GroupCommit routes commit-marker persists through a dedicated
-	// committer goroutine that absorbs concurrent transactions' markers
-	// into one flush+fence epoch. Commit latency gains a hand-off, so it
-	// pays off only when commits are frequent enough to share fences;
-	// abort and crash-recovery semantics are unchanged (each slot's state
-	// word remains that transaction's independent commit point).
-	GroupCommit bool
-
 	// BackupIndex, when non-nil on Open, offers a checkpointed
 	// dynamic-backend lookup table (encoded by EncodeBackupIndex). It is
 	// used only if the engine is dynamic and the main heap's image epoch
@@ -89,15 +81,13 @@ func (c Config) withDefaults() Config {
 
 // Engine is the Kamino-Tx transaction engine (the paper's Transaction
 // Coordinator plus Log Manager plus backup maintenance): the shared
-// skeleton plus the backup, the appliers that keep it in sync, and the
-// optional group committer.
+// skeleton plus the backup and the appliers that keep it in sync.
 type Engine struct {
 	*engine.Base
 	backend backend
 
 	applyChs []chan applyReq // one queue per applier worker
-	commitCh chan commitReq  // nil unless Config.GroupCommit
-	wg       sync.WaitGroup  // applier + committer goroutines
+	wg       sync.WaitGroup  // applier goroutines
 	inFlt    sync.WaitGroup  // outstanding post-commit syncs
 	pending  atomic.Int64    // committed txs whose backup sync hasn't finished
 	polling  atomic.Int32    // this engine's goroutines polling now (see pollers)
@@ -105,13 +95,10 @@ type Engine struct {
 
 	applyErr atomic.Value // error
 
-	grpEpochs  *obs.Counter // group-commit fence epochs issued
-	grpCommits *obs.Counter // transactions committed through group commit
-	parks      *obs.Counter // times an applier or the committer parked on its queue
+	parks *obs.Counter // times an applier parked on its queue
 
-	phGrpWait *obs.PhaseStat // commit-marker wait under group commit
-	phSync    *obs.PhaseStat // applier backup roll-forward work
-	phLag     *obs.PhaseStat // commit → locks-released lag
+	phSync *obs.PhaseStat // applier backup roll-forward work
+	phLag  *obs.PhaseStat // commit → locks-released lag
 }
 
 type applyReq struct {
@@ -119,13 +106,6 @@ type applyReq struct {
 	owner       locktable.Owner
 	objs        []lockedObj
 	committedAt time.Time
-}
-
-// commitReq hands a transaction's commit marker to the group committer;
-// done reports when (and whether) the shared fence epoch covered it.
-type commitReq struct {
-	tl   *intentlog.TxLog
-	done chan error
 }
 
 type lockedObj struct {
@@ -236,13 +216,10 @@ func (e *Engine) EncodeBackupIndex() (data []byte, ok bool) {
 func newEngine(b *engine.Base) *Engine {
 	o := b.Obs()
 	return &Engine{
-		Base:       b,
-		grpEpochs:  o.Counter("group_commit_epochs"),
-		grpCommits: o.Counter("group_committed_txs"),
-		parks:      o.Counter("applier_parks"),
-		phGrpWait:  o.Phase(obs.PhaseGroupCommitWait),
-		phSync:     o.Phase(obs.PhaseBackupSync),
-		phLag:      o.Phase(obs.PhaseBackupLag),
+		Base:   b,
+		parks:  o.Counter("applier_parks"),
+		phSync: o.Phase(obs.PhaseBackupSync),
+		phLag:  o.Phase(obs.PhaseBackupLag),
 	}
 }
 
@@ -282,52 +259,6 @@ func (e *Engine) start(cfg Config) {
 		e.wg.Add(1)
 		go e.applier(e.applyChs[i])
 	}
-	if cfg.GroupCommit {
-		e.commitCh = make(chan commitReq, e.Log().Config().Slots)
-		e.wg.Add(1)
-		go e.committer()
-	}
-}
-
-// committer is the group-commit thread: it gathers whatever commit markers
-// are pending, persists them under one flush+fence epoch via SetStateBatch,
-// and wakes every covered transaction. Like the applier it receives through
-// recvPolling, because a parked-goroutine wakeup would be charged to every
-// commit's critical path.
-func (e *Engine) committer() {
-	defer e.wg.Done()
-	pending := make([]commitReq, 0, 64)
-	tls := make([]*intentlog.TxLog, 0, 64)
-	for {
-		req, ok := recvPolling(e, e.commitCh)
-		if !ok {
-			return
-		}
-		pending = append(pending[:0], req)
-		// Absorb everything already waiting, up to a full batch.
-	drain:
-		for len(pending) < cap(pending) {
-			select {
-			case more, ok := <-e.commitCh:
-				if !ok {
-					break drain
-				}
-				pending = append(pending, more)
-			default:
-				break drain
-			}
-		}
-		tls = tls[:0]
-		for _, p := range pending {
-			tls = append(tls, p.tl)
-		}
-		err := e.Log().SetStateBatch(tls, intentlog.StateCommitted)
-		e.grpEpochs.Add(1)
-		e.grpCommits.Add(uint64(len(pending)))
-		for _, p := range pending {
-			p.done <- err
-		}
-	}
 }
 
 // applier is the paper's background Transaction Coordinator thread: it
@@ -341,7 +272,7 @@ func (e *Engine) committer() {
 func (e *Engine) applier(ch chan applyReq) {
 	defer e.wg.Done()
 	for {
-		req, ok := recvPolling(e, ch)
+		req, ok := e.recvPolling(ch)
 		if !ok {
 			return
 		}
@@ -357,10 +288,9 @@ func (e *Engine) applier(ch chan applyReq) {
 // before it gives up and parks on its channel.
 const pollSpins = 2000
 
-// pollers counts the engine goroutines (appliers and group committers of
-// every engine in the process) that are polling right now; pollersHigh is
-// its high-water mark. At most GOMAXPROCS-1 may poll at a time, and with one
-// processor none does.
+// pollers counts the appliers, across every engine in the process, that are
+// polling right now; pollersHigh is its high-water mark. At most GOMAXPROCS-1
+// may poll at a time, and with one processor none does.
 //
 // A poller waits by runtime.Gosched, which re-enters the global run queue,
 // and the scheduler drains that queue before it looks at the network poller
@@ -392,10 +322,10 @@ func acquirePoll() bool {
 	}
 }
 
-// recvPolling receives from ch for one of e's background goroutines. If
-// nothing is queued and the budget has a slot it polls for pollSpins yields
-// before parking; over budget it parks at once.
-func recvPolling[T any](e *Engine, ch <-chan T) (v T, ok bool) {
+// recvPolling receives from ch for one of e's appliers. If nothing is queued
+// and the budget has a slot it polls for pollSpins yields before parking;
+// over budget it parks at once.
+func (e *Engine) recvPolling(ch <-chan applyReq) (v applyReq, ok bool) {
 	select {
 	case v, ok = <-ch:
 		return v, ok
@@ -484,9 +414,6 @@ func (e *Engine) Close() error {
 	e.inFlt.Wait()
 	for _, ch := range e.applyChs {
 		close(ch)
-	}
-	if e.commitCh != nil {
-		close(e.commitCh)
 	}
 	e.wg.Wait()
 	return e.err()
@@ -593,24 +520,8 @@ func (t *tx) Commit() error {
 	if err := t.PersistHeap(); err != nil {
 		return err
 	}
-	// Commit point. Under group commit the marker persist is delegated to
-	// the committer, which folds concurrent markers into one fence epoch;
-	// the slot's state word is still this transaction's atomic commit
-	// point either way.
-	if ch := t.e.commitCh; ch != nil {
-		start := time.Now()
-		done := make(chan error, 1)
-		ch <- commitReq{tl: t.Log(), done: done}
-		if err := <-done; err != nil {
-			return err
-		}
-		d := time.Since(start)
-		t.e.phGrpWait.Observe(d)
-		if tr := t.Tracer(); tr != nil {
-			tr.CommitMarker(t.ID())
-			tr.Span(string(obs.PhaseGroupCommitWait), t.ID(), d)
-		}
-	} else if err := t.PersistMarker(); err != nil {
+	// Commit point: the slot's state word.
+	if err := t.PersistMarker(); err != nil {
 		return err
 	}
 	if err := t.Detach(); err != nil {

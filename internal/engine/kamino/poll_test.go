@@ -77,14 +77,13 @@ func commitLoad(t *testing.T, e *Engine, objs []heap.ObjID, txs int) {
 	wg.Wait()
 }
 
-// TestPollBudget: however many appliers and committers the process runs, at
-// most GOMAXPROCS-1 of them poll at a time — across engines, not per engine —
+// TestPollBudget: however many appliers the process runs, at most
+// GOMAXPROCS-1 of them poll at a time — across engines, not per engine —
 // the rest park, and an idle engine stops polling altogether.
 func TestPollBudget(t *testing.T) {
 	cfg := Config{
 		Log:            intentlog.Config{Slots: 32, EntriesPerSlot: 32, DataBytesPerSlot: 0},
 		ApplierWorkers: 4,
-		GroupCommit:    true,
 	}
 	for _, tc := range []struct {
 		name           string
@@ -133,9 +132,9 @@ func TestPollBudget(t *testing.T) {
 				if g, ok := s.Gauges["engine_pollers"]; !ok || g != 0 {
 					t.Errorf("engine %d: engine_pollers = %d (present %v), want 0 when idle", i, g, ok)
 				}
-				// Five goroutines, at most one slot: the others parked.
-				if s.Counters["applier_parks"] < 4 {
-					t.Errorf("engine %d: applier_parks = %d, want at least 4", i, s.Counters["applier_parks"])
+				// Four appliers, at most one slot: the others parked.
+				if s.Counters["applier_parks"] < 3 {
+					t.Errorf("engine %d: applier_parks = %d, want at least 3", i, s.Counters["applier_parks"])
 				}
 			}
 		})

@@ -636,43 +636,6 @@ func (t *TxLog) SetState(s State) error {
 	return t.l.reg.Persist(off+sOffState, 4)
 }
 
-// SetStateBatch durably transitions several transactions' slots to s under
-// a single flush+fence epoch (group commit): each slot's state word is
-// stored and flushed, then one fence makes them all durable together. Every
-// transaction's own commit point remains its slot's one-line state word —
-// a crash inside the epoch leaves each slot independently either in its old
-// state or in s, exactly as if the markers had been persisted one by one —
-// so per-transaction recovery semantics are unchanged; only the fence cost
-// is amortized across the group.
-//
-// All TxLogs must belong to this log.
-func (l *Log) SetStateBatch(ts []*TxLog, s State) error {
-	flushed := 0
-	for _, t := range ts {
-		if t.l != l {
-			return errors.New("intentlog: SetStateBatch across logs")
-		}
-		if !t.inited {
-			continue // nothing logged, header never written: see SetState
-		}
-		off := l.slotOff(t.slot)
-		if err := l.reg.Store32(off+sOffState, uint32(s)); err != nil {
-			return err
-		}
-		if t.n == 0 && t.dataUsed == 0 {
-			continue // empty transaction: see SetState
-		}
-		if err := l.reg.Flush(off+sOffState, 4); err != nil {
-			return err
-		}
-		flushed++
-	}
-	if flushed > 0 {
-		l.reg.Fence()
-	}
-	return nil
-}
-
 // Release durably frees the slot and returns it to the allocatable pool.
 // Called once the transaction's effects are fully reconciled (backup synced
 // for Kamino, undo data discarded for baselines).

@@ -353,58 +353,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSetStateBatchDurableUnderOneFence(t *testing.T) {
-	l := newLog(t, Config{Slots: 8, EntriesPerSlot: 8, DataBytesPerSlot: 0})
-	var txs []*TxLog
-	for i := 0; i < 4; i++ {
-		tx, err := l.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Append(Entry{Op: OpWrite, Class: 64, Obj: uint64(1000 + i)}); err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, tx)
-	}
-	before := l.Region().Stats().Fences
-	if err := l.SetStateBatch(txs, StateCommitted); err != nil {
-		t.Fatal(err)
-	}
-	if fences := l.Region().Stats().Fences - before; fences != 1 {
-		t.Errorf("SetStateBatch issued %d fences, want 1", fences)
-	}
-	// All four markers must survive a crash.
-	if err := l.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Attach(l.Region())
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := 0
-	if err := l2.Recover(func(v SlotView) error {
-		if v.State == StateCommitted {
-			committed++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if committed != 4 {
-		t.Errorf("recovered %d committed slots, want 4", committed)
-	}
-}
-
-func TestSetStateBatchRejectsForeignTxLog(t *testing.T) {
-	l1 := newLog(t, smallCfg)
-	l2 := newLog(t, smallCfg)
-	a, _ := l1.Begin()
-	b, _ := l2.Begin()
-	if err := l1.SetStateBatch([]*TxLog{a, b}, StateCommitted); err == nil {
-		t.Fatal("SetStateBatch across logs succeeded")
-	}
-}
-
 // TestSetShardsRepartitionsFreePool: every slot must remain acquirable
 // across repartitions, and the count must clamp to [1, Slots].
 func TestSetShardsRepartitionsFreePool(t *testing.T) {

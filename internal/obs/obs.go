@@ -51,11 +51,6 @@ const (
 	PhaseHeapPersist Phase = "heap_persist"
 	// PhaseCommitPersist is the one-line commit-marker store.
 	PhaseCommitPersist Phase = "commit_persist"
-	// PhaseGroupCommitWait is the commit-marker wait under group commit:
-	// from handing the marker to the group committer until the shared
-	// flush+fence epoch covering it returns. Replaces PhaseCommitPersist
-	// for transactions committing through the group committer.
-	PhaseGroupCommitWait Phase = "group_commit_wait"
 	// PhaseCopyBack is CoW's post-commit shadow-to-original apply.
 	PhaseCopyBack Phase = "copy_back"
 	// PhaseBackupSync is the applier's work rolling the backup forward
@@ -111,7 +106,6 @@ var phaseOrder = []Phase{
 	PhaseIntentPersist,
 	PhaseHeapPersist,
 	PhaseCommitPersist,
-	PhaseGroupCommitWait,
 	PhaseCopyBack,
 	PhaseBackupSync,
 	PhaseBackupLag,

@@ -23,9 +23,9 @@ func Handler(rec *Recorder) http.Handler {
 			}
 			n = v
 		}
-		events := rec.Events()
-		if n < len(events) {
-			events = events[len(events)-n:]
+		events := []Event{}
+		if n > 0 {
+			events = rec.Tail(n)
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)

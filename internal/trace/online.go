@@ -2,45 +2,21 @@ package trace
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"kaminotx/internal/obs"
 )
 
 // OnlineOptions configures an OnlineAuditor.
 type OnlineOptions struct {
-	// FailFast stops invariant checking after the first violation: the
-	// auditor keeps draining (so emitters never block on a tripped
-	// auditor) but does no further state-machine work. Err() and the
-	// recorded violation are retained either way.
-	FailFast bool
-	// OnViolation, when set, is called from the audit goroutine for each
-	// violation as it is found (at most once under FailFast). It must not
+	// OnViolation, when set, is called for each violation as it is found,
+	// from the emitting goroutine that completed the batch. It must not
 	// emit trace events or call back into the auditor.
 	OnViolation func(Violation)
 	// Obs, when set, receives streaming counters: audit_events,
 	// audit_violations, and one audit_violation_<rule> counter per rule.
 	Obs *obs.Registry
-	// Buffer is the batch-channel depth (default 64 batches). When the
-	// audit goroutine falls this far behind, event emitters block until
-	// it catches up — backpressure instead of gaps, because a gap in the
-	// stream would fabricate violations.
-	Buffer int
-	// Delivery selects how events reach the checker. DeliveryAsync runs
-	// the dedicated audit goroutine fed in batches. DeliveryInline
-	// checks each batch synchronously in the emitting goroutine instead.
-	// DeliveryAuto (the default) picks inline on a single-P process:
-	// with no parallel headroom the goroutine cannot overlap with the
-	// workload, and its presence alone stretches every spin-wait cycle
-	// in the engines' Gosched-based waiting.
-	Delivery SinkDelivery
-	// Policy overrides the per-actor policy derivation (default
-	// PolicyFor). Actors whose policy enables no rule are skipped
-	// entirely.
-	Policy func(actor string) Policy
 }
 
 // OnlineStats describes an auditor's progress and current state size.
@@ -64,38 +40,33 @@ type OnlineStats struct {
 const maxRetainedViolations = 4096
 
 // OnlineAuditor checks the persist-order invariants incrementally, as
-// events are recorded, instead of replaying a ring after the run. It
-// consumes the Recorder's sink (every event, in emission order, batched)
-// on its own goroutine; per-transaction state retires at commit/abort
-// and per-object state at backup-sync, so memory stays bounded on
-// arbitrarily long runs. Unlike post-hoc Audit it never misses events to
-// ring wrap-around.
+// events are recorded, instead of replaying a ring after the run. It is the
+// Recorder's sink: every event, in emission order, checked in batches by
+// whichever emitting goroutine fills one, so it blocks nothing and drops
+// nothing. Per-transaction state retires at commit/abort and per-object
+// state at backup-sync, so memory stays bounded on arbitrarily long runs.
+// Unlike post-hoc Audit it never misses events to ring wrap-around.
 type OnlineAuditor struct {
-	rec    *Recorder
-	opts   OnlineOptions
-	inline bool
+	rec  *Recorder
+	opts OnlineOptions
 
-	ch   chan []Event
-	done chan struct{}
-
-	delivered atomic.Uint64 // events handed to the channel
-	processed atomic.Uint64 // events consumed by the audit goroutine
-	nviol     atomic.Uint64
-	tripped   atomic.Bool
+	// mu guards everything below: batches arrive under the recorder's lock,
+	// one at a time, but Stats, Violations and Err read from any goroutine.
+	mu     sync.Mutex
+	events uint64
+	nviol  uint64
 
 	states map[string]*auditState // engine actor -> state
 	route  map[string]*auditState // raw event actor -> state (nil: skip)
 
-	// Two-entry routing cache (guarded by mu): the stream alternates
-	// between an engine actor and its region actors in tight runs, so
-	// most events resolve without the route map lookup. Actor strings
-	// are interned by their tracers, making the equality checks pointer
-	// comparisons.
+	// Two-entry routing cache: the stream alternates between an engine
+	// actor and its region actors in tight runs, so most events resolve
+	// without the route map lookup. Actor strings are interned by their
+	// tracers, making the equality checks pointer comparisons.
 	cActor [2]string
 	cState [2]*auditState
 	cOK    [2]bool
 
-	mu         sync.Mutex
 	violations []Violation
 
 	cEvents *obs.Counter
@@ -103,21 +74,14 @@ type OnlineAuditor struct {
 	cRule   map[string]*obs.Counter
 }
 
-// AttachOnline installs an online auditor on rec and starts its audit
-// goroutine. Exactly one sink can be attached to a recorder at a time;
-// attaching replaces any previous sink. Call Close to detach and join.
+// AttachOnline installs an online auditor as rec's sink; it audits the
+// events emitted from now on. Exactly one sink can be attached to a
+// recorder at a time; attaching replaces any previous sink. Call Close to
+// detach.
 func AttachOnline(rec *Recorder, opts OnlineOptions) *OnlineAuditor {
-	if opts.Buffer <= 0 {
-		opts.Buffer = 64
-	}
-	if opts.Policy == nil {
-		opts.Policy = PolicyFor
-	}
 	a := &OnlineAuditor{
 		rec:    rec,
 		opts:   opts,
-		ch:     make(chan []Event, opts.Buffer),
-		done:   make(chan struct{}),
 		states: make(map[string]*auditState),
 		route:  make(map[string]*auditState),
 		cRule:  make(map[string]*obs.Counter),
@@ -132,94 +96,45 @@ func AttachOnline(rec *Recorder, opts OnlineOptions) *OnlineAuditor {
 			return uint64(a.Stats().LiveObjects)
 		})
 	}
-	a.inline = opts.Delivery == DeliveryInline ||
-		(opts.Delivery == DeliveryAuto && runtime.GOMAXPROCS(0) == 1)
-	// Filter before sinking: event classes the rules provably ignore
-	// never leave the emission path, roughly halving hand-off and audit
-	// volume. Keep crashes (they reset state) and all lifecycle kinds;
-	// device persistence matters only on log regions (both intent rules
-	// query the log region and nothing else).
-	rec.SetSinkFilter(auditRelevant)
-	if a.inline {
-		// Check in the emitting goroutine; the recorder's flusher would
-		// be one more scheduler participant for no overlap.
-		rec.SetSinkDelivery(DeliveryInline)
-		rec.SetSink(func(batch []Event) {
-			a.delivered.Add(uint64(len(batch)))
-			a.processBatch(batch)
-		})
-		return a
-	}
-	rec.SetSinkDelivery(DeliveryAsync)
-	go a.run()
-	rec.SetSink(func(batch []Event) {
-		a.delivered.Add(uint64(len(batch)))
-		a.ch <- batch
-	})
+	rec.SetSink(a.processBatch)
 	return a
 }
 
-// auditRelevant reports whether the persist-order rules can possibly
-// consume e (see auditState.step): spans, chain hops, and request-to-
-// transaction links never, device persistence only on log regions.
-func auditRelevant(e Event) bool {
-	switch e.Kind {
-	case KindWrite, KindFlush, KindFence:
-		return strings.HasSuffix(e.Actor, "/log")
-	case KindSpan, KindChainForward, KindChainApply, KindChainBatch, KindChainAck, KindReqTx:
-		return false
-	}
-	return true
-}
-
-func (a *OnlineAuditor) run() {
-	defer close(a.done)
-	for batch := range a.ch {
-		a.processBatch(batch)
-	}
-}
-
-// processBatch feeds one delivered batch through the state machines (a
-// no-op once FailFast has tripped) and advances the progress counters.
+// processBatch feeds one delivered batch — a view into the ring, valid only
+// until it returns — through the state machines.
 func (a *OnlineAuditor) processBatch(batch []Event) {
-	if !a.tripped.Load() {
-		a.mu.Lock()
-		for i := range batch {
-			e := &batch[i]
-			// Inline batches are unfiltered ring views; shed the event
-			// classes no rule consumes before touching the routing cache.
-			switch e.Kind {
-			case KindSpan, KindChainForward, KindChainApply, KindChainBatch, KindChainAck, KindReqTx:
-				continue
-			}
-			var st *auditState
-			switch {
-			case a.cOK[0] && e.Actor == a.cActor[0]:
-				st = a.cState[0]
-			case a.cOK[1] && e.Actor == a.cActor[1]:
-				st = a.cState[1]
-			default:
-				var hit bool
-				if st, hit = a.route[e.Actor]; !hit {
-					st = a.resolveLocked(e.Actor)
-				}
-				a.cActor[1], a.cState[1], a.cOK[1] = a.cActor[0], a.cState[0], a.cOK[0]
-				a.cActor[0], a.cState[0], a.cOK[0] = e.Actor, st, true
-			}
-			if st == nil {
-				continue
-			}
-			st.step(e, a.addViolation)
-			if a.opts.FailFast && a.tripped.Load() {
-				break
-			}
+	a.mu.Lock()
+	for i := range batch {
+		e := &batch[i]
+		// Shed the event classes no rule consumes before touching the
+		// routing cache.
+		switch e.Kind {
+		case KindSpan, KindChainForward, KindChainApply, KindChainBatch, KindChainAck, KindReqTx:
+			continue
 		}
-		a.mu.Unlock()
+		var st *auditState
+		switch {
+		case a.cOK[0] && e.Actor == a.cActor[0]:
+			st = a.cState[0]
+		case a.cOK[1] && e.Actor == a.cActor[1]:
+			st = a.cState[1]
+		default:
+			var hit bool
+			if st, hit = a.route[e.Actor]; !hit {
+				st = a.resolveLocked(e.Actor)
+			}
+			a.cActor[1], a.cState[1], a.cOK[1] = a.cActor[0], a.cState[0], a.cOK[0]
+			a.cActor[0], a.cState[0], a.cOK[0] = e.Actor, st, true
+		}
+		if st != nil {
+			st.step(e, a.addViolation)
+		}
 	}
+	a.events += uint64(len(batch))
+	a.mu.Unlock()
 	if a.cEvents != nil {
 		a.cEvents.Add(uint64(len(batch)))
 	}
-	a.processed.Add(uint64(len(batch)))
 }
 
 // resolveLocked builds the routing entry for a new actor label: device
@@ -231,7 +146,7 @@ func (a *OnlineAuditor) resolveLocked(actor string) *auditState {
 		engine = actor[:i]
 	}
 	var st *auditState
-	if p := a.opts.Policy(engine); p.checksAnything() {
+	if p := PolicyFor(engine); p.checksAnything() {
 		st = a.states[engine]
 		if st == nil {
 			st = newAuditState(p)
@@ -242,18 +157,15 @@ func (a *OnlineAuditor) resolveLocked(actor string) *auditState {
 	return st
 }
 
-// addViolation records one breach (audit goroutine only, a.mu held).
+// addViolation records one breach (a.mu held).
 func (a *OnlineAuditor) addViolation(e *Event, rule, msg string) {
-	if a.tripped.Load() && a.opts.FailFast {
-		return
-	}
 	v := Violation{Seq: e.Seq, Rule: rule, TxID: e.TxID, Obj: e.Obj, Msg: msg}
 	// Device-rule breaches carry the region actor; report the engine.
 	v.Actor = e.Actor
 	if i := strings.LastIndexByte(v.Actor, '/'); i >= 0 {
 		v.Actor = v.Actor[:i]
 	}
-	a.nviol.Add(1)
+	a.nviol++
 	if len(a.violations) < maxRetainedViolations {
 		a.violations = append(a.violations, v)
 	}
@@ -266,23 +178,15 @@ func (a *OnlineAuditor) addViolation(e *Event, rule, msg string) {
 		}
 		c.Inc()
 	}
-	if a.opts.FailFast {
-		a.tripped.Store(true)
-	}
 	if a.opts.OnViolation != nil {
 		a.opts.OnViolation(v)
 	}
 }
 
-// Flush pushes any partially filled recorder batch to the auditor and
-// waits until every event emitted so far has been audited. Use it to
-// make "caught live" assertions deterministic mid-run.
-func (a *OnlineAuditor) Flush() {
-	a.rec.FlushSink()
-	for a.processed.Load() < a.delivered.Load() {
-		runtime.Gosched()
-	}
-}
+// Flush audits the recorder's partially filled batch: when it returns,
+// every event emitted before the call has been checked. Use it to make
+// "caught live" assertions deterministic mid-run.
+func (a *OnlineAuditor) Flush() { a.rec.FlushSink() }
 
 // Violations returns a copy of the violations retained so far (capped at
 // maxRetainedViolations; Stats().Violations counts all of them).
@@ -302,7 +206,7 @@ func (a *OnlineAuditor) Err() error {
 	if len(a.violations) == 0 {
 		return nil
 	}
-	return fmt.Errorf("trace: online audit: %d violation(s), first: %s", a.nviol.Load(), a.violations[0])
+	return fmt.Errorf("trace: online audit: %d violation(s), first: %s", a.nviol, a.violations[0])
 }
 
 // Stats reports progress and the size of the retained working set.
@@ -310,8 +214,8 @@ func (a *OnlineAuditor) Stats() OnlineStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := OnlineStats{
-		Events:     a.processed.Load(),
-		Violations: a.nviol.Load(),
+		Events:     a.events,
+		Violations: a.nviol,
 		Actors:     len(a.states),
 	}
 	for _, s := range a.states {
@@ -322,14 +226,9 @@ func (a *OnlineAuditor) Stats() OnlineStats {
 }
 
 // Close detaches the auditor from the recorder, audits everything
-// already emitted, joins the goroutine, and returns the retained
-// violations. The recorder remains usable (un-sinked) afterwards.
+// already emitted, and returns the retained violations. The recorder
+// remains usable (un-sinked) afterwards.
 func (a *OnlineAuditor) Close() []Violation {
 	a.rec.SetSink(nil) // flushes the pending batch to us first
-	a.rec.SetSinkFilter(nil)
-	if !a.inline {
-		close(a.ch)
-		<-a.done
-	}
 	return a.Violations()
 }

@@ -19,7 +19,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,51 +188,14 @@ type Recorder struct {
 	now       int64
 	clockSkip int
 
-	// sink, when set, receives stamped events in emission order, batched
-	// to amortize hand-off cost (online auditing). Under async delivery,
-	// events passing sinkFilter are copied into sinkBuf and full batches
-	// move onto sinkQueue under mu for a dedicated flusher goroutine, so
-	// a slow sink never stalls emitters inside the emission lock (they
-	// block only when sinkQueueMax batches pile up — bounded memory
-	// instead of a gap). Under inline delivery the sink runs directly in
-	// the emitting goroutine at batch boundaries and is handed views
-	// into the ring itself — no filter call and no copy per event, which
-	// matters because on a single-P process every sink cycle is stolen
-	// from the workload. sinkMark is the inline high-water mark: events
-	// with Seq in (sinkMark, total] have not been offered yet.
-	sink        func([]Event)
-	sinkFilter  func(Event) bool
-	sinkMode    SinkDelivery
-	sinkInline  bool // resolved from sinkMode at SetSink time
-	sinkMark    uint64
-	sinkBuf     []Event
-	sinkBatch   int
-	sinkQueue   [][]Event
-	sinkCond    *sync.Cond // signaled when sinkQueue or flusher state changes
-	sinkBusy    bool       // flusher is mid-delivery
-	sinkStop    chan struct{}
-	sinkStopped chan struct{}
+	// sink, when set, observes every event in emission order. It runs in
+	// the emitting goroutine, under mu, once sinkBatch events have
+	// accumulated, and is handed views into the ring itself — no copy and no
+	// hand-off per event. sinkMark is the high-water mark: events with Seq
+	// in (sinkMark, total] have not been offered yet.
+	sink     func([]Event)
+	sinkMark uint64
 }
-
-// SinkDelivery selects how sink batches reach the consumer.
-type SinkDelivery int
-
-const (
-	// DeliveryAuto picks DeliveryInline on a single-P process (where a
-	// flusher goroutine only adds scheduler churn to the spin-wait-heavy
-	// engine code) and DeliveryAsync otherwise.
-	DeliveryAuto SinkDelivery = iota
-	// DeliveryInline runs the sink in the emitting goroutine, under the
-	// emission lock, whenever a batch fills.
-	DeliveryInline
-	// DeliveryAsync hands batches to a flusher goroutine, keeping sink
-	// latency out of the emission path.
-	DeliveryAsync
-)
-
-// sinkQueueMax bounds the undelivered batches a lagging sink can pile
-// up before emitters block (backpressure instead of unbounded memory).
-const sinkQueueMax = 64
 
 // clockEvery bounds timestamp staleness: one wall-clock read per this
 // many events. Event At values stay monotonically non-decreasing and
@@ -241,10 +203,10 @@ const sinkQueueMax = 64
 // microseconds stale at worst.
 const clockEvery = 16
 
-// defaultSinkBatch bounds how many events are buffered before the sink
-// is invoked; small enough that a violation surfaces promptly, large
-// enough that hot-path emitters rarely pay the hand-off.
-const defaultSinkBatch = 256
+// sinkBatch bounds how many events accumulate before the sink is invoked;
+// small enough that a violation surfaces promptly, large enough that
+// hot-path emitters rarely pay the call.
+const sinkBatch = 256
 
 // NewRecorder builds a recorder keeping the last capacity events
 // (minimum 1024; 0 selects the 256Ki default).
@@ -255,13 +217,11 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 1024 {
 		capacity = 1024
 	}
-	r := &Recorder{
+	return &Recorder{
 		start:    time.Now(),
 		capacity: capacity,
 		buf:      make([]Event, 0, capacity),
 	}
-	r.sinkCond = sync.NewCond(&r.mu)
-	return r
 }
 
 // Emit appends one event, stamping Seq and At.
@@ -295,190 +255,62 @@ func (r *Recorder) emit(e *Event) {
 	} else {
 		r.buf[int((r.total-1)%uint64(r.capacity))] = *e
 	}
-	if r.sink != nil {
-		if r.sinkInline {
-			if r.total-r.sinkMark >= uint64(r.sinkBatch) {
-				r.flushSinkLocked()
-			}
-		} else if r.sinkFilter == nil || r.sinkFilter(*e) {
-			r.sinkBuf = append(r.sinkBuf, *e)
-			if len(r.sinkBuf) >= r.sinkBatch {
-				r.flushSinkLocked()
-			}
-		}
+	if r.sink != nil && r.total-r.sinkMark >= sinkBatch {
+		r.flushSinkLocked()
 	}
 	r.mu.Unlock()
 }
 
-// flushSinkLocked delivers everything pending for the sink. Called with
-// r.mu held.
+// flushSinkLocked offers the sink everything emitted since the last offer.
+// Called with r.mu held.
 //
-// Inline mode is zero-copy: the undelivered range (sinkMark, total] is
-// handed to the sink as one or two views directly into the ring. That is
-// safe because the inline sink consumes the batch before returning
-// (still under r.mu, so no emitter can advance the ring), and the range
-// is at most sinkBatch events while overwrite of a slot needs a full
-// capacity (≥1024) more emissions. The sink sees the unfiltered stream;
-// consumers that care (the online auditor) skip irrelevant events in a
-// few nanoseconds via their routing caches, cheaper than a per-event
-// filter call plus copy in the emission path.
-//
-// Async mode transfers ownership of the accumulated batch onto the
-// delivery queue for the flusher goroutine. If the queue is full (the
-// sink is lagging badly), emitters block here — bounded memory and no
-// gaps, because a gap in the stream would let the auditor fabricate
-// violations.
+// Delivery is zero-copy: the undelivered range (sinkMark, total] is handed
+// over as one or two views directly into the ring. That is safe because the
+// sink consumes the batch before returning, still under r.mu, so no emitter
+// can advance the ring under it, and the range never exceeds the ring: it is
+// flushed at sinkBatch events and capacity is at least 1024. The sink
+// sees the unfiltered stream; consumers that care (the online auditor) skip
+// irrelevant events in a few nanoseconds, cheaper than a filter call plus a
+// copy per event in the emission path.
 func (r *Recorder) flushSinkLocked() {
-	if r.sink == nil {
+	mark, n := r.sinkMark, int(r.total-r.sinkMark)
+	if r.sink == nil || n <= 0 {
 		return
 	}
-	if r.sinkInline {
-		mark, n := r.sinkMark, int(r.total-r.sinkMark)
-		if n <= 0 {
-			return
-		}
-		r.sinkMark = r.total
-		i := int(mark % uint64(r.capacity))
-		if i+n <= len(r.buf) {
-			r.sink(r.buf[i : i+n])
-			return
-		}
-		r.sink(r.buf[i:])
-		r.sink(r.buf[:n-(len(r.buf)-i)])
+	r.sinkMark = r.total
+	i := int(mark % uint64(r.capacity))
+	if i+n <= len(r.buf) {
+		r.sink(r.buf[i : i+n])
 		return
 	}
-	if len(r.sinkBuf) == 0 {
-		return
-	}
-	batch := r.sinkBuf
-	r.sinkBuf = make([]Event, 0, r.sinkBatch)
-	r.sinkQueue = append(r.sinkQueue, batch)
-	r.sinkCond.Broadcast()
-	for len(r.sinkQueue) > sinkQueueMax {
-		r.sinkCond.Wait()
-	}
-}
-
-// drainSinkLocked waits until every queued batch has been delivered by
-// the flusher. Called with r.mu held.
-func (r *Recorder) drainSinkLocked() {
-	for len(r.sinkQueue) > 0 || r.sinkBusy {
-		r.sinkCond.Wait()
-	}
-}
-
-// sinkFlusher delivers queued batches to the sink in order, outside the
-// emission lock: a slow consumer (the auditor catching up) delays only
-// delivery, not emitters — until the bounded queue fills. It exits when
-// stop is closed and the queue is empty, so nothing queued is ever
-// abandoned.
-func (r *Recorder) sinkFlusher(stop chan struct{}, stopped chan struct{}) {
-	defer close(stopped)
-	r.mu.Lock()
-	for {
-		for len(r.sinkQueue) == 0 {
-			select {
-			case <-stop:
-				r.mu.Unlock()
-				return
-			default:
-			}
-			r.sinkCond.Wait()
-		}
-		batch := r.sinkQueue[0]
-		r.sinkQueue = r.sinkQueue[1:]
-		sink := r.sink
-		r.sinkBusy = true
-		r.mu.Unlock()
-		sink(batch)
-		r.mu.Lock()
-		r.sinkBusy = false
-		r.sinkCond.Broadcast()
-	}
+	r.sink(r.buf[i:])
+	r.sink(r.buf[:n-(len(r.buf)-i)])
 }
 
 // SetSink installs (or with nil removes) a consumer that observes every
-// event passing the sink filter, in emission order. Any batch pending
-// for the previous sink is delivered to it first and its flusher
-// goroutine joined, so detaching with SetSink(nil) guarantees no event
-// is silently lost and nothing keeps running. The sink must not call
-// back into the recorder.
+// subsequent event, in emission order, in batches. Events pending for the
+// previous sink are delivered to it first, so detaching with SetSink(nil)
+// loses nothing. The sink runs under the recorder's lock: it must be quick
+// and must not call back into the recorder.
 func (r *Recorder) SetSink(fn func([]Event)) {
 	r.mu.Lock()
-	r.flushSinkLocked()
-	r.drainSinkLocked()
-	stop, stopped := r.sinkStop, r.sinkStopped
-	r.sinkStop, r.sinkStopped = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		r.mu.Lock()
-		r.sinkCond.Broadcast() // wake the flusher out of its idle wait
-		r.mu.Unlock()
-		<-stopped
-	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Batches queued by emitters racing the flusher teardown still
-	// belong to the previous sink; deliver them before switching.
-	if old := r.sink; old != nil {
-		for _, batch := range r.sinkQueue {
-			old(batch)
-		}
-		r.sinkQueue = nil
-	}
+	r.flushSinkLocked()
 	r.sink = fn
-	r.sinkInline = r.sinkMode == DeliveryInline ||
-		(r.sinkMode == DeliveryAuto && runtime.GOMAXPROCS(0) == 1)
-	r.sinkMark = r.total // a new sink observes only subsequent events
-	if fn != nil {
-		if r.sinkBatch == 0 {
-			r.sinkBatch = defaultSinkBatch
-		}
-		if !r.sinkInline {
-			r.sinkStop = make(chan struct{})
-			r.sinkStopped = make(chan struct{})
-			go r.sinkFlusher(r.sinkStop, r.sinkStopped)
-		}
-	}
+	r.sinkMark = r.total
 }
 
-// SetSinkDelivery selects how batches reach the sink (see SinkDelivery;
-// the default is DeliveryAuto). Takes effect at the next SetSink call.
-func (r *Recorder) SetSinkDelivery(mode SinkDelivery) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sinkMode = mode
-}
-
-// SetSinkFilter installs (or with nil removes) a predicate consulted at
-// emission time under async delivery: events it rejects are recorded in
-// the ring but never copied to the sink, which roughly halves hand-off
-// volume when the consumer is the online auditor. Inline delivery
-// ignores the filter — its batches are zero-copy views into the ring,
-// and a filter call per event would cost more in the emission path than
-// the consumer's own skip logic does. Any pending batch is queued under
-// the previous filter first, preserving order.
-func (r *Recorder) SetSinkFilter(f func(Event) bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.flushSinkLocked()
-	r.sinkFilter = f
-}
-
-// FlushSink pushes any partially filled batch to the sink and waits
-// until it (and everything queued before it) has been delivered (end of
-// a run, or a test that wants prompt auditing).
+// FlushSink delivers the partially filled batch to the sink (end of a run,
+// or a test that wants prompt auditing).
 func (r *Recorder) FlushSink() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushSinkLocked()
-	r.drainSinkLocked()
 }
 
 // Tail returns up to n of the most recently retained events in emission
 // order (n <= 0 returns everything retained). Used by the flight
-// recorder and the /debug/trace/tail endpoint.
+// recorder and the /trace endpoint.
 func (r *Recorder) Tail(n int) []Event {
 	all := r.Events()
 	if n > 0 && len(all) > n {

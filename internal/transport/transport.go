@@ -1,9 +1,9 @@
 // Package transport carries chain-replication messages between replicas.
-// Two implementations share one interface: an in-process transport with
-// configurable per-hop latency (the benchmark substrate standing in for the
-// paper's RDMA network — what matters to the results is the ratio of
-// network hop latency to copy latency, which the knob preserves), and a
-// TCP/gob transport for running a chain across real processes.
+// The one implementation is an in-process transport with configurable
+// per-hop latency (the benchmark substrate standing in for the paper's RDMA
+// network — what matters to the results is the ratio of network hop latency
+// to copy latency, which the knob preserves); the Transport interface is
+// the seam the chain's tests wrap to intercept and drop messages.
 package transport
 
 import (
@@ -11,8 +11,7 @@ import (
 	"fmt"
 )
 
-// NodeID names a replica endpoint. For the TCP transport it is the listen
-// address.
+// NodeID names a replica endpoint.
 type NodeID string
 
 // Kind discriminates chain protocol messages.
@@ -41,7 +40,7 @@ const (
 	// KindOpBatch carries several transactions down the chain in one
 	// message (the head or a forwarding replica coalesced them). Seq is
 	// the batch's highest sequence number; the per-op fields live in
-	// Batch. Appended so earlier kinds keep their gob values.
+	// Batch.
 	KindOpBatch
 	// KindStateSnap asks a donor replica to freeze at a transaction
 	// boundary and describe a heap snapshot for a joining replica: the
@@ -68,7 +67,7 @@ type BatchedOp struct {
 	Args []byte
 }
 
-// Message is the single wire format for all chain traffic (gob-friendly).
+// Message is the single format for all chain traffic.
 type Message struct {
 	Kind   Kind
 	From   NodeID

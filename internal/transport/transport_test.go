@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,77 +116,4 @@ func TestInProcConcurrentSends(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("not all messages delivered")
 	}
-}
-
-func freeAddrs(t *testing.T, n int) []NodeID {
-	t.Helper()
-	out := make([]NodeID, n)
-	for i := range out {
-		out[i] = NodeID(fmt.Sprintf("127.0.0.1:%d", 39000+i))
-	}
-	return out
-}
-
-func TestTCPSendAndCall(t *testing.T) {
-	tr := NewTCP()
-	defer tr.Close()
-	addrs := freeAddrs(t, 2)
-	testTransportSendAndCall(t, tr, addrs[0], addrs[1])
-}
-
-func TestTCPLargePayload(t *testing.T) {
-	tr := NewTCP()
-	defer tr.Close()
-	addr := NodeID("127.0.0.1:39100")
-	if err := tr.Register(addr, func(m *Message) *Message {
-		return &Message{Blocks: m.Blocks}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	big := make([]byte, 1<<20)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	reply, err := tr.Call(addr, &Message{Kind: KindFetch, Blocks: [][]byte{big}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Blocks) != 1 || len(reply.Blocks[0]) != len(big) {
-		t.Fatalf("payload mangled: %d blocks", len(reply.Blocks))
-	}
-	for i := 0; i < len(big); i += 4096 {
-		if reply.Blocks[0][i] != byte(i) {
-			t.Fatalf("payload corrupted at %d", i)
-		}
-	}
-}
-
-func TestTCPConcurrentCalls(t *testing.T) {
-	tr := NewTCP()
-	defer tr.Close()
-	addr := NodeID("127.0.0.1:39101")
-	if err := tr.Register(addr, func(m *Message) *Message {
-		return &Message{Seq: m.Seq * 2}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(base uint64) {
-			defer wg.Done()
-			for i := uint64(1); i <= 20; i++ {
-				seq := base*1000 + i
-				reply, err := tr.Call(addr, &Message{Seq: seq})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if reply.Seq != seq*2 {
-					t.Errorf("reply %d for call %d", reply.Seq, seq)
-				}
-			}
-		}(uint64(g))
-	}
-	wg.Wait()
 }

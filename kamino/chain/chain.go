@@ -66,9 +66,6 @@ type Options struct {
 	// BatchDelay is how long the head waits for more submissions after
 	// the first before sealing a batch; zero (the default) never waits.
 	BatchDelay time.Duration
-	// GroupCommit enables intent-log group commit inside each replica's
-	// local engine (see kamino.Options.GroupCommit).
-	GroupCommit bool
 	// Trace, when non-nil, records every replica's chain protocol
 	// events and local engine events; head-minted trace ids correlate
 	// one transaction across the whole chain.
@@ -145,7 +142,6 @@ func New(opts Options) (*Cluster, error) {
 			BatchOps:     opts.BatchOps,
 			BatchBytes:   opts.BatchBytes,
 			BatchDelay:   opts.BatchDelay,
-			GroupCommit:  opts.GroupCommit,
 			Registry:     reg,
 			Transport:    tr,
 			Manager:      mgr,

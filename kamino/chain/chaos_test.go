@@ -74,12 +74,9 @@ func (w *chaosWorker) run(cl *Cluster, stop <-chan struct{}) {
 
 // chaosWatchdog wires the stall watchdog to a live cluster with the probes
 // the schedule can wedge: head admission making no progress while locks are
-// held, and a replica's ring filling toward capacity. Its alarms are
-// logged, not fatal: they say where to look when the test fails. (The
-// experiment this test replaces also watched the head engine's
-// backup_pending_txs gauge; Cluster.Obs reads each pool's engine pointer
-// with no lock, and a promotion or a reboot swaps it, so that probe was a
-// data race the moment the schedule ran under the detector.)
+// held, the head's backup applier falling behind, and a replica's ring
+// filling toward capacity. Its alarms are logged, not fatal: they say where
+// to look when the test fails.
 func chaosWatchdog(cl *Cluster) *obs.Watchdog {
 	wd := obs.NewWatchdog(250*time.Millisecond, nil)
 	// 10 ticks at 250ms: two and a half seconds of held locks or waiters
@@ -91,6 +88,18 @@ func chaosWatchdog(cl *Cluster) *obs.Watchdog {
 		}
 		head := infos[0].Info
 		return head.LastExec, uint64(len(head.LockedKeys) + head.Waiters)
+	}, 10))
+	// The head engine's backup_pending_txs gauge growing strictly for ten
+	// straight samples means the asynchronous backup applier stopped
+	// keeping up — the paper's bounded-lag claim (§4) is breaking. Cluster.Obs
+	// reads each pool's engine while a promotion or a reboot replaces it;
+	// the pool publishes it atomically, so this is safe under the detector.
+	wd.Add(obs.GrowthProbe("backup-lag", func() uint64 {
+		regs := cl.Obs()
+		if len(regs) < 2 {
+			return 0
+		}
+		return regs[1].Snapshot().Gauges["backup_pending_txs"]
 	}, 10))
 	// Acknowledged-prefix truncation should keep each replica's ring far
 	// below capacity; 80% occupancy — its two ranges share the one ring —

@@ -169,7 +169,7 @@ func (p *Pool) RegisterIndexSource(name string, fn func() ([]byte, error)) {
 func (p *Pool) IndexSection(name string) ([]byte, bool) {
 	p.idxMu.Lock()
 	defer p.idxMu.Unlock()
-	if p.idxStash == nil || p.idxStashEpoch != p.eng.Heap().Epoch() {
+	if p.idxStash == nil || p.idxStashEpoch != p.Engine().Heap().Epoch() {
 		return nil, false
 	}
 	data, ok := p.idxStash[name]
@@ -187,16 +187,17 @@ func (p *Pool) collectIndex() []byte {
 		sources[n] = fn
 	}
 	p.idxMu.Unlock()
+	eng := p.Engine()
 	sections := make(map[string][]byte, len(sources)+1)
 	for name, fn := range sources {
 		data, err := fn()
 		if err != nil || data == nil {
-			p.eng.Obs().Counter("index_ckpt_source_errors").Inc()
+			eng.Obs().Counter("index_ckpt_source_errors").Inc()
 			continue
 		}
 		sections[name] = data
 	}
-	if enc, ok := p.eng.(interface{ EncodeBackupIndex() ([]byte, bool) }); ok {
+	if enc, ok := eng.(interface{ EncodeBackupIndex() ([]byte, bool) }); ok {
 		if data, ok := enc.EncodeBackupIndex(); ok {
 			sections[backupIndexSection] = data
 		}
@@ -204,7 +205,7 @@ func (p *Pool) collectIndex() []byte {
 	if len(sections) == 0 {
 		return nil
 	}
-	return encodeIndexBlob(p.eng.Heap().Epoch(), sections)
+	return encodeIndexBlob(eng.Heap().Epoch(), sections)
 }
 
 // storeIndexBlob persists blob to every durable home the pool has: the
@@ -218,7 +219,7 @@ func (p *Pool) storeIndexBlob(blob []byte) error {
 				return err
 			}
 		} else {
-			p.eng.Obs().Counter("index_ckpt_overflow").Inc()
+			p.Engine().Obs().Counter("index_ckpt_overflow").Inc()
 		}
 	}
 	if dir := p.opts.Dir; dir != "" {
@@ -247,8 +248,9 @@ func (p *Pool) storeIndexBlob(blob []byte) error {
 // Callers should stop issuing transactions for the duration (kaminod uses
 // server.Quiesce); Checkpoint calls this automatically.
 func (p *Pool) SnapshotIndex() error {
-	p.eng.Drain()
-	p.eng.Heap().ArmEpoch()
+	eng := p.Engine()
+	eng.Drain()
+	eng.Heap().ArmEpoch()
 	blob := p.collectIndex()
 	if blob == nil {
 		return nil
@@ -276,7 +278,7 @@ func (p *Pool) loadIndexStash(raw []byte) {
 // or an engine that does not report stages. kaminod logs it; the recovery
 // benchmark attributes time-to-first-transaction with it.
 func (p *Pool) RecoveryReport() []recovery.StageReport {
-	if r, ok := p.eng.(interface{ RecoveryReport() []recovery.StageReport }); ok {
+	if r, ok := p.Engine().(interface{ RecoveryReport() []recovery.StageReport }); ok {
 		return r.RecoveryReport()
 	}
 	return nil

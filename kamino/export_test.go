@@ -40,6 +40,6 @@ func Reattach(opts Options, regs []*nvm.Region) (*Pool, error) {
 	if err := p.makeEngine(false); err != nil {
 		return nil, err
 	}
-	p.root, err = p.eng.Heap().Root()
+	p.root, err = p.Engine().Heap().Root()
 	return p, err
 }

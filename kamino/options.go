@@ -92,14 +92,6 @@ type Options struct {
 	// copy-back order). Default GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
 
-	// GroupCommit enables intent-log group commit for Kamino modes: a
-	// dedicated committer absorbs concurrent transactions' commit-marker
-	// persists into one flush+fence epoch. Worthwhile under concurrent
-	// commit load (it amortizes the fence); a lone transaction pays an
-	// extra hand-off. Per-transaction abort and crash-recovery semantics
-	// are unchanged. Ignored by the baseline modes. Default off.
-	GroupCommit bool
-
 	// Strict enables full crash-simulation fidelity on the underlying
 	// NVM regions (durable shadow images, line-granular crash loss).
 	// Required for Pool.Crash; costs roughly 2× memory and extra
@@ -145,8 +137,7 @@ type Options struct {
 }
 
 // applyOverrides merges an Open-time override into stored options. Runtime
-// tunables (ApplierWorkers, GroupCommit, latencies, Trace,
-// Blackbox, BlackboxBytes) replace the stored value when set. Structural
+// tunables (ApplierWorkers, latencies, Trace, Blackbox, BlackboxBytes) replace the stored value when set. Structural
 // fields describe the checkpointed images and cannot be changed by
 // reopening: a non-zero structural field in the override must equal the
 // stored value or the open fails, instead of silently reinterpreting the
@@ -174,9 +165,6 @@ func (o Options) applyOverrides(ov Options) (Options, error) {
 	}
 	if ov.ApplierWorkers != 0 {
 		o.ApplierWorkers = ov.ApplierWorkers
-	}
-	if ov.GroupCommit {
-		o.GroupCommit = true
 	}
 	if ov.FlushLatency != 0 {
 		o.FlushLatency = ov.FlushLatency

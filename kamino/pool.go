@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/engine/cow"
@@ -55,7 +56,11 @@ type Stats = engine.Stats
 // Pool is a transactional persistent object heap.
 type Pool struct {
 	opts Options
-	eng  engine.Engine
+	// eng is the current engine incarnation. Crash, Reload and Promote
+	// replace it while introspection (Obs, Stats, Engine) may be reading
+	// from other goroutines, so it is published through an atomic pointer:
+	// a reader sees the old engine or the new one, never a torn interface.
+	eng  atomic.Pointer[engine.Engine]
 	root ObjID
 
 	mainReg, backupReg, logReg *nvm.Region
@@ -108,8 +113,9 @@ func Create(opts Options) (*Pool, error) {
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	p.eng.Drain()
-	if err := p.eng.Heap().SetRoot(root); err != nil {
+	eng := p.Engine()
+	eng.Drain()
+	if err := eng.Heap().SetRoot(root); err != nil {
 		return nil, err
 	}
 	p.root = root
@@ -188,12 +194,15 @@ func (p *Pool) makeIndexRegion() error {
 // mechanism has one constructor for fresh regions and one that reopens.
 func (p *Pool) makeEngine(fresh bool) error {
 	main, log, logCfg := p.mainReg, p.logReg, p.opts.logConfig()
-	var err error
+	var (
+		eng engine.Engine
+		err error
+	)
 	switch mode := p.opts.Mode; {
 	case mode == ModeSimple || mode == ModeDynamic:
-		cfg := kamino.Config{Log: logCfg, ApplierWorkers: p.opts.ApplierWorkers, GroupCommit: p.opts.GroupCommit}
+		cfg := kamino.Config{Log: logCfg, ApplierWorkers: p.opts.ApplierWorkers}
 		if fresh {
-			p.eng, err = kamino.New(main, p.backupReg, log, cfg)
+			eng, err = kamino.New(main, p.backupReg, log, cfg)
 			break
 		}
 		// Offer the restored lookup-table snapshot (if any); the engine
@@ -201,47 +210,48 @@ func (p *Pool) makeEngine(fresh bool) error {
 		if data, ok := p.idxStash[backupIndexSection]; ok {
 			cfg.BackupIndex = &kamino.BackupIndexSnapshot{Epoch: p.idxStashEpoch, Data: data}
 		}
-		p.eng, err = kamino.Open(main, p.backupReg, log, cfg)
+		eng, err = kamino.Open(main, p.backupReg, log, cfg)
 	case mode == ModeUndo && fresh:
-		p.eng, err = undo.New(main, log, logCfg)
+		eng, err = undo.New(main, log, logCfg)
 	case mode == ModeUndo:
-		p.eng, err = undo.Open(main, log)
+		eng, err = undo.Open(main, log)
 	case mode == ModeCoW && fresh:
-		p.eng, err = cow.New(main, log, logCfg)
+		eng, err = cow.New(main, log, logCfg)
 	case mode == ModeCoW:
-		p.eng, err = cow.Open(main, log)
+		eng, err = cow.Open(main, log)
 	case mode == ModeNoLog && fresh:
-		p.eng, err = nolog.New(main)
+		eng, err = nolog.New(main)
 	case mode == ModeNoLog:
-		p.eng, err = nolog.Open(main)
+		eng, err = nolog.Open(main)
 	case mode == ModeInPlace && fresh:
-		p.eng, err = inplace.New(main, log, logCfg)
+		eng, err = inplace.New(main, log, logCfg)
 	case mode == ModeInPlace:
-		p.eng, err = inplace.Open(main, log)
+		eng, err = inplace.Open(main, log)
 	default:
 		err = fmt.Errorf("kamino: unknown mode %q", mode)
 	}
 	if err != nil {
-		// Leave no typed-nil engine behind: Close checks p.eng == nil to
-		// decide whether there is an engine to drain.
-		p.eng = nil
+		// Leave no engine behind: Close checks for nil to decide whether
+		// there is an engine to drain.
+		p.eng.Store(nil)
 		return err
 	}
-	p.attachTrace()
+	p.attachTrace(eng)
+	p.eng.Store(&eng)
 	return nil
 }
 
 // attachTrace registers this engine incarnation with the pool's trace
 // recorder (if any). A fresh actor id is minted per incarnation so events
 // from before and after a Crash or Promote land under distinct actors.
-func (p *Pool) attachTrace() {
+func (p *Pool) attachTrace(eng engine.Engine) {
 	rec := p.opts.Trace
 	if rec == nil {
 		return
 	}
-	actor := fmt.Sprintf("%s#%d", p.eng.Name(), rec.NextActorID())
+	actor := fmt.Sprintf("%s#%d", eng.Name(), rec.NextActorID())
 	p.engActor = actor
-	p.eng.SetTracer(rec.Tracer(actor))
+	eng.SetTracer(rec.Tracer(actor))
 	p.mainReg.SetTracer(rec.Tracer(actor + "/main"))
 	if p.backupReg != nil {
 		p.backupReg.SetTracer(rec.Tracer(actor + "/backup"))
@@ -260,7 +270,7 @@ func (p *Pool) Mode() Mode { return p.opts.Mode }
 
 // Begin starts a transaction.
 func (p *Pool) Begin() (*Tx, error) {
-	inner, err := p.eng.Begin()
+	inner, err := p.Engine().Begin()
 	if err != nil {
 		return nil, err
 	}
@@ -311,18 +321,24 @@ func (p *Pool) View(fn func(*Tx) error) error {
 
 // Drain blocks until all asynchronous post-commit work (Kamino's backup
 // syncs) has finished.
-func (p *Pool) Drain() { p.eng.Drain() }
+func (p *Pool) Drain() { p.Engine().Drain() }
 
 // Stats returns cumulative engine counters.
-func (p *Pool) Stats() Stats { return p.eng.Stats() }
+func (p *Pool) Stats() Stats { return p.Engine().Stats() }
 
 // Obs returns the engine's observability registry: counters, NVM gauges,
 // and per-transaction phase latency histograms.
-func (p *Pool) Obs() *obs.Registry { return p.eng.Obs() }
+func (p *Pool) Obs() *obs.Registry { return p.Engine().Obs() }
 
-// Engine exposes the underlying engine. Internal benchmarks use it; most
+// Engine exposes the current engine incarnation (nil only after a failed
+// crash-reopen, reload or promotion). Internal benchmarks use it; most
 // applications should not.
-func (p *Pool) Engine() engine.Engine { return p.eng }
+func (p *Pool) Engine() engine.Engine {
+	if e := p.eng.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
 
 // NVMStats returns the main region's device-level counters (flushes,
 // fences, bytes written).
@@ -352,8 +368,9 @@ func (p *Pool) crash(keep func(line int) bool) error {
 	if !p.opts.Strict {
 		return nvm.ErrFastMode
 	}
-	p.eng.Drain()
-	if err := p.eng.Close(); err != nil {
+	old := p.Engine()
+	old.Drain()
+	if err := old.Close(); err != nil {
 		return err
 	}
 	for _, r := range []*nvm.Region{p.mainReg, p.backupReg, p.logReg} {
@@ -396,7 +413,7 @@ func (p *Pool) crash(keep func(line int) bool) error {
 	if err := p.makeEngine(false); err != nil {
 		return err
 	}
-	root, err := p.eng.Heap().Root()
+	root, err := p.Engine().Heap().Root()
 	if err != nil {
 		return err
 	}
@@ -418,12 +435,13 @@ func (p *Pool) storeFlightRecord(partial bool) {
 	if partial {
 		reason = "crash_partial"
 	}
+	eng := p.Engine()
 	fr := trace.BuildFlightRecord(p.opts.Trace, reason, flightTailEvents)
 	fr.Actor = p.engActor
 	if fr.Actor == "" {
-		fr.Actor = p.eng.Name()
+		fr.Actor = eng.Name()
 	}
-	fr.Obs = []obs.Snapshot{p.eng.Obs().Snapshot()}
+	fr.Obs = []obs.Snapshot{eng.Obs().Snapshot()}
 	if p.crashCtx != nil {
 		fr.Chain = p.crashCtx()
 	}
@@ -462,8 +480,9 @@ func (p *Pool) retrieveFlightRecord() {
 	p.lastFlightRaw = raw
 	p.lastFlight = fr
 	at := uint64(fr.WallNS)
-	p.eng.Obs().Gauge("last_crash_unix_ns", func() uint64 { return at })
-	p.eng.Obs().Counter("flight_records").Inc()
+	o := p.Engine().Obs()
+	o.Gauge("last_crash_unix_ns", func() uint64 { return at })
+	o.Counter("flight_records").Inc()
 }
 
 // SetCrashContext registers a callback that contributes extra context to
@@ -490,8 +509,9 @@ func (p *Pool) FlightRecordBytes() []byte { return p.lastFlightRaw }
 // Crash it loses nothing and needs no Strict mode — the regions are kept
 // exactly as written.
 func (p *Pool) Reload() error {
-	p.eng.Drain()
-	if err := p.eng.Close(); err != nil {
+	old := p.Engine()
+	old.Drain()
+	if err := old.Close(); err != nil {
 		return err
 	}
 	// The regions now hold a donor's image: any restored index snapshot
@@ -500,7 +520,7 @@ func (p *Pool) Reload() error {
 	if err := p.makeEngine(false); err != nil {
 		return err
 	}
-	root, err := p.eng.Heap().Root()
+	root, err := p.Engine().Heap().Root()
 	if err != nil {
 		return err
 	}
@@ -518,14 +538,14 @@ func (p *Pool) Promote(alpha float64) error {
 	if p.opts.Mode != ModeInPlace {
 		return fmt.Errorf("kamino: Promote from mode %q (only %q replicas promote)", p.opts.Mode, ModeInPlace)
 	}
-	ie, ok := p.eng.(*inplace.Engine)
+	ie, ok := p.Engine().(*inplace.Engine)
 	if !ok {
 		return errors.New("kamino: engine mismatch for in-place pool")
 	}
 	if len(ie.PendingRecovery()) > 0 {
 		return errors.New("kamino: unresolved chain recovery; resolve before promoting")
 	}
-	if err := p.eng.Close(); err != nil {
+	if err := ie.Close(); err != nil {
 		return err
 	}
 	var err error
@@ -562,24 +582,25 @@ func (p *Pool) Promote(alpha float64) error {
 // InPlaceEngine exposes the chain-recovery hooks of an in-place replica
 // pool (nil for other modes).
 func (p *Pool) InPlaceEngine() *inplace.Engine {
-	ie, _ := p.eng.(*inplace.Engine)
+	ie, _ := p.Engine().(*inplace.Engine)
 	return ie
 }
 
 // Close drains, checkpoints (if file-backed) and shuts the pool down.
 func (p *Pool) Close() error {
-	if p.eng == nil {
+	eng := p.Engine()
+	if eng == nil {
 		// A failed crash-reopen or reload left no live engine; there is
 		// nothing to drain or checkpoint.
 		return nil
 	}
-	p.eng.Drain()
+	eng.Drain()
 	if p.opts.Dir != "" {
 		if err := p.Checkpoint(); err != nil {
 			return err
 		}
 	}
-	return p.eng.Close()
+	return eng.Close()
 }
 
 // poolMeta is the JSON sidecar describing a file-backed pool. The first
@@ -596,8 +617,7 @@ type poolMeta struct {
 	LogDataBytesPerSlot int     `json:"log_data_bytes_per_slot"`
 	Strict              bool    `json:"strict"`
 
-	ApplierWorkers int  `json:"applier_workers,omitempty"`
-	GroupCommit    bool `json:"group_commit,omitempty"`
+	ApplierWorkers int `json:"applier_workers,omitempty"`
 }
 
 // Checkpoint saves the pool's durable images to Options.Dir. Safe to call
@@ -617,10 +637,11 @@ func (p *Pool) Checkpoint() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	p.eng.Drain()
+	eng := p.Engine()
+	eng.Drain()
 	// Arm before collecting: a transaction that sneaks past the drain
 	// bumps the image epoch and invalidates the blob it raced with.
-	p.eng.Heap().ArmEpoch()
+	eng.Heap().ArmEpoch()
 	blob := p.collectIndex()
 	var idxErr chan error
 	if blob != nil {
@@ -637,7 +658,6 @@ func (p *Pool) Checkpoint() error {
 		LogDataBytesPerSlot: p.opts.LogDataBytesPerSlot,
 		Strict:              p.opts.Strict,
 		ApplierWorkers:      p.opts.ApplierWorkers,
-		GroupCommit:         p.opts.GroupCommit,
 	}
 	buf, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -671,9 +691,9 @@ func (p *Pool) Checkpoint() error {
 // or Close, running crash recovery over the restored images.
 //
 // An optional Options value overrides runtime tunables for this
-// incarnation — ApplierWorkers, GroupCommit, FlushLatency, FenceLatency,
-// Trace, Blackbox, BlackboxBytes. Structural fields (Mode,
-// HeapSize, log geometry, …) describe the stored images; setting one in
+// incarnation — ApplierWorkers, FlushLatency, FenceLatency, Trace,
+// Blackbox, BlackboxBytes. Structural fields (Mode, HeapSize, log
+// geometry, …) describe the stored images; setting one in
 // the override to anything but its zero value or the stored value is a
 // configuration error. This replaces the old post-hoc attach pattern
 // (Pool.SetTrace): every knob is in force before recovery runs, so even
@@ -697,7 +717,6 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 		LogDataBytesPerSlot: meta.LogDataBytesPerSlot,
 		Strict:              meta.Strict,
 		ApplierWorkers:      meta.ApplierWorkers,
-		GroupCommit:         meta.GroupCommit,
 		Dir:                 dir,
 	}
 	for _, ov := range overrides {
@@ -753,7 +772,7 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 	if err := p.makeEngine(false); err != nil {
 		return nil, err
 	}
-	root, err := p.eng.Heap().Root()
+	root, err := p.Engine().Heap().Root()
 	if err != nil {
 		return nil, err
 	}

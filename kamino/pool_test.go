@@ -286,3 +286,62 @@ func TestStatsExposed(t *testing.T) {
 		t.Error("no device flushes recorded")
 	}
 }
+
+// TestIntrospectionAcrossEngineSwap: Obs, Stats and Engine may be called
+// from other goroutines (a metrics scrape, a watchdog probe) while Crash,
+// Reload and Promote replace the engine; a reader must see the old engine
+// or the new one. Meaningful under -race.
+func TestIntrospectionAcrossEngineSwap(t *testing.T) {
+	p, err := Create(Options{Mode: ModeInPlace, HeapSize: 1 << 20, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if p.Obs().Snapshot().Name == "" || p.Engine().Name() == "" {
+				t.Error("introspection saw an unnamed engine")
+				return
+			}
+			_ = p.Stats()
+		}
+	}()
+	update := func() {
+		t.Helper()
+		if err := p.Update(func(tx *Tx) error {
+			if err := tx.Add(p.Root()); err != nil {
+				return err
+			}
+			return tx.SetUint64(p.Root(), 0, 1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		update()
+		if err := p.Crash(); err != nil {
+			t.Fatalf("Crash: %v", err)
+		}
+		update()
+		p.Drain()
+		if err := p.Reload(); err != nil {
+			t.Fatalf("Reload: %v", err)
+		}
+	}
+	if err := p.Promote(1); err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	update()
+	close(stop)
+	<-done
+	if got := p.Engine().Name(); got != "kamino" {
+		t.Errorf("engine after promotion = %q, want kamino", got)
+	}
+}

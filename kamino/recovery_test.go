@@ -127,10 +127,9 @@ func TestIndexCheckpointStaleFallsCold(t *testing.T) {
 func TestOpenOverrides(t *testing.T) {
 	dir := t.TempDir()
 	pool, err := kamino.Create(kamino.Options{
-		Mode:        kamino.ModeSimple,
-		HeapSize:    4 << 20,
-		Dir:         dir,
-		GroupCommit: true,
+		Mode:     kamino.ModeSimple,
+		HeapSize: 4 << 20,
+		Dir:      dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,25 +186,37 @@ func TestOpenOverrides(t *testing.T) {
 	}
 	pool.Close()
 
-	// A pool.json from when there was a Shards option still opens.
+	// A pool.json written by a binary that still had the two options since
+	// retired opens, serves its keys, and checkpoints again without either
+	// field.
 	metaPath := filepath.Join(dir, "pool.json")
 	meta, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta = bytes.Replace(meta, []byte("{"), []byte(`{"shards": 4,`), 1)
+	meta = bytes.Replace(meta, []byte("{"), []byte(`{"shards": 4, "group_commit": true,`), 1)
 	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	pool, err = kamino.Open(dir)
 	if err != nil {
-		t.Fatalf(`Open with "shards": 4 in pool.json: %v`, err)
+		t.Fatalf("Open with retired fields in pool.json: %v", err)
 	}
 	if store, err = kvstore.Open(pool); err != nil {
 		t.Fatal(err)
 	}
 	verifyStore(t, store, model)
-	pool.Close()
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if meta, err = os.ReadFile(metaPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []string{"shards", "group_commit"} {
+		if bytes.Contains(meta, []byte(retired)) {
+			t.Errorf("checkpoint wrote retired field %q back to pool.json:\n%s", retired, meta)
+		}
+	}
 }
 
 // TestOpenWarmFromFileCheckpoint: Close writes index.ckpt; the next Open
