@@ -26,7 +26,8 @@ fmt:
 # packages ride along: their view-change and watcher tests only catch the
 # historical races under the detector, and ./kamino/... brings the chaos
 # schedule (kamino/chain/chaos_test.go: kills, rejoins and a head reboot
-# under six clients, online auditor attached). The server package covers the
+# under six clients, online auditor attached, the stall watchdog sampling
+# the chain's debug state through all of it). The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
 # drain audit, whose request-admission-versus-wait ordering shows a race
 # only about one run in eight when it is wrong.
@@ -84,9 +85,11 @@ bench-gate:
 # processes: kaminod serves a file-backed store with tracing and the
 # slow-request ring armed, kaminoload preloads and drives a short
 # open-loop sweep with per-phase breakdowns, /debug/requests must answer
-# with valid JSON holding at least one captured request, then SIGTERM
-# drains the server — the target fails unless kaminod exits 0 (clean
-# drain + checkpoint) and the Chrome trace export parses.
+# with valid JSON holding at least one captured request, /metrics — the one
+# rendering of the registries — must answer Prometheus text carrying both
+# the server registry's and the engine registry's series while / answers
+# 404, then SIGTERM drains the server — the target fails unless kaminod
+# exits 0 (clean drain + checkpoint) and the Chrome trace export parses.
 serve-smoke: build
 	rm -rf out/serve && mkdir -p out/serve
 	$(GO) build -o out/serve/kaminod ./cmd/kaminod
@@ -100,11 +103,18 @@ serve-smoke: build
 	curl -fsS http://127.0.0.1:17071/debug/requests -o out/serve/requests.json || { kill $$KPID; exit 1; }; \
 	jq -e '.records | length >= 1' out/serve/requests.json >/dev/null || \
 		{ echo "serve-smoke: /debug/requests empty or not JSON"; kill $$KPID; exit 1; }; \
+	curl -fsS http://127.0.0.1:17071/metrics -o out/serve/metrics.txt || { kill $$KPID; exit 1; }; \
+	grep -q '^# TYPE kaminotx_' out/serve/metrics.txt && \
+		grep -q '^kaminotx_[a-z_]*{registry="server"} [1-9]' out/serve/metrics.txt && \
+		grep -q '^kaminotx_commits_total{registry="kamino"} [1-9]' out/serve/metrics.txt || \
+		{ echo "serve-smoke: /metrics lacks the server or the engine registry's series"; kill $$KPID; exit 1; }; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17071/)" = 404 || \
+		{ echo "serve-smoke: / must answer 404 (/metrics is the one rendering)"; kill $$KPID; exit 1; }; \
 	kill -TERM $$KPID; \
 	wait $$KPID || { echo "serve-smoke: kaminod did not exit cleanly"; exit 1; }
 	test -s out/serve/trace.json && jq -e '.traceEvents | length >= 1' out/serve/trace.json >/dev/null || \
 		{ echo "serve-smoke: Chrome trace export missing or empty"; exit 1; }
-	@echo "serve-smoke: clean drain, slow-request ring served, trace exported"
+	@echo "serve-smoke: clean drain, slow-request ring and /metrics served, trace exported"
 
 # recovery-smoke proves the restart path end to end with real processes
 # and a real kill -9: kaminod serves a file-backed store, kaminoload

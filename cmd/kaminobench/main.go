@@ -21,34 +21,25 @@
 // -audit, every event is checked against the Kamino-Tx safety invariants
 // as it is recorded (the online auditor: nothing is lost to ring
 // wrap-around); each violation is printed the moment it happens and fails
-// the run. With -metrics-addr, the live observability hub is served at /,
-// Prometheus text exposition at /metrics, the trace ring's most recent
-// events at /trace, pprof profiles at /debug/pprof/, liveness and readiness
-// at /healthz and /readyz, and structured introspection at /debug/chain,
-// /debug/locks and /debug/queues.
+// the run. The process serves nothing: what an experiment measured is in
+// its printed tables and the phase breakdown after them.
 //
 // With -profile-dir DIR, each experiment writes <experiment>.cpu.pprof
 // and <experiment>.heap.pprof into DIR.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
 	rpprof "runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"kaminotx/internal/bench"
-	"kaminotx/internal/obs"
 	"kaminotx/internal/trace"
 )
 
@@ -113,22 +104,21 @@ func printIndex(w io.Writer) {
 
 func main() {
 	var (
-		names       = flag.String("experiment", "all", "experiment id (or 'all', or comma-separated list)")
-		keys        = flag.Int("keys", 50_000, "records preloaded into the store")
-		valueSize   = flag.Int("value", 1024, "value size in bytes")
-		ops         = flag.Int("ops", 10_000, "operations per worker thread")
-		threads     = flag.Int("threads", 4, "worker threads (non-sweep experiments)")
-		flush       = flag.Duration("flush", 0, "modeled per-line flush latency (0 = harness default)")
-		fence       = flag.Duration("fence", 0, "modeled fence latency (0 = harness default)")
-		batchOps    = flag.Int("batch-ops", 0, "chain hop batch size in ops (0/1 = unbatched; chainscale sweeps its own sizes)")
-		batchBytes  = flag.Int("batch-bytes", 0, "chain hop batch payload cap in bytes (0 = default 256 KiB)")
-		batchDelay  = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live observability JSON on this HTTP address (e.g. :8089)")
-		profileDir  = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
-		traceOut    = flag.String("trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
-		traceBuf    = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
-		audit       = flag.Bool("audit", false, "audit events against the Kamino-Tx safety invariants as they are recorded, reporting violations as they happen (implies recording)")
-		list        = flag.Bool("list", false, "list experiments and exit")
+		names      = flag.String("experiment", "all", "experiment id (or 'all', or comma-separated list)")
+		keys       = flag.Int("keys", 50_000, "records preloaded into the store")
+		valueSize  = flag.Int("value", 1024, "value size in bytes")
+		ops        = flag.Int("ops", 10_000, "operations per worker thread")
+		threads    = flag.Int("threads", 4, "worker threads (non-sweep experiments)")
+		flush      = flag.Duration("flush", 0, "modeled per-line flush latency (0 = harness default)")
+		fence      = flag.Duration("fence", 0, "modeled fence latency (0 = harness default)")
+		batchOps   = flag.Int("batch-ops", 0, "chain hop batch size in ops (0/1 = unbatched; chainscale sweeps its own sizes)")
+		batchBytes = flag.Int("batch-bytes", 0, "chain hop batch payload cap in bytes (0 = default 256 KiB)")
+		batchDelay = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
+		profileDir = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
+		traceOut   = flag.String("trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
+		traceBuf   = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
+		audit      = flag.Bool("audit", false, "audit events against the Kamino-Tx safety invariants as they are recorded, reporting violations as they happen (implies recording)")
+		list       = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 	if *list {
@@ -160,64 +150,12 @@ func main() {
 		cfg.Trace = recorder
 	}
 	var auditor *trace.OnlineAuditor
-	var auditReg *obs.Registry
 	if *audit {
-		auditReg = obs.New("audit")
 		auditor = trace.AttachOnline(recorder, trace.OnlineOptions{
-			Obs: auditReg,
 			OnViolation: func(v trace.Violation) {
 				fmt.Fprintf(os.Stderr, "audit: %s\n", v)
 			},
 		})
-	}
-	var srv *http.Server
-	startTime := time.Now()
-	var ready atomic.Bool
-	if *metricsAddr != "" {
-		hub := obs.NewHub()
-		cfg.Metrics = hub
-		if auditReg != nil {
-			hub.Set(auditReg.Name(), auditReg)
-		}
-		dbg := obs.NewDebugHub()
-		cfg.Debug = dbg
-		mux := http.NewServeMux()
-		mux.Handle("/", hub)
-		mux.Handle("/metrics", hub.PromHandler())
-		if recorder != nil {
-			mux.Handle("/trace", trace.Handler(recorder))
-		}
-		mux.Handle("/healthz", obs.HealthHandler(startTime))
-		mux.Handle("/readyz", obs.ReadyHandler(ready.Load))
-		mux.Handle("/debug/chain", dbg.Handler("chain"))
-		mux.Handle("/debug/locks", dbg.Handler("locks"))
-		mux.Handle("/debug/queues", dbg.Handler("queues"))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// Listen synchronously so a bad address or occupied port is
-		// reported instead of silently racing the benchmark.
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kaminobench: metrics listener: %v\n", err)
-			os.Exit(1)
-		}
-		srv = &http.Server{Handler: mux}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "kaminobench: metrics server: %v\n", err)
-			}
-		}()
-		display := *metricsAddr
-		if strings.HasPrefix(display, ":") {
-			display = "localhost" + display
-		}
-		fmt.Printf("metrics: live registry snapshots at http://%s/ (JSON; ?label=substr filters),"+
-			" Prometheus text at /metrics, trace ring at /trace,"+
-			" pprof at /debug/pprof/, health at /healthz and /readyz,"+
-			" introspection at /debug/{chain,locks,queues}\n", display)
 	}
 	fmt.Printf("kaminobench: keys=%d value=%dB ops/thread=%d threads=%d cpus=%d\n",
 		*keys, *valueSize, *ops, *threads, runtime.NumCPU())
@@ -227,7 +165,6 @@ func main() {
 			" 16-core testbed; latency comparisons remain meaningful.")
 	}
 
-	ready.Store(true)
 	for _, e := range selected {
 		start := time.Now()
 		if err := runOne(cfg, e, *profileDir); err != nil {
@@ -247,13 +184,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "audit: %d violation(s) in %d events\n", st.Violations, st.Events)
 			auditFailed = true
 		}
-	}
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "kaminobench: metrics shutdown: %v\n", err)
-		}
-		cancel()
 	}
 	if *traceOut != "" {
 		if err := finishTrace(recorder, *traceOut); err != nil {

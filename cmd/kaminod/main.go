@@ -119,23 +119,7 @@ func main() {
 	hub := obs.NewHub()
 	var metricsSrv *http.Server
 	if f.metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", hub)
-		mux.Handle("/metrics", hub.PromHandler())
-		mux.Handle("/healthz", obs.HealthHandler(time.Now()))
-		mux.Handle("/readyz", obs.ReadyStateHandler(readyState))
-		mux.Handle("/debug/requests", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if s := srvPtr.Load(); s != nil {
-				s.Slow().Handler().ServeHTTP(w, r)
-				return
-			}
-			http.Error(w, "server starting", http.StatusServiceUnavailable)
-		}))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux, _ := metricsMux(hub, readyState, &srvPtr)
 		mln, err := net.Listen("tcp", f.metricsAddr)
 		if err != nil {
 			fatal(fmt.Errorf("metrics listener: %w", err))
@@ -146,7 +130,7 @@ func main() {
 				logf("metrics server: %v", err)
 			}
 		}()
-		logf("metrics on http://%s/ (snapshots), /metrics, /healthz, /readyz, /debug/requests, /debug/pprof/", mln.Addr())
+		logf("metrics on http://%s/metrics, /healthz, /readyz, /debug/requests, /debug/pprof/", mln.Addr())
 	}
 
 	pool, store, err := open(f.dir, kamino.Options{
@@ -282,6 +266,35 @@ serve:
 		}
 		logf("trace written: %s (%d events, %d dropped)", f.traceOut, rec.Total(), rec.Dropped())
 	}
+}
+
+// metricsMux builds the -metrics-addr listener's mux and returns it with
+// the patterns it registered. OPERATIONS.md's Observability list documents
+// exactly these (flags_test.go compares the two); the registries have
+// one rendering, /metrics, and nothing is mounted at /.
+func metricsMux(hub *obs.Hub, readyState func() (bool, string), srv *atomic.Pointer[server.Server]) (*http.ServeMux, []string) {
+	mux := http.NewServeMux()
+	var patterns []string
+	handle := func(pattern string, h http.Handler) {
+		mux.Handle(pattern, h)
+		patterns = append(patterns, pattern)
+	}
+	handle("/metrics", hub.PromHandler())
+	handle("/healthz", obs.HealthHandler(time.Now()))
+	handle("/readyz", obs.ReadyStateHandler(readyState))
+	handle("/debug/requests", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if s := srv.Load(); s != nil {
+			s.Slow().Handler().ServeHTTP(w, r)
+			return
+		}
+		http.Error(w, "server starting", http.StatusServiceUnavailable)
+	}))
+	handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
+	handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+	handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+	handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+	handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
+	return mux, patterns
 }
 
 // writeTrace dumps the recorder's ring as a Chrome trace_event file

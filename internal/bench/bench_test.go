@@ -92,12 +92,10 @@ func TestCostModelOrdering(t *testing.T) {
 
 // TestBreakdownAggregatesAcrossPools: the obs accumulator must merge the
 // registries of every pool an experiment created and print the per-phase
-// table, and a configured hub must carry the live registries.
+// table.
 func TestBreakdownAggregatesAcrossPools(t *testing.T) {
 	var out bytes.Buffer
-	cfg := tiny(&out)
-	cfg.Metrics = obs.NewHub()
-	cfg = cfg.WithDefaults()
+	cfg := tiny(&out).WithDefaults()
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo} {
 		if _, err := cfg.measureYCSB(mode, 1, 'A', 1); err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -112,15 +110,6 @@ func TestBreakdownAggregatesAcrossPools(t *testing.T) {
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("breakdown missing %q:\n%s", want, s)
-		}
-	}
-	snaps := cfg.Metrics.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("hub has %d registries, want 2", len(snaps))
-	}
-	for _, snap := range snaps {
-		if snap.Counters["commits"] == 0 {
-			t.Errorf("hub registry %q has no commits", snap.Name)
 		}
 	}
 }
@@ -172,9 +161,7 @@ func TestObsAggAbsorbIdempotent(t *testing.T) {
 func TestMeasuredPoolsAreCollectable(t *testing.T) {
 	const rounds = 4
 	var out bytes.Buffer
-	cfg := tiny(&out)
-	cfg.Metrics = obs.NewHub() // -metrics-addr: may hold the last pool per label, no more
-	cfg = cfg.WithDefaults()
+	cfg := tiny(&out).WithDefaults()
 	mix, err := workload.MixFor('A')
 	if err != nil {
 		t.Fatal(err)

@@ -141,7 +141,6 @@ func (c Config) measureChain(mode chainpkg.Mode, w byte, threads int) (Result, e
 		return Result{}, err
 	}
 	defer cl.Close()
-	c.observeChain(cl)
 	r, err := c.runChainYCSB(cl, mix, threads)
 	if err != nil {
 		return Result{}, err
@@ -234,7 +233,6 @@ func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fences
 		return Result{}, 0, 0, err
 	}
 	defer cl.Close()
-	c.observeChain(cl)
 	keys := uint64(c.chainKeys())
 	ops := c.chainOps()
 

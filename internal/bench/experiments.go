@@ -68,7 +68,6 @@ func (c Config) measureTPCC(mode kamino.Mode) (Result, error) {
 		return Result{}, err
 	}
 	defer pool.Close()
-	c.observe(pool)
 	// Paper-like scale: enough warehouses/items that dependent
 	// transactions stay rare, as on the full TPC-C schema.
 	db, err := tpcc.Load(pool, tpcc.Config{Warehouses: 4, Items: 5000, CustomersPerD: 200})
@@ -387,7 +386,6 @@ func (c Config) worstCaseRun(mode kamino.Mode, size int) (time.Duration, error) 
 		return 0, err
 	}
 	defer pool.Close()
-	c.observe(pool)
 	var obj kamino.ObjID
 	if err := pool.Update(func(tx *kamino.Tx) error {
 		var e error

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"kaminotx/internal/kvstore"
-	"kaminotx/internal/obs"
 	"kaminotx/internal/stats"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/workload"
@@ -51,18 +50,9 @@ type Config struct {
 	ChainBatchDelay time.Duration
 	// Out receives the report. Required.
 	Out io.Writer
-	// Metrics, if set, receives the live observability registry of every
-	// pool an experiment creates, keyed by engine label, so an HTTP
-	// listener (kaminobench -metrics-addr) can expose them while running.
-	Metrics *obs.Hub
 	// Trace, if set, records device and transaction lifecycle events of
 	// every pool an experiment creates (kaminobench -trace-out / -audit).
 	Trace *trace.Recorder
-	// Debug, if set, receives live introspection sources — the current
-	// chain cluster's structured replica state ("chain"), admission-lock
-	// tables ("locks") and queue occupancy ("queues") — for the
-	// kaminobench /debug/* endpoints.
-	Debug *obs.DebugHub
 
 	// agg accumulates per-engine obs snapshots over one experiment for
 	// the phase-breakdown table printed at its end.
@@ -125,7 +115,6 @@ func (c Config) loadStore(mode kamino.Mode, alpha float64) (*kamino.Pool, *kvsto
 	if err != nil {
 		return nil, nil, err
 	}
-	c.observe(pool)
 	store, err := kvstore.Create(pool, 0)
 	if err != nil {
 		pool.Close()

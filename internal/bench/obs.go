@@ -67,14 +67,6 @@ func (a *obsAgg) write(w io.Writer) {
 	}
 }
 
-// observe publishes a pool's live registry to the metrics hub, if one is
-// configured, so -metrics-addr shows the experiment while it runs.
-func (c Config) observe(p *kamino.Pool) {
-	if c.Metrics != nil {
-		c.Metrics.Set(p.Obs().Name(), p.Obs())
-	}
-}
-
 // collect drains a pool's asynchronous work and folds its registry into the
 // experiment accumulator. Call it before Close, after the measured run.
 func (c Config) collect(p *kamino.Pool) {
@@ -84,57 +76,8 @@ func (c Config) collect(p *kamino.Pool) {
 	}
 }
 
-// observeChain does the same for a replicated cluster: each replica
+// collectChain does the same for a replicated cluster: each replica
 // contributes its chain-protocol registry and its engine registry.
-// Publication goes through the hub's owner-group mechanism, so calling
-// observeChain again after a view change (kill, rejoin, reboot,
-// failover) atomically retires the labels of replicas and engine
-// incarnations that no longer exist — crash-loop schedules must not
-// accumulate dead actors in /metrics. It also registers the
-// cluster's live introspection sources for the /debug/* endpoints.
-func (c Config) observeChain(cl *chainpkg.Cluster) {
-	if c.Metrics != nil {
-		seen := map[string]int{}
-		var entries []obs.HubEntry
-		for _, r := range cl.Obs() {
-			label := r.Name()
-			if n := seen[label]; n > 0 {
-				label = fmt.Sprintf("%s#%d", label, n)
-			}
-			seen[r.Name()]++
-			entries = append(entries, obs.HubEntry{Label: label, Reg: r})
-		}
-		c.Metrics.Publish("chain", entries)
-	}
-	if c.Debug != nil {
-		c.Debug.Register("chain", "cluster", func() any { return cl.DebugInfos() })
-		c.Debug.Register("queues", "cluster", func() any { return cl.QueueStats() })
-		c.Debug.Register("locks", "cluster", func() any { return lockTables(cl) })
-	}
-}
-
-// lockTable is the /debug/locks view of one replica: just the admission
-// lock state, extracted from its DebugInfo.
-type lockTable struct {
-	ID         string   `json:"id"`
-	Role       string   `json:"role"`
-	Waiters    int      `json:"waiters"`
-	LockedKeys []uint64 `json:"locked_keys"`
-	LockSeqs   []uint64 `json:"lock_seqs"`
-}
-
-func lockTables(cl *chainpkg.Cluster) []lockTable {
-	infos := cl.DebugInfos()
-	out := make([]lockTable, 0, len(infos))
-	for _, rd := range infos {
-		out = append(out, lockTable{
-			ID: rd.ID, Role: rd.Role, Waiters: rd.Info.Waiters,
-			LockedKeys: rd.Info.LockedKeys, LockSeqs: rd.Info.LockSeqs,
-		})
-	}
-	return out
-}
-
 func (c Config) collectChain(cl *chainpkg.Cluster) {
 	if c.agg == nil {
 		return

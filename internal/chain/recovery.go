@@ -356,6 +356,26 @@ func (r *Replica) resend(v membership.View, succ transport.NodeID, recs []pqueue
 // ---------------------------------------------------------------------------
 // Quick reboots (§5.3)
 
+// powerCycle runs crash, which must crash the pool and the ring region,
+// then re-attaches the ring from what survived and publishes it — all with
+// the power held exclusively, so no message handler or sampler touches a
+// region while Crash rewinds it, or the stale ring after it.
+func (r *Replica) powerCycle(crash func() error) (*pqueue.Queue, error) {
+	r.power.Lock()
+	defer r.power.Unlock()
+	if err := crash(); err != nil {
+		return nil, err
+	}
+	ring, err := pqueue.Attach(r.ringReg)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.ring = ring
+	r.mu.Unlock()
+	return ring, nil
+}
+
 // Reboot simulates a power failure and recovery of this replica: regions
 // crash, the pool reopens, the replica validates its view with the
 // membership manager, and incomplete transactions are resolved — from the
@@ -420,16 +440,10 @@ func (r *Replica) reboot(crash func() error) error {
 	// Power failure: heap/log regions and the ring lose volatile
 	// state. Pool.Crash also reopens the engine, which for in-place
 	// replicas surfaces pending transactions.
-	if err := crash(); err != nil {
-		return err
-	}
-	ring, err := pqueue.Attach(r.ringReg)
+	ring, err := r.powerCycle(crash)
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.ring = ring
-	r.mu.Unlock()
 
 	// Revalidate membership (§5.3: all messages carry a viewID; the
 	// manager tells us the current one or that we were removed).

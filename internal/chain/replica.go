@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -104,12 +103,6 @@ type Config struct {
 	// KindTailAck message and in the persistent queues, so one
 	// transaction's events correlate across all replicas.
 	Trace *trace.Recorder
-
-	// Blackbox enables each replica pool's NVM flight recorder: Reboot
-	// and RebootPartial persist the trace tail, obs snapshot, and this
-	// replica's structured DebugInfo into the image before the simulated
-	// power failure (see kamino.Options.Blackbox). Requires Strict.
-	Blackbox bool
 }
 
 func (c Config) withDefaults() Config {
@@ -157,6 +150,16 @@ type Replica struct {
 	pool    *kamino.Pool
 	ring    *pqueue.Queue // pending and in-flight records (see pqueue)
 	ringReg *nvm.Region
+	// power orders whatever touches this replica's regions from outside
+	// its pipeline — message handlers, DebugInfo, the record-count gauges —
+	// against a reboot's power failure. They hold it shared; reboot, having
+	// stopped the pipeline and left the transport, holds it exclusively
+	// from the first region's crash until the pool has reopened and the
+	// re-attached ring is published. A handler still running when the node
+	// left the transport thus finishes before the power fails, one that
+	// starts later meets the recovered state, and a sampler sees the
+	// pre-crash ring or the recovered one — never a region mid-Crash.
+	power sync.RWMutex
 
 	obs        *obs.Registry
 	cSubmits   *obs.Counter // ops accepted at the head
@@ -275,7 +278,6 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		FenceLatency:      cfg.FenceLatency,
 		Strict:            cfg.Strict,
 		Trace:             cfg.Trace,
-		Blackbox:          cfg.Blackbox,
 	})
 	if err != nil {
 		return nil, err
@@ -339,10 +341,9 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 	ringReg.ExportObs(o, "nvm.ring")
 	// Live depths of the ring's two ranges: records waiting to execute and
 	// records forwarded but not yet acked by the tail. A growing inflight
-	// gauge means the downstream chain is the bottleneck. A mid-reboot read
-	// error reads as empty rather than failing the snapshot.
-	o.Gauge("input_records", func() uint64 { _, n, _ := r.getRing().Counts(); return uint64(n) })
-	o.Gauge("inflight_records", func() uint64 { n, _, _ := r.getRing().Counts(); return uint64(n) })
+	// gauge means the downstream chain is the bottleneck.
+	o.Gauge("input_records", func() uint64 { _, n := r.ringCounts(); return uint64(n) })
+	o.Gauge("inflight_records", func() uint64 { n, _ := r.ringCounts(); return uint64(n) })
 	// Truncation telemetry: each range's live occupancy and high-water
 	// mark prove the acknowledged-prefix pruning keeps the ring bounded.
 	o.Gauge("inputq_bytes", func() uint64 { _, in := r.getRing().Usage(); return in.Bytes })
@@ -353,17 +354,6 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		r.tr = cfg.Trace.Tracer("chain/" + string(id))
 		r.traceBase = fnv64a(string(id)) &^ 0xFFFFFFFF
 	}
-	// Crash-time flight records carry this replica's structured debug
-	// state. The callback runs inside pool.Crash during a reboot, after
-	// the executor stopped and with no replica locks held, so sampling
-	// DebugInfo here is deadlock-free.
-	pool.SetCrashContext(func() []byte {
-		buf, err := json.Marshal(r.DebugInfo())
-		if err != nil {
-			return nil
-		}
-		return buf
-	})
 	r.lockCond = sync.NewCond(&r.headMu)
 	return r, nil
 }
@@ -415,9 +405,7 @@ func (r *Replica) LockedKeys() int {
 
 // DebugInfo is the structured repair-relevant state of a replica:
 // execution floor, sequence counter, queue spans, and the admission-lock
-// table. It serializes to JSON for the /debug/chain endpoint and rides
-// inside crash-time flight records; String() renders the historical
-// one-line form.
+// table. String() renders the one-line form a wedge dump prints.
 type DebugInfo struct {
 	// LastExec is the highest locally executed sequence number.
 	LastExec uint64 `json:"last_exec"`
@@ -440,8 +428,7 @@ type DebugInfo struct {
 	LockSeqs []uint64 `json:"lock_seqs"`
 }
 
-// String renders the info as the one-line form the chaos wedge dump has
-// always printed.
+// String renders the info as one line.
 func (d DebugInfo) String() string {
 	return fmt.Sprintf(
 		"lastExec=%d nextSeq=%d input.last=%d inflight=%d[%d..%d] waiters=%d lockedKeys=%v lockSeqs=%v",
@@ -449,12 +436,16 @@ func (d DebugInfo) String() string {
 		d.Waiters, d.LockedKeys, d.LockSeqs)
 }
 
-// DebugInfo samples the replica's repair-relevant state. Safe to call at
-// any point where the replica's ring exists, including from the pool's
-// crash-context callback during a reboot (no replica locks are held
-// around the pool crash).
+// DebugInfo samples the replica's repair-relevant state. Safe to call from
+// any goroutine at any time, a reboot included: the ring is read with the
+// power held, so the queue spans are the pre-crash ring's or the recovered
+// one's.
 func (r *Replica) DebugInfo() DebugInfo {
-	recs, _ := r.getRing().Inflight()
+	r.power.RLock()
+	ring := r.getRing()
+	recs, _ := ring.Inflight()
+	inputLast := ring.LastSeq()
+	r.power.RUnlock()
 	var flFloor, flLast uint64
 	if len(recs) > 0 {
 		flFloor, flLast = recs[0].Seq, recs[len(recs)-1].Seq
@@ -476,7 +467,7 @@ func (r *Replica) DebugInfo() DebugInfo {
 	return DebugInfo{
 		LastExec:      r.lastExecSeq(),
 		NextSeq:       nextSeq,
-		InputLast:     r.getRing().LastSeq(),
+		InputLast:     inputLast,
 		Inflight:      len(recs),
 		InflightFloor: flFloor,
 		InflightLast:  flLast,
@@ -486,19 +477,29 @@ func (r *Replica) DebugInfo() DebugInfo {
 	}
 }
 
-// DebugState renders DebugInfo as one line — the chaos experiment prints
-// it for every replica when client progress wedges, so a leaked
-// admission lock names its owner instead of hanging the run.
+// DebugState renders DebugInfo as one line — the chaos schedule prints it
+// for every replica when client progress wedges, so a leaked admission
+// lock names its owner instead of hanging the run.
 func (r *Replica) DebugState() string { return r.DebugInfo().String() }
 
 // QueueUsage samples the ring's two ranges (pending input, in-flight) and
-// the capacity they share — the /debug/queues endpoint, the queue
-// high-water watchdog probe and the chaos experiment (to prove
-// acknowledged-prefix truncation keeps the ring bounded) read this.
+// the capacity they share; the chaos schedule's high-water probe reads it
+// to show acknowledged-prefix truncation keeps the ring bounded. It reads
+// the ring's volatile cursors only, never its region, so it needs no
+// ordering against a reboot beyond getRing's.
 func (r *Replica) QueueUsage() (input, inflight pqueue.Usage, capacity uint64) {
 	q := r.getRing()
 	inflight, input = q.Usage()
 	return input, inflight, q.Capacity()
+}
+
+// ringCounts is how many records each range of the ring holds (0, 0 on a
+// read error). Counting walks record headers in the region, hence power.
+func (r *Replica) ringCounts() (inflight, pending int) {
+	r.power.RLock()
+	defer r.power.RUnlock()
+	inflight, pending, _ = r.getRing().Counts()
+	return inflight, pending
 }
 
 // IsHead reports whether this replica currently heads the chain.
@@ -1033,6 +1034,8 @@ func (r *Replica) releaseKeys(keys []uint64) {
 // Message handling
 
 func (r *Replica) handle(msg *transport.Message) *transport.Message {
+	r.power.RLock()
+	defer r.power.RUnlock()
 	// Fencing (§5.3): protocol messages from nodes that are no longer
 	// chain members are rejected — a zombie ex-head must not inject
 	// transactions. Slightly stale view stamps from live members are

@@ -235,6 +235,101 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 	}
 }
 
+// A reboot's power failure excludes whatever reaches the replica's regions
+// from outside its pipeline. With a record held in flight at the head (every
+// forward of it lost), a goroutine that samples DebugInfo, or QueueUsage,
+// or the registry's ring gauges, or delivers a message to the handler,
+// through head reboots sees the pre-crash ring or the recovered one — the
+// record is in both. Under -race this fails if any of them touches a region
+// while Crash rewinds it.
+func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
+	tc, ht := newHookedChain(t, 0.5, true, 0)
+	putRetry(t, tc, 1, []byte("one"))
+	head := tc.get("n0")
+	ht.lose(func(to transport.NodeID, msg *transport.Message) bool {
+		return msg.From == "n0" && to == "n1" && (msg.Kind == transport.KindOp || msg.Kind == transport.KindOpBatch)
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := tc.client.Put(2, []byte("held in flight")); err != nil {
+			t.Errorf("the held put: %v", err)
+		}
+	}()
+	waitFor(t, "the put to sit in flight at the head", func() bool {
+		fl, _ := head.getRing().Usage()
+		return fl.Bytes > 0
+	})
+
+	root := uint64(head.Pool().Root()) // an object every incarnation of the heap has
+	// One path at a time: the detector keeps a word's last few accesses
+	// only, so a path with its ordering intact would hide one without.
+	for _, path := range []struct {
+		name string
+		run  func()
+	}{
+		{"DebugInfo", func() {
+			if info := head.DebugInfo(); info.Inflight != 1 {
+				t.Errorf("DebugInfo: %d records in flight, want the 1 held", info.Inflight)
+			}
+		}},
+		{"QueueUsage", func() {
+			if _, fl, _ := head.QueueUsage(); fl.Bytes == 0 {
+				t.Error("QueueUsage: no bytes in flight")
+			}
+		}},
+		{"gauges", func() {
+			if got := head.Obs().Snapshot().Gauges["inflight_records"]; got != 1 {
+				t.Errorf("inflight_records gauge = %d, want 1", got)
+			}
+		}},
+		// Two messages, delivered the way a late Call is: a stale clean-up
+		// acknowledges nothing, but walks the ring to find that out; a
+		// neighbour's recovery fetch reads a block image off the pool's heap.
+		{"clean-up handler", func() {
+			head.handle(&transport.Message{Kind: transport.KindCleanup, From: "n1", Seq: 0})
+		}},
+		{"fetch handler", func() {
+			reply := head.handle(&transport.Message{
+				Kind: transport.KindFetch, From: "n1",
+				Objs: []uint64{root}, Classes: []uint32{64},
+			})
+			if err := reply.Error(); err != nil {
+				t.Errorf("fetch of the root block: %v", err)
+			}
+		}},
+	} {
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					path.run()
+				}
+			}
+		}()
+		for i := 0; i < 2; i++ {
+			if err := head.Reboot(); err != nil {
+				t.Fatalf("reboot %d under %s: %v", i, path.name, err)
+			}
+		}
+		close(stop)
+		<-stopped
+	}
+
+	ht.lose(nil)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		dumpChainState(t, tc)
+		t.Fatal("the held put never completed once its forward got through")
+	}
+	waitErrFree(t, tc)
+}
+
 // TestCleanupOvertakesForwarder holds the middle's forwarder in its send
 // until the tail has executed the record, acknowledged it, and its clean-up
 // has pruned the middle's ring — past the done cursor the forwarder has yet

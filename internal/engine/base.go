@@ -2,13 +2,13 @@ package engine
 
 import (
 	"sync/atomic"
+	"time"
 
 	"kaminotx/internal/heap"
 	"kaminotx/internal/intentlog"
 	"kaminotx/internal/locktable"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/recovery"
 	"kaminotx/internal/trace"
 )
 
@@ -19,7 +19,7 @@ type Regions struct{ Main, Backup, Log *nvm.Region }
 // Base is the engine skeleton: everything the atomicity mechanisms share.
 // It owns the heap, the intent log, the lock table, the observability
 // registry with the common counters and phases, the tracer, and the staged
-// recovery pipeline; BaseTx (tx.go) is the matching transaction skeleton.
+// recovery of a reopen; BaseTx (tx.go) is the matching transaction skeleton.
 // A mechanism embeds *Base in its Engine and BaseTx in its transaction and
 // adds only what makes it a mechanism: what Add records, what Commit
 // persists beyond the base, what Abort and Recover restore.
@@ -30,7 +30,7 @@ type Base struct {
 	locks *locktable.Table
 	obs   *obs.Registry
 
-	recov []recovery.StageReport // stage timings of the Reopen that built us
+	recov []StageReport // stage timings of the Reopen that built us
 
 	// tr, when attached, receives transaction lifecycle trace events.
 	// Atomic because background goroutines (Kamino's appliers) read it
@@ -105,43 +105,61 @@ func newBase(name string, r Regions, h *heap.Heap, l *intentlog.Log) *Base {
 	}
 }
 
-// Reopen runs the staged recovery pipeline (internal/recovery) of an
-// attached engine, surfaced in the registry as the index_attach /
-// log_replay / rescan phase spans and the recovery_progress gauge. Stage
-// order is forced by data dependencies — a mechanism's lookup state
-// (attach; Kamino's backup index, nil otherwise) must exist before log
-// replay (replay: the mechanism's Recover, nil with no log) can roll
-// transactions forward or back, and replay may rewrite block headers the
-// free-list rescan reads — so parallelism lives inside the stages.
+// StageReport records one completed recovery stage of a Reopen.
+type StageReport struct {
+	Stage    obs.Phase
+	Duration time.Duration
+}
+
+// Reopen runs the staged recovery of an attached engine. Each stage is
+// timed into its phase's histogram in the registry (index_attach,
+// log_replay, rescan) and into the RecoveryReport, and the
+// recovery_progress gauge reads 0..100 as stages complete — it stays at
+// its last value, so a restarted process that is fully up reads 100. The
+// first error stops the run. Stage order is forced by data dependencies —
+// a mechanism's lookup state (attach; Kamino's backup index, nil
+// otherwise) must exist before log replay (replay: the mechanism's
+// Recover, nil with no log) can roll transactions forward or back, and
+// replay may rewrite block headers the free-list rescan reads — so
+// parallelism lives inside the stages (parallel heap rescan, concurrent
+// intent-log slot groups), not between them.
 func (b *Base) Reopen(attach, replay func() error) error {
-	total := 1
-	if attach != nil {
-		total++
+	stages := []struct {
+		phase obs.Phase
+		run   func() error
+	}{
+		{obs.PhaseRecoveryIndexAttach, attach},
+		{obs.PhaseRecoveryLogReplay, replay},
+		{obs.PhaseRecoveryRescan, b.heap.Rescan},
 	}
-	if replay != nil {
-		total++
-	}
-	pipe := recovery.New(b.obs, total)
-	if attach != nil {
-		if err := pipe.Run(obs.PhaseRecoveryIndexAttach, attach); err != nil {
-			return err
+	total := uint64(0)
+	for _, st := range stages {
+		if st.run != nil {
+			total++
 		}
 	}
-	if replay != nil {
-		if err := pipe.Run(obs.PhaseRecoveryLogReplay, replay); err != nil {
+	var done atomic.Uint64
+	b.obs.Gauge("recovery_progress", func() uint64 { return done.Load() * 100 / total })
+	for _, st := range stages {
+		if st.run == nil {
+			continue
+		}
+		start := time.Now()
+		err := st.run()
+		d := time.Since(start)
+		b.obs.Phase(st.phase).Observe(d)
+		b.recov = append(b.recov, StageReport{Stage: st.phase, Duration: d})
+		if err != nil {
 			return err
 		}
+		done.Add(1)
 	}
-	if err := pipe.Run(obs.PhaseRecoveryRescan, b.heap.Rescan); err != nil {
-		return err
-	}
-	b.recov = pipe.Report()
 	return nil
 }
 
 // RecoveryReport returns the stage timings of the Reopen that produced this
 // engine (nil for a freshly formatted engine).
-func (b *Base) RecoveryReport() []recovery.StageReport { return b.recov }
+func (b *Base) RecoveryReport() []StageReport { return b.recov }
 
 // Name implements Engine.
 func (b *Base) Name() string { return b.name }

@@ -5,7 +5,7 @@ import (
 	"hash/crc32"
 )
 
-// blackboxMagic marks a valid flight-record envelope ("KAMBBX01").
+// blackboxMagic marks a valid envelope ("KAMBBX01").
 const blackboxMagic = 0x4b414d4242583031
 
 // blackboxHeaderSize reserves one full cache line for the header so the
@@ -13,15 +13,17 @@ const blackboxMagic = 0x4b414d4242583031
 const blackboxHeaderSize = LineSize
 
 // Blackbox is a small reserved span of simulated NVM holding one opaque
-// record — the crash-time flight record. Store persists the payload
+// record: it is the envelope under a strict pool's index checkpoint (the
+// KIDX blob of kamino/checkpoint.go), which must outlive Crash and
+// CrashPartial the way data does. Store persists the payload
 // before publishing the header (magic, length, CRC32), so a crash during
 // Store leaves either the previous record or an envelope that fails
 // validation — never a valid header over torn payload. A record written
 // by Store is flushed and fenced line by line, so it survives both Crash
 // and CrashPartial regardless of the partial-persistence keep function.
 //
-// The blackbox deliberately carries no tracer: its own device traffic
-// must not pollute the trace it is preserving.
+// The blackbox carries no tracer: its device traffic is off the
+// transaction path the trace describes.
 type Blackbox struct {
 	reg *Region
 }

@@ -559,22 +559,6 @@ func (r *Region) IsPersisted(off, n int) (bool, error) {
 	return true, nil
 }
 
-// DirtyLines reports how many lines are dirty or flush-pending. Strict mode
-// returns the tracked count; fast mode returns 0.
-func (r *Region) DirtyLines() int {
-	if r.mode != ModeStrict {
-		return 0
-	}
-	n := 0
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.Lock()
-		n += len(s.dirty) + len(s.pending)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // spin waits at least d, modeling a thread stalled on the persistence
 // domain. time.Sleep's granularity (tens of microseconds) is too coarse for
 // per-line device latencies, so short waits poll — yielding each iteration,

@@ -1,30 +1,24 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
 	"strings"
 	"sync"
 )
 
-// Hub collects the live registries of whatever pools and replicas currently
-// exist, keyed by label, so an HTTP listener can serve a consolidated JSON
-// snapshot while an experiment runs. Registries come and go as experiments
-// create and close pools; Set replaces any previous registry under the same
-// label so the endpoint always reflects the most recent owner.
+// Hub is the labelled list of live registries behind PromHandler: a
+// process publishes each registry it owns (the engine's, the server's)
+// under a label, and /metrics renders whatever is published at scrape
+// time. Set replaces any previous registry under the same label, so the
+// endpoint always reflects the most recent owner.
 type Hub struct {
 	mu    sync.Mutex
 	regs  map[string]*Registry
 	order []string
-	// owners tracks which labels each Publish owner currently exposes,
-	// so republishing an owner's set retires labels that no longer
-	// exist (dead pool incarnations, removed replicas).
-	owners map[string][]string
 }
 
 // NewHub creates an empty hub.
 func NewHub() *Hub {
-	return &Hub{regs: make(map[string]*Registry), owners: make(map[string][]string)}
+	return &Hub{regs: make(map[string]*Registry)}
 }
 
 // Set publishes r under label, replacing any previous registry there.
@@ -41,10 +35,6 @@ func (h *Hub) Set(label string, r *Registry) {
 func (h *Hub) Remove(label string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.removeLocked(label)
-}
-
-func (h *Hub) removeLocked(label string) {
 	if _, ok := h.regs[label]; !ok {
 		return
 	}
@@ -56,59 +46,6 @@ func (h *Hub) removeLocked(label string) {
 		}
 	}
 }
-
-// HubEntry names one registry in an owner's Publish set.
-type HubEntry struct {
-	Label string
-	Reg   *Registry
-}
-
-// Publish atomically replaces the set of registries exposed by owner:
-// entries not previously published are added, entries republished are
-// updated in place, and labels the owner published before but omits now
-// are removed. Components whose registry population changes over time
-// (a chain cluster across kills, rejoins and reboots; pools across
-// crash incarnations) republish their full current set after each
-// change so snapshots never accumulate dead actors. Publish(owner, nil)
-// retires the owner entirely.
-func (h *Hub) Publish(owner string, entries []HubEntry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	current := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		current[e.Label] = true
-	}
-	for _, old := range h.owners[owner] {
-		if !current[old] {
-			h.removeLocked(old)
-		}
-	}
-	labels := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if _, ok := h.regs[e.Label]; !ok {
-			h.order = append(h.order, e.Label)
-		}
-		h.regs[e.Label] = e.Reg
-		labels = append(labels, e.Label)
-	}
-	if len(labels) == 0 {
-		delete(h.owners, owner)
-	} else {
-		h.owners[owner] = labels
-	}
-}
-
-// Labels returns the currently published labels in publication order.
-func (h *Hub) Labels() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, len(h.order))
-	copy(out, h.order)
-	return out
-}
-
-// Snapshots captures every published registry, in publication order.
-func (h *Hub) Snapshots() []Snapshot { return h.snapshots("") }
 
 // snapshots captures the published registries whose label contains filter
 // (all of them when filter is empty), in publication order.
@@ -131,17 +68,4 @@ func (h *Hub) snapshots(filter string) []Snapshot {
 		out[i].Name = labels[i]
 	}
 	return out
-}
-
-// ServeHTTP serves the hub's current snapshots as a JSON document on any
-// path, in the spirit of expvar. A ?label=substr query restricts the
-// document to registries whose label contains substr.
-func (h *Hub) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	doc := struct {
-		Registries []Snapshot `json:"registries"`
-	}{Registries: h.snapshots(req.URL.Query().Get("label"))}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
 }

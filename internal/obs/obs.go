@@ -8,8 +8,8 @@
 // Every engine owns one Registry; the NVM simulator exports its device
 // counters into it as gauges, and the benchmark harness aggregates the
 // registries of the pools an experiment created into a per-phase breakdown
-// table. A Hub collects live registries so an HTTP listener can serve a
-// JSON snapshot while an experiment runs (kaminobench -metrics-addr).
+// table. A Hub lists a process's live registries under labels so one
+// /metrics handler renders them all as Prometheus text (kaminod).
 //
 // Counters are lock-free (one atomic add); phase timers take one short
 // mutex-protected histogram insert per observation. Callers cache the
@@ -80,9 +80,8 @@ const (
 	// PhaseServeRespWrite is the response encode + flush.
 	PhaseServeRespWrite Phase = "resp_write"
 
-	// Recovery phases: the stages of the reopen pipeline
-	// (internal/recovery). They tile the time from pool open to the first
-	// accepted transaction.
+	// Recovery phases: the stages of a reopen (engine.Base.Reopen). They
+	// tile the time from pool open to the first accepted transaction.
 
 	// PhaseRecoveryRescan is the heap block-header walk rebuilding the
 	// volatile free lists (parallel across segment-directory cuts).

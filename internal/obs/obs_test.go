@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -107,83 +107,56 @@ func TestWriteBreakdown(t *testing.T) {
 	}
 }
 
-func TestHubServeHTTP(t *testing.T) {
-	h := NewHub()
-	r := New("undo")
-	r.Counter("commits").Add(4)
-	r.Phase(PhaseCriticalCopy).Observe(7 * time.Microsecond)
-	h.Set("undo", r)
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var body struct {
-		Registries []Snapshot `json:"registries"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
-	}
-	if len(body.Registries) != 1 {
-		t.Fatalf("registries = %d", len(body.Registries))
-	}
-	got := body.Registries[0]
-	if got.Name != "undo" || got.Counters["commits"] != 4 {
-		t.Errorf("snapshot = %+v", got)
-	}
-	if got.Phases[PhaseCriticalCopy].Count != 1 {
-		t.Errorf("phase lost in JSON round-trip: %+v", got.Phases)
-	}
-
-	// Replacing a label keeps one entry; removing deletes it.
-	h.Set("undo", New("undo"))
-	if n := len(h.Snapshots()); n != 1 {
-		t.Errorf("after replace: %d entries", n)
-	}
-	h.Remove("undo")
-	if n := len(h.Snapshots()); n != 0 {
-		t.Errorf("after remove: %d entries", n)
-	}
-}
-
+// The hub's one rendering is /metrics: ?label= filters the published
+// registries by substring, Set replaces a label in place and Remove drops
+// it.
 func TestHubLabelFilter(t *testing.T) {
 	h := NewHub()
-	h.Set("kamino-simple", New("kamino-simple"))
-	h.Set("kamino-dynamic", New("kamino-dynamic"))
-	h.Set("undo", New("undo"))
+	for _, label := range []string{"kamino-simple", "kamino-dynamic", "undo"} {
+		r := New(label)
+		r.Counter("commits").Inc()
+		h.Set(label, r)
+	}
 
-	serve := func(target string) (int, []Snapshot, string) {
+	// served scrapes target and returns the registry labels of its commits
+	// series, in order.
+	served := func(target string) []string {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-		var body struct {
-			Registries []Snapshot `json:"registries"`
+		h.PromHandler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", target, rec.Code)
 		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("bad JSON for %s: %v\n%s", target, err, rec.Body.String())
+		var labels []string
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, `kaminotx_commits_total{registry="`); ok {
+				labels = append(labels, rest[:strings.IndexByte(rest, '"')])
+			}
 		}
-		return rec.Code, body.Registries, rec.Header().Get("Content-Type")
+		return labels
+	}
+	for _, tc := range []struct {
+		target string
+		want   []string
+	}{
+		{"/metrics?label=kamino", []string{"kamino-simple", "kamino-dynamic"}},
+		{"/metrics?label=undo", []string{"undo"}},
+		{"/metrics?label=nomatch", nil},
+		{"/metrics", []string{"kamino-simple", "kamino-dynamic", "undo"}},
+	} {
+		if got := served(tc.target); !slices.Equal(got, tc.want) {
+			t.Errorf("%s served registries %v, want %v", tc.target, got, tc.want)
+		}
 	}
 
-	code, regs, ctype := serve("/?label=kamino")
-	if code != 200 || len(regs) != 2 {
-		t.Fatalf("?label=kamino: code=%d registries=%d", code, len(regs))
+	replacement := New("undo")
+	replacement.Counter("commits").Add(4)
+	h.Set("undo", replacement)
+	if got := served("/metrics?label=undo"); !slices.Equal(got, []string{"undo"}) {
+		t.Errorf("after replacing a label: %v, want one undo entry", got)
 	}
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Errorf("Content-Type = %q", ctype)
-	}
-	for _, r := range regs {
-		if !strings.Contains(r.Name, "kamino") {
-			t.Errorf("unfiltered registry %q leaked through", r.Name)
-		}
-	}
-	if _, regs, _ = serve("/?label=undo"); len(regs) != 1 || regs[0].Name != "undo" {
-		t.Errorf("?label=undo: %+v", regs)
-	}
-	if _, regs, _ = serve("/?label=nomatch"); len(regs) != 0 {
-		t.Errorf("?label=nomatch returned %d registries", len(regs))
-	}
-	if _, regs, _ = serve("/"); len(regs) != 3 {
-		t.Errorf("unfiltered: %d registries", len(regs))
+	h.Remove("undo")
+	h.Remove("never-published")
+	if got := served("/metrics"); !slices.Equal(got, []string{"kamino-simple", "kamino-dynamic"}) {
+		t.Errorf("after remove: %v", got)
 	}
 }

@@ -119,8 +119,8 @@ type Options struct {
 	// ring's worst record, delivered to OnSlowAlarm.
 	SlowThreshold time.Duration
 
-	// OnSlowAlarm receives the slow-request alarm (nil = alarm is only
-	// retained in SlowAlarms). Called from the watchdog tick goroutine.
+	// OnSlowAlarm receives the slow-request alarm. Called from the
+	// watchdog tick goroutine.
 	OnSlowAlarm func(obs.Alarm)
 }
 
@@ -271,15 +271,6 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 // Slow returns the slow-request ring (serve it at /debug/requests via
 // SlowLog.Handler).
 func (s *Server) Slow() *SlowLog { return s.slow }
-
-// SlowAlarms returns slow-request watchdog alarms raised so far (empty
-// without a configured SlowThreshold).
-func (s *Server) SlowAlarms() []obs.Alarm {
-	if s.wd == nil {
-		return nil
-	}
-	return s.wd.Alarms()
-}
 
 // slowProbe adapts the slow ring to the watchdog Probe contract: it
 // fires (once, latched) when any request's wall time has exceeded the

@@ -160,21 +160,9 @@ func (l *SlowLog) Handler() http.Handler {
 	})
 }
 
-// Dump returns the same structure the HTTP handler serves, for embedding
-// in other debug surfaces (kaminobench's DebugHub).
-func (l *SlowLog) Dump() any {
-	return slowDump{
-		Capacity: l.capacity,
-		WindowMs: l.window.Milliseconds(),
-		FloorNs:  l.Floor(),
-		Records:  l.Snapshot(),
-	}
-}
-
 // slowRequestProbe is the watchdog probe behind Options.SlowThreshold:
 // it fires (once; watchdog alarms latch) when the ring's worst recent
-// record exceeds the threshold, and its detail is the record itself — a
-// flight-recorder-style incident capture.
+// record exceeds the threshold, and its detail is the record itself.
 type slowRequestProbe struct {
 	log         *SlowLog
 	thresholdNs int64

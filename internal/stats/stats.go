@@ -192,26 +192,6 @@ func (c *Collector) Ops() uint64 {
 	return c.ops
 }
 
-// Series formats a row of numbers for table output.
-func Series(vals []float64) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = fmt.Sprintf("%10.1f", v)
-	}
-	return join(parts, " ")
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
-}
-
 // SortDurations sorts a slice of durations ascending (tool helper).
 func SortDurations(ds []time.Duration) {
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })

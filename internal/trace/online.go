@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-
-	"kaminotx/internal/obs"
 )
 
 // OnlineOptions configures an OnlineAuditor.
@@ -14,9 +12,6 @@ type OnlineOptions struct {
 	// from the emitting goroutine that completed the batch. It must not
 	// emit trace events or call back into the auditor.
 	OnViolation func(Violation)
-	// Obs, when set, receives streaming counters: audit_events,
-	// audit_violations, and one audit_violation_<rule> counter per rule.
-	Obs *obs.Registry
 }
 
 // OnlineStats describes an auditor's progress and current state size.
@@ -68,10 +63,6 @@ type OnlineAuditor struct {
 	cOK    [2]bool
 
 	violations []Violation
-
-	cEvents *obs.Counter
-	cViol   *obs.Counter
-	cRule   map[string]*obs.Counter
 }
 
 // AttachOnline installs an online auditor as rec's sink; it audits the
@@ -84,17 +75,6 @@ func AttachOnline(rec *Recorder, opts OnlineOptions) *OnlineAuditor {
 		opts:   opts,
 		states: make(map[string]*auditState),
 		route:  make(map[string]*auditState),
-		cRule:  make(map[string]*obs.Counter),
-	}
-	if opts.Obs != nil {
-		a.cEvents = opts.Obs.Counter("audit_events")
-		a.cViol = opts.Obs.Counter("audit_violations")
-		opts.Obs.Gauge("audit_live_txs", func() uint64 {
-			return uint64(a.Stats().LiveTxs)
-		})
-		opts.Obs.Gauge("audit_live_objects", func() uint64 {
-			return uint64(a.Stats().LiveObjects)
-		})
 	}
 	rec.SetSink(a.processBatch)
 	return a
@@ -132,9 +112,6 @@ func (a *OnlineAuditor) processBatch(batch []Event) {
 	}
 	a.events += uint64(len(batch))
 	a.mu.Unlock()
-	if a.cEvents != nil {
-		a.cEvents.Add(uint64(len(batch)))
-	}
 }
 
 // resolveLocked builds the routing entry for a new actor label: device
@@ -168,15 +145,6 @@ func (a *OnlineAuditor) addViolation(e *Event, rule, msg string) {
 	a.nviol++
 	if len(a.violations) < maxRetainedViolations {
 		a.violations = append(a.violations, v)
-	}
-	if a.cViol != nil {
-		a.cViol.Inc()
-		c := a.cRule[rule]
-		if c == nil {
-			c = a.opts.Obs.Counter("audit_violation_" + rule)
-			a.cRule[rule] = c
-		}
-		c.Inc()
 	}
 	if a.opts.OnViolation != nil {
 		a.opts.OnViolation(v)

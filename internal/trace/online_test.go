@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kaminotx/internal/nvm"
-	"kaminotx/internal/obs"
 	"kaminotx/internal/trace"
 )
 
@@ -80,8 +79,7 @@ func (e *tracedEngine) buggyTx(t *testing.T, txid uint64, logOff int, obj uint64
 // while the run is still in progress — not at teardown.
 func TestOnlineAuditorCatchesSeededBugLive(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	reg := obs.New("audit")
-	a := trace.AttachOnline(rec, trace.OnlineOptions{Obs: reg})
+	a := trace.AttachOnline(rec, trace.OnlineOptions{})
 	eng := newTracedEngine(t, rec, "undo#1")
 
 	eng.correctTx(t, 1, 0, 4096)
@@ -112,15 +110,8 @@ func TestOnlineAuditorCatchesSeededBugLive(t *testing.T) {
 	if vs := a.Close(); len(vs) != 1 {
 		t.Fatalf("violations after close = %v, want the original one", vs)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["audit_violations"] != 1 {
-		t.Fatalf("audit_violations = %d, want 1", snap.Counters["audit_violations"])
-	}
-	if snap.Counters["audit_violation_intent-not-durable"] != 1 {
-		t.Fatalf("per-rule counter missing: %v", snap.Counters)
-	}
-	if snap.Counters["audit_events"] == 0 {
-		t.Fatal("audit_events counter not streaming")
+	if st := a.Stats(); st.Violations != 1 || st.Events == 0 {
+		t.Fatalf("stats = %+v, want 1 violation over a non-zero event count", st)
 	}
 }
 

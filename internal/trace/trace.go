@@ -224,7 +224,9 @@ func NewRecorder(capacity int) *Recorder {
 	}
 }
 
-// Emit appends one event, stamping Seq and At.
+// emit appends one event, stamping Seq and At. Tracer methods call it with
+// a stack-allocated event so the ~100-byte struct is copied exactly once
+// (into its ring slot) instead of through every call layer.
 //
 // The body is deliberately a straight-line append: the engines persist
 // in strict mode (every device write chased by its flush), so same-kind
@@ -233,11 +235,6 @@ func NewRecorder(capacity int) *Recorder {
 // on the fig12 stream while charging every event for its slot scans.
 // At ~20-40 events per transaction, a nanosecond here is a measurable
 // fraction of the audited-run overhead budget.
-func (r *Recorder) Emit(e Event) { r.emit(&e) }
-
-// emit is the hot emission path. Tracer methods call it with a
-// stack-allocated event so the ~100-byte struct is copied exactly once
-// (into its ring slot) instead of through every call layer.
 func (r *Recorder) emit(e *Event) {
 	r.mu.Lock()
 	// Reading the wall clock costs more than the rest of this function,
@@ -306,17 +303,6 @@ func (r *Recorder) FlushSink() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushSinkLocked()
-}
-
-// Tail returns up to n of the most recently retained events in emission
-// order (n <= 0 returns everything retained). Used by the flight
-// recorder and the /trace endpoint.
-func (r *Recorder) Tail(n int) []Event {
-	all := r.Events()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
 }
 
 // Events returns the retained events in emission order.

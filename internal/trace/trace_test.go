@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -323,44 +322,5 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if !sawSpan || !sawIntent || !sawChain {
 		t.Fatalf("missing events: span=%v intent=%v chain=%v", sawSpan, sawIntent, sawChain)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	r := NewRecorder(0)
-	tr := r.Tracer("eng#1")
-	for i := 0; i < 10; i++ {
-		tr.TxBegin(uint64(i + 1))
-	}
-	srv := httptest.NewServer(Handler(r))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/trace?n=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	var doc struct {
-		Total   uint64  `json:"total"`
-		Dropped uint64  `json:"dropped"`
-		Events  []Event `json:"events"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Total != 10 || len(doc.Events) != 3 {
-		t.Fatalf("total=%d events=%d, want 10/3", doc.Total, len(doc.Events))
-	}
-	if doc.Events[2].Seq != 10 {
-		t.Fatalf("last event seq = %d, want 10", doc.Events[2].Seq)
-	}
-
-	if resp, err := srv.Client().Get(srv.URL + "/trace?n=bogus"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != 400 {
-		t.Fatalf("bad n: status %d, want 400", resp.StatusCode)
 	}
 }

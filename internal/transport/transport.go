@@ -33,8 +33,6 @@ const (
 	KindRead
 	// KindReadReply returns its result.
 	KindReadReply
-	// KindResend asks a new successor for nothing; reserved.
-	KindResend
 	// KindError reports a remote failure.
 	KindError
 	// KindOpBatch carries several transactions down the chain in one

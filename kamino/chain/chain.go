@@ -70,12 +70,6 @@ type Options struct {
 	// events and local engine events; head-minted trace ids correlate
 	// one transaction across the whole chain.
 	Trace *trace.Recorder
-	// Blackbox enables each replica pool's NVM flight recorder:
-	// RebootReplica persists the trace tail, obs snapshot, and the
-	// replica's structured DebugInfo into the image before the simulated
-	// power failure; FlightRecords retrieves what recovery found.
-	// Requires Strict.
-	Blackbox bool
 	// RetryWindow bounds how long the KV methods retry through view
 	// changes (failed head, repairing chain) before surfacing the
 	// redirect error to the caller. Default 5s; negative disables
@@ -147,7 +141,6 @@ func New(opts Options) (*Cluster, error) {
 			Manager:      mgr,
 			Setup:        ichain.KVSetup,
 			Trace:        opts.Trace,
-			Blackbox:     opts.Blackbox,
 		},
 	}
 	for _, id := range ids {
@@ -240,8 +233,7 @@ func (c *Cluster) Obs() []*obs.Registry {
 }
 
 // ReplicaDebug pairs one live replica's identity and chain role with its
-// structured debug state; the /debug/chain endpoint serializes a slice
-// of these.
+// structured debug state.
 type ReplicaDebug struct {
 	ID   string           `json:"id"`
 	Role string           `json:"role"`
@@ -250,7 +242,9 @@ type ReplicaDebug struct {
 
 // DebugInfos samples every live replica's structured repair-relevant
 // state (execution floor, queue spans, admission-lock table), in current
-// chain order.
+// chain order. Safe to call while replicas are killed, rejoined or
+// rebooted: a rebooting replica reports its pre-crash ring or its
+// recovered one. The chaos schedule's admission-stuck probe reads it.
 func (c *Cluster) DebugInfos() []ReplicaDebug {
 	v := c.mgr.View()
 	c.mu.RLock()
@@ -299,9 +293,9 @@ type QueueStat struct {
 }
 
 // QueueStats returns the live replicas' queue occupancy in current chain
-// order. The chaos experiment samples it to show acknowledged-prefix
-// truncation keeps the durable logs bounded under failures, and the
-// high-water watchdog probe compares occupancy against capacity.
+// order, and is as safe against repair as DebugInfos. The chaos schedule's
+// high-water probe compares occupancy against capacity to show
+// acknowledged-prefix truncation keeps the rings bounded under failures.
 func (c *Cluster) QueueStats() []QueueStat {
 	v := c.mgr.View()
 	c.mu.RLock()
@@ -317,39 +311,6 @@ func (c *Cluster) QueueStats() []QueueStat {
 			ID: string(id), InputBytes: in.Bytes, InputHigh: in.HighWater,
 			InflightBytes: fl.Bytes, InflightHigh: fl.HighWater,
 			InputCap: capacity, InflightCap: capacity,
-		})
-	}
-	return out
-}
-
-// FlightRecord pairs a replica id with the black-box record its pool
-// retrieved after its most recent reboot.
-type FlightRecord struct {
-	// ID is the replica's member id.
-	ID string
-	// Record is the decoded record; Raw its stored encoding (the
-	// tools/blackbox decoder's input format).
-	Record *trace.FlightRecord
-	Raw    []byte
-}
-
-// FlightRecords collects the black-box records of every live replica
-// that has one (Options.Blackbox set and at least one reboot survived),
-// in current chain order.
-func (c *Cluster) FlightRecords() []FlightRecord {
-	v := c.mgr.View()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []FlightRecord
-	for _, id := range v.Members {
-		rep, ok := c.replicas[id]
-		if !ok || rep.Pool().FlightRecord() == nil {
-			continue
-		}
-		out = append(out, FlightRecord{
-			ID:     string(id),
-			Record: rep.Pool().FlightRecord(),
-			Raw:    rep.Pool().FlightRecordBytes(),
 		})
 	}
 	return out

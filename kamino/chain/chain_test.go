@@ -1,7 +1,9 @@
 package chain
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,5 +95,47 @@ func TestClusterSurvivesFailuresAndReboot(t *testing.T) {
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// DebugInfos must expose every replica with its role in view order, and
+// the string DebugState must keep rendering from the same data.
+func TestClusterDebugIntrospection(t *testing.T) {
+	c, err := New(Options{Mode: ModeKamino, Replicas: 3, HeapSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put(1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	infos := c.DebugInfos()
+	if len(infos) != 3 {
+		t.Fatalf("DebugInfos len = %d", len(infos))
+	}
+	if infos[0].Role != "head" || infos[2].Role != "tail" || infos[1].Role != "middle" {
+		t.Fatalf("roles = %v %v %v", infos[0].Role, infos[1].Role, infos[2].Role)
+	}
+	if infos[0].Info.LastExec == 0 {
+		t.Fatal("head shows no executed ops after a Put")
+	}
+	// Structured state serializes cleanly.
+	raw, err := json.Marshal(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"last_exec"`) {
+		t.Fatalf("JSON missing last_exec: %s", raw)
+	}
+	// The one-line rendering carries the same fields.
+	s := c.DebugState()
+	if !strings.Contains(s, "lastExec=") || !strings.Contains(s, "head") {
+		t.Fatalf("DebugState = %q", s)
+	}
+	// Queue stats expose occupancy and capacity for every replica.
+	for _, qs := range c.QueueStats() {
+		if qs.InputCap == 0 || qs.InflightCap == 0 {
+			t.Fatalf("queue stats missing capacity: %+v", qs)
+		}
 	}
 }

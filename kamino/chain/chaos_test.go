@@ -216,14 +216,10 @@ func chaosSchedule(t *testing.T, replicas int) {
 	settle()
 	killRejoin(1) // middle
 	settle()
-	// The watchdog sits the reboot out: DebugInfos and QueueStats read the
-	// head's ring, and a reboot crashes the region under it.
-	wd.Stop()
 	if err := cl.RebootReplica(0); err != nil { // head power-cycle (§5.3)
 		stopWorkers()
 		t.Fatalf("head reboot: %v", err)
 	}
-	wd.Start()
 	settle()
 	killRejoin(len(cl.Members()) - 1) // tail
 	settle()

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"kaminotx/internal/recovery"
+	"kaminotx/internal/engine"
 )
 
 // Index checkpointing.
@@ -277,8 +277,8 @@ func (p *Pool) loadIndexStash(raw []byte) {
 // that produced the current incarnation — nil for a freshly created pool
 // or an engine that does not report stages. kaminod logs it; the recovery
 // benchmark attributes time-to-first-transaction with it.
-func (p *Pool) RecoveryReport() []recovery.StageReport {
-	if r, ok := p.Engine().(interface{ RecoveryReport() []recovery.StageReport }); ok {
+func (p *Pool) RecoveryReport() []engine.StageReport {
+	if r, ok := p.Engine().(interface{ RecoveryReport() []engine.StageReport }); ok {
 		return r.RecoveryReport()
 	}
 	return nil

@@ -121,27 +121,14 @@ type Options struct {
 	// "/log". With Trace nil the hot path pays at most one atomic nil
 	// check per would-be event.
 	Trace *trace.Recorder
-
-	// Blackbox reserves a small extra NVM region as a crash-time flight
-	// recorder: Crash/CrashPartial persist the tail of the trace ring,
-	// an obs registry snapshot and any registered crash context (chain
-	// debug state) into it before rewinding the images, and the
-	// post-crash reopen retrieves the record (Pool.FlightRecord) and
-	// exports a last_crash gauge. Requires Strict (like Crash itself);
-	// most useful together with Trace. Default off.
-	Blackbox bool
-
-	// BlackboxBytes caps the encoded flight-record payload; records are
-	// trimmed (oldest events first) to fit. Default 1 MiB.
-	BlackboxBytes int
 }
 
 // applyOverrides merges an Open-time override into stored options. Runtime
-// tunables (ApplierWorkers, latencies, Trace, Blackbox, BlackboxBytes) replace the stored value when set. Structural
-// fields describe the checkpointed images and cannot be changed by
-// reopening: a non-zero structural field in the override must equal the
-// stored value or the open fails, instead of silently reinterpreting the
-// images under a different geometry.
+// tunables (ApplierWorkers, latencies, Trace) replace the stored value when
+// set. Structural fields describe the checkpointed images and cannot be
+// changed by reopening: a non-zero structural field in the override must
+// equal the stored value or the open fails, instead of silently
+// reinterpreting the images under a different geometry.
 func (o Options) applyOverrides(ov Options) (Options, error) {
 	structural := []struct {
 		name           string
@@ -174,12 +161,6 @@ func (o Options) applyOverrides(ov Options) (Options, error) {
 	}
 	if ov.Trace != nil {
 		o.Trace = ov.Trace
-	}
-	if ov.Blackbox {
-		o.Blackbox = true
-	}
-	if ov.BlackboxBytes != 0 {
-		o.BlackboxBytes = ov.BlackboxBytes
 	}
 	return o, nil
 }
@@ -218,9 +199,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.LogDataBytesPerSlot == 0 {
 		o.LogDataBytesPerSlot = 64 << 10
-	}
-	if o.BlackboxBytes == 0 {
-		o.BlackboxBytes = 1 << 20
 	}
 	// A zero ApplierWorkers flows through to the engine, which picks a
 	// GOMAXPROCS-scaled default.

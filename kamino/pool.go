@@ -40,7 +40,6 @@ import (
 	"kaminotx/internal/heap"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
-	"kaminotx/internal/trace"
 )
 
 // ObjID identifies a persistent object; it doubles as the persistent
@@ -64,17 +63,6 @@ type Pool struct {
 	root ObjID
 
 	mainReg, backupReg, logReg *nvm.Region
-
-	// bb is the crash-time flight recorder (Options.Blackbox); engActor
-	// labels the current engine incarnation in its records. crashCtx,
-	// when set, contributes extra JSON context (chain debug state) to
-	// each record. lastFlight/lastFlightRaw hold the record retrieved by
-	// the most recent post-crash reopen.
-	bb            *nvm.Blackbox
-	engActor      string
-	crashCtx      func() []byte
-	lastFlight    *trace.FlightRecord
-	lastFlightRaw []byte
 
 	// Index checkpointing (see checkpoint.go). idxBB is the dedicated NVM
 	// region holding the latest index blob on strict pools; idxSources are
@@ -161,24 +149,13 @@ func (p *Pool) makeRegions() error {
 			return err
 		}
 	}
-	if p.opts.Blackbox && p.opts.Strict {
-		// The flight recorder's own stores must not pay the simulated
-		// flush latency: capture happens inside an already-crashed
-		// process, not on any transaction's critical path.
-		bopts := ropts
-		bopts.Latency = nvm.LatencyModel{}
-		p.bb, err = nvm.NewBlackbox(p.opts.BlackboxBytes, bopts)
-		if err != nil {
-			return err
-		}
-	}
 	return p.makeIndexRegion()
 }
 
 // makeIndexRegion creates the index-checkpoint NVM region on strict
 // pools, so a snapshot survives Crash/CrashPartial the same way data
-// does. Checkpoint writes, like the flight recorder's, pay no injected
-// flush latency: they run off the transaction critical path.
+// does. Checkpoint writes pay no injected flush latency: they run off the
+// transaction critical path.
 func (p *Pool) makeIndexRegion() error {
 	if !p.opts.Strict {
 		return nil
@@ -250,7 +227,6 @@ func (p *Pool) attachTrace(eng engine.Engine) {
 		return
 	}
 	actor := fmt.Sprintf("%s#%d", eng.Name(), rec.NextActorID())
-	p.engActor = actor
 	eng.SetTracer(rec.Tracer(actor))
 	p.mainReg.SetTracer(rec.Tracer(actor + "/main"))
 	if p.backupReg != nil {
@@ -387,17 +363,6 @@ func (p *Pool) crash(keep func(line int) bool) error {
 			return err
 		}
 	}
-	// Capture the flight record after the data regions crashed (so the
-	// DevCrash events are the tail of the timeline) and before the new
-	// engine incarnation exists (so the obs snapshot belongs to the one
-	// that died). The blackbox itself crashes last: everything Store
-	// persisted is fenced, so the record survives either loss model.
-	if p.bb != nil {
-		p.storeFlightRecord(keep != nil)
-		if err := p.bb.Crash(keep); err != nil {
-			return err
-		}
-	}
 	// Restore the index-checkpoint stash before the engine rebuilds: every
 	// byte Store put in the index region was fenced, so the blob survives
 	// both loss models. A missing or stale blob just means cold recovery.
@@ -418,88 +383,8 @@ func (p *Pool) crash(keep func(line int) bool) error {
 		return err
 	}
 	p.root = root
-	p.retrieveFlightRecord()
 	return nil
 }
-
-// flightTailEvents bounds how many trace events a flight record starts
-// with; storeFlightRecord halves it until the encoding fits the
-// blackbox.
-const flightTailEvents = 2048
-
-// storeFlightRecord persists the dying incarnation's black-box record.
-// Capture is best-effort: a record that cannot be encoded or stored must
-// not turn a survivable simulated crash into a pool failure.
-func (p *Pool) storeFlightRecord(partial bool) {
-	reason := "crash"
-	if partial {
-		reason = "crash_partial"
-	}
-	eng := p.Engine()
-	fr := trace.BuildFlightRecord(p.opts.Trace, reason, flightTailEvents)
-	fr.Actor = p.engActor
-	if fr.Actor == "" {
-		fr.Actor = eng.Name()
-	}
-	fr.Obs = []obs.Snapshot{eng.Obs().Snapshot()}
-	if p.crashCtx != nil {
-		fr.Chain = p.crashCtx()
-	}
-	for {
-		buf, err := fr.Encode()
-		if err != nil {
-			return
-		}
-		if len(buf) <= p.bb.Capacity() {
-			_ = p.bb.Store(buf)
-			return
-		}
-		if len(fr.Events) == 0 {
-			return
-		}
-		drop := len(fr.Events)/2 + 1
-		fr.Events = fr.Events[drop:]
-	}
-}
-
-// retrieveFlightRecord detects a stored record after a crash-reopen and
-// exposes it (FlightRecord) plus a last_crash gauge on the new engine
-// incarnation's registry.
-func (p *Pool) retrieveFlightRecord() {
-	if p.bb == nil {
-		return
-	}
-	raw, ok := p.bb.Retrieve()
-	if !ok {
-		return
-	}
-	fr, err := trace.DecodeFlightRecord(raw)
-	if err != nil {
-		return
-	}
-	p.lastFlightRaw = raw
-	p.lastFlight = fr
-	at := uint64(fr.WallNS)
-	o := p.Engine().Obs()
-	o.Gauge("last_crash_unix_ns", func() uint64 { return at })
-	o.Counter("flight_records").Inc()
-}
-
-// SetCrashContext registers a callback that contributes extra context to
-// crash-time flight records as raw JSON — chain replicas hand their
-// structured DebugInfo in through this. fn runs during Crash, after the
-// engine closed and the data regions rewound; it must not start
-// transactions on this pool.
-func (p *Pool) SetCrashContext(fn func() []byte) { p.crashCtx = fn }
-
-// FlightRecord returns the black-box record retrieved after the most
-// recent Crash/CrashPartial, or nil when there is none (Blackbox off, or
-// no crash yet this incarnation).
-func (p *Pool) FlightRecord() *trace.FlightRecord { return p.lastFlight }
-
-// FlightRecordBytes returns the raw encoded form of FlightRecord — what
-// the tools/blackbox decoder consumes. Nil when FlightRecord is nil.
-func (p *Pool) FlightRecordBytes() []byte { return p.lastFlightRaw }
 
 // Reload reopens the pool's engine over the current region contents and
 // re-reads the root pointer from the heap header. Chain replicas use it
@@ -691,13 +576,11 @@ func (p *Pool) Checkpoint() error {
 // or Close, running crash recovery over the restored images.
 //
 // An optional Options value overrides runtime tunables for this
-// incarnation — ApplierWorkers, FlushLatency, FenceLatency, Trace,
-// Blackbox, BlackboxBytes. Structural fields (Mode, HeapSize, log
-// geometry, …) describe the stored images; setting one in
-// the override to anything but its zero value or the stored value is a
-// configuration error. This replaces the old post-hoc attach pattern
-// (Pool.SetTrace): every knob is in force before recovery runs, so even
-// the recovery scans are traced as configured.
+// incarnation — ApplierWorkers, FlushLatency, FenceLatency, Trace.
+// Structural fields (Mode, HeapSize, log geometry, …) describe the stored
+// images; setting one in the override to anything but its zero value or
+// the stored value is a configuration error. Every knob is in force before
+// recovery runs, so even the recovery scans are traced as configured.
 func Open(dir string, overrides ...Options) (*Pool, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, "pool.json"))
 	if err != nil {
@@ -742,14 +625,6 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 	}
 	if opts.Mode != ModeNoLog {
 		p.logReg, err = nvm.Load(filepath.Join(dir, "log.img"), ropts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.Blackbox && opts.Strict {
-		bopts := ropts
-		bopts.Latency = nvm.LatencyModel{}
-		p.bb, err = nvm.NewBlackbox(opts.BlackboxBytes, bopts)
 		if err != nil {
 			return nil, err
 		}

@@ -15,6 +15,7 @@ import (
 
 	"kaminotx/internal/heap"
 	"kaminotx/internal/kvstore"
+	"kaminotx/internal/obs"
 	"kaminotx/internal/trace"
 	"kaminotx/kamino"
 )
@@ -82,6 +83,49 @@ func TestIndexCheckpointWarmReopen(t *testing.T) {
 	verifyStore(t, store, model)
 	if err := store.Tree().CheckInvariants(); err != nil {
 		t.Fatalf("invariants after warm reopen: %v", err)
+	}
+}
+
+// TestRecoveryReportStages: a reopen runs its stages in dependency order,
+// times each into its phase histogram and the RecoveryReport, and leaves
+// recovery_progress at 100; a freshly created pool reports nothing. Each
+// mode runs the stages its mechanism has: a lookup-table attach on kamino,
+// no log replay on nolog.
+func TestRecoveryReportStages(t *testing.T) {
+	for mode, want := range map[kamino.Mode][]obs.Phase{
+		kamino.ModeSimple: {obs.PhaseRecoveryIndexAttach, obs.PhaseRecoveryLogReplay, obs.PhaseRecoveryRescan},
+		kamino.ModeUndo:   {obs.PhaseRecoveryLogReplay, obs.PhaseRecoveryRescan},
+		kamino.ModeNoLog:  {obs.PhaseRecoveryRescan},
+	} {
+		pool, err := kamino.Create(kamino.Options{Mode: mode, Strict: true, HeapSize: 4 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := pool.RecoveryReport(); r != nil {
+			t.Errorf("%s: fresh pool reports recovery stages %v", mode, r)
+		}
+		if err := pool.Crash(); err != nil {
+			t.Fatalf("%s: Crash: %v", mode, err)
+		}
+		var got []obs.Phase
+		for _, st := range pool.RecoveryReport() {
+			got = append(got, st.Stage)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recovery stages %v, want %v", mode, got, want)
+		}
+		snap := pool.Obs().Snapshot()
+		for _, ph := range want {
+			if n := snap.Phases[ph].Count; n != 1 {
+				t.Errorf("%s: phase %s observed %d times, want 1", mode, ph, n)
+			}
+		}
+		if p := snap.Gauges["recovery_progress"]; p != 100 {
+			t.Errorf("%s: recovery_progress = %d after recovery, want 100", mode, p)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
