@@ -30,10 +30,12 @@ fmt:
 # the chain's debug state through all of it). The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
 # drain audit, whose request-admission-versus-wait ordering shows a race
-# only about one run in eight when it is wrong.
+# only about one run in eight when it is wrong. internal/simtime is the wait
+# every simulated latency goes through (its yield tests pin one processor),
+# and internal/transport the in-process hop that spends it.
 race:
 	$(GO) test -race -count=20 -run TestDrainZeroLoss ./internal/server/
-	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/...
+	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/
 # lacks a godoc comment, or any package — including the cmd/ and tools/

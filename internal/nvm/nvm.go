@@ -31,11 +31,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"kaminotx/internal/simtime"
 	"kaminotx/internal/trace"
 )
 
@@ -137,8 +137,10 @@ type Region struct {
 	stripes [lineStripeCount]lineStripe
 	durable []byte // durable image (strict mode only)
 
-	statMu sync.Mutex
-	stats  Stats
+	// Event counters, one atomic each: every mutation, flush and fence
+	// bumps them, from the client and the applier at once on a shared
+	// region. Stats assembles the snapshot.
+	writes, bytesWritten, flushes, linesFlushed, fences, bytesRead atomic.Uint64
 
 	// tracer, when attached, receives device-level trace events. Atomic
 	// so SetTracer is safe against concurrent region use; nil when
@@ -226,11 +228,19 @@ func (r *Region) Size() int { return r.size }
 // Mode returns the region's fidelity mode.
 func (r *Region) Mode() Mode { return r.mode }
 
-// Stats returns a snapshot of the region's event counters.
+// Stats returns a snapshot of the region's event counters. Each counter is
+// read on its own: the snapshot is exact once the region is quiescent, and
+// while operations are in flight one of them may show in one counter and
+// not yet in another.
 func (r *Region) Stats() Stats {
-	r.statMu.Lock()
-	defer r.statMu.Unlock()
-	return r.stats
+	return Stats{
+		Writes:       r.writes.Load(),
+		BytesWritten: r.bytesWritten.Load(),
+		Flushes:      r.flushes.Load(),
+		LinesFlushed: r.linesFlushed.Load(),
+		Fences:       r.fences.Load(),
+		BytesRead:    r.bytesRead.Load(),
+	}
 }
 
 // ErrOutOfRange reports an access outside the region.
@@ -272,10 +282,8 @@ func (r *Region) mutate(off, n int, apply func()) {
 }
 
 func (r *Region) countWrite(n int) {
-	r.statMu.Lock()
-	r.stats.Writes++
-	r.stats.BytesWritten += uint64(n)
-	r.statMu.Unlock()
+	r.writes.Add(1)
+	r.bytesWritten.Add(uint64(n))
 }
 
 // Write copies p into the region at off. The data is volatile until flushed
@@ -347,9 +355,7 @@ func (r *Region) Read(off int, p []byte) error {
 		return err
 	}
 	copy(p, r.mem[off:])
-	r.statMu.Lock()
-	r.stats.BytesRead += uint64(len(p))
-	r.statMu.Unlock()
+	r.bytesRead.Add(uint64(len(p)))
 	if r.latency.ReadPerLine > 0 {
 		spin(time.Duration(lines(off, len(p))) * r.latency.ReadPerLine)
 	}
@@ -379,9 +385,7 @@ func Copy(dst *Region, doff int, src *Region, soff, n int) error {
 	dst.mutate(doff, n, func() { copy(dst.mem[doff:doff+n], src.mem[soff:soff+n]) })
 	dst.countWrite(n)
 	dst.traceWrite(doff, n)
-	src.statMu.Lock()
-	src.stats.BytesRead += uint64(n)
-	src.statMu.Unlock()
+	src.bytesRead.Add(uint64(n))
 	return nil
 }
 
@@ -399,10 +403,8 @@ func (r *Region) Flush(off, n int) error {
 		return err
 	}
 	nl := lines(off, n)
-	r.statMu.Lock()
-	r.stats.Flushes++
-	r.stats.LinesFlushed += uint64(nl)
-	r.statMu.Unlock()
+	r.flushes.Add(1)
+	r.linesFlushed.Add(uint64(nl))
 	if r.mode == ModeStrict && n > 0 {
 		mask := spanMask(off, n)
 		r.lockMask(&mask)
@@ -432,9 +434,7 @@ func (r *Region) Fence() {
 	if h := r.fenceHook.Load(); h != nil {
 		(*h)()
 	}
-	r.statMu.Lock()
-	r.stats.Fences++
-	r.statMu.Unlock()
+	r.fences.Add(1)
 	if r.mode == ModeStrict {
 		for i := range r.stripes {
 			s := &r.stripes[i]
@@ -559,21 +559,10 @@ func (r *Region) IsPersisted(off, n int) (bool, error) {
 	return true, nil
 }
 
-// spin waits at least d, modeling a thread stalled on the persistence
-// domain. time.Sleep's granularity (tens of microseconds) is too coarse for
-// per-line device latencies, so short waits poll — yielding each iteration,
-// because during a real CLWB/SFENCE drain the core is free for other
-// threads (notably Kamino's backup applier).
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if d > 100*time.Microsecond {
-		time.Sleep(d)
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-		runtime.Gosched()
-	}
-}
+// spin stalls the calling goroutine for d of device time: a flush, fence
+// or read does not return before the monotonic clock shows d elapsed.
+// simtime.Wait is the one place that time is spent; it keeps the processor
+// for stalls under a microsecond and offers it to other goroutines
+// (Kamino's backup applier, the other client) at most once per microsecond
+// of a longer one.
+func spin(d time.Duration) { simtime.Wait(d) }

@@ -3,6 +3,8 @@ package transport
 import (
 	"sync"
 	"time"
+
+	"kaminotx/internal/simtime"
 )
 
 // InProc is an in-process transport. Each registered node gets an inbox
@@ -69,19 +71,9 @@ func (t *InProc) lookup(id NodeID) (*inbox, bool) {
 	return ib, ok
 }
 
-// delay models one network hop. Latencies below sleep granularity spin.
-func (t *InProc) delay() {
-	if t.hop <= 0 {
-		return
-	}
-	if t.hop >= 200*time.Microsecond {
-		time.Sleep(t.hop)
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < t.hop {
-	}
-}
+// delay models one network hop: the sender is stalled for the hop latency,
+// spent through simtime.Wait like every other simulated latency.
+func (t *InProc) delay() { simtime.Wait(t.hop) }
 
 // Send implements Transport.
 func (t *InProc) Send(to NodeID, msg *Message) error {

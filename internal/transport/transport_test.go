@@ -52,18 +52,32 @@ func TestInProcSendAndCall(t *testing.T) {
 	testTransportSendAndCall(t, tr, "a", "b")
 }
 
+// TestInProcLatency holds a one-way send to at least one hop and a call to
+// at least two, at the harness's 3 µs hop (the polling wait) and at 300 µs
+// (the sleeping one).
 func TestInProcLatency(t *testing.T) {
-	tr := NewInProc(300 * time.Microsecond)
-	defer tr.Close()
-	if err := tr.Register("n", func(m *Message) *Message { return &Message{} }); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := tr.Call("n", &Message{}); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 500*time.Microsecond {
-		t.Errorf("call with 300µs hops took %v, want >= ~600µs", el)
+	for _, hop := range []time.Duration{3 * time.Microsecond, 300 * time.Microsecond} {
+		tr := NewInProc(hop)
+		if err := tr.Register("n", func(m *Message) *Message { return &Message{} }); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			start := time.Now()
+			if err := tr.Send("n", &Message{}); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(start); el < hop {
+				t.Errorf("send with %v hops took %v", hop, el)
+			}
+			start = time.Now()
+			if _, err := tr.Call("n", &Message{}); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(start); el < 2*hop {
+				t.Errorf("call with %v hops took %v, want >= %v", hop, el, 2*hop)
+			}
+		}
+		tr.Close()
 	}
 }
 
