@@ -9,10 +9,10 @@
 // engine with -mode); later starts reopen the checkpointed pool. The
 // metrics endpoint comes up before the pool opens, so a restarting
 // process is observable while it recovers: /readyz reports "recovering"
-// (503) until the pool has replayed its logs, rebuilt or restored its
-// indexes, and served a probe transaction, and the recovery_progress
-// gauge and rescan/log_replay/index_attach/warmup phase spans expose the
-// staged pipeline while it runs. SIGUSR1 takes an online checkpoint: the
+// (503) until the pool has rebuilt its indexes, replayed its logs,
+// rescanned its heap and served a probe transaction, and the
+// recovery_progress gauge and index_attach/log_replay/rescan phase spans
+// expose the staged pipeline while it runs. SIGUSR1 takes an online checkpoint: the
 // request plane quiesces briefly (new requests shed with BUSY), the pool
 // checkpoints, service resumes. SIGTERM or SIGINT triggers a graceful
 // drain: the listener closes, /readyz flips to "draining", in-flight
@@ -115,7 +115,7 @@ func main() {
 
 	// Bring the metrics plane up first: a process restarting into a long
 	// recovery must be observable during it (recovery_progress, the
-	// rescan/log_replay/index_attach/warmup spans, /readyz=recovering).
+	// index_attach/log_replay/rescan spans, /readyz=recovering).
 	hub := obs.NewHub()
 	var metricsSrv *http.Server
 	if f.metricsAddr != "" {
@@ -190,9 +190,8 @@ func main() {
 	logf("serving KV protocol on %s (tenants: %s)", ln.Addr(), strings.Join(srv.Tenants().Names(), ", "))
 
 	// Prove the recovered store serves transactions before reporting
-	// ready: a read probe exercises the full engine path (and, being the
-	// first transaction of this incarnation, durably bumps the image
-	// epoch, invalidating any pre-recovery index checkpoint for good).
+	// ready: a read probe claims a log slot, runs and aborts, touching no
+	// device.
 	if err := pool.View(func(tx *kamino.Tx) error { return nil }); err != nil {
 		srv.Close()
 		pool.Close()

@@ -120,9 +120,9 @@ type StageReport struct {
 // a mechanism's lookup state (attach; Kamino's backup index, nil
 // otherwise) must exist before log replay (replay: the mechanism's
 // Recover, nil with no log) can roll transactions forward or back, and
-// replay may rewrite block headers the free-list rescan reads — so
-// parallelism lives inside the stages (parallel heap rescan, concurrent
-// intent-log slot groups), not between them.
+// replay may rewrite block headers the free-list rescan reads — so what
+// parallelism there is lives inside a stage (concurrent intent-log slot
+// groups), not between stages.
 func (b *Base) Reopen(attach, replay func() error) error {
 	stages := []struct {
 		phase obs.Phase

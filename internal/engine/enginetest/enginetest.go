@@ -123,8 +123,7 @@ func deviceCounts(e engine.Engine, fields ...string) map[string]uint64 {
 
 // testReadOnlyLeavesNoMark: a transaction with an empty write set finishes
 // — by Commit, or by Abort as Pool.View ends it — without a store, a flush
-// or a fence on any region and without a trace event. It runs after the
-// engine's first transaction, which may durably bump the checkpoint epoch.
+// or a fence on any region and without a trace event.
 func testReadOnlyLeavesNoMark(t *testing.T, f Factory) {
 	inst := f.New(t)
 	defer inst.Engine.Close()

@@ -180,85 +180,6 @@ func (b *dynamicBackend) rebuild() error {
 	return nil
 }
 
-// encodeSnapshot serializes the volatile lookup state — every entry in
-// LRU order (most recent first) — for the pool's incremental index
-// checkpoint. Restoring it skips rebuild's full backup-heap scan and,
-// unlike the scan, preserves recency: a cold rebuild can only push blocks
-// in address order, losing the eviction ordering the α-sized backup's
-// hit rate depends on.
-func (b *dynamicBackend) encodeSnapshot() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf := make([]byte, 4, 4+20*b.lru.Len())
-	binary.LittleEndian.PutUint32(buf, uint32(b.lru.Len()))
-	for el := b.lru.Front(); el != nil; el = el.Next() {
-		obj := el.Value.(heap.ObjID)
-		e := b.entries[obj]
-		var rec [20]byte
-		binary.LittleEndian.PutUint64(rec[0:], uint64(obj))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(e.backupObj))
-		binary.LittleEndian.PutUint32(rec[16:], uint32(e.blockLen))
-		buf = append(buf, rec[:]...)
-	}
-	return buf
-}
-
-// restoreSnapshot installs a lookup table serialized by encodeSnapshot,
-// validating every record against the persistent backup block it claims
-// (allocated, prefix names the same main object and length). Any mismatch
-// returns an error with the map untouched; the caller falls back to
-// rebuild. Valid only when the image epoch still matches the snapshot's —
-// the caller checks that — since nothing here reconciles blocks created
-// or freed after the snapshot.
-func (b *dynamicBackend) restoreSnapshot(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("kamino: backup index snapshot truncated (%d bytes)", len(data))
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if len(data) != 4+20*n {
-		return fmt.Errorf("kamino: backup index snapshot: %d entries but %d bytes", n, len(data))
-	}
-	entries := make(map[heap.ObjID]*dynEntry, n)
-	lru := list.New()
-	reg := b.bheap.Region()
-	for i := 0; i < n; i++ {
-		rec := data[4+20*i:]
-		mainObj := heap.ObjID(binary.LittleEndian.Uint64(rec[0:]))
-		backupObj := heap.ObjID(binary.LittleEndian.Uint64(rec[8:]))
-		blockLen := int(binary.LittleEndian.Uint32(rec[16:]))
-		cls, err := b.bheap.ClassOf(backupObj)
-		if err != nil {
-			return fmt.Errorf("kamino: backup index snapshot entry %d: %w", i, err)
-		}
-		alloc, err := b.bheap.IsAllocated(backupObj)
-		if err != nil {
-			return err
-		}
-		if !alloc || mainObj == heap.Nil || blockLen <= 0 || blockLen > cls-dynPrefix {
-			return fmt.Errorf("kamino: backup index snapshot entry %d does not match block state", i)
-		}
-		pfx, err := reg.ReadSlice(int(backupObj), dynPrefix)
-		if err != nil {
-			return err
-		}
-		if heap.ObjID(binary.LittleEndian.Uint64(pfx)) != mainObj ||
-			int(binary.LittleEndian.Uint32(pfx[8:])) != blockLen {
-			return fmt.Errorf("kamino: backup index snapshot entry %d disagrees with persistent prefix", i)
-		}
-		if _, dup := entries[mainObj]; dup {
-			return fmt.Errorf("kamino: backup index snapshot: duplicate main object %d", mainObj)
-		}
-		e := &dynEntry{backupObj: backupObj, blockLen: blockLen}
-		e.lruElem = lru.PushBack(mainObj)
-		entries[mainObj] = e
-	}
-	b.mu.Lock()
-	b.entries = entries
-	b.lru = lru
-	b.mu.Unlock()
-	return nil
-}
-
 func (b *dynamicBackend) ensure(obj heap.ObjID, class int) (bool, error) {
 	blockLen := heap.BlockHeaderSize + class
 	b.mu.Lock()

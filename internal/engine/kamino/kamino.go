@@ -44,22 +44,6 @@ type Config struct {
 	// its sync completes, so two queued txs never share an object).
 	// Defaults to GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
-
-	// BackupIndex, when non-nil on Open, offers a checkpointed
-	// dynamic-backend lookup table (encoded by EncodeBackupIndex). It is
-	// used only if the engine is dynamic and the main heap's image epoch
-	// still equals Epoch — otherwise transactions ran after the snapshot
-	// and the full rebuild scan runs instead. A snapshot that fails
-	// validation also falls back; it can slow recovery down, never
-	// corrupt it.
-	BackupIndex *BackupIndexSnapshot
-}
-
-// BackupIndexSnapshot is a checkpointed dynamic-backend lookup table plus
-// the image epoch it was taken at.
-type BackupIndexSnapshot struct {
-	Epoch uint64
-	Data  []byte
 }
 
 func (c Config) withDefaults() Config {
@@ -154,10 +138,9 @@ func New(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 // and returns a running engine.
 //
 // Recovery is the skeleton's staged pipeline (engine.Base.Reopen) with all
-// three stages: the backup's lookup state is attached first — restored from
-// a checkpoint when Config's snapshot is still epoch-valid, rebuilt by a
-// scan otherwise — then log replay reconciles slot groups concurrently, and
-// the heap rescans in parallel at the segment directory's cut points.
+// three stages: the backup's lookup state is attached first (the dynamic
+// backend rebuilds it by scanning the backup heap's block prefixes), then
+// log replay reconciles slot groups concurrently, then the main heap rescans.
 func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	name, dynamic, r := layout(mainReg, backupReg, logReg)
@@ -180,15 +163,6 @@ func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 		}
 		db := newDynamicBackend(mainReg, bh, b.Locks(), b.Obs())
 		e.backend = db
-		if snap := cfg.BackupIndex; snap != nil && snap.Epoch == b.Heap().Epoch() {
-			if err := db.restoreSnapshot(snap.Data); err == nil {
-				b.Obs().Counter("recovery_index_warm").Inc()
-				return nil
-			}
-			// An invalid snapshot downgrades to the scan, never fails
-			// the open.
-		}
-		b.Obs().Counter("recovery_index_cold").Inc()
 		return db.rebuild()
 	}
 	if err := b.Reopen(attach, e.Recover); err != nil {
@@ -196,19 +170,6 @@ func Open(mainReg, backupReg, logReg *nvm.Region, cfg Config) (*Engine, error) {
 	}
 	e.start(cfg)
 	return e, nil
-}
-
-// EncodeBackupIndex serializes the dynamic backend's lookup table for the
-// pool's index checkpoint; ok is false for the simple (full-mirror)
-// backend, which keeps no volatile lookup state. Callers must quiesce
-// transactions (Drain) first and stamp the result with the heap's current
-// epoch.
-func (e *Engine) EncodeBackupIndex() (data []byte, ok bool) {
-	db, isDyn := e.backend.(*dynamicBackend)
-	if !isDyn {
-		return nil, false
-	}
-	return db.encodeSnapshot(), true
 }
 
 // newEngine wires Kamino's own counters and phase timers onto the

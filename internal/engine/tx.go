@@ -44,15 +44,10 @@ type BaseTx struct {
 	frees []heap.ObjID
 }
 
-// BeginTx starts a transaction: it marks the image as written since its
-// last checkpoint and claims a log slot, blocking while none is free. No
-// device is touched beyond the first transaction's epoch bump, and no trace
-// event is emitted: a transaction that declares no write intent leaves no
-// trace of any kind.
+// BeginTx starts a transaction: it claims a log slot, blocking while none is
+// free. No device is touched and no trace event is emitted: a transaction
+// that declares no write intent leaves no trace of any kind.
 func (b *Base) BeginTx() (BaseTx, error) {
-	if err := b.heap.TouchEpoch(); err != nil {
-		return BaseTx{}, err
-	}
 	t := BaseTx{b: b, ws: make(map[heap.ObjID]WriteEntry)}
 	if b.log == nil {
 		t.id = b.nextID.Add(1)

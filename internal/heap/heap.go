@@ -4,10 +4,10 @@
 // persistent objects, identified by ObjIDs (region offsets) that double as
 // persistent pointers between objects.
 //
-// Persistent state is deliberately minimal — a 64-byte heap header plus a
-// 16-byte header in front of every block. Free lists are volatile and are
-// rebuilt by scanning block headers at open, so no multi-word free-list
-// surgery ever needs to be crash-consistent.
+// Persistent state is deliberately minimal — five fields of heap header
+// plus a 16-byte header in front of every block. Free lists are volatile
+// and are rebuilt by scanning block headers at open, so no multi-word
+// free-list surgery ever needs to be crash-consistent.
 //
 // Crash consistency of allocation itself is the transaction engine's job
 // (the paper treats alloc/free as transactional metadata updates). The heap
@@ -41,9 +41,8 @@ type ObjID uint64
 const Nil ObjID = 0
 
 const (
-	headerSize = 64         // persistent heap header (fixed fields)
 	hdrMagic   = 0x4b484541 // "KHEA"
-	hdrVersion = 2          // v2: epoch stamp + rescan segment directory
+	hdrVersion = 2          // the layout with DataStart at 2048
 
 	// BlockHeaderSize is the per-object header preceding every payload.
 	BlockHeaderSize = 16
@@ -51,29 +50,13 @@ const (
 	blockAlign = 16
 
 	// header field offsets
-	offMagic   = 0  // u32
-	offVer     = 4  // u32
-	offSize    = 8  // u64 region size at format time
-	offBump    = 16 // u64 first never-allocated offset
-	offRoot    = 24 // u64 root ObjID
-	offEpoch   = 32 // u64 durable image generation (see TouchEpoch)
-	offSegSpan = 40 // u64 rescan segment span in bytes
-	// bytes 48..63 reserved
-
-	// The rescan segment directory sits between the fixed header and the
-	// first block: segDirCap u64 entries, each either 0 (unset) or the
-	// offset of a block that starts at or after its segment boundary.
-	// Entries are written once, under the carve mutex, when the bump
-	// pointer first crosses the boundary — one extra 8-byte persist per
-	// segment span of heap growth, which is what lets Rescan partition
-	// the otherwise self-describing (variable-size, back-to-back) block
-	// stream across parallel workers without a serial boundary walk.
-	segDirOff = headerSize
-	segDirCap = 248
-
-	// segMinSpan keeps segments coarse enough that a worker's share
-	// amortizes its goroutine, even on small heaps.
-	segMinSpan = 64 << 10
+	offMagic = 0  // u32
+	offVer   = 4  // u32
+	offSize  = 8  // u64 region size at format time
+	offBump  = 16 // u64 first never-allocated offset
+	offRoot  = 24 // u64 root ObjID
+	// Bytes 32..DataStart are reserved: Format zeroes them and Attach does
+	// not read them (images written by earlier builds carry data there).
 
 	// block header field offsets (relative to block start)
 	bhSize  = 0 // u32 payload capacity (class size)
@@ -120,20 +103,6 @@ type Heap struct {
 
 	carveMu sync.Mutex    // serializes bump carves
 	bump    atomic.Uint64 // volatile mirror of the persistent bump pointer
-
-	// segSpan is the rescan segment span (persisted at format time);
-	// nextSeg is the index of the first directory boundary the carve path
-	// has not yet filled. Both are touched only under carveMu after
-	// construction.
-	segSpan uint64
-	nextSeg int
-
-	// epochArmed marks that the next transaction must durably bump the
-	// image epoch before proceeding (see TouchEpoch). epoch mirrors the
-	// persistent value.
-	epochArmed atomic.Bool
-	epochMu    sync.Mutex
-	epoch      atomic.Uint64
 
 	shards []heapShard
 	rr     atomic.Uint32 // round-robin seed for fresh shard hints
@@ -249,19 +218,6 @@ var (
 	ErrCorruptScan = errors.New("heap: corrupt block header during rescan")
 )
 
-// segSpanFor sizes the rescan segment span for a region: the usable area
-// divided across the directory's capacity, rounded up to the block
-// alignment, never below segMinSpan.
-func segSpanFor(regionSize int) uint64 {
-	usable := uint64(regionSize - DataStart)
-	span := (usable + segDirCap) / (segDirCap + 1)
-	span = (span + blockAlign - 1) / blockAlign * blockAlign
-	if span < segMinSpan {
-		span = segMinSpan
-	}
-	return span
-}
-
 // Format initializes a fresh heap in reg, destroying any previous contents
 // of the header area. The resulting heap is empty and durable.
 func Format(reg *nvm.Region) (*Heap, error) {
@@ -286,29 +242,18 @@ func Format(reg *nvm.Region) (*Heap, error) {
 	if err := reg.Store64(offRoot, 0); err != nil {
 		return nil, err
 	}
-	if err := reg.Store64(offEpoch, 0); err != nil {
-		return nil, err
-	}
-	span := segSpanFor(reg.Size())
-	if err := reg.Store64(offSegSpan, span); err != nil {
-		return nil, err
-	}
 	if err := reg.Persist(0, DataStart); err != nil {
 		return nil, err
 	}
-	h := &Heap{reg: reg, segSpan: span, nextSeg: 1}
+	h := &Heap{reg: reg}
 	h.bump.Store(DataStart)
-	h.epochArmed.Store(true)
 	h.initShards(0)
 	return h, nil
 }
 
 // Attach binds to an already formatted heap without scanning it. The caller
 // must run transaction recovery (which may rewrite block headers) and then
-// Rescan before allocating. The epoch guard comes back armed: the first
-// transaction of the new incarnation durably bumps the image epoch, so any
-// index snapshot taken before the restart is invalidated by the first
-// post-restart mutation.
+// Rescan before allocating.
 func Attach(reg *nvm.Region) (*Heap, error) {
 	magic, err := reg.Load32(offMagic)
 	if err != nil {
@@ -335,40 +280,10 @@ func Attach(reg *nvm.Region) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch, err := reg.Load64(offEpoch)
-	if err != nil {
-		return nil, err
-	}
-	span, err := reg.Load64(offSegSpan)
-	if err != nil {
-		return nil, err
-	}
-	if span == 0 || span%blockAlign != 0 {
-		return nil, fmt.Errorf("heap: corrupt segment span %d", span)
-	}
-	h := &Heap{reg: reg, segSpan: span}
+	h := &Heap{reg: reg}
 	h.bump.Store(bump)
-	h.epoch.Store(epoch)
-	h.epochArmed.Store(true)
-	h.nextSeg = h.scanSegDir()
 	h.initShards(0)
 	return h, nil
-}
-
-// scanSegDir finds the first never-filled directory boundary: one past the
-// highest non-zero entry. Entries lost to a partial crash below that point
-// stay unset forever (rescan merges their segment into the previous one);
-// re-deriving them here would require the serial walk the directory exists
-// to avoid.
-func (h *Heap) scanSegDir() int {
-	next := 1
-	for i := 1; i <= segDirCap; i++ {
-		e, err := h.reg.Load64(segDirOff + (i-1)*8)
-		if err == nil && e != 0 {
-			next = i + 1
-		}
-	}
-	return next
 }
 
 // Open attaches to a formatted heap and rebuilds the free lists. Use when
@@ -462,16 +377,6 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 	}
 	chunkOff := bump
 	newBump := bump + uint64(blocks)*need
-	// Fill any segment-directory boundaries this carve's growth crosses,
-	// before the bump moves: once the new bump is durable a crash may hand
-	// the grown heap to Rescan, which wants the cut points in place. Block
-	// sizes are immutable after the carve, so an entry never needs
-	// rewriting. (A crash between the directory persist and the bump
-	// persist leaves entries pointing past the durable bump; Rescan
-	// filters those.)
-	if err := h.fillSegDir(chunkOff, newBump, need); err != nil {
-		return Nil, err
-	}
 	// Write every block's class size now (stable across alloc/free cycles
 	// and needed by Rescan); states remain free until CommitAlloc. One
 	// contiguous persist covers the whole chunk's headers, and comes before
@@ -510,42 +415,6 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 		s.mu.Unlock()
 	}
 	return ObjID(chunkOff + BlockHeaderSize), nil
-}
-
-// fillSegDir records, for every not-yet-filled segment boundary the carve
-// [chunkOff, newBump) grows past, the offset of the first block starting at
-// or after that boundary. Called under carveMu. need is the block stride
-// (header + class) of the chunk being carved.
-func (h *Heap) fillSegDir(chunkOff, newBump, need uint64) error {
-	first, last := 0, -1
-	for h.nextSeg <= segDirCap {
-		b := uint64(DataStart) + uint64(h.nextSeg)*h.segSpan
-		if b > newBump {
-			break
-		}
-		entry := chunkOff
-		if b > chunkOff {
-			entry = chunkOff + (b-chunkOff+need-1)/need*need
-		}
-		if entry >= newBump {
-			// The boundary falls inside this carve's last block; the
-			// block straddling it belongs to a future carve.
-			break
-		}
-		slot := segDirOff + (h.nextSeg-1)*8
-		if err := h.reg.Store64(slot, entry); err != nil {
-			return err
-		}
-		if last < 0 {
-			first = slot
-		}
-		last = slot
-		h.nextSeg++
-	}
-	if last >= 0 {
-		return h.reg.Persist(first, last-first+8)
-	}
-	return nil
 }
 
 // ReleaseReservation returns a reserved-but-never-committed block to the
@@ -761,49 +630,9 @@ func (h *Heap) FreeCount(cls int) int {
 // Bump returns the current bump offset. Test hook.
 func (h *Heap) Bump() uint64 { return h.bumpSnapshot() }
 
-// DataStart is the offset of the first block in any heap: the fixed header
-// followed by the rescan segment directory.
-const DataStart = headerSize + segDirCap*8
-
-// Epoch returns the heap's durable image epoch. The epoch stamps volatile
-// index snapshots: a snapshot taken at epoch E is valid only while the
-// persistent image still reads epoch E, because every transaction since the
-// snapshot would have bumped it (TouchEpoch).
-func (h *Heap) Epoch() uint64 { return h.epoch.Load() }
-
-// ArmEpoch arms the epoch guard: the next transaction durably bumps the
-// image epoch before touching any object. Callers arm right after taking a
-// snapshot of volatile state derived from the image (index checkpoints), so
-// the snapshot's epoch stays valid exactly until the image next changes.
-func (h *Heap) ArmEpoch() { h.epochArmed.Store(true) }
-
-// TouchEpoch is called by engines at transaction begin. While the guard is
-// armed it durably increments the image epoch (an 8-byte failure-atomic
-// store) and disarms; afterwards it is a single atomic load. The bump
-// happens under a mutex and the guard is cleared only after the persist
-// completes, so any transaction that begins either performed the bump
-// itself or started strictly after it was durable — no mutation can race
-// ahead of the invalidation.
-func (h *Heap) TouchEpoch() error {
-	if !h.epochArmed.Load() {
-		return nil
-	}
-	h.epochMu.Lock()
-	defer h.epochMu.Unlock()
-	if !h.epochArmed.Load() {
-		return nil
-	}
-	e := h.epoch.Load() + 1
-	if err := h.reg.Store64(offEpoch, e); err != nil {
-		return err
-	}
-	if err := h.reg.Persist(offEpoch, 8); err != nil {
-		return err
-	}
-	h.epoch.Store(e)
-	h.epochArmed.Store(false)
-	return nil
-}
+// DataStart is the offset of the first block in any heap. Every ObjID is an
+// offset past it, so it is part of the image format.
+const DataStart = 2048
 
 // ClassForSize exposes the class rounding for tests and sizing tools.
 func ClassForSize(size int) int { return classFor(size) }

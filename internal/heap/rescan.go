@@ -1,164 +1,39 @@
-// Rescan rebuilds the volatile free lists from the persistent block
-// headers. The heap's blocks are variable-size and back-to-back, so the
-// stream is only self-describing when walked front to back — which is why
-// the carve path maintains the segment directory (heap.go): persisted cut
-// points that let the scan run as independent per-segment walks on
-// parallel workers, merged deterministically afterwards.
 package heap
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
-// Rescan walks all block headers and rebuilds the volatile free lists.
-// Distribution across shards is deterministic: free blocks are collected
-// in scan (address) order and dealt round-robin per class, so two rescans
-// of the same persistent image always produce identical per-shard lists.
-// Not safe concurrently with allocation (run it before transactions, as
-// Open and engine recovery do).
-//
-// The scan is partitioned across GOMAXPROCS workers at the segment
-// directory's cut points when the heap is large enough to matter. Any
-// parallel failure — including a directory entry a crash rendered
-// unusable — falls back to the sequential walk, so the directory can
-// never make a recoverable image unrecoverable: only the sequential scan
-// reports corruption.
+// Rescan rebuilds the volatile free lists from the persistent block
+// headers: one walk of every header from DataStart to the bump pointer
+// (blocks are variable-size and back-to-back, so the stream is
+// self-describing only front to back). No block may reach past the bump,
+// which is only ever persisted over whole, formatted blocks. Free blocks are
+// dealt round-robin per class in address order, so two rescans of the same
+// persistent image always produce identical per-shard lists. Not safe
+// concurrently with allocation (run it before transactions, as Open and
+// engine recovery do).
 func (h *Heap) Rescan() error {
-	if err := h.RescanParallel(runtime.GOMAXPROCS(0)); err == nil {
-		return nil
-	}
-	return h.RescanSequential()
-}
-
-// RescanSequential is the single-threaded reference scan: one walk of
-// every block header in address order. Its free-list distribution defines
-// correctness; RescanParallel must be state-identical.
-func (h *Heap) RescanSequential() error {
-	bump := h.bump.Load()
-	found, err := h.scanRange(DataStart, bump)
-	if err != nil {
-		return err
-	}
-	h.installFree(found)
-	return nil
-}
-
-// RescanParallel partitions the block walk at the segment directory's cut
-// points and scans the segments on up to `workers` goroutines. Per-segment
-// free lists are concatenated in segment (address) order before the
-// deterministic round-robin scatter, so the result is state-identical to
-// RescanSequential on the same image. Returns an error — without touching
-// the free lists — if any segment fails to parse cleanly; callers fall
-// back to the sequential scan, which either succeeds (a directory entry
-// was unusable) or names the genuinely corrupt block.
-func (h *Heap) RescanParallel(workers int) error {
-	bump := h.bump.Load()
-	cuts := h.segCuts(bump)
-	segs := len(cuts) - 1
-	if workers > segs {
-		workers = segs
-	}
-	if workers <= 1 || segs <= 1 {
-		return h.RescanSequential()
-	}
-	var (
-		results = make([]map[int][]ObjID, segs)
-		errs    = make([]error, segs)
-		next    int
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= segs {
-					return
-				}
-				results[i], errs[i] = h.scanRange(cuts[i], cuts[i+1])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	found := make(map[int][]ObjID)
+	off, bump := uint64(DataStart), h.bump.Load()
+	for off < bump {
+		size, err := h.reg.Load32(int(off) + bhSize)
 		if err != nil {
 			return err
 		}
-	}
-	found := make(map[int][]ObjID)
-	for _, seg := range results {
-		for cls, list := range seg {
-			found[cls] = append(found[cls], list...)
-		}
-	}
-	h.installFree(found)
-	return nil
-}
-
-// segCuts returns the scan partition boundaries: DataStart, every usable
-// directory entry, and the bump pointer. An entry is usable when non-zero,
-// aligned, inside [DataStart, bump), and strictly increasing; anything
-// else (unset, lost to a crash before its persist, or pointing past a
-// rolled-back bump) drops out, silently merging its segment into the
-// previous one.
-func (h *Heap) segCuts(bump uint64) []uint64 {
-	cuts := []uint64{DataStart}
-	for i := 0; i < segDirCap; i++ {
-		e, err := h.reg.Load64(segDirOff + i*8)
-		if err != nil || e == 0 {
-			continue
-		}
-		if e%blockAlign != 0 || e < DataStart || e >= bump || e <= cuts[len(cuts)-1] {
-			continue
-		}
-		cuts = append(cuts, e)
-	}
-	return append(cuts, bump)
-}
-
-// scanRange walks block headers over [lo, hi), collecting free blocks per
-// class in address order. The walk must land exactly on hi — segment cuts
-// are genuine block starts, so a clean image never has a block straddling
-// one.
-func (h *Heap) scanRange(lo, hi uint64) (map[int][]ObjID, error) {
-	found := make(map[int][]ObjID)
-	off := lo
-	for off < hi {
-		size, err := h.reg.Load32(int(off) + bhSize)
-		if err != nil {
-			return nil, err
-		}
 		state, err := h.loadState(int(off))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if size == 0 || size%blockAlign != 0 || int(size) > MaxAlloc ||
-			off+BlockHeaderSize+uint64(size) > hi ||
+			off+BlockHeaderSize+uint64(size) > bump ||
 			(state != stateFree && state != stateAlloc) {
-			return nil, fmt.Errorf("%w: block at %d size=%d state=%d scan=[%d,%d)",
-				ErrCorruptScan, off, size, state, lo, hi)
+			return fmt.Errorf("%w: block at %d size=%d state=%d bump=%d",
+				ErrCorruptScan, off, size, state, bump)
 		}
 		if state == stateFree {
 			found[int(size)] = append(found[int(size)], ObjID(off+BlockHeaderSize))
 		}
 		off += BlockHeaderSize + uint64(size)
 	}
-	if off != hi {
-		return nil, fmt.Errorf("%w: scan ended at %d, segment ends at %d", ErrCorruptScan, off, hi)
-	}
-	return found, nil
-}
-
-// installFree replaces every shard's free lists with the deterministic
-// round-robin scatter of the collected per-class lists.
-func (h *Heap) installFree(found map[int][]ObjID) {
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
@@ -166,11 +41,12 @@ func (h *Heap) installFree(found map[int][]ObjID) {
 		s.mu.Unlock()
 	}
 	h.scatterFree(found)
+	return nil
 }
 
 // FreeListSnapshot deep-copies the per-shard free lists: snapshot[cls][i]
 // is shard i's list for class cls, in list order. Test and fuzz hook for
-// asserting that two rescans produced identical allocator state.
+// comparing the allocator state two rescans produced.
 func (h *Heap) FreeListSnapshot() map[int][][]ObjID {
 	out := make(map[int][][]ObjID)
 	for i := range h.shards {

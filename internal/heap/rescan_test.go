@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,149 +9,202 @@ import (
 	"kaminotx/internal/nvm"
 )
 
-// rescanHeapSize is big enough that the segment directory holds dozens of
-// cut points (usable/segMinSpan segments), so the parallel path genuinely
-// partitions instead of degenerating to the sequential walk.
-const rescanHeapSize = 4 << 20
+// powerFail unwinds the heap call a simulated power failure interrupted.
+type powerFail struct{}
 
-// churn drives size-varied alloc/free traffic until the bump pointer has
-// crossed several segment boundaries, returning the live objects.
-func churn(t *testing.T, h *Heap, rng *rand.Rand, target uint64) []ObjID {
+// armCrash makes reg power-fail at its n-th fence from now, keeping the
+// in-doubt lines keep selects, and unwinds the interrupted call.
+func armCrash(reg *nvm.Region, n int, keep func(line int) bool) {
+	reg.SetFenceHook(func() {
+		if n--; n > 0 {
+			return
+		}
+		reg.SetFenceHook(nil)
+		if err := reg.CrashPartial(keep); err != nil {
+			panic(err)
+		}
+		panic(powerFail{})
+	})
+}
+
+// survived runs op and reports whether it finished before the power failed.
+func survived(op func()) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, failed := r.(powerFail); !failed {
+				panic(r)
+			}
+			ok = false
+		}
+	}()
+	op()
+	return true
+}
+
+// rescanImage attaches to reg and checks the scan against the image and the
+// model: it must parse, every block it lists must read free and be listed
+// once, and no object in live — committed by a CommitAlloc that returned,
+// not yet handed to ApplyFree — may be listed.
+func rescanImage(t *testing.T, reg *nvm.Region, live map[ObjID]bool) *Heap {
 	t.Helper()
-	var live []ObjID
-	for h.Bump() < target {
-		if len(live) > 0 && rng.Intn(3) == 0 {
-			i := rng.Intn(len(live))
-			if err := h.ApplyFree(live[i]); err != nil {
+	h, err := Attach(reg)
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if err := h.Rescan(); err != nil {
+		t.Fatalf("Rescan: %v", err)
+	}
+	listed := make(map[ObjID]bool)
+	for cls, shards := range h.FreeListSnapshot() {
+		for _, list := range shards {
+			for _, obj := range list {
+				if listed[obj] {
+					t.Fatalf("block %d (class %d) listed twice", obj, cls)
+				}
+				listed[obj] = true
+				if live[obj] {
+					t.Fatalf("committed object %d (class %d) is on a free list", obj, cls)
+				}
+				if alloc, err := h.IsAllocated(obj); err != nil || alloc {
+					t.Fatalf("listed block %d: allocated=%v err=%v", obj, alloc, err)
+				}
+			}
+		}
+	}
+	return h
+}
+
+// model is a heap under test beside what must be true of it: live holds
+// the objects a returned CommitAlloc committed and no ApplyFree was yet
+// called on (order lists them for a seeded pick). One shard keeps the
+// blocks Reserve hands out a function of the calls alone, so two heaps
+// driven by the same calls stay in step.
+type model struct {
+	h     *Heap
+	live  map[ObjID]bool
+	order []ObjID
+}
+
+func newModel(h *Heap) *model {
+	h.SetShards(1)
+	return &model{h: h, live: make(map[ObjID]bool)}
+}
+
+// step frees one live object picked by rng (free) or allocates size bytes,
+// and rescans the image if the power failed inside the call.
+func (m *model) step(t *testing.T, rng *rand.Rand, free bool, size int) {
+	t.Helper()
+	ok := survived(func() {
+		if free && len(m.order) > 0 {
+			j := rng.Intn(len(m.order))
+			obj := m.order[j]
+			m.order = append(m.order[:j], m.order[j+1:]...)
+			delete(m.live, obj)
+			if err := m.h.ApplyFree(obj); err != nil {
 				t.Fatalf("ApplyFree: %v", err)
 			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			continue
+			return
 		}
-		size := 1 + rng.Intn(4096)
-		obj, err := h.Reserve(size)
+		obj, err := m.h.Reserve(size)
+		if errors.Is(err, ErrHeapFull) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("Reserve(%d): %v", size, err)
 		}
-		if err := h.CommitAlloc(obj); err != nil {
+		if err := m.h.CommitAlloc(obj); err != nil {
 			t.Fatalf("CommitAlloc: %v", err)
 		}
-		live = append(live, obj)
+		m.live[obj] = true
+		m.order = append(m.order, obj)
+	})
+	if !ok {
+		m.rescan(t)
 	}
-	return live
 }
 
-// rescanSnapshots attaches to the image twice and returns the sequential
-// and parallel free-list distributions plus both bumps.
-func rescanSnapshots(t *testing.T, reg *nvm.Region, workers int) (seq, par map[int][][]ObjID) {
+func (m *model) rescan(t *testing.T) {
 	t.Helper()
-	hs, err := Attach(reg)
-	if err != nil {
-		t.Fatalf("Attach (sequential): %v", err)
-	}
-	if err := hs.RescanSequential(); err != nil {
-		t.Fatalf("RescanSequential: %v", err)
-	}
-	hp, err := Attach(reg)
-	if err != nil {
-		t.Fatalf("Attach (parallel): %v", err)
-	}
-	if err := hp.RescanParallel(workers); err != nil {
-		t.Fatalf("RescanParallel(%d): %v", workers, err)
-	}
-	if hs.Bump() != hp.Bump() {
-		t.Fatalf("bump mismatch: sequential %d, parallel %d", hs.Bump(), hp.Bump())
-	}
-	return hs.FreeListSnapshot(), hp.FreeListSnapshot()
+	reg := m.h.Region()
+	reg.SetFenceHook(nil)
+	m.h = rescanImage(t, reg, m.live)
+	m.h.SetShards(1)
 }
 
-func TestRescanParallelMatchesSequential(t *testing.T) {
-	h := newHeap(t, rescanHeapSize)
-	rng := rand.New(rand.NewSource(7))
-	churn(t, h, rng, DataStart+12*segMinSpan)
-	if cuts := h.segCuts(h.Bump()); len(cuts) < 6 {
-		t.Fatalf("only %d cut points; parallel path not exercised", len(cuts)-2)
-	}
-	for _, workers := range []int{2, 3, 8, 64} {
-		seq, par := rescanSnapshots(t, h.Region(), workers)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel free lists differ from sequential", workers)
+// history drives h through a seeded schedule of allocations and frees in
+// which every fortieth call loses power at one of its fences, each time
+// with a different subset of the in-doubt lines kept, and returns the heap
+// the final rescan built.
+func history(t *testing.T, h *Heap, seed int64, steps int) *Heap {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	m := newModel(h)
+	for i := 0; i < steps; i++ {
+		if i%40 == 39 {
+			armCrash(h.Region(), 1+rng.Intn(3), keepMask(rng.Int63()))
 		}
+		m.step(t, rng, rng.Intn(3) == 0, 1+rng.Intn(4096))
 	}
+	m.rescan(t)
+	return m.h
 }
 
-// TestRescanSegDirCrashTolerance corrupts the segment directory in every
-// way a crash (or bit rot) could leave it — zeroed entries, entries past
-// the bump, unaligned and out-of-order garbage — and asserts Rescan still
-// reproduces the sequential distribution: bad cuts must degrade the
-// partitioning, never the result.
-func TestRescanSegDirCrashTolerance(t *testing.T) {
-	h := newHeap(t, rescanHeapSize)
-	rng := rand.New(rand.NewSource(11))
-	churn(t, h, rng, DataStart+8*segMinSpan)
-	reg := h.Region()
-
-	ref, err := Attach(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RescanSequential(); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.FreeListSnapshot()
-
-	poison := []uint64{
-		0,                  // unset (lost before its persist)
-		h.Bump() + 4096,    // points past a rolled-back bump
-		DataStart + 7,      // unaligned garbage
-		DataStart,          // duplicates the previous cut (not increasing)
-		uint64(reg.Size()), // out of range entirely
-	}
-	for i, v := range poison {
-		slot := segDirOff + (i+1)*8 // leave entry 0 intact, poison 1..5
-		if err := reg.Store64(slot, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Persist(slot, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	hurt, err := Attach(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hurt.Rescan(); err != nil {
-		t.Fatalf("Rescan with poisoned directory: %v", err)
-	}
-	if got := hurt.FreeListSnapshot(); !reflect.DeepEqual(want, got) {
-		t.Fatal("poisoned-directory rescan differs from sequential reference")
-	}
+// keepMask decides each in-doubt line's fate from one bit of mask.
+func keepMask(mask int64) func(line int) bool {
+	return func(line int) bool { return mask>>(uint(line)%63)&1 == 1 }
 }
 
-// TestRescanAfterCrash crashes the region mid-churn (dropping every
-// unfenced line) and checks the parallel and sequential scans agree on the
-// surviving image.
 func TestRescanAfterCrash(t *testing.T) {
-	h := newHeap(t, rescanHeapSize)
-	rng := rand.New(rand.NewSource(23))
-	churn(t, h, rng, DataStart+6*segMinSpan)
-	if err := h.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
-	seq, par := rescanSnapshots(t, h.Region(), 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("post-crash parallel free lists differ from sequential")
+	h := history(t, newHeap(t, 4<<20), 23, 600)
+	if h.Bump() == DataStart {
+		t.Fatal("history allocated nothing")
 	}
 }
 
-// FuzzRescanParallel drives a randomized alloc/free/crash schedule from
-// the fuzz input and asserts RescanParallel is state-identical to
-// RescanSequential on the resulting image: same bump pointer, same
-// per-shard per-class free lists. This is the acceptance proof that the
-// segment-directory partitioning cannot change allocator state.
-func FuzzRescanParallel(f *testing.F) {
+// TestRescanIgnoresReservedHeader: builds before the reserved area was
+// reserved kept an image epoch at byte 32, a scan segment span at 40 and a
+// directory of block offsets in 64..DataStart. A heap carrying all three
+// must attach, and scan to the same free lists as one without, through the
+// same history of allocations, frees and partial crashes.
+func TestRescanIgnoresReservedHeader(t *testing.T) {
+	plain, old := newHeap(t, 4<<20), newHeap(t, 4<<20)
+	reg := old.Region()
+	if err := reg.Store64(32, 9); err != nil { // epoch
+		t.Fatal(err)
+	}
+	if err := reg.Store64(40, 64<<10); err != nil { // segment span
+		t.Fatal(err)
+	}
+	for off := 64; off < DataStart; off += 8 { // a full directory
+		if err := reg.Store64(off, uint64(DataStart+(off-64)*1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Persist(0, DataStart); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Attach(reg)
+	if err != nil {
+		t.Fatalf("Attach with the reserved area in use: %v", err)
+	}
+	plain, old = history(t, plain, 5, 600), history(t, old, 5, 600)
+	if plain.Bump() != old.Bump() {
+		t.Fatalf("bump %d without the old fields, %d with", plain.Bump(), old.Bump())
+	}
+	if !reflect.DeepEqual(plain.FreeListSnapshot(), old.FreeListSnapshot()) {
+		t.Fatal("free lists differ between a heap with the reserved area zero and one with it in use")
+	}
+	if e, _ := reg.Load64(32); e != 9 {
+		t.Fatalf("reserved byte 32 rewritten to %d", e)
+	}
+}
+
+// FuzzRescan drives an alloc/free schedule from the fuzz input with power
+// failures inside heap calls, and after each failure and at the end holds
+// the one scan to rescanImage's checks: the image parses, nothing is listed
+// twice or listed while allocated, and no committed object is on a free
+// list.
+func FuzzRescan(f *testing.F) {
 	f.Add(int64(1), []byte{0x10, 0x80, 0x03, 0xff, 0x41})
 	f.Add(int64(42), []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Add(int64(7), []byte{0xfe, 0x01, 0xc0, 0x33, 0x9a, 0x55, 0x12})
@@ -164,55 +218,14 @@ func FuzzRescanParallel(f *testing.F) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		var live []ObjID
+		m := newModel(h)
 		for _, op := range ops {
-			switch {
-			case op < 0x08: // full crash: drop all unfenced lines
-				if err := reg.Crash(); err != nil {
-					t.Fatal(err)
-				}
-				h, err = Attach(reg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := h.RescanSequential(); err != nil {
-					t.Fatal(err)
-				}
-				live = nil // conservatively forget; frees below re-derive nothing
-			case op < 0x10: // partial crash: unfenced lines persist at random
-				if err := reg.CrashPartial(func(int) bool { return rng.Intn(2) == 0 }); err != nil {
-					t.Fatal(err)
-				}
-				h, err = Attach(reg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := h.RescanSequential(); err != nil {
-					t.Fatal(err)
-				}
-				live = nil
-			case op < 0x60 && len(live) > 0: // free a live object
-				i := rng.Intn(len(live))
-				if err := h.ApplyFree(live[i]); err != nil {
-					t.Fatal(err)
-				}
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			default: // alloc, size driven by the op byte
-				size := 1 + int(op)*17%8192
-				obj, err := h.Reserve(size)
-				if err != nil {
-					break // heap full: fine, keep going
-				}
-				if err := h.CommitAlloc(obj); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, obj)
+			if op < 0x10 { // the power fails inside one of the next calls
+				armCrash(reg, 1+int(op)%4, keepMask(rng.Int63()))
+				continue
 			}
+			m.step(t, rng, op < 0x60, 1+int(op)*17%8192)
 		}
-		seq, par := rescanSnapshots(t, reg, 1+rng.Intn(8))
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatal("parallel rescan state differs from sequential")
-		}
+		m.rescan(t)
 	})
 }

@@ -43,10 +43,8 @@ func Create(pool *kamino.Pool, order int) (*Store, error) {
 }
 
 // Open reattaches to the store previously created in pool. The root
-// pointer is read physically rather than through a transaction: Open runs
-// before the reopened pool takes traffic, and staying transaction-free
-// here keeps the heap's image epoch untouched so pbtree.Attach can still
-// consume a restored index checkpoint (warm attach).
+// pointer is read physically, as pbtree.Attach reads the tree: Open runs
+// before the reopened pool takes traffic.
 func Open(pool *kamino.Pool) (*Store, error) {
 	b, err := pool.Engine().Heap().Bytes(pool.Root())
 	if err != nil {

@@ -42,35 +42,39 @@ func (r *Region) Save(path string) error {
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(r.size))
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(img))
 
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("nvm: save %s: %w", path, err)
-	}
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("nvm: save %s: %w", path, err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("nvm: save %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("nvm: save %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("nvm: save %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(path, hdr, img); err != nil {
 		return fmt.Errorf("nvm: save %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with the concatenation of chunks: written
+// to path+".tmp", fsynced, renamed into place. A kill at any point leaves
+// the old file or the new one, never a truncated one.
+func WriteFileAtomic(path string, chunks ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, c := range chunks {
+		if _, err = f.Write(c); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Load creates a region from a checkpoint written by Save. The loaded image

@@ -84,18 +84,14 @@ const (
 	// tile the time from pool open to the first accepted transaction.
 
 	// PhaseRecoveryRescan is the heap block-header walk rebuilding the
-	// volatile free lists (parallel across segment-directory cuts).
+	// volatile free lists.
 	PhaseRecoveryRescan Phase = "rescan"
 	// PhaseRecoveryLogReplay is intent-log slot reconciliation: rolling
 	// interrupted transactions back or forward.
 	PhaseRecoveryLogReplay Phase = "log_replay"
-	// PhaseRecoveryIndexAttach is the rebuild (or checkpoint restore) of
-	// volatile index state: the pbtree node census and the
-	// dynamic-backend lookup table.
+	// PhaseRecoveryIndexAttach is the rebuild of volatile index state:
+	// the dynamic-backend lookup table and the pbtree's walk.
 	PhaseRecoveryIndexAttach Phase = "index_attach"
-	// PhaseRecoveryWarmup is post-attach cache priming (latch-map
-	// preseeding) before the pool takes traffic.
-	PhaseRecoveryWarmup Phase = "warmup"
 )
 
 // phaseOrder fixes breakdown-table display order to critical-path order.
@@ -117,7 +113,6 @@ var phaseOrder = []Phase{
 	PhaseRecoveryRescan,
 	PhaseRecoveryLogReplay,
 	PhaseRecoveryIndexAttach,
-	PhaseRecoveryWarmup,
 }
 
 // Counter is a monotonically increasing event counter.

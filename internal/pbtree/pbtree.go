@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kaminotx/internal/obs"
@@ -55,12 +54,8 @@ type Tree struct {
 	// rootLatch guards the root pointer swap (root splits).
 	rootLatch sync.RWMutex
 	// latches holds one RWMutex per node, created on demand (preseeded
-	// from the census at Attach).
+	// by Attach's walk).
 	latches sync.Map // kamino.ObjID -> *sync.RWMutex
-
-	// Census-time structure stats behind the pbtree_* gauges (see
-	// census.go); refreshed by attach walks and index checkpoints.
-	statNodes, statKeys, statDepth atomic.Uint64
 }
 
 // Create allocates a new empty tree (meta object plus one empty leaf) and
@@ -95,63 +90,52 @@ func Create(pool *kamino.Pool, order int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A fresh tree is one empty leaf; seed the stats and publish the
-	// census source so the next checkpoint captures it.
-	t.setStats(&census{meta: t.meta, order: uint32(order), depth: 1, nodes: make([]censusNode, 1)})
-	t.registerSource()
 	return t, nil
 }
 
 // Attach binds to an existing tree by its meta object.
 //
-// Attach is part of the recovery pipeline's index_attach stage: it either
-// restores the tree's census from the pool's index checkpoint (warm — the
-// snapshot's heap-image epoch still matches, so the structure is known
-// byte-for-byte without touching it) or walks the whole tree physically,
-// verifying structural invariants as it goes (cold). Either way the
-// census preseeds the latch map (the warmup phase) and feeds the
-// pbtree_{nodes,keys,depth} gauges; the outcome is counted by
-// pbtree_attach_warm / pbtree_attach_cold and the cost lands in the
-// index_attach and warmup phase spans.
+// Attach is the recovery pipeline's index_attach stage for the tree: it
+// walks the whole tree physically, verifying the structural invariants
+// (CheckInvariants' walk) and failing on the first violation, preseeds the
+// latch map with every node — so the first operations after a restart take
+// the Load path instead of racing LoadOrStore inserts — and publishes what
+// it counted as the pbtree_{nodes,keys,depth} gauges: attach-time structure
+// telemetry, not live counters. The cost lands in the index_attach phase.
 //
 // Attach reads the image physically and must therefore not race with
-// writers — bind to the tree before the pool takes traffic (also required
-// for the warm path, whose checkpoint section is only valid before the
-// incarnation's first transaction).
+// writers — bind to the tree before the pool takes traffic.
 func Attach(pool *kamino.Pool, meta kamino.ObjID) (*Tree, error) {
-	t := &Tree{pool: pool, meta: meta}
-	reg := pool.Obs()
 	start := time.Now()
-	var c *census
-	if sec, ok := pool.IndexSection(censusSection(meta)); ok {
-		if dc, err := decodeCensus(sec); err == nil && dc.meta == meta && int(dc.order) >= MinOrder {
-			c = dc
-			t.order = int(dc.order)
-		}
+	b, err := pool.Engine().Heap().Bytes(meta)
+	if err != nil {
+		return nil, err
 	}
-	if c != nil {
-		reg.Counter("pbtree_attach_warm").Inc()
-	} else {
-		reg.Counter("pbtree_attach_cold").Inc()
-		b, err := pool.Engine().Heap().Bytes(meta)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) < metaSize {
-			return nil, fmt.Errorf("pbtree: meta object %d too small; not a tree?", meta)
-		}
-		order := binary.LittleEndian.Uint32(b[metaOffOrder:])
-		if order < MinOrder {
-			return nil, fmt.Errorf("pbtree: meta object %d has order %d; not a tree?", meta, order)
-		}
-		t.order = int(order)
-		if c, err = t.censusWalk(); err != nil {
-			return nil, err
-		}
+	if len(b) < metaSize {
+		return nil, fmt.Errorf("pbtree: meta object %d too small; not a tree?", meta)
 	}
+	order := binary.LittleEndian.Uint32(b[metaOffOrder:])
+	if order < MinOrder {
+		return nil, fmt.Errorf("pbtree: meta object %d has order %d; not a tree?", meta, order)
+	}
+	t := &Tree{pool: pool, meta: meta, order: int(order)}
+	var nodes, keys, depth uint64
+	err = t.walk(func(obj kamino.ObjID, nd *node, level int) {
+		t.latches.Store(obj, &sync.RWMutex{})
+		nodes++
+		if nd.leaf {
+			keys += uint64(len(nd.keys))
+		}
+		depth = max(depth, uint64(level))
+	})
+	if err != nil {
+		return nil, err
+	}
+	reg := pool.Obs()
+	reg.Gauge("pbtree_nodes", func() uint64 { return nodes })
+	reg.Gauge("pbtree_keys", func() uint64 { return keys })
+	reg.Gauge("pbtree_depth", func() uint64 { return depth })
 	reg.Phase(obs.PhaseRecoveryIndexAttach).Observe(time.Since(start))
-	t.installCensus(c, reg)
-	t.registerSource()
 	return t, nil
 }
 
@@ -786,40 +770,43 @@ func (t *Tree) Count() (int, error) {
 }
 
 // CheckInvariants validates structural invariants (sorted keys, separator
-// bounds, leaf-chain ordering). Test helper; not concurrency-safe with
-// writers.
+// bounds, child counts). Test helper; not concurrency-safe with writers.
 func (t *Tree) CheckInvariants() error {
+	return t.walk(func(kamino.ObjID, *node, int) {})
+}
+
+// walk visits every node from the root down (level 1), checking each
+// against the key range its parent's separators allow before calling visit,
+// and stops at the first violation.
+func (t *Tree) walk(visit func(obj kamino.ObjID, nd *node, level int)) error {
 	root, err := t.rootPtr()
 	if err != nil {
 		return err
 	}
-	_, _, err = t.check(root, 0, ^uint64(0), true)
-	return err
+	return t.check(root, 1, 0, ^uint64(0), true, visit)
 }
 
-func (t *Tree) check(obj kamino.ObjID, lo, hi uint64, loOpen bool) (min, max uint64, err error) {
+func (t *Tree) check(obj kamino.ObjID, level int, lo, hi uint64, loOpen bool, visit func(kamino.ObjID, *node, int)) error {
 	nd, err := t.readNode(obj)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	for i := 1; i < len(nd.keys); i++ {
 		if nd.keys[i-1] >= nd.keys[i] {
-			return 0, 0, fmt.Errorf("pbtree: node %d keys not strictly sorted", obj)
+			return fmt.Errorf("pbtree: node %d keys not strictly sorted", obj)
 		}
 	}
 	for _, k := range nd.keys {
 		if (!loOpen && k < lo) || k > hi {
-			return 0, 0, fmt.Errorf("pbtree: node %d key %d outside [%d, %d]", obj, k, lo, hi)
+			return fmt.Errorf("pbtree: node %d key %d outside [%d, %d]", obj, k, lo, hi)
 		}
 	}
+	if !nd.leaf && len(nd.ptrs) != len(nd.keys)+1 {
+		return fmt.Errorf("pbtree: internal node %d has %d keys, %d children", obj, len(nd.keys), len(nd.ptrs))
+	}
+	visit(obj, nd, level)
 	if nd.leaf {
-		if len(nd.keys) == 0 {
-			return lo, lo, nil
-		}
-		return nd.keys[0], nd.keys[len(nd.keys)-1], nil
-	}
-	if len(nd.ptrs) != len(nd.keys)+1 {
-		return 0, 0, fmt.Errorf("pbtree: internal node %d has %d keys, %d children", obj, len(nd.keys), len(nd.ptrs))
+		return nil
 	}
 	curLo, curOpen := lo, loOpen
 	for i, child := range nd.ptrs {
@@ -827,12 +814,12 @@ func (t *Tree) check(obj kamino.ObjID, lo, hi uint64, loOpen bool) (min, max uin
 		if i < len(nd.keys) {
 			curHi = nd.keys[i] - 1
 		}
-		if _, _, err := t.check(child, curLo, curHi, curOpen); err != nil {
-			return 0, 0, err
+		if err := t.check(child, level+1, curLo, curHi, curOpen, visit); err != nil {
+			return err
 		}
 		if i < len(nd.keys) {
 			curLo, curOpen = nd.keys[i], false
 		}
 	}
-	return lo, hi, nil
+	return nil
 }

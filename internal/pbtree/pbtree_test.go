@@ -1,8 +1,10 @@
 package pbtree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -344,5 +346,55 @@ func TestPropertyAgainstMapModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAttachWalksAndChecks: Attach is one walk of the tree. It publishes
+// what it counted, and it refuses a tree in which a single leaf holds two
+// keys out of order.
+func TestAttachWalksAndChecks(t *testing.T) {
+	tree := newTree(t, kamino.ModeSimple, 4)
+	for i := uint64(1); i <= 50; i++ {
+		if err := tree.Put(i, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := tree.pool
+	if _, err := Attach(pool, tree.Meta()); err != nil {
+		t.Fatalf("Attach on a sound tree: %v", err)
+	}
+	g := pool.Obs().Snapshot().Gauges
+	if g["pbtree_keys"] != 50 || g["pbtree_depth"] < 3 || g["pbtree_nodes"] < 13 {
+		t.Errorf("gauges after Attach: keys=%d depth=%d nodes=%d; want 50 keys in at least 13 nodes on 3 levels",
+			g["pbtree_keys"], g["pbtree_depth"], g["pbtree_nodes"])
+	}
+
+	// Descend to the leftmost leaf and swap its first two keys in place.
+	obj, err := tree.rootPtr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := tree.readNode(obj)
+	for err == nil && !nd.leaf {
+		obj = nd.ptrs[0]
+		nd, err = tree.readNode(obj)
+	}
+	if err != nil || len(nd.keys) < 2 {
+		t.Fatalf("leftmost leaf %d: %d keys, %v", obj, len(nd.keys), err)
+	}
+	var swapped [16]byte
+	binary.LittleEndian.PutUint64(swapped[0:], nd.keys[1])
+	binary.LittleEndian.PutUint64(swapped[8:], nd.keys[0])
+	err = pool.Update(func(tx *kamino.Tx) error {
+		if err := tx.Add(obj); err != nil {
+			return err
+		}
+		return tx.Write(obj, offKeys, swapped[:])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Attach(pool, tree.Meta()); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+		t.Fatalf("Attach on a tree with leaf %d out of order: %v; want a sort-order error", obj, err)
 	}
 }

@@ -5,9 +5,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -137,31 +135,6 @@ func (h *Histogram) String() string {
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(99), h.max)
 }
 
-// Timer measures throughput over a run. Safe for concurrent use: workers
-// may Add while a reporter reads OpsPerSec.
-type Timer struct {
-	start time.Time
-	ops   atomic.Uint64
-}
-
-// StartTimer begins a throughput measurement.
-func StartTimer() *Timer { return &Timer{start: time.Now()} }
-
-// Add counts n completed operations.
-func (t *Timer) Add(n uint64) { t.ops.Add(n) }
-
-// Ops returns the operations counted so far.
-func (t *Timer) Ops() uint64 { return t.ops.Load() }
-
-// OpsPerSec returns the throughput so far.
-func (t *Timer) OpsPerSec() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.ops.Load()) / el
-}
-
 // Collector aggregates per-worker histograms thread-safely.
 type Collector struct {
 	mu   sync.Mutex
@@ -190,9 +163,4 @@ func (c *Collector) Ops() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ops
-}
-
-// SortDurations sorts a slice of durations ascending (tool helper).
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

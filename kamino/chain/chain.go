@@ -4,9 +4,11 @@
 // with configurable hop latency, and the replicas of one chain; the KV
 // methods run replicated operations through the head.
 //
-// For a chain spanning real processes, use the building blocks directly
-// (internal transport's TCP implementation with the replica runtime); this
-// facade targets embedding, tests, and the benchmark harness.
+// Every replica of a Cluster lives in this process: the one transport
+// (internal/transport) is in-process, its hop latency standing in for the
+// paper's network. The facade targets embedding, tests, and the benchmark
+// harness; a chain spanning real processes would need a transport.Transport
+// this repository does not have.
 package chain
 
 import (

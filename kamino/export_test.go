@@ -34,9 +34,6 @@ func Reattach(opts Options, regs []*nvm.Region) (*Pool, error) {
 	if opts.Mode != ModeNoLog {
 		p.logReg = regs[0]
 	}
-	if err := p.makeIndexRegion(); err != nil {
-		return nil, err
-	}
 	if err := p.makeEngine(false); err != nil {
 		return nil, err
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"kaminotx/internal/engine"
@@ -63,17 +62,6 @@ type Pool struct {
 	root ObjID
 
 	mainReg, backupReg, logReg *nvm.Region
-
-	// Index checkpointing (see checkpoint.go). idxBB is the dedicated NVM
-	// region holding the latest index blob on strict pools; idxSources are
-	// the registered section producers; idxStash/idxStashEpoch hold the
-	// snapshot restored by the most recent reopen, consumed epoch-guarded
-	// through IndexSection.
-	idxMu         sync.Mutex
-	idxSources    map[string]func() ([]byte, error)
-	idxStash      map[string][]byte
-	idxStashEpoch uint64
-	idxBB         *nvm.Blackbox
 }
 
 // Create builds a fresh pool per opts and allocates its root object.
@@ -149,22 +137,7 @@ func (p *Pool) makeRegions() error {
 			return err
 		}
 	}
-	return p.makeIndexRegion()
-}
-
-// makeIndexRegion creates the index-checkpoint NVM region on strict
-// pools, so a snapshot survives Crash/CrashPartial the same way data
-// does. Checkpoint writes pay no injected flush latency: they run off the
-// transaction critical path.
-func (p *Pool) makeIndexRegion() error {
-	if !p.opts.Strict {
-		return nil
-	}
-	ropts := p.regionOptions()
-	ropts.Latency = nvm.LatencyModel{}
-	var err error
-	p.idxBB, err = nvm.NewBlackbox(indexRegionBytes(p.opts.HeapSize), ropts)
-	return err
+	return nil
 }
 
 // makeEngine builds the mode's engine over the pool's regions: each
@@ -181,11 +154,6 @@ func (p *Pool) makeEngine(fresh bool) error {
 		if fresh {
 			eng, err = kamino.New(main, p.backupReg, log, cfg)
 			break
-		}
-		// Offer the restored lookup-table snapshot (if any); the engine
-		// uses it only when its epoch still matches the image.
-		if data, ok := p.idxStash[backupIndexSection]; ok {
-			cfg.BackupIndex = &kamino.BackupIndexSnapshot{Epoch: p.idxStashEpoch, Data: data}
 		}
 		eng, err = kamino.Open(main, p.backupReg, log, cfg)
 	case mode == ModeUndo && fresh:
@@ -316,6 +284,17 @@ func (p *Pool) Engine() engine.Engine {
 	return nil
 }
 
+// RecoveryReport returns the staged-pipeline timings of the engine open
+// that produced the current incarnation — nil for a freshly created pool
+// or an engine that does not report stages. kaminod logs it; the benchmark
+// attributes a reopen's time with it.
+func (p *Pool) RecoveryReport() []engine.StageReport {
+	if r, ok := p.Engine().(interface{ RecoveryReport() []engine.StageReport }); ok {
+		return r.RecoveryReport()
+	}
+	return nil
+}
+
 // NVMStats returns the main region's device-level counters (flushes,
 // fences, bytes written).
 func (p *Pool) NVMStats() nvm.Stats { return p.mainReg.Stats() }
@@ -363,18 +342,6 @@ func (p *Pool) crash(keep func(line int) bool) error {
 			return err
 		}
 	}
-	// Restore the index-checkpoint stash before the engine rebuilds: every
-	// byte Store put in the index region was fenced, so the blob survives
-	// both loss models. A missing or stale blob just means cold recovery.
-	p.idxStash, p.idxStashEpoch = nil, 0
-	if p.idxBB != nil {
-		if err := p.idxBB.Crash(keep); err != nil {
-			return err
-		}
-		if raw, ok := p.idxBB.Retrieve(); ok {
-			p.loadIndexStash(raw)
-		}
-	}
 	if err := p.makeEngine(false); err != nil {
 		return err
 	}
@@ -399,9 +366,6 @@ func (p *Pool) Reload() error {
 	if err := old.Close(); err != nil {
 		return err
 	}
-	// The regions now hold a donor's image: any restored index snapshot
-	// describes the old one and must not be offered to the new engine.
-	p.idxStash, p.idxStashEpoch = nil, 0
 	if err := p.makeEngine(false); err != nil {
 		return err
 	}
@@ -458,9 +422,6 @@ func (p *Pool) Promote(alpha float64) error {
 			return err
 		}
 	}
-	// Promotion changes the engine family; any restored snapshot belonged
-	// to the in-place incarnation.
-	p.idxStash, p.idxStashEpoch = nil, 0
 	return p.makeEngine(false)
 }
 
@@ -506,14 +467,9 @@ type poolMeta struct {
 }
 
 // Checkpoint saves the pool's durable images to Options.Dir. Safe to call
-// repeatedly; each checkpoint is written atomically.
-//
-// Alongside the images it snapshots the pool's volatile index state
-// (SnapshotIndex): sections are collected synchronously under the drain,
-// then encoded and stored asynchronously while the images are being
-// saved, and the store is joined before Checkpoint returns. The next Open
-// restores the snapshot and skips the cold index rebuild if no
-// transaction ran after this checkpoint.
+// repeatedly; every file is written to a temporary name and renamed into
+// place (nvm.WriteFileAtomic), so a checkpoint cut short leaves the
+// previous one readable.
 func (p *Pool) Checkpoint() error {
 	dir := p.opts.Dir
 	if dir == "" {
@@ -522,17 +478,7 @@ func (p *Pool) Checkpoint() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	eng := p.Engine()
-	eng.Drain()
-	// Arm before collecting: a transaction that sneaks past the drain
-	// bumps the image epoch and invalidates the blob it raced with.
-	eng.Heap().ArmEpoch()
-	blob := p.collectIndex()
-	var idxErr chan error
-	if blob != nil {
-		idxErr = make(chan error, 1)
-		go func() { idxErr <- p.storeIndexBlob(blob) }()
-	}
+	p.Engine().Drain()
 	meta := poolMeta{
 		Mode:                p.opts.Mode,
 		HeapSize:            p.opts.HeapSize,
@@ -548,7 +494,7 @@ func (p *Pool) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "pool.json"), buf, 0o644); err != nil {
+	if err := nvm.WriteFileAtomic(filepath.Join(dir, "pool.json"), buf); err != nil {
 		return err
 	}
 	if err := p.mainReg.Save(filepath.Join(dir, "main.img")); err != nil {
@@ -561,11 +507,6 @@ func (p *Pool) Checkpoint() error {
 	}
 	if p.logReg != nil {
 		if err := p.logReg.Save(filepath.Join(dir, "log.img")); err != nil {
-			return err
-		}
-	}
-	if idxErr != nil {
-		if err := <-idxErr; err != nil {
 			return err
 		}
 	}
@@ -627,21 +568,6 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 		p.logReg, err = nvm.Load(filepath.Join(dir, "log.img"), ropts)
 		if err != nil {
 			return nil, err
-		}
-	}
-	if err := p.makeIndexRegion(); err != nil {
-		return nil, err
-	}
-	// Restore the index checkpoint before the engine rebuilds, so a warm
-	// snapshot short-circuits the cold scans. Seed the strict index region
-	// with it too: a Crash before the next checkpoint can then still
-	// reopen warm (valid only while the image epoch holds, as always).
-	if raw, err := os.ReadFile(filepath.Join(dir, indexCkptFile)); err == nil {
-		p.loadIndexStash(raw)
-		if p.idxBB != nil && p.idxStash != nil {
-			if len(raw) <= p.idxBB.Capacity() {
-				_ = p.idxBB.Store(raw)
-			}
 		}
 	}
 	if err := p.makeEngine(false); err != nil {

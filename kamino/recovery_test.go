@@ -1,9 +1,9 @@
 package kamino_test
 
-// Recovery-path tests spanning the pool's public surface: index
-// checkpoints (warm vs cold reopen, stale-epoch fallback), Open overrides,
-// and the crash-storm regression — they exercise kvstore/pbtree over the
-// pool, so they live in the external test package.
+// Recovery-path tests spanning the pool's public surface: the staged
+// report, Open overrides, directories older builds and interrupted
+// checkpoints leave behind, and the crash-storm regression — they exercise
+// kvstore/pbtree over the pool, so they live in the external test package.
 
 import (
 	"bytes"
@@ -41,48 +41,6 @@ func verifyStore(t *testing.T, store *kvstore.Store, model map[uint64][]byte) {
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("read %d: got (%q, %v), want %q", k, got, ok, want)
 		}
-	}
-}
-
-// TestIndexCheckpointWarmReopen: SnapshotIndex then Crash with no
-// intervening transactions restores both the dynamic backend's lookup
-// table and the pbtree census without the cold scans, and the store works.
-func TestIndexCheckpointWarmReopen(t *testing.T) {
-	pool, err := kamino.Create(kamino.Options{Mode: kamino.ModeDynamic, Strict: true, HeapSize: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := kvstore.Create(pool, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[uint64][]byte{}
-	fillStore(t, store, model, 0, 400)
-
-	if err := pool.SnapshotIndex(); err != nil {
-		t.Fatalf("SnapshotIndex: %v", err)
-	}
-	if err := pool.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	if n := pool.Obs().Counter("recovery_index_warm").Load(); n != 1 {
-		t.Fatalf("recovery_index_warm = %d, want 1 (cold=%d)", n,
-			pool.Obs().Counter("recovery_index_cold").Load())
-	}
-	store, err = kvstore.Open(pool)
-	if err != nil {
-		t.Fatalf("kvstore.Open after warm crash: %v", err)
-	}
-	if n := pool.Obs().Counter("pbtree_attach_warm").Load(); n != 1 {
-		t.Fatalf("pbtree_attach_warm = %d, want 1 (cold=%d)", n,
-			pool.Obs().Counter("pbtree_attach_cold").Load())
-	}
-	verifyStore(t, store, model)
-	// The warm-attached tree must be fully operational, not just readable.
-	fillStore(t, store, model, 400, 500)
-	verifyStore(t, store, model)
-	if err := store.Tree().CheckInvariants(); err != nil {
-		t.Fatalf("invariants after warm reopen: %v", err)
 	}
 }
 
@@ -127,43 +85,6 @@ func TestRecoveryReportStages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestIndexCheckpointStaleFallsCold: a transaction after the snapshot
-// bumps the image epoch, so the crash-reopen must ignore the checkpoint
-// and rebuild cold — and still see the post-snapshot write.
-func TestIndexCheckpointStaleFallsCold(t *testing.T) {
-	pool, err := kamino.Create(kamino.Options{Mode: kamino.ModeDynamic, Strict: true, HeapSize: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := kvstore.Create(pool, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[uint64][]byte{}
-	fillStore(t, store, model, 0, 200)
-	if err := pool.SnapshotIndex(); err != nil {
-		t.Fatalf("SnapshotIndex: %v", err)
-	}
-	fillStore(t, store, model, 200, 250) // invalidates the snapshot
-	pool.Drain()
-	if err := pool.Crash(); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	if n := pool.Obs().Counter("recovery_index_cold").Load(); n != 1 {
-		t.Fatalf("recovery_index_cold = %d, want 1 (warm=%d)", n,
-			pool.Obs().Counter("recovery_index_warm").Load())
-	}
-	store, err = kvstore.Open(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.Obs().Counter("pbtree_attach_cold").Load(); n != 1 {
-		t.Fatalf("pbtree_attach_cold = %d, want 1 (warm=%d)", n,
-			pool.Obs().Counter("pbtree_attach_warm").Load())
-	}
-	verifyStore(t, store, model)
 }
 
 // TestOpenOverrides: tunables override on reopen; structural conflicts
@@ -263,49 +184,129 @@ func TestOpenOverrides(t *testing.T) {
 	}
 }
 
-// TestOpenWarmFromFileCheckpoint: Close writes index.ckpt; the next Open
-// restores it and the attach is warm end to end (backend + census).
-func TestOpenWarmFromFileCheckpoint(t *testing.T) {
+// TestOpenDirectoryOfOlderBuild: builds that checkpointed volatile index
+// state left an index.ckpt beside the images and kept an image epoch, a
+// scan segment span and a directory of block offsets in bytes 32..2047 of
+// every heap header. Such a directory opens, every key reads back, and the
+// next checkpoint neither needs nor rewrites the stray file.
+func TestOpenDirectoryOfOlderBuild(t *testing.T) {
+	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic} {
+		dir := t.TempDir()
+		pool, err := kamino.Create(kamino.Options{Mode: mode, HeapSize: 8 << 20, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := kvstore.Create(pool, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[uint64][]byte{}
+		fillStore(t, store, model, 0, 300)
+		pool.Drain()
+		reg := pool.Engine().Heap().Region()
+		for off, v := range map[int]uint64{32: 17, 40: 64 << 10} { // epoch, span
+			if err := reg.Store64(off, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for off := 64; off < heap.DataStart; off += 8 { // a full directory
+			if err := reg.Store64(off, uint64(heap.DataStart+off*16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := reg.Persist(0, heap.DataStart); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Close(); err != nil { // checkpoints into dir
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(dir, "index.ckpt")
+		blob := []byte("KIDX\x01\x00\x00\x00 what an older build's checkpoint left here")
+		if err := os.WriteFile(ckpt, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		pool, err = kamino.Open(dir)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", mode, err)
+		}
+		if store, err = kvstore.Open(pool); err != nil {
+			t.Fatalf("%s: kvstore.Open: %v", mode, err)
+		}
+		verifyStore(t, store, model)
+		fillStore(t, store, model, 300, 350)
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, blob) {
+			t.Errorf("%s: index.ckpt after a checkpoint: %q, %v; want it untouched", mode, got, err)
+		}
+		if pool, err = kamino.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		if store, err = kvstore.Open(pool); err != nil {
+			t.Fatal(err)
+		}
+		verifyStore(t, store, model)
+		pool.Close()
+	}
+}
+
+// TestCheckpointReplacesPoolJSONAtomically: pool.json goes the way the
+// images do, temporary file then rename. A checkpoint killed before the
+// rename leaves a short pool.json.tmp beside the previous pool.json: the
+// directory still opens, and the next checkpoint clears the leftover.
+func TestCheckpointReplacesPoolJSONAtomically(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := kamino.Create(kamino.Options{Mode: kamino.ModeDynamic, HeapSize: 8 << 20, Dir: dir})
+	pool, err := kamino.Create(kamino.Options{HeapSize: 4 << 20, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := kvstore.Create(pool, 8)
+	store, err := kvstore.Create(pool, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := map[uint64][]byte{}
-	fillStore(t, store, model, 0, 300)
+	fillStore(t, store, model, 0, 50)
 	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "pool.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "pool.json.tmp")
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("a finished checkpoint left pool.json.tmp behind (stat: %v)", err)
+	}
+	if err := os.WriteFile(tmp, meta[:len(meta)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	pool, err = kamino.Open(dir)
 	if err != nil {
+		t.Fatalf("Open beside a truncated pool.json.tmp: %v", err)
+	}
+	if store, err = kvstore.Open(pool); err != nil {
 		t.Fatal(err)
-	}
-	if n := pool.Obs().Counter("recovery_index_warm").Load(); n != 1 {
-		t.Fatalf("recovery_index_warm = %d, want 1 (cold=%d)", n,
-			pool.Obs().Counter("recovery_index_cold").Load())
-	}
-	store, err = kvstore.Open(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.Obs().Counter("pbtree_attach_warm").Load(); n != 1 {
-		t.Fatalf("pbtree_attach_warm = %d, want 1 (cold=%d)", n,
-			pool.Obs().Counter("pbtree_attach_cold").Load())
 	}
 	verifyStore(t, store, model)
+	if err := pool.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("checkpoint left pool.json.tmp behind (stat: %v)", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "pool.json")); err != nil || !bytes.Equal(got, meta) {
+		t.Errorf("pool.json after the checkpoint: %q, %v; want %q", got, err, meta)
+	}
 	pool.Close()
 }
 
 // TestCrashStormKVStore is the crash-storm regression: 24 cycles of
 // writes → Crash/CrashPartial → reopen over a live kvstore. Every cycle
-// asserts zero audit violations on the full trace, parallel/sequential
-// rescan agreement on the recovered heap, structural invariants, and that
-// every acknowledged write is readable.
+// asserts zero audit violations on the full trace, structural invariants,
+// and that every acknowledged write is readable.
 func TestCrashStormKVStore(t *testing.T) {
 	rec := trace.NewRecorder(1 << 17)
 	pool, err := kamino.Create(kamino.Options{
@@ -359,17 +360,6 @@ func TestCrashStormKVStore(t *testing.T) {
 		if vs := trace.AuditAll(rec.Events()); len(vs) != 0 {
 			t.Fatalf("cycle %d: audit violations: %v", cycle, vs)
 		}
-		// Free-list agreement: the recovery rescan (parallel when the
-		// segment directory allows) must have produced exactly the state
-		// a sequential rescan derives from the same image.
-		h := pool.Engine().Heap()
-		got := h.FreeListSnapshot()
-		if err := h.RescanSequential(); err != nil {
-			t.Fatalf("cycle %d: sequential rescan: %v", cycle, err)
-		}
-		if want := h.FreeListSnapshot(); !equalFreeLists(got, want) {
-			t.Fatalf("cycle %d: recovery free lists disagree with sequential rescan", cycle)
-		}
 		store, err = kvstore.Open(pool)
 		if err != nil {
 			t.Fatalf("cycle %d: kvstore.Open: %v", cycle, err)
@@ -379,8 +369,4 @@ func TestCrashStormKVStore(t *testing.T) {
 		}
 		verifyStore(t, store, model)
 	}
-}
-
-func equalFreeLists(a, b map[int][][]heap.ObjID) bool {
-	return reflect.DeepEqual(a, b)
 }
