@@ -32,7 +32,10 @@ fmt:
 # drain audit, whose request-admission-versus-wait ordering shows a race
 # only about one run in eight when it is wrong. internal/simtime is the wait
 # every simulated latency goes through (its yield tests pin one processor),
-# and internal/transport the in-process hop that spends it.
+# and internal/transport the in-process hop that spends it. The allocation
+# pins (internal/kvstore/allocs_test.go, locktable's, both part of `make
+# test`) skip themselves here: testing.AllocsPerRun counts the detector's own
+# allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
 	$(GO) test -race -count=20 -run TestDrainZeroLoss ./internal/server/
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/...

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +39,8 @@ type Base struct {
 	tr atomic.Pointer[trace.Tracer]
 
 	nextID atomic.Uint64 // transaction ids when there is no log to mint them
+
+	states sync.Pool // *TxState, recycled between transactions (Recycle)
 
 	commits  *obs.Counter
 	aborts   *obs.Counter
@@ -95,6 +98,9 @@ func newBase(name string, r Regions, h *heap.Heap, l *intentlog.Log) *Base {
 	}
 	return &Base{
 		name: name, heap: h, log: l, locks: locktable.New(), obs: o,
+		states: sync.Pool{New: func() any {
+			return &TxState{ws: make(map[heap.ObjID]WriteEntry)}
+		}},
 		commits:  o.Counter("commits"),
 		aborts:   o.Counter("aborts"),
 		depWaits: o.Counter("dependent_waits"),

@@ -114,7 +114,7 @@ func (e *Engine) Begin() (engine.Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tx{BaseTx: bt, e: e, shadows: make(map[heap.ObjID]shadow)}, nil
+	return &tx{BaseTx: bt, e: e}, nil
 }
 
 // shadow locates an object's editable copy in the log's data area.
@@ -130,7 +130,7 @@ type shadow struct {
 type tx struct {
 	engine.BaseTx
 	e       *Engine
-	shadows map[heap.ObjID]shadow
+	shadows map[heap.ObjID]shadow // made by the first Add
 }
 
 // Add creates the object's persistent shadow copy in the critical path.
@@ -174,6 +174,9 @@ func (t *tx) makeShadow(obj heap.ObjID, cls int) error {
 	if tr := t.Tracer(); tr != nil {
 		t.TraceAppend(obj, intentlog.OpWrite)
 		tr.Span(string(obs.PhaseCriticalCopy), t.ID(), d)
+	}
+	if t.shadows == nil {
+		t.shadows = make(map[heap.ObjID]shadow)
 	}
 	t.shadows[obj] = shadow{regionOff: regionOff, blockLen: blockLen}
 	return nil
@@ -231,22 +234,23 @@ func (t *tx) Commit() error {
 		}
 	}
 	heapReg.Fence()
-	d := time.Since(start)
+	at := time.Now()
+	d := at.Sub(start)
 	t.e.phIntent.Observe(d)
 	tr := t.Tracer()
 	tr.Span(string(obs.PhaseIntentPersist), t.ID(), d)
-	if err := t.PersistMarker(); err != nil {
+	at, err := t.PersistMarker(at)
+	if err != nil {
 		return err
 	}
 	entries, err := t.Log().Entries()
 	if err != nil {
 		return err
 	}
-	start = time.Now()
 	if err := t.e.applyShadows(entries, t.Log().Data); err != nil {
 		return err
 	}
-	d = time.Since(start)
+	d = time.Since(at)
 	t.e.phCopyBack.Observe(d)
 	tr.Span(string(obs.PhaseCopyBack), t.ID(), d)
 	for _, sh := range t.shadows {

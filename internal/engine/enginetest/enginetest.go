@@ -356,26 +356,78 @@ func testWriteWithoutAdd(t *testing.T, f Factory) {
 	}
 }
 
+// testTxSpent keeps two finished transactions — one committed with a write,
+// one aborted after a read — while later transactions run on the state the
+// engine recycled from them: the kept ones answer ErrTxDone from every
+// operation, before and after.
 func testTxSpent(t *testing.T, f Factory) {
 	inst := f.New(t)
 	defer inst.Engine.Close()
 	obj := mustAlloc(t, inst.Engine, []byte("x"))
+	other := mustAlloc(t, inst.Engine, []byte("y"))
 
-	tx, err := inst.Engine.Begin()
+	wrote, err := inst.Engine.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := wrote.Add(obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Add(obj); err != engine.ErrTxDone {
-		t.Errorf("Add on spent tx = %v, want ErrTxDone", err)
+	if err := wrote.Write(obj, 0, []byte("z")); err != nil {
+		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != engine.ErrTxDone {
-		t.Errorf("double Commit = %v, want ErrTxDone", err)
+	if err := wrote.Commit(); err != nil {
+		t.Fatal(err)
 	}
-	if err := tx.Abort(); err != engine.ErrTxDone {
-		t.Errorf("Abort after Commit = %v, want ErrTxDone", err)
+	read, err := inst.Engine.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := read.Read(obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := read.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	checkSpent := func(when string) {
+		t.Helper()
+		for name, tx := range map[string]engine.Tx{"committed": wrote, "aborted": read} {
+			_, readErr := tx.Read(other)
+			_, allocErr := tx.Alloc(8)
+			for op, err := range map[string]error{
+				"Add": tx.Add(other), "Lock": tx.Lock(other), "Write": tx.Write(other, 0, []byte("!")),
+				"Read": readErr, "Alloc": allocErr, "Free": tx.Free(other),
+				"Commit": tx.Commit(), "Abort": tx.Abort(),
+			} {
+				if err != engine.ErrTxDone {
+					t.Errorf("%s: %s on the %s tx = %v, want ErrTxDone", when, op, name, err)
+				}
+			}
+		}
+	}
+	checkSpent("at once")
+	for i := 0; i < 8; i++ {
+		tx, err := inst.Engine.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Add(other); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(other, 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			inst.Engine.Drain()
+		}
+	}
+	inst.Engine.Drain()
+	checkSpent("after later transactions")
+	if got := readObj(t, inst.Engine, other, 1); got[0] != 7 {
+		t.Errorf("object the spent transactions were pointed at holds %d, want 7", got[0])
 	}
 }
 

@@ -85,16 +85,15 @@ type Engine struct {
 	phLag  *obs.PhaseStat // commit → locks-released lag
 }
 
+// applyReq hands a committed transaction to an applier: its log slot, and
+// its state, whose write set names the locks still held and, per object,
+// the dirty extent — all the applier copies. Both are the applier's to
+// release and recycle; the transaction has let go of them (Detach).
 type applyReq struct {
 	tl          *intentlog.TxLog
 	owner       locktable.Owner
-	objs        []lockedObj
+	st          *engine.TxState
 	committedAt time.Time
-}
-
-type lockedObj struct {
-	obj   heap.ObjID
-	dirty engine.Extent // what the transaction changed: all the applier copies
 }
 
 // layout names the engine — "kamino-dynamic" when the backup region is
@@ -320,14 +319,14 @@ func (e *Engine) recvPolling(ch <-chan applyReq) (v applyReq, ok bool) {
 // tx's write locks are held until applyOne finishes, so no two queued
 // requests share an object — but shard-stable routing keeps a hot object's
 // copy-backs on one worker.
-func (e *Engine) routeApply(objs []lockedObj) chan applyReq {
-	if len(e.applyChs) == 1 || len(objs) == 0 {
+func (e *Engine) routeApply(ws map[heap.ObjID]engine.WriteEntry) chan applyReq {
+	if len(e.applyChs) == 1 {
 		return e.applyChs[0]
 	}
-	min := objs[0].obj
-	for _, lo := range objs[1:] {
-		if lo.obj < min {
-			min = lo.obj
+	min := ^heap.ObjID(0)
+	for obj := range ws {
+		if obj < min {
+			min = obj
 		}
 	}
 	h := uint64(min) * 0x9e3779b97f4a7c15 >> 32
@@ -337,12 +336,13 @@ func (e *Engine) routeApply(objs []lockedObj) chan applyReq {
 func (e *Engine) applyOne(req applyReq) error {
 	tr := e.Tracer()
 	txid := req.tl.TxID()
+	ws := req.st.WriteSet()
 	start := time.Now()
-	for _, lo := range req.objs {
-		if err := e.backend.syncToBackup(lo.obj, lo.dirty); err != nil {
+	for obj, w := range ws {
+		if err := e.backend.syncToBackup(obj, w.Dirty); err != nil {
 			return err
 		}
-		tr.BackupSync(txid, uint64(lo.obj))
+		tr.BackupSync(txid, uint64(obj))
 	}
 	if err := req.tl.Release(); err != nil {
 		return err
@@ -352,9 +352,10 @@ func (e *Engine) applyOne(req applyReq) error {
 	tr.Span(string(obs.PhaseBackupSync), txid, d)
 	// Backup now matches main for the whole write-set: dependent
 	// transactions may proceed.
-	for _, lo := range req.objs {
-		e.Locks().Unlock(uint64(lo.obj), req.owner)
+	for obj := range ws {
+		e.Locks().Unlock(uint64(obj), req.owner)
 	}
+	e.Recycle(req.st)
 	// The lag from commit to here is the window a dependent transaction
 	// on this write-set would have stalled.
 	lag := time.Since(req.committedAt)
@@ -478,23 +479,22 @@ func (t *tx) Commit() error {
 		// persist-free commit is the whole of it.
 		return t.Finish()
 	}
-	if err := t.PersistHeap(); err != nil {
+	at, err := t.PersistHeap(time.Now())
+	if err != nil {
 		return err
 	}
-	// Commit point: the slot's state word.
-	if err := t.PersistMarker(); err != nil {
+	// Commit point: the slot's state word. The marker's end is the commit
+	// instant the applier measures its lag from.
+	if at, err = t.PersistMarker(at); err != nil {
 		return err
 	}
-	if err := t.Detach(); err != nil {
+	st, err := t.Detach()
+	if err != nil {
 		return err
-	}
-	objs := make([]lockedObj, 0, len(t.WriteSet()))
-	for obj, ws := range t.WriteSet() {
-		objs = append(objs, lockedObj{obj: obj, dirty: ws.Dirty})
 	}
 	t.e.inFlt.Add(1)
 	t.e.pending.Add(1)
-	t.e.routeApply(objs) <- applyReq{tl: t.Log(), owner: t.Owner(), objs: objs, committedAt: time.Now()}
+	t.e.routeApply(st.WriteSet()) <- applyReq{tl: t.Log(), owner: t.Owner(), st: st, committedAt: at}
 	return nil
 }
 

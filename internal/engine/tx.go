@@ -38,26 +38,58 @@ type BaseTx struct {
 	id    uint64
 	done  bool
 	began bool // TxBegin emitted (first write intent)
+	*TxState
+}
+
+// TxState is what a transaction keeps track of while it runs: the write
+// set, the read set, the bare locks and the deferred frees. It is the
+// transaction's only growing state, so it is recycled: BeginTx takes one
+// from the engine's pool and the end of the transaction returns it — the
+// commit or abort itself, or, for a mechanism whose write set outlives the
+// transaction (Detach), whoever reconciles it, with Base.Recycle. A spent
+// BaseTx keeps no pointer to it; every Tx method answers ErrTxDone before
+// it would look.
+type TxState struct {
 	ws    map[heap.ObjID]WriteEntry
 	reads []heap.ObjID
 	held  []heap.ObjID // write-locked by Lock, no intent declared
 	frees []heap.ObjID
 }
 
+// WriteSet exposes the write set, to read.
+func (s *TxState) WriteSet() map[heap.ObjID]WriteEntry { return s.ws }
+
+// maxRecycledWriteSet bounds the write sets kept for reuse: clearing a map
+// costs its capacity, and one bulk transaction's should not be charged to
+// every small one after it.
+const maxRecycledWriteSet = 64
+
+// Recycle returns a finished transaction's state to the pool BeginTx draws
+// from. Nothing may refer to it afterwards.
+func (b *Base) Recycle(s *TxState) {
+	if len(s.ws) > maxRecycledWriteSet {
+		return
+	}
+	clear(s.ws)
+	s.reads, s.held, s.frees = s.reads[:0], s.held[:0], s.frees[:0]
+	b.states.Put(s)
+}
+
 // BeginTx starts a transaction: it claims a log slot, blocking while none is
 // free. No device is touched and no trace event is emitted: a transaction
 // that declares no write intent leaves no trace of any kind.
 func (b *Base) BeginTx() (BaseTx, error) {
-	t := BaseTx{b: b, ws: make(map[heap.ObjID]WriteEntry)}
+	t := BaseTx{b: b}
 	if b.log == nil {
 		t.id = b.nextID.Add(1)
-		return t, nil
+	} else {
+		tl, err := b.log.Begin()
+		if err != nil {
+			return BaseTx{}, err
+		}
+		t.tl, t.id = tl, tl.TxID()
 	}
-	tl, err := b.log.Begin()
-	if err != nil {
-		return BaseTx{}, err
-	}
-	t.tl, t.id = tl, tl.TxID()
+	t.TxState = b.states.Get().(*TxState)
 	return t, nil
 }
 
@@ -71,7 +103,8 @@ func (t *BaseTx) Owner() locktable.Owner { return locktable.Owner(t.id) }
 func (t *BaseTx) Done() bool { return t.done }
 
 // ReadOnly reports whether the write set is empty: nothing locked for
-// writing, nothing logged, nothing to persist.
+// writing, nothing logged, nothing to persist. Like WriteSet, it is for a
+// transaction that is not Done.
 func (t *BaseTx) ReadOnly() bool { return len(t.ws) == 0 }
 
 // Log returns the transaction's intent-log slot (nil with no log).
@@ -79,9 +112,6 @@ func (t *BaseTx) Log() *intentlog.TxLog { return t.tl }
 
 // Tracer returns the engine's tracer (see Base.Tracer).
 func (t *BaseTx) Tracer() *trace.Tracer { return t.b.Tracer() }
-
-// WriteSet exposes the write set to the mechanism, to read.
-func (t *BaseTx) WriteSet() map[heap.ObjID]WriteEntry { return t.ws }
 
 // traceBegin emits the transaction's TxBegin marker ahead of its first
 // traced lifecycle event. Deferring it off Begin keeps read-only
@@ -316,50 +346,55 @@ func (t *BaseTx) Commit() error {
 		return ErrTxDone
 	}
 	if !t.ReadOnly() {
-		if err := t.PersistHeap(); err != nil {
+		at, err := t.PersistHeap(time.Now())
+		if err != nil {
 			return err
 		}
-		if err := t.PersistMarker(); err != nil {
+		if _, err := t.PersistMarker(at); err != nil {
 			return err
 		}
 	}
 	return t.Finish()
 }
 
+// The persist steps of a commit run back to back, so each takes the clock
+// reading it starts at and returns the one it ends at: the end of one phase
+// is the start of the next, and a commit reads the clock once per boundary.
+
 // PersistHeap flushes every write-set member's dirty extent and fences:
 // the in-place stores are durable before the commit marker can be.
-func (t *BaseTx) PersistHeap() error {
+func (t *BaseTx) PersistHeap(start time.Time) (end time.Time, err error) {
 	reg := t.b.heap.Region()
-	start := time.Now()
 	for obj, ws := range t.ws {
 		if err := ws.Dirty.Flush(reg, obj); err != nil {
-			return err
+			return start, err
 		}
 	}
 	reg.Fence()
-	d := time.Since(start)
+	end = time.Now()
+	d := end.Sub(start)
 	t.b.phHeap.Observe(d)
 	t.Tracer().Span(string(obs.PhaseHeapPersist), t.id, d)
-	return nil
+	return end, nil
 }
 
 // PersistMarker is the commit point: the one-line state store of the
 // transaction's log slot. With no log there is no commit point.
-func (t *BaseTx) PersistMarker() error {
+func (t *BaseTx) PersistMarker(start time.Time) (end time.Time, err error) {
 	if t.tl == nil {
-		return nil
+		return start, nil
 	}
-	start := time.Now()
 	if err := t.tl.SetState(intentlog.StateCommitted); err != nil {
-		return err
+		return start, err
 	}
-	d := time.Since(start)
+	end = time.Now()
+	d := end.Sub(start)
 	t.b.phMarker.Observe(d)
 	if tr := t.Tracer(); tr != nil {
 		tr.CommitMarker(t.id)
 		tr.Span(string(obs.PhaseCommitPersist), t.id, d)
 	}
-	return nil
+	return end, nil
 }
 
 // Finish completes a commit whose marker is durable (or that wrote
@@ -375,16 +410,18 @@ func (t *BaseTx) Finish() error {
 // Detach ends a committed transaction whose write set must outlive it: the
 // deferred frees take effect, the read locks and the bare locks drop — they
 // impose no pending window — and the transaction is spent and counted. The
-// write locks and the log slot pass to the caller, who releases them once
-// the write set is reconciled (Kamino's applier, after the backup sync).
-func (t *BaseTx) Detach() error {
+// write locks, the log slot and the state that names them pass to the
+// caller, who releases them once the write set is reconciled (Kamino's
+// applier, after the backup sync) and then hands the state to Base.Recycle.
+func (t *BaseTx) Detach() (*TxState, error) {
 	if err := t.applyFrees(); err != nil {
-		return err
+		return nil, err
 	}
 	t.unlockReads()
-	t.done = true
 	t.b.commits.Inc()
-	return nil
+	s := t.TxState
+	t.done, t.TxState = true, nil
+	return s, nil
 }
 
 // AbortWith implements Abort around the mechanism's restore (see
@@ -440,7 +477,8 @@ func (t *BaseTx) unlockReads() {
 	}
 }
 
-// end releases the log slot and every lock, and counts the transaction.
+// end releases the log slot and every lock, counts the transaction and
+// recycles its state.
 // Reads release before writes: an upgraded object's read holds are absorbed
 // by its write lock and must not outlive it.
 func (t *BaseTx) end(count *obs.Counter) error {
@@ -453,7 +491,8 @@ func (t *BaseTx) end(count *obs.Counter) error {
 	for obj := range t.ws {
 		t.b.locks.Unlock(uint64(obj), t.Owner())
 	}
-	t.done = true
 	count.Inc()
+	t.b.Recycle(t.TxState)
+	t.done, t.TxState = true, nil
 	return nil
 }

@@ -183,6 +183,11 @@ type Log struct {
 
 	nextTxID atomic.Uint64
 
+	// txs holds one TxLog per slot, handed out by Begin and reused by the
+	// slot's next owner: whoever holds the slot holds its TxLog, from the
+	// claim to the Release (or SlotView.Free) that returns the slot.
+	txs []TxLog
+
 	shards []slotShard
 	rr     atomic.Uint32 // rotates the shard a Begin scans first
 
@@ -326,7 +331,7 @@ func Format(reg *nvm.Region, cfg Config) (*Log, error) {
 	if err := reg.Persist(0, cfg.RegionSize()); err != nil {
 		return nil, err
 	}
-	l := &Log{reg: reg, cfg: cfg}
+	l := &Log{reg: reg, cfg: cfg, txs: make([]TxLog, cfg.Slots)}
 	l.initShards(0)
 	l.nextTxID.Store(1)
 	for i := cfg.Slots - 1; i >= 0; i-- {
@@ -359,7 +364,7 @@ func Attach(reg *nvm.Region) (*Log, error) {
 	if reg.Size() < cfg.RegionSize() {
 		return nil, fmt.Errorf("intentlog: region smaller than formatted size")
 	}
-	l := &Log{reg: reg, cfg: cfg}
+	l := &Log{reg: reg, cfg: cfg, txs: make([]TxLog, cfg.Slots)}
 	l.initShards(0)
 	maxTx := uint64(0)
 	for i := cfg.Slots - 1; i >= 0; i-- {
@@ -423,7 +428,9 @@ func (l *Log) slotHeader(slot int) (State, uint64, int, int, error) {
 	return State(st), txid, int(n), int(used), nil
 }
 
-// TxLog is the per-transaction view of one slot.
+// TxLog is the per-transaction view of one slot. It is the slot's, not the
+// transaction's: a TxLog must not be used after its Release, when the slot's
+// next owner may already be writing it.
 type TxLog struct {
 	l        *Log
 	slot     int
@@ -475,7 +482,9 @@ func (l *Log) TryBegin() (*TxLog, error) {
 // stays whatever the last logging transaction left (a freed or empty
 // header), which recovery already resolves to a no-op.
 func (l *Log) newTx(slot int) *TxLog {
-	return &TxLog{l: l, slot: slot, txid: l.nextTxID.Add(1)}
+	t := &l.txs[slot]
+	*t = TxLog{l: l, slot: slot, txid: l.nextTxID.Add(1)}
+	return t
 }
 
 // storeCount stores one of the slot header's counters and flushes the

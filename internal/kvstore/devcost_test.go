@@ -114,6 +114,7 @@ func benchDevice(b *testing.B, pool *kamino.Pool, put func(i int) error) {
 	b.Helper()
 	pool.Drain()
 	before := readDev(pool)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := put(i); err != nil {

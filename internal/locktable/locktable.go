@@ -30,17 +30,84 @@ const maxShards = 4096
 // recovery-held locks).
 type Owner uint64
 
+// entry is the lock state of one object. It exists only while the object is
+// held or waited for: the last release takes it out of its shard's map and
+// puts it on the shard's free list, where the next lock of any object in
+// the shard finds it, so steady-state locking allocates nothing. A lone
+// reader — every read lock of an uncontended transaction — is held inline;
+// the map appears with the second concurrent reader and stays with the
+// entry, empty, through recycling.
 type entry struct {
 	writer         Owner
-	readers        map[Owner]int // reentrant read counts
+	reader         Owner         // the inline reader, 0 when none
+	rcount         int           // its reentrant read count
+	readers        map[Owner]int // reentrant read counts of the readers beside it
 	waiters        int
-	writersWaiting int // writer preference: new readers hold off
+	writersWaiting int    // writer preference: new readers hold off
+	nextFree       *entry // free-list link
+}
+
+// reads returns owner's reentrant read count.
+func (e *entry) reads(owner Owner) int {
+	if e.reader == owner {
+		return e.rcount
+	}
+	return e.readers[owner]
+}
+
+// otherReaders counts the readers that are not owner.
+func (e *entry) otherReaders(owner Owner) int {
+	n := len(e.readers)
+	if e.reader != 0 {
+		n++
+	}
+	return n - btoi(e.reads(owner) > 0)
+}
+
+// idle reports whether nobody holds or waits for the entry.
+func (e *entry) idle() bool {
+	return e.writer == 0 && e.reader == 0 && len(e.readers) == 0 && e.waiters == 0
+}
+
+func (e *entry) addRead(owner Owner) {
+	switch {
+	case e.reader == owner:
+		e.rcount++
+	case e.readers[owner] > 0:
+		e.readers[owner]++
+	case e.reader == 0:
+		e.reader, e.rcount = owner, 1
+	default:
+		if e.readers == nil {
+			e.readers = make(map[Owner]int)
+		}
+		e.readers[owner] = 1
+	}
+}
+
+// dropRead releases one of owner's read holds, all of them with all set
+// (an upgrade: the write lock absorbs them).
+func (e *entry) dropRead(owner Owner, all bool) {
+	if e.reader == owner {
+		if e.rcount--; all || e.rcount == 0 {
+			e.reader, e.rcount = 0, 0
+		}
+		return
+	}
+	if n := e.readers[owner]; all || n <= 1 {
+		delete(e.readers, owner)
+	} else {
+		e.readers[owner] = n - 1
+	}
 }
 
 type shard struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	m    map[uint64]*entry
+	free *entry // idle entries, ready for reuse
+
+	rlocks uint64 // RLock calls, for RLockCalls
 }
 
 // Table is a striped object lock table: ObjIDs hash to one of 2^k buckets,
@@ -103,6 +170,19 @@ func shiftFor(n int) uint {
 // ShardCount reports the bucket count (test hook).
 func (t *Table) ShardCount() int { return len(t.shards) }
 
+// RLockCalls reports how many times RLock has been called (test hook: a
+// structure pins how many read locks one of its operations takes).
+func (t *Table) RLockCalls() uint64 {
+	var n uint64
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		n += s.rlocks
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func (t *Table) shard(obj uint64) *shard {
 	return &t.shards[(obj*0x9e3779b97f4a7c15)>>t.shift]
 }
@@ -110,15 +190,23 @@ func (t *Table) shard(obj uint64) *shard {
 func (s *shard) get(obj uint64) *entry {
 	e := s.m[obj]
 	if e == nil {
-		e = &entry{readers: make(map[Owner]int)}
+		if e = s.free; e != nil {
+			s.free, e.nextFree = e.nextFree, nil
+		} else {
+			e = &entry{}
+		}
 		s.m[obj] = e
 	}
 	return e
 }
 
+// maybeDelete recycles an entry nobody holds or waits for. A waiter pins
+// its entry (waiters is raised before the first Wait and dropped after the
+// last), so a parked goroutine always wakes to the entry it parked on.
 func (s *shard) maybeDelete(obj uint64, e *entry) {
-	if e.writer == 0 && len(e.readers) == 0 && e.waiters == 0 {
+	if e.idle() {
 		delete(s.m, obj)
+		e.nextFree, s.free = s.free, e
 	}
 }
 
@@ -154,14 +242,12 @@ func (t *Table) Lock(obj uint64, owner Owner) {
 		if e.writer == owner {
 			break
 		}
-		othersReading := len(e.readers) - btoi(e.readers[owner] > 0)
-		if e.writer == 0 && othersReading == 0 {
+		if e.writer == 0 && e.otherReaders(owner) == 0 {
 			e.writer = owner
-			delete(e.readers, owner) // absorb upgraded read holds
+			e.dropRead(owner, true) // absorb upgraded read holds
 			break
 		}
 		s.cond.Wait()
-		e = s.get(obj) // entry may have been deleted and recreated
 	}
 	e.writersWaiting--
 	e.waiters--
@@ -176,10 +262,9 @@ func (t *Table) TryLock(obj uint64, owner Owner) bool {
 	if e.writer == owner {
 		return true
 	}
-	othersReading := len(e.readers) - btoi(e.readers[owner] > 0)
-	if e.writer == 0 && othersReading == 0 {
+	if e.writer == 0 && e.otherReaders(owner) == 0 {
 		e.writer = owner
-		delete(e.readers, owner) // absorb upgraded read holds
+		e.dropRead(owner, true) // absorb upgraded read holds
 		return true
 	}
 	s.maybeDelete(obj, e)
@@ -212,18 +297,18 @@ func (t *Table) RLock(obj uint64, owner Owner) {
 	s := t.shard(obj)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.rlocks++
 	e := s.get(obj)
 	e.waiters++
 	for {
 		if e.writer == owner {
 			break
 		}
-		if e.writer == 0 && (e.writersWaiting == 0 || e.readers[owner] > 0) {
-			e.readers[owner]++
+		if e.writer == 0 && (e.writersWaiting == 0 || e.reads(owner) > 0) {
+			e.addRead(owner)
 			break
 		}
 		s.cond.Wait()
-		e = s.get(obj)
 	}
 	e.waiters--
 }
@@ -241,13 +326,10 @@ func (t *Table) RUnlock(obj uint64, owner Owner) {
 		// Read was satisfied by the write lock; nothing to release.
 		return
 	}
-	if e.readers[owner] == 0 {
+	if e.reads(owner) == 0 {
 		panic(fmt.Sprintf("locktable: RUnlock(%d) by %d which holds no read lock", obj, owner))
 	}
-	e.readers[owner]--
-	if e.readers[owner] == 0 {
-		delete(e.readers, owner)
-	}
+	e.dropRead(owner, false)
 	s.maybeDelete(obj, e)
 	s.cond.Broadcast()
 }

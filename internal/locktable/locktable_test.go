@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"kaminotx/internal/race"
 )
 
 func TestLockUnlock(t *testing.T) {
@@ -254,5 +256,102 @@ func TestEntriesGarbageCollected(t *testing.T) {
 	}
 	if total != 0 {
 		t.Errorf("%d lock entries leaked", total)
+	}
+}
+
+// TestEntryRecycledClean walks one entry through every kind of hold — two
+// overlapping readers (the second makes the map), a reentrant read, an
+// upgrade, a plain write — and checks that the next object to use it finds
+// none of it.
+func TestEntryRecycledClean(t *testing.T) {
+	tbl := NewSharded(1)
+	s := &tbl.shards[0]
+
+	tbl.RLock(1, 10)
+	first := s.m[1]
+	if first.reader != 10 || first.readers != nil {
+		t.Fatalf("a lone reader is not held inline: %+v", *first)
+	}
+	tbl.RLock(1, 10)
+	tbl.RLock(1, 11)
+	if first.rcount != 2 || first.readers[11] != 1 {
+		t.Fatalf("two readers, one reentrant: %+v", *first)
+	}
+	tbl.RUnlock(1, 10)
+	tbl.RUnlock(1, 10)
+	tbl.Lock(1, 11) // sole reader left: upgrades, absorbing its read hold
+	tbl.RUnlock(1, 11)
+	tbl.Unlock(1, 11)
+	if len(s.m) != 0 || s.free != first {
+		t.Fatalf("released entry not on the free list (map has %d)", len(s.m))
+	}
+
+	tbl.Lock(2, 12)
+	e := s.m[2]
+	if e != first {
+		t.Fatal("object 2 did not get the recycled entry")
+	}
+	if e.writer != 12 || e.reader != 0 || e.rcount != 0 || len(e.readers) != 0 || e.waiters != 0 || e.writersWaiting != 0 || e.nextFree != nil {
+		t.Fatalf("recycled entry carried state over: %+v", *e)
+	}
+	if tbl.HeldBy(1) != 0 {
+		t.Fatal("object 1 reads as held through the entry it gave up")
+	}
+	tbl.Unlock(2, 12)
+}
+
+// TestUncontendedLockingAllocatesNothing pins the steady state: an entry
+// comes off its bucket's free list and goes back, and a lone reader needs no
+// map, so a lock/unlock or rlock/runlock pair of an object nobody else
+// wants touches the Go heap not at all.
+func TestUncontendedLockingAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("testing.AllocsPerRun is meaningless under the race detector")
+	}
+	tbl := New()
+	obj := uint64(0)
+	pair := func(lock, unlock func(uint64, Owner)) func() {
+		return func() {
+			obj++
+			lock(obj, 1)
+			lock(obj+1000, 1) // a transaction holds more than one
+			unlock(obj+1000, 1)
+			unlock(obj, 1)
+		}
+	}
+	for name, f := range map[string]func(){
+		"Lock+Unlock":   pair(tbl.Lock, tbl.Unlock),
+		"RLock+RUnlock": pair(tbl.RLock, tbl.RUnlock),
+	} {
+		for i := 0; i < 4*tbl.ShardCount(); i++ {
+			f() // every bucket has allocated the entries it will reuse
+		}
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Errorf("%s of an uncontended object allocates %.0f times", name, n)
+		}
+	}
+}
+
+// BenchmarkLockUnlock is the gated ladder's locktable.lock_unlock_ns in the
+// repository: one uncontended write lock taken and released, objects
+// rotating over the buckets.
+func BenchmarkLockUnlock(b *testing.B) {
+	tbl := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.Lock(uint64(i), 1)
+		tbl.Unlock(uint64(i), 1)
+	}
+}
+
+// BenchmarkRLockRUnlock is the same for a lone reader.
+func BenchmarkRLockRUnlock(b *testing.B) {
+	tbl := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.RLock(uint64(i), 1)
+		tbl.RUnlock(uint64(i), 1)
 	}
 }

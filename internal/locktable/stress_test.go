@@ -116,3 +116,111 @@ func TestDependentBlockingOrder(t *testing.T) {
 		t.Error("table not quiescent after stress")
 	}
 }
+
+// checkRecycling asserts, under the shard's mutex, the two halves of the
+// recycling invariant: an entry in the map is held or waited for, and an
+// entry on the free list is in nobody's map and carries nothing over — no
+// writer, no reader (inline or mapped), no waiter.
+func checkRecycling(t *testing.T, s *shard) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mapped := make(map[*entry]uint64, len(s.m))
+	for obj, e := range s.m {
+		if e.idle() {
+			t.Errorf("object %d maps to an idle entry", obj)
+		}
+		mapped[e] = obj
+	}
+	for e := s.free; e != nil; e = e.nextFree {
+		if !e.idle() || e.rcount != 0 || e.writersWaiting != 0 {
+			t.Errorf("free entry is not clean: %+v", *e)
+		}
+		if obj, ok := mapped[e]; ok {
+			t.Errorf("free entry is still object %d's", obj)
+		}
+	}
+}
+
+// TestRecycledEntriesUnderContention parks and wakes goroutines on a few
+// objects of a single bucket, so that every release that empties an entry
+// recycles it into a neighbour's next lock while waiters sit on the shared
+// condition variable. The counters are guarded only by the write locks (a
+// recycled entry that remembered a holder, or forgot one, is a detector
+// error under -race or a lost update without), readers overlap so that the
+// second-reader map comes and goes, and a checker walks the bucket's map
+// and free list throughout. A waiter whose entry was recycled under it
+// hangs the test.
+func TestRecycledEntriesUnderContention(t *testing.T) {
+	const (
+		goroutines = 24
+		iters      = 400
+		objects    = 3
+	)
+	tbl := NewSharded(1)
+	s := &tbl.shards[0]
+	var counters [objects]int
+	var want [objects]atomic.Int64
+	var readSink atomic.Int64
+
+	done := make(chan struct{})
+	var checker sync.WaitGroup
+	checker.Add(1)
+	go func() {
+		defer checker.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				checkRecycling(t, s)
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			owner := Owner(g + 1)
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < iters; i++ {
+				obj := uint64(rng.Intn(objects))
+				if i%3 == 0 {
+					tbl.RLock(obj, owner)
+					tbl.RLock(obj, owner) // reentrant: one more hold, same reader
+					readSink.Add(int64(counters[obj]))
+					runtime.Gosched() // let a second reader in, and a writer queue up
+					tbl.RUnlock(obj, owner)
+					tbl.RUnlock(obj, owner)
+					continue
+				}
+				tbl.Lock(obj, owner)
+				counters[obj]++
+				want[obj].Add(1)
+				if i%8 == 1 {
+					runtime.Gosched() // hold it long enough for others to park
+				}
+				tbl.Unlock(obj, owner)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	checker.Wait()
+
+	checkRecycling(t, s)
+	for obj := range counters {
+		if int64(counters[obj]) != want[obj].Load() {
+			t.Errorf("object %d: %d updates survived of %d", obj, counters[obj], want[obj].Load())
+		}
+	}
+	if len(s.m) != 0 {
+		t.Errorf("%d entries still mapped after every lock was released", len(s.m))
+	}
+	if s.free == nil {
+		t.Error("no entry was recycled")
+	}
+}

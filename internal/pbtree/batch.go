@@ -101,13 +101,13 @@ func (t *Tree) batchOne(tx *kamino.Tx, un *unlockers, held map[kamino.ObjID]bool
 	for !held[cur] {
 		l := t.latch(cur)
 		l.RLock()
-		nd, err := t.readNode(cur)
+		nd, err := t.nodeView(cur)
 		if err != nil {
 			l.RUnlock()
 			releaseParent()
 			return err
 		}
-		if nd.leaf {
+		if nd.leaf() {
 			// Re-take the latch in write mode. The drop-then-relock gap
 			// is safe for the same reason the read-latched descent is:
 			// only writers restructure, and this batch is the only one.
@@ -115,51 +115,18 @@ func (t *Tree) batchOne(tx *kamino.Tx, un *unlockers, held map[kamino.ObjID]bool
 			releaseParent()
 			l.Lock()
 			held[cur] = true
-			un.add(l.Unlock)
+			un.add(l, true)
 			break
 		}
-		next := nd.ptrs[upperBound(nd.keys, op.Key)]
+		next := nd.child(op.Key)
 		releaseParent()
 		parent, cur = l, next
 	}
 	releaseParent()
 	if op.Delete {
-		return t.batchDeleteInLeaf(tx, cur, op.Key)
-	}
-	return t.batchPutInLeaf(tx, cur, op.Key, op.Value)
-}
-
-// batchPutInLeaf is putInLeaf without the non-full precondition: inserting
-// a new key into a full leaf aborts with ErrBatchNeedsSplit instead of
-// relying on a proactive split during the descent.
-func (t *Tree) batchPutInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, val []byte) error {
-	leaf, err := t.readNodeTx(tx, leafObj)
-	if err != nil {
+		_, err := t.deleteFromLeaf(tx, cur, op.Key)
 		return err
 	}
-	if _, found := search(leaf.keys, key); !found && len(leaf.keys) >= t.order {
-		return ErrBatchNeedsSplit
-	}
-	return t.putInLeaf(tx, leafObj, key, val, nil)
-}
-
-// batchDeleteInLeaf removes key from the latched leaf (lazy, like Delete).
-func (t *Tree) batchDeleteInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64) error {
-	if err := tx.Add(leafObj); err != nil {
-		return err
-	}
-	leaf, err := t.readNodeTx(tx, leafObj)
-	if err != nil {
-		return err
-	}
-	i, found := search(leaf.keys, key)
-	if !found {
-		return nil
-	}
-	if err := tx.Free(leaf.ptrs[i]); err != nil {
-		return err
-	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.ptrs = append(leaf.ptrs[:i], leaf.ptrs[i+1:]...)
-	return t.writeNode(tx, leafObj, leaf)
+	// The leaf may be full: putInLeaf aborts the batch rather than insert.
+	return t.putInLeaf(tx, cur, op.Key, op.Value, nil)
 }

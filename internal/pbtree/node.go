@@ -29,110 +29,55 @@ const (
 
 func nodeSize(order int) int { return 8 + 8*order + 8*(order+1) }
 
-// node is the volatile decoded form of a persistent node.
-type node struct {
-	leaf bool
-	keys []uint64
-	ptrs []kamino.ObjID // children (internal) or values (leaf)
-	next kamino.ObjID   // leaf chain
+func (t *Tree) offPtrs() int { return offKeys + 8*t.order }
+
+// view is a node read where it lies: a window on the bytes Heap().Bytes or
+// tx.Read returned, which alias the region's volatile image. Nothing is
+// decoded or copied; every accessor is one little-endian load. A view is
+// read-only, and good only while what protected the bytes is held (the
+// package comment has the rule).
+type view struct {
+	b    []byte // exactly nodeSize bytes
+	ptrs int    // offset of ptrs[0]
+	n    int    // nkeys, checked against the order once
 }
 
-func (t *Tree) offPtrs() int { return offKeys + 8*t.order }
-func (t *Tree) offNext() int { return t.offPtrs() + 8*t.order }
-
-// decodeNode parses raw node bytes.
-func (t *Tree) decodeNode(b []byte) (*node, error) {
-	if len(b) < nodeSize(t.order) {
-		return nil, fmt.Errorf("pbtree: node too small: %d bytes", len(b))
+// view checks raw node bytes (an object's payload, at least a node long)
+// and wraps them.
+func (t *Tree) view(b []byte) (view, error) {
+	size := nodeSize(t.order)
+	if len(b) < size {
+		return view{}, fmt.Errorf("pbtree: node too small: %d bytes", len(b))
 	}
-	flags := binary.LittleEndian.Uint32(b[offFlags:])
 	n := int(binary.LittleEndian.Uint32(b[offNKeys:]))
 	if n < 0 || n > t.order {
-		return nil, fmt.Errorf("pbtree: corrupt node: nkeys=%d order=%d", n, t.order)
+		return view{}, fmt.Errorf("pbtree: corrupt node: nkeys=%d order=%d", n, t.order)
 	}
-	nd := &node{leaf: flags&flagLeaf != 0}
-	nd.keys = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		nd.keys[i] = binary.LittleEndian.Uint64(b[offKeys+8*i:])
-	}
-	np := n
-	if !nd.leaf {
-		np = n + 1
-	}
-	nd.ptrs = make([]kamino.ObjID, np)
-	for i := 0; i < np; i++ {
-		nd.ptrs[i] = kamino.ObjID(binary.LittleEndian.Uint64(b[t.offPtrs()+8*i:]))
-	}
-	if nd.leaf {
-		nd.next = kamino.ObjID(binary.LittleEndian.Uint64(b[t.offNext():]))
-	}
-	return nd, nil
+	return view{b: b[:size], ptrs: t.offPtrs(), n: n}, nil
 }
 
-// encodeNode serializes nd into a buffer of nodeSize bytes.
-func (t *Tree) encodeNode(nd *node) []byte {
-	b := make([]byte, nodeSize(t.order))
-	var flags uint32
-	if nd.leaf {
-		flags |= flagLeaf
-	}
-	binary.LittleEndian.PutUint32(b[offFlags:], flags)
-	binary.LittleEndian.PutUint32(b[offNKeys:], uint32(len(nd.keys)))
-	for i, k := range nd.keys {
-		binary.LittleEndian.PutUint64(b[offKeys+8*i:], k)
-	}
-	for i, p := range nd.ptrs {
-		binary.LittleEndian.PutUint64(b[t.offPtrs()+8*i:], uint64(p))
-	}
-	if nd.leaf {
-		binary.LittleEndian.PutUint64(b[t.offNext():], uint64(nd.next))
-	}
-	return b
+func (v view) leaf() bool { return binary.LittleEndian.Uint32(v.b[offFlags:])&flagLeaf != 0 }
+func (v view) nkeys() int { return v.n }
+
+func (v view) key(i int) uint64 { return binary.LittleEndian.Uint64(v.b[offKeys+8*i:]) }
+
+// ptr returns child i of an internal node, value object i of a leaf.
+func (v view) ptr(i int) kamino.ObjID {
+	return kamino.ObjID(binary.LittleEndian.Uint64(v.b[v.ptrs+8*i:]))
 }
 
-// readNode loads a node through the physical heap (latch-protected
-// navigation; no transaction lock).
-func (t *Tree) readNode(obj kamino.ObjID) (*node, error) {
-	b, err := t.pool.Engine().Heap().Bytes(obj)
-	if err != nil {
-		return nil, err
-	}
-	return t.decodeNode(b)
-}
-
-// readNodeTx loads a node through the transaction (own-writes visible).
-func (t *Tree) readNodeTx(tx *kamino.Tx, obj kamino.ObjID) (*node, error) {
-	b, err := tx.Read(obj)
-	if err != nil {
-		return nil, err
-	}
-	return t.decodeNode(b)
-}
-
-// writeNode stores nd at obj within tx. The caller must have Add'ed obj.
-func (t *Tree) writeNode(tx *kamino.Tx, obj kamino.ObjID, nd *node) error {
-	return tx.Write(obj, 0, t.encodeNode(nd))
-}
-
-// allocNode allocates and writes a fresh node inside tx.
-func (t *Tree) allocNode(tx *kamino.Tx, nd *node) (kamino.ObjID, error) {
-	obj, err := tx.Alloc(nodeSize(t.order))
-	if err != nil {
-		return kamino.Nil, err
-	}
-	if err := t.writeNode(tx, obj, nd); err != nil {
-		return kamino.Nil, err
-	}
-	return obj, nil
+// next returns a leaf's successor in the leaf chain: the last pointer slot.
+func (v view) next() kamino.ObjID {
+	return kamino.ObjID(binary.LittleEndian.Uint64(v.b[len(v.b)-8:]))
 }
 
 // upperBound returns the child index for key in an internal node: the first
 // slot whose separator exceeds key.
-func upperBound(keys []uint64, key uint64) int {
-	lo, hi := 0, len(keys)
+func (v view) upperBound(key uint64) int {
+	lo, hi := 0, v.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if key < keys[mid] {
+		if key < v.key(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -141,21 +86,122 @@ func upperBound(keys []uint64, key uint64) int {
 	return lo
 }
 
-// search returns (index, found) for key in a sorted key slice.
-func search(keys []uint64, key uint64) (int, bool) {
-	lo, hi := 0, len(keys)
+// child returns the child an internal node routes key to.
+func (v view) child(key uint64) kamino.ObjID { return v.ptr(v.upperBound(key)) }
+
+// search returns (index, found) for key among the node's sorted keys.
+func (v view) search(key uint64) (int, bool) {
+	lo, hi := 0, v.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch {
-		case keys[mid] == key:
+		switch k := v.key(mid); {
+		case k == key:
 			return mid, true
-		case keys[mid] < key:
+		case k < key:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
 	return lo, false
+}
+
+// nodeView reads a node through the physical heap (latch-protected
+// navigation; no transaction lock).
+func (t *Tree) nodeView(obj kamino.ObjID) (view, error) {
+	b, err := t.pool.Engine().Heap().Bytes(obj)
+	if err != nil {
+		return view{}, err
+	}
+	return t.view(b)
+}
+
+// nodeViewTx reads a node through the transaction (own writes visible; a
+// read lock unless the node is in the write set).
+func (t *Tree) nodeViewTx(tx *kamino.Tx, obj kamino.ObjID) (view, error) {
+	b, err := tx.Read(obj)
+	if err != nil {
+		return view{}, err
+	}
+	return t.view(b)
+}
+
+// image is a node's new contents under construction: the paths that change
+// a node assemble them in a scratch buffer of nodeSize bytes and hand the
+// whole buffer to tx.Write, so a node is always stored as one write of its
+// full size with zeros past its last key and pointer. Keys and pointers
+// are appended in order, usually as runs copied out of a view of the old
+// node — which the buffer never aliases, so the old node stays readable
+// until the write.
+type image struct {
+	b      []byte
+	ptrs   int
+	nk, np int
+}
+
+// images recycles the scratch buffers; tx.Write copies out of them. An image
+// dropped on an error path is simply collected.
+var images = sync.Pool{New: func() any { return new(image) }}
+
+// newImage returns an empty node image, every byte past the flags zero.
+func (t *Tree) newImage(leaf bool) *image {
+	im := images.Get().(*image)
+	size := nodeSize(t.order)
+	if cap(im.b) < size {
+		im.b = make([]byte, size)
+	}
+	im.b = im.b[:size]
+	clear(im.b)
+	im.ptrs, im.nk, im.np = t.offPtrs(), 0, 0
+	if leaf {
+		binary.LittleEndian.PutUint32(im.b[offFlags:], flagLeaf)
+	}
+	return im
+}
+
+func (im *image) addKey(k uint64) {
+	binary.LittleEndian.PutUint64(im.b[offKeys+8*im.nk:], k)
+	im.nk++
+}
+
+func (im *image) addPtr(p kamino.ObjID) {
+	binary.LittleEndian.PutUint64(im.b[im.ptrs+8*im.np:], uint64(p))
+	im.np++
+}
+
+// addKeys appends v's keys [from, to).
+func (im *image) addKeys(v view, from, to int) {
+	copy(im.b[offKeys+8*im.nk:], v.b[offKeys+8*from:offKeys+8*to])
+	im.nk += to - from
+}
+
+// addPtrs appends v's pointers [from, to).
+func (im *image) addPtrs(v view, from, to int) {
+	copy(im.b[im.ptrs+8*im.np:], v.b[v.ptrs+8*from:v.ptrs+8*to])
+	im.np += to - from
+}
+
+// setNext stores a leaf's successor.
+func (im *image) setNext(p kamino.ObjID) {
+	binary.LittleEndian.PutUint64(im.b[len(im.b)-8:], uint64(p))
+}
+
+// store writes the image to obj within tx and recycles the buffer. The
+// caller must have Add'ed obj (or allocated it in tx).
+func (im *image) store(tx *kamino.Tx, obj kamino.ObjID) error {
+	binary.LittleEndian.PutUint32(im.b[offNKeys:], uint32(im.nk))
+	err := tx.Write(obj, 0, im.b)
+	images.Put(im)
+	return err
+}
+
+// alloc allocates a fresh node inside tx and stores the image there.
+func (im *image) alloc(tx *kamino.Tx) (kamino.ObjID, error) {
+	obj, err := tx.Alloc(len(im.b))
+	if err != nil {
+		return kamino.Nil, err
+	}
+	return obj, im.store(tx, obj)
 }
 
 // Value objects hold a u32 length prefix followed by the bytes.

@@ -20,6 +20,18 @@
 // Deletes are lazy: keys are removed from leaves without rebalancing, which
 // keeps the structure correct (possibly under-full) and is sufficient for
 // the paper's workloads.
+//
+// Nodes are read where they lie. Heap().Bytes and tx.Read return slices
+// aliasing the region's volatile image, and a node is examined through a
+// view over those bytes (node.go): no level of any descent decodes, copies
+// or allocates. The one rule: a view is never touched after the latch that
+// covered its read is released or its transaction has ended — from then on
+// a writer, a commit-time copy-back or a recycled block may be changing the
+// bytes under it — nor after the same transaction has written the node,
+// when it shows the new image on the engines that edit in place and the old
+// one under copy-on-write. What leaves the package is always a copy
+// (decodeValue's). A path that changes a node builds the whole new image
+// in a scratch buffer and stores it in one write.
 package pbtree
 
 import (
@@ -70,7 +82,7 @@ func Create(pool *kamino.Pool, order int) (*Tree, error) {
 	}
 	t := &Tree{pool: pool, order: order}
 	err := pool.Update(func(tx *kamino.Tx) error {
-		rootObj, err := t.allocNode(tx, &node{leaf: true})
+		rootObj, err := t.newImage(true).alloc(tx)
 		if err != nil {
 			return err
 		}
@@ -120,11 +132,11 @@ func Attach(pool *kamino.Pool, meta kamino.ObjID) (*Tree, error) {
 	}
 	t := &Tree{pool: pool, meta: meta, order: int(order)}
 	var nodes, keys, depth uint64
-	err = t.walk(func(obj kamino.ObjID, nd *node, level int) {
+	err = t.walk(func(obj kamino.ObjID, nd view, level int) {
 		t.latches.Store(obj, &sync.RWMutex{})
 		nodes++
-		if nd.leaf {
-			keys += uint64(len(nd.keys))
+		if nd.leaf() {
+			keys += uint64(nd.nkeys())
 		}
 		depth = max(depth, uint64(level))
 	})
@@ -153,16 +165,59 @@ func (t *Tree) latch(obj kamino.ObjID) *sync.RWMutex {
 	return m.(*sync.RWMutex)
 }
 
-// unlockers collects latch releases to run after the transaction finishes.
-type unlockers []func()
+// heldLatch is one latch an operation holds, and in which mode.
+type heldLatch struct {
+	l     *sync.RWMutex
+	write bool
+}
 
-func (u *unlockers) add(f func()) { *u = append(*u, f) }
+func (h heldLatch) unlock() {
+	if h.write {
+		h.l.Unlock()
+	} else {
+		h.l.RUnlock()
+	}
+}
+
+// unlockers collects the latches to release after the transaction finishes.
+// A point operation's few fit the inline array and never reach the heap (a
+// slice grown through a pointer would); a scan's spill.
+type unlockers struct {
+	n     int
+	few   [4]heldLatch
+	spill []heldLatch
+}
+
+// at returns the i-th latch added.
+func (u *unlockers) at(i int) *heldLatch {
+	if i < len(u.few) {
+		return &u.few[i]
+	}
+	return &u.spill[i-len(u.few)]
+}
+
+func (u *unlockers) add(l *sync.RWMutex, write bool) {
+	if u.n >= len(u.few) {
+		u.spill = append(u.spill, heldLatch{})
+	}
+	u.n++
+	*u.at(u.n - 1) = heldLatch{l, write}
+}
+
+// swapLast releases the latch added last and holds l in its place: one step
+// of latch coupling.
+func (u *unlockers) swapLast(l *sync.RWMutex, write bool) {
+	last := u.at(u.n - 1)
+	last.unlock()
+	*last = heldLatch{l, write}
+}
+
 func (u *unlockers) runAll() {
 	// Release in reverse acquisition order.
-	for i := len(*u) - 1; i >= 0; i-- {
-		(*u)[i]()
+	for i := u.n - 1; i >= 0; i-- {
+		u.at(i).unlock()
 	}
-	*u = nil
+	*u = unlockers{}
 }
 
 // rootPtr reads the current root under the root latch (physically — the
@@ -199,44 +254,39 @@ func (t *Tree) Get(key uint64) ([]byte, bool, error) {
 		// pile up on the upper levels. Only the leaf latch is held
 		// through the transaction.
 		t.rootLatch.RUnlock()
-		un.add(l.RUnlock)
+		un.add(l, false)
 		for {
-			nd, err := t.readNode(cur)
+			nd, err := t.nodeView(cur)
 			if err != nil {
 				return err
 			}
-			if nd.leaf {
-				// Leaf reads go through the transaction: the
-				// read lock makes dependent reads wait for
-				// pending objects.
-				lnd, err := t.readNodeTx(tx, cur)
-				if err != nil {
-					return err
-				}
-				i, ok := search(lnd.keys, key)
-				if !ok {
-					return nil
-				}
-				vb, err := tx.Read(lnd.ptrs[i])
-				if err != nil {
-					return err
-				}
-				val, err = decodeValue(vb)
-				if err != nil {
-					return err
-				}
-				found = true
-				return nil
+			if nd.leaf() {
+				break
 			}
-			child := nd.ptrs[upperBound(nd.keys, key)]
+			child := nd.child(key)
 			cl := t.latch(child)
 			cl.RLock()
 			// Release the parent now that the child is latched.
-			last := len(un) - 1
-			un[last]()
-			un[last] = cl.RUnlock
+			un.swapLast(cl, false)
 			cur = child
 		}
+		// The leaf is read once, through the transaction: the read lock
+		// makes dependent reads wait for pending objects.
+		leaf, err := t.nodeViewTx(tx, cur)
+		if err != nil {
+			return err
+		}
+		i, ok := leaf.search(key)
+		if !ok {
+			return nil
+		}
+		vb, err := tx.Read(leaf.ptr(i))
+		if err != nil {
+			return err
+		}
+		val, err = decodeValue(vb)
+		found = err == nil
+		return err
 	})
 	return val, found, err
 }
@@ -300,13 +350,13 @@ func (t *Tree) tryPut(key uint64, val []byte, fn modifyFn) (txid uint64, retry b
 		}
 		rl := t.latch(rootObj)
 		rl.Lock()
-		root, err := t.readNode(rootObj)
+		root, err := t.nodeView(rootObj)
 		if err != nil {
 			rl.Unlock()
 			t.rootLatch.RUnlock()
 			return err
 		}
-		if len(root.keys) == t.order {
+		if root.nkeys() == t.order {
 			// Root is full: upgrade to the exclusive root latch and
 			// split, then retry the whole operation.
 			rl.Unlock()
@@ -342,22 +392,22 @@ func (t *Tree) splitRoot(oldRoot kamino.ObjID) error {
 	l.Lock()
 	defer l.Unlock()
 	return t.pool.Update(func(tx *kamino.Tx) error {
-		nd, err := t.readNode(oldRoot)
+		nd, err := t.nodeView(oldRoot)
 		if err != nil {
 			return err
 		}
-		if len(nd.keys) < t.order {
+		if nd.nkeys() < t.order {
 			return nil // shrank in the meantime (update path)
 		}
 		sep, rightObj, err := t.splitChild(tx, oldRoot, nd)
 		if err != nil {
 			return err
 		}
-		newRoot, err := t.allocNode(tx, &node{
-			leaf: false,
-			keys: []uint64{sep},
-			ptrs: []kamino.ObjID{oldRoot, rightObj},
-		})
+		root := t.newImage(false)
+		root.addKey(sep)
+		root.addPtr(oldRoot)
+		root.addPtr(rightObj)
+		newRoot, err := root.alloc(tx)
 		if err != nil {
 			return err
 		}
@@ -368,57 +418,39 @@ func (t *Tree) splitRoot(oldRoot kamino.ObjID) error {
 	})
 }
 
-// splitChild splits the full node nd (already latched and loaded, object id
-// obj) in half, writing both halves inside tx, and returns the separator
-// key and the new right sibling. The caller inserts the separator into the
-// parent.
-func (t *Tree) splitChild(tx *kamino.Tx, obj kamino.ObjID, nd *node) (uint64, kamino.ObjID, error) {
-	if nd.leaf {
-		mid := (len(nd.keys) + 1) / 2
-		right := &node{
-			leaf: true,
-			keys: append([]uint64(nil), nd.keys[mid:]...),
-			ptrs: append([]kamino.ObjID(nil), nd.ptrs[mid:]...),
-			next: nd.next,
-		}
-		rightObj, err := t.allocNode(tx, right)
-		if err != nil {
-			return 0, kamino.Nil, err
-		}
-		left := &node{
-			leaf: true,
-			keys: nd.keys[:mid],
-			ptrs: nd.ptrs[:mid],
-			next: rightObj,
-		}
-		if err := tx.Add(obj); err != nil {
-			return 0, kamino.Nil, err
-		}
-		if err := t.writeNode(tx, obj, left); err != nil {
-			return 0, kamino.Nil, err
-		}
-		return right.keys[0], rightObj, nil
+// splitChild splits the full node nd (already latched, object id obj) in
+// half, writing both halves inside tx, and returns the separator key and the
+// new right sibling. The caller inserts the separator into the parent. The
+// left half overwrites obj, so nd is spent on return.
+func (t *Tree) splitChild(tx *kamino.Tx, obj kamino.ObjID, nd view) (uint64, kamino.ObjID, error) {
+	n, leaf := nd.nkeys(), nd.leaf()
+	// A leaf keeps its separator as the right half's first key; an internal
+	// node moves it up, and both its halves have one more child than keys.
+	mid, rightFrom, extra := (n+1)/2, (n+1)/2, 0
+	if !leaf {
+		mid, rightFrom, extra = n/2, n/2+1, 1
 	}
-	mid := len(nd.keys) / 2
-	sep := nd.keys[mid]
-	right := &node{
-		leaf: false,
-		keys: append([]uint64(nil), nd.keys[mid+1:]...),
-		ptrs: append([]kamino.ObjID(nil), nd.ptrs[mid+1:]...),
+	sep := nd.key(mid)
+	right := t.newImage(leaf)
+	right.addKeys(nd, rightFrom, n)
+	right.addPtrs(nd, rightFrom, n+extra)
+	if leaf {
+		right.setNext(nd.next())
 	}
-	rightObj, err := t.allocNode(tx, right)
+	rightObj, err := right.alloc(tx)
 	if err != nil {
 		return 0, kamino.Nil, err
 	}
-	left := &node{
-		leaf: false,
-		keys: nd.keys[:mid],
-		ptrs: nd.ptrs[:mid+1],
+	left := t.newImage(leaf)
+	left.addKeys(nd, 0, mid)
+	left.addPtrs(nd, 0, mid+extra)
+	if leaf {
+		left.setNext(rightObj)
 	}
 	if err := tx.Add(obj); err != nil {
 		return 0, kamino.Nil, err
 	}
-	if err := t.writeNode(tx, obj, left); err != nil {
+	if err := left.store(tx, obj); err != nil {
 		return 0, kamino.Nil, err
 	}
 	return sep, rightObj, nil
@@ -438,154 +470,194 @@ func (t *Tree) splitChild(tx *kamino.Tx, obj kamino.ObjID, nd *node) (uint64, ka
 // latches until the transaction finishes, because engines that publish
 // writes at commit time (copy-on-write) must not expose a latched-free
 // node whose physical image is mid-replacement.
-func (t *Tree) descendPut(tx *kamino.Tx, un *unlockers, curObj kamino.ObjID, cur *node, curDirty bool, key uint64, val []byte, fn modifyFn) error {
+func (t *Tree) descendPut(tx *kamino.Tx, un *unlockers, curObj kamino.ObjID, cur view, curDirty bool, key uint64, val []byte, fn modifyFn) error {
 	curLatch := t.latch(curObj)
-	// release disposes of cur's latch once the descent moves past it (or
-	// fails): clean nodes unlock immediately, dirty ones at commit.
-	release := func() {
+	for !cur.leaf() {
+		childObj := cur.child(key)
+		cl := t.latch(childObj)
+		cl.Lock()
+		child, err := t.nodeView(childObj)
+		childDirty := false
+		if err == nil && child.nkeys() == t.order {
+			// Proactive split: parent (cur) is latched and not
+			// full, so the separator insertion is safe.
+			var sep uint64
+			var rightObj kamino.ObjID
+			if sep, rightObj, err = t.splitChild(tx, childObj, child); err == nil {
+				err = t.insertChild(tx, curObj, cur, sep, rightObj)
+			}
+			if err == nil {
+				curDirty, childDirty = true, true
+				if key >= sep {
+					// Continue into the new right sibling. The left
+					// half was written by this transaction, so its
+					// latch is held to commit like any dirty node.
+					un.add(cl, true)
+					childObj = rightObj
+					cl = t.latch(childObj)
+					cl.Lock()
+				}
+				// Both halves were written by this transaction, so the
+				// re-read must go through it (copy-on-write keeps the
+				// new contents in the shadow until commit).
+				child, err = t.nodeViewTx(tx, childObj)
+			}
+		}
+		if err != nil {
+			cl.Unlock()
+		}
+		// The descent has moved past cur (or failed): a clean node unlocks
+		// now, a dirty one at commit.
 		if curDirty {
-			un.add(curLatch.Unlock)
+			un.add(curLatch, true)
 		} else {
 			curLatch.Unlock()
 		}
-	}
-	for !cur.leaf {
-		childObj := cur.ptrs[upperBound(cur.keys, key)]
-		cl := t.latch(childObj)
-		cl.Lock()
-		child, err := t.readNode(childObj)
 		if err != nil {
-			cl.Unlock()
-			release()
 			return err
 		}
-		childDirty := false
-		if len(child.keys) == t.order {
-			// Proactive split: parent (cur) is latched and not
-			// full, so the separator insertion is safe.
-			sep, rightObj, err := t.splitChild(tx, childObj, child)
-			if err != nil {
-				cl.Unlock()
-				release()
-				return err
-			}
-			i, _ := search(cur.keys, sep)
-			cur.keys = append(cur.keys[:i], append([]uint64{sep}, cur.keys[i:]...)...)
-			cur.ptrs = append(cur.ptrs[:i+1], append([]kamino.ObjID{rightObj}, cur.ptrs[i+1:]...)...)
-			if err := tx.Add(curObj); err != nil {
-				cl.Unlock()
-				release()
-				return err
-			}
-			if err := t.writeNode(tx, curObj, cur); err != nil {
-				cl.Unlock()
-				release()
-				return err
-			}
-			curDirty = true
-			childDirty = true
-			if key >= sep {
-				// Continue into the new right sibling. The left
-				// half was written by this transaction, so its
-				// latch is held to commit like any dirty node.
-				un.add(cl.Unlock)
-				childObj = rightObj
-				cl = t.latch(childObj)
-				cl.Lock()
-			}
-			// Both halves were written by this transaction, so the
-			// re-read must go through it (copy-on-write keeps the
-			// new contents in the shadow until commit).
-			child, err = t.readNodeTx(tx, childObj)
-			if err != nil {
-				cl.Unlock()
-				release()
-				return err
-			}
-		}
-		release()
 		curObj, cur, curLatch, curDirty = childObj, child, cl, childDirty
 	}
 	// The leaf is written, or read through the transaction on behalf of a
 	// write to one of its values: hold its latch to commit either way.
-	un.add(curLatch.Unlock)
+	un.add(curLatch, true)
 	return t.putInLeaf(tx, curObj, key, val, fn)
 }
 
-// putInLeaf inserts or updates key in the latched, non-full leaf, storing
-// val, or fn(oldValue, found) when fn is non-nil.
+// insertChild stores separator sep and the child right of it into the
+// latched, non-full internal node cur, which is spent on return.
+func (t *Tree) insertChild(tx *kamino.Tx, curObj kamino.ObjID, cur view, sep uint64, right kamino.ObjID) error {
+	i, _ := cur.search(sep)
+	n := cur.nkeys()
+	im := t.newImage(false)
+	im.addKeys(cur, 0, i)
+	im.addKey(sep)
+	im.addKeys(cur, i, n)
+	im.addPtrs(cur, 0, i+1)
+	im.addPtr(right)
+	im.addPtrs(cur, i+1, n+1)
+	if err := tx.Add(curObj); err != nil {
+		return err
+	}
+	return im.store(tx, curObj)
+}
+
+// putInLeaf inserts or updates key in the latched leaf, storing val, or
+// fn(oldValue, found) when fn is non-nil. A new key needs room: the
+// single-operation descent makes it by splitting on the way down, and a
+// batch, which never splits, gets ErrBatchNeedsSplit with nothing changed.
 //
-// The leaf is read through the transaction before any intent on it is
+// The leaf is read once, through the transaction, before any intent on it is
 // declared, because the common case never changes it: a value that fits its
 // object is overwritten in place, and the transaction logs, locks, flushes
 // and backs up the value object alone. Only the two paths that store into
 // the leaf — an outgrown value, a new key — declare its write intent.
 func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, val []byte, fn modifyFn) error {
-	leaf, err := t.readNodeTx(tx, leafObj)
+	leaf, err := t.nodeViewTx(tx, leafObj)
 	if err != nil {
 		return err
 	}
-	i, found := search(leaf.keys, key)
-	if found {
-		valObj := leaf.ptrs[i]
-		if err := tx.Add(valObj); err != nil {
-			return err
-		}
-		old, err := tx.Read(valObj)
-		if err != nil {
-			return err
+	n := leaf.nkeys()
+	i, found := leaf.search(key)
+	if !found {
+		if n >= t.order {
+			return ErrBatchNeedsSplit
 		}
 		if fn != nil {
-			oldVal, err := decodeValue(old)
-			if err != nil {
-				return err
-			}
-			if val, err = fn(oldVal, true); err != nil {
+			if val, err = fn(nil, false); err != nil {
 				return err
 			}
 		}
-		if valueSize(len(val)) <= len(old) {
-			return t.writeValue(tx, valObj, val)
-		}
-		// Outgrown: move the value to a larger object and repoint the
-		// leaf at it.
-		newVal, err := tx.Alloc(valueSize(len(val)))
+		valObj, err := tx.Alloc(valueSize(len(val)))
 		if err != nil {
 			return err
 		}
-		if err := t.writeValue(tx, newVal, val); err != nil {
+		if err := t.writeValue(tx, valObj, val); err != nil {
 			return err
 		}
-		if err := tx.Free(valObj); err != nil {
-			return err
-		}
-		leaf.ptrs[i] = newVal
-		return t.storeLeaf(tx, leafObj, leaf)
+		im := t.newImage(true)
+		im.addKeys(leaf, 0, i)
+		im.addKey(key)
+		im.addKeys(leaf, i, n)
+		im.addPtrs(leaf, 0, i)
+		im.addPtr(valObj)
+		im.addPtrs(leaf, i, n)
+		return t.storeLeaf(tx, leafObj, leaf, im)
 	}
-	if fn != nil {
-		if val, err = fn(nil, false); err != nil {
-			return err
-		}
+	valObj := leaf.ptr(i)
+	if err := tx.Add(valObj); err != nil {
+		return err
 	}
-	valObj, err := tx.Alloc(valueSize(len(val)))
+	old, err := tx.Read(valObj)
 	if err != nil {
 		return err
 	}
-	if err := t.writeValue(tx, valObj, val); err != nil {
+	if fn != nil {
+		oldVal, err := decodeValue(old)
+		if err != nil {
+			return err
+		}
+		if val, err = fn(oldVal, true); err != nil {
+			return err
+		}
+	}
+	if valueSize(len(val)) <= len(old) {
+		return t.writeValue(tx, valObj, val)
+	}
+	// Outgrown: move the value to a larger object and repoint the leaf at
+	// it.
+	newVal, err := tx.Alloc(valueSize(len(val)))
+	if err != nil {
 		return err
 	}
-	leaf.keys = append(leaf.keys[:i], append([]uint64{key}, leaf.keys[i:]...)...)
-	leaf.ptrs = append(leaf.ptrs[:i], append([]kamino.ObjID{valObj}, leaf.ptrs[i:]...)...)
-	return t.storeLeaf(tx, leafObj, leaf)
+	if err := t.writeValue(tx, newVal, val); err != nil {
+		return err
+	}
+	if err := tx.Free(valObj); err != nil {
+		return err
+	}
+	im := t.newImage(true)
+	im.addKeys(leaf, 0, n)
+	im.addPtrs(leaf, 0, i)
+	im.addPtr(newVal)
+	im.addPtrs(leaf, i+1, n)
+	return t.storeLeaf(tx, leafObj, leaf, im)
 }
 
-// storeLeaf declares the write intent on a leaf already read through tx and
-// stores its new contents.
-func (t *Tree) storeLeaf(tx *kamino.Tx, leafObj kamino.ObjID, leaf *node) error {
+// storeLeaf declares the write intent on a leaf already read through tx (as
+// old) and stores its new keys and values, the leaf chain as it was.
+func (t *Tree) storeLeaf(tx *kamino.Tx, leafObj kamino.ObjID, old view, im *image) error {
+	im.setNext(old.next())
 	if err := tx.Add(leafObj); err != nil {
 		return err
 	}
-	return t.writeNode(tx, leafObj, leaf)
+	return im.store(tx, leafObj)
+}
+
+// deleteFromLeaf removes key from the latched leaf, reporting whether it was
+// there. Removal is lazy: the leaf may be left under-full.
+func (t *Tree) deleteFromLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64) (bool, error) {
+	if err := tx.Add(leafObj); err != nil {
+		return false, err
+	}
+	leaf, err := t.nodeViewTx(tx, leafObj)
+	if err != nil {
+		return false, err
+	}
+	i, found := leaf.search(key)
+	if !found {
+		return false, nil
+	}
+	if err := tx.Free(leaf.ptr(i)); err != nil {
+		return false, err
+	}
+	n := leaf.nkeys()
+	im := t.newImage(true)
+	im.addKeys(leaf, 0, i)
+	im.addKeys(leaf, i+1, n)
+	im.addPtrs(leaf, 0, i)
+	im.addPtrs(leaf, i+1, n)
+	return true, t.storeLeaf(tx, leafObj, leaf, im)
 }
 
 // Delete removes key, reporting whether it was present. Deletion is lazy
@@ -612,47 +684,26 @@ func (t *Tree) DeleteT(key uint64) (bool, uint64, error) {
 		}
 		l := t.latch(cur)
 		l.Lock()
-		un.add(t.rootLatch.RUnlock)
-		un.add(l.Unlock)
+		un.add(&t.rootLatch, false)
+		un.add(l, true)
 		for {
-			nd, err := t.readNode(cur)
+			nd, err := t.nodeView(cur)
 			if err != nil {
 				return err
 			}
-			if nd.leaf {
+			if nd.leaf() {
 				break
 			}
-			child := nd.ptrs[upperBound(nd.keys, key)]
+			child := nd.child(key)
 			cl := t.latch(child)
 			cl.Lock()
 			// Delete never modifies internal nodes: release the
 			// parent immediately.
-			last := len(un) - 1
-			un[last]()
-			un[last] = cl.Unlock
+			un.swapLast(cl, true)
 			cur = child
 		}
-		if err := tx.Add(cur); err != nil {
-			return err
-		}
-		leaf, err := t.readNodeTx(tx, cur)
-		if err != nil {
-			return err
-		}
-		i, found := search(leaf.keys, key)
-		if !found {
-			return nil
-		}
-		if err := tx.Free(leaf.ptrs[i]); err != nil {
-			return err
-		}
-		leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-		leaf.ptrs = append(leaf.ptrs[:i], leaf.ptrs[i+1:]...)
-		if err := t.writeNode(tx, cur, leaf); err != nil {
-			return err
-		}
-		deleted = true
-		return nil
+		deleted, err = t.deleteFromLeaf(tx, cur, key)
+		return err
 	})
 	return deleted, txid, err
 }
@@ -671,38 +722,36 @@ func (t *Tree) Scan(start uint64, max int) ([]KV, error) {
 	defer un.runAll()
 	err := t.pool.View(func(tx *kamino.Tx) error {
 		t.rootLatch.RLock()
-		un.add(t.rootLatch.RUnlock)
+		un.add(&t.rootLatch, false)
 		cur, err := t.rootPtr()
 		if err != nil {
 			return err
 		}
 		l := t.latch(cur)
 		l.RLock()
-		un.add(l.RUnlock)
+		un.add(l, false)
 		for {
-			nd, err := t.readNode(cur)
+			nd, err := t.nodeView(cur)
 			if err != nil {
 				return err
 			}
-			if nd.leaf {
+			if nd.leaf() {
 				break
 			}
-			child := nd.ptrs[upperBound(nd.keys, start)]
+			child := nd.child(start)
 			cl := t.latch(child)
 			cl.RLock()
-			un.add(cl.RUnlock)
+			un.add(cl, false)
 			cur = child
 		}
 		for cur != kamino.Nil && len(out) < max {
-			leaf, err := t.readNodeTx(tx, cur)
+			leaf, err := t.nodeViewTx(tx, cur)
 			if err != nil {
 				return err
 			}
-			for i, k := range leaf.keys {
-				if k < start || len(out) >= max {
-					continue
-				}
-				vb, err := tx.Read(leaf.ptrs[i])
+			first, _ := leaf.search(start)
+			for i := first; i < leaf.nkeys() && len(out) < max; i++ {
+				vb, err := tx.Read(leaf.ptr(i))
 				if err != nil {
 					return err
 				}
@@ -710,13 +759,13 @@ func (t *Tree) Scan(start uint64, max int) ([]KV, error) {
 				if err != nil {
 					return err
 				}
-				out = append(out, KV{Key: k, Value: val})
+				out = append(out, KV{Key: leaf.key(i), Value: val})
 			}
-			next := leaf.next
+			next := leaf.next()
 			if next != kamino.Nil && len(out) < max {
 				nl := t.latch(next)
 				nl.RLock()
-				un.add(nl.RUnlock)
+				un.add(nl, false)
 			}
 			cur = next
 		}
@@ -733,7 +782,7 @@ func (t *Tree) Count() (int, error) {
 	defer un.runAll()
 	err := t.pool.View(func(tx *kamino.Tx) error {
 		t.rootLatch.RLock()
-		un.add(t.rootLatch.RUnlock)
+		un.add(&t.rootLatch, false)
 		cur, err := t.rootPtr()
 		if err != nil {
 			return err
@@ -741,28 +790,29 @@ func (t *Tree) Count() (int, error) {
 		for {
 			l := t.latch(cur)
 			l.RLock()
-			un.add(l.RUnlock)
-			nd, err := t.readNode(cur)
+			un.add(l, false)
+			nd, err := t.nodeView(cur)
 			if err != nil {
 				return err
 			}
-			if nd.leaf {
+			if nd.leaf() {
 				break
 			}
-			cur = nd.ptrs[0]
+			cur = nd.ptr(0)
 		}
 		for cur != kamino.Nil {
-			leaf, err := t.readNode(cur)
+			leaf, err := t.nodeView(cur)
 			if err != nil {
 				return err
 			}
-			n += len(leaf.keys)
-			if leaf.next != kamino.Nil {
-				nl := t.latch(leaf.next)
+			n += leaf.nkeys()
+			next := leaf.next()
+			if next != kamino.Nil {
+				nl := t.latch(next)
 				nl.RLock()
-				un.add(nl.RUnlock)
+				un.add(nl, false)
 			}
-			cur = leaf.next
+			cur = next
 		}
 		return nil
 	})
@@ -770,15 +820,15 @@ func (t *Tree) Count() (int, error) {
 }
 
 // CheckInvariants validates structural invariants (sorted keys, separator
-// bounds, child counts). Test helper; not concurrency-safe with writers.
+// bounds). Test helper; not concurrency-safe with writers.
 func (t *Tree) CheckInvariants() error {
-	return t.walk(func(kamino.ObjID, *node, int) {})
+	return t.walk(func(kamino.ObjID, view, int) {})
 }
 
 // walk visits every node from the root down (level 1), checking each
 // against the key range its parent's separators allow before calling visit,
 // and stops at the first violation.
-func (t *Tree) walk(visit func(obj kamino.ObjID, nd *node, level int)) error {
+func (t *Tree) walk(visit func(obj kamino.ObjID, nd view, level int)) error {
 	root, err := t.rootPtr()
 	if err != nil {
 		return err
@@ -786,39 +836,37 @@ func (t *Tree) walk(visit func(obj kamino.ObjID, nd *node, level int)) error {
 	return t.check(root, 1, 0, ^uint64(0), true, visit)
 }
 
-func (t *Tree) check(obj kamino.ObjID, level int, lo, hi uint64, loOpen bool, visit func(kamino.ObjID, *node, int)) error {
-	nd, err := t.readNode(obj)
+func (t *Tree) check(obj kamino.ObjID, level int, lo, hi uint64, loOpen bool, visit func(kamino.ObjID, view, int)) error {
+	nd, err := t.nodeView(obj)
 	if err != nil {
 		return err
 	}
-	for i := 1; i < len(nd.keys); i++ {
-		if nd.keys[i-1] >= nd.keys[i] {
+	n := nd.nkeys()
+	for i := 1; i < n; i++ {
+		if nd.key(i-1) >= nd.key(i) {
 			return fmt.Errorf("pbtree: node %d keys not strictly sorted", obj)
 		}
 	}
-	for _, k := range nd.keys {
-		if (!loOpen && k < lo) || k > hi {
+	for i := 0; i < n; i++ {
+		if k := nd.key(i); (!loOpen && k < lo) || k > hi {
 			return fmt.Errorf("pbtree: node %d key %d outside [%d, %d]", obj, k, lo, hi)
 		}
 	}
-	if !nd.leaf && len(nd.ptrs) != len(nd.keys)+1 {
-		return fmt.Errorf("pbtree: internal node %d has %d keys, %d children", obj, len(nd.keys), len(nd.ptrs))
-	}
 	visit(obj, nd, level)
-	if nd.leaf {
+	if nd.leaf() {
 		return nil
 	}
 	curLo, curOpen := lo, loOpen
-	for i, child := range nd.ptrs {
+	for i := 0; i <= n; i++ {
 		curHi := hi
-		if i < len(nd.keys) {
-			curHi = nd.keys[i] - 1
+		if i < n {
+			curHi = nd.key(i) - 1
 		}
-		if err := t.check(child, level+1, curLo, curHi, curOpen, visit); err != nil {
+		if err := t.check(nd.ptr(i), level+1, curLo, curHi, curOpen, visit); err != nil {
 			return err
 		}
-		if i < len(nd.keys) {
-			curLo, curOpen = nd.keys[i], false
+		if i < n {
+			curLo, curOpen = nd.key(i), false
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package pbtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -374,17 +375,17 @@ func TestAttachWalksAndChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := tree.readNode(obj)
-	for err == nil && !nd.leaf {
-		obj = nd.ptrs[0]
-		nd, err = tree.readNode(obj)
+	nd, err := tree.nodeView(obj)
+	for err == nil && !nd.leaf() {
+		obj = nd.ptr(0)
+		nd, err = tree.nodeView(obj)
 	}
-	if err != nil || len(nd.keys) < 2 {
-		t.Fatalf("leftmost leaf %d: %d keys, %v", obj, len(nd.keys), err)
+	if err != nil || nd.nkeys() < 2 {
+		t.Fatalf("leftmost leaf %d: %d keys, %v", obj, nd.nkeys(), err)
 	}
 	var swapped [16]byte
-	binary.LittleEndian.PutUint64(swapped[0:], nd.keys[1])
-	binary.LittleEndian.PutUint64(swapped[8:], nd.keys[0])
+	binary.LittleEndian.PutUint64(swapped[0:], nd.key(1))
+	binary.LittleEndian.PutUint64(swapped[8:], nd.key(0))
 	err = pool.Update(func(tx *kamino.Tx) error {
 		if err := tx.Add(obj); err != nil {
 			return err
@@ -397,4 +398,56 @@ func TestAttachWalksAndChecks(t *testing.T) {
 	if _, err := Attach(pool, tree.Meta()); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
 		t.Fatalf("Attach on a tree with leaf %d out of order: %v; want a sort-order error", obj, err)
 	}
+}
+
+// benchTree is a kamino-simple tree of keys 1 KiB values at the default
+// order: the gated benchmark's shape, smaller.
+func benchTree(b *testing.B, keys uint64) (*Tree, []byte) {
+	b.Helper()
+	pool, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { pool.Close() })
+	tree, err := Create(pool, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{1}, 1024)
+	for k := uint64(0); k < keys; k++ {
+		if err := tree.Put(k, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pool.Drain()
+	return tree, val
+}
+
+// BenchmarkGet is one point lookup: a descent over node bytes, two read
+// locks (leaf, value), one copy of the value.
+func BenchmarkGet(b *testing.B) {
+	const keys = 20000
+	tree, _ := benchTree(b, keys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := tree.Get(uint64(i*7919) % keys); err != nil || !ok {
+			b.Fatalf("Get: %v %v", ok, err)
+		}
+	}
+}
+
+// BenchmarkPut is one in-place overwrite of an existing key.
+func BenchmarkPut(b *testing.B) {
+	const keys = 20000
+	tree, val := benchTree(b, keys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tree.Put(uint64(i*7919)%keys, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	tree.pool.Drain()
 }

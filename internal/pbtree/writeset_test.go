@@ -15,14 +15,14 @@ func leafOf(t *testing.T, tree *Tree, key uint64) kamino.ObjID {
 		t.Fatal(err)
 	}
 	for {
-		nd, err := tree.readNode(cur)
+		nd, err := tree.nodeView(cur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nd.leaf {
+		if nd.leaf() {
 			return cur
 		}
-		cur = nd.ptrs[upperBound(nd.keys, key)]
+		cur = nd.child(key)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestPutInLeafWriteSet(t *testing.T) {
 			{"insert", 205, bytes.Repeat([]byte{0xCC}, 100), true},
 		} {
 			leaf := leafOf(t, tree, c.key)
-			if nd, err := tree.readNode(leaf); err != nil || len(nd.keys) == tree.order {
+			if nd, err := tree.nodeView(leaf); err != nil || nd.nkeys() == tree.order {
 				t.Fatalf("%s: leaf unusable for the test (full or unreadable: %v)", c.name, err)
 			}
 			var touched []kamino.ObjID

@@ -218,7 +218,9 @@ func (p *Pool) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{inner: inner, pool: p}, nil
+	tx := &Tx{inner: inner, pool: p}
+	tx.touched = tx.few[:0]
+	return tx, nil
 }
 
 // Update runs fn inside a transaction, committing if fn returns nil and

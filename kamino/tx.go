@@ -10,11 +10,14 @@ import (
 // Tx is a transaction over a Pool. It mirrors NVML's transactional API
 // (Table 2 of the paper) with typed helpers for the common field accesses
 // persistent data structures need. A Tx is single-goroutine; after Commit
-// or Abort it is spent.
+// or Abort it is spent: every operation on it answers ErrTxDone, for as long
+// as the handle is kept — the handle is never reused, though the engine
+// recycles the bookkeeping behind it.
 type Tx struct {
 	inner   engine.Tx
 	pool    *Pool
 	touched []ObjID
+	few     [4]ObjID // touched's first backing: most transactions touch a few objects
 }
 
 // ID returns the transaction id.
