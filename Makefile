@@ -32,13 +32,15 @@ fmt:
 # drain audit, whose request-admission-versus-wait ordering shows a race
 # only about one run in eight when it is wrong. internal/simtime is the wait
 # every simulated latency goes through (its yield tests pin one processor),
-# and internal/transport the in-process hop that spends it. The allocation
-# pins (internal/kvstore/allocs_test.go, locktable's, both part of `make
-# test`) skip themselves here: testing.AllocsPerRun counts the detector's own
+# and internal/transport the in-process hop that spends it. internal/kvstore
+# brings the strict two-writer preload that a power failure must not dent
+# (neighbouring allocations store into shared device lines at once). The
+# allocation pins (internal/kvstore/allocs_test.go, locktable's, both part of
+# `make test`) skip themselves here: testing.AllocsPerRun counts the detector's own
 # allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
 	$(GO) test -race -count=20 -run TestDrainZeroLoss ./internal/server/
-	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/...
+	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/
 # lacks a godoc comment, or any package — including the cmd/ and tools/
@@ -47,12 +49,16 @@ race:
 doccheck:
 	$(GO) run ./tools/doccheck cmd internal kamino tools
 
-# fuzz-smoke runs the ring-image fuzzer for ten seconds past its seed
-# corpus (which every `go test` already runs): pqueue.Attach must answer any
-# bytes with an error or a usable queue. The minimizer is capped because its
-# default budget, a minute per new input, would otherwise eat the run.
+# fuzz-smoke runs two fuzzers for ten seconds each past their seed corpora
+# (which every `go test` already runs): the ring-image fuzzer — pqueue.Attach
+# must answer any bytes with an error or a usable queue — and the heap's
+# rescan fuzzer, which power-fails inside heap calls, a carve's header
+# persist among them, and requires Rescan to find every committed block. The
+# minimizer is capped because its default budget, a minute per new input,
+# would otherwise eat the run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzAttach -fuzztime=10s -fuzzminimizetime=1s ./internal/pqueue/
+	$(GO) test -run '^$$' -fuzz=FuzzRescan -fuzztime=10s -fuzzminimizetime=1s ./internal/heap/
 
 # benchmark-check vets and tests the gated benchmark, which is its own module
 # (benchmark/go.mod) and so is outside every ./... above: the code whose

@@ -31,11 +31,12 @@ type backend interface {
 	// copied reports that such an on-demand copy was made.
 	ensure(obj heap.ObjID, class int) (copied bool, err error)
 
-	// syncToBackup copies the dirty extent of obj's main-heap block to
-	// the backup and persists it; an empty extent (added, never written)
-	// costs nothing. The applier, off the critical path, passes what the
-	// transaction changed; recovery of committed transactions passes the
-	// whole block — the log records objects, not bytes.
+	// syncToBackup copies what the transaction stored into obj's
+	// main-heap block to the backup and persists it; an empty extent
+	// (added, never written) costs nothing. The applier, off the critical
+	// path, passes the transaction's extent; recovery of committed
+	// transactions passes the whole block — the log records objects, not
+	// bytes.
 	syncToBackup(obj heap.ObjID, dirty engine.Extent) error
 
 	// restoreFromBackup copies the backup copy over obj's main-heap
@@ -62,18 +63,23 @@ func newSimpleBackend(main, backup *nvm.Region, o *obs.Registry) (*simpleBackend
 
 func (b *simpleBackend) ensure(heap.ObjID, int) (bool, error) { return false, nil }
 
+// syncToBackup copies each run of lines the transaction stored into and
+// flushes it, then fences once for the object. Bytes between the runs were
+// not stored into, and the object's lock has kept them equal on both sides.
 func (b *simpleBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
-	off, n := dirty.Range(obj)
-	if n == 0 {
-		return nil
-	}
-	if err := nvm.Copy(b.backup, off, b.main, off, n); err != nil {
+	copied := 0
+	err := dirty.Runs(obj, func(off, n int) error {
+		if err := nvm.Copy(b.backup, off, b.main, off, n); err != nil {
+			return err
+		}
+		copied += n
+		return b.backup.Flush(off, n)
+	})
+	if err != nil || copied == 0 {
 		return err
 	}
-	if err := b.backup.Persist(off, n); err != nil {
-		return err
-	}
-	b.synced.Add(uint64(n))
+	b.backup.Fence()
+	b.synced.Add(uint64(copied))
 	return nil
 }
 
@@ -280,6 +286,8 @@ func (b *dynamicBackend) lookup(obj heap.ObjID) (*dynEntry, bool) {
 	return e, ok
 }
 
+// syncToBackup copies the extent's covering range — a superset of the lines
+// stored into, equal to them for a single store — with one persist.
 func (b *dynamicBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
 	off, n := dirty.Range(obj)
 	if n == 0 {

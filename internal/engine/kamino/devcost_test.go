@@ -2,10 +2,13 @@ package kamino
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"kaminotx/internal/engine"
 	"kaminotx/internal/heap"
+	"kaminotx/internal/nvm"
 )
 
 func allocFilled(t testing.TB, e *Engine, size int) heap.ObjID {
@@ -98,22 +101,110 @@ func TestCommitPersistsOnlyTheDirtyExtent(t *testing.T) {
 	}
 }
 
+// runs collects an extent's runs as [off, n] pairs.
+func runs(t *testing.T, x engine.Extent, obj heap.ObjID) [][2]int {
+	t.Helper()
+	var out [][2]int
+	if err := x.Runs(obj, func(off, n int) error {
+		out = append(out, [2]int{off, n})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestExtentGrow(t *testing.T) {
+	const obj = heap.ObjID(4096) // its block starts 48 bytes into line 63
 	var x engine.Extent
-	if _, n := x.Range(4096); n != 0 {
+	if _, n := x.Range(obj); n != 0 {
 		t.Fatalf("zero extent covers %d bytes", n)
 	}
-	x.Grow(100, 0) // an empty store dirties nothing
-	if _, n := x.Range(4096); n != 0 {
+	x.Grow(obj, 100, 0) // an empty store dirties nothing
+	if _, n := x.Range(obj); n != 0 || runs(t, x, obj) != nil {
 		t.Fatalf("empty store grew the extent to %d bytes", n)
 	}
-	x.Grow(100, 10)
-	x.Grow(40, 4)
-	x.Grow(60, 8)
-	if off, n := x.Range(4096); off != 4096+40 || n != 70 {
+	x.Grow(obj, 100, 10)
+	x.Grow(obj, 40, 4)
+	x.Grow(obj, 60, 8)
+	if off, n := x.Range(obj); off != 4096+40 || n != 70 {
 		t.Fatalf("extent = [%d,+%d), want [%d,+70)", off, n, 4096+40)
 	}
-	if off, n := engine.WholeBlock(256).Range(4096); off != 4096-heap.BlockHeaderSize || n != heap.BlockHeaderSize+256 {
+	if got := runs(t, x, obj); !reflect.DeepEqual(got, [][2]int{{4096 + 40, 70}}) {
+		t.Fatalf("runs of two adjacent lines = %v", got)
+	}
+	if off, n := engine.WholeBlock(obj, 256).Range(obj); off != 4096-heap.BlockHeaderSize || n != heap.BlockHeaderSize+256 {
 		t.Fatalf("whole block = [%d,+%d)", off, n)
+	}
+
+	// Two stores seven lines apart are two runs: each clipped to the bytes
+	// stored at its outer edge, whole lines inside.
+	var y engine.Extent
+	y.Grow(obj, 0, 4)
+	y.Grow(obj, 500, 8)
+	if got, want := runs(t, y, obj), [][2]int{{4096, 64}, {4544, 60}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("scattered runs = %v, want %v", got, want)
+	}
+	// A free marks the header line alone.
+	var f engine.Extent
+	f.Mark(obj, 0, heap.BlockHeaderSize)
+	if got := runs(t, f, obj); !reflect.DeepEqual(got, [][2]int{{4080, heap.BlockHeaderSize}}) {
+		t.Fatalf("header runs = %v", got)
+	}
+	// A block past 64 lines keeps its covering range.
+	big := engine.WholeBlock(obj, 8192)
+	big.Grow(obj, 10, 1)
+	if got := runs(t, big, obj); !reflect.DeepEqual(got, [][2]int{{4080, heap.BlockHeaderSize + 8192}}) {
+		t.Fatalf("runs of a 130-line block = %v", got)
+	}
+}
+
+// TestExtentRunsCoverExactlyTheStoredLines checks Runs against a per-line
+// model over random stores: every byte stored is covered, the lines flushed
+// are exactly the lines stored into, and no run leaves the covering range.
+func TestExtentRunsCoverExactlyTheStoredLines(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		obj := heap.ObjID(heap.DataStart + heap.BlockHeaderSize + 16*rng.Intn(64))
+		class := 16 * (1 + rng.Intn(192)) // up to 3072: at most 50 lines
+		var x engine.Extent
+		stored := map[int]bool{} // region lines
+		var bytesIn [][2]int
+		for s := rng.Intn(4); s >= 0; s-- {
+			off := rng.Intn(class)
+			n := 1 + rng.Intn(class-off)
+			x.Grow(obj, off, n)
+			lo := int(obj) + off
+			bytesIn = append(bytesIn, [2]int{lo, lo + n})
+			for l := lo / nvm.LineSize; l <= (lo+n-1)/nvm.LineSize; l++ {
+				stored[l] = true
+			}
+		}
+		covOff, covN := x.Range(obj)
+		flushed := map[int]bool{}
+		covered := map[int]bool{} // region bytes
+		prevEnd := -1
+		for _, r := range runs(t, x, obj) {
+			if r[0] < covOff || r[0]+r[1] > covOff+covN || r[1] <= 0 || r[0] <= prevEnd {
+				t.Fatalf("obj %d class %d: run %v outside [%d,+%d) or out of order", obj, class, r, covOff, covN)
+			}
+			prevEnd = r[0] + r[1]
+			for l := r[0] / nvm.LineSize; l <= (r[0]+r[1]-1)/nvm.LineSize; l++ {
+				flushed[l] = true
+			}
+			for b := r[0]; b < r[0]+r[1]; b++ {
+				covered[b] = true
+			}
+		}
+		if !reflect.DeepEqual(flushed, stored) {
+			t.Fatalf("obj %d class %d: lines flushed %v, stored %v", obj, class, flushed, stored)
+		}
+		for _, s := range bytesIn {
+			for b := s[0]; b < s[1]; b++ {
+				if !covered[b] {
+					t.Fatalf("obj %d class %d: byte %d of store %v in no run", obj, class, b, s)
+				}
+			}
+		}
 	}
 }

@@ -406,7 +406,8 @@ func (e *Engine) Recover() error {
 				return err
 			}
 			for _, ent := range v.Entries {
-				if err := e.backend.syncToBackup(heap.ObjID(ent.Obj), engine.WholeBlock(int(ent.Class))); err != nil {
+				obj := heap.ObjID(ent.Obj)
+				if err := e.backend.syncToBackup(obj, engine.WholeBlock(obj, int(ent.Class))); err != nil {
 					return err
 				}
 			}

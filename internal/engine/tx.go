@@ -15,10 +15,11 @@ import (
 // WriteEntry tracks one write-set member: an object this transaction holds
 // the write lock of. Writable is false for an object that was only Free'd —
 // locked and logged, but in-place writes need an Add first (which makes the
-// mechanism's record an abort restores from). Dirty is the part of the
-// block the transaction changed: grown by Write, the whole block for
-// allocated and freed objects (whose header changes too). Commit flushes,
-// and Kamino's applier copies to the backup, only that extent.
+// mechanism's record an abort restores from). Dirty is what the transaction
+// stored into the block: the lines of every Write, the whole block for an
+// allocated object (header and zeroed payload), the header line for a freed
+// one. Commit flushes, and Kamino's applier copies to the backup, only
+// those lines.
 type WriteEntry struct {
 	Class    int
 	Writable bool
@@ -254,7 +255,7 @@ func (t *BaseTx) Write(obj heap.ObjID, off int, data []byte) error {
 	if err := t.b.heap.Write(obj, off, data); err != nil {
 		return err
 	}
-	ws.Dirty.Grow(off, len(data))
+	ws.Dirty.Grow(obj, off, len(data))
 	t.ws[obj] = ws
 	t.Tracer().InPlaceWrite(t.id, uint64(obj), int(obj)+off, len(data))
 	return nil
@@ -272,9 +273,11 @@ func (t *BaseTx) Read(obj heap.ObjID) ([]byte, error) {
 	return t.b.heap.Bytes(obj)
 }
 
-// Alloc implements Tx. The intent is durable before the allocation's header
-// is, so a crash in between rolls the allocation back. The fresh block is
-// locked first; nobody else can reach it until commit.
+// Alloc implements Tx. The intent is durable before the block is marked
+// allocated, and the mark is made durable by the commit — the block's whole
+// extent joins the write set — so a crash anywhere before the commit marker
+// rolls the allocation back. The fresh block is locked first; nobody else
+// can reach it until commit.
 func (t *BaseTx) Alloc(size int) (heap.ObjID, error) {
 	if t.done {
 		return heap.Nil, ErrTxDone
@@ -299,16 +302,20 @@ func (t *BaseTx) Alloc(size int) (heap.ObjID, error) {
 		}
 		return heap.Nil, err
 	}
-	if err := t.b.heap.CommitAlloc(obj); err != nil {
+	if _, err := t.b.heap.MarkAlloc(obj); err != nil {
 		return heap.Nil, err
 	}
-	t.ws[obj] = WriteEntry{Class: cls, Writable: true, Dirty: WholeBlock(cls)}
+	t.ws[obj] = WriteEntry{Class: cls, Writable: true, Dirty: WholeBlock(obj, cls)}
 	return obj, nil
 }
 
 // Free implements Tx: lock and record the intent. The free itself is
 // deferred to commit, so an abort has nothing to undo and the mechanism
-// needs no record of the object's contents.
+// needs no record of the object's contents. ApplyFree persists the header
+// it rewrites on its own, after the marker; the header line joins the
+// extent so that Kamino's simple backend copies it too and stays a
+// byte-for-byte mirror of main. The payload does not change and costs
+// nothing.
 func (t *BaseTx) Free(obj heap.ObjID) error {
 	if t.done {
 		return ErrTxDone
@@ -329,7 +336,7 @@ func (t *BaseTx) Free(obj heap.ObjID) error {
 		}
 		return err
 	}
-	ws.Dirty = WholeBlock(ws.Class)
+	ws.Dirty.Mark(obj, 0, heap.BlockHeaderSize)
 	t.ws[obj] = ws
 	t.frees = append(t.frees, obj)
 	return nil
@@ -361,8 +368,9 @@ func (t *BaseTx) Commit() error {
 // reading it starts at and returns the one it ends at: the end of one phase
 // is the start of the next, and a commit reads the clock once per boundary.
 
-// PersistHeap flushes every write-set member's dirty extent and fences:
-// the in-place stores are durable before the commit marker can be.
+// PersistHeap flushes the lines every write-set member's stores touched
+// (allocations included: their mark is made durable here) and fences: the
+// in-place stores are durable before the commit marker can be.
 func (t *BaseTx) PersistHeap(start time.Time) (end time.Time, err error) {
 	reg := t.b.heap.Region()
 	for obj, ws := range t.ws {

@@ -10,17 +10,25 @@
 // free-list surgery ever needs to be crash-consistent.
 //
 // Crash consistency of allocation itself is the transaction engine's job
-// (the paper treats alloc/free as transactional metadata updates). The heap
-// therefore exposes a two-phase allocation protocol:
+// (the paper treats alloc/free as transactional metadata updates, as
+// libpmemobj's TX_ZALLOC does). The heap therefore exposes a two-phase
+// allocation protocol:
 //
 //	obj, _ := h.Reserve(size)   // volatile: pick a block, touch nothing persistent
 //	...                         // engine logs the ALLOC intent durably
-//	h.CommitAlloc(obj)          // write + persist the block header, zero payload
+//	h.MarkAlloc(obj)            // volatile: header says allocated, payload zeroed
+//	...                         // the transaction writes the object
+//	                            // commit flushes header + payload with the rest of
+//	                            // the write set, fences, then the commit marker
 //
-// If the machine crashes between the intent and CommitAlloc, recovery calls
-// RollbackAlloc(obj, size), which (re)writes a free header — idempotent no
-// matter how far CommitAlloc got. Frees are deferred: the engine logs a FREE
-// intent and calls ApplyFree(obj) only after the transaction commits.
+// The mark persists nothing: the commit that makes the transaction's stores
+// durable makes the allocation durable with them, under the same fence. A
+// caller outside any transaction uses CommitAlloc, which is the mark followed
+// by its own persist of the whole block. If the machine crashes between the
+// intent and the commit, recovery calls RollbackAlloc(obj, size), which
+// (re)writes a free header — idempotent no matter how much of the block
+// reached the device. Frees are deferred: the engine logs a FREE intent and
+// calls ApplyFree(obj) only after the transaction commits.
 package heap
 
 import (
@@ -95,8 +103,8 @@ func classFor(size int) int {
 // processor-affine shard; when that shard's list for the class is empty it
 // steals from the neighbours before carving fresh space, so freed blocks
 // are always reused before the heap grows. Carves take a whole chunk of
-// same-class blocks at once (one bump persist, one contiguous header
-// persist), amortizing the allocation fences that would otherwise
+// same-class blocks at once (one header line flushed per block, one fence
+// for them all, one bump persist), amortizing the allocation fences that would otherwise
 // serialize concurrent allocators on the carve mutex.
 type Heap struct {
 	reg *nvm.Region
@@ -327,8 +335,8 @@ const carveMaxBlocks = 8
 // always reused before the heap grows — and only then carves a chunk of
 // fresh same-class blocks from the bump pointer (persisting the bump
 // first; surplus chunk blocks go on the affine shard's free list).
-// Concurrent reservations never alias. Pair with CommitAlloc or
-// ReleaseReservation.
+// Concurrent reservations never alias. Pair with MarkAlloc (inside a
+// transaction), CommitAlloc or ReleaseReservation.
 func (h *Heap) Reserve(size int) (ObjID, error) {
 	if size <= 0 || size > MaxAlloc {
 		return Nil, fmt.Errorf("%w: %d", ErrSizeRange, size)
@@ -378,10 +386,11 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 	chunkOff := bump
 	newBump := bump + uint64(blocks)*need
 	// Write every block's class size now (stable across alloc/free cycles
-	// and needed by Rescan); states remain free until CommitAlloc. One
-	// contiguous persist covers the whole chunk's headers, and comes before
-	// the bump that exposes them to Rescan: a durable bump over unformatted
-	// space is a heap that cannot be rescanned.
+	// and needed by Rescan); states remain free until an allocation marks
+	// them. Only the headers are flushed — one line each; nobody has written
+	// the payloads — and one fence makes them durable before the bump that
+	// exposes them to Rescan: a durable bump over unformatted space is a
+	// heap that cannot be rescanned.
 	for b := 0; b < blocks; b++ {
 		off := int(chunkOff + uint64(b)*need)
 		if err := h.reg.Store32(off+bhSize, uint32(cls)); err != nil {
@@ -390,10 +399,11 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 		if err := h.reg.Write(off+bhState, []byte{stateFree}); err != nil {
 			return Nil, err
 		}
+		if err := h.reg.Flush(off, BlockHeaderSize); err != nil {
+			return Nil, err
+		}
 	}
-	if err := h.reg.Persist(int(chunkOff), blocks*int(need)); err != nil {
-		return Nil, err
-	}
+	h.reg.Fence()
 	// Persist the bump pointer before any block is handed out so that a
 	// committed transaction can never reference space beyond the durable
 	// bump (Rescan would not find it after a crash).
@@ -433,30 +443,43 @@ func (h *Heap) ReleaseReservation(obj ObjID) error {
 	return nil
 }
 
-// CommitAlloc marks a reserved block allocated and zeroes its payload,
-// persisting both. The caller must already have made the ALLOC intent
-// durable.
-func (h *Heap) CommitAlloc(obj ObjID) error {
+// MarkAlloc marks a reserved block allocated and zeroes its payload in the
+// volatile view only, returning the block's payload class. Nothing is
+// flushed: the caller — a transaction whose ALLOC intent is already durable
+// — persists header and payload together with its other stores before its
+// commit marker.
+func (h *Heap) MarkAlloc(obj ObjID) (int, error) {
 	cls, err := h.ClassOf(obj)
+	if err != nil {
+		return 0, err
+	}
+	if err := h.reg.Write(int(obj)-BlockHeaderSize+bhState, []byte{stateAlloc}); err != nil {
+		return 0, err
+	}
+	if err := h.reg.Zero(int(obj), cls); err != nil {
+		return 0, err
+	}
+	return cls, nil
+}
+
+// CommitAlloc marks a reserved block allocated and zeroes its payload,
+// persisting both: MarkAlloc and the block's own persist, for a caller
+// outside any transaction. A transactional caller must already have made
+// the ALLOC intent durable.
+func (h *Heap) CommitAlloc(obj ObjID) error {
+	cls, err := h.MarkAlloc(obj)
 	if err != nil {
 		return err
 	}
-	blockOff := int(obj) - BlockHeaderSize
-	if err := h.reg.Write(blockOff+bhState, []byte{stateAlloc}); err != nil {
-		return err
-	}
-	if err := h.reg.Zero(int(obj), cls); err != nil {
-		return err
-	}
-	if err := h.reg.Persist(blockOff, BlockHeaderSize+cls); err != nil {
-		return err
-	}
-	return nil
+	return h.reg.Persist(int(obj)-BlockHeaderSize, BlockHeaderSize+cls)
 }
 
 // RollbackAlloc undoes an allocation after an abort or a crash: it rewrites
 // a free block header for a block of the given payload class and returns
-// the block to the volatile free list. Idempotent.
+// the block to the volatile free list. Idempotent. The whole block is
+// flushed with the header: an aborted transaction's mark and stores are
+// never committed, and a line they dirtied may be shared with a neighbour
+// whose own flush of it the store undid.
 func (h *Heap) RollbackAlloc(obj ObjID, cls int) error {
 	blockOff := int(obj) - BlockHeaderSize
 	if blockOff < DataStart || uint64(int(obj)+cls) > h.bumpSnapshot() {
@@ -468,7 +491,7 @@ func (h *Heap) RollbackAlloc(obj ObjID, cls int) error {
 	if err := h.reg.Write(blockOff+bhState, []byte{stateFree}); err != nil {
 		return err
 	}
-	if err := h.reg.Persist(blockOff, BlockHeaderSize); err != nil {
+	if err := h.reg.Persist(blockOff, BlockHeaderSize+cls); err != nil {
 		return err
 	}
 	h.pushFreeIfAbsent(cls, obj)

@@ -21,7 +21,8 @@ func newHeap(t *testing.T, size int) *Heap {
 	return h
 }
 
-// alloc reserves and commits in one step, as the nolog engine would.
+// alloc reserves and commits in one step, as a caller outside any
+// transaction would.
 func alloc(t *testing.T, h *Heap, size int) ObjID {
 	t.Helper()
 	obj, err := h.Reserve(size)
@@ -595,5 +596,97 @@ func TestPropertyNoOverlapAndRescanAgrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCarveFlushesHeadersNotPayloads: a carve of N blocks flushes N header
+// lines — nobody has written the payloads — and fences them before it stores
+// the bump that exposes them to Rescan, which then takes one line and one
+// fence of its own.
+func TestCarveFlushesHeadersNotPayloads(t *testing.T) {
+	h := newHeap(t, 1<<16)
+	reg := h.Region()
+	const size = 1024 // 1040-byte blocks: three to a 4 KiB chunk
+	n := carveChunkBytes / (BlockHeaderSize + classFor(size))
+	oldBump := h.Bump()
+	fence := 0
+	reg.SetFenceHook(func() {
+		fence++
+		bump, err := reg.Load64(offBump)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		switch fence {
+		case 1:
+			if bump != oldBump {
+				t.Errorf("bump stored before the headers' fence")
+			}
+		case 2:
+			for b := 0; b < n; b++ {
+				off := int(oldBump) + b*(BlockHeaderSize+classFor(size))
+				if ok, err := reg.IsPersisted(off, BlockHeaderSize); err != nil || !ok {
+					t.Errorf("header %d not durable when the bump is fenced (%v)", b, err)
+				}
+			}
+		}
+	})
+	before := reg.Stats()
+	if _, err := h.Reserve(size); err != nil {
+		t.Fatal(err)
+	}
+	reg.SetFenceHook(nil)
+	d := reg.Stats()
+	if lines := d.LinesFlushed - before.LinesFlushed; lines != uint64(n)+1 {
+		t.Errorf("carve of %d blocks flushed %d lines, want %d headers + the bump", n, lines, n)
+	}
+	if fences := d.Fences - before.Fences; fences != 2 {
+		t.Errorf("carve fenced %d times, want 2 (headers, bump)", fences)
+	}
+	if h.Bump() != oldBump+uint64(n*(BlockHeaderSize+classFor(size))) {
+		t.Errorf("bump moved to %d", h.Bump())
+	}
+}
+
+// TestMarkAllocPersistsNothing: the transactional mark changes the volatile
+// view only — a power failure before the caller's commit leaves the block
+// free — while CommitAlloc's mark is durable on return.
+func TestMarkAllocPersistsNothing(t *testing.T) {
+	h := newHeap(t, 1<<16)
+	reg := h.Region()
+	marked, err := h.Reserve(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := h.Reserve(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reg.Stats()
+	cls, err := h.MarkAlloc(marked)
+	if err != nil || cls != classFor(100) {
+		t.Fatalf("MarkAlloc = %d, %v", cls, err)
+	}
+	if d := reg.Stats(); d.LinesFlushed != before.LinesFlushed || d.Fences != before.Fences {
+		t.Fatalf("MarkAlloc flushed %d lines, fenced %d times", d.LinesFlushed-before.LinesFlushed, d.Fences-before.Fences)
+	}
+	if ok, _ := h.IsAllocated(marked); !ok {
+		t.Fatal("marked block does not read allocated")
+	}
+	if err := h.CommitAlloc(committed); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := Open(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := h2.IsAllocated(marked); ok {
+		t.Error("a mark nobody persisted survived the power failure")
+	}
+	if ok, _ := h2.IsAllocated(committed); !ok {
+		t.Error("CommitAlloc's block was lost")
 	}
 }

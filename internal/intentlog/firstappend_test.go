@@ -8,9 +8,10 @@ import (
 )
 
 // The first append of a transaction persists the slot header line and the
-// entry line under ONE fence. These tests power-fail at that fence with
-// every combination of the two lines surviving and check that recovery sees
-// either nothing or the one valid entry.
+// entry line under ONE fence (AppendWithData fences its data before it).
+// These tests power-fail at that fence with every combination of the two
+// lines surviving and check that recovery sees either nothing or the one
+// valid entry, with its data.
 
 // recoveredEntries reattaches to reg and returns every entry recovery
 // reports, freeing the slots as an engine would.
@@ -31,13 +32,17 @@ func recoveredEntries(t *testing.T, reg *nvm.Region) (*Log, []Entry) {
 	return l, out
 }
 
-// failAtNextFence arms reg to power-fail at its next fence, keeping exactly
-// the in-doubt lines for which keep reports true. It returns the lines that
-// fence had left in doubt (valid once the fence has been reached).
-func failAtNextFence(t *testing.T, reg *nvm.Region, keep func(line int) bool) *[]int {
+// failAtFence arms reg to power-fail at its n-th fence from now, keeping
+// exactly the in-doubt lines for which keep reports true. It returns the
+// lines that fence had left in doubt (valid once the fence has been
+// reached).
+func failAtFence(t *testing.T, reg *nvm.Region, n int, keep func(line int) bool) *[]int {
 	t.Helper()
 	inDoubt := new([]int)
 	reg.SetFenceHook(func() {
+		if n--; n > 0 {
+			return
+		}
 		reg.SetFenceHook(nil)
 		err := reg.CrashPartial(func(line int) bool {
 			*inDoubt = append(*inDoubt, line)
@@ -51,13 +56,15 @@ func failAtNextFence(t *testing.T, reg *nvm.Region, keep func(line int) bool) *[
 }
 
 func TestFirstAppendTornCombinations(t *testing.T) {
+	const data = "old object contents"
 	for _, append1 := range []struct {
-		name string
-		do   func(*TxLog, Entry) error
+		name  string
+		fence int // the fence header and entry share: AppendWithData fences its data first
+		do    func(*TxLog, Entry) error
 	}{
-		{"Append", func(tx *TxLog, e Entry) error { return tx.Append(e) }},
-		{"AppendWithData", func(tx *TxLog, e Entry) error {
-			_, err := tx.AppendWithData(e, []byte("old object contents"))
+		{"Append", 1, func(tx *TxLog, e Entry) error { return tx.Append(e) }},
+		{"AppendWithData", 2, func(tx *TxLog, e Entry) error {
+			_, err := tx.AppendWithData(e, []byte(data))
 			return err
 		}},
 	} {
@@ -90,7 +97,7 @@ func TestFirstAppendTornCombinations(t *testing.T) {
 				}
 				hdrLine := l.slotOff(tx.slot) / nvm.LineSize
 				entLine := l.entryOff(tx.slot, 0) / nvm.LineSize
-				inDoubt := failAtNextFence(t, l.reg, func(line int) bool {
+				inDoubt := failAtFence(t, l.reg, append1.fence, func(line int) bool {
 					return (line == hdrLine && keepHdr) || (line == entLine && keepEnt)
 				})
 				want := Entry{Op: OpWrite, Class: 128, Obj: 8192}
@@ -106,12 +113,18 @@ func TestFirstAppendTornCombinations(t *testing.T) {
 					t.Fatalf("header line %d and entry line %d should both be in doubt at the first append's fence; in doubt: %v",
 						hdrLine, entLine, *inDoubt)
 				}
-				_, got := recoveredEntries(t, l.reg)
+				l2, got := recoveredEntries(t, l.reg)
 				if keepHdr && keepEnt {
-					// Both lines made it. (AppendWithData's copy may not
-					// have: the undo engine orders that itself.)
+					// Both lines made it, and AppendWithData's copy, fenced
+					// before them, with them.
 					if len(got) != 1 || got[0].Op != want.Op || got[0].Obj != want.Obj || got[0].Class != want.Class {
 						t.Fatalf("recovered %+v, want the one appended entry", got)
+					}
+					if got[0].DataLen > 0 {
+						b, err := l2.reg.ReadSlice(l2.dataOff(tx.slot)+int(got[0].DataOff), int(got[0].DataLen))
+						if err != nil || string(b) != data {
+							t.Fatalf("entry survived, its data reads %q (%v)", b, err)
+						}
 					}
 					return
 				}
@@ -135,7 +148,7 @@ func TestTornEntryTagIsNeverReissued(t *testing.T) {
 		t.Fatal(err)
 	}
 	entLine := l.entryOff(tx.slot, 0) / nvm.LineSize
-	failAtNextFence(t, l.reg, func(line int) bool { return line == entLine })
+	failAtFence(t, l.reg, 1, func(line int) bool { return line == entLine })
 	if err := tx.Append(Entry{Op: OpAlloc, Class: 64, Obj: 4096}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +168,7 @@ func TestTornEntryTagIsNeverReissued(t *testing.T) {
 		t.Fatalf("test wants the same slot again: %d vs %d", tx2.Slot(), tx.Slot())
 	}
 	hdrLine := l2.slotOff(tx2.slot) / nvm.LineSize
-	failAtNextFence(t, l2.reg, func(line int) bool { return line == hdrLine })
+	failAtFence(t, l2.reg, 1, func(line int) bool { return line == hdrLine })
 	if err := tx2.Append(Entry{Op: OpWrite, Class: 64, Obj: 12288}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@
 // slot's transaction id; recovery ignores entries whose id does not match
 // the slot header, which makes a torn final append harmless (the engine only
 // modifies an object after its intent's fence, so an unfenced intent implies
-// an unmodified object).
+// an unmodified object). AppendWithData fences its data before the append
+// that names it, so an entry that survives always has its data.
 //
 // A transaction's first append also opens its slot: the header line (Running,
 // the transaction id, the counters) and the entry line are flushed together
@@ -563,8 +564,11 @@ func (t *TxLog) Append(e Entry) error {
 
 // AppendWithData records an intent together with a copy of data placed in
 // the slot's data area (undo-log old value or CoW shadow). The data is
-// persisted before the entry. Returns the entry actually written (with
-// DataOff/DataLen filled in).
+// persisted — flushed and fenced — before the entry that points at it is
+// stored: under one fence a crash could keep the header and the entry and
+// lose data lines, and a rollback would then copy those lines' stale bytes
+// over the object. Returns the entry actually written (with DataOff/DataLen
+// filled in).
 func (t *TxLog) AppendWithData(e Entry, data []byte) (Entry, error) {
 	if t.dataUsed+len(data) > t.l.cfg.DataBytesPerSlot {
 		return Entry{}, ErrDataFull
@@ -573,7 +577,7 @@ func (t *TxLog) AppendWithData(e Entry, data []byte) (Entry, error) {
 	if err := t.l.reg.Write(doff, data); err != nil {
 		return Entry{}, err
 	}
-	if err := t.l.reg.Flush(doff, len(data)); err != nil {
+	if err := t.l.reg.Persist(doff, len(data)); err != nil {
 		return Entry{}, err
 	}
 	e.DataOff = uint32(t.dataUsed)

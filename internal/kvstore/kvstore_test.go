@@ -1,10 +1,12 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"kaminotx/kamino"
 )
@@ -147,5 +149,90 @@ func TestScan(t *testing.T) {
 	}
 	if len(kvs) != 5 || kvs[0].Key != 100 || kvs[4].Key != 140 {
 		t.Errorf("scan = %+v", kvs)
+	}
+}
+
+// TestConcurrentPreloadSurvivesCrash: two goroutines insert adjacent key
+// ranges into one strict pool, so their transactions allocate neighbouring
+// blocks that share device lines and store into them at the same time.
+// Strict NVM drops a writer's pending flush of a line another store dirties
+// again, so each store's own transaction must flush that line once more:
+// after Drain every store has been made durable by whoever made it, and a
+// power failure must lose nothing. A store left unmarked because it rewrote
+// identical bytes (an allocation's zeros over zeros) would dirty the line
+// and leave it to nobody. Device latency widens the window between one
+// transaction's flush and its fence in which the other's store lands; three
+// rounds of 2000 keys caught such a variant (allocations marking only the
+// bytes their zeroing changed) in three runs of five.
+func TestConcurrentPreloadSurvivesCrash(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		concurrentPreloadCrash(t, 1000)
+	}
+}
+
+func concurrentPreloadCrash(t *testing.T, perG uint64) {
+	t.Helper()
+	p, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 32 << 20, Strict: true,
+		FlushLatency: time.Microsecond, FenceLatency: 5 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s, err := Create(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(k uint64) []byte {
+		v := make([]byte, 1024)
+		for i := range v {
+			v[i] = byte(k*31 + uint64(i)*7)
+		}
+		return v
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := uint64(0); g < 2; g++ {
+		wg.Add(1)
+		go func(lo uint64) {
+			defer wg.Done()
+			for k := lo; k < lo+perG; k++ {
+				if err := s.Insert(k, value(k)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g * perG)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	p.Drain()
+	if err := p.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for k := uint64(0); k < 2*perG; k++ {
+		got, ok, err := s2.Read(k)
+		if err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+		if !ok || !bytes.Equal(got, value(k)) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d preloaded values lost or corrupted by the power failure", lost, 2*perG)
+	}
+	if n, err := s2.Count(); err != nil || n != int(2*perG) {
+		t.Fatalf("Count after crash = %d (%v), want %d", n, err, 2*perG)
 	}
 }

@@ -1,10 +1,12 @@
 package pbtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
 
+	"kaminotx/internal/nvm"
 	"kaminotx/kamino"
 )
 
@@ -127,9 +129,9 @@ func (t *Tree) nodeViewTx(tx *kamino.Tx, obj kamino.ObjID) (view, error) {
 }
 
 // image is a node's new contents under construction: the paths that change
-// a node assemble them in a scratch buffer of nodeSize bytes and hand the
-// whole buffer to tx.Write, so a node is always stored as one write of its
-// full size with zeros past its last key and pointer. Keys and pointers
+// a node assemble them in a scratch buffer of nodeSize bytes, zeros past its
+// last key and pointer, and hand it to tx.Write — whole (store), or as the
+// lines that differ from the node's old contents (storeChanged). Keys and pointers
 // are appended in order, usually as runs copied out of a view of the old
 // node — which the buffer never aliases, so the old node stays readable
 // until the write.
@@ -193,6 +195,46 @@ func (im *image) store(tx *kamino.Tx, obj kamino.ObjID) error {
 	err := tx.Write(obj, 0, im.b)
 	images.Put(im)
 	return err
+}
+
+// storeChanged writes the image over old — obj's current contents as tx
+// sees them — within tx, and recycles the buffer. Only the runs of device
+// lines in which the two differ are stored; a line with no changed byte
+// gets no store at all, so a key added at the end of a leaf stores the
+// three lines holding the key count, the key and the pointer. Every line of
+// a run is stored whole (within the node), unchanged bytes included: the
+// engine marks each store's lines, and only lines it is never handed may go
+// unflushed. The caller must have Add'ed obj.
+func (im *image) storeChanged(tx *kamino.Tx, obj kamino.ObjID, old view) error {
+	binary.LittleEndian.PutUint32(im.b[offNKeys:], uint32(im.nk))
+	err := writeChanged(tx, obj, old.b, im.b)
+	images.Put(im)
+	return err
+}
+
+// writeChanged stores b over old (the same length) at payload offset 0 of
+// obj, as one write per run of device lines that differ. A run's store
+// changes only bytes at and past its start, so the comparisons after it
+// still read old's bytes.
+func writeChanged(tx *kamino.Tx, obj kamino.ObjID, old, b []byte) error {
+	start := -1
+	for lo := 0; lo < len(b); {
+		hi := min(lo+nvm.LineSize-(int(obj)+lo)%nvm.LineSize, len(b))
+		switch same := bytes.Equal(old[lo:hi], b[lo:hi]); {
+		case !same && start < 0:
+			start = lo
+		case same && start >= 0:
+			if err := tx.Write(obj, start, b[start:lo]); err != nil {
+				return err
+			}
+			start = -1
+		}
+		lo = hi
+	}
+	if start < 0 {
+		return nil
+	}
+	return tx.Write(obj, start, b[start:])
 }
 
 // alloc allocates a fresh node inside tx and stores the image there.

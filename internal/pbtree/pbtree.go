@@ -31,7 +31,8 @@
 // when it shows the new image on the engines that edit in place and the old
 // one under copy-on-write. What leaves the package is always a copy
 // (decodeValue's). A path that changes a node builds the whole new image
-// in a scratch buffer and stores it in one write.
+// in a scratch buffer; a split or a fresh node stores it in one write, a
+// leaf update stores only the device lines that differ from the old image.
 package pbtree
 
 import (
@@ -625,13 +626,14 @@ func (t *Tree) putInLeaf(tx *kamino.Tx, leafObj kamino.ObjID, key uint64, val []
 }
 
 // storeLeaf declares the write intent on a leaf already read through tx (as
-// old) and stores its new keys and values, the leaf chain as it was.
+// old) and stores its new keys and values, the leaf chain as it was: only
+// the lines that change are stored, so only they are flushed and backed up.
 func (t *Tree) storeLeaf(tx *kamino.Tx, leafObj kamino.ObjID, old view, im *image) error {
 	im.setNext(old.next())
 	if err := tx.Add(leafObj); err != nil {
 		return err
 	}
-	return im.store(tx, leafObj)
+	return im.storeChanged(tx, leafObj, old)
 }
 
 // deleteFromLeaf removes key from the latched leaf, reporting whether it was

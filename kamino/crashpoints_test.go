@@ -136,8 +136,12 @@ func runCrashPoint(t *testing.T, opts kamino.Options, c crashCase, pf powerFail)
 	return int(n.Load()), inDoubt
 }
 
-// enumerateCrashPoints runs c once per crash point and outcome class.
-func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase) {
+// enumerateCrashPoints runs c once per crash point and outcome class. With
+// pairs set, every two in-doubt lines of a fence also survive together
+// without the rest — the outcome that tore undo's log entry from the data
+// it points at when both shared one fence (the slot header and entry
+// durable, the copied old value not: a rollback from garbage).
+func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase, pairs bool) {
 	t.Helper()
 	total, _ := runCrashPoint(t, opts, c, powerFail{})
 	if total == 0 {
@@ -151,6 +155,17 @@ func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase) {
 			runCrashPoint(t, opts, c, powerFail{k, func(r, l int) bool { return [2]int{r, l} == only }})
 		}
 		points += 2 + len(inDoubt)
+		if !pairs {
+			continue
+		}
+		for i, a := range inDoubt {
+			for _, b := range inDoubt[i+1:] {
+				runCrashPoint(t, opts, c, powerFail{k, func(r, l int) bool {
+					return [2]int{r, l} == a || [2]int{r, l} == b
+				}})
+				points++
+			}
+		}
 	}
 	t.Logf("%d fences, %d crash points", total, points)
 }
@@ -264,24 +279,26 @@ func oneObjectTx(mode kamino.Mode) crashCase {
 	}
 }
 
+// TestCrashPointsOneObjectTx also power-fails every pair of in-doubt lines:
+// the transaction is small enough to afford it.
 func TestCrashPointsOneObjectTx(t *testing.T) {
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic, kamino.ModeUndo, kamino.ModeInPlace, kamino.ModeNoLog} {
 		t.Run(string(mode), func(t *testing.T) {
-			enumerateCrashPoints(t, crashOpts(mode), oneObjectTx(mode))
+			enumerateCrashPoints(t, crashOpts(mode), oneObjectTx(mode), true)
 		})
 	}
 }
 
-// leafPut is the tree-level case: one put into a small preloaded store,
-// checked against a map model and the tree's invariants.
-func leafPut(key uint64, val []byte) crashCase {
+// leafPut is the tree-level case: one put into a small store preloaded with
+// the given keys, checked against a map model and the tree's invariants.
+func leafPut(preload []uint64, key uint64, val []byte) crashCase {
 	return func(t *testing.T, pool *kamino.Pool) (func() error, func(*kamino.Pool, bool) error) {
 		store, err := kvstore.Create(pool, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := map[uint64][]byte{}
-		for _, k := range []uint64{10, 20, 30} {
+		for _, k := range preload {
 			before[k] = bytes.Repeat([]byte{byte(k)}, 40)
 			if err := store.Insert(k, before[k]); err != nil {
 				t.Fatal(err)
@@ -330,21 +347,26 @@ func leafPut(key uint64, val []byte) crashCase {
 
 // TestCrashPointsLeafPut covers pbtree.putInLeaf's three paths: a value
 // overwritten in place (the leaf is not even in the write set), a value that
-// outgrew its object (alloc, free, leaf repointed), and a new key.
+// outgrew its object (alloc, free, leaf repointed), and a new key — in the
+// middle of a leaf, and at the end of a full-but-one leaf (order 8, seven
+// keys), where the leaf store is three of its lines and none of the rest.
 func TestCrashPointsLeafPut(t *testing.T) {
+	few, fullButOne := []uint64{10, 20, 30}, []uint64{10, 20, 30, 40, 50, 60, 70}
 	paths := []struct {
-		name string
-		key  uint64
-		val  []byte
+		name    string
+		preload []uint64
+		key     uint64
+		val     []byte
 	}{
-		{"in-place", 20, bytes.Repeat([]byte{0xC3}, 40)},
-		{"replace", 20, bytes.Repeat([]byte{0xC3}, 300)},
-		{"insert", 25, bytes.Repeat([]byte{0xC3}, 40)},
+		{"in-place", few, 20, bytes.Repeat([]byte{0xC3}, 40)},
+		{"replace", few, 20, bytes.Repeat([]byte{0xC3}, 300)},
+		{"insert", few, 25, bytes.Repeat([]byte{0xC3}, 40)},
+		{"insert-end", fullButOne, 80, bytes.Repeat([]byte{0xC3}, 40)},
 	}
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo} {
 		for _, p := range paths {
 			t.Run(fmt.Sprintf("%s/%s", mode, p.name), func(t *testing.T) {
-				enumerateCrashPoints(t, crashOpts(mode), leafPut(p.key, p.val))
+				enumerateCrashPoints(t, crashOpts(mode), leafPut(p.preload, p.key, p.val), false)
 			})
 		}
 	}
