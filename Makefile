@@ -21,8 +21,11 @@ fmt:
 # race runs the measurement layer, every engine, and the layers under them
 # under the race detector: the shared stats.Collector, the workload
 # generators, the engines' counter/phase instrumentation, the trace
-# recorder, and the lock table, heap allocator, intent log and NVM line
-# mutexes are all touched from multiple goroutines. The chain, membership, and persistent-queue
+# recorder, and the lock table's buckets and the one mutex each of the heap's
+# free lists, the intent log's free-slot stack and a strict NVM region's line
+# sets has are all touched from multiple goroutines; their contention tests
+# (concurrent reserve, Begin/Release churn, concurrent persist and a crash
+# during persists) repeat twenty times. The chain, membership, and persistent-queue
 # packages ride along: their view-change and watcher tests only catch the
 # historical races under the detector, and ./kamino/... brings the chaos
 # schedule (kamino/chain/chaos_test.go: kills, rejoins and a head reboot
@@ -40,6 +43,7 @@ fmt:
 # allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
 	$(GO) test -race -count=20 -run TestDrainZeroLoss ./internal/server/
+	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/

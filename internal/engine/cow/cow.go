@@ -8,7 +8,6 @@ package cow
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"kaminotx/internal/engine"
@@ -67,7 +66,7 @@ func Open(heapReg, logReg *nvm.Region) (*Engine, error) {
 // Originals are untouched until commit, so incomplete transactions need no
 // data restoration.
 func (e *Engine) Recover() error {
-	return e.Log().RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
+	return e.Log().Recover(func(v intentlog.SlotView) error {
 		switch v.State {
 		case intentlog.StateCommitted:
 			if err := e.applyShadows(v.Entries, v.Data); err != nil {

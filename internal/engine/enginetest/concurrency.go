@@ -11,8 +11,8 @@ import (
 )
 
 // The concurrency conformance suite drives many goroutines through the
-// engine at once — the regime the sharded lock table, heap arenas and
-// intent-log slot groups exist for — and audits the recorded trace with
+// engine at once — the lock table, the heap's free lists and the intent
+// log's free slots all under contention — and audits the recorded trace with
 // the same policy engine the safety auditor uses: for kamino engines a
 // clean audit means no store-without-copy and no dependent-not-blocked
 // events slipped through under parallelism; for intent-logging engines it

@@ -447,15 +447,9 @@ func testAllocCommit(t *testing.T, f Factory) {
 	}
 }
 
-// oneAllocShard gives a fresh instance's heap a single allocator shard, for
-// tests that assert which block an Alloc reuses: with several shards that
-// depends on which processor the test goroutine happens to be on by then.
-func oneAllocShard(inst *Instance) { inst.Engine.Heap().SetShards(1) }
-
 func testFreeCommit(t *testing.T, f Factory) {
 	inst := f.New(t)
 	defer inst.Engine.Close()
-	oneAllocShard(inst)
 	obj := mustAlloc(t, inst.Engine, make([]byte, 64))
 
 	tx, err := inst.Engine.Begin()
@@ -509,7 +503,6 @@ func testAbortRestores(t *testing.T, f Factory) {
 func testAbortUnwindsAlloc(t *testing.T, f Factory) {
 	inst := f.New(t)
 	defer inst.Engine.Close()
-	oneAllocShard(inst)
 
 	tx, err := inst.Engine.Begin()
 	if err != nil {

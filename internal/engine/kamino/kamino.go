@@ -39,8 +39,8 @@ type Config struct {
 
 	// ApplierWorkers is the number of background backup-sync goroutines,
 	// each with its own queue; a committed transaction is routed to a
-	// worker by its first object's shard, so per-object copy-back order
-	// is preserved (and any routing is safe: a tx's locks are held until
+	// worker by a hash of its smallest ObjID, so per-object copy-back
+	// order is preserved (and any routing is safe: a tx's locks are held until
 	// its sync completes, so two queued txs never share an object).
 	// Defaults to GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
@@ -313,11 +313,11 @@ func (e *Engine) recvPolling(ch <-chan applyReq) (v applyReq, ok bool) {
 	return v, ok
 }
 
-// routeApply picks the worker queue for a committed transaction: the shard
-// of its smallest object id (map iteration order is random, so the minimum
+// routeApply picks the worker queue for a committed transaction: a hash of
+// its smallest object id (map iteration order is random, so the minimum
 // makes routing deterministic per write-set). Any choice is correct — the
 // tx's write locks are held until applyOne finishes, so no two queued
-// requests share an object — but shard-stable routing keeps a hot object's
+// requests share an object — but stable routing keeps a hot object's
 // copy-backs on one worker.
 func (e *Engine) routeApply(ws map[heap.ObjID]engine.WriteEntry) chan applyReq {
 	if len(e.applyChs) == 1 {
@@ -392,14 +392,8 @@ func (e *Engine) err() error {
 // are rolled forward into the backup (after re-applying their deferred
 // frees); running or aborted transactions are rolled back from the backup.
 // Incomplete transactions are treated the same as aborted ones.
-//
-// Slots are reconciled concurrently (one goroutine per slot group): the
-// engine's locking guarantees unreconciled transactions never overlap on
-// an object, the backends' copies take sharded or single mutexes, and the
-// strict NVM region stripes its line locks — so per-slot work is
-// independent.
 func (e *Engine) Recover() error {
-	return e.Log().RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
+	return e.Log().Recover(func(v intentlog.SlotView) error {
 		switch v.State {
 		case intentlog.StateCommitted:
 			if err := e.RedoFrees(v.Entries); err != nil {

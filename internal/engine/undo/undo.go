@@ -7,7 +7,6 @@
 package undo
 
 import (
-	"runtime"
 	"time"
 
 	"kaminotx/internal/engine"
@@ -60,7 +59,7 @@ func Open(heapReg, logReg *nvm.Region) (*Engine, error) {
 // Recover rolls incomplete and aborted transactions back from their undo
 // copies and completes the deferred frees of committed transactions.
 func (e *Engine) Recover() error {
-	return e.Log().RecoverParallel(runtime.GOMAXPROCS(0), func(v intentlog.SlotView) error {
+	return e.Log().Recover(func(v intentlog.SlotView) error {
 		switch v.State {
 		case intentlog.StateCommitted:
 			if err := e.RedoFrees(v.Entries); err != nil {

@@ -34,7 +34,6 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -96,125 +95,20 @@ func classFor(size int) int {
 
 // Heap is a persistent object heap bound to one NVM region.
 //
-// The persistent layout is shard-oblivious — one bump pointer, one linear
-// run of blocks — but the volatile allocator state is sharded: each shard
-// owns size-class free lists under its own mutex, and the bump pointer has
-// a dedicated carve mutex. An allocating goroutine is steered to a
-// processor-affine shard; when that shard's list for the class is empty it
-// steals from the neighbours before carving fresh space, so freed blocks
-// are always reused before the heap grows. Carves take a whole chunk of
+// The volatile allocator state is one map of size-class free lists under
+// one mutex; the bump pointer has a dedicated carve mutex. Freed blocks are
+// always reused before the heap grows. Carves take a whole chunk of
 // same-class blocks at once (one header line flushed per block, one fence
-// for them all, one bump persist), amortizing the allocation fences that would otherwise
-// serialize concurrent allocators on the carve mutex.
+// for them all, one bump persist), amortizing the allocation fences that
+// would otherwise serialize concurrent allocators on the carve mutex.
 type Heap struct {
 	reg *nvm.Region
 
 	carveMu sync.Mutex    // serializes bump carves
 	bump    atomic.Uint64 // volatile mirror of the persistent bump pointer
 
-	shards []heapShard
-	rr     atomic.Uint32 // round-robin seed for fresh shard hints
-	hints  sync.Pool     // *shardHint, processor-affine
-}
-
-// heapShard is one stripe of the volatile free lists. Padded so shards on
-// adjacent cache lines don't false-share under concurrent alloc/free.
-type heapShard struct {
 	mu   sync.Mutex
-	free map[int][]ObjID
-	_    [40]byte
-}
-
-// shardHint remembers which shard a processor last allocated from.
-// sync.Pool keeps it P-local, which is as close to CPU affinity as
-// portable Go gets; correctness never depends on the hint (every path
-// falls back to scanning all shards), only locality does.
-type shardHint struct{ idx uint32 }
-
-// DefaultShards returns the allocator shard count used when SetShards was
-// never called (or called with n <= 0): GOMAXPROCS rounded up to a power
-// of two, clamped to [1, 16].
-func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 16 {
-		n = 16
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// maxHeapShards bounds SetShards requests; past this the per-shard maps
-// cost more than the contention they avoid.
-const maxHeapShards = 4096
-
-// initShards installs n (normalized) empty shards and wires the hint pool.
-func (h *Heap) initShards(n int) {
-	if n <= 0 {
-		n = DefaultShards()
-	}
-	if n > maxHeapShards {
-		n = maxHeapShards
-	}
-	h.shards = make([]heapShard, n)
-	for i := range h.shards {
-		h.shards[i].free = make(map[int][]ObjID)
-	}
-	h.hints.New = func() any {
-		return &shardHint{idx: h.rr.Add(1) - 1}
-	}
-}
-
-// SetShards resizes the volatile allocator to n shards (n <= 0 restores
-// DefaultShards), redistributing any existing free lists deterministically
-// (list order is preserved; block i of a class goes to shard i mod n). Not
-// safe concurrently with allocation; engines call it right after
-// Format/Attach/Open, before transactions start.
-func (h *Heap) SetShards(n int) {
-	lists := h.collectFree()
-	h.initShards(n)
-	h.scatterFree(lists)
-}
-
-// ShardCount reports the allocator shard count (test hook).
-func (h *Heap) ShardCount() int { return len(h.shards) }
-
-// collectFree drains every shard's free lists into one per-class list,
-// ordered by shard index then list position (deterministic for a given
-// prior distribution).
-func (h *Heap) collectFree() map[int][]ObjID {
-	out := make(map[int][]ObjID)
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for cls, list := range s.free {
-			out[cls] = append(out[cls], list...)
-		}
-		s.free = make(map[int][]ObjID)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// scatterFree deals per-class lists round-robin across the shards.
-func (h *Heap) scatterFree(lists map[int][]ObjID) {
-	n := len(h.shards)
-	for cls, list := range lists {
-		for i, obj := range list {
-			s := &h.shards[i%n]
-			s.free[cls] = append(s.free[cls], obj)
-		}
-	}
-}
-
-// hintShard returns the processor-affine shard index for this goroutine.
-func (h *Heap) hintShard() int {
-	v := h.hints.Get().(*shardHint)
-	idx := int(v.idx) % len(h.shards)
-	h.hints.Put(v)
-	return idx
+	free map[int][]ObjID // class -> LIFO free list
 }
 
 // Errors returned by heap operations.
@@ -253,9 +147,8 @@ func Format(reg *nvm.Region) (*Heap, error) {
 	if err := reg.Persist(0, DataStart); err != nil {
 		return nil, err
 	}
-	h := &Heap{reg: reg}
+	h := &Heap{reg: reg, free: make(map[int][]ObjID)}
 	h.bump.Store(DataStart)
-	h.initShards(0)
 	return h, nil
 }
 
@@ -288,9 +181,8 @@ func Attach(reg *nvm.Region) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Heap{reg: reg}
+	h := &Heap{reg: reg, free: make(map[int][]ObjID)}
 	h.bump.Store(bump)
-	h.initShards(0)
 	return h, nil
 }
 
@@ -322,7 +214,7 @@ func (h *Heap) loadState(blockOff int) (byte, error) {
 // carveChunkBytes targets how much contiguous space one bump carve
 // formats. Carving several same-class blocks per carve amortizes the bump
 // persist (flush + fence) that would otherwise be paid per allocation;
-// the surplus blocks seed the carving goroutine's shard free list.
+// the surplus blocks seed the class's free list.
 const carveChunkBytes = 4096
 
 // carveMaxBlocks bounds a chunk so small classes don't pre-format dozens
@@ -330,40 +222,33 @@ const carveChunkBytes = 4096
 const carveMaxBlocks = 8
 
 // Reserve picks a block able to hold size payload bytes without touching
-// persistent block state. It first tries the calling goroutine's affine
-// shard, then steals from every other shard — so freed blocks anywhere are
-// always reused before the heap grows — and only then carves a chunk of
-// fresh same-class blocks from the bump pointer (persisting the bump
-// first; surplus chunk blocks go on the affine shard's free list).
-// Concurrent reservations never alias. Pair with MarkAlloc (inside a
-// transaction), CommitAlloc or ReleaseReservation.
+// persistent block state. A freed block of the class is reused first; only
+// when the class's list is empty does it carve a chunk of fresh same-class
+// blocks from the bump pointer (persisting the bump first; surplus chunk
+// blocks go on the free list). Concurrent reservations never alias. Pair
+// with MarkAlloc (inside a transaction), CommitAlloc or ReleaseReservation.
 func (h *Heap) Reserve(size int) (ObjID, error) {
 	if size <= 0 || size > MaxAlloc {
 		return Nil, fmt.Errorf("%w: %d", ErrSizeRange, size)
 	}
 	cls := classFor(size)
-	home := h.hintShard()
-	n := len(h.shards)
-	for i := 0; i < n; i++ {
-		s := &h.shards[(home+i)%n]
-		s.mu.Lock()
-		if list := s.free[cls]; len(list) > 0 {
-			obj := list[len(list)-1]
-			s.free[cls] = list[:len(list)-1]
-			s.mu.Unlock()
-			return obj, nil
-		}
-		s.mu.Unlock()
+	h.mu.Lock()
+	if list := h.free[cls]; len(list) > 0 {
+		obj := list[len(list)-1]
+		h.free[cls] = list[:len(list)-1]
+		h.mu.Unlock()
+		return obj, nil
 	}
-	return h.carve(cls, home)
+	h.mu.Unlock()
+	return h.carve(cls)
 }
 
 // carve formats a chunk of fresh same-class blocks at the bump pointer,
-// returning the first and pushing the rest onto shard home's free list.
+// returning the first and pushing the rest onto the class's free list.
 // The chunk shrinks to whatever fits (down to one block) before the carve
 // reports ErrHeapFull, so the heap's capacity is identical to a
 // block-at-a-time allocator's.
-func (h *Heap) carve(cls, home int) (ObjID, error) {
+func (h *Heap) carve(cls int) (ObjID, error) {
 	need := uint64(BlockHeaderSize + cls)
 	blocks := carveChunkBytes / int(need)
 	if blocks > carveMaxBlocks {
@@ -415,31 +300,28 @@ func (h *Heap) carve(cls, home int) (ObjID, error) {
 	}
 	h.bump.Store(newBump)
 	if blocks > 1 {
-		s := &h.shards[home]
-		s.mu.Lock()
-		// Surplus pushed high-address-first so the next same-shard
-		// Reserve pops the block adjacent to the one handed out.
+		h.mu.Lock()
+		// Surplus pushed high-address-first so the next Reserve pops the
+		// block adjacent to the one handed out.
 		for b := blocks - 1; b >= 1; b-- {
-			s.free[cls] = append(s.free[cls], ObjID(chunkOff+uint64(b)*need+BlockHeaderSize))
+			h.free[cls] = append(h.free[cls], ObjID(chunkOff+uint64(b)*need+BlockHeaderSize))
 		}
-		s.mu.Unlock()
+		h.mu.Unlock()
 	}
 	return ObjID(chunkOff + BlockHeaderSize), nil
 }
 
 // ReleaseReservation returns a reserved-but-never-committed block to the
-// volatile free list (e.g. when intent logging failed). The block lands on
-// the calling goroutine's affine shard: only Reserve hands out blocks, so
-// no duplicate can exist on another shard.
+// volatile free list (e.g. when intent logging failed). Only Reserve hands
+// out blocks, so the list cannot already hold it.
 func (h *Heap) ReleaseReservation(obj ObjID) error {
 	cls, err := h.ClassOf(obj)
 	if err != nil {
 		return err
 	}
-	s := &h.shards[h.hintShard()]
-	s.mu.Lock()
-	s.free[cls] = append(s.free[cls], obj)
-	s.mu.Unlock()
+	h.mu.Lock()
+	h.free[cls] = append(h.free[cls], obj)
+	h.mu.Unlock()
 	return nil
 }
 
@@ -500,28 +382,17 @@ func (h *Heap) RollbackAlloc(obj ObjID, cls int) error {
 
 // pushFreeIfAbsent adds obj to the free lists unless it is already on one,
 // guarding RollbackAlloc/ApplyFree against double insertion when recovery
-// retries. It locks every shard (ascending index order) so the
-// scan-then-append is atomic against a concurrent retry; both callers are
-// rare (abort, recovery, committed frees), so the full sweep is off any
-// hot path.
+// retries. Both callers are rare (abort, recovery, committed frees), so the
+// list scan is off any hot path.
 func (h *Heap) pushFreeIfAbsent(cls int, obj ObjID) {
-	for i := range h.shards {
-		h.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range h.shards {
-			h.shards[i].mu.Unlock()
-		}
-	}()
-	for i := range h.shards {
-		for _, o := range h.shards[i].free[cls] {
-			if o == obj {
-				return
-			}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, o := range h.free[cls] {
+		if o == obj {
+			return
 		}
 	}
-	s := &h.shards[h.hintShard()]
-	s.free[cls] = append(s.free[cls], obj)
+	h.free[cls] = append(h.free[cls], obj)
 }
 
 // ApplyFree marks an allocated block free and persists the header. Called
@@ -637,17 +508,12 @@ func (h *Heap) SetRoot(obj ObjID) error {
 	return h.reg.Persist(offRoot, 8)
 }
 
-// FreeCount returns the number of free blocks of the given payload class,
-// summed across all shards. Test hook.
+// FreeCount returns the number of free blocks of the given payload class.
+// Test hook.
 func (h *Heap) FreeCount(cls int) int {
-	n := 0
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		n += len(s.free[cls])
-		s.mu.Unlock()
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.free[cls])
 }
 
 // Bump returns the current bump offset. Test hook.

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +81,6 @@ func TestAllocWriteRead(t *testing.T) {
 
 func TestAllocZeroesPayload(t *testing.T) {
 	h := newHeap(t, 1<<16)
-	h.SetShards(1) // deterministic LIFO reuse
 	obj := alloc(t, h, 64)
 	if err := h.Write(obj, 0, []byte{0xAA, 0xBB, 0xCC}); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,6 @@ func TestAllocZeroesPayload(t *testing.T) {
 
 func TestFreeListReuse(t *testing.T) {
 	h := newHeap(t, 1<<16)
-	h.SetShards(1)       // deterministic LIFO reuse
 	a := alloc(t, h, 40) // class 48
 	bumpAfterA := h.Bump()
 	spares := h.FreeCount(48) // chunk carving pre-formats surplus blocks
@@ -139,7 +138,6 @@ func TestApplyFreeIdempotent(t *testing.T) {
 
 func TestRollbackAllocIdempotent(t *testing.T) {
 	h := newHeap(t, 1<<16)
-	h.SetShards(1) // deterministic LIFO reuse
 	obj, err := h.Reserve(100)
 	if err != nil {
 		t.Fatal(err)
@@ -362,48 +360,10 @@ func TestHugeAllocation(t *testing.T) {
 	}
 }
 
-// shardLists snapshots the per-shard free lists for one class (test-only;
-// callers must not be allocating concurrently).
-func shardLists(h *Heap, cls int) [][]ObjID {
-	out := make([][]ObjID, len(h.shards))
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out[i] = append([]ObjID(nil), s.free[cls]...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-func TestSetShardsNormalizesAndPreservesFree(t *testing.T) {
-	h := newHeap(t, 1<<16)
-	h.SetShards(4)
-	if h.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", h.ShardCount())
-	}
-	var objs []ObjID
-	for i := 0; i < 6; i++ {
-		objs = append(objs, alloc(t, h, 64))
-	}
-	for _, o := range objs {
-		if err := h.ApplyFree(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := h.FreeCount(64)
-	h.SetShards(8)
-	if h.FreeCount(64) != total {
-		t.Errorf("SetShards lost free blocks: %d, want %d", h.FreeCount(64), total)
-	}
-	h.SetShards(1)
-	if h.FreeCount(64) != total {
-		t.Errorf("SetShards(1) lost free blocks: %d, want %d", h.FreeCount(64), total)
-	}
-}
-
+// TestShardedAllocFreeReopenReuses: after a reopen every free block is
+// reused before the bump pointer moves.
 func TestShardedAllocFreeReopenReuses(t *testing.T) {
 	h := newHeap(t, 1<<18)
-	h.SetShards(4)
 	var objs []ObjID
 	for i := 0; i < 32; i++ {
 		objs = append(objs, alloc(t, h, 64))
@@ -418,13 +378,11 @@ func TestShardedAllocFreeReopenReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.SetShards(4)
 	if h2.FreeCount(64) != free {
 		t.Fatalf("free count after reopen = %d, want %d", h2.FreeCount(64), free)
 	}
 	// Every allocation after reopen must reuse a free block — the bump may
-	// not move until the free set is exhausted, regardless of which shard
-	// serves each request.
+	// not move until the free set is exhausted.
 	bump := h2.Bump()
 	for i := 0; i < free; i++ {
 		alloc(t, h2, 64)
@@ -437,6 +395,8 @@ func TestShardedAllocFreeReopenReuses(t *testing.T) {
 	}
 }
 
+// TestRescanDistributionDeterministic: two rescans of one image yield
+// identical free lists.
 func TestRescanDistributionDeterministic(t *testing.T) {
 	h := newHeap(t, 1<<18)
 	var objs []ObjID
@@ -448,36 +408,27 @@ func TestRescanDistributionDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	open := func() [][]ObjID {
+	open := func() map[int][]ObjID {
 		h2, err := Open(h.Region())
 		if err != nil {
 			t.Fatal(err)
 		}
-		h2.SetShards(4)
 		if err := h2.Rescan(); err != nil {
 			t.Fatal(err)
 		}
-		return shardLists(h2, 64)
+		return h2.FreeListSnapshot()
 	}
 	a, b := open(), open()
-	if len(a) != len(b) {
-		t.Fatalf("shard count mismatch: %d vs %d", len(a), len(b))
+	if len(a[64]) != 8 {
+		t.Fatalf("class 64 list has %d blocks, want 8", len(a[64]))
 	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("shard %d length differs: %d vs %d", i, len(a[i]), len(b[i]))
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Errorf("shard %d slot %d differs: %d vs %d", i, j, a[i][j], b[i][j])
-			}
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("rescans differ:\n%v\n%v", a, b)
 	}
 }
 
 func TestConcurrentReserveNoAliasing(t *testing.T) {
 	h := newHeap(t, 1<<20)
-	h.SetShards(4)
 	const workers, perWorker = 8, 50
 	results := make([][]ObjID, workers)
 	done := make(chan int, workers)

@@ -6,9 +6,9 @@ import "fmt"
 // headers: one walk of every header from DataStart to the bump pointer
 // (blocks are variable-size and back-to-back, so the stream is
 // self-describing only front to back). No block may reach past the bump,
-// which is only ever persisted over whole, formatted blocks. Free blocks are
-// dealt round-robin per class in address order, so two rescans of the same
-// persistent image always produce identical per-shard lists. Not safe
+// which is only ever persisted over whole, formatted blocks. Each class's
+// free list is in address order, so two rescans of the same persistent
+// image always produce identical lists. Not safe
 // concurrently with allocation (run it before transactions, as Open and
 // engine recovery do).
 func (h *Heap) Rescan() error {
@@ -34,31 +34,21 @@ func (h *Heap) Rescan() error {
 		}
 		off += BlockHeaderSize + uint64(size)
 	}
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		s.free = make(map[int][]ObjID)
-		s.mu.Unlock()
-	}
-	h.scatterFree(found)
+	h.mu.Lock()
+	h.free = found
+	h.mu.Unlock()
 	return nil
 }
 
-// FreeListSnapshot deep-copies the per-shard free lists: snapshot[cls][i]
-// is shard i's list for class cls, in list order. Test and fuzz hook for
-// comparing the allocator state two rescans produced.
-func (h *Heap) FreeListSnapshot() map[int][][]ObjID {
-	out := make(map[int][][]ObjID)
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for cls, list := range s.free {
-			if out[cls] == nil {
-				out[cls] = make([][]ObjID, len(h.shards))
-			}
-			out[cls][i] = append([]ObjID(nil), list...)
-		}
-		s.mu.Unlock()
+// FreeListSnapshot deep-copies the free lists: snapshot[cls] is class cls's
+// list, in list order. Test and fuzz hook for comparing the allocator state
+// two rescans produced.
+func (h *Heap) FreeListSnapshot() map[int][]ObjID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make(map[int][]ObjID, len(h.free))
+	for cls, list := range h.free {
+		out[cls] = append([]ObjID(nil), list...)
 	}
 	return out
 }

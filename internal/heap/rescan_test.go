@@ -55,19 +55,17 @@ func rescanImage(t *testing.T, reg *nvm.Region, live map[ObjID]bool) *Heap {
 		t.Fatalf("Rescan: %v", err)
 	}
 	listed := make(map[ObjID]bool)
-	for cls, shards := range h.FreeListSnapshot() {
-		for _, list := range shards {
-			for _, obj := range list {
-				if listed[obj] {
-					t.Fatalf("block %d (class %d) listed twice", obj, cls)
-				}
-				listed[obj] = true
-				if live[obj] {
-					t.Fatalf("committed object %d (class %d) is on a free list", obj, cls)
-				}
-				if alloc, err := h.IsAllocated(obj); err != nil || alloc {
-					t.Fatalf("listed block %d: allocated=%v err=%v", obj, alloc, err)
-				}
+	for cls, list := range h.FreeListSnapshot() {
+		for _, obj := range list {
+			if listed[obj] {
+				t.Fatalf("block %d (class %d) listed twice", obj, cls)
+			}
+			listed[obj] = true
+			if live[obj] {
+				t.Fatalf("committed object %d (class %d) is on a free list", obj, cls)
+			}
+			if alloc, err := h.IsAllocated(obj); err != nil || alloc {
+				t.Fatalf("listed block %d: allocated=%v err=%v", obj, alloc, err)
 			}
 		}
 	}
@@ -76,9 +74,9 @@ func rescanImage(t *testing.T, reg *nvm.Region, live map[ObjID]bool) *Heap {
 
 // model is a heap under test beside what must be true of it: live holds
 // the objects a returned CommitAlloc committed and no ApplyFree was yet
-// called on (order lists them for a seeded pick). One shard keeps the
-// blocks Reserve hands out a function of the calls alone, so two heaps
-// driven by the same calls stay in step.
+// called on (order lists them for a seeded pick). The blocks Reserve hands
+// out are a function of the calls alone, so two heaps driven by the same
+// calls stay in step.
 type model struct {
 	h     *Heap
 	live  map[ObjID]bool
@@ -86,7 +84,6 @@ type model struct {
 }
 
 func newModel(h *Heap) *model {
-	h.SetShards(1)
 	return &model{h: h, live: make(map[ObjID]bool)}
 }
 
@@ -128,7 +125,6 @@ func (m *model) rescan(t *testing.T) {
 	reg := m.h.Region()
 	reg.SetFenceHook(nil)
 	m.h = rescanImage(t, reg, m.live)
-	m.h.SetShards(1)
 }
 
 // history drives h through a seeded schedule of allocations and frees in

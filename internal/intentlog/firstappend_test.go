@@ -72,7 +72,6 @@ func TestFirstAppendTornCombinations(t *testing.T) {
 			keepHdr, keepEnt := mask&1 != 0, mask&2 != 0
 			t.Run(fmt.Sprintf("%s/header=%v,entry=%v", append1.name, keepHdr, keepEnt), func(t *testing.T) {
 				l := newLog(t, smallCfg)
-				l.SetShards(1) // one LIFO free list: the freed slot is the next one claimed
 				// A previous owner leaves a freed header and a stale entry
 				// behind in the slot.
 				prev, err := l.Begin()
@@ -142,7 +141,6 @@ func TestFirstAppendTornCombinations(t *testing.T) {
 // only the new transaction's header would validate the stale entry.
 func TestTornEntryTagIsNeverReissued(t *testing.T) {
 	l := newLog(t, smallCfg)
-	l.SetShards(1)
 	tx, err := l.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +154,6 @@ func TestTornEntryTagIsNeverReissued(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("entry without its header surfaced: %+v", got)
 	}
-	l2.SetShards(1)
 	tx2, err := l2.Begin()
 	if err != nil {
 		t.Fatal(err)

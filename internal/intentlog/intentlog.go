@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -171,13 +170,9 @@ func (c Config) checksum() uint32 {
 
 // Log is a persistent intent log bound to one NVM region.
 //
-// The persistent format is shard-oblivious; only the volatile free-slot pool
-// is partitioned. Each slot has a home shard (slot index mod shard count)
-// whose mutex guards its free-list membership, so under load slot acquire
-// and release never touch a shared mutex. When every shard a Begin scans is
-// empty, it falls back to a global wait (waitMu/waitCond) that a release
-// always signals — backpressure on the asynchronous applier, exactly as
-// before.
+// The volatile free-slot pool is one LIFO stack under mu. A Begin that finds
+// it empty waits on freed, which every slot return signals — backpressure on
+// the asynchronous applier.
 type Log struct {
 	reg *nvm.Region
 	cfg Config
@@ -189,106 +184,34 @@ type Log struct {
 	// claim to the Release (or SlotView.Free) that returns the slot.
 	txs []TxLog
 
-	shards []slotShard
-	rr     atomic.Uint32 // rotates the shard a Begin scans first
-
-	waitMu   sync.Mutex // slow path: serializes exhausted Begins
-	waitCond *sync.Cond // signaled on every slot return
+	mu    sync.Mutex
+	free  []int      // free slot indexes; the last is claimed next
+	freed *sync.Cond // on mu; signaled on every slot return
 }
 
-// slotShard is one stripe of the volatile free-slot pool. Padded so shards
-// on adjacent cache lines don't false-share under concurrent begin/release.
-type slotShard struct {
-	mu   sync.Mutex
-	free []int
-	_    [40]byte
+// bindLog builds the volatile side of a log with no free slots.
+func bindLog(reg *nvm.Region, cfg Config) *Log {
+	l := &Log{reg: reg, cfg: cfg, txs: make([]TxLog, cfg.Slots)}
+	l.freed = sync.NewCond(&l.mu)
+	return l
 }
 
-// defaultSlotShards sizes the free-slot pool partition: one shard per
-// processor, capped so tiny logs aren't sliced thinner than their slots.
-func defaultSlotShards(slots int) int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 16 {
-		n = 16
+// popLocked claims the most recently freed slot. Callers hold mu.
+func (l *Log) popLocked() (int, bool) {
+	if len(l.free) == 0 {
+		return 0, false
 	}
-	if n > slots {
-		n = slots
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// initShards installs n (clamped) empty shards and the global wait channel.
-func (l *Log) initShards(n int) {
-	if n <= 0 {
-		n = defaultSlotShards(l.cfg.Slots)
-	}
-	if n > l.cfg.Slots {
-		n = l.cfg.Slots
-	}
-	l.shards = make([]slotShard, n)
-	l.waitCond = sync.NewCond(&l.waitMu)
-}
-
-// SetShards repartitions the volatile free-slot pool into n shards (n <= 0
-// restores the default), keeping every free slot. Not safe concurrently
-// with Begin/Release; engines call it right after Format/Attach.
-func (l *Log) SetShards(n int) {
-	var free []int
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		free = append(free, s.free...)
-		s.free = nil
-		s.mu.Unlock()
-	}
-	l.initShards(n)
-	for _, slot := range free {
-		l.pushSlot(slot)
-	}
-}
-
-// ShardCount reports the free-slot pool's shard count (test hook).
-func (l *Log) ShardCount() int { return len(l.shards) }
-
-// pushSlot returns a slot to its home shard's free list.
-func (l *Log) pushSlot(slot int) {
-	s := &l.shards[slot%len(l.shards)]
-	s.mu.Lock()
-	s.free = append(s.free, slot)
-	s.mu.Unlock()
-}
-
-// tryAcquire pops a free slot, scanning every shard starting from a
-// rotating origin so concurrent Begins spread across shards.
-func (l *Log) tryAcquire() (int, bool) {
-	n := len(l.shards)
-	start := int(l.rr.Add(1)-1) % n
-	for i := 0; i < n; i++ {
-		s := &l.shards[(start+i)%n]
-		s.mu.Lock()
-		if len(s.free) > 0 {
-			slot := s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-			s.mu.Unlock()
-			return slot, true
-		}
-		s.mu.Unlock()
-	}
-	return 0, false
+	slot := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+	return slot, true
 }
 
 // returnSlot makes a slot allocatable again and wakes one blocked Begin.
-// The slot is pushed before waitMu is taken: a Begin on the slow path holds
-// waitMu across its rescan-then-Wait, so the release's push is either seen
-// by that rescan or its signal lands after the Wait — never a lost wakeup.
 func (l *Log) returnSlot(slot int) {
-	l.pushSlot(slot)
-	l.waitMu.Lock()
-	l.waitCond.Signal()
-	l.waitMu.Unlock()
+	l.mu.Lock()
+	l.free = append(l.free, slot)
+	l.freed.Signal()
+	l.mu.Unlock()
 }
 
 // Errors returned by the log.
@@ -332,11 +255,10 @@ func Format(reg *nvm.Region, cfg Config) (*Log, error) {
 	if err := reg.Persist(0, cfg.RegionSize()); err != nil {
 		return nil, err
 	}
-	l := &Log{reg: reg, cfg: cfg, txs: make([]TxLog, cfg.Slots)}
-	l.initShards(0)
+	l := bindLog(reg, cfg)
 	l.nextTxID.Store(1)
 	for i := cfg.Slots - 1; i >= 0; i-- {
-		l.pushSlot(i)
+		l.free = append(l.free, i)
 	}
 	return l, nil
 }
@@ -365,8 +287,7 @@ func Attach(reg *nvm.Region) (*Log, error) {
 	if reg.Size() < cfg.RegionSize() {
 		return nil, fmt.Errorf("intentlog: region smaller than formatted size")
 	}
-	l := &Log{reg: reg, cfg: cfg, txs: make([]TxLog, cfg.Slots)}
-	l.initShards(0)
+	l := bindLog(reg, cfg)
 	maxTx := uint64(0)
 	for i := cfg.Slots - 1; i >= 0; i-- {
 		st, txid, _, _, err := l.slotHeader(i)
@@ -387,7 +308,7 @@ func Attach(reg *nvm.Region) (*Log, error) {
 			maxTx = tag
 		}
 		if st == StateFree {
-			l.pushSlot(i)
+			l.free = append(l.free, i)
 		}
 	}
 	l.nextTxID.Store(maxTx + 1)
@@ -445,30 +366,24 @@ type TxLog struct {
 // Begin claims a free slot; the first append durably marks it Running (see
 // newTx). When all slots are occupied (committed transactions whose backup
 // sync is still pending hold theirs), Begin blocks until one frees —
-// backpressure on the asynchronous applier rather than an error. The fast
-// path touches only per-shard mutexes; the global wait lock is taken only
-// once every shard is empty.
+// backpressure on the asynchronous applier rather than an error.
 func (l *Log) Begin() (*TxLog, error) {
-	if slot, ok := l.tryAcquire(); ok {
-		return l.newTx(slot), nil
-	}
-	l.waitMu.Lock()
+	l.mu.Lock()
 	for {
-		// Rescan under waitMu: a concurrent returnSlot either pushed
-		// before we got here (the scan finds it) or will signal after our
-		// Wait parks (returnSlot signals under waitMu).
-		if slot, ok := l.tryAcquire(); ok {
-			l.waitMu.Unlock()
+		if slot, ok := l.popLocked(); ok {
+			l.mu.Unlock()
 			return l.newTx(slot), nil
 		}
-		l.waitCond.Wait()
+		l.freed.Wait()
 	}
 }
 
 // TryBegin is Begin without blocking; it returns ErrLogFull when no slot is
 // free.
 func (l *Log) TryBegin() (*TxLog, error) {
-	slot, ok := l.tryAcquire()
+	l.mu.Lock()
+	slot, ok := l.popLocked()
+	l.mu.Unlock()
 	if !ok {
 		return nil, ErrLogFull
 	}
@@ -762,70 +677,6 @@ func (l *Log) Recover(fn func(SlotView) error) error {
 		if err := fn(SlotView{Slot: i, State: st, TxID: txid, Entries: entries, l: l}); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// RecoverParallel is Recover across `workers` goroutines, each owning a
-// contiguous slot range. Safe because slot ordering is already immaterial
-// (see Recover) and fn's reconciliation work touches disjoint objects: no
-// two unreconciled transactions overlap. fn must therefore be safe to call
-// concurrently with itself; SlotView.Free already is (the slot pool is
-// sharded). The first error wins and the remaining workers finish their
-// current slot and stop.
-func (l *Log) RecoverParallel(workers int, fn func(SlotView) error) error {
-	if workers > l.cfg.Slots {
-		workers = l.cfg.Slots
-	}
-	if workers <= 1 {
-		return l.Recover(fn)
-	}
-	var (
-		wg       sync.WaitGroup
-		stop     atomic.Bool
-		firstErr atomic.Pointer[error]
-	)
-	fail := func(err error) {
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
-		stop.Store(true)
-	}
-	per := (l.cfg.Slots + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > l.cfg.Slots {
-			hi = l.cfg.Slots
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi && !stop.Load(); i++ {
-				st, txid, n, _, err := l.slotHeader(i)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if st == StateFree {
-					continue
-				}
-				entries, err := l.readEntries(i, txid, n)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := fn(SlotView{Slot: i, State: st, TxID: txid, Entries: entries, l: l}); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		return *p
 	}
 	return nil
 }

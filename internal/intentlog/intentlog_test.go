@@ -1,7 +1,6 @@
 package intentlog
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -353,42 +352,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSetShardsRepartitionsFreePool: every slot must remain acquirable
-// across repartitions, and the count must clamp to [1, Slots].
-func TestSetShardsRepartitionsFreePool(t *testing.T) {
-	l := newLog(t, smallCfg)
-	for _, n := range []int{1, 2, smallCfg.Slots, smallCfg.Slots * 4, -3} {
-		l.SetShards(n)
-		if got := l.ShardCount(); got < 1 || got > smallCfg.Slots {
-			t.Fatalf("SetShards(%d): shard count %d outside [1, %d]", n, got, smallCfg.Slots)
-		}
-		var txs []*TxLog
-		for i := 0; i < smallCfg.Slots; i++ {
-			tx, err := l.Begin()
-			if err != nil {
-				t.Fatalf("SetShards(%d): Begin %d: %v", n, i, err)
-			}
-			txs = append(txs, tx)
-		}
-		if _, err := l.TryBegin(); err != ErrLogFull {
-			t.Fatalf("SetShards(%d): TryBegin with full log = %v, want ErrLogFull", n, err)
-		}
-		for _, tx := range txs {
-			if err := tx.Release(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// TestConcurrentBeginReleaseAcrossShards churns more goroutines than
-// slots through Begin/Release on a multi-shard pool, forcing both the
-// cross-shard fallback scan and the exhaustion-blocking path. A lost
+// TestConcurrentBeginReleaseChurn churns more goroutines than slots
+// through Begin/Release, forcing the exhaustion-blocking path. A lost
 // wakeup hangs the test; a double-granted slot corrupts the final count.
-func TestConcurrentBeginReleaseAcrossShards(t *testing.T) {
+func TestConcurrentBeginReleaseChurn(t *testing.T) {
 	cfg := Config{Slots: 8, EntriesPerSlot: 4, DataBytesPerSlot: 0}
 	l := newLog(t, cfg)
-	l.SetShards(4)
 
 	const goroutines = 32
 	const itersEach = 200
@@ -437,28 +406,35 @@ func TestConcurrentBeginReleaseAcrossShards(t *testing.T) {
 	}
 }
 
-func TestRecoverParallelMatchesSerial(t *testing.T) {
+// TestRecoverVisitsEachPendingSlotOnce leaves running and committed
+// transactions interleaved with released slots, crashes, and recovers:
+// every non-free slot is visited exactly once with its state and entries,
+// and every slot is free and acquirable afterwards.
+func TestRecoverVisitsEachPendingSlotOnce(t *testing.T) {
 	cfg := Config{Slots: 32, EntriesPerSlot: 8, DataBytesPerSlot: 256}
 	l := newLog(t, cfg)
-	// Leave a mix of running and committed transactions in the log, with
-	// free slots interleaved, then crash.
+	want := make(map[int]SlotView)
 	for i := 0; i < cfg.Slots; i++ {
 		tx, err := l.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
+		var entries []Entry
 		for j := 0; j <= i%3; j++ {
-			if err := tx.Append(Entry{Op: OpWrite, Class: 16, Obj: uint64(1000*i + j)}); err != nil {
+			e := Entry{Op: OpWrite, Class: 16, Obj: uint64(1000*i + j)}
+			if err := tx.Append(e); err != nil {
 				t.Fatal(err)
 			}
+			entries = append(entries, e)
 		}
 		switch i % 3 {
 		case 0:
 			if err := tx.SetState(StateCommitted); err != nil {
 				t.Fatal(err)
 			}
+			want[tx.Slot()] = SlotView{State: StateCommitted, TxID: tx.TxID(), Entries: entries}
 		case 1:
-			// stays running
+			want[tx.Slot()] = SlotView{State: StateRunning, TxID: tx.TxID(), Entries: entries}
 		case 2:
 			if err := tx.SetState(StateCommitted); err != nil {
 				t.Fatal(err)
@@ -471,82 +447,43 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	if err := l.Region().Crash(); err != nil {
 		t.Fatal(err)
 	}
-
-	collect := func(run func(*Log, func(SlotView) error) error) map[int]SlotView {
-		t.Helper()
-		l2, err := Attach(l.Region())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mu sync.Mutex
-		seen := make(map[int]SlotView)
-		if err := run(l2, func(v SlotView) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := seen[v.Slot]; dup {
-				t.Errorf("slot %d visited twice", v.Slot)
-			}
-			seen[v.Slot] = v
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return seen
-	}
-
-	serial := collect(func(l *Log, fn func(SlotView) error) error { return l.Recover(fn) })
-	for _, workers := range []int{2, 4, 64} {
-		par := collect(func(l *Log, fn func(SlotView) error) error { return l.RecoverParallel(workers, fn) })
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: visited %d slots, serial visited %d", workers, len(par), len(serial))
-		}
-		for slot, want := range serial {
-			got, ok := par[slot]
-			if !ok {
-				t.Fatalf("workers=%d: slot %d missing", workers, slot)
-			}
-			if got.State != want.State || got.TxID != want.TxID || len(got.Entries) != len(want.Entries) {
-				t.Fatalf("workers=%d slot %d: got %+v want %+v", workers, slot, got, want)
-			}
-			for i := range want.Entries {
-				if got.Entries[i] != want.Entries[i] {
-					t.Fatalf("workers=%d slot %d entry %d differs", workers, slot, i)
-				}
-			}
-		}
-	}
-}
-
-func TestRecoverParallelFreesConcurrently(t *testing.T) {
-	cfg := Config{Slots: 16, EntriesPerSlot: 4, DataBytesPerSlot: 0}
-	l := newLog(t, cfg)
-	for i := 0; i < cfg.Slots; i++ {
-		tx, err := l.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Append(Entry{Op: OpWrite, Class: 16, Obj: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Region().Crash(); err != nil {
-		t.Fatal(err)
-	}
 	l2, err := Attach(l.Region())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.RecoverParallel(8, func(v SlotView) error { return v.Free() }); err != nil {
+	seen := make(map[int]bool)
+	if err := l2.Recover(func(v SlotView) error {
+		if seen[v.Slot] {
+			t.Errorf("slot %d visited twice", v.Slot)
+		}
+		seen[v.Slot] = true
+		w, ok := want[v.Slot]
+		if !ok {
+			t.Errorf("free slot %d visited", v.Slot)
+			return v.Free()
+		}
+		if v.State != w.State || v.TxID != w.TxID || len(v.Entries) != len(w.Entries) {
+			t.Errorf("slot %d: got %+v want %+v", v.Slot, v, w)
+		}
+		for i := range w.Entries {
+			if i < len(v.Entries) && v.Entries[i] != w.Entries[i] {
+				t.Errorf("slot %d entry %d = %+v, want %+v", v.Slot, i, v.Entries[i], w.Entries[i])
+			}
+		}
+		return v.Free()
+	}); err != nil {
 		t.Fatal(err)
+	}
+	if len(seen) != len(want) {
+		t.Errorf("visited %d slots, want %d", len(seen), len(want))
 	}
 	n, err := l2.PendingSlots()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
-		t.Errorf("pending after parallel recovery = %d", n)
+		t.Errorf("pending after recovery = %d", n)
 	}
-	// All slots must be reusable again.
 	for i := 0; i < cfg.Slots; i++ {
 		if _, err := l2.TryBegin(); err != nil {
 			t.Fatalf("TryBegin %d after recovery: %v", i, err)

@@ -18,13 +18,9 @@ import (
 	"sync"
 )
 
-// DefaultShards is the bucket count used by New, and by every engine.
-// NewSharded picks another; only tests do.
-const DefaultShards = 64
-
-// maxShards bounds NewSharded requests; beyond this the per-bucket maps
-// cost more than the contention they avoid.
-const maxShards = 4096
+// bucketBits is log2 of the table's bucket count: 64 buckets, indexed by
+// the top bits of a Fibonacci hash of the ObjID (the well-mixed ones).
+const bucketBits = 6
 
 // Owner identifies a lock holder (a transaction id, or a synthetic id for
 // recovery-held locks).
@@ -110,26 +106,18 @@ type shard struct {
 	rlocks uint64 // RLock calls, for RLockCalls
 }
 
-// Table is a striped object lock table: ObjIDs hash to one of 2^k buckets,
+// Table is a striped object lock table: ObjIDs hash to one of 64 buckets,
 // each with its own mutex, condition variable and entry map, so lock
-// traffic on disjoint objects never shares a mutex — and, as important
+// traffic on disjoint objects rarely shares a mutex — and, as important
 // under load, an Unlock's Broadcast wakes only the waiters parked on the
 // same bucket rather than every blocked transaction in the system.
 type Table struct {
-	shards []shard
-	shift  uint // index = hash >> shift; shift = 64 - log2(len(shards))
+	shards [1 << bucketBits]shard
 }
 
-// New creates an empty lock table with DefaultShards buckets.
-func New() *Table { return NewSharded(0) }
-
-// NewSharded creates an empty lock table with n buckets, rounded up to a
-// power of two and clamped to [1, 4096]. n <= 0 selects DefaultShards.
-// Locking semantics are identical at every bucket count; n only tunes how
-// much lock traffic shares a mutex and a wakeup broadcast.
-func NewSharded(n int) *Table {
-	n = normShards(n)
-	t := &Table{shards: make([]shard, n), shift: shiftFor(n)}
+// New creates an empty lock table.
+func New() *Table {
+	t := &Table{}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.m = make(map[uint64]*entry)
@@ -138,37 +126,8 @@ func NewSharded(n int) *Table {
 	return t
 }
 
-// normShards rounds n up to a power of two in [1, maxShards], defaulting
-// when n <= 0.
-func normShards(n int) int {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shiftFor returns 64 - log2(n) for power-of-two n, so that hash >> shift
-// is a top-bits bucket index (top bits of a Fibonacci hash are the
-// well-mixed ones). For n == 1 the shift is 64, which Go defines to yield
-// 0 — every object lands in the single bucket.
-func shiftFor(n int) uint {
-	s := uint(64)
-	for n > 1 {
-		n >>= 1
-		s--
-	}
-	return s
-}
-
-// ShardCount reports the bucket count (test hook).
-func (t *Table) ShardCount() int { return len(t.shards) }
+// bucket returns the index of obj's bucket.
+func bucket(obj uint64) int { return int((obj * 0x9e3779b97f4a7c15) >> (64 - bucketBits)) }
 
 // RLockCalls reports how many times RLock has been called (test hook: a
 // structure pins how many read locks one of its operations takes).
@@ -184,7 +143,7 @@ func (t *Table) RLockCalls() uint64 {
 }
 
 func (t *Table) shard(obj uint64) *shard {
-	return &t.shards[(obj*0x9e3779b97f4a7c15)>>t.shift]
+	return &t.shards[bucket(obj)]
 }
 
 func (s *shard) get(obj uint64) *entry {

@@ -242,6 +242,21 @@ func TestCrossGoroutineRelease(t *testing.T) {
 	tab.Unlock(1, 20)
 }
 
+// keysInBuckets returns n keys, n/buckets (rounded up) hashing to each of
+// the table's first buckets buckets, so that locks on them share mutexes,
+// condition variables and entry free lists.
+func keysInBuckets(n, buckets int) []uint64 {
+	per := make([]int, buckets)
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if b := bucket(k); b < buckets && per[b] < (n+buckets-1)/buckets {
+			per[b]++
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 func TestEntriesGarbageCollected(t *testing.T) {
 	tab := New()
 	for i := uint64(0); i < 1000; i++ {
@@ -264,40 +279,42 @@ func TestEntriesGarbageCollected(t *testing.T) {
 // upgrade, a plain write — and checks that the next object to use it finds
 // none of it.
 func TestEntryRecycledClean(t *testing.T) {
-	tbl := NewSharded(1)
-	s := &tbl.shards[0]
+	tbl := New()
+	keys := keysInBuckets(2, 1) // the two objects share a bucket, and so its free list
+	o1, o2 := keys[0], keys[1]
+	s := tbl.shard(o1)
 
-	tbl.RLock(1, 10)
-	first := s.m[1]
+	tbl.RLock(o1, 10)
+	first := s.m[o1]
 	if first.reader != 10 || first.readers != nil {
 		t.Fatalf("a lone reader is not held inline: %+v", *first)
 	}
-	tbl.RLock(1, 10)
-	tbl.RLock(1, 11)
+	tbl.RLock(o1, 10)
+	tbl.RLock(o1, 11)
 	if first.rcount != 2 || first.readers[11] != 1 {
 		t.Fatalf("two readers, one reentrant: %+v", *first)
 	}
-	tbl.RUnlock(1, 10)
-	tbl.RUnlock(1, 10)
-	tbl.Lock(1, 11) // sole reader left: upgrades, absorbing its read hold
-	tbl.RUnlock(1, 11)
-	tbl.Unlock(1, 11)
+	tbl.RUnlock(o1, 10)
+	tbl.RUnlock(o1, 10)
+	tbl.Lock(o1, 11) // sole reader left: upgrades, absorbing its read hold
+	tbl.RUnlock(o1, 11)
+	tbl.Unlock(o1, 11)
 	if len(s.m) != 0 || s.free != first {
 		t.Fatalf("released entry not on the free list (map has %d)", len(s.m))
 	}
 
-	tbl.Lock(2, 12)
-	e := s.m[2]
+	tbl.Lock(o2, 12)
+	e := s.m[o2]
 	if e != first {
 		t.Fatal("object 2 did not get the recycled entry")
 	}
 	if e.writer != 12 || e.reader != 0 || e.rcount != 0 || len(e.readers) != 0 || e.waiters != 0 || e.writersWaiting != 0 || e.nextFree != nil {
 		t.Fatalf("recycled entry carried state over: %+v", *e)
 	}
-	if tbl.HeldBy(1) != 0 {
+	if tbl.HeldBy(o1) != 0 {
 		t.Fatal("object 1 reads as held through the entry it gave up")
 	}
-	tbl.Unlock(2, 12)
+	tbl.Unlock(o2, 12)
 }
 
 // TestUncontendedLockingAllocatesNothing pins the steady state: an entry
@@ -323,7 +340,7 @@ func TestUncontendedLockingAllocatesNothing(t *testing.T) {
 		"Lock+Unlock":   pair(tbl.Lock, tbl.Unlock),
 		"RLock+RUnlock": pair(tbl.RLock, tbl.RUnlock),
 	} {
-		for i := 0; i < 4*tbl.ShardCount(); i++ {
+		for i := 0; i < 4*len(tbl.shards); i++ {
 			f() // every bucket has allocated the entries it will reuse
 		}
 		if n := testing.AllocsPerRun(1000, f); n != 0 {

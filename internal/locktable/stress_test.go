@@ -22,7 +22,8 @@ func TestStressOverlappingKeySets(t *testing.T) {
 		keyspace   = 32
 		window     = 6
 	)
-	tbl := NewSharded(8) // keys per bucket > 1: exercises shared-bucket waits
+	tbl := New()
+	keys := keysInBuckets(keyspace, 8) // four keys a bucket: exercises shared-bucket waits
 	counters := make([]int, keyspace)
 	var readSink atomic.Int64
 	var wantTotal atomic.Int64
@@ -36,29 +37,29 @@ func TestStressOverlappingKeySets(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			base := (g / 2) % keyspace // adjacent goroutines share a window
 			for i := 0; i < iters; i++ {
-				k1 := uint64((base + rng.Intn(window)) % keyspace)
-				k2 := uint64((base + rng.Intn(window)) % keyspace)
+				k1 := (base + rng.Intn(window)) % keyspace
+				k2 := (base + rng.Intn(window)) % keyspace
 				if k1 > k2 {
 					k1, k2 = k2, k1 // ascending acquisition: no deadlock cycles
 				}
 				if i%4 == 0 {
-					tbl.RLock(k1, owner)
+					tbl.RLock(keys[k1], owner)
 					readSink.Add(int64(counters[k1]))
-					tbl.RUnlock(k1, owner)
+					tbl.RUnlock(keys[k1], owner)
 					continue
 				}
-				tbl.Lock(k1, owner)
+				tbl.Lock(keys[k1], owner)
 				if k2 != k1 {
-					tbl.Lock(k2, owner)
+					tbl.Lock(keys[k2], owner)
 				}
 				counters[k1]++
 				wantTotal.Add(1)
 				if k2 != k1 {
 					counters[k2]++
 					wantTotal.Add(1)
-					tbl.Unlock(k2, owner)
+					tbl.Unlock(keys[k2], owner)
 				}
-				tbl.Unlock(k1, owner)
+				tbl.Unlock(keys[k1], owner)
 			}
 		}(g)
 	}
@@ -71,7 +72,7 @@ func TestStressOverlappingKeySets(t *testing.T) {
 	if int64(total) != wantTotal.Load() {
 		t.Errorf("lost updates: counters sum to %d, want %d", total, wantTotal.Load())
 	}
-	for k := uint64(0); k < keyspace; k++ {
+	for _, k := range keys {
 		if tbl.Locked(k) {
 			t.Errorf("key %d still locked after all goroutines finished", k)
 		}
@@ -79,8 +80,8 @@ func TestStressOverlappingKeySets(t *testing.T) {
 }
 
 // TestDependentBlockingOrder models Kamino-Tx's hold-past-commit
-// discipline on a single-bucket table (the worst case: every waiter
-// parks on the same condition variable). Each holder clears a "synced"
+// discipline on one object (the worst case: every waiter parks on the
+// same condition variable). Each holder clears a "synced"
 // flag on acquire and sets it again just before Unlock — the stand-in for
 // the asynchronous backup sync finishing. A dependent transaction granted
 // the lock early observes synced == false; a lost wakeup leaves waiters
@@ -91,7 +92,7 @@ func TestDependentBlockingOrder(t *testing.T) {
 		itersEach  = 50
 		obj        = uint64(42)
 	)
-	tbl := NewSharded(1)
+	tbl := New()
 	synced := true // guarded by the table's write lock on obj
 
 	var wg sync.WaitGroup
@@ -157,8 +158,9 @@ func TestRecycledEntriesUnderContention(t *testing.T) {
 		iters      = 400
 		objects    = 3
 	)
-	tbl := NewSharded(1)
-	s := &tbl.shards[0]
+	tbl := New()
+	keys := keysInBuckets(objects, 1)
+	s := tbl.shard(keys[0])
 	var counters [objects]int
 	var want [objects]atomic.Int64
 	var readSink atomic.Int64
@@ -187,19 +189,20 @@ func TestRecycledEntriesUnderContention(t *testing.T) {
 			owner := Owner(g + 1)
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
-				obj := uint64(rng.Intn(objects))
+				k := rng.Intn(objects)
+				obj := keys[k]
 				if i%3 == 0 {
 					tbl.RLock(obj, owner)
 					tbl.RLock(obj, owner) // reentrant: one more hold, same reader
-					readSink.Add(int64(counters[obj]))
+					readSink.Add(int64(counters[k]))
 					runtime.Gosched() // let a second reader in, and a writer queue up
 					tbl.RUnlock(obj, owner)
 					tbl.RUnlock(obj, owner)
 					continue
 				}
 				tbl.Lock(obj, owner)
-				counters[obj]++
-				want[obj].Add(1)
+				counters[k]++
+				want[k].Add(1)
 				if i%8 == 1 {
 					runtime.Gosched() // hold it long enough for others to park
 				}
@@ -212,9 +215,9 @@ func TestRecycledEntriesUnderContention(t *testing.T) {
 	checker.Wait()
 
 	checkRecycling(t, s)
-	for obj := range counters {
-		if int64(counters[obj]) != want[obj].Load() {
-			t.Errorf("object %d: %d updates survived of %d", obj, counters[obj], want[obj].Load())
+	for k := range counters {
+		if int64(counters[k]) != want[k].Load() {
+			t.Errorf("object %d: %d updates survived of %d", keys[k], counters[k], want[k].Load())
 		}
 	}
 	if len(s.m) != 0 {

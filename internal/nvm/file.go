@@ -28,12 +28,12 @@ const (
 func (r *Region) Save(path string) error {
 	var img []byte
 	if r.mode == ModeStrict {
-		// Snapshot under every stripe so no fence is mid-drain while the
+		// Snapshot under the line mutex so no fence is mid-drain while the
 		// durable image is copied.
-		r.lockAll()
+		r.mu.Lock()
 		img = make([]byte, r.size)
 		copy(img, r.durable)
-		r.unlockAll()
+		r.mu.Unlock()
 	} else {
 		img = r.mem
 	}

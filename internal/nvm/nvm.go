@@ -100,29 +100,6 @@ type Options struct {
 	Latency LatencyModel
 }
 
-// lineStripeCount is the number of stripes the strict-mode line mutex is
-// split into. A line belongs to stripe line % lineStripeCount, so
-// consecutive lines land on distinct stripes and concurrent Persist calls
-// on disjoint objects almost never contend.
-const lineStripeCount = 64
-
-// lineStripe guards the dirty/pending membership and the durable-image
-// bytes of the cache lines mapped to it. Padded against false sharing.
-type lineStripe struct {
-	mu      sync.Mutex
-	dirty   map[int]struct{}
-	pending map[int]struct{}
-	// npend mirrors len(pending); written under mu, read locklessly by
-	// Fence so it can skip stripes with nothing to drain.
-	npend atomic.Int32
-	_     [16]byte
-}
-
-// stripeMask marks which stripes an operation must hold. Stripes are
-// always locked in ascending index order, which makes any pair of
-// multi-stripe operations (wide writes, Crash, Save) deadlock-free.
-type stripeMask [lineStripeCount]bool
-
 // Region is a contiguous span of simulated NVM.
 type Region struct {
 	mode    Mode
@@ -131,10 +108,11 @@ type Region struct {
 
 	mem []byte // volatile view (CPU caches + memory)
 
-	// Strict mode: the line state (and the covered bytes of durable) is
-	// guarded by per-line stripes rather than one region-wide mutex, so
-	// concurrent transactions persisting disjoint lines don't serialize.
-	stripes [lineStripeCount]lineStripe
+	// Strict mode: mu guards the dirty and flush-pending line sets and the
+	// durable image.
+	mu      sync.Mutex
+	dirty   map[int]struct{}
+	pending map[int]struct{}
 	durable []byte // durable image (strict mode only)
 
 	// Event counters, one atomic each: every mutation, flush and fence
@@ -150,57 +128,6 @@ type Region struct {
 	fenceHook atomic.Pointer[func()] // see SetFenceHook
 }
 
-// stripeOf maps a line index to its stripe.
-func stripeOf(line int) int { return line & (lineStripeCount - 1) }
-
-// spanMask returns the stripes covering [off, off+n). Spans of 64+ lines
-// touch every stripe.
-func spanMask(off, n int) (mask stripeMask) {
-	first, last := off/LineSize, (off+n-1)/LineSize
-	if last-first+1 >= lineStripeCount {
-		for i := range mask {
-			mask[i] = true
-		}
-		return
-	}
-	for line := first; line <= last; line++ {
-		mask[stripeOf(line)] = true
-	}
-	return
-}
-
-// lockMask acquires the masked stripes in ascending order.
-func (r *Region) lockMask(mask *stripeMask) {
-	for i := range r.stripes {
-		if mask[i] {
-			r.stripes[i].mu.Lock()
-		}
-	}
-}
-
-// unlockMask releases the masked stripes.
-func (r *Region) unlockMask(mask *stripeMask) {
-	for i := range r.stripes {
-		if mask[i] {
-			r.stripes[i].mu.Unlock()
-		}
-	}
-}
-
-// lockAll acquires every stripe (Crash, Save, whole-image operations).
-func (r *Region) lockAll() {
-	for i := range r.stripes {
-		r.stripes[i].mu.Lock()
-	}
-}
-
-// unlockAll releases every stripe.
-func (r *Region) unlockAll() {
-	for i := range r.stripes {
-		r.stripes[i].mu.Unlock()
-	}
-}
-
 // New creates a Region of the given size, zero-filled and fully durable.
 func New(size int, opts Options) (*Region, error) {
 	if size <= 0 {
@@ -214,10 +141,8 @@ func New(size int, opts Options) (*Region, error) {
 	}
 	if opts.Mode == ModeStrict {
 		r.durable = make([]byte, size)
-		for i := range r.stripes {
-			r.stripes[i].dirty = make(map[int]struct{})
-			r.stripes[i].pending = make(map[int]struct{})
-		}
+		r.dirty = make(map[int]struct{})
+		r.pending = make(map[int]struct{})
 	}
 	return r, nil
 }
@@ -254,7 +179,7 @@ func (r *Region) check(off, n int) error {
 }
 
 // mutate applies a volatile-view mutation. In strict mode the mutation
-// runs under the covering line stripes so it is ordered with a concurrent
+// runs under the line mutex so it is ordered with a concurrent
 // Fence persisting flushed lines out of the same bytes — two objects
 // smaller than a line can share one, so another transaction's fence may
 // read the line this one is writing; the dirty-line bookkeeping shares the
@@ -264,21 +189,16 @@ func (r *Region) mutate(off, n int, apply func()) {
 		apply()
 		return
 	}
-	mask := spanMask(off, n)
-	r.lockMask(&mask)
+	r.mu.Lock()
 	apply()
 	for line := off / LineSize; line <= (off+n-1)/LineSize; line++ {
-		s := &r.stripes[stripeOf(line)]
-		s.dirty[line] = struct{}{}
+		r.dirty[line] = struct{}{}
 		// A line can be re-dirtied after Flush but before Fence; the
 		// fence must not persist the new contents of a re-dirtied
 		// line as if it had been flushed.
-		if _, ok := s.pending[line]; ok {
-			delete(s.pending, line)
-			s.npend.Add(-1)
-		}
+		delete(r.pending, line)
 	}
-	r.unlockMask(&mask)
+	r.mu.Unlock()
 }
 
 func (r *Region) countWrite(n int) {
@@ -406,17 +326,14 @@ func (r *Region) Flush(off, n int) error {
 	r.flushes.Add(1)
 	r.linesFlushed.Add(uint64(nl))
 	if r.mode == ModeStrict && n > 0 {
-		mask := spanMask(off, n)
-		r.lockMask(&mask)
+		r.mu.Lock()
 		for line := off / LineSize; line <= (off+n-1)/LineSize; line++ {
-			s := &r.stripes[stripeOf(line)]
-			if _, ok := s.dirty[line]; ok {
-				delete(s.dirty, line)
-				s.pending[line] = struct{}{}
-				s.npend.Add(1)
+			if _, ok := r.dirty[line]; ok {
+				delete(r.dirty, line)
+				r.pending[line] = struct{}{}
 			}
 		}
-		r.unlockMask(&mask)
+		r.mu.Unlock()
 	}
 	if r.latency.FlushPerLine > 0 {
 		spin(time.Duration(nl) * r.latency.FlushPerLine)
@@ -426,32 +343,21 @@ func (r *Region) Flush(off, n int) error {
 }
 
 // Fence orders and completes all previously flushed lines, like SFENCE.
-// After Fence returns, every line flushed before the call is durable. The
-// drain proceeds stripe by stripe; a line concurrently re-dirtied after its
-// stripe is drained is simply not yet durable, the same outcome as if the
-// racing write had happened after the whole fence.
+// After Fence returns, every line flushed before the call is durable.
 func (r *Region) Fence() {
 	if h := r.fenceHook.Load(); h != nil {
 		(*h)()
 	}
 	r.fences.Add(1)
 	if r.mode == ModeStrict {
-		for i := range r.stripes {
-			s := &r.stripes[i]
-			// Lock-free skip: any flush that happened before this fence
-			// already published a nonzero npend; a racing flush is
-			// unordered with the fence either way.
-			if s.npend.Load() == 0 {
-				continue
-			}
-			s.mu.Lock()
-			for line := range s.pending {
+		r.mu.Lock()
+		if len(r.pending) > 0 {
+			for line := range r.pending {
 				r.persistLine(line)
-				delete(s.pending, line)
 			}
-			s.npend.Store(0)
-			s.mu.Unlock()
+			r.resetPending()
 		}
+		r.mu.Unlock()
 	}
 	if r.latency.Fence > 0 {
 		spin(r.latency.Fence)
@@ -470,8 +376,25 @@ func (r *Region) SetFenceHook(fn func()) {
 	r.fenceHook.Store(&fn)
 }
 
+// pendingKeep bounds the pending set a fence empties in place; a larger one
+// is replaced instead.
+const pendingKeep = 64
+
+// resetPending empties the pending set. A map keeps the capacity it grew
+// to, and ranging or clearing it costs that capacity, so a set that held
+// many lines (a Format persists its whole region) is replaced rather than
+// cleared: every later fence would otherwise walk all of its empty slots.
+// Caller holds mu.
+func (r *Region) resetPending() {
+	if len(r.pending) > pendingKeep {
+		r.pending = make(map[int]struct{})
+		return
+	}
+	clear(r.pending)
+}
+
 // persistLine copies one line from the volatile view to the durable image.
-// Caller holds the line's stripe mutex.
+// Caller holds mu.
 func (r *Region) persistLine(line int) {
 	start := line * LineSize
 	end := start + LineSize
@@ -514,22 +437,17 @@ func (r *Region) crash(keep func(line int) bool) error {
 	if r.mode != ModeStrict {
 		return ErrFastMode
 	}
-	// A crash is a whole-region event: take every stripe (ascending, the
-	// global order) so no write, flush or fence is in flight while the
-	// volatile view is rewound.
-	r.lockAll()
-	defer r.unlockAll()
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		for line := range s.pending {
-			if keep != nil && keep(line) {
-				r.persistLine(line)
-			}
-			delete(s.pending, line)
+	// Under mu no write, flush or fence is in flight while the volatile
+	// view is rewound.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for line := range r.pending {
+		if keep != nil && keep(line) {
+			r.persistLine(line)
 		}
-		s.npend.Store(0)
-		clear(s.dirty)
 	}
+	r.resetPending()
+	clear(r.dirty)
 	copy(r.mem, r.durable)
 	r.traceCrash(keep != nil)
 	return nil
@@ -548,9 +466,8 @@ func (r *Region) IsPersisted(off, n int) (bool, error) {
 	if n == 0 {
 		return true, nil
 	}
-	mask := spanMask(off, n)
-	r.lockMask(&mask)
-	defer r.unlockMask(&mask)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for i := off; i < off+n; i++ {
 		if r.mem[i] != r.durable[i] {
 			return false, nil

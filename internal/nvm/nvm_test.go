@@ -457,10 +457,9 @@ func TestPropertyPersistedWritesSurviveCrash(t *testing.T) {
 }
 
 // TestConcurrentPersistDisjointLines drives many goroutines through
-// Write+Persist on disjoint cache lines of a strict-mode region — the
-// pattern the striped line mutex exists for — then crashes: every persist
-// that returned must survive. Under -race this also proves disjoint-line
-// persists share no unsynchronized state.
+// Write+Persist on disjoint cache lines of a strict-mode region, then
+// crashes: every persist that returned must survive. Under -race this also
+// proves concurrent persists share no unsynchronized state.
 func TestConcurrentPersistDisjointLines(t *testing.T) {
 	const lines = 128
 	r := newStrict(t, lines*LineSize)
@@ -504,8 +503,8 @@ func TestConcurrentPersistDisjointLines(t *testing.T) {
 }
 
 // TestCrashDuringConcurrentPersists injects a crash while persists are in
-// flight. Crash takes every stripe in ascending order, so this must never
-// deadlock; afterwards each line holds either its persisted value or its
+// flight. Crash takes the line mutex, so this must never deadlock;
+// afterwards each line holds either its persisted value or its
 // pre-write state — never a torn mix within one persist that returned
 // before the crash.
 func TestCrashDuringConcurrentPersists(t *testing.T) {

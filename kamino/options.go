@@ -87,9 +87,9 @@ type Options struct {
 	LogDataBytesPerSlot int
 
 	// ApplierWorkers is the number of asynchronous backup-sync workers
-	// for Kamino modes, each with its own queue (committed transactions
-	// are routed by their first object's shard, preserving per-object
-	// copy-back order). Default GOMAXPROCS/2, minimum 1.
+	// for Kamino modes, each with its own queue (a committed transaction
+	// is routed by a hash of its smallest ObjID, so a hot object's
+	// copy-backs stay on one worker). Default GOMAXPROCS/2, minimum 1.
 	ApplierWorkers int
 
 	// Strict enables full crash-simulation fidelity on the underlying
