@@ -33,7 +33,8 @@ fmt:
 # the chain's debug state through all of it). The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
 # drain audit, whose request-admission-versus-wait ordering shows a race
-# only about one run in eight when it is wrong. internal/simtime is the wait
+# only about one run in eight when it is wrong, and the client's sends
+# racing its flusher and a Close. internal/simtime is the wait
 # every simulated latency goes through (its yield tests pin one processor),
 # and internal/transport the in-process hop that spends it. internal/kvstore
 # brings the strict two-writer preload that a power failure must not dent
@@ -42,7 +43,7 @@ fmt:
 # `make test`) skip themselves here: testing.AllocsPerRun counts the detector's own
 # allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
-	$(GO) test -race -count=20 -run TestDrainZeroLoss ./internal/server/
+	$(GO) test -race -count=20 -run 'TestDrainZeroLoss|TestClientConcurrentSendsAndClose' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 
@@ -53,16 +54,19 @@ race:
 doccheck:
 	$(GO) run ./tools/doccheck cmd internal kamino tools
 
-# fuzz-smoke runs two fuzzers for ten seconds each past their seed corpora
+# fuzz-smoke runs three fuzzers for ten seconds each past their seed corpora
 # (which every `go test` already runs): the ring-image fuzzer — pqueue.Attach
-# must answer any bytes with an error or a usable queue — and the heap's
+# must answer any bytes with an error or a usable queue — the heap's
 # rescan fuzzer, which power-fails inside heap calls, a carve's header
-# persist among them, and requires Rescan to find every committed block. The
+# persist among them, and requires Rescan to find every committed block, and
+# the KV wire fuzzer — both frame decoders must answer any bytes with an
+# error or a value that re-encodes to the same bytes. The
 # minimizer is capped because its default budget, a minute per new input,
 # would otherwise eat the run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzAttach -fuzztime=10s -fuzzminimizetime=1s ./internal/pqueue/
 	$(GO) test -run '^$$' -fuzz=FuzzRescan -fuzztime=10s -fuzzminimizetime=1s ./internal/heap/
+	$(GO) test -run '^$$' -fuzz=FuzzKVWire -fuzztime=10s -fuzzminimizetime=1s ./internal/transport/
 
 # benchmark-check vets and tests the gated benchmark, which is its own module
 # (benchmark/go.mod) and so is outside every ./... above: the code whose

@@ -65,13 +65,14 @@ const (
 	// latency breakdown (internal/server). They tile a request's server
 	// wall time; the names match transport.KVPhase.
 
-	// PhaseServeDecode is the gob decode of a request frame (includes
-	// connection idle time waiting for bytes).
+	// PhaseServeDecode is the read and binary decode of a request frame
+	// (includes connection idle time waiting for bytes).
 	PhaseServeDecode Phase = "decode"
 	// PhaseServeAdmission is decode-end to admission-token acquired.
 	PhaseServeAdmission Phase = "admission_wait"
 	// PhaseServeBatchWait is token-acquired to engine-transaction start
-	// (write-batcher queueing, or the read-your-writes barrier).
+	// (write-batcher queueing; for a read, the wait for the connection's
+	// response writer to reach it).
 	PhaseServeBatchWait Phase = "batch_wait"
 	// PhaseServeEngineTxn is the engine call executing the request.
 	PhaseServeEngineTxn Phase = "engine_txn"

@@ -19,6 +19,12 @@ import (
 // the echoed correlation id). Do is the one-shot convenience wrapper,
 // and Get/Put/Delete/Scan/Count wrap Do for synchronous callers.
 //
+// Requests share socket writes: Send encodes into the connection's buffer
+// and, when other calls are in flight, leaves the write to a flusher
+// goroutine, which sends whatever has accumulated by the time it runs — a
+// pipelined burst goes out in one write. A Send with nothing else in
+// flight writes at once, since no company is coming.
+//
 // Send/Do may be called from any goroutine; calls are serialized
 // internally.
 type Client struct {
@@ -26,14 +32,16 @@ type Client struct {
 	bw   *bufio.Writer
 	enc  *transport.KVEncoder
 
-	mu     sync.Mutex // guards enc, queue, nextID, err
+	mu     sync.Mutex // guards bw, enc, queue, nextID, err
 	queue  []*Call    // FIFO of in-flight calls, request order
 	nextID uint64
 	err    error // sticky transport failure
 
 	tracer *trace.Tracer // nil-safe; set before first Send
 
-	readerDone chan struct{}
+	kick        chan struct{} // wakes the flusher; one pending kick covers every Send before it runs
+	readerDone  chan struct{}
+	flusherDone chan struct{}
 }
 
 // clientTraceSeq mints client-side trace ids (top nibble 0xC marks the
@@ -82,12 +90,15 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	bw := bufio.NewWriter(conn)
 	c := &Client{
-		conn:       conn,
-		bw:         bw,
-		enc:        transport.NewKVEncoder(bw),
-		readerDone: make(chan struct{}),
+		conn:        conn,
+		bw:          bw,
+		enc:         transport.NewKVEncoder(bw),
+		kick:        make(chan struct{}, 1),
+		readerDone:  make(chan struct{}),
+		flusherDone: make(chan struct{}),
 	}
 	go c.readLoop()
+	go c.flushLoop()
 	return c
 }
 
@@ -139,6 +150,26 @@ func (c *Client) readLoop() {
 	}
 }
 
+// flushLoop writes what Sends have buffered, once per kick, until the
+// reader exits (the connection is closed or broken).
+func (c *Client) flushLoop() {
+	defer close(c.flusherDone)
+	for {
+		select {
+		case <-c.kick:
+		case <-c.readerDone:
+			return
+		}
+		c.mu.Lock()
+		err := c.bw.Flush()
+		c.mu.Unlock()
+		if err != nil {
+			c.failAll(err)
+			return
+		}
+	}
+}
+
 // failAll fails every in-flight call and poisons the client.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
@@ -172,13 +203,22 @@ func (c *Client) Send(req *transport.KVRequest) (*Call, error) {
 	call := &Call{Done: make(chan struct{}), id: req.ID, Trace: req.Trace, sentAt: time.Now()}
 	c.queue = append(c.queue, call)
 	err := c.enc.Request(req)
-	if err == nil {
+	switch {
+	case err != nil:
+	case len(c.queue) == 1: // nothing else in flight, so no company is coming
 		err = c.bw.Flush()
+	default:
+		select {
+		case c.kick <- struct{}{}:
+		default: // a kick is pending; its flush will carry this frame
+		}
 	}
 	if err != nil {
 		c.queue = c.queue[:len(c.queue)-1]
 		c.mu.Unlock()
-		c.failAll(err)
+		if !errors.Is(err, transport.ErrKVFrameTooLarge) { // nothing was written
+			c.failAll(err)
+		}
 		return nil, err
 	}
 	c.mu.Unlock()
@@ -246,5 +286,6 @@ func (c *Client) Count(tenant string) (int, error) {
 func (c *Client) Close() error {
 	err := c.conn.Close()
 	<-c.readerDone
+	<-c.flusherDone
 	return err
 }

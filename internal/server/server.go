@@ -1,7 +1,7 @@
 // Package server implements the network-facing KV service core behind
 // cmd/kaminod: a concurrent TCP server exposing the kvstore API (get, put,
-// delete, scan, count) over any kamino engine, speaking the gob-framed
-// request/response protocol of internal/transport's kvwire layer.
+// delete, scan, count) over any kamino engine, speaking the length-prefixed
+// binary request/response frames of internal/transport's kvwire layer.
 //
 // Design (one connection, front to back):
 //
@@ -12,16 +12,20 @@
 //   - admission is a server-wide token budget: a request that cannot get
 //     a token is SHED with an explicit busy error rather than queued, so
 //     overload degrades into fast failures, not latency collapse;
-//   - reads (get/scan/count) execute concurrently, each after the
-//     connection's latest preceding write completed (per-connection
-//     read-your-writes); writes flow into a single server-wide batcher
+//   - reads (get/scan/count) execute on the connection's response writer
+//     when it reaches them, so every earlier request on the connection
+//     has completed first (per-connection read-your-writes, by
+//     construction); reads on different connections run concurrently;
+//     writes flow into a single server-wide batcher
 //     that coalesces key-disjoint operations from ALL connections into
 //     one engine transaction per batch (one intent-log slot, one commit
 //     persist, one backup reconciliation), splitting in half on abort
 //     like the chain's hop batcher (PR 3) until single operations
 //     execute through the ordinary split-capable path;
 //   - the writer goroutine completes slots strictly in request order, so
-//     a client can pipeline arbitrarily and match responses positionally.
+//     a client can pipeline arbitrarily and match responses positionally;
+//     it flushes only when no further response is queued, so a burst of
+//     responses shares one socket write.
 //
 // Tenancy: every request names a tenant; the server maps it to a
 // kvstore.PrefixedStore over one shared root store (48-bit tenant-local
@@ -385,7 +389,7 @@ func (s *Server) Serve() error {
 //
 // The phase fields form the request's latency timeline. Each is written
 // by the single goroutine that owns the request at that stage (reader →
-// dispatcher → batcher/read goroutine → finish), and the response
+// dispatcher → batcher or response writer → finish), and the response
 // writer reads them only after <-done; every handoff is a channel send
 // or close, so the fields need no locks.
 type pending struct {
@@ -393,6 +397,12 @@ type pending struct {
 	done  chan struct{}
 	once  sync.Once
 	token bool // holds an admission token until finished
+
+	// readFrom marks an admitted read (get, scan, count): the response
+	// writer executes it against this tenant view when it reaches the
+	// slot. Set before the slot enters the order queue.
+	readFrom *kvstore.PrefixedStore
+	max      int // a scan's result bound
 
 	kind     transport.KVKind
 	tenant   string
@@ -489,6 +499,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		enc := transport.NewKVEncoder(bw)
 		for p := range order {
 			var err error
+			if p.readFrom != nil {
+				// Every earlier slot on the connection has completed, so
+				// the read sees the connection's earlier writes.
+				s.runRead(p)
+			}
 			select {
 			case <-p.done:
 			default:
@@ -501,7 +516,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.fillBreakdown(p, orderNs)
 			w0 := time.Now()
 			if err == nil {
-				err = enc.Response(&p.resp)
+				err = s.writeResponse(enc, p)
 			}
 			if err == nil && len(order) == 0 {
 				err = bw.Flush()
@@ -513,14 +528,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		bw.Flush()
 		conn.Close() // unblocks the reader if it outlives us
-		// Drain remaining slots so their finishers never block.
+		// Drain remaining slots so their finishers never block; a read
+		// nobody will execute now is failed, which returns its admission
+		// token and ends it for Drain.
 		for p := range order {
+			if p.readFrom != nil {
+				s.fail(p, transport.KVErrShutdown, errors.New("connection closed"))
+			}
 			<-p.done
 		}
 	}()
 
 	dec := transport.NewKVDecoder(bufio.NewReader(conn))
-	var lastWrite *pending // read-your-writes barrier, per connection
 	for {
 		var req transport.KVRequest
 		d0 := time.Now()
@@ -547,11 +566,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		req.Trace = p.trace
 		tr.SpanTrace(string(obs.PhaseServeDecode), p.trace, time.Duration(p.decodeNs))
 		p.resp.ID = req.ID
+		// The slot is fully classified before the writer can see it: a
+		// read it found unmarked would be waited on, never executed.
+		w := s.dispatch(&req, p)
 		order <- p // blocks when the window is full: TCP backpressure
 		if d := int64(len(order)); d > s.orderHW.Load() {
 			s.orderHW.Store(d) // monotonic high-water; lost races only under-report
 		}
-		lastWrite = s.dispatch(&req, p, lastWrite)
+		if w != nil {
+			s.writeCh <- w // buffered to MaxInflight: token holders never block
+		}
 	}
 	close(order)
 	wg.Wait()
@@ -576,6 +600,20 @@ func (s *Server) fillBreakdown(p *pending, orderNs int64) {
 	ns[transport.KVPhaseEngineTxn] = p.engineNs
 	ns[transport.KVPhaseOrderWait] = orderNs
 	p.resp.PhaseNs = ns
+}
+
+// writeResponse encodes p's response. A result too large for one frame (a
+// wide scan of large values) is answered with a bad-request status instead:
+// the encoder wrote none of it, so the stream stays intact.
+func (s *Server) writeResponse(enc *transport.KVEncoder, p *pending) error {
+	err := enc.Response(&p.resp)
+	if errors.Is(err, transport.ErrKVFrameTooLarge) {
+		r := &p.resp
+		*r = transport.KVResponse{ID: r.ID, Status: transport.KVErrBadRequest, Err: err.Error(),
+			Trace: r.Trace, PhaseNs: r.PhaseNs}
+		err = enc.Response(r)
+	}
+	return err
 }
 
 // completeReq closes out a request's accounting after its response hit
@@ -625,32 +663,35 @@ func (s *Server) completeReq(p *pending, orderNs, writeNs int64) {
 	})
 }
 
-// dispatch routes one decoded request. It returns the connection's new
-// read-your-writes barrier (the pending of its latest write).
-func (s *Server) dispatch(req *transport.KVRequest, p *pending, lastWrite *pending) *pending {
+// dispatch classifies one decoded request, before its slot enters the
+// order queue. A request it can answer now (ping, shed, rejected) is
+// finished here; an admitted read is marked for the response writer; an
+// admitted write is returned for the caller to hand to the batcher once
+// the slot is queued.
+func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 	if c, ok := s.cOps[req.Kind]; ok {
 		c.Inc()
 	}
 	if s.draining.Load() {
 		s.cRejected.Inc()
 		s.fail(p, transport.KVErrShutdown, errors.New("server draining"))
-		return lastWrite
+		return nil
 	}
 	if s.paused.Load() {
 		// Quiesce in progress: shed like overload — the client retries
 		// and finds the server back in a moment.
 		s.cShed.Inc()
 		s.fail(p, transport.KVErrBusy, errors.New("server quiescing"))
-		return lastWrite
+		return nil
 	}
 	if req.Kind == transport.KVPing {
 		s.finish(p, func(r *transport.KVResponse) { r.Status = transport.KVOK })
-		return lastWrite
+		return nil
 	}
 	ps, err := s.tenant(req.Tenant)
 	if err != nil {
 		s.fail(p, transport.KVErrBadRequest, err)
-		return lastWrite
+		return nil
 	}
 	// Admission: overload sheds instead of queueing.
 	select {
@@ -659,10 +700,10 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending, lastWrite *pendi
 	default:
 		s.cShed.Inc()
 		s.fail(p, transport.KVErrBusy, errors.New("admission queue full"))
-		return lastWrite
+		return nil
 	}
 	// admission_wait: decode end to token in hand (covers tenant
-	// resolution and any stall handing the slot to the order queue).
+	// resolution and the shed decision).
 	p.admitNs = time.Since(p.start).Nanoseconds()
 	s.tracer.Load().SpanTrace(string(obs.PhaseServeAdmission), p.trace, time.Duration(p.admitNs))
 	switch req.Kind {
@@ -670,44 +711,39 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending, lastWrite *pendi
 		if req.Kind == transport.KVPut && len(req.Value) > s.opts.MaxValueBytes {
 			s.fail(p, transport.KVErrBadRequest,
 				fmt.Errorf("value %d bytes exceeds limit %d", len(req.Value), s.opts.MaxValueBytes))
-			return lastWrite
+			return nil
 		}
 		gkey, err := ps.Global(req.Key)
 		if err != nil {
 			s.fail(p, transport.KVErrBadRequest, err)
-			return lastWrite
+			return nil
 		}
-		w := &wreq{p: p, key: gkey, value: req.Value, delete: req.Kind == transport.KVDelete}
-		s.writeCh <- w // buffered to MaxInflight: token holders never block
-		return p
+		return &wreq{p: p, key: gkey, value: req.Value, delete: req.Kind == transport.KVDelete}
 	case transport.KVGet, transport.KVScan, transport.KVCount:
-		barrier := lastWrite
-		go s.runRead(req, p, ps, barrier)
-		return lastWrite
+		p.readFrom, p.max = ps, req.Max
+		return nil
 	default:
 		s.fail(p, transport.KVErrBadRequest, fmt.Errorf("unknown request kind %d", req.Kind))
-		return lastWrite
+		return nil
 	}
 }
 
-// runRead executes a read after the connection's preceding write (if any)
-// has been acknowledged, so a connection reads its own writes.
-func (s *Server) runRead(req *transport.KVRequest, p *pending, ps *kvstore.PrefixedStore, barrier *pending) {
-	if barrier != nil {
-		<-barrier.done
-	}
-	// batch_wait for a read is its read-your-writes barrier wait.
+// runRead executes a read slot. The response writer calls it on reaching
+// the slot, when every earlier request on the connection has completed.
+func (s *Server) runRead(p *pending) {
+	// batch_wait for a read is the wait for the writer to reach it.
 	p.batchNs = time.Since(p.start).Nanoseconds() - p.admitNs
 	tr := s.tracer.Load()
 	tr.SpanTrace(string(obs.PhaseServeBatchWait), p.trace, time.Duration(p.batchNs))
+	ps := p.readFrom
 	e0 := time.Now()
 	var fill func(*transport.KVResponse)
 	var err error
-	switch req.Kind {
+	switch p.kind {
 	case transport.KVGet:
 		var v []byte
 		var ok bool
-		if v, ok, err = ps.Read(req.Key); err == nil {
+		if v, ok, err = ps.Read(p.key); err == nil {
 			fill = func(r *transport.KVResponse) {
 				r.Status = transport.KVOK
 				r.Found = ok
@@ -715,12 +751,12 @@ func (s *Server) runRead(req *transport.KVRequest, p *pending, ps *kvstore.Prefi
 			}
 		}
 	case transport.KVScan:
-		max := req.Max
+		max := p.max
 		if max <= 0 || max > 10_000 {
 			max = 10_000
 		}
 		var kvs []kvstore.KV
-		if kvs, err = ps.Scan(req.Key, max); err == nil {
+		if kvs, err = ps.Scan(p.key, max); err == nil {
 			fill = func(r *transport.KVResponse) {
 				r.Status = transport.KVOK
 				r.Keys = make([]uint64, len(kvs))

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,6 +277,182 @@ func TestWriterFlushesBeforeStalledSlot(t *testing.T) {
 	}
 	if _, err := ping.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingConn counts the writes made to a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestClientCoalescesSends: a pipelined burst shares socket writes, every
+// response still arrives, and a lone request is never left in the buffer.
+func TestClientCoalescesSends(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &countingConn{Conn: raw}
+	c := NewClient(conn)
+	t.Cleanup(func() { c.Close() })
+	if err := c.Put("", 1, []byte("v")); err != nil { // a lone Do
+		t.Fatal(err)
+	}
+	before := conn.writes.Load()
+	calls := make([]*Call, 64)
+	for i := range calls {
+		if calls[i], err = c.Send(&transport.KVRequest{Kind: transport.KVGet, Key: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, call := range calls {
+		if resp, err := call.Wait(); err != nil || !resp.Found {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	writes := conn.writes.Load() - before
+	t.Logf("64 pipelined sends took %d writes", writes)
+	if writes >= 64 {
+		t.Errorf("64 pipelined sends took %d writes, want fewer than 64", writes)
+	}
+	for i := 0; i < 3; i++ { // lone Dos after the burst: no flush is missed
+		if v, ok, err := c.Get("", 1); err != nil || !ok || string(v) != "v" {
+			t.Fatalf("Get after burst = %q %v %v", v, ok, err)
+		}
+	}
+}
+
+// TestClientConcurrentSendsAndClose: four goroutines send on one client
+// while it is closed under them. Every call that was sent ends, with its
+// response or with an error.
+func TestClientConcurrentSendsAndClose(t *testing.T) {
+	_, addr := startServer(t, Options{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const senders, perSender = 4, 200
+	calls := make(chan *Call, senders*perSender)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var last *Call
+			for i := 0; i < perSender; i++ {
+				if g == 0 && i == perSender/2 {
+					<-last.Done // some answers first, then the close
+					c.Close()
+				}
+				call, err := c.Send(&transport.KVRequest{Kind: transport.KVPut, Key: uint64(g*perSender + i), Value: []byte("v")})
+				if err != nil {
+					return // closed
+				}
+				calls <- call
+				last = call
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(calls)
+	var answered, failed int
+	for call := range calls {
+		select {
+		case <-call.Done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call never ended")
+		}
+		switch {
+		case call.Err != nil:
+			failed++
+		case call.Resp.Status == transport.KVOK:
+			answered++
+		default:
+			t.Errorf("call ended with status %v", call.Resp.Status)
+		}
+	}
+	t.Logf("%d answered, %d failed by the close", answered, failed)
+	if answered == 0 {
+		t.Error("no call was answered before the close")
+	}
+	if _, err := c.Send(&transport.KVRequest{Kind: transport.KVPing}); err == nil {
+		t.Error("Send after Close succeeded")
+	}
+}
+
+// TestQueuedReadsEndWhenConnectionDies: reads queued behind a stalled put
+// are executed by the response writer; when the connection dies first, the
+// writer's teardown must fail them, or their admission tokens, the drain's
+// wait and the connection's goroutines are never released. The first get's
+// response is larger than the writer's buffer, so its write reaches the
+// dead socket while the other gets are still queued.
+func TestQueuedReadsEndWhenConnectionDies(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	base := runtime.NumGoroutine()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("x"), 8<<10)
+	if err := c.Put("", 1, big); err != nil {
+		t.Fatal(err)
+	}
+	srv.writeMu.Lock() // stalls the batcher's next transaction
+	unlock := sync.OnceFunc(srv.writeMu.Unlock)
+	defer unlock()
+	calls := make([]*Call, 0, 9)
+	put, err := c.Send(&transport.KVRequest{Kind: transport.KVPut, Key: 2, Value: []byte("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls = append(calls, put)
+	for i := 0; i < 8; i++ {
+		get, err := c.Send(&transport.KVRequest{Kind: transport.KVGet, Key: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, get)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(srv.admit) < len(calls); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests admitted", len(srv.admit), len(calls))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.connMu.Lock()
+	for conn := range srv.conns {
+		conn.Close()
+	}
+	srv.connMu.Unlock()
+	c.Close()
+	for i, call := range calls {
+		select {
+		case <-call.Done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d never ended", i)
+		}
+	}
+	unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if n := len(srv.admit); n != 0 {
+		t.Errorf("%d admission tokens still held", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the connection", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 // nanoseconds. The fields tile the request's wall time (decode is the
 // wire read preceding it; see transport.KVPhase for the semantics).
 type PhaseBreakdown struct {
-	// DecodeNs is the gob decode of the request frame.
+	// DecodeNs is the read and binary decode of the request frame.
 	DecodeNs int64 `json:"decode_ns"`
 	// AdmissionNs is decode-end to admission-token acquired.
 	AdmissionNs int64 `json:"admission_wait_ns"`
-	// BatchWaitNs is token to engine-transaction start.
+	// BatchWaitNs is token to engine-transaction start (for a read, the
+	// wait for the response writer to reach it).
 	BatchWaitNs int64 `json:"batch_wait_ns"`
 	// EngineNs is the engine transaction (shared across a batch).
 	EngineNs int64 `json:"engine_txn_ns"`

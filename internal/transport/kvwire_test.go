@@ -2,74 +2,101 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
 	"testing"
+
+	"kaminotx/internal/race"
 )
 
-// oldKVRequest and oldKVResponse are the wire structs as they looked
-// before the Trace/Breakdown/PhaseNs fields: gob matches fields by name,
-// so these stand in for a peer built from the older protocol.
-type oldKVRequest struct {
-	ID     uint64
-	Kind   KVKind
-	Tenant string
-	Key    uint64
-	Value  []byte
-	Max    int
-}
-
-type oldKVResponse struct {
-	ID     uint64
-	Status KVStatus
-	Err    string
-	Found  bool
-	Value  []byte
-	Keys   []uint64
-	Values [][]byte
-	N      int
-}
-
-func TestKVWireRoundTrip(t *testing.T) {
+// roundTrip encodes a request and a response into one stream and decodes
+// them back.
+func roundTrip(t *testing.T, req *KVRequest, resp *KVResponse) (KVRequest, KVResponse) {
+	t.Helper()
 	var buf bytes.Buffer
-	enc := NewKVEncoder(&buf)
-	dec := NewKVDecoder(&buf)
-
-	want := &KVRequest{
-		ID: 7, Kind: KVPut, Tenant: "alpha", Key: 42,
-		Value: []byte("v"), Trace: 0xC<<60 | 3, Breakdown: true,
-	}
-	if err := enc.Request(want); err != nil {
+	enc, dec := NewKVEncoder(&buf), NewKVDecoder(&buf)
+	if err := enc.Request(req); err != nil {
 		t.Fatal(err)
 	}
-	var got KVRequest
-	if err := dec.Request(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != want.Trace || !got.Breakdown || got.Key != want.Key {
-		t.Fatalf("request round trip: got %+v want %+v", got, *want)
-	}
-
-	resp := &KVResponse{ID: 7, Status: KVOK, Trace: want.Trace,
-		PhaseNs: []int64{1, 2, 3, 4, 5, 0}}
 	if err := enc.Response(resp); err != nil {
 		t.Fatal(err)
 	}
+	var gotReq KVRequest
 	var gotResp KVResponse
+	if err := dec.Request(&gotReq); err != nil {
+		t.Fatal(err)
+	}
 	if err := dec.Response(&gotResp); err != nil {
 		t.Fatal(err)
 	}
-	if gotResp.Trace != resp.Trace || len(gotResp.PhaseNs) != int(KVPhaseCount) {
-		t.Fatalf("response round trip: got %+v", gotResp)
+	var past KVRequest
+	if err := dec.Request(&past); !errors.Is(err, io.EOF) {
+		t.Fatalf("stream end: %v, want io.EOF", err)
+	}
+	return gotReq, gotResp
+}
+
+// TestKVWireRoundTrip decodes every field as it was encoded, nil and empty
+// slices kept apart.
+func TestKVWireRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		req  KVRequest
+		resp KVResponse
+	}{
+		{
+			name: "every field",
+			req: KVRequest{ID: 1<<63 + 7, Kind: KVScan, Tenant: "alpha", Key: 1<<48 - 1,
+				Value: []byte("v"), Max: -3, Trace: 0xC<<60 | 3, Breakdown: true},
+			resp: KVResponse{ID: 1<<63 + 7, Status: KVErrInternal, Err: "boom", Found: true,
+				Value: []byte("val"), Keys: []uint64{0, 1 << 40}, Values: [][]byte{[]byte("a"), {}},
+				N: -1, Trace: 0x5<<60 | 1, PhaseNs: []int64{1, -2, 1 << 40, 4, 5, 0}},
+		},
+		{
+			name: "zero values",
+			req:  KVRequest{},
+			resp: KVResponse{},
+		},
+		{
+			name: "empty, not nil",
+			req:  KVRequest{Kind: KVPut, Value: []byte{}},
+			resp: KVResponse{Value: []byte{}, Keys: []uint64{}, Values: [][]byte{}, PhaseNs: []int64{}},
+		},
+		{
+			name: "found but empty get",
+			req:  KVRequest{ID: 2, Kind: KVGet, Key: 9},
+			resp: KVResponse{ID: 2, Found: true, Value: []byte{}},
+		},
+		{
+			name: "1 KiB put and its ack",
+			req:  KVRequest{ID: 3, Kind: KVPut, Key: 49_999, Value: bytes.Repeat([]byte{0xAB}, 1024)},
+			resp: KVResponse{ID: 3},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gotReq, gotResp := roundTrip(t, &tc.req, &tc.resp)
+			if !reflect.DeepEqual(gotReq, tc.req) {
+				t.Errorf("request: got %+v, want %+v", gotReq, tc.req)
+			}
+			if !reflect.DeepEqual(gotResp, tc.resp) {
+				t.Errorf("response: got %+v, want %+v", gotResp, tc.resp)
+			}
+		})
 	}
 }
 
 // TestKVWireUntracedStaysZero checks that an untraced round trip carries
-// no trace fields: gob omits zero fields, so the wire bytes are those of
-// the old protocol.
+// no trace fields, and no bytes for them.
 func TestKVWireUntracedStaysZero(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewKVEncoder(&buf).Request(&KVRequest{ID: 1, Kind: KVGet, Key: 9}); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() != 8 { // length, kind, flags, ID, Key
+		t.Fatalf("untraced get is %d bytes, want 8", buf.Len())
 	}
 	var got KVRequest
 	if err := NewKVDecoder(&buf).Request(&got); err != nil {
@@ -80,69 +107,155 @@ func TestKVWireUntracedStaysZero(t *testing.T) {
 	}
 }
 
-// TestKVWireOldClientNewServer sends the pre-trace request shape into the
-// current decoder: the new fields must simply read as zero.
-func TestKVWireOldClientNewServer(t *testing.T) {
+// TestKVWireGolden pins the frame layout the kvwire.go protocol comment
+// documents.
+func TestKVWireGolden(t *testing.T) {
 	var buf bytes.Buffer
-	old := gob.NewEncoder(&buf)
-	if err := old.Encode(&oldKVRequest{ID: 3, Kind: KVPut, Tenant: "t", Key: 5, Value: []byte("x")}); err != nil {
+	enc := NewKVEncoder(&buf)
+	if err := enc.Request(&KVRequest{ID: 1, Kind: KVPut, Key: 300, Value: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
-	var got KVRequest
-	if err := NewKVDecoder(&buf).Request(&got); err != nil {
-		t.Fatalf("new server rejected old request: %v", err)
+	put := []byte{
+		11, 0, 0, 0, // body length
+		2,          // kind: put
+		16,         // flags: value
+		1,          // ID
+		0xAC, 0x02, // Key 300
+		5, 'h', 'e', 'l', 'l', 'o', // value
 	}
-	if got.ID != 3 || got.Key != 5 || got.Trace != 0 || got.Breakdown {
-		t.Fatalf("old request decoded wrong: %+v", got)
+	if !bytes.Equal(buf.Bytes(), put) {
+		t.Errorf("put request\n got % x\nwant % x", buf.Bytes(), put)
 	}
-
-	// And the new server's traced response must decode on the old client,
-	// which skips the unknown Trace/PhaseNs fields.
 	buf.Reset()
-	if err := NewKVEncoder(&buf).Response(&KVResponse{
-		ID: 3, Status: KVOK, Found: true, Value: []byte("x"),
-		Trace: 0x5<<60 | 1, PhaseNs: []int64{1, 2, 3, 4, 5, 0},
-	}); err != nil {
+	if err := enc.Response(&KVResponse{ID: 1, Found: true, Value: []byte("hi"), Trace: 0x5<<60 | 2}); err != nil {
 		t.Fatal(err)
 	}
-	var oldResp oldKVResponse
-	if err := gob.NewDecoder(&buf).Decode(&oldResp); err != nil {
-		t.Fatalf("old client rejected new response: %v", err)
+	get := []byte{
+		14, 0, 0, 0, // body length
+		0,           // status: ok
+		1 | 4 | 8,   // flags: found, value, trace
+		1,           // ID
+		2, 'h', 'i', // value
+		2, 0, 0, 0, 0, 0, 0, 0x50, // trace, little-endian
 	}
-	if oldResp.ID != 3 || !oldResp.Found || string(oldResp.Value) != "x" {
-		t.Fatalf("new response decoded wrong on old client: %+v", oldResp)
+	if !bytes.Equal(buf.Bytes(), get) {
+		t.Errorf("get response\n got % x\nwant % x", buf.Bytes(), get)
 	}
 }
 
-// TestKVWireNewClientOldServer runs the reverse direction: a traced
-// request decodes on the old server shape (unknown fields skipped), and
-// the old server's response reads back with zero trace fields.
-func TestKVWireNewClientOldServer(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewKVEncoder(&buf).Request(&KVRequest{
-		ID: 4, Kind: KVGet, Key: 6, Trace: 0xC<<60 | 9, Breakdown: true,
-	}); err != nil {
-		t.Fatal(err)
+// TestKVWireRejects covers the frames a decoder must refuse: a length
+// prefix over the cap (before reading or allocating its body), a truncated
+// body, and bodies that are not the one encoding of their value.
+func TestKVWireRejects(t *testing.T) {
+	var huge [4]byte
+	binary.LittleEndian.PutUint32(huge[:], MaxKVFrame+1)
+	var req KVRequest
+	if err := NewKVDecoder(bytes.NewReader(huge[:])).Request(&req); !errors.Is(err, ErrKVFrameTooLarge) {
+		t.Errorf("oversized length prefix: %v, want ErrKVFrameTooLarge", err)
 	}
-	var oldReq oldKVRequest
-	if err := gob.NewDecoder(&buf).Decode(&oldReq); err != nil {
-		t.Fatalf("old server rejected traced request: %v", err)
+	if err := NewKVDecoder(bytes.NewReader([]byte{9, 0, 0, 0, 1})).Request(&req); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated body: %v, want io.ErrUnexpectedEOF", err)
 	}
-	if oldReq.ID != 4 || oldReq.Key != 6 {
-		t.Fatalf("traced request decoded wrong on old server: %+v", oldReq)
+	for name, body := range map[string][]byte{
+		"overlong varint":      {1, 0, 0x81, 0x00, 0},
+		"unknown flag":         {1, 0x80, 1, 0},
+		"trailing byte":        {1, 0, 1, 0, 0},
+		"empty tenant flagged": {1, reqTenant, 1, 0, 0},
+		"zero trace flagged":   {1, reqTrace, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"value past the end":   {2, reqValue, 1, 0, 5, 'a'},
+	} {
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		if err := NewKVDecoder(bytes.NewReader(append(frame, body...))).Request(&req); !errors.Is(err, errKVMalformed) {
+			t.Errorf("%s: %v, want a malformed-frame error", name, err)
+		}
 	}
+	if err := NewKVEncoder(io.Discard).Response(&KVResponse{Keys: []uint64{1}}); err == nil {
+		t.Error("scan response with keys but no values encoded")
+	}
+}
 
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&oldKVResponse{ID: 4, Status: KVOK, Found: true}); err != nil {
-		t.Fatal(err)
+// TestKVWireAllocs pins what one 1 KiB put and its ack cost the codec: the
+// server's copy of the value, and nothing else once the buffers are warm.
+func TestKVWireAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
 	}
-	var got KVResponse
-	if err := NewKVDecoder(&buf).Response(&got); err != nil {
-		t.Fatalf("new client rejected old response: %v", err)
+	var buf bytes.Buffer
+	enc, dec := NewKVEncoder(&buf), NewKVDecoder(&buf)
+	put := &KVRequest{Kind: KVPut, Key: 12_345, Value: make([]byte, 1024)}
+	ack := &KVResponse{Status: KVOK}
+	var gotReq KVRequest
+	var gotResp KVResponse
+	allocs := testing.AllocsPerRun(1000, func() {
+		put.ID++
+		ack.ID = put.ID
+		if enc.Request(put) != nil || dec.Request(&gotReq) != nil ||
+			enc.Response(ack) != nil || dec.Response(&gotResp) != nil {
+			t.Fatal("round trip failed")
+		}
+	})
+	t.Logf("%.1f allocations per put round trip", allocs)
+	if allocs > 2 {
+		t.Errorf("%.1f allocations per put round trip, want at most 2", allocs)
 	}
-	if got.Trace != 0 || got.PhaseNs != nil {
-		t.Fatalf("old response grew trace fields: %+v", got)
+}
+
+// FuzzKVWire feeds arbitrary bytes to both decoders. Each must answer with
+// an error or a value, never panic, and any frame that decodes must
+// re-encode to exactly the bytes it came from.
+func FuzzKVWire(f *testing.F) {
+	frames := func(reqs []KVRequest, resps []KVResponse) []byte {
+		var buf bytes.Buffer
+		enc := NewKVEncoder(&buf)
+		for i := range reqs {
+			if err := enc.Request(&reqs[i]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		for i := range resps {
+			if err := enc.Response(&resps[i]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return buf.Bytes()
 	}
+	f.Add(frames([]KVRequest{{ID: 1, Kind: KVPut, Tenant: "t", Key: 7, Value: []byte("value"), Trace: 0xC<<60 | 1, Breakdown: true}}, nil))
+	f.Add(frames([]KVRequest{{ID: 2, Kind: KVGet, Key: 1 << 40}}, nil))
+	f.Add(frames([]KVRequest{{ID: 3, Kind: KVScan, Key: 5, Max: 100}}, nil))
+	f.Add(frames(nil, []KVResponse{{ID: 1, Status: KVOK, Trace: 0x5<<60 | 1, PhaseNs: []int64{1, 2, 3, 4, 5, 0}}}))
+	f.Add(frames(nil, []KVResponse{{ID: 2, Found: true, Value: []byte("v")}}))
+	f.Add(frames(nil, []KVResponse{{ID: 3, Keys: []uint64{5, 6}, Values: [][]byte{[]byte("a"), []byte("bc")}}}))
+	f.Add(frames(nil, []KVResponse{{ID: 4, Status: KVErrBusy, Err: "admission queue full", N: 3}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var frame []byte
+		if len(data) >= 4 {
+			n := binary.LittleEndian.Uint32(data)
+			if uint64(len(data)) >= 4+uint64(n) {
+				frame = data[:4+n]
+			}
+		}
+		check := func(err error, encode func(*KVEncoder) error) {
+			if err != nil {
+				if len(data) >= 4 && binary.LittleEndian.Uint32(data) > MaxKVFrame && !errors.Is(err, ErrKVFrameTooLarge) {
+					t.Fatalf("oversized length prefix answered %v", err)
+				}
+				return
+			}
+			var buf bytes.Buffer
+			if err := encode(NewKVEncoder(&buf)); err != nil {
+				t.Fatalf("decoded frame does not re-encode: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), frame) {
+				t.Fatalf("re-encoded frame differs\n got % x\nwant % x", buf.Bytes(), frame)
+			}
+		}
+		var req KVRequest
+		err := NewKVDecoder(bytes.NewReader(data)).Request(&req)
+		check(err, func(e *KVEncoder) error { return e.Request(&req) })
+		var resp KVResponse
+		err = NewKVDecoder(bytes.NewReader(data)).Response(&resp)
+		check(err, func(e *KVEncoder) error { return e.Response(&resp) })
+	})
 }
 
 func TestKVPhaseNames(t *testing.T) {
