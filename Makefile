@@ -29,8 +29,9 @@ fmt:
 # packages ride along: their view-change and watcher tests only catch the
 # historical races under the detector, and ./kamino/... brings the chaos
 # schedule (kamino/chain/chaos_test.go: kills, rejoins and a head reboot
-# under six clients, online auditor attached, the stall watchdog sampling
-# the chain's debug state through all of it). The server package covers the
+# under six clients, online auditor attached, a sampler goroutine reading
+# the chain's debug state, queue stats and registries through all of it).
+# The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
 # drain audit, whose request-admission-versus-wait ordering shows a race
 # only about one run in eight when it is wrong, and the client's sends
@@ -101,20 +102,21 @@ bench-gate:
 	-bash benchmark/run.sh -compare benchmark/baseline/seed1-a.json benchmark/out/result.json
 
 # serve-smoke exercises the network service end to end with real
-# processes: kaminod serves a file-backed store with tracing and the
-# slow-request ring armed, kaminoload preloads and drives a short
-# open-loop sweep with per-phase breakdowns, /debug/requests must answer
-# with valid JSON holding at least one captured request, /metrics — the one
-# rendering of the registries — must answer Prometheus text carrying both
-# the server registry's and the engine registry's series while / answers
-# 404, then SIGTERM drains the server — the target fails unless kaminod
-# exits 0 (clean drain + checkpoint) and the Chrome trace export parses.
+# processes: kaminod serves a file-backed store with tracing on,
+# kaminoload preloads and drives a short open-loop sweep with per-phase
+# breakdowns, /debug/requests must answer with valid JSON holding at least
+# one captured request, /metrics — the one rendering of the registries —
+# must answer Prometheus text carrying both the server registry's and the
+# engine registry's series and the slow ring's floor gauge (what a
+# slow-request alert keys on) while / answers 404, then SIGTERM drains the
+# server — the target fails unless kaminod exits 0 (clean drain +
+# checkpoint) and the Chrome trace export parses.
 serve-smoke: build
 	rm -rf out/serve && mkdir -p out/serve
 	$(GO) build -o out/serve/kaminod ./cmd/kaminod
 	$(GO) build -o out/serve/kaminoload ./cmd/kaminoload
 	./out/serve/kaminod -dir out/serve/db -addr 127.0.0.1:17070 -metrics-addr 127.0.0.1:17071 \
-		-trace-out out/serve/trace.json -slow-requests 32 -slow-threshold 250ms & \
+		-trace-out out/serve/trace.json -slow-requests 32 & \
 	KPID=$$!; \
 	sleep 1; \
 	./out/serve/kaminoload -addr 127.0.0.1:17070 -preload -keys 2000 -value 256 \
@@ -127,6 +129,8 @@ serve-smoke: build
 		grep -q '^kaminotx_[a-z_]*{registry="server"} [1-9]' out/serve/metrics.txt && \
 		grep -q '^kaminotx_commits_total{registry="kamino"} [1-9]' out/serve/metrics.txt || \
 		{ echo "serve-smoke: /metrics lacks the server or the engine registry's series"; kill $$KPID; exit 1; }; \
+	grep -q '^kaminotx_slow_ring_floor_ns{registry="server"} ' out/serve/metrics.txt || \
+		{ echo "serve-smoke: /metrics lacks the slow ring's floor gauge"; kill $$KPID; exit 1; }; \
 	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17071/)" = 404 || \
 		{ echo "serve-smoke: / must answer 404 (/metrics is the one rendering)"; kill $$KPID; exit 1; }; \
 	kill -TERM $$KPID; \

@@ -48,8 +48,8 @@ type flags struct {
 
 	heap, appliers, window, maxInflight, batchOps, maxValue, traceBuf, slowN int
 
-	autoTenant            bool
-	drainWait, slowThresh time.Duration
+	autoTenant bool
+	drainWait  time.Duration
 }
 
 // defineFlags registers every kaminod flag on fs.
@@ -72,7 +72,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.traceOut, "trace-out", "", "write a Chrome trace_event export of request+engine spans here on shutdown ('' = tracing off)")
 	fs.IntVar(&f.traceBuf, "trace-buf", 1<<18, "trace recorder ring capacity (events)")
 	fs.IntVar(&f.slowN, "slow-requests", 32, "slow-request ring size served at /debug/requests")
-	fs.DurationVar(&f.slowThresh, "slow-threshold", 0, "wall-time threshold arming the slow-request watchdog alarm (0 = off)")
 	return f
 }
 
@@ -176,10 +175,6 @@ func main() {
 		Obs:           srvReg,
 		Trace:         rec,
 		SlowN:         f.slowN,
-		SlowThreshold: f.slowThresh,
-		OnSlowAlarm: func(a obs.Alarm) {
-			logf("slow request alarm: %s", a.Detail)
-		},
 	})
 	if err != nil {
 		ln.Close()

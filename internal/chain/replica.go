@@ -477,14 +477,9 @@ func (r *Replica) DebugInfo() DebugInfo {
 	}
 }
 
-// DebugState renders DebugInfo as one line — the chaos schedule prints it
-// for every replica when client progress wedges, so a leaked admission
-// lock names its owner instead of hanging the run.
-func (r *Replica) DebugState() string { return r.DebugInfo().String() }
-
 // QueueUsage samples the ring's two ranges (pending input, in-flight) and
-// the capacity they share; the chaos schedule's high-water probe reads it
-// to show acknowledged-prefix truncation keeps the ring bounded. It reads
+// the capacity they share; the chaos schedule reads it to show
+// acknowledged-prefix truncation empties the ring once the load stops. It reads
 // the ring's volatile cursors only, never its region, so it needs no
 // ordering against a reboot beyond getRing's.
 func (r *Replica) QueueUsage() (input, inflight pqueue.Usage, capacity uint64) {

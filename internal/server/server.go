@@ -116,16 +116,6 @@ type Options struct {
 	// older entries are evicted at snapshot/insert time so the ring
 	// shows recent tail behaviour, not startup artifacts. Default 10m.
 	SlowWindow time.Duration
-
-	// SlowThreshold, when positive, arms a watchdog probe: the first
-	// request whose server wall time exceeds it raises a latched alarm
-	// (the obs watchdog's first-incident convention) carrying the slow
-	// ring's worst record, delivered to OnSlowAlarm.
-	SlowThreshold time.Duration
-
-	// OnSlowAlarm receives the slow-request alarm. Called from the
-	// watchdog tick goroutine.
-	OnSlowAlarm func(obs.Alarm)
 }
 
 func (o Options) withDefaults() Options {
@@ -201,7 +191,6 @@ type Server struct {
 	cBatches  *obs.Counter
 	cBatchOps *obs.Counter
 	cSplits   *obs.Counter
-	cSlow     *obs.Counter
 	orderHW   atomic.Int64 // high-water of any connection's order-queue depth
 
 	// request-phase attribution (always on; nanosecond timestamps are
@@ -216,7 +205,6 @@ type Server struct {
 	traceSeq atomic.Uint64
 
 	slow *SlowLog
-	wd   *obs.Watchdog
 }
 
 // maxTenantTimers bounds per-tenant wall-time label cardinality in the
@@ -257,11 +245,6 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 		}
 	}
 	s.initObs()
-	if opts.SlowThreshold > 0 {
-		s.wd = obs.NewWatchdog(time.Second, opts.OnSlowAlarm)
-		s.wd.Add(s.slowProbe(opts.SlowThreshold))
-		s.wd.Start()
-	}
 	s.batchWG.Add(1)
 	go s.batcher()
 	return s, nil
@@ -275,13 +258,6 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 // Slow returns the slow-request ring (serve it at /debug/requests via
 // SlowLog.Handler).
 func (s *Server) Slow() *SlowLog { return s.slow }
-
-// slowProbe adapts the slow ring to the watchdog Probe contract: it
-// fires (once, latched) when any request's wall time has exceeded the
-// threshold, carrying the worst record seen.
-func (s *Server) slowProbe(threshold time.Duration) obs.Probe {
-	return &slowRequestProbe{log: s.slow, thresholdNs: threshold.Nanoseconds()}
-}
 
 // initObs registers the server's counters and gauges.
 func (s *Server) initObs() {
@@ -299,7 +275,6 @@ func (s *Server) initObs() {
 	s.cBatches = reg.Counter("batches")
 	s.cBatchOps = reg.Counter("batched_ops")
 	s.cSplits = reg.Counter("batch_splits")
-	s.cSlow = reg.Counter("slow_requests")
 	reg.Gauge("connections", func() uint64 { return uint64(s.nConns.Load()) })
 	reg.Gauge("admitted_inflight", func() uint64 { return uint64(len(s.admit)) })
 	reg.Gauge("write_queue_depth", func() uint64 { return uint64(len(s.writeCh)) })
@@ -621,9 +596,6 @@ func (s *Server) writeResponse(enc *transport.KVEncoder, p *pending) error {
 // order_wait/resp_write trace spans.
 func (s *Server) completeReq(p *pending, orderNs, writeNs int64) {
 	wallNs := p.decodeNs + time.Since(p.start).Nanoseconds()
-	if th := s.opts.SlowThreshold; th > 0 && wallNs > th.Nanoseconds() {
-		s.cSlow.Inc()
-	}
 	s.pPhase[transport.KVPhaseDecode].Observe(time.Duration(p.decodeNs))
 	s.pPhase[transport.KVPhaseAdmissionWait].Observe(time.Duration(p.admitNs))
 	s.pPhase[transport.KVPhaseBatchWait].Observe(time.Duration(p.batchNs))
@@ -892,10 +864,6 @@ func (s *Server) Close() {
 	s.ln.Close()
 	close(s.stop)
 	s.batchWG.Wait()
-	if s.wd != nil {
-		s.wd.Tick() // capture a pending slow-request incident before stopping
-		s.wd.Stop()
-	}
 	s.connMu.Lock()
 	for conn := range s.conns {
 		conn.Close()

@@ -2,14 +2,11 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"kaminotx/internal/obs"
 )
 
 // PhaseBreakdown is one request's server-side latency split in
@@ -60,7 +57,7 @@ type SlowRecord struct {
 
 // SlowLog is a bounded ring of the N slowest recent requests, kept
 // sorted slowest-first. Insert is called for every completed request;
-// the fast path is one atomic load when the request is faster than the
+// the fast path is two atomic loads when the request is faster than the
 // slowest-N floor, so keeping it always-on costs nothing at steady
 // state. Records older than the window are evicted lazily so the ring
 // reflects recent tail behaviour rather than startup artifacts.
@@ -68,6 +65,9 @@ type SlowLog struct {
 	capacity int
 	window   time.Duration
 	floor    atomic.Int64 // min WallNs that can enter a full ring
+	// floorUntil is when the oldest retained record leaves the window
+	// (Unix ns): from then on the ring has room and the floor is void.
+	floorUntil atomic.Int64
 
 	mu   sync.Mutex
 	recs []SlowRecord // sorted by WallNs descending
@@ -86,12 +86,21 @@ func NewSlowLog(capacity int, window time.Duration) *SlowLog {
 }
 
 // Floor returns the wall time a request must exceed to enter the ring
-// right now (0 while the ring has room).
-func (l *SlowLog) Floor() int64 { return l.floor.Load() }
+// right now (0 while the ring has room, including once a retained record
+// has aged out of the window).
+func (l *SlowLog) Floor() int64 {
+	floor := l.floor.Load()
+	if time.Now().UnixNano() >= l.floorUntil.Load() {
+		return 0
+	}
+	return floor
+}
 
-// Insert offers one completed request to the ring.
+// Insert offers one completed request to the ring. The request's own
+// start time stands in for the clock: a request that started after the
+// oldest record expired always takes the locked path, which evicts.
 func (l *SlowLog) Insert(r SlowRecord) {
-	if r.WallNs <= l.floor.Load() {
+	if r.WallNs <= l.floor.Load() && r.Start.UnixNano() < l.floorUntil.Load() {
 		return // faster than everything retained, and the ring is full
 	}
 	l.mu.Lock()
@@ -125,6 +134,13 @@ func (l *SlowLog) setFloorLocked() {
 		l.floor.Store(0)
 		return
 	}
+	oldest := l.recs[0].Start
+	for _, r := range l.recs[1:] {
+		if r.Start.Before(oldest) {
+			oldest = r.Start
+		}
+	}
+	l.floorUntil.Store(oldest.Add(l.window).UnixNano())
 	l.floor.Store(l.recs[len(l.recs)-1].WallNs)
 }
 
@@ -160,30 +176,3 @@ func (l *SlowLog) Handler() http.Handler {
 		})
 	})
 }
-
-// slowRequestProbe is the watchdog probe behind Options.SlowThreshold:
-// it fires (once; watchdog alarms latch) when the ring's worst recent
-// record exceeds the threshold, and its detail is the record itself.
-type slowRequestProbe struct {
-	log         *SlowLog
-	thresholdNs int64
-}
-
-// Name identifies the probe in alarms.
-func (p *slowRequestProbe) Name() string { return "slow_request" }
-
-// Check fires when the slowest retained request exceeds the threshold.
-func (p *slowRequestProbe) Check() (string, bool) {
-	recs := p.log.Snapshot()
-	if len(recs) == 0 || recs[0].WallNs <= p.thresholdNs {
-		return "", false
-	}
-	detail, err := json.Marshal(recs[0])
-	if err != nil {
-		return fmt.Sprintf("slow request: wall %dns (threshold %dns)", recs[0].WallNs, p.thresholdNs), true
-	}
-	return fmt.Sprintf("request exceeded %s: %s", time.Duration(p.thresholdNs), detail), true
-}
-
-// interface check
-var _ obs.Probe = (*slowRequestProbe)(nil)

@@ -37,6 +37,26 @@ func TestSlowLogWindowEviction(t *testing.T) {
 	}
 }
 
+// TestSlowLogStaleFloor fills the ring, lets every record age out, and
+// requires the floor to lapse with them: Floor reads 0 without a
+// Snapshot, and a request faster than the expired floor enters the ring.
+func TestSlowLogStaleFloor(t *testing.T) {
+	l := NewSlowLog(2, 50*time.Millisecond)
+	l.Insert(SlowRecord{Trace: 1, WallNs: 1000, Start: time.Now()})
+	l.Insert(SlowRecord{Trace: 2, WallNs: 900, Start: time.Now()})
+	if l.Floor() != 900 {
+		t.Fatalf("floor of a full ring = %d, want 900", l.Floor())
+	}
+	time.Sleep(100 * time.Millisecond)
+	if f := l.Floor(); f != 0 {
+		t.Errorf("floor = %d after every record aged out, want 0", f)
+	}
+	l.Insert(SlowRecord{Trace: 3, WallNs: 10, Start: time.Now()})
+	if recs := l.Snapshot(); len(recs) != 1 || recs[0].Trace != 3 {
+		t.Fatalf("ring = %+v, want only the current 10 ns request", recs)
+	}
+}
+
 // TestSlowLogConcurrent hammers the ring from many goroutines while
 // snapshots and the HTTP handler read it — the -race pass for the
 // always-on insert path.

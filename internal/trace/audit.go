@@ -18,14 +18,14 @@
 // recovery runs before tracers are re-attached, so its repairs are not
 // in the stream).
 //
-// The same per-engine state machine (auditState.step) backs two
-// consumers: the post-hoc Audit/AuditAll below, and the incremental
-// OnlineAuditor (online.go) that checks events as they are recorded.
+// One router, the OnlineAuditor's (online.go), maps events to each
+// engine's state machine (auditState.step): attached to a recorder it
+// checks events as they are emitted, and AuditAll below feeds it a
+// recorded slice.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -55,40 +55,40 @@ func (v Violation) String() string {
 	return fmt.Sprintf("seq=%d %s actor=%s tx=%d obj=%d: %s", v.Seq, v.Rule, v.Actor, v.TxID, v.Obj, v.Msg)
 }
 
-// Policy selects which invariants apply to an engine actor. The nolog
+// policy selects which invariants apply to an engine actor. The nolog
 // baseline is deliberately unsafe and checks nothing; undo, cow and
 // in-place engines log intents but keep no backup; only the kamino
 // engines promise an asynchronously reconciled copy.
-type Policy struct {
-	// Actor is the engine instance label ("kamino#1"). Its region
+type policy struct {
+	// actor is the engine instance label ("kamino#1"). Its region
 	// actors are derived by suffix ("kamino#1/log" etc).
-	Actor string
-	// RequireIntent enables rules 1 (intent durable before store) and
+	actor string
+	// requireIntent enables rule 1 (intent durable before store) and
 	// the intent-precedes-store check.
-	RequireIntent bool
-	// RequireBackup enables rules 2 and 3 (consistent copy /
+	requireIntent bool
+	// requireBackup enables rules 2 and 3 (consistent copy /
 	// dependent stall).
-	RequireBackup bool
+	requireBackup bool
 }
 
 // checksAnything reports whether the policy enables at least one rule
-// (the online auditor skips actors that check nothing).
-func (p Policy) checksAnything() bool { return p.RequireIntent || p.RequireBackup }
+// (the router skips actors that check nothing).
+func (p policy) checksAnything() bool { return p.requireIntent || p.requireBackup }
 
-// PolicyFor derives the invariant set from an actor label minted by the
+// policyFor derives the invariant set from an actor label minted by the
 // pool ("<engine-name>#<n>").
-func PolicyFor(actor string) Policy {
+func policyFor(actor string) policy {
 	name := actor
 	if i := strings.IndexByte(name, '#'); i >= 0 {
 		name = name[:i]
 	}
-	p := Policy{Actor: actor}
+	p := policy{actor: actor}
 	switch name {
 	case "kamino", "kamino-dynamic":
-		p.RequireIntent = true
-		p.RequireBackup = true
+		p.requireIntent = true
+		p.requireBackup = true
 	case "undo", "cow", "inplace":
-		p.RequireIntent = true
+		p.requireIntent = true
 	}
 	return p
 }
@@ -108,7 +108,7 @@ const (
 // log region and nothing else — and per-transaction state retires at
 // commit/abort, so memory stays bounded for long online runs.
 type auditState struct {
-	p         Policy
+	p         policy
 	logRegion string
 	// logLines — persistence of the last store per log-region line,
 	// indexed by line number (grown on demand; out-of-range lines are
@@ -131,16 +131,16 @@ type auditState struct {
 	dirtyBy map[uint64]uint64
 	// fresh[obj] — allocated this epoch and not yet backed up: its
 	// alloc intent is the consistent copy, so rules 2/3 are satisfied
-	// without a BackupSync. Tracked only under RequireBackup policies
+	// without a BackupSync. Tracked only under requireBackup policies
 	// (nothing queries it otherwise, and unbounded growth would defeat
 	// the online auditor's memory bound).
 	fresh map[uint64]bool
 }
 
-func newAuditState(p Policy) *auditState {
+func newAuditState(p policy) *auditState {
 	return &auditState{
 		p:         p,
-		logRegion: p.Actor + "/log",
+		logRegion: p.actor + "/log",
 		known:     map[uint64]bool{},
 		intents:   map[uint64]map[uint64]bool{},
 		dirtyBy:   map[uint64]uint64{},
@@ -242,10 +242,10 @@ func (s *auditState) step(e *Event, add func(e *Event, rule, msg string)) {
 			s.intents[e.TxID] = m
 		}
 		m[e.Obj] = true
-		if e.Phase == "alloc" && s.p.RequireBackup {
+		if e.Phase == "alloc" && s.p.requireBackup {
 			s.fresh[e.Obj] = true
 		}
-		if s.p.RequireIntent {
+		if s.p.requireIntent {
 			if ok, line := s.rangeDurable(e.Off, e.Len); !ok {
 				add(e, "intent-not-durable", fmt.Sprintf(
 					"intent entry [%d,+%d) reported durable but log line %d was never fenced", e.Off, e.Len, line))
@@ -255,11 +255,11 @@ func (s *auditState) step(e *Event, add func(e *Event, rule, msg string)) {
 		if !s.known[e.TxID] {
 			return
 		}
-		if s.p.RequireIntent && !s.intents[e.TxID][e.Obj] {
+		if s.p.requireIntent && !s.intents[e.TxID][e.Obj] {
 			add(e, "store-without-intent",
 				"in-place heap store before any durable intent entry for the object")
 		}
-		if s.p.RequireBackup {
+		if s.p.requireBackup {
 			if by := s.dirtyBy[e.Obj]; by != 0 && by != e.TxID && !s.fresh[e.Obj] {
 				add(e, "store-without-copy", fmt.Sprintf(
 					"in-place store while the backup still lags tx %d's modification — no consistent copy exists", by))
@@ -267,7 +267,7 @@ func (s *auditState) step(e *Event, add func(e *Event, rule, msg string)) {
 			s.dirtyBy[e.Obj] = e.TxID
 		}
 	case KindLockAcquire:
-		if s.p.RequireBackup && s.known[e.TxID] {
+		if s.p.requireBackup && s.known[e.TxID] {
 			if by := s.dirtyBy[e.Obj]; by != 0 && by != e.TxID && !s.fresh[e.Obj] {
 				add(e, "dependent-not-blocked", fmt.Sprintf(
 					"lock granted while tx %d's modification is not yet reconciled to the backup", by))
@@ -287,53 +287,15 @@ func (s *auditState) step(e *Event, add func(e *Event, rule, msg string)) {
 	}
 }
 
-// Audit replays events against one engine's policy and returns every
-// violation found. Events of other actors are ignored; device events are
-// matched by the "<actor>/<region>" label convention.
-func Audit(events []Event, p Policy) []Violation {
-	s := newAuditState(p)
-	var out []Violation
-	add := func(e *Event, rule, msg string) {
-		out = append(out, Violation{Seq: e.Seq, Rule: rule, Actor: p.Actor, TxID: e.TxID, Obj: e.Obj, Msg: msg})
-	}
-	for i := range events {
-		e := &events[i]
-		if e.Actor != p.Actor && !strings.HasPrefix(e.Actor, p.Actor+"/") {
-			continue
-		}
-		s.step(e, add)
-	}
-	return out
-}
-
-// Actors lists the engine actors present in the stream (actors that
-// emitted transaction lifecycle events), sorted.
-func Actors(events []Event) []string {
-	seen := map[string]bool{}
-	for _, e := range events {
-		switch e.Kind {
-		case KindTxBegin, KindLockAcquire, KindIntentAppend, KindInPlaceWrite,
-			KindCommitMarker, KindBackupSync, KindAbort, KindRollback:
-			seen[e.Actor] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AuditAll audits every engine actor in the stream under its derived
-// policy and returns violations keyed by actor (actors with none are
-// omitted).
+// AuditAll audits a recorded event slice through the online auditor's
+// router and returns violations keyed by engine actor (actors with none
+// are omitted). It sees only what the slice holds: events a wrapped ring
+// dropped are not audited, which an attached OnlineAuditor avoids.
 func AuditAll(events []Event) map[string][]Violation {
 	out := map[string][]Violation{}
-	for _, actor := range Actors(events) {
-		if vs := Audit(events, PolicyFor(actor)); len(vs) > 0 {
-			out[actor] = vs
-		}
-	}
+	a := newOnlineAuditor(OnlineOptions{OnViolation: func(v Violation) {
+		out[v.Actor] = append(out[v.Actor], v)
+	}})
+	a.processBatch(events)
 	return out
 }

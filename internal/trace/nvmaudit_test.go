@@ -1,8 +1,7 @@
 package trace_test
 
-// External test package: nvm imports trace for its device hooks, so this
-// end-to-end check (real region traffic driving the auditor) must live
-// outside package trace.
+// External test package: nvm imports trace for its device hooks, so checks
+// driven by real region traffic must live outside package trace.
 
 import (
 	"testing"
@@ -10,76 +9,6 @@ import (
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/trace"
 )
-
-// misorderedEngine is a deliberately broken engine: it stores into the
-// heap before its intent entry is fenced. The auditor must catch it from
-// the device events alone.
-func TestAuditorCatchesMisorderedEngine(t *testing.T) {
-	rec := trace.NewRecorder(0)
-	actor := "undo#1"
-	tr := rec.Tracer(actor)
-
-	logReg, err := nvm.New(1<<16, nvm.Options{Mode: nvm.ModeStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logReg.SetTracer(rec.Tracer(actor + "/log"))
-	heapReg, err := nvm.New(1<<16, nvm.Options{Mode: nvm.ModeStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heapReg.SetTracer(rec.Tracer(actor + "/main"))
-
-	entry := make([]byte, 32)
-	for i := range entry {
-		entry[i] = byte(i)
-	}
-
-	// Transaction 1 follows the protocol: append, flush, FENCE, store.
-	tr.TxBegin(1)
-	tr.LockAcquire(1, 4096)
-	if err := logReg.Write(0, entry); err != nil {
-		t.Fatal(err)
-	}
-	if err := logReg.Flush(0, len(entry)); err != nil {
-		t.Fatal(err)
-	}
-	logReg.Fence()
-	tr.IntentAppend(1, 4096, 0, len(entry), "write")
-	if err := heapReg.Write(4096, entry); err != nil {
-		t.Fatal(err)
-	}
-	tr.InPlaceWrite(1, 4096, 4096, len(entry))
-	tr.CommitMarker(1)
-
-	if vs := trace.Audit(rec.Events(), trace.PolicyFor(actor)); len(vs) != 0 {
-		t.Fatalf("correct ordering flagged: %v", vs)
-	}
-
-	// Transaction 2 is seeded with the bug: the fence is skipped, so the
-	// entry can be lost in a crash while the heap store survives.
-	tr.TxBegin(2)
-	tr.LockAcquire(2, 8192)
-	if err := logReg.Write(64, entry); err != nil {
-		t.Fatal(err)
-	}
-	if err := logReg.Flush(64, len(entry)); err != nil {
-		t.Fatal(err)
-	}
-	tr.IntentAppend(2, 8192, 64, len(entry), "write")
-	if err := heapReg.Write(8192, entry); err != nil {
-		t.Fatal(err)
-	}
-	tr.InPlaceWrite(2, 8192, 8192, len(entry))
-
-	vs := trace.Audit(rec.Events(), trace.PolicyFor(actor))
-	if len(vs) != 1 {
-		t.Fatalf("want exactly one violation, got %v", vs)
-	}
-	if vs[0].Rule != "intent-not-durable" || vs[0].TxID != 2 || vs[0].Obj != 8192 {
-		t.Fatalf("wrong violation: %+v", vs[0])
-	}
-}
 
 // The region tracer hooks must report crashes, and the auditor must treat
 // everything before one as reconciled.

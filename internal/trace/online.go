@@ -40,7 +40,8 @@ const maxRetainedViolations = 4096
 // whichever emitting goroutine fills one, so it blocks nothing and drops
 // nothing. Per-transaction state retires at commit/abort and per-object
 // state at backup-sync, so memory stays bounded on arbitrarily long runs.
-// Unlike post-hoc Audit it never misses events to ring wrap-around.
+// Unlike AuditAll over a recorded slice it never misses events to ring
+// wrap-around.
 type OnlineAuditor struct {
 	rec  *Recorder
 	opts OnlineOptions
@@ -70,14 +71,20 @@ type OnlineAuditor struct {
 // recorder at a time; attaching replaces any previous sink. Call Close to
 // detach.
 func AttachOnline(rec *Recorder, opts OnlineOptions) *OnlineAuditor {
-	a := &OnlineAuditor{
-		rec:    rec,
+	a := newOnlineAuditor(opts)
+	a.rec = rec
+	rec.setSink(a.processBatch)
+	return a
+}
+
+// newOnlineAuditor builds an auditor attached to no recorder: AttachOnline
+// attaches it, AuditAll feeds it a slice directly.
+func newOnlineAuditor(opts OnlineOptions) *OnlineAuditor {
+	return &OnlineAuditor{
 		opts:   opts,
 		states: make(map[string]*auditState),
 		route:  make(map[string]*auditState),
 	}
-	rec.SetSink(a.processBatch)
-	return a
 }
 
 // processBatch feeds one delivered batch — a view into the ring, valid only
@@ -123,7 +130,7 @@ func (a *OnlineAuditor) resolveLocked(actor string) *auditState {
 		engine = actor[:i]
 	}
 	var st *auditState
-	if p := PolicyFor(engine); p.checksAnything() {
+	if p := policyFor(engine); p.checksAnything() {
 		st = a.states[engine]
 		if st == nil {
 			st = newAuditState(p)
@@ -154,7 +161,7 @@ func (a *OnlineAuditor) addViolation(e *Event, rule, msg string) {
 // Flush audits the recorder's partially filled batch: when it returns,
 // every event emitted before the call has been checked. Use it to make
 // "caught live" assertions deterministic mid-run.
-func (a *OnlineAuditor) Flush() { a.rec.FlushSink() }
+func (a *OnlineAuditor) Flush() { a.rec.flushSink() }
 
 // Violations returns a copy of the violations retained so far (capped at
 // maxRetainedViolations; Stats().Violations counts all of them).
@@ -197,6 +204,6 @@ func (a *OnlineAuditor) Stats() OnlineStats {
 // already emitted, and returns the retained violations. The recorder
 // remains usable (un-sinked) afterwards.
 func (a *OnlineAuditor) Close() []Violation {
-	a.rec.SetSink(nil) // flushes the pending batch to us first
+	a.rec.setSink(nil) // flushes the pending batch to us first
 	return a.Violations()
 }

@@ -115,8 +115,8 @@ func TestOnlineAuditorCatchesSeededBugLive(t *testing.T) {
 	}
 }
 
-// The post-hoc auditor replays the ring, so a violation that wraps out
-// of the buffer is invisible to it. The online auditor consumes the
+// AuditAll replays the ring, so a violation that wraps out of the buffer
+// is invisible to it. The online auditor consumes the
 // sink (every event, before wrap-around can drop it) and must still
 // hold the violation after the ring has long since lost the evidence.
 func TestOnlineAuditorSeesThroughRingWrap(t *testing.T) {

@@ -284,12 +284,12 @@ func (r *Recorder) flushSinkLocked() {
 	r.sink(r.buf[:n-(len(r.buf)-i)])
 }
 
-// SetSink installs (or with nil removes) a consumer that observes every
+// setSink installs (or with nil removes) a consumer that observes every
 // subsequent event, in emission order, in batches. Events pending for the
-// previous sink are delivered to it first, so detaching with SetSink(nil)
+// previous sink are delivered to it first, so detaching with setSink(nil)
 // loses nothing. The sink runs under the recorder's lock: it must be quick
 // and must not call back into the recorder.
-func (r *Recorder) SetSink(fn func([]Event)) {
+func (r *Recorder) setSink(fn func([]Event)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushSinkLocked()
@@ -297,9 +297,9 @@ func (r *Recorder) SetSink(fn func([]Event)) {
 	r.sinkMark = r.total
 }
 
-// FlushSink delivers the partially filled batch to the sink (end of a run,
+// flushSink delivers the partially filled batch to the sink (end of a run,
 // or a test that wants prompt auditing).
-func (r *Recorder) FlushSink() {
+func (r *Recorder) flushSink() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushSinkLocked()

@@ -89,7 +89,7 @@ func TestAuditCleanSequence(t *testing.T) {
 	tr.CommitMarker(2)
 	tr.BackupSync(2, 100)
 
-	if vs := Audit(r.Events(), PolicyFor("kamino#1")); len(vs) != 0 {
+	if vs := AuditAll(r.Events()); len(vs) != 0 {
 		t.Fatalf("clean sequence flagged: %v", vs)
 	}
 }
@@ -107,7 +107,7 @@ func TestAuditIntentNotDurable(t *testing.T) {
 	tr.IntentAppend(1, 100, 0, 32, "write")
 	tr.InPlaceWrite(1, 100, 100, 64)
 
-	vs := Audit(r.Events(), PolicyFor("kamino#1"))
+	vs := AuditAll(r.Events())["kamino#1"]
 	if len(vs) != 1 || vs[0].Rule != "intent-not-durable" {
 		t.Fatalf("want one intent-not-durable violation, got %v", vs)
 	}
@@ -123,7 +123,7 @@ func TestAuditStoreWithoutIntent(t *testing.T) {
 	// engine the auditor exists to catch.
 	tr.InPlaceWrite(1, 100, 100, 64)
 
-	vs := Audit(r.Events(), PolicyFor("undo#1"))
+	vs := AuditAll(r.Events())["undo#1"]
 	if len(vs) != 1 || vs[0].Rule != "store-without-intent" {
 		t.Fatalf("want one store-without-intent violation, got %v", vs)
 	}
@@ -145,7 +145,7 @@ func TestAuditStoreWithoutCopy(t *testing.T) {
 	tr.InPlaceWrite(2, 100, 100, 64)
 
 	var rules []string
-	for _, v := range Audit(r.Events(), PolicyFor("kamino#1")) {
+	for _, v := range AuditAll(r.Events())["kamino#1"] {
 		rules = append(rules, v.Rule)
 	}
 	if len(rules) != 1 || rules[0] != "store-without-copy" {
@@ -167,7 +167,7 @@ func TestAuditDependentNotBlocked(t *testing.T) {
 	tr.TxBegin(2)
 	tr.LockAcquire(2, 100)
 
-	vs := Audit(r.Events(), PolicyFor("kamino#1"))
+	vs := AuditAll(r.Events())["kamino#1"]
 	if len(vs) != 1 || vs[0].Rule != "dependent-not-blocked" {
 		t.Fatalf("want one dependent-not-blocked violation, got %v", vs)
 	}
@@ -192,7 +192,7 @@ func TestAuditFreshAllocNeedsNoBackup(t *testing.T) {
 	tr.InPlaceWrite(2, 100, 100, 64)
 	tr.CommitMarker(2)
 
-	if vs := Audit(r.Events(), PolicyFor("kamino-dynamic#1")); len(vs) != 0 {
+	if vs := AuditAll(r.Events()); len(vs) != 0 {
 		t.Fatalf("fresh allocation flagged: %v", vs)
 	}
 }
@@ -229,7 +229,7 @@ func TestAuditSkipsUnknownTxs(t *testing.T) {
 	// skipped, not flagged.
 	tr.InPlaceWrite(42, 100, 100, 64)
 	tr.LockAcquire(42, 100)
-	if vs := Audit(r.Events(), PolicyFor("kamino#1")); len(vs) != 0 {
+	if vs := AuditAll(r.Events()); len(vs) != 0 {
 		t.Fatalf("unknown-tx events flagged: %v", vs)
 	}
 }
@@ -239,7 +239,7 @@ func TestAuditNologChecksNothing(t *testing.T) {
 	tr := r.Tracer("nolog#1")
 	tr.TxBegin(1)
 	tr.InPlaceWrite(1, 100, 100, 64)
-	if vs := Audit(r.Events(), PolicyFor("nolog#1")); len(vs) != 0 {
+	if vs := AuditAll(r.Events()); len(vs) != 0 {
 		t.Fatalf("nolog baseline flagged: %v", vs)
 	}
 }

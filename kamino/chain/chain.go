@@ -246,7 +246,7 @@ type ReplicaDebug struct {
 // state (execution floor, queue spans, admission-lock table), in current
 // chain order. Safe to call while replicas are killed, rejoined or
 // rebooted: a rebooting replica reports its pre-crash ring or its
-// recovered one. The chaos schedule's admission-stuck probe reads it.
+// recovered one. The chaos schedule samples it through every repair.
 func (c *Cluster) DebugInfos() []ReplicaDebug {
 	v := c.mgr.View()
 	c.mu.RLock()
@@ -295,9 +295,9 @@ type QueueStat struct {
 }
 
 // QueueStats returns the live replicas' queue occupancy in current chain
-// order, and is as safe against repair as DebugInfos. The chaos schedule's
-// high-water probe compares occupancy against capacity to show
-// acknowledged-prefix truncation keeps the rings bounded under failures.
+// order, and is as safe against repair as DebugInfos. The chaos schedule
+// requires every ring to drain to empty once its clients stop: the
+// acknowledged-prefix truncation keeps working through failures.
 func (c *Cluster) QueueStats() []QueueStat {
 	v := c.mgr.View()
 	c.mu.RLock()

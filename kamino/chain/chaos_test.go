@@ -3,11 +3,11 @@ package chain
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"kaminotx/internal/obs"
 	"kaminotx/internal/trace"
 )
 
@@ -23,6 +23,9 @@ const (
 	// schedule: a client wedged in head admission (a leaked admission
 	// lock) would otherwise hang the run with no diagnosis.
 	chaosWedgeTimeout = 30 * time.Second
+	// chaosDrainTimeout bounds how long the rings may still hold records
+	// after the clients stop (they empty within a few milliseconds).
+	chaosDrainTimeout = time.Second
 )
 
 // chaosValue encodes write counter ctr for key: verification decodes the
@@ -72,48 +75,56 @@ func (w *chaosWorker) run(cl *Cluster, stop <-chan struct{}) {
 	}
 }
 
-// chaosWatchdog wires the stall watchdog to a live cluster with the probes
-// the schedule can wedge: head admission making no progress while locks are
-// held, the head's backup applier falling behind, and a replica's ring
-// filling toward capacity. Its alarms are logged, not fatal: they say where
-// to look when the test fails.
-func chaosWatchdog(cl *Cluster) *obs.Watchdog {
-	wd := obs.NewWatchdog(250*time.Millisecond, nil)
-	// 10 ticks at 250ms: two and a half seconds of held locks or waiters
-	// with zero executed transactions is a wedge, not a slow batch.
-	wd.Add(obs.StallProbe("admission-stuck", func() (uint64, uint64) {
-		infos := cl.DebugInfos()
-		if len(infos) == 0 {
-			return 0, 0
-		}
-		head := infos[0].Info
-		return head.LastExec, uint64(len(head.LockedKeys) + head.Waiters)
-	}, 10))
-	// The head engine's backup_pending_txs gauge growing strictly for ten
-	// straight samples means the asynchronous backup applier stopped
-	// keeping up — the paper's bounded-lag claim (§4) is breaking. Cluster.Obs
-	// reads each pool's engine while a promotion or a reboot replaces it;
-	// the pool publishes it atomically, so this is safe under the detector.
-	wd.Add(obs.GrowthProbe("backup-lag", func() uint64 {
-		regs := cl.Obs()
-		if len(regs) < 2 {
-			return 0
-		}
-		return regs[1].Snapshot().Gauges["backup_pending_txs"]
-	}, 10))
-	// Acknowledged-prefix truncation should keep each replica's ring far
-	// below capacity; 80% occupancy — its two ranges share the one ring —
-	// means truncation stopped.
-	wd.Add(obs.ThresholdProbe("queue-high-water", func() uint64 {
-		var worst uint64
-		for _, qs := range cl.QueueStats() {
-			if qs.InputCap > 0 {
-				worst = max(worst, (qs.InputBytes+qs.InflightBytes)*100/qs.InputCap)
+// sampleIntrospection calls the cluster's introspection accessors every few
+// milliseconds until stop closes, then closes the returned channel. It
+// asserts nothing: run under the race detector through every kill, rejoin
+// and reboot, it shows the accessors are safe against repair. Cluster.Obs
+// reads each pool's engine while a promotion or a reboot replaces it; the
+// pool publishes it atomically.
+func sampleIntrospection(cl *Cluster, stop <-chan struct{}) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			cl.DebugInfos()
+			cl.QueueStats()
+			for _, reg := range cl.Obs() {
+				reg.Snapshot()
 			}
 		}
-		return worst
-	}, 80))
-	return wd
+	}()
+	return done
+}
+
+// awaitRingsDrained fails the test unless every live replica's ring holds
+// no records within chaosDrainTimeout of the load stopping: once nothing
+// new arrives, acknowledged-prefix truncation must reach every record.
+func awaitRingsDrained(t *testing.T, cl *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(chaosDrainTimeout)
+	for {
+		var held []string
+		for _, qs := range cl.QueueStats() {
+			if n := qs.InputBytes + qs.InflightBytes; n > 0 {
+				held = append(held, fmt.Sprintf("%s holds %d B", qs.ID, n))
+			}
+		}
+		if len(held) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rings not drained %v after the load stopped (truncation stopped?): %s; chain state:\n%s",
+				chaosDrainTimeout, strings.Join(held, ", "), cl.DebugState())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestChaosSchedule drives a scripted crash schedule against a live
@@ -124,8 +135,9 @@ func chaosWatchdog(cl *Cluster) *obs.Watchdog {
 // writing. Every client tracks the last write the chain acknowledged per
 // key; after the schedule every key is read back, and the test fails if
 // an acknowledged write was lost or a value nobody attempted appears, if
-// a replica reported an error, if the clients wedge, or if the online
-// auditor saw a persist-order violation anywhere in the chain.
+// a replica reported an error, if the clients wedge, if a ring still holds
+// records a second after the load stops, or if the online auditor saw a
+// persist-order violation anywhere in the chain.
 func TestChaosSchedule(t *testing.T) {
 	for _, replicas := range []int{3, 5} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) { chaosSchedule(t, replicas) })
@@ -157,13 +169,11 @@ func chaosSchedule(t *testing.T, replicas int) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	wd := chaosWatchdog(cl)
-	wd.Start()
+	stopSampling := make(chan struct{})
+	sampled := sampleIntrospection(cl, stopSampling)
 	defer func() {
-		wd.Stop()
-		for _, a := range wd.Alarms() {
-			t.Logf("watchdog: %s", a)
-		}
+		close(stopSampling)
+		<-sampled
 	}()
 
 	stop := make(chan struct{})
@@ -228,9 +238,7 @@ func chaosSchedule(t *testing.T, replicas int) {
 	// chain is fully serving before the load stops.
 	time.Sleep(100 * time.Millisecond)
 	stopWorkers()
-	// Stop the watchdog before verification: the read-back loop makes no
-	// write progress by design, which a stall probe would misread.
-	wd.Stop()
+	awaitRingsDrained(t, cl)
 	if err := cl.Err(); err != nil {
 		t.Fatalf("replica error after schedule: %v", err)
 	}

@@ -115,7 +115,7 @@ type Options struct {
 	// Trace, when non-nil, records every NVM device event and transaction
 	// lifecycle event into the given ring buffer for export
 	// (trace.WriteJSONL, trace.WriteChrome) and safety auditing
-	// (trace.Audit). Each engine incarnation — including the ones built
+	// (trace.AttachOnline, trace.AuditAll). Each engine incarnation — including the ones built
 	// by Crash and Promote — registers a fresh actor name
 	// "<engine>#<n>", with its regions as "<actor>/main", "/backup",
 	// "/log". With Trace nil the hot path pays at most one atomic nil

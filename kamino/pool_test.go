@@ -288,7 +288,7 @@ func TestStatsExposed(t *testing.T) {
 }
 
 // TestIntrospectionAcrossEngineSwap: Obs, Stats and Engine may be called
-// from other goroutines (a metrics scrape, a watchdog probe) while Crash,
+// from other goroutines (a metrics scrape, the chaos schedule's sampler) while Crash,
 // Reload and Promote replace the engine; a reader must see the old engine
 // or the new one. Meaningful under -race.
 func TestIntrospectionAcrossEngineSwap(t *testing.T) {
