@@ -102,55 +102,59 @@ func printIndex(w io.Writer) {
 	}
 }
 
+// flags holds kaminobench's command line. Every kaminobench flag the
+// repository's Markdown names is one defineFlags registers (main_test.go
+// checks).
+type flags struct {
+	bench.Config // the experiment settings
+
+	names, profileDir, traceOut string
+	traceBuf                    int
+	audit, list                 bool
+}
+
+// defineFlags registers every kaminobench flag on fs.
+func defineFlags(fs *flag.FlagSet) *flags {
+	f := new(flags)
+	fs.StringVar(&f.names, "experiment", "all", "experiment id (or 'all', or comma-separated list)")
+	fs.IntVar(&f.Keys, "keys", 50_000, "records preloaded into the store")
+	fs.IntVar(&f.ValueSize, "value", 1024, "value size in bytes")
+	fs.IntVar(&f.OpsPerThread, "ops", 10_000, "operations per worker thread")
+	fs.IntVar(&f.Threads, "threads", 4, "worker threads (non-sweep experiments)")
+	fs.DurationVar(&f.FlushLatency, "flush", 0, "modeled per-line flush latency (0 = harness default)")
+	fs.DurationVar(&f.FenceLatency, "fence", 0, "modeled fence latency (0 = harness default)")
+	fs.IntVar(&f.ChainBatchOps, "batch-ops", 0, "chain hop batch size in ops (0/1 = batches of one; chainscale sweeps its own sizes)")
+	fs.StringVar(&f.profileDir, "profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
+	fs.StringVar(&f.traceOut, "trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
+	fs.IntVar(&f.traceBuf, "trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
+	fs.BoolVar(&f.audit, "audit", false, "audit events against the Kamino-Tx safety invariants as they are recorded, reporting violations as they happen (implies recording)")
+	fs.BoolVar(&f.list, "list", false, "list experiments and exit")
+	return f
+}
+
 func main() {
-	var (
-		names      = flag.String("experiment", "all", "experiment id (or 'all', or comma-separated list)")
-		keys       = flag.Int("keys", 50_000, "records preloaded into the store")
-		valueSize  = flag.Int("value", 1024, "value size in bytes")
-		ops        = flag.Int("ops", 10_000, "operations per worker thread")
-		threads    = flag.Int("threads", 4, "worker threads (non-sweep experiments)")
-		flush      = flag.Duration("flush", 0, "modeled per-line flush latency (0 = harness default)")
-		fence      = flag.Duration("fence", 0, "modeled fence latency (0 = harness default)")
-		batchOps   = flag.Int("batch-ops", 0, "chain hop batch size in ops (0/1 = unbatched; chainscale sweeps its own sizes)")
-		batchBytes = flag.Int("batch-bytes", 0, "chain hop batch payload cap in bytes (0 = default 256 KiB)")
-		batchDelay = flag.Duration("batch-delay", 0, "how long the chain head waits to fill a batch (0 = never wait)")
-		profileDir = flag.String("profile-dir", "", "write per-experiment CPU and heap profiles into this directory")
-		traceOut   = flag.String("trace-out", "", "record events and write them here at exit (.json = Chrome trace_event, .jsonl = JSON lines)")
-		traceBuf   = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default)")
-		audit      = flag.Bool("audit", false, "audit events against the Kamino-Tx safety invariants as they are recorded, reporting violations as they happen (implies recording)")
-		list       = flag.Bool("list", false, "list experiments and exit")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if *list {
+	if f.list {
 		printIndex(os.Stdout)
 		return
 	}
-	selected, err := resolve(*names)
+	selected, err := resolve(f.names)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kaminobench: %v; the experiments are:\n", err)
 		printIndex(os.Stderr)
 		os.Exit(1)
 	}
 
-	cfg := bench.Config{
-		Keys:            *keys,
-		ValueSize:       *valueSize,
-		OpsPerThread:    *ops,
-		Threads:         *threads,
-		FlushLatency:    *flush,
-		FenceLatency:    *fence,
-		ChainBatchOps:   *batchOps,
-		ChainBatchBytes: *batchBytes,
-		ChainBatchDelay: *batchDelay,
-		Out:             os.Stdout,
-	}
+	cfg := f.Config
+	cfg.Out = os.Stdout
 	var recorder *trace.Recorder
-	if *traceOut != "" || *audit {
-		recorder = trace.NewRecorder(*traceBuf)
+	if f.traceOut != "" || f.audit {
+		recorder = trace.NewRecorder(f.traceBuf)
 		cfg.Trace = recorder
 	}
 	var auditor *trace.OnlineAuditor
-	if *audit {
+	if f.audit {
 		auditor = trace.AttachOnline(recorder, trace.OnlineOptions{
 			OnViolation: func(v trace.Violation) {
 				fmt.Fprintf(os.Stderr, "audit: %s\n", v)
@@ -158,7 +162,7 @@ func main() {
 		})
 	}
 	fmt.Printf("kaminobench: keys=%d value=%dB ops/thread=%d threads=%d cpus=%d\n",
-		*keys, *valueSize, *ops, *threads, runtime.NumCPU())
+		f.Keys, f.ValueSize, f.OpsPerThread, f.Threads, runtime.NumCPU())
 	if runtime.NumCPU() == 1 {
 		fmt.Println("note: single-CPU host — Kamino-Tx's asynchronous backup work shares the core" +
 			" with transaction threads, which compresses throughput gaps relative to the paper's" +
@@ -167,7 +171,7 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		if err := runOne(cfg, e, *profileDir); err != nil {
+		if err := runOne(cfg, e, f.profileDir); err != nil {
 			fmt.Fprintf(os.Stderr, "kaminobench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
@@ -185,8 +189,8 @@ func main() {
 			auditFailed = true
 		}
 	}
-	if *traceOut != "" {
-		if err := finishTrace(recorder, *traceOut); err != nil {
+	if f.traceOut != "" {
+		if err := finishTrace(recorder, f.traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "kaminobench: %v\n", err)
 			os.Exit(1)
 		}

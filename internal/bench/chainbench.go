@@ -62,8 +62,6 @@ func (c Config) newClusterN(mode chainpkg.Mode, replicas, batchOps int) (*chainp
 		FlushLatency: c.FlushLatency,
 		FenceLatency: c.FenceLatency,
 		BatchOps:     batchOps,
-		BatchBytes:   c.ChainBatchBytes,
-		BatchDelay:   c.ChainBatchDelay,
 		Trace:        c.Trace,
 	})
 	if err != nil {
@@ -316,14 +314,6 @@ func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fences
 // but batch just as well.
 func ChainScaling(cfg Config) error {
 	cfg = cfg.WithDefaults()
-	if cfg.ChainBatchDelay == 0 {
-		// Batching needs somewhere to accumulate: with zero delay the head
-		// seals each batch as soon as the submit channel runs dry, and at
-		// these client counts that means batches of one or two. A few
-		// hundred microseconds — well under one chain round trip — lets
-		// batches actually fill. -batch-delay overrides.
-		cfg.ChainBatchDelay = 300 * time.Microsecond
-	}
 	header(cfg.Out, "Chain scaling: batch size vs chain length, Kamino-Tx-Chain, put-only",
 		"expected shape: >=2x throughput by batch 16; persists per op drop with batch size")
 	lengths := []int{3, 5}

@@ -40,14 +40,11 @@ type Config struct {
 	// would only be larger" (§7).
 	FlushLatency time.Duration
 	FenceLatency time.Duration
-	// ChainBatchOps / ChainBatchBytes / ChainBatchDelay configure chain
-	// hop batching for the chain experiments (kaminobench -batch-ops,
-	// -batch-bytes, -batch-delay). Zero keeps the unbatched per-op
-	// protocol. ChainScaling sweeps batch sizes itself and ignores
-	// ChainBatchOps.
-	ChainBatchOps   int
-	ChainBatchBytes int
-	ChainBatchDelay time.Duration
+	// ChainBatchOps caps the records one chain hop carries in a message
+	// for the chain experiments (kaminobench -batch-ops). Zero keeps
+	// batches of one. ChainScaling sweeps batch sizes itself and ignores
+	// it.
+	ChainBatchOps int
 	// Out receives the report. Required.
 	Out io.Writer
 	// Trace, if set, records device and transaction lifecycle events of

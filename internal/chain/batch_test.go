@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"kaminotx/internal/membership"
+	"kaminotx/internal/pqueue"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/transport"
 )
 
-// newBatchChain builds a strict or fast chain with batching knobs and an
+// newBatchChain builds a strict or fast chain with a hop batch size and an
 // optional trace recorder.
-func newBatchChain(t *testing.T, n int, strict bool, batchOps int, delay time.Duration, rec *trace.Recorder) *testChain {
+func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Recorder) *testChain {
 	t.Helper()
 	tr := transport.NewInProc(0)
 	ids := make([]transport.NodeID, n)
@@ -28,17 +29,16 @@ func newBatchChain(t *testing.T, n int, strict bool, batchOps int, delay time.Du
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	for _, id := range ids {
 		rep, err := NewReplica(id, Config{
-			Mode:       ModeKamino,
-			HeapSize:   8 << 20,
-			Alpha:      0.5,
-			Strict:     strict,
-			BatchOps:   batchOps,
-			BatchDelay: delay,
-			Registry:   reg,
-			Transport:  tr,
-			Manager:    mgr,
-			Setup:      KVSetup,
-			Trace:      rec,
+			Mode:      ModeKamino,
+			HeapSize:  8 << 20,
+			Alpha:     0.5,
+			Strict:    strict,
+			BatchOps:  batchOps,
+			Registry:  reg,
+			Transport: tr,
+			Manager:   mgr,
+			Setup:     KVSetup,
+			Trace:     rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func verifyAll(t *testing.T, tc *testChain, want map[uint64]string) {
 // must actually form, and the trace must audit clean.
 func TestBatchedReplicationUnderLoad(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	tc := newBatchChain(t, 4, false, 16, time.Millisecond, rec)
+	tc := newBatchChain(t, 4, false, 16, rec)
 
 	const clients = 8
 	const perClient = 30
@@ -229,7 +229,7 @@ func TestBatchBoundaryCrash(t *testing.T) {
 	} {
 		t.Run(tcase.name, func(t *testing.T) {
 			rec := trace.NewRecorder(0)
-			tc := newBatchChain(t, 3, true, 8, 0, rec)
+			tc := newBatchChain(t, 3, true, 8, rec)
 			want := stageAndReboot(t, tc, tcase.pos, tcase.seed)
 			waitErrFree(t, tc)
 			verifyAll(t, tc, want)
@@ -252,7 +252,7 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 	} {
 		t.Run(tcase.name, func(t *testing.T) {
 			rec := trace.NewRecorder(0)
-			tc := newBatchChain(t, 3, true, 8, 0, rec)
+			tc := newBatchChain(t, 3, true, 8, rec)
 			head := tc.replicas[tc.order[0]]
 			tail := tc.replicas[tc.order[2]]
 
@@ -317,5 +317,86 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 			verifyAll(t, tc, want)
 			auditClean(t, rec)
 		})
+	}
+}
+
+// TestResendIsBatched: a view change's resend cuts the in-flight range into
+// batches, as the pipeline does — twenty records at BatchOps 8 reach the
+// successor as three messages and three ring appends, not twenty. A second
+// resend that overlaps what the successor holds leaves its ring a
+// contiguous prefix: each message's held prefix is dropped and the rest
+// appended.
+func TestResendIsBatched(t *testing.T) {
+	tc, ht := newHookedChain(t, 0.5, true, 0, 8)
+	head, mid := tc.get("n0"), tc.get("n1")
+	// Both pipelines stop: the head's records stay in flight with no repair
+	// ticker re-driving them, and the successor only appends what arrives.
+	head.stopExecutor()
+	mid.stopExecutor()
+	inflight := func(from, to uint64) {
+		t.Helper()
+		var recs []pqueue.Record
+		for seq := from; seq <= to; seq++ {
+			recs = append(recs, pqueue.Record{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})})
+		}
+		if err := head.getRing().AppendExecuted(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var sizes []int
+	ht.set(func(to transport.NodeID, msg *transport.Message) {
+		if msg.From != "n0" || to != "n1" {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if msg.Kind != transport.KindOpBatch {
+			t.Errorf("resend sent a message of kind %d, want KindOpBatch", msg.Kind)
+		}
+		sizes = append(sizes, len(msg.Batch))
+	})
+	resend := func(through uint64) []int {
+		t.Helper()
+		mu.Lock()
+		sizes = nil
+		mu.Unlock()
+		head.resendInflight(tc.mgr.View(), "n1")
+		waitFor(t, fmt.Sprintf("successor to hold seq %d", through), func() bool {
+			return mid.getRing().LastSeq() == through
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), sizes...)
+	}
+
+	inflight(1, 20)
+	before := mid.ringReg.Stats().Fences
+	if got := resend(20); fmt.Sprint(got) != "[8 8 4]" {
+		t.Errorf("20 in-flight records resent as batches %v, want [8 8 4]", got)
+	}
+	// A ring append is two fences (pqueue.AppendBatch), whatever it holds.
+	if got := mid.ringReg.Stats().Fences - before; got != 3*2 {
+		t.Errorf("successor ring fences for the resend = %d, want three appends' worth (6)", got)
+	}
+
+	inflight(21, 30)
+	if got := resend(30); fmt.Sprint(got) != "[8 8 8 6]" {
+		t.Errorf("30 in-flight records resent as batches %v, want [8 8 8 6]", got)
+	}
+	if n := mid.cDedup.Load(); n != 20 {
+		t.Errorf("dedup_dropped = %d, want the 20 records the successor already held", n)
+	}
+	recs, err := mid.getRing().Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("pending record %d has sequence %d: the ring is not a contiguous prefix", i, rec.Seq)
+		}
+	}
+	if len(recs) != 30 {
+		t.Fatalf("%d records pending at the successor, want 30", len(recs))
 	}
 }

@@ -60,7 +60,7 @@ const (
 // devKeys preloaded keys, settled.
 func devChain(tb testing.TB, strict bool, hop time.Duration) (*testChain, *hookTransport, []*Replica) {
 	tb.Helper()
-	tc, ht := newHookedChain(tb, 1, strict, hop)
+	tc, ht := newHookedChain(tb, 1, strict, hop, 1)
 	reps := []*Replica{tc.get("n0"), tc.get("n1"), tc.get("n2")}
 	for k := uint64(0); k < devKeys; k++ {
 		if err := tc.client.Put(k, bytes.Repeat([]byte{1}, devValue)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 )
 
@@ -35,8 +36,8 @@ func TestZombieExMemberFenced(t *testing.T) {
 	// the new head's successor.
 	succ, _ := tc.mgr.View().Successor(newHead.ID())
 	forged := &transport.Message{
-		Kind: transport.KindOp, From: oldHeadID, ViewID: 1,
-		Seq: 9999, Name: "put", Args: EncodeKV(777, []byte("zombie!")),
+		Kind: transport.KindOpBatch, From: oldHeadID, ViewID: 1, Seq: 9999,
+		Batch: []pqueue.Record{{Seq: 9999, Name: "put", Args: EncodeKV(777, []byte("zombie!"))}},
 	}
 	if err := tc.tr.Send(succ, forged); err != nil {
 		t.Fatal(err)

@@ -209,7 +209,7 @@ func (r *Replica) ackAllInflight(v membership.View) {
 	}
 	last := recs[len(recs)-1]
 	if _, err := r.cfg.Transport.Call(v.Head(), &transport.Message{
-		Kind: transport.KindTailAck, From: r.id, ViewID: v.ID, Seq: last.Seq, Trace: last.Trace,
+		Kind: transport.KindTailAck, From: r.id, ViewID: v.ID, Seq: last.Seq,
 	}); err != nil {
 		// Head unreachable (mid-repair): keep the records; retry later.
 		return
@@ -283,14 +283,14 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 
 // reacker is the per-incarnation repair ticker. A tail holding retained
 // in-flight records (an ack the head never confirmed) re-acknowledges them
-// every ResendInterval until one lands. A head whose oldest in-flight
+// every resendInterval until one lands. A head whose oldest in-flight
 // record has made no progress between two ticks re-drives that range down
 // the chain: one-shot acks and cleanups can be lost across a view change
 // (addressed to a head that died before delivery), and without a retry
 // the admission locks for those records would be stranded forever.
 func (r *Replica) reacker(stop chan struct{}) {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.ResendInterval)
+	t := time.NewTicker(resendInterval)
 	defer t.Stop()
 	var stalledFloor uint64
 	for {
@@ -341,15 +341,10 @@ func (r *Replica) resendInflight(v membership.View, succ transport.NodeID) {
 	r.resend(v, succ, recs)
 }
 
-// resend re-forwards records one by one; the receiver deduplicates by
-// sequence number, so resending is always safe.
+// resend re-forwards records in batches, as the pipeline sends them; the
+// receiver drops the prefix it already holds, so resending is always safe.
 func (r *Replica) resend(v membership.View, succ transport.NodeID, recs []pqueue.Record) {
-	for _, rec := range recs {
-		_ = r.cfg.Transport.Send(succ, &transport.Message{
-			Kind: transport.KindOp, From: r.id, ViewID: v.ID,
-			Seq: rec.Seq, Name: rec.Name, Args: rec.Args, Trace: rec.Trace,
-		})
-	}
+	r.send(v, succ, recs)
 	r.cResends.Add(uint64(len(recs)))
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 )
 
@@ -77,19 +76,15 @@ func (r *Replica) serveStateSnap(msg *transport.Message) *transport.Message {
 	if err != nil {
 		return fail(err)
 	}
-	batch := make([]transport.BatchedOp, len(suffix))
-	for i, rec := range suffix {
-		batch[i] = transport.BatchedOp{Seq: rec.Seq, Trace: rec.Trace, Name: rec.Name, Args: rec.Args}
-	}
 	// Watchdog: if the joiner dies mid-copy nobody would ever send
 	// KindStateDone; resume rather than stay frozen forever.
 	r.snapMu.Lock()
-	r.snapTimer = time.AfterFunc(r.cfg.SnapTimeout, func() { r.releaseSnapshot(nonce) })
+	r.snapTimer = time.AfterFunc(snapTimeout, func() { r.releaseSnapshot(nonce) })
 	r.snapMu.Unlock()
 	return &transport.Message{
 		Kind: transport.KindStateSnap, From: r.id, ViewID: view.ID,
 		Snap: nonce, Len: uint64(r.pool.Engine().Heap().Region().Size()),
-		Seq: snapSeq, Batch: batch,
+		Seq: snapSeq, Batch: suffix,
 	}
 }
 
@@ -185,10 +180,7 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 
 	// 2. Copy the heap image in bounded chunks and persist each one.
 	for off := uint64(0); off < snap.Len; {
-		n := uint64(cfg.StateChunkBytes)
-		if off+n > snap.Len {
-			n = snap.Len - off
-		}
+		n := min(stateChunkBytes, snap.Len-off)
 		chunk, err := cfg.Transport.Call(donor, &transport.Message{
 			Kind: transport.KindStateChunk, From: id, Snap: nonce, Off: off, Len: n,
 		})
@@ -234,15 +226,9 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		release()
 		return abort(err)
 	}
-	if len(snap.Batch) > 0 {
-		recs := make([]pqueue.Record, len(snap.Batch))
-		for i, op := range snap.Batch {
-			recs[i] = pqueue.Record{Seq: op.Seq, Trace: op.Trace, Name: op.Name, Args: op.Args}
-		}
-		if err := r.getRing().AppendBatch(recs); err != nil {
-			release()
-			return abort(err)
-		}
+	if err := r.getRing().AppendBatch(snap.Batch); err != nil {
+		release()
+		return abort(err)
 	}
 	r.mu.Lock()
 	r.view = cfg.Manager.View()

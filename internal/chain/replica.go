@@ -32,6 +32,17 @@ const (
 	ModeTraditional
 )
 
+// Sizes and intervals every replica shares. No caller ever set another
+// value, so they are constants rather than Config fields.
+const (
+	queueBytes        = 4 << 20               // each of the ring's two ranges, pending and in flight
+	logEntriesPerSlot = 512                   // so a full hop batch usually commits as one transaction (executeBatch)
+	batchBytes        = 256 << 10             // argument bytes that close a batch (full)
+	resendInterval    = 25 * time.Millisecond // the repair ticker's period (reacker)
+	snapTimeout       = 10 * time.Second      // a donor frozen this long for a vanished joiner resumes
+	stateChunkBytes   = 256 << 10             // one state-transfer chunk (JoinAsTail)
+)
+
 // Config builds a replica.
 type Config struct {
 	Mode Mode
@@ -41,12 +52,6 @@ type Config struct {
 	// head), < 1 dynamic (Kamino-Tx-Dynamic head, the paper's
 	// Kamino-Tx-Amortized chain when combined with in-place replicas).
 	Alpha float64
-	// QueueBytes sizes the replica's persistent ring: twice this, one share
-	// for the pending range and one for the in-flight range.
-	QueueBytes int
-	// LogSlots / LogEntriesPerSlot size each replica's intent log.
-	LogSlots          int
-	LogEntriesPerSlot int
 	// FlushLatency / FenceLatency model the persist costs of the simulated
 	// NVM backing each replica's pool AND its protocol queues (the same
 	// knobs kamino.Options exposes for standalone pools). Zero means free
@@ -56,34 +61,12 @@ type Config struct {
 	// Strict enables crash simulation (required by Reboot).
 	Strict bool
 
-	// BatchOps caps how many operations one chain hop coalesces into a
-	// single message and a single persistent-queue append (one flush+fence
-	// epoch per batch instead of per op). 1 disables batching — every op
-	// travels in its own KindOp message, exactly the unbatched protocol.
-	// Default 1.
+	// BatchOps caps how many records one chain hop carries in a single
+	// KindOpBatch message and a single persistent-queue append (one
+	// flush+fence epoch per batch instead of per op). A batch is whatever
+	// has already queued, up to BatchOps records or batchBytes of
+	// arguments; nothing waits for it to fill. Default 1: batches of one.
 	BatchOps int
-	// BatchBytes caps a batch's payload bytes. A batch closes when it
-	// reaches BatchOps operations or BatchBytes argument bytes, whichever
-	// comes first. Default 256 KiB.
-	BatchBytes int
-	// BatchDelay is how long the head waits for more submissions after the
-	// first before sealing a batch. Zero (the default) never waits: a
-	// batch is whatever has already queued, so an unloaded chain keeps
-	// per-op latency. Only meaningful with BatchOps > 1.
-	BatchDelay time.Duration
-
-	// ResendInterval paces the repair ticker: a tail with retained
-	// in-flight records re-acknowledges them to the head at this
-	// interval until the acknowledgment is confirmed (lost-ack healing).
-	// Default 25ms.
-	ResendInterval time.Duration
-	// SnapTimeout bounds how long a donor stays frozen serving a state
-	// snapshot: if the joiner vanishes mid-transfer, the watchdog
-	// releases the snapshot and resumes the pipeline. Default 10s.
-	SnapTimeout time.Duration
-	// StateChunkBytes caps one state-transfer chunk fetched by a joining
-	// replica. Default 256 KiB.
-	StateChunkBytes int
 
 	Registry  *Registry
 	Transport transport.Transport
@@ -99,8 +82,8 @@ type Config struct {
 	// Trace, when non-nil, records the replica's chain protocol events
 	// (forward, apply, ack — actor "chain/<id>") and its local pool's
 	// device and transaction events. The head mints a chain-wide trace
-	// id per submitted transaction; it travels in every KindOp and
-	// KindTailAck message and in the persistent queues, so one
+	// id per submitted transaction; it travels with the record in every
+	// KindOpBatch message and in the persistent queues, so one
 	// transaction's events correlate across all replicas.
 	Trace *trace.Recorder
 }
@@ -112,32 +95,8 @@ func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
 		c.Alpha = 1
 	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = 4 << 20
-	}
-	if c.LogSlots == 0 {
-		c.LogSlots = 128
-	}
-	if c.LogEntriesPerSlot == 0 {
-		// Sized so a full hop batch (BatchOps operations, each touching a
-		// handful of objects) usually executes as ONE local transaction;
-		// oversized batches fall back to splitting (see executeBatch).
-		c.LogEntriesPerSlot = 512
-	}
 	if c.BatchOps <= 0 {
 		c.BatchOps = 1
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 256 << 10
-	}
-	if c.ResendInterval == 0 {
-		c.ResendInterval = 25 * time.Millisecond
-	}
-	if c.SnapTimeout == 0 {
-		c.SnapTimeout = 10 * time.Second
-	}
-	if c.StateChunkBytes <= 0 {
-		c.StateChunkBytes = 256 << 10
 	}
 	return c
 }
@@ -172,7 +131,7 @@ type Replica struct {
 	cGaps      *obs.Counter // deliveries dropped for arriving ahead of an older record
 	cFetches   *obs.Counter // recovery fetches served to neighbours
 	cResends   *obs.Counter // in-flight re-forwards after view changes
-	cBatches   *obs.Counter // downstream sends (batched or not)
+	cBatches   *obs.Counter // downstream op messages, resends included
 	cBatchOps  *obs.Counter // ops inside those sends; /batches = mean batch size
 	cSplits    *obs.Counter // combined batch transactions that failed and split
 
@@ -272,8 +231,7 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		Mode:              mode,
 		HeapSize:          cfg.HeapSize,
 		Alpha:             cfg.Alpha,
-		LogSlots:          cfg.LogSlots,
-		LogEntriesPerSlot: cfg.LogEntriesPerSlot,
+		LogEntriesPerSlot: logEntriesPerSlot,
 		FlushLatency:      cfg.FlushLatency,
 		FenceLatency:      cfg.FenceLatency,
 		Strict:            cfg.Strict,
@@ -292,7 +250,7 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 	if cfg.Strict {
 		ropts.Mode = nvm.ModeStrict
 	}
-	ringReg, err := nvm.New(2*cfg.QueueBytes, ropts)
+	ringReg, err := nvm.New(2*queueBytes, ropts)
 	if err != nil {
 		return nil, err
 	}
@@ -748,56 +706,48 @@ func (r *Replica) Submit(name string, args []byte) error {
 	}
 }
 
-// batcher is the head's submission loop: it drains admitted submissions
-// into batches bounded by BatchOps/BatchBytes (waiting up to BatchDelay for
-// company after the first) and processes each batch as one unit. Non-head
+// batcher is the head's submission loop: it takes each batch of admitted
+// submissions as gather cuts it and processes it as one unit. Non-head
 // replicas run it too, but their submitCh never fills.
 func (r *Replica) batcher(stop chan struct{}) {
 	defer r.wg.Done()
 	for {
-		var first *submitReq
-		select {
-		case <-stop:
+		batch, ok := gather(stop, r.submitCh, r.cfg.BatchOps, func(req *submitReq) int { return len(req.args) })
+		if !ok {
 			return
-		case first = <-r.submitCh:
-		}
-		batch := append(make([]*submitReq, 0, r.cfg.BatchOps), first)
-		bytes := len(first.args)
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if r.cfg.BatchDelay > 0 && r.cfg.BatchOps > 1 {
-			timer = time.NewTimer(r.cfg.BatchDelay)
-			timeout = timer.C
-		}
-	gather:
-		for len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes {
-			if timeout == nil {
-				select {
-				case req := <-r.submitCh:
-					batch = append(batch, req)
-					bytes += len(req.args)
-				default:
-					break gather
-				}
-			} else {
-				select {
-				case req := <-r.submitCh:
-					batch = append(batch, req)
-					bytes += len(req.args)
-				case <-timeout:
-					break gather
-				case <-stop:
-					break gather
-				}
-			}
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 		// Process even when stopping: these clients were admitted and
 		// must get an answer (the stop path re-checks at the top).
 		r.processBatch(batch)
 	}
+}
+
+// full is the one rule that closes a batch, wherever one is formed: it
+// holds maxOps records, or its arguments have reached batchBytes.
+func full(n, bytes, maxOps int) bool { return n >= maxOps || bytes >= batchBytes }
+
+// gather forms a batch from a pipeline channel: it waits for a first item
+// on ch, then takes whatever has already queued behind it until the batch
+// is full — it never waits for one to fill. It returns false once stop
+// closes.
+func gather[T any](stop <-chan struct{}, ch <-chan T, maxOps int, size func(T) int) ([]T, bool) {
+	var first T
+	select {
+	case <-stop:
+		return nil, false
+	case first = <-ch:
+	}
+	batch := append(make([]T, 0, maxOps), first)
+	for bytes := size(first); !full(len(batch), bytes, maxOps); {
+		select {
+		case v := <-ch:
+			batch = append(batch, v)
+			bytes += size(v)
+		default:
+			return batch, true
+		}
+	}
+	return batch, true
 }
 
 // applyReqs executes admitted submissions against the local pool, all in one
@@ -891,39 +841,35 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		return
 	}
 	succ, _ := view.Successor(r.id)
-	// A failed send means the successor just died; repair resends from
-	// the in-flight range, so the error is intentionally dropped and the
-	// clients keep waiting for the tail acknowledgment.
-	r.sendBatch(view, succ, recs)
+	// The clients keep waiting for the tail acknowledgment even if the
+	// send fails: repair resends from the in-flight range.
+	r.send(view, succ, recs)
 	for _, rec := range recs {
 		r.tr.ChainForward(rec.Trace, rec.Seq)
 	}
 	r.cForwarded.Add(uint64(len(recs)))
 }
 
-// sendBatch ships recs to one chain neighbour: a lone record travels as a
-// plain KindOp (the unbatched wire protocol), more as one KindOpBatch.
-func (r *Replica) sendBatch(view membership.View, to transport.NodeID, recs []pqueue.Record) {
-	r.cBatches.Add(1)
-	r.cBatchOps.Add(uint64(len(recs)))
-	if len(recs) == 1 {
-		rec := recs[0]
+// send ships a run of records to one chain neighbour, cut into full
+// batches and a last one with the rest, each one KindOpBatch message. An
+// empty run sends nothing. A failed send is not reported: it means the
+// neighbour just died, and repair resends from the in-flight range.
+func (r *Replica) send(view membership.View, to transport.NodeID, recs []pqueue.Record) {
+	for len(recs) > 0 {
+		n, bytes := 0, 0
+		for n < len(recs) && !full(n, bytes, r.cfg.BatchOps) {
+			bytes += len(recs[n].Args)
+			n++
+		}
+		last := recs[n-1].Seq
 		_ = r.cfg.Transport.Send(to, &transport.Message{
-			Kind: transport.KindOp, From: r.id, ViewID: view.ID,
-			Seq: rec.Seq, Name: rec.Name, Args: rec.Args, Trace: rec.Trace,
+			Kind: transport.KindOpBatch, From: r.id, ViewID: view.ID, Seq: last, Batch: recs[:n],
 		})
-		return
+		r.cBatches.Add(1)
+		r.cBatchOps.Add(uint64(n))
+		r.tr.ChainBatch(last, n)
+		recs = recs[n:]
 	}
-	batch := make([]transport.BatchedOp, len(recs))
-	for i, rec := range recs {
-		batch[i] = transport.BatchedOp{Seq: rec.Seq, Trace: rec.Trace, Name: rec.Name, Args: rec.Args}
-	}
-	lastRec := recs[len(recs)-1]
-	_ = r.cfg.Transport.Send(to, &transport.Message{
-		Kind: transport.KindOpBatch, From: r.id, ViewID: view.ID,
-		Seq: lastRec.Seq, Trace: lastRec.Trace, Batch: batch,
-	})
-	r.tr.ChainBatch(lastRec.Seq, len(recs))
 }
 
 // completeThrough finishes every in-flight transaction with seq <= ackSeq:
@@ -1038,52 +984,47 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 	// receivers deduplicate by sequence number. Recovery fetches and
 	// tail reads carry no chain-ordering obligations.
 	switch msg.Kind {
-	case transport.KindOp, transport.KindOpBatch, transport.KindTailAck, transport.KindCleanup:
+	case transport.KindOpBatch, transport.KindTailAck, transport.KindCleanup:
 		if msg.From != "" && r.currentView().Index(msg.From) < 0 {
 			return nil
 		}
 	}
 	switch msg.Kind {
-	case transport.KindOp, transport.KindOpBatch:
+	case transport.KindOpBatch:
 		// One durable ring append (one flush+fence epoch) for the whole
-		// batch; a lone KindOp is a batch of one. Ops within a message are
-		// in chain order, so filtering duplicates by the highest seen
-		// sequence keeps the remainder contiguous — provided the first new
-		// op is the one that follows it. Messages are not always in order:
-		// after a view change the sender's pipeline forwards new records to
-		// this replica while its onViewChange is still resending the older
-		// in-flight ones, and a removed replica can still be draining.
-		// Appending across the gap would make the older records look like
-		// duplicates when they do arrive; they would never execute here, and
-		// the tail's range acknowledgment would complete them at the head
-		// all the same — an acknowledged write on no surviving replica. So
-		// a message that starts past the gap is dropped: the sender still
-		// holds its records in flight, and the head's repair ticker
-		// re-drives them once the older ones have landed.
-		ops := msg.Batch
-		if msg.Kind == transport.KindOp {
-			ops = []transport.BatchedOp{{Seq: msg.Seq, Trace: msg.Trace, Name: msg.Name, Args: msg.Args}}
-		}
+		// batch. Records within a message are in chain order, so dropping
+		// the prefix this replica already holds keeps the remainder
+		// contiguous — provided its first record is the one that follows
+		// it. Messages are not always in order: after a view change the
+		// sender's pipeline forwards new records to this replica while its
+		// onViewChange is still resending the older in-flight ones, and a
+		// removed replica can still be draining. Appending across the gap
+		// would make the older records look like duplicates when they do
+		// arrive; they would never execute here, and the tail's range
+		// acknowledgment would complete them at the head all the same — an
+		// acknowledged write on no surviving replica. So a message that
+		// starts past the gap is dropped: the sender still holds its
+		// records in flight, and the head's repair ticker re-drives them
+		// once the older ones have landed.
 		in := r.getRing()
 		last := in.LastSeq()
-		recs := make([]pqueue.Record, 0, len(ops))
-		for _, op := range ops {
-			if op.Seq <= last {
-				r.cDedup.Add(1)
-				continue
-			}
-			if len(recs) == 0 && op.Seq != last+1 {
-				r.cGaps.Add(1)
-				return nil
-			}
-			recs = append(recs, pqueue.Record{Seq: op.Seq, Trace: op.Trace, Name: op.Name, Args: op.Args})
+		recs := msg.Batch
+		held := 0
+		for held < len(recs) && recs[held].Seq <= last {
+			held++
 		}
+		r.cDedup.Add(uint64(held))
+		recs = recs[held:]
 		if len(recs) == 0 {
 			// Only duplicates (a repair resend): upstream never saw this
 			// prefix complete; if this tail already executed it, the
 			// original ack was lost — regenerate it instead of staying
 			// silent.
 			r.reackIfExecuted(msg.Seq)
+			return nil
+		}
+		if recs[0].Seq != last+1 {
+			r.cGaps.Add(1)
 			return nil
 		}
 		if err := in.AppendBatch(recs); err != nil {
@@ -1216,11 +1157,10 @@ func (r *Replica) executor(stop chan struct{}, fwd chan pqueue.Record) {
 }
 
 // nextBatch takes whatever pending records are ready under the cursor, up to
-// one batch (BatchOps records or BatchBytes of arguments), to be applied as
-// one local transaction.
+// one full batch, to be applied as one local transaction.
 func (r *Replica) nextBatch(cur *pqueue.Cursor) ([]pqueue.Record, error) {
 	batch := make([]pqueue.Record, 0, r.cfg.BatchOps)
-	for bytes := 0; len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes; {
+	for bytes := 0; !full(len(batch), bytes, r.cfg.BatchOps); {
 		rec, err := cur.Next()
 		if errors.Is(err, pqueue.ErrEmpty) {
 			break
@@ -1277,23 +1217,9 @@ func (r *Replica) executeBatch(recs []pqueue.Record) error {
 func (r *Replica) forwarder(stop chan struct{}, fwd chan pqueue.Record) {
 	defer r.wg.Done()
 	for {
-		var first pqueue.Record
-		select {
-		case <-stop:
+		batch, ok := gather(stop, fwd, r.cfg.BatchOps, func(rec pqueue.Record) int { return len(rec.Args) })
+		if !ok {
 			return
-		case first = <-fwd:
-		}
-		batch := append(make([]pqueue.Record, 0, r.cfg.BatchOps), first)
-		bytes := len(first.Args)
-	gather:
-		for len(batch) < r.cfg.BatchOps && bytes < r.cfg.BatchBytes {
-			select {
-			case rec := <-fwd:
-				batch = append(batch, rec)
-				bytes += len(rec.Args)
-			default:
-				break gather
-			}
 		}
 		if err := r.forwardBatch(batch); err != nil {
 			r.fatal(err)
@@ -1313,7 +1239,7 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	view := r.currentView()
 	last := recs[len(recs)-1]
 	if succ, ok := view.Successor(r.id); ok {
-		r.sendBatch(view, succ, recs)
+		r.send(view, succ, recs)
 		for _, rec := range recs {
 			r.tr.ChainForward(rec.Trace, rec.Seq)
 		}
@@ -1333,7 +1259,7 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	// Tail: one acknowledgment completes the whole prefix at the head,
 	// and one cleanup retires it upstream.
 	_ = r.cfg.Transport.Send(view.Head(), &transport.Message{
-		Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: last.Seq, Trace: last.Trace,
+		Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: last.Seq,
 	})
 	for _, rec := range recs {
 		r.tr.ChainAck(rec.Trace, rec.Seq)

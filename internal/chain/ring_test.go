@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kaminotx/internal/membership"
+	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 )
 
@@ -67,8 +68,9 @@ func (h *hookTransport) lose(f func(to transport.NodeID, msg *transport.Message)
 }
 
 // newHookedChain builds three Kamino replicas n0→n1→n2, the head's backup
-// sized by alpha, over a hookTransport with the given hop latency.
-func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration) (*testChain, *hookTransport) {
+// sized by alpha, batching up to batchOps records a hop, over a
+// hookTransport with the given hop latency.
+func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration, batchOps int) (*testChain, *hookTransport) {
 	tb.Helper()
 	ht := &hookTransport{InProc: transport.NewInProc(hop)}
 	ids := []transport.NodeID{"n0", "n1", "n2"}
@@ -78,7 +80,7 @@ func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration
 	}
 	tc := &testChain{tr: ht.InProc, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
-		Mode: ModeKamino, HeapSize: 8 << 20, Alpha: alpha, Strict: strict,
+		Mode: ModeKamino, HeapSize: 8 << 20, Alpha: alpha, Strict: strict, BatchOps: batchOps,
 		Registry: NewKVRegistry(), Transport: ht, Manager: mgr, Setup: KVSetup,
 	}
 	for _, id := range ids {
@@ -101,7 +103,7 @@ func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration
 
 // isForward reports a middle-to-tail operation message.
 func isForward(to transport.NodeID, msg *transport.Message) bool {
-	return msg.From == "n1" && to == "n2" && (msg.Kind == transport.KindOp || msg.Kind == transport.KindOpBatch)
+	return msg.From == "n1" && to == "n2" && msg.Kind == transport.KindOpBatch
 }
 
 // checkAcked reads every acknowledged put back through the chain (a tail
@@ -144,7 +146,7 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 				name = fmt.Sprintf("%s/partial-loss", victim)
 			}
 			t.Run(name, func(t *testing.T) {
-				tc, ht := newHookedChain(t, 0.5, true, 0)
+				tc, ht := newHookedChain(t, 0.5, true, 0, 1)
 				acked := map[uint64]string{}
 				put := func(key uint64, val string) {
 					t.Helper()
@@ -243,11 +245,11 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 // record is in both. Under -race this fails if any of them touches a region
 // while Crash rewinds it.
 func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
-	tc, ht := newHookedChain(t, 0.5, true, 0)
+	tc, ht := newHookedChain(t, 0.5, true, 0, 1)
 	putRetry(t, tc, 1, []byte("one"))
 	head := tc.get("n0")
 	ht.lose(func(to transport.NodeID, msg *transport.Message) bool {
-		return msg.From == "n0" && to == "n1" && (msg.Kind == transport.KindOp || msg.Kind == transport.KindOpBatch)
+		return msg.From == "n0" && to == "n1" && msg.Kind == transport.KindOpBatch
 	})
 	done := make(chan struct{})
 	go func() {
@@ -336,7 +338,7 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 // to move. The late cursor move must find nothing to do (no persist), the
 // ring must come out empty and in order, and it must reattach.
 func TestCleanupOvertakesForwarder(t *testing.T) {
-	tc, ht := newHookedChain(t, 0.5, true, 0)
+	tc, ht := newHookedChain(t, 0.5, true, 0, 1)
 	putRetry(t, tc, 1, []byte("one"))
 	mid := tc.get("n1")
 	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
@@ -383,7 +385,7 @@ func TestCleanupOvertakesForwarder(t *testing.T) {
 // pruning runs through both ranges of the one ring, and dropping it here
 // would leave the donor's heap without the write.
 func TestAckNeverPrunesUnexecuted(t *testing.T) {
-	tc, _ := newHookedChain(t, 0.5, true, 0)
+	tc, _ := newHookedChain(t, 0.5, true, 0, 1)
 	putRetry(t, tc, 1, []byte("one"))
 	mid := tc.get("n1")
 	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
@@ -392,7 +394,8 @@ func TestAckNeverPrunesUnexecuted(t *testing.T) {
 	seq := mid.getRing().LastSeq() + 1
 	view := tc.mgr.View()
 	mid.handle(&transport.Message{
-		Kind: transport.KindOp, From: "n0", ViewID: view.ID, Seq: seq, Name: "put", Args: EncodeKV(2, []byte("two")),
+		Kind: transport.KindOpBatch, From: "n0", ViewID: view.ID, Seq: seq,
+		Batch: []pqueue.Record{{Seq: seq, Name: "put", Args: EncodeKV(2, []byte("two"))}},
 	})
 	mid.handle(&transport.Message{Kind: transport.KindCleanup, From: "n2", ViewID: view.ID, Seq: seq})
 	if _, pending, err := mid.getRing().Counts(); err != nil || pending != 1 {

@@ -170,7 +170,7 @@ func TestRemovedReplicaQuiesces(t *testing.T) {
 	}
 	// It must have left the transport: sends to it now fail.
 	waitFor(t, "removed replica to unregister", func() bool {
-		return errors.Is(tc.tr.Send(removedID, &transport.Message{Kind: transport.KindOp}), transport.ErrUnknownNode)
+		return errors.Is(tc.tr.Send(removedID, &transport.Message{Kind: transport.KindOpBatch}), transport.ErrUnknownNode)
 	})
 	// And its executor must be stopped: new traffic does not advance it.
 	frozen := removed.LastExec()
@@ -231,7 +231,7 @@ func TestKillMidBatchConverges(t *testing.T) {
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
 		Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 0.5,
-		BatchOps: 8, BatchDelay: 500 * time.Microsecond,
+		BatchOps: 8,
 		Registry: reg, Transport: tr, Manager: mgr, Setup: KVSetup,
 	}
 	for _, id := range ids {
@@ -492,7 +492,7 @@ func TestChaosScheduleLockDrain(t *testing.T) {
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
 		Mode: ModeKamino, HeapSize: 16 << 20, Alpha: 0.5, Strict: true,
-		BatchOps: 8, BatchDelay: 100 * time.Microsecond,
+		BatchOps: 8,
 		Registry: reg, Transport: tr, Manager: mgr, Setup: KVSetup,
 	}
 	for _, id := range ids {
@@ -606,7 +606,8 @@ func TestMiddleAnswersProbeWithCleanup(t *testing.T) {
 	// The head's repair ticker would resend the record; deliver that probe
 	// to the middle directly.
 	mid.handle(&transport.Message{
-		Kind: transport.KindOp, From: "n0", ViewID: tc.mgr.View().ID, Seq: seq, Name: "put",
+		Kind: transport.KindOpBatch, From: "n0", ViewID: tc.mgr.View().ID, Seq: seq,
+		Batch: []pqueue.Record{{Seq: seq, Name: "put"}},
 	})
 	waitFor(t, "head admission lock released", func() bool { return head.LockedKeys() == 0 })
 	waitErrFree(t, tc)
@@ -649,10 +650,10 @@ func TestOvertakingRecordsAreNotAppended(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 3, false)
 	head, tail := tc.order[0], tc.get(tc.order[2])
 	tail.stopExecutor() // hold the ring still: this test is about what is appended
-	op := func(seq uint64) transport.BatchedOp {
-		return transport.BatchedOp{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})}
+	op := func(seq uint64) pqueue.Record {
+		return pqueue.Record{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})}
 	}
-	deliver := func(ops ...transport.BatchedOp) {
+	deliver := func(ops ...pqueue.Record) {
 		tail.handle(&transport.Message{
 			Kind: transport.KindOpBatch, From: head, ViewID: tc.mgr.View().ID,
 			Seq: ops[len(ops)-1].Seq, Batch: ops,

@@ -70,7 +70,7 @@ const (
 	KindChainForward
 	// KindChainApply reports an op executed at a replica.
 	KindChainApply
-	// KindChainBatch reports a multi-op batch forwarded as one message
+	// KindChainBatch reports a batch forwarded as one message
 	// and one durable queue append (Obj is the batch's last sequence
 	// number, Len the operation count).
 	KindChainBatch
@@ -484,7 +484,7 @@ func (t *Tracer) ChainAck(traceID, seq uint64) {
 	t.emit(&Event{Kind: KindChainAck, Trace: traceID, Obj: seq})
 }
 
-// ChainBatch records n operations coalesced into one forwarded message and
+// ChainBatch records n operations (one or more) forwarded as one message and
 // one durable queue append, ending at lastSeq. Per-op ChainForward events
 // are still emitted, so the auditor and the trace tests see every
 // operation; ChainBatch marks the batch boundaries themselves.

@@ -9,6 +9,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+
+	"kaminotx/internal/pqueue"
 )
 
 // NodeID names a replica endpoint.
@@ -17,10 +19,15 @@ type NodeID string
 // Kind discriminates chain protocol messages.
 type Kind int
 
-// Message kinds.
+// Message kinds. The zero Kind names no message, so a Message whose Kind
+// was never set is one no replica acts on.
 const (
-	// KindOp carries one transaction down the chain.
-	KindOp Kind = iota
+	_ Kind = iota
+	// KindOpBatch carries transactions down the chain: the records in
+	// Batch, in chain order, one or more (the head or a forwarding replica
+	// coalesced whatever had queued). Seq is the batch's highest sequence
+	// number.
+	KindOpBatch
 	// KindTailAck is the tail's completion notice to the head.
 	KindTailAck
 	// KindCleanup propagates clean-up acknowledgments up the chain.
@@ -35,11 +42,6 @@ const (
 	KindReadReply
 	// KindError reports a remote failure.
 	KindError
-	// KindOpBatch carries several transactions down the chain in one
-	// message (the head or a forwarding replica coalesced them). Seq is
-	// the batch's highest sequence number; the per-op fields live in
-	// Batch.
-	KindOpBatch
 	// KindStateSnap asks a donor replica to freeze at a transaction
 	// boundary and describe a heap snapshot for a joining replica: the
 	// reply carries Snap (a nonce naming the frozen snapshot), Len (heap
@@ -53,35 +55,24 @@ const (
 	KindStateDone
 )
 
-// BatchedOp is one operation inside a KindOpBatch message, in chain order.
-type BatchedOp struct {
-	// Seq is the head-assigned sequence number.
-	Seq uint64
-	// Trace is the head-minted chain-wide trace id (0 when untraced).
-	Trace uint64
-	// Name is the registered operation name.
-	Name string
-	// Args is the operation's encoded argument payload.
-	Args []byte
-}
-
 // Message is the single format for all chain traffic.
 type Message struct {
 	Kind   Kind
 	From   NodeID
 	ViewID uint64
 
-	// Op fields.
-	Seq  uint64
+	// Seq is the sequence number the message speaks for: the last record
+	// of a KindOpBatch, the prefix a KindTailAck or KindCleanup covers,
+	// a KindStateSnap reply's snapshot floor.
+	Seq uint64
+	// Name and Args select a KindRead's registered operation and carry
+	// its encoded arguments.
 	Name string
 	Args []byte
-	// Trace is the chain-wide trace id minted by the head for KindOp and
-	// echoed by KindTailAck; 0 when tracing is off.
-	Trace uint64
 
-	// Batch holds the per-op fields of a KindOpBatch message, in chain
-	// order (ascending Seq).
-	Batch []BatchedOp
+	// Batch holds the records of a KindOpBatch message, or of a
+	// KindStateSnap reply, in chain order (ascending Seq).
+	Batch []pqueue.Record
 
 	// Fetch fields: parallel slices describing object blocks.
 	Objs    []uint64

@@ -22,7 +22,7 @@ func testTransportSendAndCall(t *testing.T, tr Transport, a, b NodeID) {
 		t.Fatal(err)
 	}
 
-	if err := tr.Send(a, &Message{Kind: KindOp, Seq: 42}); err != nil {
+	if err := tr.Send(a, &Message{Kind: KindOpBatch, Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

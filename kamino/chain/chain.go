@@ -60,14 +60,11 @@ type Options struct {
 	// Strict enables crash simulation (required by Reboot).
 	Strict bool
 	// BatchOps caps how many operations one chain hop coalesces into a
-	// single message and a single persistent-queue flush+fence epoch.
-	// 1 (the default) disables batching — the unbatched per-op protocol.
+	// single message and a single persistent-queue flush+fence epoch. A
+	// batch is whatever has already queued, up to BatchOps operations or
+	// 256 KiB of arguments; nothing waits for it to fill. Default 1:
+	// batches of one.
 	BatchOps int
-	// BatchBytes caps a batch's payload bytes. Default 256 KiB.
-	BatchBytes int
-	// BatchDelay is how long the head waits for more submissions after
-	// the first before sealing a batch; zero (the default) never waits.
-	BatchDelay time.Duration
 	// Trace, when non-nil, records every replica's chain protocol
 	// events and local engine events; head-minted trace ids correlate
 	// one transaction across the whole chain.
@@ -136,8 +133,6 @@ func New(opts Options) (*Cluster, error) {
 			FenceLatency: opts.FenceLatency,
 			Strict:       opts.Strict,
 			BatchOps:     opts.BatchOps,
-			BatchBytes:   opts.BatchBytes,
-			BatchDelay:   opts.BatchDelay,
 			Registry:     reg,
 			Transport:    tr,
 			Manager:      mgr,

@@ -161,7 +161,6 @@ func chaosSchedule(t *testing.T, replicas int) {
 		FenceLatency: 500 * time.Nanosecond,
 		Strict:       true,
 		BatchOps:     8,
-		BatchDelay:   100 * time.Microsecond,
 		Trace:        rec,
 		RetryWindow:  10 * time.Second,
 	})
