@@ -37,8 +37,10 @@ fmt:
 # only about one run in eight when it is wrong, and the client's sends
 # racing its flusher and a Close. The chain's batched hop repeats too: a
 # view change's resend cut into batches and appended by a receiver that
-# drops the prefix it holds, a middle killed mid-batch, and records that
-# overtake a resend. internal/simtime is the wait
+# drops the prefix it holds, a middle killed mid-batch, records that
+# overtake a resend, a middle whose drain must coalesce what queued behind a
+# held delivery, and a stalled tail with both inboxes full, which must not
+# deadlock. internal/simtime is the wait
 # every simulated latency goes through (its yield tests pin one processor),
 # and internal/transport the in-process hop that spends it. internal/kvstore
 # brings the strict two-writer preload that a power failure must not dent
@@ -48,7 +50,7 @@ fmt:
 # allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
 	$(GO) test -race -count=20 -run 'TestDrainZeroLoss|TestClientConcurrentSendsAndClose' ./internal/server/
-	$(GO) test -race -count=20 -run 'TestResendIsBatched|TestKillMidBatchConverges|TestOvertakingRecordsAreNotAppended' ./internal/chain/
+	$(GO) test -race -count=20 -run 'TestResendIsBatched|TestKillMidBatchConverges|TestOvertakingRecordsAreNotAppended|TestDrainCoalescesQueuedAppends|TestFullInboxesDoNotDeadlock' ./internal/chain/
 	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 

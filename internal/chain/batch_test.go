@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,7 +301,6 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 				t.Fatalf("reboot head: %v", err)
 			}
 			tail.startExecutor()
-			tail.kick()
 
 			done := make(chan struct{})
 			go func() { wg.Wait(); close(done) }()
@@ -399,4 +399,184 @@ func TestResendIsBatched(t *testing.T) {
 	if len(recs) != 30 {
 		t.Fatalf("%d records pending at the successor, want 30", len(recs))
 	}
+}
+
+// TestDrainCoalescesQueuedAppends: a middle takes a drain step only when its
+// inbox goroutine finds no message waiting, so records that queued while it
+// was busy are all appended — one ring append per message — before they are
+// cut into BatchOps-sized transactions. Forty one-record messages that queue
+// behind a held delivery execute as five local transactions and leave as
+// five messages, not forty of each.
+func TestDrainCoalescesQueuedAppends(t *testing.T) {
+	const k, batchOps = 40, 8
+	tc, ht := newHookedChain(t, 0.5, true, 0, batchOps)
+	head, mid, tail := tc.get("n0"), tc.get("n1"), tc.get("n2")
+	// The tail only appends, so no clean-up reaches the middle mid-drain.
+	tail.stopExecutor()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var holdOnce sync.Once
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce) // a failed check must not leave a delivery held
+	ht.receive(func(at transport.NodeID, msg *transport.Message) {
+		if at == "n1" && msg.Kind == transport.KindOpBatch {
+			holdOnce.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	})
+	// Messages to the tail that carry a record for the first time: a repair
+	// ticker's re-drive of a stalled range carries none.
+	var fwdMu sync.Mutex
+	var toTail int
+	var fwdLast uint64
+	ht.set(func(to transport.NodeID, msg *transport.Message) {
+		if !isForward(to, msg) {
+			return
+		}
+		fwdMu.Lock()
+		defer fwdMu.Unlock()
+		if msg.Seq > fwdLast {
+			fwdLast = msg.Seq
+			toTail++
+		}
+	})
+
+	commits := func() uint64 { return mid.Pool().Obs().Snapshot().Counters["commits"] }
+	c0, a0, f0 := commits(), mid.cApplied.Load(), mid.ringReg.Stats().Fences
+	base := head.getRing().LastSeq()
+	errs := make(chan error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			if err := tc.client.Put(key, []byte{byte(key)}); err != nil {
+				errs <- fmt.Errorf("Put(%d): %w", key, err)
+			}
+		}(uint64(100 + i))
+		// One submission at a time: once the head has appended this one, it
+		// sends it alone, and the next forms a batch of its own.
+		waitFor(t, fmt.Sprintf("the head to take put %d", i), func() bool {
+			return head.getRing().LastSeq() == base+uint64(i)+1
+		})
+		if i == 0 {
+			<-held
+		}
+	}
+	releaseOnce()
+	waitFor(t, "the middle to drain", func() bool {
+		_, pending := mid.getRing().Usage()
+		return mid.cApplied.Load()-a0 == k && pending.Bytes == 0
+	})
+	if got, want := commits()-c0, uint64(k/batchOps); got != want {
+		t.Errorf("the middle ran %d local transactions for %d queued records, want %d", got, k, want)
+	}
+	fwdMu.Lock()
+	if want := k / batchOps; toTail != want {
+		t.Errorf("the middle sent the tail its records in %d messages, want %d", toTail, want)
+	}
+	fwdMu.Unlock()
+	// An append is two fences, a done-cursor move one.
+	if got, want := mid.ringReg.Stats().Fences-f0, uint64(2*k+k/batchOps); got != want {
+		t.Errorf("middle ring fences = %d, want %d appends and %d cursor moves (%d)", got, k, k/batchOps, want)
+	}
+	tail.startExecutor()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	waitFor(t, "every ring to drain", func() bool { return ringEmpty(head) && ringEmpty(mid) && ringEmpty(tail) })
+	waitErrFree(t, tc)
+}
+
+// TestFullInboxesDoNotDeadlock: a middle sends op batches down and a tail
+// sends acknowledgments up from the goroutine that receives, so with the
+// tail stalled and more messages in flight at each than an inbox holds
+// (1024), neighbours could each wait for room in the other's inbox. The
+// transport drops an acknowledgment rather than wait, and the repair ticker
+// regenerates what was lost: once the tail resumes every put completes and
+// every ring drains.
+func TestFullInboxesDoNotDeadlock(t *testing.T) {
+	const inbox = 1024 // transport.InProc's inbox capacity
+	const puts = 2*inbox + 256
+	// A bucket per 8 KiB of heap: 3072 buckets, so puts admission-locks
+	// apart can all be in flight at once.
+	tc, ht := hookedChain(t, 0, Config{Mode: ModeKamino, HeapSize: 24 << 20, Alpha: 0.5, BatchOps: 1})
+	head, mid, tail := tc.get("n0"), tc.get("n1"), tc.get("n2")
+	var keys []uint64
+	buckets := map[uint64]bool{}
+	for key := uint64(0); len(keys) < puts; key++ {
+		if b := kvLockKeys(head.Pool(), EncodeKV(key, nil))[0]; !buckets[b] {
+			buckets[b] = true
+			keys = append(keys, key)
+		}
+	}
+
+	// Messages queued in an inbox: sent to it and not yet taken by its
+	// delivery goroutine.
+	var sentMid, sentTail, recvMid, recvTail atomic.Int64
+	ht.set(func(to transport.NodeID, msg *transport.Message) {
+		switch to {
+		case "n1":
+			sentMid.Add(1)
+		case "n2":
+			sentTail.Add(1)
+		}
+	})
+	held, release := make(chan struct{}), make(chan struct{})
+	var holdOnce sync.Once
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseOnce) // a failed check must not leave a delivery held
+	ht.receive(func(at transport.NodeID, msg *transport.Message) {
+		switch at {
+		case "n1":
+			recvMid.Add(1)
+		case "n2":
+			recvTail.Add(1)
+			holdOnce.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	})
+	errs := make(chan error, puts)
+	var wg sync.WaitGroup
+	for _, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := tc.client.Put(key, []byte{byte(key)}); err != nil {
+				errs <- fmt.Errorf("Put(%d): %w", key, err)
+			}
+		}()
+	}
+	<-held
+	// Saturated: the tail's inbox is full behind the message it holds, the
+	// middle waits to send it one more, and the middle's inbox is full
+	// behind that.
+	waitFor(t, "the middle's and the tail's inboxes to fill", func() bool {
+		return sentMid.Load()-recvMid.Load() == inbox && sentTail.Load()-recvTail.Load() == inbox
+	})
+	releaseOnce()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		dumpChainState(t, tc)
+		ht.Close() // unblock every sender, so the replicas can close
+		t.Fatal("puts stranded after the tail resumed")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	waitFor(t, "every ring to drain", func() bool { return ringEmpty(head) && ringEmpty(mid) && ringEmpty(tail) })
+	if n := head.LockedKeys(); n != 0 {
+		t.Errorf("%d admission locks still held", n)
+	}
+	waitErrFree(t, tc)
 }

@@ -2,11 +2,8 @@ package chain
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"time"
-
-	"kaminotx/internal/transport"
 )
 
 // Device-cost pin and benchmark for one chain put, beside
@@ -58,9 +55,9 @@ const (
 
 // devChain is a three-replica chain with a Kamino-Tx-Simple head and
 // devKeys preloaded keys, settled.
-func devChain(tb testing.TB, strict bool, hop time.Duration) (*testChain, *hookTransport, []*Replica) {
+func devChain(tb testing.TB, strict bool, hop time.Duration) (*testChain, []*Replica) {
 	tb.Helper()
-	tc, ht := newHookedChain(tb, 1, strict, hop, 1)
+	tc, _ := newHookedChain(tb, 1, strict, hop, 1)
 	reps := []*Replica{tc.get("n0"), tc.get("n1"), tc.get("n2")}
 	for k := uint64(0); k < devKeys; k++ {
 		if err := tc.client.Put(k, bytes.Repeat([]byte{1}, devValue)); err != nil {
@@ -68,7 +65,7 @@ func devChain(tb testing.TB, strict bool, hop time.Duration) (*testChain, *hookT
 		}
 	}
 	settle(tb, reps)
-	return tc, ht, reps
+	return tc, reps
 }
 
 // ringEmpty reports whether a replica's ring holds no record in either range.
@@ -118,20 +115,7 @@ func settle(tb testing.TB, reps []*Replica) {
 // acknowledgment, and the head's re-persist of an unmoved cursor when the
 // clean-up follows the tail ack — and 4 log fences per replica against 3.
 func TestChainPutDeviceCost(t *testing.T) {
-	tc, ht, reps := devChain(t, true, 0)
-	mid := reps[1]
-	// The middle pays its cursor move only when its forwarder gets there
-	// before the tail's clean-up (else the clean-up moves the cursor for
-	// it and the fence is saved): hold the clean-up back until it has, so
-	// the count is the common case's, every time.
-	ht.hold(func(to transport.NodeID, msg *transport.Message) {
-		for msg.Kind == transport.KindCleanup && to == "n1" {
-			if _, in := mid.getRing().Usage(); in.Bytes == 0 {
-				return
-			}
-			runtime.Gosched()
-		}
-	})
+	tc, reps := devChain(t, true, 0)
 
 	const puts = 32 // a multiple of 4: whole cycles of the record's alignment
 	var before [3]replicaCost
@@ -179,7 +163,7 @@ func TestChainPutDeviceCost(t *testing.T) {
 // BenchmarkChainPut is the same put on fast regions behind 3 µs hops — the
 // gated benchmark's chain-put with one client and no device latency.
 func BenchmarkChainPut(b *testing.B) {
-	tc, _, reps := devChain(b, false, 3*time.Microsecond)
+	tc, reps := devChain(b, false, 3*time.Microsecond)
 	val := bytes.Repeat([]byte{4}, devValue)
 	before := chainCost(reps)
 	b.ResetTimer()

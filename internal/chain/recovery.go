@@ -24,7 +24,7 @@ func (r *Replica) onViewChange(v membership.View) {
 	stillMember := v.Index(r.id) >= 0
 	r.mu.Unlock()
 	if !stillMember {
-		// Removed from the chain: quiesce. Without this the executor
+		// Removed from the chain: quiesce. Without this the pipeline
 		// keeps applying and forwarding with a stale view and the node
 		// keeps serving fetches as if it were a member — a zombie. Stop
 		// the pipeline, leave the transport, drop the membership watch
@@ -49,8 +49,8 @@ func (r *Replica) onViewChange(v membership.View) {
 	if isHead && !wasHead {
 		// Promote at a transaction boundary. pool.Promote closes the
 		// in-place engine and reopens it as Kamino-Tx over the same heap;
-		// doing that under a live executor strands whatever intent the
-		// executor is mid-way through, and the reopened engine would roll
+		// doing that under a live drain strands whatever intent the
+		// drain is mid-way through, and the reopened engine would roll
 		// it back against a just-created (empty) backup. The pipeline also
 		// must not assign sequence numbers until promoteToHead has rebuilt
 		// numbering from the persistent cursors.
@@ -76,7 +76,7 @@ func (r *Replica) onViewChange(v membership.View) {
 	if newSucc, hasSucc := v.Successor(r.id); hasSucc && !(isHead && !wasHead) {
 		r.resendInflight(v, newSucc)
 	}
-	r.kick()
+	r.drain()
 }
 
 // promoteToHead converts an in-place replica into the chain's new head: it
@@ -159,36 +159,8 @@ func (r *Replica) promoteToHead() error {
 		r.completeThrough(maxSeq)
 	}
 	// A replica promoted mid-stream inherits its middle-era pending backlog:
-	// records accepted but not yet executed and forwarded. They must be
-	// fully drained before the pipeline restarts, because the head's
-	// batcher is a second writer to the same engine — admission control
-	// knows nothing about backlog keys, so batcher and executor
-	// transactions would interleave in the engine lock table (an AB-BA
-	// deadlock on shared hash-bucket objects even for disjoint keys) and
-	// break the allocation-order determinism the neighbour-copy recovery
-	// protocol needs. Draining after the in-flight resends keeps the
-	// successor's ring in ascending sequence order.
-	return r.drainInputBacklog()
-}
-
-// drainInputBacklog synchronously executes and forwards every record still
-// pending in the ring, exactly as the executor/forwarder pipeline would.
-// Callers must hold the pipeline stopped: this is the single writer while
-// it runs.
-func (r *Replica) drainInputBacklog() error {
-	cur := r.getRing().Cursor()
-	for {
-		batch, err := r.nextBatch(cur)
-		if err != nil || len(batch) == 0 {
-			return err
-		}
-		if err := r.executeBatch(batch); err != nil {
-			return err
-		}
-		if err := r.forwardBatch(batch); err != nil {
-			return err
-		}
-	}
+	// startExecutor drains it before the batcher starts.
+	return nil
 }
 
 // ackAllInflight lets a newly promoted tail acknowledge all forwarded
@@ -283,11 +255,15 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 
 // reacker is the per-incarnation repair ticker. A tail holding retained
 // in-flight records (an ack the head never confirmed) re-acknowledges them
-// every resendInterval until one lands. A head whose oldest in-flight
-// record has made no progress between two ticks re-drives that range down
-// the chain: one-shot acks and cleanups can be lost across a view change
-// (addressed to a head that died before delivery), and without a retry
-// the admission locks for those records would be stranded forever.
+// every resendInterval until one lands. A head or middle whose oldest
+// in-flight record has made no progress between two ticks re-drives that
+// range down the chain: one-shot acks and cleanups can be lost — addressed
+// to a head that died before delivery, or dropped at a full inbox (the
+// transport never waits to deliver one) — and without a retry the head's
+// admission locks for those records would be stranded forever, and a
+// middle would hold them in its ring. The successor answers a duplicate it
+// has seen acknowledged with a clean-up, and passes the rest on to the
+// tail, which acknowledges again (reackIfExecuted).
 func (r *Replica) reacker(stop chan struct{}) {
 	defer r.wg.Done()
 	t := time.NewTicker(resendInterval)
@@ -300,7 +276,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 		case <-t.C:
 		}
 		view := r.currentView()
-		if view.Head() == r.id {
+		if succ, ok := view.Successor(r.id); ok {
 			recs, err := r.getRing().Inflight()
 			if err != nil || len(recs) == 0 {
 				stalledFloor = 0
@@ -315,9 +291,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 				// frozen for state transfer — can back up thousands of
 				// records; resending them all every tick turns the
 				// repair ticker into a storm that starves the transfer.)
-				if succ, ok := view.Successor(r.id); ok {
-					r.resend(view, succ, recs[:min(len(recs), 16)])
-				}
+				r.resend(view, succ, recs[:min(len(recs), 16)])
 			}
 			stalledFloor = floor
 			continue
@@ -376,7 +350,7 @@ func (r *Replica) powerCycle(crash func() error) (*pqueue.Queue, error) {
 // membership manager, and incomplete transactions are resolved — from the
 // local backup if it is (still) the head, by rolling forward from the
 // predecessor if it is a non-head, or by rolling back from the successor if
-// it finds itself newly promoted (Figure 9). The executor then resumes the
+// it finds itself newly promoted (Figure 9). The pipeline then drains the
 // ring's pending range; re-execution is safe because replicated operations are
 // idempotent.
 func (r *Replica) Reboot() error {
@@ -513,10 +487,9 @@ func (r *Replica) reboot(crash func() error) error {
 	}
 
 	// Back online: serve messages and resume the pending range.
-	if err := r.cfg.Transport.Register(r.id, r.handle); err != nil {
+	if err := r.cfg.Transport.Serve(r.id, r.handle, r.drainStep); err != nil {
 		return err
 	}
 	r.startExecutor()
-	r.kick()
 	return nil
 }

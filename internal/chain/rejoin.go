@@ -58,9 +58,9 @@ func (r *Replica) serveStateSnap(msg *transport.Message) *transport.Message {
 	r.snapNonce = nonce
 	r.snapMu.Unlock()
 
-	// Freeze at a transaction boundary: the executor finishes its current
-	// batch and stops, then the engine drains asynchronous work. From here
-	// until release the heap image is immutable.
+	// Freeze at a transaction boundary: a drain in progress finishes its
+	// current batch and stops, then the engine drains asynchronous work.
+	// From here until release the heap image is immutable.
 	r.stopExecutor()
 	r.pool.Drain()
 
@@ -131,7 +131,6 @@ func (r *Replica) releaseSnapshot(nonce uint64) {
 	}
 	r.snapMu.Unlock()
 	r.startExecutor()
-	r.kick()
 }
 
 // JoinAsTail builds a replacement replica, catches it up by state transfer
@@ -237,10 +236,11 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 
 	// 4. Go on the air before the view includes us (so the donor's first
 	// post-join forwards are not dropped), join, then start executing.
-	// The executor must not run before AddTail: a replica outside the
+	// The pipeline must not run before AddTail: a replica outside the
 	// view has no successor and would acknowledge records as if it were
-	// the tail while the real tail has yet to execute them.
-	if err := cfg.Transport.Register(id, r.handle); err != nil {
+	// the tail while the real tail has yet to execute them. Until
+	// startExecutor it only appends what arrives.
+	if err := cfg.Transport.Serve(id, r.handle, r.drainStep); err != nil {
 		release()
 		return abort(err)
 	}
@@ -252,7 +252,6 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		return abort(fmt.Errorf("chain: joining view: %w", err))
 	}
 	r.startExecutor()
-	r.kick()
 
 	// 5. Release the donor; it resumes as a middle and re-forwards its
 	// remaining input to us.

@@ -144,12 +144,17 @@ type Replica struct {
 	lastExec uint64
 	promoted bool // head engine active (initial head or promoted later)
 
-	notify      chan struct{}
 	submitCh    chan *submitReq // head: admitted submissions awaiting a batch
 	stopMu      sync.Mutex
-	stop        chan struct{}
+	stop        chan struct{} // closed while the pipeline is stopped
 	wg          sync.WaitGroup
 	watchCancel func() // removes this replica's membership watcher
+	// drainMu is held for each drain step, so the inbox goroutine's steps
+	// and those of the start and recovery paths take turns, and
+	// stopExecutor can wait out the one in progress. cur is the pipeline
+	// incarnation's cursor over the ring's pending range, used under it.
+	drainMu sync.Mutex
+	cur     *pqueue.Cursor
 
 	// Donor-side state-transfer snapshot (see rejoin.go): while a
 	// snapshot is frozen the pipeline is stopped and chunk fetches are
@@ -287,8 +292,8 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		cBatches:   o.Counter("batches"),
 		cBatchOps:  o.Counter("batch_ops"),
 		cSplits:    o.Counter("batch_splits"),
-		notify:     make(chan struct{}, 1),
 		submitCh:   make(chan *submitReq, 1024),
+		stop:       make(chan struct{}),
 		lockedBy:   make(map[uint64]struct{}),
 		seqLocks:   make(map[uint64][]uint64),
 		waiters:    make(map[uint64]chan error),
@@ -313,13 +318,14 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		r.traceBase = fnv64a(string(id)) &^ 0xFFFFFFFF
 	}
 	r.lockCond = sync.NewCond(&r.headMu)
+	close(r.stop) // offline until startExecutor
 	return r, nil
 }
 
 // goLive puts a constructed replica on the air: transport handler,
 // membership watcher, pipeline.
 func (r *Replica) goLive() error {
-	if err := r.cfg.Transport.Register(r.id, r.handle); err != nil {
+	if err := r.cfg.Transport.Serve(r.id, r.handle, r.drainStep); err != nil {
 		return err
 	}
 	r.watchCancel = r.cfg.Manager.Watch(r.onViewChange)
@@ -477,7 +483,10 @@ func (r *Replica) ackThrough(seq uint64) error {
 	return r.getRing().AckThrough(min(seq, r.lastExecSeq()))
 }
 
-// stopExecutor halts the pipeline goroutines; startExecutor restarts them.
+// stopExecutor halts the pipeline: it returns once the batcher and the
+// repair ticker have exited and any drain step in progress has finished. A
+// stopped replica still appends what it receives, but drains nothing until
+// startExecutor.
 func (r *Replica) stopExecutor() {
 	r.stopMu.Lock()
 	select {
@@ -487,24 +496,41 @@ func (r *Replica) stopExecutor() {
 	}
 	r.stopMu.Unlock()
 	r.wg.Wait()
+	r.drainMu.Lock() // a step in progress ends here; later ones find stop closed
+	r.drainMu.Unlock()
 }
 
-// startExecutor spawns one pipeline incarnation: the executor applies pending
-// records and hands them to the forwarder, which batches them downstream,
-// while the batcher coalesces head submissions. The stop channel and the
-// executor→forwarder channel are per-incarnation so a Reboot never mixes
-// records from the pre-crash ring into the new pipeline.
+// startExecutor starts one pipeline incarnation — a cursor over the current
+// ring, and the head's batcher and the repair ticker with a stop channel of
+// their own, so a Reboot never mixes the pre-crash incarnation into the new
+// one. Whatever is pending in the ring drains before the batcher starts: a
+// replica promoted mid-stream inherits records it accepted as a middle, and
+// the batcher is a second writer to the same engine — admission control
+// knows nothing about backlog keys, so batcher and drain transactions would
+// interleave in the engine lock table (an AB-BA deadlock on shared
+// hash-bucket objects even for disjoint keys) and break the allocation-order
+// determinism the neighbour-copy recovery protocol needs. promoteToHead has
+// resent the in-flight range by then, so the successor's ring stays in
+// ascending sequence order.
 func (r *Replica) startExecutor() {
+	r.drainMu.Lock()
+	r.cur = r.getRing().Cursor()
+	r.drainMu.Unlock()
+	stop := make(chan struct{})
 	r.stopMu.Lock()
-	r.stop = make(chan struct{})
-	stop := r.stop
+	r.stop = stop
 	r.stopMu.Unlock()
-	fwd := make(chan pqueue.Record, 1024)
-	r.wg.Add(4)
-	go r.executor(stop, fwd)
-	go r.forwarder(stop, fwd)
+	r.wg.Add(2) // before the drain, so a stopExecutor meanwhile waits for both
+	r.drain()
 	go r.batcher(stop)
 	go r.reacker(stop)
+}
+
+// stopped returns the current incarnation's stop channel.
+func (r *Replica) stopped() chan struct{} {
+	r.stopMu.Lock()
+	defer r.stopMu.Unlock()
+	return r.stop
 }
 
 func (r *Replica) currentView() membership.View {
@@ -587,13 +613,6 @@ func executedFloor(q *pqueue.Queue) (uint64, error) {
 	return rec.Seq - 1, nil
 }
 
-func (r *Replica) kick() {
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
-}
-
 func (r *Replica) fatal(err error) {
 	r.headMu.Lock()
 	if r.execErr == nil {
@@ -673,9 +692,7 @@ func (r *Replica) Submit(name string, args []byte) error {
 	// Once handed off, the request always gets an answer: a live batcher
 	// completes it, a reboot's re-drive completes it after recovery, and
 	// removal or Close fails it through failWaiters.
-	r.stopMu.Lock()
-	stop := r.stop
-	r.stopMu.Unlock()
+	stop := r.stopped()
 	req := &submitReq{name: name, args: args, fn: fn, keys: keys, done: make(chan error, 1)}
 	select {
 	case r.submitCh <- req:
@@ -696,10 +713,8 @@ func (r *Replica) Submit(name string, args []byte) error {
 			if view.Head() != r.id {
 				return r.redirect(view)
 			}
-			r.stopMu.Lock()
-			stop = r.stop
-			r.stopMu.Unlock()
-			// The closed channel is replaced only when the executor
+			stop = r.stopped()
+			// The closed channel is replaced only when the pipeline
 			// restarts; avoid spinning until it does.
 			time.Sleep(time.Millisecond)
 		}
@@ -712,7 +727,7 @@ func (r *Replica) Submit(name string, args []byte) error {
 func (r *Replica) batcher(stop chan struct{}) {
 	defer r.wg.Done()
 	for {
-		batch, ok := gather(stop, r.submitCh, r.cfg.BatchOps, func(req *submitReq) int { return len(req.args) })
+		batch, ok := r.gather(stop)
 		if !ok {
 			return
 		}
@@ -726,23 +741,22 @@ func (r *Replica) batcher(stop chan struct{}) {
 // holds maxOps records, or its arguments have reached batchBytes.
 func full(n, bytes, maxOps int) bool { return n >= maxOps || bytes >= batchBytes }
 
-// gather forms a batch from a pipeline channel: it waits for a first item
-// on ch, then takes whatever has already queued behind it until the batch
-// is full — it never waits for one to fill. It returns false once stop
-// closes.
-func gather[T any](stop <-chan struct{}, ch <-chan T, maxOps int, size func(T) int) ([]T, bool) {
-	var first T
+// gather forms a batch of submissions: it waits for a first one, then
+// takes whatever has already queued behind it until the batch is full — it
+// never waits for one to fill. It returns false once stop closes.
+func (r *Replica) gather(stop <-chan struct{}) ([]*submitReq, bool) {
+	var first *submitReq
 	select {
 	case <-stop:
 		return nil, false
-	case first = <-ch:
+	case first = <-r.submitCh:
 	}
-	batch := append(make([]T, 0, maxOps), first)
-	for bytes := size(first); !full(len(batch), bytes, maxOps); {
+	batch := append(make([]*submitReq, 0, r.cfg.BatchOps), first)
+	for bytes := len(first.args); !full(len(batch), bytes, r.cfg.BatchOps); {
 		select {
-		case v := <-ch:
-			batch = append(batch, v)
-			bytes += size(v)
+		case req := <-r.submitCh:
+			batch = append(batch, req)
+			bytes += len(req.args)
 		default:
 			return batch, true
 		}
@@ -1027,11 +1041,12 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 			r.cGaps.Add(1)
 			return nil
 		}
+		// Executing and sending them on waits for a drain step, which the
+		// delivery goroutine takes once no other message is waiting: what
+		// queued behind this one is appended first and executes with it.
 		if err := in.AppendBatch(recs); err != nil {
 			r.fatal(err)
-			return nil
 		}
-		r.kick()
 	case transport.KindTailAck:
 		// Head: every transaction up to msg.Seq is complete; release the
 		// clients and the admission locks, and truncate the acknowledged
@@ -1111,55 +1126,60 @@ func (r *Replica) serveFetch(msg *transport.Message) *transport.Message {
 // ---------------------------------------------------------------------------
 // Pipeline (non-head replicas; the head executes in the batcher)
 //
-// The executor applies the ring's pending records and streams them to the
-// forwarder over a channel, so this replica can execute record k+1 while
-// its downstream work for record k (send, cursor move) is still in
-// progress. Records stay pending in the durable ring until the forwarder
-// has sent them on: a crash anywhere re-executes and re-sends the suffix,
-// which is safe because replicated operations are idempotent and the
-// successor deduplicates.
+// A record runs to completion on one goroutine: the inbox goroutine that
+// appended it executes it, sends it on and moves the done cursor, in a drain
+// step. Records stay pending in the durable ring until they have been sent
+// on: a crash anywhere re-executes and re-sends the suffix, which is safe
+// because replicated operations are idempotent and the successor
+// deduplicates.
 
-func (r *Replica) executor(stop chan struct{}, fwd chan pqueue.Record) {
-	defer r.wg.Done()
-	cur := r.getRing().Cursor()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-r.notify:
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			batch, err := r.nextBatch(cur)
-			if err == nil && len(batch) > 0 {
-				err = r.executeBatch(batch)
-			}
-			if err != nil {
-				r.fatal(err)
-				return
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, rec := range batch {
-				select {
-				case fwd <- rec:
-				case <-stop:
-					return
-				}
-			}
-		}
+// drain runs drain steps until nothing is pending or the pipeline stops:
+// the start and recovery paths, which are not the inbox goroutine, drain
+// this way.
+func (r *Replica) drain() {
+	for r.drainStep() {
 	}
 }
 
+// drainStep takes the next batch of pending records through execution and
+// on down the chain, and reports whether there was one. The transport calls
+// it on the inbox goroutine whenever no message is waiting, again while it
+// reports one and none arrives: every message that queued meanwhile is
+// appended before the next batch is cut, so what arrived during a drain
+// executes together, in BatchOps-sized transactions.
+func (r *Replica) drainStep() bool {
+	r.drainMu.Lock()
+	defer r.drainMu.Unlock()
+	if r.cur == nil {
+		return false
+	}
+	select {
+	case <-r.stopped():
+		return false
+	default:
+	}
+	batch, err := r.nextBatch(r.cur)
+	if err == nil && len(batch) > 0 {
+		if err = r.executeBatch(batch); err == nil {
+			err = r.forwardBatch(batch)
+		}
+	}
+	if err != nil {
+		// The cursor has read past the failed batch, so this incarnation
+		// takes no more steps: nothing after the batch runs, is sent on or
+		// moves the done cursor. A restart resumes from the durable cursor.
+		r.cur = nil
+		r.fatal(err)
+		return false
+	}
+	return len(batch) > 0
+}
+
 // nextBatch takes whatever pending records are ready under the cursor, up to
-// one full batch, to be applied as one local transaction.
+// one full batch, to be applied as one local transaction. Finding none — the
+// end of every drain — allocates nothing.
 func (r *Replica) nextBatch(cur *pqueue.Cursor) ([]pqueue.Record, error) {
-	batch := make([]pqueue.Record, 0, r.cfg.BatchOps)
+	var batch []pqueue.Record
 	for bytes := 0; !full(len(batch), bytes, r.cfg.BatchOps); {
 		rec, err := cur.Next()
 		if errors.Is(err, pqueue.ErrEmpty) {
@@ -1167,6 +1187,9 @@ func (r *Replica) nextBatch(cur *pqueue.Cursor) ([]pqueue.Record, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if batch == nil {
+			batch = make([]pqueue.Record, 0, r.cfg.BatchOps)
 		}
 		batch = append(batch, rec)
 		bytes += len(rec.Args)
@@ -1211,23 +1234,6 @@ func (r *Replica) executeBatch(recs []pqueue.Record) error {
 	}, r.cSplits.Inc)
 }
 
-// forwarder drains executed records and moves them along the chain in
-// batches: whatever the executor has finished by the time the previous
-// batch's persist+send completes travels together.
-func (r *Replica) forwarder(stop chan struct{}, fwd chan pqueue.Record) {
-	defer r.wg.Done()
-	for {
-		batch, ok := gather(stop, fwd, r.cfg.BatchOps, func(rec pqueue.Record) int { return len(rec.Args) })
-		if !ok {
-			return
-		}
-		if err := r.forwardBatch(batch); err != nil {
-			r.fatal(err)
-			return
-		}
-	}
-}
-
 // forwardBatch moves one batch of executed records downstream. A middle
 // sends it to the successor and then moves the ring's done cursor past it —
 // the records were durable here before they were executed, so the cursor
@@ -1248,8 +1254,8 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	}
 	if view.Tail() != r.id {
 		// No successor and not the tail: the view no longer holds this
-		// replica, and its pipeline is finishing the batch it had in hand
-		// when onViewChange installed that view (stopExecutor waits for it).
+		// replica, and its drain is finishing the batch it had in hand when
+		// onViewChange installed that view (stopExecutor waits for it).
 		// It must not take "no successor" for "tail": the head may still
 		// hold the old view, in which this replica passes the fencing check,
 		// and would complete clients and truncate records that no surviving

@@ -1,42 +1,59 @@
 package chain
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kaminotx/internal/membership"
 	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
+	"kaminotx/kamino"
 )
 
 // The one-ring protocol at chain level: a middle sends a batch on and only
 // then persists its done cursor, so there is a window in which the record is
 // durable here as pending and already downstream. These tests put each
-// replica's power failure, and the tail's clean-up, inside that window.
+// replica's power failure inside that window, and show the tail's clean-up
+// cannot land in it.
 
-// hookTransport runs a callback on the sender's goroutine around each Send:
-// after it has queued its message — the one place a test can stand between
-// a forwarder's send and its cursor persist — or before, to hold a message
-// back; and it can lose a message outright.
+// hookTransport runs a callback on the sender's goroutine after each Send
+// has queued its message — the one place a test can stand between a
+// middle's send and its cursor persist — and it can lose a message
+// outright. On the receiving side it runs a callback on the node's delivery
+// goroutine before each message is handled, which may block to hold that
+// goroutine.
 type hookTransport struct {
 	*transport.InProc
-	mu            sync.Mutex
-	before, after func(to transport.NodeID, msg *transport.Message)
-	drop          func(to transport.NodeID, msg *transport.Message) bool
+	mu    sync.Mutex
+	after func(to transport.NodeID, msg *transport.Message)
+	drop  func(to transport.NodeID, msg *transport.Message) bool
+	recv  func(at transport.NodeID, msg *transport.Message)
+}
+
+// Serve wraps the handler so the receive callback sees every message first.
+func (h *hookTransport) Serve(id transport.NodeID, handle transport.Handler, idle func() bool) error {
+	return h.InProc.Serve(id, func(msg *transport.Message) *transport.Message {
+		h.mu.Lock()
+		recv := h.recv
+		h.mu.Unlock()
+		if recv != nil {
+			recv(id, msg)
+		}
+		return handle(msg)
+	}, idle)
 }
 
 func (h *hookTransport) Send(to transport.NodeID, msg *transport.Message) error {
 	h.mu.Lock()
-	before, after, drop := h.before, h.after, h.drop
+	after, drop := h.after, h.drop
 	h.mu.Unlock()
 	if drop != nil && drop(to, msg) {
 		return nil
-	}
-	if before != nil {
-		before(to, msg)
 	}
 	err := h.InProc.Send(to, msg)
 	if after != nil {
@@ -52,14 +69,6 @@ func (h *hookTransport) set(f func(to transport.NodeID, msg *transport.Message))
 	h.mu.Unlock()
 }
 
-// hold installs the before-send callback, which may block to hold a message
-// back.
-func (h *hookTransport) hold(f func(to transport.NodeID, msg *transport.Message)) {
-	h.mu.Lock()
-	h.before = f
-	h.mu.Unlock()
-}
-
 // lose installs the predicate that picks messages to lose (nil: none).
 func (h *hookTransport) lose(f func(to transport.NodeID, msg *transport.Message) bool) {
 	h.mu.Lock()
@@ -67,10 +76,23 @@ func (h *hookTransport) lose(f func(to transport.NodeID, msg *transport.Message)
 	h.mu.Unlock()
 }
 
-// newHookedChain builds three Kamino replicas n0→n1→n2, the head's backup
-// sized by alpha, batching up to batchOps records a hop, over a
-// hookTransport with the given hop latency.
+// receive installs the receive-side callback (nil removes it).
+func (h *hookTransport) receive(f func(at transport.NodeID, msg *transport.Message)) {
+	h.mu.Lock()
+	h.recv = f
+	h.mu.Unlock()
+}
+
+// newHookedChain builds three Kamino replicas n0→n1→n2 with 8 MiB heaps,
+// the head's backup sized by alpha, batching up to batchOps records a hop,
+// over a hookTransport with the given hop latency.
 func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration, batchOps int) (*testChain, *hookTransport) {
+	return hookedChain(tb, hop, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: alpha, Strict: strict, BatchOps: batchOps})
+}
+
+// hookedChain builds three KV replicas n0→n1→n2 from cfg (the KV registry
+// unless cfg names one) over a hookTransport with the given hop latency.
+func hookedChain(tb testing.TB, hop time.Duration, cfg Config) (*testChain, *hookTransport) {
 	tb.Helper()
 	ht := &hookTransport{InProc: transport.NewInProc(hop)}
 	ids := []transport.NodeID{"n0", "n1", "n2"}
@@ -79,10 +101,11 @@ func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration
 		tb.Fatal(err)
 	}
 	tc := &testChain{tr: ht.InProc, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
-	tc.cfg = Config{
-		Mode: ModeKamino, HeapSize: 8 << 20, Alpha: alpha, Strict: strict, BatchOps: batchOps,
-		Registry: NewKVRegistry(), Transport: ht, Manager: mgr, Setup: KVSetup,
+	if cfg.Registry == nil {
+		cfg.Registry = NewKVRegistry()
 	}
+	cfg.Transport, cfg.Manager, cfg.Setup = ht, mgr, KVSetup
+	tc.cfg = cfg
 	for _, id := range ids {
 		rep, err := NewReplica(id, tc.cfg)
 		if err != nil {
@@ -93,6 +116,7 @@ func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration
 	tc.client = NewKVClient(func() *Replica { return tc.get(mgr.View().Head()) })
 	tb.Cleanup(func() {
 		ht.set(nil)
+		ht.receive(nil)
 		for _, rep := range tc.replicas {
 			rep.Close()
 		}
@@ -161,7 +185,7 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 
 				inWindow, release := make(chan uint64, 1), make(chan struct{})
 				releaseOnce := sync.OnceFunc(func() { close(release) })
-				t.Cleanup(releaseOnce) // a failed check must not leave the forwarder held
+				t.Cleanup(releaseOnce) // a failed check must not leave the middle held
 				// The tail's clean-up would close the window from the far
 				// side: it is lost, as a message may be, until the victim
 				// is about to fail.
@@ -182,7 +206,7 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 					ht.set(nil)
 					inWindow <- msg.Seq
 					if victim == "n1" {
-						// The middle's forwarder dies here, as the power
+						// The middle's drain dies here, as the power
 						// failure finds it: sent, cursor not moved.
 						runtime.Goexit()
 					}
@@ -332,51 +356,96 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 	waitErrFree(t, tc)
 }
 
-// TestCleanupOvertakesForwarder holds the middle's forwarder in its send
-// until the tail has executed the record, acknowledged it, and its clean-up
-// has pruned the middle's ring — past the done cursor the forwarder has yet
-// to move. The late cursor move must find nothing to do (no persist), the
-// ring must come out empty and in order, and it must reattach.
-func TestCleanupOvertakesForwarder(t *testing.T) {
+// TestDoneDurableBeforeCleanup: a middle's send, its done-cursor persist and
+// its handling of the tail's clean-up all run on its inbox goroutine, so the
+// clean-up for a record is handled only after the cursor move for it is
+// durable — however long the middle stands between send and persist. Held
+// there until the clean-up is already queued, the middle still pays every
+// put's four ring fences (append 2, done cursor 1, clean-up 1), and its
+// ring comes out empty and reattaches.
+func TestDoneDurableBeforeCleanup(t *testing.T) {
 	tc, ht := newHookedChain(t, 0.5, true, 0, 1)
 	putRetry(t, tc, 1, []byte("one"))
 	mid := tc.get("n1")
 	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
 
+	const puts = 4
 	before := mid.ringReg.Stats().Fences
-	overtaken := make(chan struct{})
+	cleanupSent := make(chan uint64, puts)
 	ht.set(func(to transport.NodeID, msg *transport.Message) {
-		if !isForward(to, msg) {
+		switch {
+		case msg.Kind == transport.KindCleanup && to == "n1":
+			cleanupSent <- msg.Seq
+		case isForward(to, msg):
+			// Stand between the send and the cursor persist until the
+			// tail has executed the record and sent its clean-up.
+			select {
+			case seq := <-cleanupSent:
+				if seq != msg.Seq {
+					t.Errorf("clean-up for %d while the middle holds %d", seq, msg.Seq)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("the tail never sent its clean-up")
+			}
+		}
+	})
+	var checked atomic.Int32
+	ht.receive(func(at transport.NodeID, msg *transport.Message) {
+		if at != "n1" || msg.Kind != transport.KindCleanup {
 			return
 		}
-		ht.set(nil)
-		deadline := time.Now().Add(5 * time.Second)
-		for mid.getRing().Acked() < msg.Seq && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
+		checked.Add(1)
+		ring := mid.getRing()
+		if _, pending := ring.Usage(); pending.Bytes != 0 {
+			t.Errorf("clean-up for %d handled with %d bytes still pending", msg.Seq, pending.Bytes)
 		}
-		if fl, in := mid.getRing().Usage(); fl.Bytes != 0 || in.Bytes != 0 {
-			t.Errorf("after the overtaking clean-up: %d bytes in flight, %d pending; want an empty ring", fl.Bytes, in.Bytes)
+		if ok, err := mid.ringReg.IsPersisted(0, 64); err != nil || !ok {
+			t.Errorf("clean-up for %d handled before the ring header is durable (%v)", msg.Seq, err)
 		}
-		close(overtaken)
+		if acked := ring.Acked(); acked >= msg.Seq {
+			t.Errorf("acked %d before the clean-up for %d", acked, msg.Seq)
+		}
 	})
-	putRetry(t, tc, 2, []byte("two"))
-	select {
-	case <-overtaken:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the clean-up never overtook the forwarder")
+	for k := uint64(2); k < 2+puts; k++ {
+		putRetry(t, tc, k, []byte(fmt.Sprint("v", k)))
 	}
-	putRetry(t, tc, 3, []byte("three")) // the forwarder is past its cursor move for put 2
-	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
-	// Put 2 cost the ring an append (2 fences) and the clean-up (1); put 3
-	// the usual append, cursor move and clean-up (4).
-	if got := mid.ringReg.Stats().Fences - before; got != 7 {
-		t.Errorf("middle ring fences for an overtaken put and a plain one = %d, want 3 + 4", got)
+	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) && mid.getRing().Acked() == mid.getRing().LastSeq() })
+	ht.set(nil)
+	ht.receive(nil)
+	if n := checked.Load(); n != puts {
+		t.Errorf("the middle handled %d clean-ups, want %d", n, puts)
+	}
+	if got := mid.ringReg.Stats().Fences - before; got != 4*puts {
+		t.Errorf("middle ring fences for %d puts = %d, want 4 each", puts, got)
 	}
 	if err := mid.Reboot(); err != nil {
-		t.Fatalf("reboot after the overtaking clean-up: %v", err)
+		t.Fatalf("reboot after the held puts: %v", err)
 	}
-	putRetry(t, tc, 4, []byte("four"))
-	checkAcked(t, tc, map[uint64]string{1: "one", 2: "two", 3: "three", 4: "four"})
+	putRetry(t, tc, 9, []byte("nine"))
+	checkAcked(t, tc, map[uint64]string{1: "one", 2: "v2", 3: "v3", 4: "v4", 5: "v5", 9: "nine"})
+}
+
+// TestMiddleRegeneratesLostCleanup: the transport drops an acknowledgment
+// that meets a full inbox, and a middle whose last clean-up is lost has no
+// later one to cover it. Its repair ticker re-drives the stalled in-flight
+// range; the tail answers the duplicate with the clean-up again, and the
+// middle's ring empties.
+func TestMiddleRegeneratesLostCleanup(t *testing.T) {
+	tc, ht := newHookedChain(t, 0.5, true, 0, 1)
+	mid := tc.get("n1")
+	ht.lose(func(to transport.NodeID, msg *transport.Message) bool {
+		return to == "n1" && msg.Kind == transport.KindCleanup
+	})
+	putRetry(t, tc, 1, []byte("one"))
+	if fl, _ := mid.getRing().Usage(); fl.Bytes == 0 {
+		t.Fatal("nothing in flight at the middle with its clean-up lost")
+	}
+	ht.lose(nil)
+	waitFor(t, "the middle's ring to empty", func() bool { return ringEmpty(mid) })
+	if mid.cResends.Load() == 0 {
+		t.Error("the middle's ring emptied without a re-drive")
+	}
+	checkAcked(t, tc, map[uint64]string{1: "one"})
 }
 
 // TestAckNeverPrunesUnexecuted: a joiner replays its donor's pending suffix,
@@ -405,10 +474,116 @@ func TestAckNeverPrunesUnexecuted(t *testing.T) {
 		t.Fatalf("acked floor %d covers the unexecuted record %d", got, seq)
 	}
 	mid.startExecutor()
-	mid.kick()
 	waitFor(t, "the kept record to execute at the donor", func() bool {
 		v, ok := localGet(t, mid, 2)
 		return ok && string(v) == "two"
 	})
 	waitErrFree(t, tc)
+}
+
+// failingChain builds a hooked chain, batching one record a hop, whose
+// registry adds the write "fail": it fails once on the pool stored in the
+// returned pointer and succeeds everywhere else.
+func failingChain(t *testing.T) (*testChain, *hookTransport, *atomic.Pointer[kamino.Pool]) {
+	failOn := new(atomic.Pointer[kamino.Pool])
+	reg := NewKVRegistry()
+	reg.RegisterWrite("fail", func(_ *kamino.Tx, pool *kamino.Pool, _ []byte) error {
+		if failOn.CompareAndSwap(pool, nil) {
+			return errors.New("injected apply failure")
+		}
+		return nil
+	}, func(*kamino.Pool, []byte) []uint64 { return []uint64{^uint64(0)} })
+	tc, ht := hookedChain(t, 0, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 0.5, BatchOps: 1, Registry: reg})
+	return tc, ht, failOn
+}
+
+// forwardedMax records the highest sequence number the middle sends the
+// tail from here on.
+func forwardedMax(ht *hookTransport) func() uint64 {
+	var mu sync.Mutex
+	var top uint64
+	ht.set(func(to transport.NodeID, msg *transport.Message) {
+		if isForward(to, msg) {
+			mu.Lock()
+			top = max(top, msg.Seq)
+			mu.Unlock()
+		}
+	})
+	return func() uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return top
+	}
+}
+
+// checkStoppedAt fails the test unless rep's done cursor is below seq and
+// nothing from seq on has gone to the tail.
+func checkStoppedAt(t *testing.T, rep *Replica, seq uint64, sent func() uint64) {
+	t.Helper()
+	pending, err := rep.getRing().Pending()
+	if err != nil || len(pending) == 0 || pending[0].Seq != seq {
+		t.Errorf("pending range after the failure starts %v (%v), want at seq %d", pending, err, seq)
+	}
+	if top := sent(); top >= seq {
+		t.Errorf("the middle sent the tail seq %d, at or past its failed seq %d", top, seq)
+	}
+}
+
+// TestFailedApplyStopsPipeline: a replica whose local transaction fails has a
+// fatal error, and its cursor has already read past the failed record. That
+// incarnation takes no more drain steps: the records behind the failed one
+// must neither run, nor go on to the tail, nor carry the durable done cursor
+// past a record this replica never ran.
+func TestFailedApplyStopsPipeline(t *testing.T) {
+	tc, ht, failOn := failingChain(t)
+	head, mid := tc.get("n0"), tc.get("n1")
+	putRetry(t, tc, 1, []byte("one"))
+	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
+	sent := forwardedMax(ht)
+
+	failOn.Store(mid.Pool())
+	failSeq := head.getRing().LastSeq() + 1
+	go head.Submit("fail", nil) // completes only when Close fails it
+	waitFor(t, "the head to take the failing write", func() bool { return head.getRing().LastSeq() == failSeq })
+	const behind = 4
+	for k := uint64(2); k < 2+behind; k++ {
+		go head.Submit("put", EncodeKV(k, []byte("v")))
+	}
+	waitFor(t, "the middle's apply to fail", func() bool { return mid.Err() != nil })
+	waitFor(t, "the middle to append the puts behind it", func() bool { return mid.getRing().LastSeq() == failSeq+behind })
+	// Each append above ends in an idle drain step; give a wrong one time
+	// to run and send.
+	time.Sleep(50 * time.Millisecond)
+	checkStoppedAt(t, mid, failSeq, sent)
+	if n := mid.LastExec(); n >= failSeq {
+		t.Errorf("the middle ran through seq %d past its failed seq %d", n, failSeq)
+	}
+}
+
+// TestPromotionDrainFailureIsFatal: a middle promoted to head drains its
+// backlog before its batcher starts; a record in it that fails to apply is
+// the replica's fatal error, and nothing from it on runs or is sent.
+func TestPromotionDrainFailureIsFatal(t *testing.T) {
+	tc, ht, failOn := failingChain(t)
+	head, mid := tc.get("n0"), tc.get("n1")
+	putRetry(t, tc, 1, []byte("one"))
+	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
+	sent := forwardedMax(ht)
+
+	mid.stopExecutor() // the backlog only appends
+	failSeq := head.getRing().LastSeq() + 1
+	go head.Submit("fail", nil)
+	waitFor(t, "the middle to append the failing write", func() bool { return mid.getRing().LastSeq() == failSeq })
+	failOn.Store(mid.Pool())
+	if _, err := tc.mgr.ReportFailure("n0"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the promoted middle's drain to fail", func() bool { return mid.Err() != nil })
+	if tc.mgr.View().Head() != "n1" {
+		t.Fatalf("head is %s after n0 failed, want n1", tc.mgr.View().Head())
+	}
+	checkStoppedAt(t, mid, failSeq, sent)
+	if err := mid.Submit("put", EncodeKV(2, []byte("v"))); err == nil {
+		t.Error("the failed head admitted a put")
+	}
 }

@@ -14,7 +14,7 @@ import (
 
 // View-change conformance: kill, reboot, and rejoin replicas mid-traffic
 // and check the repair invariants — sequence continuity, no admission-lock
-// leaks, no zombie executors, and state-transfer rejoin correctness.
+// leaks, no zombie pipelines, and state-transfer rejoin correctness.
 
 // putRetry retries a put through the transient errors a view change emits
 // (redirects from a demoted or dying head, sends to just-removed nodes).
@@ -68,7 +68,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestHeadKillUnderLoadPromotesCleanly kills the head while clients are
 // writing. The successor must promote at a transaction boundary — before
 // the promotion freeze, pool.Promote could close the in-place engine under
-// the live executor and the reopened engine rolled the stranded intent
+// the live pipeline and the reopened engine rolled the stranded intent
 // back against an empty backup (a fatal invariant violation).
 func TestHeadKillUnderLoadPromotesCleanly(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 4, false)
@@ -83,7 +83,7 @@ func TestHeadKillUnderLoadPromotesCleanly(t *testing.T) {
 			}
 		}(uint64(g))
 	}
-	time.Sleep(5 * time.Millisecond) // let the load reach the executor
+	time.Sleep(5 * time.Millisecond) // let the load reach the middle's drain
 	tc.kill(t, tc.order[0])
 	wg.Wait()
 
@@ -172,7 +172,7 @@ func TestRemovedReplicaQuiesces(t *testing.T) {
 	waitFor(t, "removed replica to unregister", func() bool {
 		return errors.Is(tc.tr.Send(removedID, &transport.Message{Kind: transport.KindOpBatch}), transport.ErrUnknownNode)
 	})
-	// And its executor must be stopped: new traffic does not advance it.
+	// And its pipeline must be stopped: new traffic does not advance it.
 	frozen := removed.LastExec()
 	for i := uint64(100); i < 130; i++ {
 		putRetry(t, tc, i, []byte{byte(i)})
@@ -614,7 +614,7 @@ func TestMiddleAnswersProbeWithCleanup(t *testing.T) {
 }
 
 // TestRemovedReplicaNeverAcksAsTail: onViewChange installs the view that
-// drops a replica before it stops that replica's pipeline, so the forwarder
+// drops a replica before it stops that replica's pipeline, so its drain
 // can move one more batch under a view in which the replica has no
 // successor. That is not being the tail. The zombie's tail ack used to reach
 // a head still on the old view — where the sender is a member and passes

@@ -213,7 +213,7 @@ func (q *Queue) Acked() uint64 {
 // the floor is durable no later than the head that relies on it. Unlike
 // DropThrough's, the floor survives reboots: recovery can tell "forwarded
 // but maybe incomplete" from "confirmed complete". Pruning does not stop at
-// done — an acknowledgment can overtake the forwarder's own MarkDone — so
+// done — an acknowledgment can overtake the sender's own MarkDone — so
 // the caller must not acknowledge past what it has executed.
 func (q *Queue) AckThrough(seq uint64) error {
 	q.mu.Lock()

@@ -7,8 +7,11 @@ import (
 	"kaminotx/internal/simtime"
 )
 
+// inboxSize is how many messages a node's inbox holds before a Send waits.
+const inboxSize = 1024
+
 // InProc is an in-process transport. Each registered node gets an inbox
-// and a dispatcher goroutine; every delivery (send or call leg) is delayed
+// and a delivery goroutine; every delivery (send or call leg) is delayed
 // by HopLatency to model the network.
 type InProc struct {
 	hop time.Duration
@@ -20,6 +23,7 @@ type InProc struct {
 
 type inbox struct {
 	h    Handler
+	idle func() bool
 	ch   chan *Message
 	done chan struct{}
 }
@@ -29,8 +33,13 @@ func NewInProc(hopLatency time.Duration) *InProc {
 	return &InProc{hop: hopLatency, nodes: make(map[NodeID]*inbox)}
 }
 
-// Register implements Transport.
-func (t *InProc) Register(id NodeID, h Handler) error {
+// Register is Serve with no idle hook.
+func (t *InProc) Register(id NodeID, h Handler) error { return t.Serve(id, h, nil) }
+
+// Serve implements Transport. The node's delivery goroutine hands each
+// message to h in arrival order and, once h returns with the inbox empty,
+// calls idle until it reports nothing more to do or a message arrives.
+func (t *InProc) Serve(id NodeID, h Handler, idle func() bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -39,13 +48,15 @@ func (t *InProc) Register(id NodeID, h Handler) error {
 	if old, ok := t.nodes[id]; ok {
 		close(old.done)
 	}
-	ib := &inbox{h: h, ch: make(chan *Message, 1024), done: make(chan struct{})}
+	ib := &inbox{h: h, idle: idle, ch: make(chan *Message, inboxSize), done: make(chan struct{})}
 	t.nodes[id] = ib
 	go func() {
 		for {
 			select {
 			case m := <-ib.ch:
 				ib.h(m)
+				for ib.idle != nil && len(ib.ch) == 0 && ib.idle() {
+				}
 			case <-ib.done:
 				return
 			}
@@ -75,13 +86,24 @@ func (t *InProc) lookup(id NodeID) (*inbox, bool) {
 // spent through simtime.Wait like every other simulated latency.
 func (t *InProc) delay() { simtime.Wait(t.hop) }
 
-// Send implements Transport.
+// Send implements Transport. It waits while the destination's inbox is
+// full, except for an acknowledgment (KindTailAck, KindCleanup), which is
+// dropped instead: a replica sends those upstream from the goroutine that
+// receives from upstream, and two neighbours each waiting for room in the
+// other's inbox would wait forever.
 func (t *InProc) Send(to NodeID, msg *Message) error {
 	ib, ok := t.lookup(to)
 	if !ok {
 		return unknown(to)
 	}
 	t.delay()
+	if msg.Kind == KindTailAck || msg.Kind == KindCleanup {
+		select {
+		case ib.ch <- msg:
+		default:
+		}
+		return nil
+	}
 	select {
 	case ib.ch <- msg:
 		return nil

@@ -105,11 +105,18 @@ type Handler func(msg *Message) *Message
 
 // Transport moves messages.
 type Transport interface {
-	// Register installs the handler for a local node. Must be called
-	// before messages are sent to it.
-	Register(id NodeID, h Handler) error
+	// Serve installs the handler for a local node. Must be called before
+	// messages are sent to it. One goroutine per node handles its one-way
+	// messages in arrival order; idle, if not nil, runs on that goroutine
+	// each time a message has been handled and no other is waiting, and
+	// again while it reports more work and none is, so each step of work a
+	// handler leaves to it sees every message that queued before the step.
+	Serve(id NodeID, h Handler, idle func() bool) error
 	// Send delivers msg to `to` asynchronously (one-way). Delivery is
-	// reliable while the destination is registered; sends to removed
+	// reliable while the destination is registered, except that an
+	// acknowledgment (KindTailAck, KindCleanup) meeting a full inbox is
+	// dropped rather than waited for: acknowledgments are cumulative, and
+	// the chain's repair ticker regenerates the last one. Sends to removed
 	// nodes are dropped.
 	Send(to NodeID, msg *Message) error
 	// Call delivers msg and waits for the handler's reply.

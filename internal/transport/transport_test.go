@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func testTransportSendAndCall(t *testing.T, tr Transport, a, b NodeID) {
+func testTransportSendAndCall(t *testing.T, tr *InProc, a, b NodeID) {
 	t.Helper()
 	var got atomic.Uint64
 	if err := tr.Register(a, func(m *Message) *Message {
@@ -130,4 +130,95 @@ func TestInProcConcurrentSends(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("not all messages delivered")
 	}
+}
+
+// TestInProcIdleAfterBacklog: the idle hook runs on the delivery goroutine
+// once the inbox is empty, not after each message — messages that queued
+// while the handler was busy are all handled before it runs — and runs
+// again while it reports more work, until it reports none.
+func TestInProcIdleAfterBacklog(t *testing.T) {
+	tr := NewInProc(0)
+	defer tr.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var handled atomic.Int32
+	idles := make(chan int32, 8)
+	const steps = 3 // the idle hook has three steps of work to do
+	left := steps
+	if err := tr.Serve("n", func(m *Message) *Message {
+		if handled.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return nil
+	}, func() bool {
+		idles <- handled.Load()
+		left--
+		return left > 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := tr.Send("n", &Message{Kind: KindOpBatch}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-held
+		}
+	}
+	close(release)
+	for step := 0; step < steps; step++ {
+		select {
+		case n := <-idles:
+			if n != 6 {
+				t.Errorf("idle step %d ran after %d messages, want all 6", step, n)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("idle ran %d times, want %d", step, steps)
+		}
+	}
+	select {
+	case n := <-idles:
+		t.Errorf("idle ran again (after %d messages) with no work left and nothing delivered", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestInProcAcksNeverWait: with the destination's inbox full, an op batch
+// waits for room but an acknowledgment is dropped at once.
+func TestInProcAcksNeverWait(t *testing.T) {
+	tr := NewInProc(0)
+	defer tr.Close()
+	release := make(chan struct{})
+	if err := tr.Register("n", func(m *Message) *Message { <-release; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= inboxSize; i++ { // one in the handler, inboxSize queued
+		if err := tr.Send("n", &Message{Kind: KindOpBatch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []Kind{KindTailAck, KindCleanup} {
+		sent := make(chan error, 1)
+		go func() { sent <- tr.Send("n", &Message{Kind: k}) }()
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Errorf("kind %d into a full inbox: %v", k, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("kind %d waited for room in a full inbox", k)
+		}
+	}
+	blocked := make(chan struct{})
+	go func() {
+		_ = tr.Send("n", &Message{Kind: KindOpBatch})
+		close(blocked)
+	}()
+	select {
+	case <-blocked:
+		t.Error("an op batch into a full inbox did not wait")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-blocked
 }
