@@ -55,9 +55,11 @@ race:
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/
-# lacks a godoc comment, or any package — including the cmd/ and tools/
-# commands — lacks a package-level doc comment (see tools/doccheck for
-# the exact rules).
+# lacks a godoc comment, any package — including the cmd/ and tools/
+# commands — lacks a package-level doc comment, a user-facing document is
+# over its byte ceiling, or a document's go run/build/test/vet command
+# names a ./path that is not a directory of Go files (see tools/doccheck
+# for the exact rules and the ceilings).
 doccheck:
 	$(GO) run ./tools/doccheck cmd internal kamino tools
 

@@ -1,5 +1,5 @@
 // Command kaminobench regenerates the paper's evaluation tables and
-// figures (see DESIGN.md for the experiment index). It prints tables for
+// figures (see EXPERIMENTS.md for the experiment index). It prints tables for
 // reading; numbers are compared, and gains claimed, only with the gated
 // benchmark under benchmark/ (benchmark/README.md).
 //

@@ -346,7 +346,7 @@ func checkMode(mode kamino.Mode) error {
 	case kamino.ModeNoLog:
 		return fmt.Errorf("mode %q is the unsafe benchmark baseline (crashes and aborts tear data); it cannot back a durable store", mode)
 	case kamino.ModeInPlace:
-		return fmt.Errorf("mode %q is the chain-replica engine (no abort, recovery needs a chain neighbour); it runs only inside a chain (package kamino/chain; see examples/replicated)", mode)
+		return fmt.Errorf("mode %q is the chain-replica engine (no abort, recovery needs a chain neighbour); it runs only inside a chain (package kamino/chain; see its Example)", mode)
 	}
 	return nil
 }

@@ -1,12 +1,24 @@
-// Command doccheck fails when an exported identifier lacks a doc comment.
+// Command doccheck fails when an exported identifier lacks a doc comment,
+// or when a user-facing document outgrows its ceiling or names a package
+// path that is not there.
 //
 // It walks the Go packages under the directories given as arguments
 // (default: cmd/, internal/, kamino/, and tools/), parses every non-test
 // file with comments, and reports exported declarations — functions,
 // methods on exported types, types, constants, and variables — that have
-// no doc comment, plus packages with no package comment. The exit status
-// is the number of violation classes found capped at 1, so `make
-// doccheck` can gate CI.
+// no doc comment, plus packages with no package comment. It then reads
+// the user-facing documents at the repository root (the current
+// directory) and holds each to two rules:
+//
+//   - its size in bytes is at most its ceiling (the documents table
+//     below). Lowering a ceiling is routine; raising one needs a sentence
+//     in CHANGES.md saying why;
+//   - every `./P` that a `go run`, `go build`, `go test` or `go vet`
+//     command on one of its lines names is a directory of Go files.
+//     Patterns with `...` are skipped.
+//
+// The exit status is 1 when anything was reported, so `make doccheck` can
+// gate CI.
 //
 // Command packages (package main, i.e. everything under cmd/ and
 // tools/) are held to the package-comment rule only: a command's doc
@@ -34,39 +46,103 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
+
+// documents are the user-facing documents and the most bytes each may
+// hold: the sizes they had when the ceilings were set.
+var documents = []struct {
+	name    string
+	ceiling int
+}{
+	{"README.md", 15571},
+	{"ARCHITECTURE.md", 23045},
+	{"DESIGN.md", 69179},
+	{"OPERATIONS.md", 19803},
+	{"EXPERIMENTS.md", 40728},
+}
 
 func main() {
 	roots := os.Args[1:]
 	if len(roots) == 0 {
 		roots = []string{"cmd", "internal", "kamino", "tools"}
 	}
-	var violations []string
-	for _, root := range roots {
-		dirs, err := goDirs(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(2)
-		}
-		for _, dir := range dirs {
-			vs, err := checkDir(dir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-				os.Exit(2)
-			}
-			violations = append(violations, vs...)
-		}
+	violations, err := check(".", roots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
 	}
-	sort.Strings(violations)
 	for _, v := range violations {
 		fmt.Println(v)
 	}
 	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported identifier(s) without doc comments\n", len(violations))
+		fmt.Fprintf(os.Stderr, "doccheck: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
+}
+
+// check runs every rule over the repository at repo, walking the Go
+// packages under the given roots (relative to repo), and returns the
+// violations sorted.
+func check(repo string, roots []string) ([]string, error) {
+	var violations []string
+	for _, root := range roots {
+		dirs, err := goDirs(filepath.Join(repo, root))
+		if err != nil {
+			return nil, err
+		}
+		for _, dir := range dirs {
+			vs, err := checkDir(dir)
+			if err != nil {
+				return nil, err
+			}
+			violations = append(violations, vs...)
+		}
+	}
+	for _, d := range documents {
+		vs, err := checkDocument(repo, d.name, d.ceiling)
+		if err != nil {
+			return nil, err
+		}
+		violations = append(violations, vs...)
+	}
+	sort.Strings(violations)
+	return violations, nil
+}
+
+// goCommand matches a go command that names packages, up to the end of
+// its code span, a comment or a shell separator.
+var goCommand = regexp.MustCompile("\\bgo (?:run|build|test|vet)\\b[^`#&|;]*")
+
+// checkDocument holds the document name under repo to its ceiling and
+// requires every ./P a go command on one of its lines names, "..."
+// patterns aside, to be a directory of Go files.
+func checkDocument(repo, name string, ceiling int) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(repo, name))
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	if len(data) > ceiling {
+		out = append(out, fmt.Sprintf("%s: %d bytes, over its ceiling of %d", name, len(data), ceiling))
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, cmd := range goCommand.FindAllString(line, -1) {
+			args := strings.Fields(cmd)
+			for _, p := range args[2:] {
+				p = strings.TrimRight(p, ",)")
+				if !strings.HasPrefix(p, "./") || strings.Contains(p, "...") {
+					continue
+				}
+				if files, _ := filepath.Glob(filepath.Join(repo, p, "*.go")); len(files) == 0 {
+					out = append(out, fmt.Sprintf("%s:%d: go %s names %s, which is not a directory of Go files", name, i+1, args[1], p))
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // goDirs returns every directory under root that contains at least one
