@@ -63,19 +63,24 @@ race:
 doccheck:
 	$(GO) run ./tools/doccheck cmd internal kamino tools
 
-# fuzz-smoke runs three fuzzers for ten seconds each past their seed corpora
+# fuzz-smoke runs five fuzzers for ten seconds each past their seed corpora
 # (which every `go test` already runs): the ring-image fuzzer — pqueue.Attach
 # must answer any bytes with an error or a usable queue — the heap's
 # rescan fuzzer, which power-fails inside heap calls, a carve's header
-# persist among them, and requires Rescan to find every committed block, and
+# persist among them, and requires Rescan to find every committed block,
 # the KV wire fuzzer — both frame decoders must answer any bytes with an
-# error or a value that re-encodes to the same bytes. The
+# error or a value that re-encodes to the same bytes — and the two over
+# what a restart reads from disk: intentlog.Attach over corrupted log
+# images, and kamino.Open over an arbitrary pool.json and a short or
+# corrupted image header (an error or a usable pool, never a panic). The
 # minimizer is capped because its default budget, a minute per new input,
 # would otherwise eat the run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzAttach -fuzztime=10s -fuzzminimizetime=1s ./internal/pqueue/
 	$(GO) test -run '^$$' -fuzz=FuzzRescan -fuzztime=10s -fuzzminimizetime=1s ./internal/heap/
 	$(GO) test -run '^$$' -fuzz=FuzzKVWire -fuzztime=10s -fuzzminimizetime=1s ./internal/transport/
+	$(GO) test -run '^$$' -fuzz=FuzzIntentLogAttach -fuzztime=10s -fuzzminimizetime=1s ./internal/intentlog/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenDir -fuzztime=10s -fuzzminimizetime=1s ./kamino/
 
 # benchmark-check vets and tests the gated benchmark, which is its own module
 # (benchmark/go.mod) and so is outside every ./... above: the code whose
@@ -117,8 +122,8 @@ bench-gate:
 # must answer Prometheus text carrying both the server registry's and the
 # engine registry's series and the slow ring's floor gauge (what a
 # slow-request alert keys on) while / answers 404, then SIGTERM drains the
-# server — the target fails unless kaminod exits 0 (clean drain +
-# checkpoint) and the Chrome trace export parses.
+# server — the target fails unless kaminod exits 0 (clean drain and pool
+# close) and the Chrome trace export parses.
 serve-smoke: build
 	rm -rf out/serve && mkdir -p out/serve
 	$(GO) build -o out/serve/kaminod ./cmd/kaminod
@@ -148,46 +153,46 @@ serve-smoke: build
 	@echo "serve-smoke: clean drain, slow-request ring and /metrics served, trace exported"
 
 # recovery-smoke proves the restart path end to end with real processes
-# and a real kill -9: kaminod serves a file-backed store, kaminoload
-# preloads 2000 acked writes and reads them back, SIGUSR1 takes an online
-# checkpoint (quiesce, persist, resume — the durability point of the
-# simulated NVM, which is memory-held between checkpoints), then the
-# process dies with no shutdown path running. The second kaminod must
-# (a) run the staged recovery pipeline — its log carries the per-stage
-# report, (b) answer /readyz with only "recovering" before it answers
-# "ok", and (c) serve every checkpointed acked write back byte-identical
-# (kaminoload -verify fails on the first lost or corrupt key). A final
-# SIGTERM must still drain cleanly (exit 0).
+# and real kill -9s, with no checkpoint anywhere: kaminod serves a fresh
+# file-backed store, kaminoload preloads 2000 keys, then each round starts
+# an open-loop run over the same keys and kills kaminod with -9 at a random
+# instant of it — no drain, no close. Every restart must (a) log the staged
+# recovery report, (b) answer /readyz with only "recovering" before it
+# answers "ok", and (c) serve every key back byte-identical (kaminoload
+# -verify; every put of a key writes the same bytes, so a lost or torn
+# value fails it). Twenty kill points, then a SIGTERM must drain cleanly
+# (exit 0).
 recovery-smoke: build
 	rm -rf out/recovery && mkdir -p out/recovery
 	$(GO) build -o out/recovery/kaminod ./cmd/kaminod
 	$(GO) build -o out/recovery/kaminoload ./cmd/kaminoload
-	./out/recovery/kaminod -dir out/recovery/db -addr 127.0.0.1:17090 -metrics-addr 127.0.0.1:17091 \
-		> out/recovery/kaminod1.log 2>&1 & \
+	R=out/recovery; \
+	./$$R/kaminod -dir $$R/db -addr 127.0.0.1:17090 -metrics-addr 127.0.0.1:17091 > $$R/kaminod0.log 2>&1 & \
 	KPID=$$!; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://127.0.0.1:17091/readyz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	./out/recovery/kaminoload -addr 127.0.0.1:17090 -preload -verify -keys 2000 -value 256 || { kill -9 $$KPID; exit 1; }; \
-	kill -s USR1 $$KPID; \
-	for i in $$(seq 1 50); do \
-		grep -q "online checkpoint written" out/recovery/kaminod1.log && break; sleep 0.2; done; \
-	grep -q "online checkpoint written" out/recovery/kaminod1.log || \
-		{ echo "recovery-smoke: SIGUSR1 checkpoint never completed"; kill -9 $$KPID; exit 1; }; \
-	kill -9 $$KPID; wait $$KPID 2>/dev/null; true
-	./out/recovery/kaminod -dir out/recovery/db -addr 127.0.0.1:17090 -metrics-addr 127.0.0.1:17091 \
-		> out/recovery/kaminod2.log 2>&1 & \
-	KPID=$$!; \
-	: > out/recovery/readyz.log; \
-	for i in $$(seq 1 100); do \
-		curl -sS http://127.0.0.1:17091/readyz 2>/dev/null | jq -r '.state' >> out/recovery/readyz.log; \
-		grep -qx ok out/recovery/readyz.log && break; sleep 0.1; done; \
-	grep -qx ok out/recovery/readyz.log || { echo "recovery-smoke: /readyz never reached ok"; kill $$KPID; exit 1; }; \
-	grep -vx -e ok -e recovering -e '' out/recovery/readyz.log && \
-		{ echo "recovery-smoke: unexpected /readyz state during restart"; kill $$KPID; exit 1; }; \
-	grep -q "recovery:" out/recovery/kaminod2.log || \
-		{ echo "recovery-smoke: no staged recovery report in kaminod log"; kill $$KPID; exit 1; }; \
-	./out/recovery/kaminoload -addr 127.0.0.1:17090 -verify -keys 2000 -value 256 || \
-		{ echo "recovery-smoke: acked writes lost after kill -9"; kill $$KPID; exit 1; }; \
+	./$$R/kaminoload -addr 127.0.0.1:17090 -preload -keys 2000 -value 256 > $$R/preload.log || { kill -9 $$KPID; exit 1; }; \
+	for n in $$(seq 1 20); do \
+		./$$R/kaminoload -addr 127.0.0.1:17090 -keys 2000 -value 256 -rate 4000 -duration 5s -seed $$n > $$R/load$$n.log 2>&1 & \
+		LPID=$$!; \
+		sleep $$(awk -v s=$$n 'BEGIN { srand(); srand(srand() + s); printf "%.2f", 0.3 + 1.5 * rand() }'); \
+		kill -9 $$KPID; wait $$KPID 2>/dev/null; \
+		kill $$LPID 2>/dev/null; wait $$LPID 2>/dev/null; \
+		./$$R/kaminod -dir $$R/db -addr 127.0.0.1:17090 -metrics-addr 127.0.0.1:17091 > $$R/kaminod$$n.log 2>&1 & \
+		KPID=$$!; \
+		: > $$R/readyz$$n.log; \
+		for i in $$(seq 1 100); do \
+			curl -sS http://127.0.0.1:17091/readyz 2>/dev/null | jq -r '.state' >> $$R/readyz$$n.log; \
+			grep -qx ok $$R/readyz$$n.log && break; sleep 0.1; done; \
+		grep -qx ok $$R/readyz$$n.log || { echo "recovery-smoke: kill $$n: /readyz never reached ok"; kill $$KPID; exit 1; }; \
+		grep -vx -e ok -e recovering -e '' $$R/readyz$$n.log && \
+			{ echo "recovery-smoke: kill $$n: unexpected /readyz state during restart"; kill $$KPID; exit 1; }; \
+		grep -q "recovery:" $$R/kaminod$$n.log || \
+			{ echo "recovery-smoke: kill $$n: no staged recovery report in kaminod log"; kill $$KPID; exit 1; }; \
+		./$$R/kaminoload -addr 127.0.0.1:17090 -verify -keys 2000 -value 256 > $$R/verify$$n.log 2>&1 || \
+			{ cat $$R/verify$$n.log; echo "recovery-smoke: kill $$n: acked writes lost or torn"; kill $$KPID; exit 1; }; \
+		echo "recovery-smoke: kill $$n of 20 recovered, 2000 keys verified"; \
+	done; \
 	kill -TERM $$KPID; \
 	wait $$KPID || { echo "recovery-smoke: kaminod did not exit cleanly after recovery"; exit 1; }
-	@echo "recovery-smoke: kill -9 recovered, staged report logged, readyz recovering->ok, zero acked writes lost"
+	@echo "recovery-smoke: 20 of 20 kill -9 points recovered, staged report logged, readyz recovering->ok, zero acked writes lost"

@@ -6,22 +6,23 @@
 //	kaminod -dir /var/lib/kamino -addr :7070 -metrics-addr :8080
 //
 // The first start against an empty directory creates the store (pick the
-// engine with -mode); later starts reopen the checkpointed pool. The
+// engine with -mode); later starts reopen it. The pool's regions are
+// mapped files in the directory, so an acknowledged write is there from
+// the moment it is acknowledged and survives kill -9 at any instant. The
 // metrics endpoint comes up before the pool opens, so a restarting
 // process is observable while it recovers: /readyz reports "recovering"
 // (503) until the pool has rebuilt its indexes, replayed its logs,
 // rescanned its heap and served a probe transaction, and the
 // recovery_progress gauge and index_attach/log_replay/rescan phase spans
-// expose the staged pipeline while it runs. SIGUSR1 takes an online checkpoint: the
-// request plane quiesces briefly (new requests shed with BUSY), the pool
-// checkpoints, service resumes. SIGTERM or SIGINT triggers a graceful
-// drain: the listener closes, /readyz flips to "draining", in-flight
-// requests finish, the pool checkpoints, and the process exits 0.
+// expose the staged pipeline while it runs. SIGTERM or SIGINT triggers a
+// graceful drain: the listener closes, /readyz flips to "draining",
+// in-flight requests finish, the pool closes, and the process exits 0.
 // Operators: see OPERATIONS.md at the repo root.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -93,18 +94,13 @@ func main() {
 	}
 
 	// Readiness state machine, visible at /readyz before the pool even
-	// opens: recovering → ok, with draining/checkpointing overlaid from
-	// the live server once it exists.
+	// opens: recovering → ok, with draining overlaid from the live server
+	// once it exists.
 	var recovered atomic.Bool
 	var srvPtr atomic.Pointer[server.Server]
 	readyState := func() (bool, string) {
-		if s := srvPtr.Load(); s != nil {
-			if s.Draining() {
-				return false, "draining"
-			}
-			if s.Quiescing() {
-				return false, "checkpointing"
-			}
+		if s := srvPtr.Load(); s != nil && s.Draining() {
+			return false, "draining"
 		}
 		if !recovered.Load() {
 			return false, "recovering"
@@ -193,50 +189,20 @@ func main() {
 		fatal(fmt.Errorf("post-recovery probe transaction: %w", err))
 	}
 
-	// Checkpoint before taking traffic (no concurrent writers yet). The
-	// simulated NVM is memory-held and reaches disk only at checkpoints,
-	// so without this a process killed before its first clean shutdown
-	// would leave an empty directory — and the next start would silently
-	// create a brand-new store, discarding the original -mode and
-	// registered tenants. After this, a hard kill rolls back to the last
-	// checkpoint but always reopens the same store.
-	if err := pool.Checkpoint(); err != nil {
-		srv.Close()
-		pool.Close()
-		fatal(fmt.Errorf("startup checkpoint: %w", err))
-	}
-	logf("startup checkpoint written: %s", f.dir)
 	recovered.Store(true)
 
 	// Serve until a signal starts the drain. SIGTERM and SIGINT both mean
-	// "finish what you took, persist, exit cleanly"; SIGUSR1 takes an
-	// online checkpoint (quiesce, persist, resume) without restarting.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT, syscall.SIGUSR1)
+	// "finish what you took, close the pool, exit cleanly".
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
-serve:
-	for {
-		select {
-		case sig := <-sigc:
-			if sig == syscall.SIGUSR1 {
-				ctx, cancel := context.WithTimeout(context.Background(), f.drainWait)
-				start := time.Now()
-				err := srv.Quiesce(ctx, pool.Checkpoint)
-				cancel()
-				if err != nil {
-					logf("online checkpoint failed: %v", err)
-				} else {
-					logf("online checkpoint written: %s (paused %s)", f.dir, time.Since(start).Round(time.Millisecond))
-				}
-				continue
-			}
-			logf("received %s: draining (timeout %s)", sig, f.drainWait)
-			break serve
-		case err := <-serveErr:
-			pool.Close()
-			fatal(fmt.Errorf("accept loop: %w", err))
-		}
+	select {
+	case sig := <-sigc:
+		logf("received %s: draining (timeout %s)", sig, f.drainWait)
+	case err := <-serveErr:
+		pool.Close()
+		fatal(fmt.Errorf("accept loop: %w", err))
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), f.drainWait)
@@ -250,10 +216,10 @@ serve:
 	if metricsSrv != nil {
 		metricsSrv.Close()
 	}
-	if err := pool.Close(); err != nil { // checkpoints into -dir
+	if err := pool.Close(); err != nil {
 		fatal(fmt.Errorf("closing pool: %w", err))
 	}
-	logf("checkpoint written: %s", f.dir)
+	logf("pool closed: %s", f.dir)
 	if rec != nil {
 		if err := writeTrace(f.traceOut, rec); err != nil {
 			fatal(fmt.Errorf("trace export: %w", err))
@@ -309,28 +275,29 @@ func writeTrace(path string, rec *trace.Recorder) error {
 // reopen passes the runtime tunables (appliers, tracing) as an Open
 // override: they take effect for the recovery scans
 // themselves, and conflicts with the stored structural options fail fast
-// instead of being silently ignored.
+// instead of being silently ignored. A pool reopened without a store — the
+// first start was killed between creating the pool and committing its
+// store — gets one now.
 func open(dir string, opts kamino.Options) (*kamino.Pool, *kvstore.Store, error) {
-	if _, err := os.Stat(dir + "/pool.json"); err == nil {
-		pool, err := kamino.Open(dir, kamino.Options{
+	var (
+		pool *kamino.Pool
+		err  error
+	)
+	if _, serr := os.Stat(dir + "/pool.json"); serr == nil {
+		pool, err = kamino.Open(dir, kamino.Options{
 			ApplierWorkers: opts.ApplierWorkers,
 			Trace:          opts.Trace,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		store, err := kvstore.Open(pool)
-		if err != nil {
-			pool.Close()
-			return nil, nil, err
-		}
-		return pool, store, nil
+	} else {
+		pool, err = kamino.Create(opts)
 	}
-	pool, err := kamino.Create(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	store, err := kvstore.Create(pool, 0)
+	store, err := kvstore.Open(pool)
+	if errors.Is(err, kvstore.ErrNoStore) {
+		store, err = kvstore.Create(pool, 0)
+	}
 	if err != nil {
 		pool.Close()
 		return nil, nil, err

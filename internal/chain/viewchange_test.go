@@ -150,11 +150,11 @@ func TestSeqContinuityAfterPromotionAndReboot(t *testing.T) {
 	waitErrFree(t, tc)
 }
 
-// TestRemovedReplicaQuiesces removes a middle replica from the view without
-// shutting its process down. The replica must quiesce itself on the view
+// TestRemovedReplicaGoesQuiet removes a middle replica from the view without
+// shutting its process down. The replica must go quiet on the view
 // change — stop executing, leave the transport — rather than keep applying
 // and forwarding as a zombie with a stale view.
-func TestRemovedReplicaQuiesces(t *testing.T) {
+func TestRemovedReplicaGoesQuiet(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 4, false)
 	for i := uint64(0); i < 10; i++ {
 		if err := tc.client.Put(i, []byte{byte(i)}); err != nil {

@@ -284,7 +284,9 @@ func Attach(reg *nvm.Region) (*Log, error) {
 	if cfg.checksum() != check {
 		return nil, ErrBadConfig
 	}
-	if reg.Size() < cfg.RegionSize() {
+	// Divided, not multiplied: a corrupt geometry must not overflow into
+	// a size the region seems to have.
+	if room := reg.Size() - hdrSize; cfg.EntriesPerSlot > room || cfg.DataBytesPerSlot > room || cfg.Slots > room/cfg.slotSize() {
 		return nil, fmt.Errorf("intentlog: region smaller than formatted size")
 	}
 	l := bindLog(reg, cfg)
@@ -604,6 +606,9 @@ func (t *TxLog) Entries() ([]Entry, error) {
 }
 
 func (l *Log) readEntries(slot int, txid uint64, n int) ([]Entry, error) {
+	if n > l.cfg.EntriesPerSlot {
+		return nil, fmt.Errorf("intentlog: slot %d counts %d entries, holds %d", slot, n, l.cfg.EntriesPerSlot)
+	}
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
 		off := l.entryOff(slot, i)

@@ -7,6 +7,7 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -42,6 +43,9 @@ func Create(pool *kamino.Pool, order int) (*Store, error) {
 	return &Store{pool: pool, tree: tree}, nil
 }
 
+// ErrNoStore is Open's answer for a pool whose root holds no store.
+var ErrNoStore = errors.New("kvstore: pool has no store (root pointer is nil)")
+
 // Open reattaches to the store previously created in pool. The root
 // pointer is read physically, as pbtree.Attach reads the tree: Open runs
 // before the reopened pool takes traffic.
@@ -55,7 +59,7 @@ func Open(pool *kamino.Pool) (*Store, error) {
 	}
 	meta := kamino.ObjID(binary.LittleEndian.Uint64(b))
 	if meta == kamino.Nil {
-		return nil, fmt.Errorf("kvstore: pool has no store (root pointer is nil)")
+		return nil, ErrNoStore
 	}
 	tree, err := pbtree.Attach(pool, meta)
 	if err != nil {

@@ -25,6 +25,10 @@
 // All mutation must go through Region methods (Write, Store64, Zero, Copy,
 // ...) so that strict mode observes every write. Reads may use ReadSlice for
 // zero-copy access.
+//
+// A region is held in memory (New) or in a mapped file (CreateFile,
+// OpenFile; see file.go), where a killed process leaves the region's
+// durable bytes behind.
 package nvm
 
 import (
@@ -126,6 +130,10 @@ type Region struct {
 	tracer atomic.Pointer[trace.Tracer]
 
 	fenceHook atomic.Pointer[func()] // see SetFenceHook
+
+	// mapping is a file-backed region's whole mapping, header included
+	// (file.go); nil for a region held in memory.
+	mapping []byte
 }
 
 // New creates a Region of the given size, zero-filled and fully durable.
@@ -133,18 +141,22 @@ func New(size int, opts Options) (*Region, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("nvm: region size %d must be positive", size)
 	}
-	r := &Region{
-		mode:    opts.Mode,
-		latency: opts.Latency,
-		size:    size,
-		mem:     make([]byte, size),
-	}
+	r := newRegion(size, opts)
+	r.mem = make([]byte, size)
 	if opts.Mode == ModeStrict {
 		r.durable = make([]byte, size)
+	}
+	return r, nil
+}
+
+// newRegion builds a region's bookkeeping; the caller provides its bytes.
+func newRegion(size int, opts Options) *Region {
+	r := &Region{mode: opts.Mode, latency: opts.Latency, size: size}
+	if opts.Mode == ModeStrict {
 		r.dirty = make(map[int]struct{})
 		r.pending = make(map[int]struct{})
 	}
-	return r, nil
+	return r
 }
 
 // Size returns the region size in bytes.

@@ -342,67 +342,93 @@ func TestLinesHelper(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "region.img")
-	r := newStrict(t, 512)
-	if err := r.Write(7, []byte("durable")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Persist(7, 7); err != nil {
-		t.Fatal(err)
-	}
-	// Also write something unpersisted: it must NOT be in the checkpoint.
-	if err := r.Write(200, []byte("volatile")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Load(path, Options{Mode: ModeStrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 7)
-	if err := r2.Read(7, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "durable" {
-		t.Errorf("loaded data = %q", got)
-	}
-	got8 := make([]byte, 8)
-	if err := r2.Read(200, got8); err != nil {
-		t.Fatal(err)
-	}
-	if string(got8) == "volatile" {
-		t.Error("unpersisted data leaked into checkpoint")
+// TestFileRegionRoundTrip: a file-backed region's file holds what the
+// region holds durably while it is still mapped — what a killed process
+// leaves — and reopens with it. In strict mode that is the fenced bytes
+// only; in fast mode every write.
+func TestFileRegionRoundTrip(t *testing.T) {
+	for _, mode := range []Mode{ModeStrict, ModeFast} {
+		path := filepath.Join(t.TempDir(), "region.img")
+		r, err := CreateFile(path, 512, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Write(7, []byte("durable")); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Persist(7, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Write(200, []byte("volatile")); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(file) != fileHdrSize+512 || string(file[fileHdrSize+7:][:7]) != "durable" {
+			t.Fatalf("%s: file of %d bytes lacks the persisted write", mode, len(file))
+		}
+		if got := string(file[fileHdrSize+200:][:8]) == "volatile"; got != (mode == ModeFast) {
+			t.Errorf("%s: unfenced write in the file = %v", mode, got)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := OpenFile(path, 512, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 7)
+		if err := r2.Read(7, got); err != nil || string(got) != "durable" {
+			t.Errorf("%s: reopened data = %q, %v", mode, got, err)
+		}
+		if err := r2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestLoadDetectsCorruption(t *testing.T) {
+// TestOpenFileRejectsBadHeader: a file is mapped only when its header
+// carries the magic and the expected size and its length matches.
+func TestOpenFileRejectsBadHeader(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "region.img")
-	r := newStrict(t, 128)
-	if err := r.Write(0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Persist(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt one byte of the image.
-	data, err := os.ReadFile(path)
+	r, err := CreateFile(path, 128, Options{Mode: ModeStrict})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[fileHdrSize+5] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, Options{Mode: ModeStrict}); err == nil {
-		t.Error("Load of corrupted image did not error")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		edit func([]byte) []byte
+		size int
+	}{
+		"bad magic":    {func(b []byte) []byte { b[0] ^= 0xff; return b }, 128},
+		"size field":   {func(b []byte) []byte { b[8] = 64; return b }, 128},
+		"other size":   {func(b []byte) []byte { return b }, 256},
+		"truncated":    {func(b []byte) []byte { return b[:fileHdrSize+100] }, 128},
+		"short header": {func(b []byte) []byte { return b[:10] }, 128},
+		"zero size":    {func(b []byte) []byte { return b }, 0},
+	} {
+		p := filepath.Join(dir, "bad.img")
+		if err := os.WriteFile(p, c.edit(bytes.Clone(good)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenFile(p, c.size, Options{Mode: ModeStrict}); err == nil {
+			r.Close()
+			t.Errorf("%s: OpenFile accepted the file", name)
+		}
+	}
+	if r, err := OpenFile(path, 128, Options{Mode: ModeStrict}); err != nil {
+		t.Errorf("the unedited file: %v", err)
+	} else {
+		r.Close()
 	}
 }
 

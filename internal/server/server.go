@@ -34,8 +34,7 @@
 //
 // Shutdown: Drain stops accepting connections, rejects new requests with
 // a shutdown error, waits for every in-flight request to complete and its
-// response to be written, and returns; the owner then checkpoints and
-// closes the pool. Readiness endpoints flip as soon as draining starts.
+// response to be written, and returns; the owner then closes the pool. Readiness endpoints flip as soon as draining starts.
 package server
 
 import (
@@ -161,14 +160,10 @@ type Server struct {
 	writeCh chan *wreq    // admitted writes, in arrival order
 
 	draining atomic.Bool
-	// paused sheds new requests with KVErrBusy while a Quiesce runs its
-	// critical section (an online checkpoint). Unlike draining it is
-	// temporary and keeps connections open.
-	paused atomic.Bool
-	stop   chan struct{} // closed by Close: stops batcher and accept loop
-	closed atomic.Bool
+	stop     chan struct{} // closed by Close: stops batcher and accept loop
+	closed   atomic.Bool
 
-	// reqMu orders request admission against the Drain and Quiesce waits:
+	// reqMu orders request admission against the Drain wait:
 	// a request is counted and a waiter looks under the same lock (a
 	// WaitGroup forbids Add from zero beside a Wait, which is exactly what
 	// a request arriving during a drain does).
@@ -649,13 +644,6 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 		s.fail(p, transport.KVErrShutdown, errors.New("server draining"))
 		return nil
 	}
-	if s.paused.Load() {
-		// Quiesce in progress: shed like overload — the client retries
-		// and finds the server back in a moment.
-		s.cShed.Inc()
-		s.fail(p, transport.KVErrBusy, errors.New("server quiescing"))
-		return nil
-	}
 	if req.Kind == transport.KVPing {
 		s.finish(p, func(r *transport.KVResponse) { r.Status = transport.KVOK })
 		return nil
@@ -792,7 +780,7 @@ func (s *Server) tenant(name string) (*kvstore.PrefixedStore, error) {
 // reject requests that arrive from now on, wait until every in-flight
 // request has completed AND its response has been handed to the kernel,
 // then close the remaining connections. The store is untouched — the
-// caller owns checkpoint/close. Returns ctx.Err() if the context expires
+// caller closes it. Returns ctx.Err() if the context expires
 // first (in-flight work keeps completing in the background).
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
@@ -825,32 +813,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Quiesce pauses the request plane, runs fn over the quiet store, and
-// resumes service. While paused, new requests are shed with KVErrBusy
-// (clients retry; connections stay open) and Quiesce waits for every
-// already-admitted request to complete before calling fn — so fn sees no
-// concurrent transactions. kaminod runs online checkpoints
-// (Pool.Checkpoint on SIGUSR1) through this. Returns ctx.Err() without
-// running fn if the in-flight work does not finish in time, and an error
-// if a drain or another quiesce is already in progress.
-func (s *Server) Quiesce(ctx context.Context, fn func() error) error {
-	if s.draining.Load() {
-		return errors.New("server: draining")
-	}
-	if !s.paused.CompareAndSwap(false, true) {
-		return errors.New("server: quiesce already in progress")
-	}
-	defer s.paused.Store(false)
-	if err := s.waitIdle(ctx); err != nil {
-		return err
-	}
-	return fn()
-}
-
-// Quiescing reports whether a Quiesce pause is currently shedding
-// requests (the /readyz "checkpointing" state).
-func (s *Server) Quiescing() bool { return s.paused.Load() }
 
 // Close tears the server down without waiting for in-flight work:
 // listener and connections close, the batcher stops after answering

@@ -494,8 +494,8 @@ func TestShedding(t *testing.T) {
 
 // TestDrainZeroLoss is the graceful-drain audit: every PUT acknowledged
 // before and during a drain must be present after closing the pool,
-// reopening it from its checkpoint directory, and re-counting — zero
-// acknowledged writes lost.
+// reopening it from its directory, and re-counting — zero acknowledged
+// writes lost.
 func TestDrainZeroLoss(t *testing.T) {
 	dir, err := os.MkdirTemp("", "kaminod-drain-*")
 	if err != nil {
@@ -538,7 +538,7 @@ func TestDrainZeroLoss(t *testing.T) {
 	<-writerDone
 	close(acked)
 	srv.Close()
-	if err := pool.Close(); err != nil { // checkpoints into dir
+	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,7 +4,10 @@ package kamino_test
 // power-fail a small transaction at EVERY fence it issues — on the client
 // path and in the backup applier alike — with every class of outcome for
 // the lines that fence left in doubt (none survive, all survive, each one
-// alone), recover, and check the result against a model.
+// alone), recover, and check the result against a model. At every fence
+// the process is also killed: what a killed fast-mode process leaves in
+// its mapped files is its whole volatile view, written-but-unflushed
+// lines included.
 
 import (
 	"bytes"
@@ -27,16 +30,23 @@ type crashCase func(t *testing.T, pool *kamino.Pool) (op func() error, check fun
 
 // powerFail names one crash point: the fence to fail at, counted from 1
 // over all of the pool's regions from the start of the operation (0: never
-// fail), and which in-doubt lines survive.
+// fail), and which in-doubt lines survive — or, with kill, that every
+// region's volatile view survives whole.
 type powerFail struct {
 	fence int
 	keep  func(region, line int) bool
+	kill  bool
 }
 
-func (pf powerFail) String() string { return fmt.Sprintf("fence %d", pf.fence) }
+func (pf powerFail) String() string {
+	if pf.kill {
+		return fmt.Sprintf("kill at fence %d", pf.fence)
+	}
+	return fmt.Sprintf("fence %d", pf.fence)
+}
 
-// cloneRegion copies a region's (just power-failed, hence fully durable)
-// contents into a fresh strict region.
+// cloneRegion copies a region's volatile view — after a power failure, its
+// durable image — into a fresh strict region, fully durable.
 func cloneRegion(t *testing.T, r *nvm.Region) *nvm.Region {
 	t.Helper()
 	c, err := nvm.New(r.Size(), nvm.Options{Mode: nvm.ModeStrict})
@@ -87,6 +97,10 @@ func runCrashPoint(t *testing.T, opts kamino.Options, c crashCase, pf powerFail)
 		}
 		wasAcked = acked.Load() == 1
 		for ri, r := range regs {
+			if pf.kill {
+				failed = append(failed, cloneRegion(t, r))
+				continue
+			}
 			err := r.CrashPartial(func(line int) bool {
 				inDoubt = append(inDoubt, [2]int{ri, line})
 				return pf.keep(ri, line)
@@ -136,12 +150,12 @@ func runCrashPoint(t *testing.T, opts kamino.Options, c crashCase, pf powerFail)
 	return int(n.Load()), inDoubt
 }
 
-// enumerateCrashPoints runs c once per crash point and outcome class. With
-// pairs set, every two in-doubt lines of a fence also survive together
+// enumerateCrashPoints runs c once per crash point and outcome class and
+// returns how many kill points it ran (one per fence). With pairs set, every two in-doubt lines of a fence also survive together
 // without the rest — the outcome that tore undo's log entry from the data
 // it points at when both shared one fence (the slot header and entry
 // durable, the copied old value not: a rollback from garbage).
-func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase, pairs bool) {
+func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase, pairs bool) (kills int) {
 	t.Helper()
 	total, _ := runCrashPoint(t, opts, c, powerFail{})
 	if total == 0 {
@@ -149,10 +163,12 @@ func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase, pairs 
 	}
 	points := 0
 	for k := 1; k <= total; k++ {
-		_, inDoubt := runCrashPoint(t, opts, c, powerFail{k, func(int, int) bool { return false }})
-		runCrashPoint(t, opts, c, powerFail{k, func(int, int) bool { return true }})
+		runCrashPoint(t, opts, c, powerFail{fence: k, kill: true})
+		kills++
+		_, inDoubt := runCrashPoint(t, opts, c, powerFail{fence: k, keep: func(int, int) bool { return false }})
+		runCrashPoint(t, opts, c, powerFail{fence: k, keep: func(int, int) bool { return true }})
 		for _, only := range inDoubt {
-			runCrashPoint(t, opts, c, powerFail{k, func(r, l int) bool { return [2]int{r, l} == only }})
+			runCrashPoint(t, opts, c, powerFail{fence: k, keep: func(r, l int) bool { return [2]int{r, l} == only }})
 		}
 		points += 2 + len(inDoubt)
 		if !pairs {
@@ -160,14 +176,15 @@ func enumerateCrashPoints(t *testing.T, opts kamino.Options, c crashCase, pairs 
 		}
 		for i, a := range inDoubt {
 			for _, b := range inDoubt[i+1:] {
-				runCrashPoint(t, opts, c, powerFail{k, func(r, l int) bool {
+				runCrashPoint(t, opts, c, powerFail{fence: k, keep: func(r, l int) bool {
 					return [2]int{r, l} == a || [2]int{r, l} == b
 				}})
 				points++
 			}
 		}
 	}
-	t.Logf("%d fences, %d crash points", total, points)
+	t.Logf("%d fences, %d crash points, %d kill points", total, points, kills)
+	return kills
 }
 
 func crashOpts(mode kamino.Mode) kamino.Options {
@@ -280,11 +297,15 @@ func oneObjectTx(mode kamino.Mode) crashCase {
 }
 
 // TestCrashPointsOneObjectTx also power-fails every pair of in-doubt lines:
-// the transaction is small enough to afford it.
+// the transaction is small enough to afford it. Its kill points are pinned:
+// one per fence the transaction and its backup sync issue.
 func TestCrashPointsOneObjectTx(t *testing.T) {
+	kills := map[kamino.Mode]int{kamino.ModeSimple: 5, kamino.ModeDynamic: 10, kamino.ModeUndo: 5, kamino.ModeInPlace: 4, kamino.ModeNoLog: 1}
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic, kamino.ModeUndo, kamino.ModeInPlace, kamino.ModeNoLog} {
 		t.Run(string(mode), func(t *testing.T) {
-			enumerateCrashPoints(t, crashOpts(mode), oneObjectTx(mode), true)
+			if n := enumerateCrashPoints(t, crashOpts(mode), oneObjectTx(mode), true); n != kills[mode] {
+				t.Errorf("%d kill points, want %d", n, kills[mode])
+			}
 		})
 	}
 }

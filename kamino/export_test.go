@@ -8,31 +8,23 @@ import "kaminotx/internal/nvm"
 
 // Regions returns the pool's NVM regions: main, then backup and log where
 // the mode has them.
-func (p *Pool) Regions() []*nvm.Region {
-	var out []*nvm.Region
-	for _, r := range []*nvm.Region{p.mainReg, p.backupReg, p.logReg} {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (p *Pool) Regions() []*nvm.Region { return p.regions() }
 
 // Reattach opens a pool over existing region images (in Regions order for
-// opts.Mode) and runs crash recovery, as Open does over images loaded from
-// files.
+// opts.Mode) and runs crash recovery, as Open does over mapped files.
 func Reattach(opts Options, regs []*nvm.Region) (*Pool, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	p := &Pool{opts: opts, mainReg: regs[0]}
-	regs = regs[1:]
-	if opts.backupSize() > 0 {
-		p.backupReg, regs = regs[0], regs[1:]
-	}
-	if opts.Mode != ModeNoLog {
-		p.logReg = regs[0]
+	p := &Pool{opts: opts}
+	err = p.eachRegion(func(string, int, nvm.Options) (*nvm.Region, error) {
+		r := regs[0]
+		regs = regs[1:]
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := p.makeEngine(false); err != nil {
 		return nil, err

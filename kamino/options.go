@@ -59,58 +59,60 @@ func ModeNames() string {
 	return names
 }
 
-// Options configures Create.
+// Options configures Create. The json tags name a file-backed pool's
+// pool.json fields, which record its structure and tunables.
 type Options struct {
 	// Mode selects the atomicity mechanism. Default ModeSimple.
-	Mode Mode
+	Mode Mode `json:"mode"`
 
 	// HeapSize is the main heap region size in bytes. Default 64 MiB.
-	HeapSize int
+	HeapSize int `json:"heap_size"`
 
 	// Alpha is the dynamic backup budget as a fraction of HeapSize,
 	// the paper's α ∈ (0, 1). Only used by ModeDynamic. Default 0.5.
-	Alpha float64
+	Alpha float64 `json:"alpha"`
 
 	// RootSize is the size of the root object automatically allocated at
 	// pool creation (the application's entry point into the heap).
 	// Default 256 bytes.
-	RootSize int
+	RootSize int `json:"root_size"`
 
 	// LogSlots bounds concurrently outstanding transactions (including
 	// Kamino commits awaiting backup sync). Default 128.
-	LogSlots int
+	LogSlots int `json:"log_slots"`
 	// LogEntriesPerSlot bounds one transaction's write-set. Default 64.
-	LogEntriesPerSlot int
+	LogEntriesPerSlot int `json:"log_entries_per_slot"`
 	// LogDataBytesPerSlot sizes per-slot copy space for undo/CoW modes.
 	// Default 64 KiB; forced to 0 for Kamino modes (which never log
 	// data).
-	LogDataBytesPerSlot int
+	LogDataBytesPerSlot int `json:"log_data_bytes_per_slot"`
 
 	// ApplierWorkers is the number of asynchronous backup-sync workers
 	// for Kamino modes, each with its own queue (a committed transaction
 	// is routed by a hash of its smallest ObjID, so a hot object's
 	// copy-backs stay on one worker). Default GOMAXPROCS/2, minimum 1.
-	ApplierWorkers int
+	ApplierWorkers int `json:"applier_workers,omitempty"`
 
 	// Strict enables full crash-simulation fidelity on the underlying
 	// NVM regions (durable shadow images, line-granular crash loss).
 	// Required for Pool.Crash; costs roughly 2× memory and extra
 	// tracking. Default off (benchmark-grade fast mode).
-	Strict bool
+	Strict bool `json:"strict"`
 
 	// FlushLatency, FenceLatency emulate slower NVM technologies by
 	// delaying each cache-line flush / fence. Zero models NVDIMM
 	// (DRAM-speed), the paper's testbed.
-	FlushLatency time.Duration
-	FenceLatency time.Duration
+	FlushLatency time.Duration `json:"-"`
+	FenceLatency time.Duration `json:"-"`
 
-	// Dir, when non-empty, makes the pool file-backed: Checkpoint and
-	// Close save the durable images to Dir, and Open(dir) restores them.
-	// Note the simulator's durability between checkpoints lives in
-	// process memory; Dir provides checkpoint-grade persistence across
-	// process runs, not power-failure semantics (those are simulated via
-	// Strict + Crash).
-	Dir string
+	// Dir, when non-empty, is the pool's device: each region is a file in
+	// Dir mapped into the process (main.img, backup.img, log.img, beside
+	// pool.json), so a transaction is in the files from the moment it
+	// commits and survives the process being killed at any instant.
+	// Open(dir) maps them again and recovers. Fast mode writes the files
+	// as the CPU writes; Strict writes them only as lines are flushed and
+	// fenced, so a killed strict process leaves what Crash would.
+	Dir string `json:"-"`
 
 	// Trace, when non-nil, records every NVM device event and transaction
 	// lifecycle event into the given ring buffer for export
@@ -120,12 +122,12 @@ type Options struct {
 	// "<engine>#<n>", with its regions as "<actor>/main", "/backup",
 	// "/log". With Trace nil the hot path pays at most one atomic nil
 	// check per would-be event.
-	Trace *trace.Recorder
+	Trace *trace.Recorder `json:"-"`
 }
 
 // applyOverrides merges an Open-time override into stored options. Runtime
 // tunables (ApplierWorkers, latencies, Trace) replace the stored value when
-// set. Structural fields describe the checkpointed images and cannot be
+// set. Structural fields describe the stored images and cannot be
 // changed by reopening: a non-zero structural field in the override must
 // equal the stored value or the open fails, instead of silently
 // reinterpreting the images under a different geometry.
@@ -193,6 +195,11 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.LogSlots == 0 {
 		o.LogSlots = 128
+	}
+	// Each commit queued for a worker holds a log slot until its backup
+	// sync, so a worker past the slot count could never have work.
+	if o.ApplierWorkers < 0 || o.ApplierWorkers > o.LogSlots {
+		return o, fmt.Errorf("kamino: ApplierWorkers %d outside [0, LogSlots %d]", o.ApplierWorkers, o.LogSlots)
 	}
 	if o.LogEntriesPerSlot == 0 {
 		o.LogEntriesPerSlot = 64

@@ -23,6 +23,7 @@
 package kamino
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,38 +65,51 @@ type Pool struct {
 	mainReg, backupReg, logReg *nvm.Region
 }
 
-// Create builds a fresh pool per opts and allocates its root object.
+// Create builds a fresh pool per opts and allocates its root object. With
+// Options.Dir it writes the region files first and pool.json last, so a
+// directory without pool.json never holds a pool.
 func Create(opts Options) (*Pool, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	p := &Pool{opts: opts}
-	if err := p.makeRegions(); err != nil {
+	if err := p.create(); err != nil {
+		p.Close()
 		return nil, err
 	}
+	return p, nil
+}
+
+func (p *Pool) create() error {
+	if err := p.makeRegions(); err != nil {
+		return err
+	}
 	if err := p.makeEngine(true); err != nil {
-		return nil, err
+		return err
 	}
 	// Allocate the root object and store its id in the heap header.
 	tx, err := p.Begin()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	root, err := tx.Alloc(opts.RootSize)
+	root, err := tx.Alloc(p.opts.RootSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := tx.Commit(); err != nil {
-		return nil, err
+		return err
 	}
 	eng := p.Engine()
 	eng.Drain()
 	if err := eng.Heap().SetRoot(root); err != nil {
-		return nil, err
+		return err
 	}
 	p.root = root
-	return p, nil
+	if p.opts.Dir == "" {
+		return nil
+	}
+	return p.writeMeta(nil)
 }
 
 func (p *Pool) regionOptions() nvm.Options {
@@ -112,10 +126,29 @@ func (p *Pool) regionOptions() nvm.Options {
 	}
 }
 
+// makeRegions builds the mode's regions: in memory, or as fresh files in
+// Options.Dir.
 func (p *Pool) makeRegions() error {
+	dir := p.opts.Dir
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+	}
+	return p.eachRegion(func(name string, size int, opts nvm.Options) (*nvm.Region, error) {
+		if dir == "" {
+			return nvm.New(size, opts)
+		}
+		return nvm.CreateFile(filepath.Join(dir, name), size, opts)
+	})
+}
+
+// eachRegion builds the main, backup (modes that have one) and log (modes
+// that log) regions with newRegion, in that order, naming each one's file.
+func (p *Pool) eachRegion(newRegion func(file string, size int, opts nvm.Options) (*nvm.Region, error)) error {
 	ropts := p.regionOptions()
 	var err error
-	p.mainReg, err = nvm.New(p.opts.HeapSize, ropts)
+	p.mainReg, err = newRegion("main.img", p.opts.HeapSize, ropts)
 	if err != nil {
 		return err
 	}
@@ -126,13 +159,13 @@ func (p *Pool) makeRegions() error {
 		// a thread stalling on persistence — does not apply to it.
 		bopts := ropts
 		bopts.Latency = nvm.LatencyModel{}
-		p.backupReg, err = nvm.New(n, bopts)
+		p.backupReg, err = newRegion("backup.img", n, bopts)
 		if err != nil {
 			return err
 		}
 	}
 	if p.opts.Mode != ModeNoLog {
-		p.logReg, err = nvm.New(p.opts.logConfig().RegionSize(), ropts)
+		p.logReg, err = newRegion("log.img", p.opts.logConfig().RegionSize(), ropts)
 		if err != nil {
 			return err
 		}
@@ -386,6 +419,9 @@ func (p *Pool) Reload() error {
 // Chain-level recovery of incomplete transactions must have completed
 // before promotion.
 func (p *Pool) Promote(alpha float64) error {
+	if p.opts.Dir != "" {
+		return errors.New("kamino: Promote of a file-backed pool (chain replicas are held in memory)")
+	}
 	if p.opts.Mode != ModeInPlace {
 		return fmt.Errorf("kamino: Promote from mode %q (only %q replicas promote)", p.opts.Mode, ModeInPlace)
 	}
@@ -434,89 +470,71 @@ func (p *Pool) InPlaceEngine() *inplace.Engine {
 	return ie
 }
 
-// Close drains, checkpoints (if file-backed) and shuts the pool down.
-func (p *Pool) Close() error {
-	eng := p.Engine()
-	if eng == nil {
-		// A failed crash-reopen or reload left no live engine; there is
-		// nothing to drain or checkpoint.
-		return nil
-	}
-	eng.Drain()
-	if p.opts.Dir != "" {
-		if err := p.Checkpoint(); err != nil {
-			return err
+// regions lists the pool's NVM regions: main, then backup and log where
+// the mode has them.
+func (p *Pool) regions() []*nvm.Region {
+	var out []*nvm.Region
+	for _, r := range []*nvm.Region{p.mainReg, p.backupReg, p.logReg} {
+		if r != nil {
+			out = append(out, r)
 		}
 	}
-	return eng.Close()
+	return out
 }
 
-// poolMeta is the JSON sidecar describing a file-backed pool. The first
-// block is structural (it describes the images; Open overrides must
-// match); the omitempty tail records tunables so a plain reopen runs with
-// the same performance configuration it was checkpointed under.
-type poolMeta struct {
-	Mode                Mode    `json:"mode"`
-	HeapSize            int     `json:"heap_size"`
-	Alpha               float64 `json:"alpha"`
-	RootSize            int     `json:"root_size"`
-	LogSlots            int     `json:"log_slots"`
-	LogEntriesPerSlot   int     `json:"log_entries_per_slot"`
-	LogDataBytesPerSlot int     `json:"log_data_bytes_per_slot"`
-	Strict              bool    `json:"strict"`
-
-	ApplierWorkers int `json:"applier_workers,omitempty"`
-}
-
-// Checkpoint saves the pool's durable images to Options.Dir. Safe to call
-// repeatedly; every file is written to a temporary name and renamed into
-// place (nvm.WriteFileAtomic), so a checkpoint cut short leaves the
-// previous one readable.
-func (p *Pool) Checkpoint() error {
-	dir := p.opts.Dir
-	if dir == "" {
-		return errors.New("kamino: pool is not file-backed (Options.Dir empty)")
+// Close drains the pool and shuts its engine down. A file-backed pool's
+// regions are then written back to their files once and unmapped: a clean
+// close leaves nothing to recover, while a process that dies without it
+// leaves what its regions held durably, which Open recovers from.
+func (p *Pool) Close() error {
+	var err error
+	if eng := p.Engine(); eng != nil {
+		// Nil after a failed crash-reopen or reload: no engine to drain.
+		eng.Drain()
+		err = eng.Close()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	for _, r := range p.regions() {
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// writeMeta writes the pool's options as its pool.json — structure and
+// tunables, so a plain reopen runs as the last open did — unless the file
+// already reads old. It goes to a temporary file, synced, then renamed into
+// place, so a kill leaves the old file or the new one.
+func (p *Pool) writeMeta(old []byte) error {
+	buf, err := json.MarshalIndent(p.opts, "", "  ")
+	if err != nil || bytes.Equal(buf, old) {
 		return err
 	}
-	p.Engine().Drain()
-	meta := poolMeta{
-		Mode:                p.opts.Mode,
-		HeapSize:            p.opts.HeapSize,
-		Alpha:               p.opts.Alpha,
-		RootSize:            p.opts.RootSize,
-		LogSlots:            p.opts.LogSlots,
-		LogEntriesPerSlot:   p.opts.LogEntriesPerSlot,
-		LogDataBytesPerSlot: p.opts.LogDataBytesPerSlot,
-		Strict:              p.opts.Strict,
-		ApplierWorkers:      p.opts.ApplierWorkers,
-	}
-	buf, err := json.MarshalIndent(meta, "", "  ")
+	path := filepath.Join(p.opts.Dir, "pool.json")
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := nvm.WriteFileAtomic(filepath.Join(dir, "pool.json"), buf); err != nil {
-		return err
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
 	}
-	if err := p.mainReg.Save(filepath.Join(dir, "main.img")); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if p.backupReg != nil {
-		if err := p.backupReg.Save(filepath.Join(dir, "backup.img")); err != nil {
-			return err
-		}
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if p.logReg != nil {
-		if err := p.logReg.Save(filepath.Join(dir, "log.img")); err != nil {
-			return err
-		}
+	if err != nil {
+		os.Remove(tmp)
 	}
-	return nil
+	return err
 }
 
-// Open restores a file-backed pool from a directory written by Checkpoint
-// or Close, running crash recovery over the restored images.
+// Open maps a file-backed pool's region files from dir and runs crash
+// recovery over them: whatever the last process left, after a clean Close
+// or a kill at any instant. An acknowledged transaction is in the files
+// from the moment it commits.
 //
 // An optional Options value overrides runtime tunables for this
 // incarnation — ApplierWorkers, FlushLatency, FenceLatency, Trace.
@@ -529,21 +547,9 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kamino: open %s: %w", dir, err)
 	}
-	var meta poolMeta
-	if err := json.Unmarshal(buf, &meta); err != nil {
+	stored := Options{Dir: dir}
+	if err := json.Unmarshal(buf, &stored); err != nil {
 		return nil, fmt.Errorf("kamino: open %s: bad pool.json: %w", dir, err)
-	}
-	stored := Options{
-		Mode:                meta.Mode,
-		HeapSize:            meta.HeapSize,
-		Alpha:               meta.Alpha,
-		RootSize:            meta.RootSize,
-		LogSlots:            meta.LogSlots,
-		LogEntriesPerSlot:   meta.LogEntriesPerSlot,
-		LogDataBytesPerSlot: meta.LogDataBytesPerSlot,
-		Strict:              meta.Strict,
-		ApplierWorkers:      meta.ApplierWorkers,
-		Dir:                 dir,
 	}
 	for _, ov := range overrides {
 		if stored, err = stored.applyOverrides(ov); err != nil {
@@ -552,33 +558,30 @@ func Open(dir string, overrides ...Options) (*Pool, error) {
 	}
 	opts, err := stored.withDefaults()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("kamino: open %s: %w", dir, err)
 	}
 	p := &Pool{opts: opts}
-	ropts := p.regionOptions()
-	p.mainReg, err = nvm.Load(filepath.Join(dir, "main.img"), ropts)
-	if err != nil {
+	if err := p.open(buf); err != nil {
+		p.Close()
 		return nil, err
 	}
-	if opts.backupSize() > 0 {
-		p.backupReg, err = nvm.Load(filepath.Join(dir, "backup.img"), ropts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.Mode != ModeNoLog {
-		p.logReg, err = nvm.Load(filepath.Join(dir, "log.img"), ropts)
-		if err != nil {
-			return nil, err
-		}
+	return p, nil
+}
+
+func (p *Pool) open(meta []byte) error {
+	err := p.eachRegion(func(name string, size int, opts nvm.Options) (*nvm.Region, error) {
+		return nvm.OpenFile(filepath.Join(p.opts.Dir, name), size, opts)
+	})
+	if err != nil {
+		return err
 	}
 	if err := p.makeEngine(false); err != nil {
-		return nil, err
+		return err
 	}
-	root, err := p.Engine().Heap().Root()
-	if err != nil {
-		return nil, err
+	if p.root, err = p.Engine().Heap().Root(); err != nil {
+		return err
 	}
-	p.root = root
-	return p, nil
+	// Record the tunables this open runs with, and drop any field this
+	// build no longer writes.
+	return p.writeMeta(meta)
 }

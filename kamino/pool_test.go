@@ -180,7 +180,9 @@ func TestCrashRequiresStrict(t *testing.T) {
 	}
 }
 
-func TestFileBackedCheckpointAndOpen(t *testing.T) {
+// TestFileBackedCloseAndOpen: a committed write survives Close and Open of
+// a file-backed pool.
+func TestFileBackedCloseAndOpen(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Create(Options{Mode: ModeSimple, HeapSize: 1 << 20, Dir: dir})
 	if err != nil {
@@ -190,7 +192,7 @@ func TestFileBackedCheckpointAndOpen(t *testing.T) {
 		if err := tx.Add(p.Root()); err != nil {
 			return err
 		}
-		return tx.SetString(p.Root(), 0, "checkpointed")
+		return tx.SetString(p.Root(), 0, "on file")
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestFileBackedCheckpointAndOpen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s != "checkpointed" {
+	if s != "on file" {
 		t.Errorf("reopened string = %q", s)
 	}
 }

@@ -2,13 +2,15 @@ package kamino_test
 
 // Recovery-path tests spanning the pool's public surface: the staged
 // report, Open overrides, directories older builds and interrupted
-// checkpoints leave behind, and the crash-storm regression — they exercise
+// creates leave behind, a real kill -9, and the crash-storm regression — they exercise
 // kvstore/pbtree over the pool, so they live in the external test package.
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -105,7 +107,7 @@ func TestOpenOverrides(t *testing.T) {
 	}
 	model := map[uint64][]byte{}
 	fillStore(t, store, model, 0, 100)
-	if err := pool.Close(); err != nil { // checkpoints into dir
+	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +154,7 @@ func TestOpenOverrides(t *testing.T) {
 	pool.Close()
 
 	// A pool.json written by a binary that still had the two options since
-	// retired opens, serves its keys, and checkpoints again without either
+	// retired opens, serves its keys, and is rewritten without either
 	// field.
 	metaPath := filepath.Join(dir, "pool.json")
 	meta, err := os.ReadFile(metaPath)
@@ -179,7 +181,7 @@ func TestOpenOverrides(t *testing.T) {
 	}
 	for _, retired := range []string{"shards", "group_commit"} {
 		if bytes.Contains(meta, []byte(retired)) {
-			t.Errorf("checkpoint wrote retired field %q back to pool.json:\n%s", retired, meta)
+			t.Errorf("open wrote retired field %q back to pool.json:\n%s", retired, meta)
 		}
 	}
 }
@@ -187,8 +189,8 @@ func TestOpenOverrides(t *testing.T) {
 // TestOpenDirectoryOfOlderBuild: builds that checkpointed volatile index
 // state left an index.ckpt beside the images and kept an image epoch, a
 // scan segment span and a directory of block offsets in bytes 32..2047 of
-// every heap header. Such a directory opens, every key reads back, and the
-// next checkpoint neither needs nor rewrites the stray file.
+// every heap header. Such a directory opens, every key reads back, and
+// neither the open nor the close needs or rewrites the stray file.
 func TestOpenDirectoryOfOlderBuild(t *testing.T) {
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic} {
 		dir := t.TempDir()
@@ -217,7 +219,7 @@ func TestOpenDirectoryOfOlderBuild(t *testing.T) {
 		if err := reg.Persist(0, heap.DataStart); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Close(); err != nil { // checkpoints into dir
+		if err := pool.Close(); err != nil {
 			t.Fatal(err)
 		}
 		ckpt := filepath.Join(dir, "index.ckpt")
@@ -239,7 +241,7 @@ func TestOpenDirectoryOfOlderBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, blob) {
-			t.Errorf("%s: index.ckpt after a checkpoint: %q, %v; want it untouched", mode, got, err)
+			t.Errorf("%s: index.ckpt after a reopen: %q, %v; want it untouched", mode, got, err)
 		}
 		if pool, err = kamino.Open(dir); err != nil {
 			t.Fatal(err)
@@ -252,15 +254,33 @@ func TestOpenDirectoryOfOlderBuild(t *testing.T) {
 	}
 }
 
-// TestCheckpointReplacesPoolJSONAtomically: pool.json goes the way the
-// images do, temporary file then rename. A checkpoint killed before the
-// rename leaves a short pool.json.tmp beside the previous pool.json: the
-// directory still opens, and the next checkpoint clears the leftover.
-func TestCheckpointReplacesPoolJSONAtomically(t *testing.T) {
+// TestCreateWritesPoolJSONLast: pool.json is the last file Create writes,
+// through a temporary file and a rename. A directory without pool.json — a
+// first start killed before it — holds no pool: Open refuses it and Create
+// starts over in it. A truncated pool.json.tmp beside a finished pool.json
+// does not stop an open, and the next write of pool.json replaces it.
+func TestCreateWritesPoolJSONLast(t *testing.T) {
 	dir := t.TempDir()
-	pool, err := kamino.Create(kamino.Options{HeapSize: 4 << 20, Dir: dir})
+	opts := kamino.Options{HeapSize: 4 << 20, Dir: dir}
+	pool, err := kamino.Create(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := pool.Close(); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, "pool.json")
+	if err := os.Remove(metaPath); err != nil {
+		t.Fatal(err)
+	}
+	if pool, err := kamino.Open(dir); err == nil {
+		pool.Close()
+		t.Fatal("Open accepted a directory without pool.json")
+	}
+
+	pool, err = kamino.Create(opts)
+	if err != nil {
+		t.Fatalf("Create over the region files of an unfinished create: %v", err)
 	}
 	store, err := kvstore.Create(pool, 0)
 	if err != nil {
@@ -271,19 +291,20 @@ func TestCheckpointReplacesPoolJSONAtomically(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := os.ReadFile(filepath.Join(dir, "pool.json"))
+	meta, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, "pool.json.tmp")
+	tmp := metaPath + ".tmp"
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("a finished checkpoint left pool.json.tmp behind (stat: %v)", err)
+		t.Fatalf("a finished create left pool.json.tmp behind (stat: %v)", err)
 	}
 	if err := os.WriteFile(tmp, meta[:len(meta)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	pool, err = kamino.Open(dir)
+	// A changed tunable makes this open write pool.json.
+	pool, err = kamino.Open(dir, kamino.Options{ApplierWorkers: 1})
 	if err != nil {
 		t.Fatalf("Open beside a truncated pool.json.tmp: %v", err)
 	}
@@ -291,16 +312,13 @@ func TestCheckpointReplacesPoolJSONAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyStore(t, store, model)
-	if err := pool.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Errorf("checkpoint left pool.json.tmp behind (stat: %v)", err)
-	}
-	if got, err := os.ReadFile(filepath.Join(dir, "pool.json")); err != nil || !bytes.Equal(got, meta) {
-		t.Errorf("pool.json after the checkpoint: %q, %v; want %q", got, err, meta)
-	}
 	pool.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("writing pool.json left pool.json.tmp behind (stat: %v)", err)
+	}
+	if got, err := os.ReadFile(metaPath); err != nil || !bytes.Contains(got, []byte(`"applier_workers": 1`)) {
+		t.Errorf("pool.json after the open: %q, %v; want applier_workers 1", got, err)
+	}
 }
 
 // TestCrashStormKVStore is the crash-storm regression: 24 cycles of
@@ -368,5 +386,96 @@ func TestCrashStormKVStore(t *testing.T) {
 			t.Fatalf("cycle %d: invariants: %v", cycle, err)
 		}
 		verifyStore(t, store, model)
+	}
+}
+
+// killValue is every put's value for key k, so a put that was in flight at
+// the kill leaves the key with the same bytes as an acknowledged one.
+func killValue(k uint64) []byte {
+	return bytes.Repeat([]byte{byte(k), byte(k >> 8), 0x5A}, 10+int(k%40))
+}
+
+// TestKillNineKeepsAcknowledgedWrites is a real process death: the test
+// binary runs itself again as a child that writes to a file-backed pool and
+// prints each key as its put is acknowledged, and is killed with SIGKILL —
+// no Close, no drain. The reopened directory holds every printed key with
+// its exact value and a sound tree, for a fast pool (the files are the
+// volatile view) and a strict one (the files are the fenced lines).
+func TestKillNineKeepsAcknowledgedWrites(t *testing.T) {
+	if dir := os.Getenv("KAMINO_KILL_CHILD_DIR"); dir != "" {
+		killChild(dir, os.Getenv("KAMINO_KILL_CHILD_STRICT") == "true")
+		return
+	}
+	for i, strict := range []bool{false, true} {
+		dir := t.TempDir()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestKillNineKeepsAcknowledgedWrites$")
+		cmd.Env = append(os.Environ(), "KAMINO_KILL_CHILD_DIR="+dir, fmt.Sprintf("KAMINO_KILL_CHILD_STRICT=%v", strict))
+		cmd.Stderr = os.Stderr
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		killAt := 700 + 337*i // a different instant of the write stream each time
+		acked := map[uint64]bool{}
+		sc := bufio.NewScanner(out)
+		for n := 0; n < killAt && sc.Scan(); {
+			var k uint64
+			if _, err := fmt.Sscanf(sc.Text(), "acked %d", &k); err == nil {
+				acked[k] = true
+				n++
+			}
+		}
+		cmd.Process.Kill()
+		cmd.Wait()
+		if len(acked) == 0 {
+			t.Fatalf("strict=%v: the child acknowledged nothing", strict)
+		}
+		t.Logf("strict=%v: killed after %d acknowledged puts, %d keys", strict, killAt, len(acked))
+
+		pool, err := kamino.Open(dir)
+		if err != nil {
+			t.Fatalf("strict=%v: reopen after kill -9: %v", strict, err)
+		}
+		store, err := kvstore.Open(pool)
+		if err != nil {
+			t.Fatalf("strict=%v: %v", strict, err)
+		}
+		if err := store.Tree().CheckInvariants(); err != nil {
+			t.Fatalf("strict=%v: %v", strict, err)
+		}
+		for k := range acked {
+			if got, ok, err := store.Read(k); err != nil || !ok || !bytes.Equal(got, killValue(k)) {
+				t.Errorf("strict=%v: acknowledged key %d reads %x, %v, %v", strict, k, got, ok, err)
+			}
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// killChild is the child's side: create the pool and put until killed,
+// printing each acknowledged key.
+func killChild(dir string, strict bool) {
+	pool, err := kamino.Create(kamino.Options{HeapSize: 8 << 20, Strict: strict, Dir: dir})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	store, err := kvstore.Create(pool, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for i := uint64(0); ; i++ {
+		k := i * 7919 % 600 // keys are inserted, then overwritten
+		if err := store.Update(k, killValue(k)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("acked %d\n", k)
 	}
 }
