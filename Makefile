@@ -42,7 +42,10 @@ fmt:
 # held delivery, and a stalled tail with both inboxes full, which must not
 # deadlock. internal/simtime is the wait
 # every simulated latency goes through (its yield tests pin one processor),
-# and internal/transport the in-process hop that spends it. internal/kvstore
+# and internal/transport the in-process hop that spends it: its hop timing,
+# per-sender order and Unregister's drop of a queued backlog repeat twenty
+# times too, the last because a delivery loop that races the departure
+# shows only as an occasional extra message. internal/kvstore
 # brings the strict two-writer preload that a power failure must not dent
 # (neighbouring allocations store into shared device lines at once). The
 # allocation pins (internal/kvstore/allocs_test.go, locktable's, both part of
@@ -51,6 +54,7 @@ fmt:
 race:
 	$(GO) test -race -count=20 -run 'TestDrainZeroLoss|TestClientConcurrentSendsAndClose' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestResendIsBatched|TestKillMidBatchConverges|TestOvertakingRecordsAreNotAppended|TestDrainCoalescesQueuedAppends|TestFullInboxesDoNotDeadlock' ./internal/chain/
+	$(GO) test -race -count=20 -run 'TestInProcLatency|TestInProcSendsArriveInOrder|TestInProcUnregisterDropsMessages' ./internal/transport/
 	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
 	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 

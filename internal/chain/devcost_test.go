@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"kaminotx/internal/race"
 )
 
 // Device-cost pin and benchmark for one chain put, beside
@@ -178,4 +180,36 @@ func BenchmarkChainPut(b *testing.B) {
 	b.ReportMetric(float64(d.fences)/n, "fences/op")
 	b.ReportMetric(float64(d.lines)/n, "lines/op")
 	b.ReportMetric(float64(d.bytes)/n, "B-written/op")
+}
+
+// chainPutAllocs is the pinned Go-heap allocations of one chain put, the
+// client's and every replica's goroutines counted (35 before each ring kept
+// its encoding buffer, the head its batch slice, and the head's sorts left
+// sort.Slice). What is left is per transaction — the client's request, its
+// keys and done channel, each replica's transaction handles, the head's
+// completion list — or held by a receiver: each hop's op message and its
+// records, each downstream replica's decoded batch, the tail's
+// acknowledgment and the clean-ups.
+const chainPutAllocs = 28
+
+// TestChainPutAllocs pins BenchmarkChainPut's allocs/op. It skips itself
+// under -race, which counts the detector's own allocations.
+func TestChainPutAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("testing.AllocsPerRun is meaningless under the race detector")
+	}
+	tc, reps := devChain(t, false, 3*time.Microsecond)
+	val := bytes.Repeat([]byte{4}, devValue)
+	i := 0
+	n := testing.AllocsPerRun(1000, func() {
+		if err := tc.client.Put(uint64(i*7)%devKeys, val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	settle(t, reps)
+	t.Logf("%.0f allocations per chain put", n)
+	if n > chainPutAllocs {
+		t.Errorf("a chain put allocates %.0f times, want <= %d", n, chainPutAllocs)
+	}
 }

@@ -1,9 +1,10 @@
 package chain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -426,8 +427,8 @@ func (r *Replica) DebugInfo() DebugInfo {
 	nextSeq := r.nextSeq
 	waiters := len(r.waiters)
 	r.headMu.Unlock()
-	sort.Slice(locked, func(i, j int) bool { return locked[i] < locked[j] })
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(locked)
+	slices.Sort(seqs)
 	return DebugInfo{
 		LastExec:      r.lastExecSeq(),
 		NextSeq:       nextSeq,
@@ -675,7 +676,7 @@ func (r *Replica) Submit(name string, args []byte) error {
 		return err
 	}
 	keys := keysFn(r.pool, args)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 
 	// Admission control (paper §5.1): a transaction whose lock keys
 	// intersect an in-flight transaction's waits here until the tail
@@ -726,9 +727,10 @@ func (r *Replica) Submit(name string, args []byte) error {
 // replicas run it too, but their submitCh never fills.
 func (r *Replica) batcher(stop chan struct{}) {
 	defer r.wg.Done()
+	batch := make([]*submitReq, 0, r.cfg.BatchOps)
 	for {
-		batch, ok := r.gather(stop)
-		if !ok {
+		var ok bool
+		if batch, ok = r.gather(stop, batch[:0]); !ok {
 			return
 		}
 		// Process even when stopping: these clients were admitted and
@@ -741,17 +743,18 @@ func (r *Replica) batcher(stop chan struct{}) {
 // holds maxOps records, or its arguments have reached batchBytes.
 func full(n, bytes, maxOps int) bool { return n >= maxOps || bytes >= batchBytes }
 
-// gather forms a batch of submissions: it waits for a first one, then
-// takes whatever has already queued behind it until the batch is full — it
-// never waits for one to fill. It returns false once stop closes.
-func (r *Replica) gather(stop <-chan struct{}) ([]*submitReq, bool) {
+// gather forms a batch of submissions in batch, which it appends to: it
+// waits for a first one, then takes whatever has already queued behind it
+// until the batch is full — it never waits for one to fill. It returns
+// false once stop closes.
+func (r *Replica) gather(stop <-chan struct{}, batch []*submitReq) ([]*submitReq, bool) {
 	var first *submitReq
 	select {
 	case <-stop:
 		return nil, false
 	case first = <-r.submitCh:
 	}
-	batch := append(make([]*submitReq, 0, r.cfg.BatchOps), first)
+	batch = append(batch, first)
 	for bytes := len(first.args); !full(len(batch), bytes, r.cfg.BatchOps); {
 		select {
 		case req := <-r.submitCh:
@@ -770,8 +773,9 @@ func (r *Replica) gather(stop <-chan struct{}) ([]*submitReq, bool) {
 // batch members touch disjoint lock keys, so combining them changes no
 // outcome. If the combined transaction fails — one operation aborts, or the
 // write set overflows a log slot — the batch splits in half and retries,
-// converging to per-operation execution and per-operation errors.
-func (r *Replica) applyReqs(reqs []*submitReq, failed map[*submitReq]error) {
+// converging to per-operation execution and per-operation errors, which it
+// returns (nil when every operation succeeded).
+func (r *Replica) applyReqs(reqs []*submitReq) (failed map[*submitReq]error) {
 	_ = halving.Run(reqs, func(reqs []*submitReq) error {
 		err := r.pool.Update(func(tx *kamino.Tx) error {
 			for _, req := range reqs {
@@ -782,10 +786,14 @@ func (r *Replica) applyReqs(reqs []*submitReq, failed map[*submitReq]error) {
 			return nil
 		})
 		if err != nil && len(reqs) == 1 {
+			if failed == nil {
+				failed = make(map[*submitReq]error)
+			}
 			failed[reqs[0]], err = err, nil // its own error; the rest carry on
 		}
 		return err
 	}, r.cSplits.Inc)
+	return failed
 }
 
 // processBatch executes a batch of admitted submissions in order, persists
@@ -795,9 +803,7 @@ func (r *Replica) applyReqs(reqs []*submitReq, failed map[*submitReq]error) {
 func (r *Replica) processBatch(reqs []*submitReq) {
 	view := r.currentView()
 	recs := make([]pqueue.Record, 0, len(reqs))
-	accepted := make([]*submitReq, 0, len(reqs))
-	failed := make(map[*submitReq]error)
-	r.applyReqs(reqs, failed)
+	failed := r.applyReqs(reqs)
 	for _, req := range reqs {
 		if err, ok := failed[req]; ok {
 			// Aborted at the head: never admitted downstream.
@@ -822,7 +828,6 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.cSubmits.Add(1)
 		r.tr.ChainApply(traceID, seq)
 		recs = append(recs, pqueue.Record{Seq: seq, Trace: traceID, Name: req.name, Args: req.args})
-		accepted = append(accepted, req)
 	}
 	if len(recs) == 0 {
 		return
@@ -849,8 +854,10 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		}
 		r.lockCond.Broadcast()
 		r.headMu.Unlock()
-		for _, req := range accepted {
-			req.done <- err
+		for _, req := range reqs {
+			if _, ok := failed[req]; !ok {
+				req.done <- err
+			}
 		}
 		return
 	}
@@ -917,7 +924,7 @@ func (r *Replica) completeThrough(ackSeq uint64) {
 	}
 	r.lockCond.Broadcast()
 	r.headMu.Unlock()
-	sort.Slice(dones, func(i, j int) bool { return dones[i].seq < dones[j].seq })
+	slices.SortFunc(dones, func(a, b completion) int { return cmp.Compare(a.seq, b.seq) })
 	for _, d := range dones {
 		r.tr.ChainAck(d.trace, d.seq)
 		d.ch <- nil

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"kaminotx/internal/nvm"
@@ -70,6 +71,9 @@ type Queue struct {
 
 	// Max bytes ever occupied, per range (volatile; reset on Attach).
 	hiInflight, hiPending uint64
+
+	// scratch is append's encoding buffer, kept for the next append.
+	scratch []byte
 }
 
 // Errors.
@@ -357,7 +361,9 @@ func (q *Queue) append(recs []Record, executed bool) error {
 	if total > q.cap-(q.tail-q.head) {
 		return fmt.Errorf("%w: need %d bytes, %d free", ErrFull, total, q.cap-(q.tail-q.head))
 	}
-	buf := make([]byte, total)
+	q.scratch = slices.Grow(q.scratch[:0], int(total))
+	buf := q.scratch[:total]
+	clear(buf) // encodeRecord leaves the padding as it finds it
 	off, maxSeq := uint64(0), q.lastSeq
 	for _, r := range recs {
 		sz := recSize(r)

@@ -2,8 +2,11 @@
 // The one implementation is an in-process transport with configurable
 // per-hop latency (the benchmark substrate standing in for the paper's RDMA
 // network — what matters to the results is the ratio of network hop latency
-// to copy latency, which the knob preserves); the Transport interface is
-// the seam the chain's tests wrap to intercept and drop messages.
+// to copy latency, which the knob preserves). A hop is latency, not work: a
+// one-way message is delivered no earlier than one hop after it was sent,
+// and its sender carries on meanwhile, as an RDMA sender that has posted a
+// message does. The Transport interface is the seam the chain's tests wrap
+// to intercept and drop messages.
 package transport
 
 import (
@@ -112,7 +115,8 @@ type Transport interface {
 	// again while it reports more work and none is, so each step of work a
 	// handler leaves to it sees every message that queued before the step.
 	Serve(id NodeID, h Handler, idle func() bool) error
-	// Send delivers msg to `to` asynchronously (one-way). Delivery is
+	// Send delivers msg to `to` asynchronously (one-way), no earlier than
+	// one hop after the call; it does not wait for the hop. Delivery is
 	// reliable while the destination is registered, except that an
 	// acknowledgment (KindTailAck, KindCleanup) meeting a full inbox is
 	// dropped rather than waited for: acknowledgments are cumulative, and

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,28 +53,52 @@ func TestInProcSendAndCall(t *testing.T) {
 	testTransportSendAndCall(t, tr, "a", "b")
 }
 
-// TestInProcLatency holds a one-way send to at least one hop and a call to
-// at least two, at the harness's 3 µs hop (the polling wait) and at 300 µs
-// (the sleeping one).
+// TestInProcLatency: each of twenty one-way messages is handled no earlier
+// than one hop after its Send began, and a call takes at least two hops,
+// at the harness's 3 µs hop (the polling wait) and at 300 µs (the sleeping
+// one). The sender does not wait the hop out: at a 20 ms hop each of twenty
+// back-to-back Sends returns in under one, where a sender that waited would
+// spend 400 ms. (At 300 µs the host itself stalls a goroutine that long
+// about once in a few thousand Sends, more under -race.)
 func TestInProcLatency(t *testing.T) {
-	for _, hop := range []time.Duration{3 * time.Microsecond, 300 * time.Microsecond} {
+	const sends, slowHop = 20, 20 * time.Millisecond
+	for _, hop := range []time.Duration{3 * time.Microsecond, 300 * time.Microsecond, slowHop} {
 		tr := NewInProc(hop)
-		if err := tr.Register("n", func(m *Message) *Message { return &Message{} }); err != nil {
+		var handled [sends]time.Time
+		all := make(chan struct{})
+		if err := tr.Register("n", func(m *Message) *Message {
+			if m.Kind == KindOpBatch {
+				handled[m.Seq] = time.Now()
+				if m.Seq == sends-1 {
+					close(all)
+				}
+			}
+			return &Message{}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 20; i++ {
-			start := time.Now()
-			if err := tr.Send("n", &Message{}); err != nil {
+		var start [sends]time.Time
+		for i := range start {
+			start[i] = time.Now()
+			if err := tr.Send("n", &Message{Kind: KindOpBatch, Seq: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
-			if el := time.Since(start); el < hop {
-				t.Errorf("send with %v hops took %v", hop, el)
+			if sent := time.Since(start[i]); hop == slowHop && sent >= hop {
+				t.Errorf("send %d with %v hops took %v to return, want < one hop", i, hop, sent)
 			}
-			start = time.Now()
-			if _, err := tr.Call("n", &Message{}); err != nil {
+		}
+		<-all
+		for i := range start {
+			if at := handled[i].Sub(start[i]); at < hop {
+				t.Errorf("send %d with %v hops was handled after %v", i, hop, at)
+			}
+		}
+		for i := 0; i < sends && hop != slowHop; i++ {
+			begin := time.Now()
+			if _, err := tr.Call("n", &Message{Kind: KindRead}); err != nil {
 				t.Fatal(err)
 			}
-			if el := time.Since(start); el < 2*hop {
+			if el := time.Since(begin); el < 2*hop {
 				t.Errorf("call with %v hops took %v, want >= %v", hop, el, 2*hop)
 			}
 		}
@@ -81,19 +106,92 @@ func TestInProcLatency(t *testing.T) {
 	}
 }
 
-func TestInProcUnregisterDropsMessages(t *testing.T) {
-	tr := NewInProc(0)
+// TestInProcSendsArriveInOrder: with a hop to wait out and two senders
+// interleaving, each sender's messages are handled in the order it sent
+// them.
+func TestInProcSendsArriveInOrder(t *testing.T) {
+	tr := NewInProc(3 * time.Microsecond)
 	defer tr.Close()
-	var count atomic.Int32
-	if err := tr.Register("x", func(m *Message) *Message {
-		count.Add(1)
+	const n = 500
+	next := map[NodeID]uint64{} // touched only by the delivery goroutine
+	done := make(chan struct{})
+	handled := 0
+	if err := tr.Register("sink", func(m *Message) *Message {
+		if m.Seq != next[m.From] {
+			t.Errorf("from %s: got seq %d, want %d", m.From, m.Seq, next[m.From])
+		}
+		next[m.From] = m.Seq + 1
+		if handled++; handled == 2*n {
+			close(done)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Unregister("x")
-	if err := tr.Send("x", &Message{}); err == nil {
-		t.Error("send to unregistered node did not error")
+	var wg sync.WaitGroup
+	for _, from := range []NodeID{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < n; i++ {
+				if err := tr.Send("sink", &Message{Kind: KindOpBatch, From: from, Seq: i}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("not all messages delivered")
+	}
+}
+
+// TestInProcUnregisterDropsMessages: once Unregister returns, nothing
+// queued for the node is handled, and a later Send fails. Each of twenty
+// nodes has a handler held on its first message and 99 more queued behind
+// it when it leaves; a delivery loop that let a queued message race the
+// node's departure would hand one over about half the time, so twenty nodes
+// catch it all but once in a million runs.
+func TestInProcUnregisterDropsMessages(t *testing.T) {
+	tr := NewInProc(0)
+	defer tr.Close()
+	const nodes, queued = 20, 99
+	release := make(chan struct{})
+	var counts [nodes]atomic.Int32
+	for i := range counts {
+		id := NodeID(fmt.Sprint("x", i))
+		held := make(chan struct{})
+		count := &counts[i]
+		if err := tr.Register(id, func(m *Message) *Message {
+			if count.Add(1) == 1 {
+				close(held)
+				<-release
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j <= queued; j++ {
+			if err := tr.Send(id, &Message{Kind: KindOpBatch}); err != nil {
+				t.Fatal(err)
+			}
+			if j == 0 {
+				<-held
+			}
+		}
+		tr.Unregister(id)
+		if err := tr.Send(id, &Message{}); err == nil {
+			t.Errorf("send to unregistered node %s did not error", id)
+		}
+	}
+	close(release)
+	time.Sleep(50 * time.Millisecond)
+	for i := range counts {
+		if n := counts[i].Load() - 1; n != 0 {
+			t.Errorf("node x%d handled %d of its %d queued messages after Unregister", i, n, queued)
+		}
 	}
 }
 
@@ -221,4 +319,22 @@ func TestInProcAcksNeverWait(t *testing.T) {
 	}
 	close(release)
 	<-blocked
+}
+
+// BenchmarkInProcSend is what a one-way send costs its sender at the
+// harness's 3 µs hop: the hop is the receiver's to wait out, so this is the
+// enqueue alone (plus waits for room when the sink falls behind).
+func BenchmarkInProcSend(b *testing.B) {
+	tr := NewInProc(3 * time.Microsecond)
+	defer tr.Close()
+	if err := tr.Register("sink", func(m *Message) *Message { return nil }); err != nil {
+		b.Fatal(err)
+	}
+	msg := &Message{Kind: KindOpBatch}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.Send("sink", msg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

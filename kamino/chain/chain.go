@@ -50,7 +50,9 @@ type Options struct {
 	// Alpha sizes the head's backup (ModeKamino): >= 1 full mirror,
 	// < 1 dynamic partial backup. Default 1.
 	Alpha float64
-	// HopLatency is the simulated network latency per message hop.
+	// HopLatency is the simulated network latency per message hop: a
+	// message is delivered no earlier than this after it was sent, and
+	// the sender does not wait for it (a Call's caller waits both legs).
 	HopLatency time.Duration
 	// FlushLatency / FenceLatency model the persist costs of each
 	// replica's simulated NVM — pool and protocol queues alike (see
