@@ -30,7 +30,7 @@ fmt:
 # historical races under the detector, and ./kamino/... brings the chaos
 # schedule (kamino/chain/chaos_test.go: kills, rejoins and a head reboot
 # under six clients, online auditor attached, a sampler goroutine reading
-# the chain's debug state, queue stats and registries through all of it).
+# the chain's debug state and registries through all of it).
 # The server package covers the
 # slow-request ring and the per-request phase handoffs, and repeats the
 # drain audit, whose request-admission-versus-wait ordering shows a race
@@ -94,8 +94,11 @@ benchmark-check:
 
 # check is the full gate: tier-1 build+test plus gofmt, vet, the race pass,
 # the fuzz smoke, the godoc-coverage check, and the benchmark module's own
-# vet and tests.
+# vet and tests; then the chain's tests once more on one processor, where a
+# test that relies on goroutines running in parallel to make its case
+# (a multi-op batch forming, say) fails.
 check: build fmt vet test race fuzz-smoke doccheck benchmark-check
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/chain/ ./kamino/chain/
 
 # bench prints one of the paper's figures (EXPERIMENTS.md has the index and
 # the scale its tables were recorded at). It prints a table to read; numbers

@@ -14,10 +14,10 @@ import (
 )
 
 // newBatchChain builds a strict or fast chain with a hop batch size and an
-// optional trace recorder.
-func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Recorder) *testChain {
+// optional trace recorder, over a hookTransport.
+func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Recorder) (*testChain, *hookTransport) {
 	t.Helper()
-	tr := transport.NewInProc(0)
+	ht := &hookTransport{InProc: transport.NewInProc(0)}
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
 		ids[i] = transport.NodeID(fmt.Sprintf("n%d", i))
@@ -26,8 +26,7 @@ func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
-	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
+	tc := &testChain{tr: ht.InProc, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	for _, id := range ids {
 		rep, err := NewReplica(id, Config{
 			Mode:      ModeKamino,
@@ -35,10 +34,8 @@ func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Re
 			Alpha:     0.5,
 			Strict:    strict,
 			BatchOps:  batchOps,
-			Registry:  reg,
-			Transport: tr,
+			Transport: ht,
 			Manager:   mgr,
-			Setup:     KVSetup,
 			Trace:     rec,
 		})
 		if err != nil {
@@ -46,16 +43,17 @@ func newBatchChain(t *testing.T, n int, strict bool, batchOps int, rec *trace.Re
 		}
 		tc.replicas[id] = rep
 	}
-	tc.client = NewKVClient(func() *Replica {
+	tc.client = headClient(func() *Replica {
 		return tc.replicas[mgr.View().Head()]
 	})
 	t.Cleanup(func() {
+		ht.set(nil)
 		for _, rep := range tc.replicas {
 			rep.Close()
 		}
-		tr.Close()
+		ht.Close()
 	})
-	return tc
+	return tc, ht
 }
 
 // auditClean fails the test if any engine's trace violates the Kamino-Tx
@@ -88,10 +86,22 @@ func verifyAll(t *testing.T, tc *testChain, want map[uint64]string) {
 
 // TestBatchedReplicationUnderLoad: with batching on and concurrent clients,
 // every committed write must still reach every replica, multi-op batches
-// must actually form, and the trace must audit clean.
+// must actually form, and the trace must audit clean. The head's first
+// forward is held until more puts have queued behind it, so a multi-op
+// batch forms however few processors the clients share.
 func TestBatchedReplicationUnderLoad(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	tc := newBatchChain(t, 4, false, 16, rec)
+	tc, ht := newBatchChain(t, 4, false, 16, rec)
+	head := tc.replicas[tc.mgr.View().Head()]
+	ht.set(func(to transport.NodeID, msg *transport.Message) {
+		if msg.From != head.ID() || msg.Kind != transport.KindOpBatch {
+			return
+		}
+		ht.set(nil)
+		for deadline := time.Now().Add(5 * time.Second); len(head.submitCh) < 2 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	})
 
 	const clients = 8
 	const perClient = 30
@@ -125,7 +135,6 @@ func TestBatchedReplicationUnderLoad(t *testing.T) {
 
 	// The head must have coalesced at least one multi-op batch: more ops
 	// than downstream sends.
-	head := tc.replicas[tc.mgr.View().Head()]
 	s := head.Obs().Snapshot()
 	if s.Counters["batch_ops"] <= s.Counters["batches"] {
 		t.Errorf("no batching happened: batch_ops=%d batches=%d",
@@ -230,7 +239,7 @@ func TestBatchBoundaryCrash(t *testing.T) {
 	} {
 		t.Run(tcase.name, func(t *testing.T) {
 			rec := trace.NewRecorder(0)
-			tc := newBatchChain(t, 3, true, 8, rec)
+			tc, _ := newBatchChain(t, 3, true, 8, rec)
 			want := stageAndReboot(t, tc, tcase.pos, tcase.seed)
 			waitErrFree(t, tc)
 			verifyAll(t, tc, want)
@@ -253,7 +262,7 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 	} {
 		t.Run(tcase.name, func(t *testing.T) {
 			rec := trace.NewRecorder(0)
-			tc := newBatchChain(t, 3, true, 8, rec)
+			tc, _ := newBatchChain(t, 3, true, 8, rec)
 			head := tc.replicas[tc.order[0]]
 			tail := tc.replicas[tc.order[2]]
 
@@ -337,7 +346,7 @@ func TestResendIsBatched(t *testing.T) {
 		t.Helper()
 		var recs []pqueue.Record
 		for seq := from; seq <= to; seq++ {
-			recs = append(recs, pqueue.Record{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})})
+			recs = append(recs, pqueue.Record{Seq: seq, Name: "put", Args: encodeKV(seq, []byte{byte(seq)})})
 		}
 		if err := head.getRing().AppendExecuted(recs); err != nil {
 			t.Fatal(err)
@@ -509,7 +518,7 @@ func TestFullInboxesDoNotDeadlock(t *testing.T) {
 	var keys []uint64
 	buckets := map[uint64]bool{}
 	for key := uint64(0); len(keys) < puts; key++ {
-		if b := kvLockKeys(head.Pool(), EncodeKV(key, nil))[0]; !buckets[b] {
+		if b := head.lockKey(encodeKV(key, nil)); !buckets[b] {
 			buckets[b] = true
 			keys = append(keys, key)
 		}

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
 	"kaminotx/internal/phash"
+	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 	"kaminotx/kamino"
 )
@@ -21,8 +23,26 @@ type testChain struct {
 
 	replicas map[transport.NodeID]*Replica
 	order    []transport.NodeID
-	client   *KVClient
+	client   headClient
 	cfg      Config // template shared by every replica (rejoin tests reuse it)
+}
+
+// headClient runs KV operations on whichever replica it resolves as head,
+// failing with ErrNoHead while it resolves none.
+type headClient func() *Replica
+
+func (c headClient) Put(key uint64, val []byte) error {
+	if h := c(); h != nil {
+		return h.Put(key, val)
+	}
+	return ErrNoHead
+}
+
+func (c headClient) Get(key uint64) ([]byte, bool, error) {
+	if h := c(); h != nil {
+		return h.Get(key)
+	}
+	return nil, false, ErrNoHead
 }
 
 func (tc *testChain) get(id transport.NodeID) *Replica {
@@ -48,17 +68,14 @@ func newTestChain(t *testing.T, mode Mode, n int, strict bool) *testChain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
 		Mode:      mode,
 		HeapSize:  8 << 20,
 		Alpha:     0.5,
 		Strict:    strict,
-		Registry:  reg,
 		Transport: tr,
 		Manager:   mgr,
-		Setup:     KVSetup,
 	}
 	for _, id := range ids {
 		rep, err := NewReplica(id, tc.cfg)
@@ -67,7 +84,7 @@ func newTestChain(t *testing.T, mode Mode, n int, strict bool) *testChain {
 		}
 		tc.replicas[id] = rep
 	}
-	tc.client = NewKVClient(func() *Replica {
+	tc.client = headClient(func() *Replica {
 		return tc.get(mgr.View().Head())
 	})
 	t.Cleanup(func() {
@@ -84,14 +101,10 @@ func newTestChain(t *testing.T, mode Mode, n int, strict bool) *testChain {
 // localGet reads a key directly from one replica's pool.
 func localGet(t *testing.T, rep *Replica, key uint64) ([]byte, bool) {
 	t.Helper()
-	m, err := kvMap(rep.Pool())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []byte
 	var ok bool
 	if err := rep.Pool().View(func(tx *kamino.Tx) error {
-		v, o, err := m.Get(tx, key)
+		v, o, err := rep.kv.Get(tx, key)
 		out, ok = v, o
 		return err
 	}); err != nil {
@@ -138,7 +151,7 @@ func TestBasicReplication(t *testing.T) {
 				}
 			}
 			// Delete propagates too.
-			if err := tc.client.Delete(25); err != nil {
+			if err := tc.replicas[tc.order[0]].Delete(25); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok, _ := tc.client.Get(25); ok {
@@ -220,9 +233,10 @@ func TestDependentWritesSameKeySerialize(t *testing.T) {
 func TestHeadAbortNotAdmitted(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 3, false)
 	head := tc.replicas[tc.order[0]]
-	// "put" with short args fails at the head before any effect.
-	if err := head.Submit("put", []byte{1, 2}); err == nil {
-		t.Fatal("bad put did not error")
+	// A value larger than any heap allocation fails at the head before any
+	// effect.
+	if err := head.Put(1, make([]byte, heap.MaxAlloc)); err == nil {
+		t.Fatal("oversized put did not error")
 	}
 	// The chain still works and nothing leaked downstream.
 	if err := tc.client.Put(1, []byte("fine")); err != nil {
@@ -238,19 +252,31 @@ func TestHeadAbortNotAdmitted(t *testing.T) {
 func TestSubmitOnNonHeadRejected(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 3, false)
 	mid := tc.replicas[tc.order[1]]
-	if err := mid.Submit("put", EncodeKV(1, []byte("x"))); !errors.Is(err, ErrNotHead) {
-		t.Errorf("Submit on middle = %v", err)
+	if err := mid.Put(1, []byte("x")); !errors.Is(err, ErrNotHead) {
+		t.Errorf("Put on middle = %v", err)
+	}
+	if _, _, err := mid.Get(1); !errors.Is(err, ErrNotHead) {
+		t.Errorf("Get on middle = %v", err)
 	}
 }
 
+// TestUnknownOps: a ring record is bytes read back from NVM, so executing
+// one that names no operation, or too short to name a key, is an error,
+// never a write or a panic.
 func TestUnknownOps(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 3, false)
-	head := tc.replicas[tc.order[0]]
-	if err := head.Submit("bogus", nil); err == nil {
-		t.Error("unknown write accepted")
+	mid := tc.replicas[tc.order[1]]
+	for _, rec := range []pqueue.Record{
+		{Seq: 1, Name: "bogus", Args: encodeKV(1, []byte("x"))},
+		{Seq: 1, Name: opPut, Args: []byte{1, 2}},
+		{Seq: 1, Name: opDelete},
+	} {
+		if err := mid.executeBatch([]pqueue.Record{rec}); err == nil {
+			t.Errorf("record %q %v executed", rec.Name, rec.Args)
+		}
 	}
-	if _, err := head.Read("bogus", nil); err == nil {
-		t.Error("unknown read accepted")
+	if _, ok := localGet(t, mid, 1); ok {
+		t.Error("an unknown operation wrote key 1")
 	}
 }
 
@@ -356,10 +382,7 @@ func TestQuickRebootMiddleRollsForward(t *testing.T) {
 	// Stage an incomplete transaction on the middle replica: a torn
 	// in-place write with a durable intent, exactly what a power failure
 	// mid-apply leaves behind.
-	m, err := kvMap(mid.Pool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mid.kv
 	// Find key 3's entry object on the middle replica.
 	var entryObj kamino.ObjID
 	if err := mid.Pool().View(func(tx *kamino.Tx) error {
@@ -446,12 +469,11 @@ func TestChainWithLatencyStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
 	reps := make(map[transport.NodeID]*Replica)
 	for _, id := range ids {
 		rep, err := NewReplica(id, Config{
 			Mode: ModeKamino, HeapSize: 4 << 20, Alpha: 0.5,
-			Registry: reg, Transport: tr, Manager: mgr, Setup: KVSetup,
+			Transport: tr, Manager: mgr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -459,7 +481,7 @@ func TestChainWithLatencyStillCorrect(t *testing.T) {
 		defer rep.Close()
 		reps[id] = rep
 	}
-	client := NewKVClient(func() *Replica { return reps[mgr.View().Head()] })
+	client := headClient(func() *Replica { return reps[mgr.View().Head()] })
 	start := time.Now()
 	for i := uint64(0); i < 10; i++ {
 		if err := client.Put(i, []byte{byte(i)}); err != nil {

@@ -185,12 +185,13 @@ func BenchmarkChainPut(b *testing.B) {
 // chainPutAllocs is the pinned Go-heap allocations of one chain put, the
 // client's and every replica's goroutines counted (35 before each ring kept
 // its encoding buffer, the head its batch slice, and the head's sorts left
-// sort.Slice). What is left is per transaction — the client's request, its
-// keys and done channel, each replica's transaction handles, the head's
+// sort.Slice; 28 before a write's admission lock was one key, not a slice).
+// What is left is per transaction — the client's request, its arguments
+// and done channel, each replica's transaction handles, the head's
 // completion list — or held by a receiver: each hop's op message and its
 // records, each downstream replica's decoded batch, the tail's
 // acknowledgment and the clean-ups.
-const chainPutAllocs = 28
+const chainPutAllocs = 27
 
 // TestChainPutAllocs pins BenchmarkChainPut's allocs/op. It skips itself
 // under -race, which counts the detector's own allocations.

@@ -37,7 +37,7 @@ func TestZombieExMemberFenced(t *testing.T) {
 	succ, _ := tc.mgr.View().Successor(newHead.ID())
 	forged := &transport.Message{
 		Kind: transport.KindOpBatch, From: oldHeadID, ViewID: 1, Seq: 9999,
-		Batch: []pqueue.Record{{Seq: 9999, Name: "put", Args: EncodeKV(777, []byte("zombie!"))}},
+		Batch: []pqueue.Record{{Seq: 9999, Name: "put", Args: encodeKV(777, []byte("zombie!"))}},
 	}
 	if err := tc.tr.Send(succ, forged); err != nil {
 		t.Fatal(err)

@@ -2,199 +2,146 @@ package chain
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 
 	"kaminotx/internal/phash"
+	"kaminotx/internal/pqueue"
+	"kaminotx/internal/transport"
 	"kaminotx/kamino"
 )
 
 // The replicated key-value store: deterministic, idempotent put/delete plus
 // a tail-side get, over the persistent hash table. One operation is exactly
 // one transaction on each replica, so recovery replay is exactly-once by
-// idempotence.
+// idempotence. A record's Name is its operation and its Args the 8-byte key
+// followed, for a put, by the value.
+const (
+	opPut    = "put"
+	opDelete = "delete"
+)
 
-// KVSetup is a KV chain's Config.Setup. On a fresh pool it creates the hash
-// table, identically on every replica, and links it to the pool root; on a
-// pool that already holds one — a joiner's transferred image — it attaches
-// to it. Either way the map is cached for the replica's operations, so none
-// of them, and no client's lock-key extraction, ever looks into the pool to
-// find it. The directory is sized to the heap — one bucket per 8 KiB, never
-// fewer than 1024 nor more than one allocation holds — so that even a heap
-// full of small values averages a handful of entries per chain: a put or a
-// tail read walks, and read-locks, every entry ahead of its own.
-func KVSetup(pool *kamino.Pool) error {
+// kvSetup creates the hash table on a fresh pool, identically on every
+// replica, and links it to the pool root; on a pool that already holds one
+// — a joiner's transferred image — it attaches to it. The replica keeps the
+// map, so none of its operations, and no client's lock-key extraction, ever
+// looks into the pool to find it. The directory is sized to the heap — one
+// bucket per 8 KiB, never fewer than 1024 nor more than one allocation
+// holds — so that even a heap full of small values averages a handful of
+// entries per chain: a put or a tail read walks, and read-locks, every
+// entry ahead of its own.
+func kvSetup(pool *kamino.Pool) (*phash.Map, error) {
 	var dir kamino.ObjID
 	if err := pool.View(func(tx *kamino.Tx) error {
 		var err error
 		dir, err = tx.Ptr(pool.Root(), 0)
 		return err
 	}); err != nil {
-		return err
+		return nil, err
 	}
 	if dir != kamino.Nil {
-		m, err := phash.Attach(pool, dir)
-		if err != nil {
-			return err
-		}
-		kvMaps.Store(pool, m)
-		return nil
+		return phash.Attach(pool, dir)
 	}
 	n := pool.Engine().Heap().Region().Size() / (8 << 10)
 	m, err := phash.Create(pool, min(max(1024, n), phash.MaxBuckets))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := pool.Update(func(tx *kamino.Tx) error {
+	return m, pool.Update(func(tx *kamino.Tx) error {
 		if err := tx.Add(pool.Root()); err != nil {
 			return err
 		}
 		return tx.SetPtr(pool.Root(), 0, m.Dir())
-	}); err != nil {
-		return err
-	}
-	kvMaps.Store(pool, m)
-	return nil
+	})
 }
 
-// kvMaps holds each pool's map from KVSetup until Replica.Close drops it.
-// A reboot keeps the pool, and the map's cached bucket ids are immutable,
-// so the entry outlives the engine underneath it.
-var kvMaps sync.Map // *kamino.Pool -> *phash.Map
-
-func kvMap(pool *kamino.Pool) (*phash.Map, error) {
-	m, ok := kvMaps.Load(pool)
-	if !ok {
-		return nil, errors.New("chain: pool has no KV map (KVSetup not run?)")
-	}
-	return m.(*phash.Map), nil
-}
-
-// kvLockKeys extracts the admission-lock key of a put/delete: its hash
-// bucket in the pool's map, since operations in the same bucket can touch
-// shared chain objects. Malformed args, or a pool without a map, lock
-// nothing; the operation itself rejects them at execution.
-func kvLockKeys(pool *kamino.Pool, args []byte) []uint64 {
-	m, err := kvMap(pool)
-	if err != nil || len(args) < 8 {
-		return nil
-	}
-	return []uint64{uint64(m.BucketIndex(binary.LittleEndian.Uint64(args)))}
-}
-
-// EncodeKV packs a put's key and value.
-func EncodeKV(key uint64, val []byte) []byte {
+// encodeKV packs a record's arguments: the key, then the value.
+func encodeKV(key uint64, val []byte) []byte {
 	out := make([]byte, 8+len(val))
 	binary.LittleEndian.PutUint64(out, key)
 	copy(out[8:], val)
 	return out
 }
 
-// EncodeKey packs a bare key.
-func EncodeKey(key uint64) []byte {
-	var out [8]byte
-	binary.LittleEndian.PutUint64(out[:], key)
-	return out[:]
+// lockKey is a write's admission-lock key: its key's hash bucket, since
+// writes to one bucket can touch shared chain objects. Arguments too short
+// to name a key — a ring record is bytes read back from NVM — lock bucket
+// 0: over-locking is safe, and the write itself fails at execution.
+func (r *Replica) lockKey(args []byte) uint64 {
+	if len(args) < 8 {
+		return 0
+	}
+	return uint64(r.kv.BucketIndex(binary.LittleEndian.Uint64(args)))
 }
 
-// NewKVRegistry builds the registry all replicas of a KV chain share.
-func NewKVRegistry() *Registry {
-	reg := NewRegistry()
-	reg.RegisterWrite("put", func(tx *kamino.Tx, pool *kamino.Pool, args []byte) error {
-		if len(args) < 8 {
-			return fmt.Errorf("chain: short put args")
-		}
-		m, err := kvMap(pool)
-		if err != nil {
-			return err
-		}
-		return m.Put(tx, binary.LittleEndian.Uint64(args), args[8:])
-	}, kvLockKeys)
-	reg.RegisterWrite("delete", func(tx *kamino.Tx, pool *kamino.Pool, args []byte) error {
-		if len(args) < 8 {
-			return fmt.Errorf("chain: short delete args")
-		}
-		m, err := kvMap(pool)
-		if err != nil {
-			return err
-		}
-		_, err = m.Delete(tx, binary.LittleEndian.Uint64(args))
+// apply executes one replicated write inside tx. The name and arguments
+// may come from a ring read back from NVM, so anything but a put or a
+// delete of a whole key is an error.
+func (r *Replica) apply(tx *kamino.Tx, rec pqueue.Record) error {
+	if len(rec.Args) < 8 {
+		return fmt.Errorf("chain: short %q args", rec.Name)
+	}
+	key := binary.LittleEndian.Uint64(rec.Args)
+	switch rec.Name {
+	case opPut:
+		return r.kv.Put(tx, key, rec.Args[8:])
+	case opDelete:
+		_, err := r.kv.Delete(tx, key)
 		return err
-	}, kvLockKeys)
-	reg.RegisterRead("get", func(pool *kamino.Pool, args []byte) ([]byte, error) {
-		if len(args) < 8 {
-			return nil, fmt.Errorf("chain: short get args")
-		}
-		m, err := kvMap(pool)
-		if err != nil {
-			return nil, err
-		}
-		var out []byte
-		err = pool.View(func(tx *kamino.Tx) error {
-			v, ok, err := m.Get(tx, binary.LittleEndian.Uint64(args))
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append([]byte{1}, v...)
-			} else {
-				out = []byte{0}
-			}
-			return nil
-		})
-		return out, err
-	})
-	return reg
+	}
+	return fmt.Errorf("chain: unknown operation %q", rec.Name)
 }
 
-// ErrNoHead reports that the client's head resolver found no live head
-// replica — the chain is mid-repair. Like a redirect it unwraps to
-// ErrNotHead so retry loops treat both the same way.
+// read looks key up in the local pool and returns a read reply's payload:
+// a found flag byte, then the value, so an empty value still reads as
+// found.
+func (r *Replica) read(key uint64) ([]byte, error) {
+	out := []byte{0}
+	err := r.pool.View(func(tx *kamino.Tx) error {
+		v, ok, err := r.kv.Get(tx, key)
+		if ok {
+			out = append([]byte{1}, v...)
+		}
+		return err
+	})
+	return out, err
+}
+
+// ErrNoHead reports that a client found no live head replica — the chain is
+// mid-repair. Like a redirect it unwraps to ErrNotHead so retry loops treat
+// both the same way.
 var ErrNoHead = fmt.Errorf("chain: no live head replica (%w)", ErrNotHead)
 
-// KVClient runs KV operations against a chain's head.
-type KVClient struct {
-	head func() *Replica
+// Put stores key=val through the chain and waits until the tail
+// acknowledges it. Only the head accepts writes; elsewhere a RedirectError
+// carries the current view so the client can retry against the real head.
+func (r *Replica) Put(key uint64, val []byte) error {
+	return r.submit(pqueue.Record{Name: opPut, Args: encodeKV(key, val)})
 }
 
-// NewKVClient builds a client resolving the head dynamically. The resolver
-// may return nil while the chain is repairing; operations then fail with
-// ErrNoHead instead of panicking.
-func NewKVClient(head func() *Replica) *KVClient {
-	return &KVClient{head: head}
+// Delete removes key through the chain, as Put stores one.
+func (r *Replica) Delete(key uint64) error {
+	return r.submit(pqueue.Record{Name: opDelete, Args: encodeKV(key, nil)})
 }
 
-// Put stores key=val through the chain.
-func (c *KVClient) Put(key uint64, val []byte) error {
-	h := c.head()
-	if h == nil {
-		return ErrNoHead
+// Get reads key at the tail (chain replication serves reads from the tail
+// for linearizability). Like Put, a non-head returns a RedirectError naming
+// the current head.
+func (r *Replica) Get(key uint64) ([]byte, bool, error) {
+	view := r.currentView()
+	if view.Head() != r.id {
+		return nil, false, r.redirect(view)
 	}
-	return h.Submit("put", EncodeKV(key, val))
-}
-
-// Delete removes key through the chain.
-func (c *KVClient) Delete(key uint64) error {
-	h := c.head()
-	if h == nil {
-		return ErrNoHead
+	var payload []byte
+	var err error
+	if view.Tail() == r.id {
+		payload, err = r.read(key)
+	} else {
+		payload, err = r.call(view.Tail(), &transport.Message{
+			Kind: transport.KindRead, From: r.id, ViewID: view.ID, Key: key,
+		})
 	}
-	return h.Submit("delete", EncodeKey(key))
-}
-
-// Get reads key at the tail.
-func (c *KVClient) Get(key uint64) ([]byte, bool, error) {
-	h := c.head()
-	if h == nil {
-		return nil, false, ErrNoHead
-	}
-	payload, err := h.Read("get", EncodeKey(key))
-	if err != nil {
+	if err != nil || len(payload) == 0 || payload[0] == 0 {
 		return nil, false, err
-	}
-	if len(payload) == 0 || payload[0] == 0 {
-		return nil, false, nil
 	}
 	return payload[1:], true, nil
 }

@@ -8,7 +8,7 @@ import (
 	"kaminotx/internal/transport"
 )
 
-// KVSetup sizes the directory to the heap, and must do so on every engine a
+// kvSetup sizes the directory to the heap, and must do so on every engine a
 // replica can run: at the default 64 MiB heap and at the gated benchmark's
 // (20 000 keys of 1 KiB, about 85 MB) the directory is larger than the
 // 64 KiB data area of an undo log slot, which a traditional replica could
@@ -29,7 +29,7 @@ func TestKVSetupSizesDirectoryToHeap(t *testing.T) {
 				for _, id := range ids {
 					rep, err := NewReplica(id, Config{
 						Mode: mode, HeapSize: heapSize, Alpha: 0.5,
-						Registry: NewKVRegistry(), Transport: tr, Manager: mgr, Setup: KVSetup,
+						Transport: tr, Manager: mgr,
 					})
 					if err != nil {
 						t.Fatalf("NewReplica(%s): %v", id, err)
@@ -37,13 +37,13 @@ func TestKVSetupSizesDirectoryToHeap(t *testing.T) {
 					defer rep.Close()
 					reps[id] = rep
 				}
-				client := NewKVClient(func() *Replica { return reps[mgr.View().Head()] })
+				client := headClient(func() *Replica { return reps[mgr.View().Head()] })
 				var top uint64
 				for k := uint64(0); k < 200; k++ {
 					if err := client.Put(k, []byte{byte(k)}); err != nil {
 						t.Fatalf("Put(%d): %v", k, err)
 					}
-					top = max(top, kvLockKeys(reps["a"].Pool(), EncodeKey(k))[0])
+					top = max(top, reps["a"].lockKey(encodeKV(k, nil)))
 				}
 				for k := uint64(0); k < 200; k++ {
 					v, ok, err := client.Get(k)
@@ -63,7 +63,7 @@ func TestKVSetupSizesDirectoryToHeap(t *testing.T) {
 
 // A joiner attaches its map when the image arrives, not on its first
 // operation: promoted to head before it executed anything, its clients'
-// lock-key extraction is already a cache read and agrees with the old
+// lock-key extraction already reads the map and agrees with the old
 // head's.
 func TestJoinerLockKeysBeforeFirstOp(t *testing.T) {
 	tc := newTestChain(t, ModeKamino, 3, false)
@@ -77,8 +77,8 @@ func TestJoinerLockKeysBeforeFirstOp(t *testing.T) {
 	tc.put("n3", rep)
 	head := tc.get(tc.order[0])
 	for k := uint64(0); k < 50; k++ {
-		got, want := kvLockKeys(rep.Pool(), EncodeKey(k)), kvLockKeys(head.Pool(), EncodeKey(k))
-		if len(got) != 1 || got[0] != want[0] {
+		got, want := rep.lockKey(encodeKV(k, nil)), head.lockKey(encodeKV(k, nil))
+		if got != want {
 			t.Fatalf("key %d: joiner locks %v, head locks %v", k, got, want)
 		}
 	}

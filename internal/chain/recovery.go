@@ -29,7 +29,7 @@ func (r *Replica) onViewChange(v membership.View) {
 		// keeps serving fetches as if it were a member — a zombie. Stop
 		// the pipeline, leave the transport, drop the membership watch
 		// (a replacement with the same NodeID must not drive this
-		// corpse), and redirect any clients still blocked in Submit.
+		// corpse), and redirect any clients still waiting on a write.
 		if old.Index(r.id) >= 0 {
 			if r.watchCancel != nil {
 				r.watchCancel()
@@ -99,7 +99,8 @@ func (r *Replica) promoteToHead() error {
 	// Rebuild the lock set conservatively from in-flight transactions,
 	// resume numbering after them, and re-drive them down the chain
 	// (replicas deduplicate, so this is safe even if they already saw
-	// them). The old head's clients are gone; completions are dropped.
+	// them). A promoted middle has no clients for them; a rebooted head
+	// keeps the ones still waiting.
 	recs, err := r.getRing().Inflight()
 	if err != nil {
 		return err
@@ -114,17 +115,10 @@ func (r *Replica) promoteToHead() error {
 	maxSeq := max(lastExec, r.getRing().LastSeq())
 	r.headMu.Lock()
 	for _, rec := range recs {
-		_, keysFn, err := r.cfg.Registry.write(rec.Name)
-		if err != nil {
-			r.headMu.Unlock()
-			return err
-		}
-		keys := keysFn(r.pool, rec.Args)
-		for _, k := range keys {
-			r.lockedBy[k] = struct{}{}
-		}
-		r.seqLocks[rec.Seq] = keys
-		r.seqTrace[rec.Seq] = rec.Trace
+		op := r.inflight[rec.Seq]
+		op.lock, op.trace = r.lockKey(rec.Args), rec.Trace
+		r.lockedBy[op.lock] = struct{}{}
+		r.inflight[rec.Seq] = op
 	}
 	if r.nextSeq < maxSeq {
 		r.nextSeq = maxSeq
@@ -453,20 +447,15 @@ func (r *Replica) reboot(crash func() error) error {
 			neighbour = pred
 		}
 		fetch := func(obj heap.ObjID, class int) ([]byte, error) {
-			reply, err := r.cfg.Transport.Call(neighbour, &transport.Message{
+			n := uint64(heap.BlockHeaderSize + class)
+			b, err := r.call(neighbour, &transport.Message{
 				Kind: transport.KindFetch, From: r.id, ViewID: view.ID,
-				Objs: []uint64{uint64(obj)}, Classes: []uint32{uint32(class)},
+				Off: uint64(obj) - heap.BlockHeaderSize, Len: n,
 			})
-			if err != nil {
-				return nil, err
+			if err == nil && uint64(len(b)) != n {
+				err = fmt.Errorf("chain: fetch of block %d returned %d of %d bytes", obj, len(b), n)
 			}
-			if err := reply.Error(); err != nil {
-				return nil, err
-			}
-			if len(reply.Blocks) != 1 {
-				return nil, fmt.Errorf("chain: fetch returned %d blocks", len(reply.Blocks))
-			}
-			return reply.Blocks[0], nil
+			return b, err
 		}
 		if err := ie.ResolvePending(fetch); err != nil {
 			return err

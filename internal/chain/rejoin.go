@@ -31,8 +31,8 @@ import (
 // experiment measures. Everything the donor executed before the freeze is
 // inside the image; everything it had not executed is still pending in its
 // durable ring and is re-forwarded to the joiner after the view change, so
-// records are never lost and re-execution is safe by the registered
-// operations' idempotence contract.
+// records are never lost and re-execution is safe because puts and deletes
+// are idempotent.
 
 // errSnapBusy reports a donor already serving another snapshot.
 var errSnapBusy = errors.New("chain: state snapshot already in progress")
@@ -96,18 +96,8 @@ func (r *Replica) serveStateChunk(msg *transport.Message) *transport.Message {
 	if !ok {
 		return &transport.Message{Kind: transport.KindError, Err: "chain: unknown or expired snapshot"}
 	}
-	reg := r.pool.Engine().Heap().Region()
-	if msg.Off+msg.Len > uint64(reg.Size()) {
-		return &transport.Message{Kind: transport.KindError,
-			Err: fmt.Sprintf("chain: chunk [%d,%d) beyond heap size %d", msg.Off, msg.Off+msg.Len, reg.Size())}
-	}
-	b, err := reg.ReadSlice(int(msg.Off), int(msg.Len))
-	if err != nil {
-		return &transport.Message{Kind: transport.KindError, Err: err.Error()}
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return &transport.Message{Kind: transport.KindStateChunk, Snap: msg.Snap, Off: msg.Off, Payload: out}
+	b, err := r.heapRange(msg.Off, msg.Len)
+	return answer(transport.KindStateChunk, b, err)
 }
 
 // serveStateDone releases the snapshot and resumes the pipeline.
@@ -136,12 +126,12 @@ func (r *Replica) releaseSnapshot(nonce uint64) {
 // JoinAsTail builds a replacement replica, catches it up by state transfer
 // from the chain's current tail, and joins it to the view as the new tail.
 // The returned replica is live and a chain member. cfg must match the
-// chain's (same Registry, Transport, Manager, sizes); Setup runs after the
-// image has arrived, to attach to the application state inside it.
+// chain's (same Transport, Manager, sizes); the replica attaches to the
+// store inside the transferred image before it goes on the air.
 func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Registry == nil || cfg.Transport == nil || cfg.Manager == nil {
-		return nil, errors.New("chain: Registry, Transport and Manager are required")
+	if cfg.Transport == nil || cfg.Manager == nil {
+		return nil, errors.New("chain: Transport and Manager are required")
 	}
 	view := cfg.Manager.View()
 	if view.Index(id) >= 0 {
@@ -154,7 +144,6 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	abort := func(err error) (*Replica, error) {
-		kvMaps.Delete(r.pool)
 		r.pool.Close()
 		return nil, err
 	}
@@ -180,20 +169,17 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 	// 2. Copy the heap image in bounded chunks and persist each one.
 	for off := uint64(0); off < snap.Len; {
 		n := min(stateChunkBytes, snap.Len-off)
-		chunk, err := cfg.Transport.Call(donor, &transport.Message{
+		chunk, err := r.call(donor, &transport.Message{
 			Kind: transport.KindStateChunk, From: id, Snap: nonce, Off: off, Len: n,
 		})
-		if err == nil {
-			err = chunk.Error()
-		}
-		if err == nil && uint64(len(chunk.Payload)) != n {
-			err = fmt.Errorf("chain: chunk at %d returned %d of %d bytes", off, len(chunk.Payload), n)
+		if err == nil && uint64(len(chunk)) != n {
+			err = fmt.Errorf("chain: chunk at %d returned %d of %d bytes", off, len(chunk), n)
 		}
 		if err != nil {
 			release()
 			return abort(fmt.Errorf("chain: state transfer from %s: %w", donor, err))
 		}
-		if err := reg.Write(int(off), chunk.Payload); err != nil {
+		if err := reg.Write(int(off), chunk); err != nil {
 			release()
 			return abort(err)
 		}
@@ -215,11 +201,9 @@ func JoinAsTail(id transport.NodeID, cfg Config) (*Replica, error) {
 		release()
 		return abort(fmt.Errorf("chain: reopening pool over transferred image: %w", err))
 	}
-	if cfg.Setup != nil {
-		if err := cfg.Setup(r.pool); err != nil {
-			release()
-			return abort(err)
-		}
+	if r.kv, err = kvSetup(r.pool); err != nil {
+		release()
+		return abort(err)
 	}
 	if err := r.getRing().SeedSeq(snapSeq); err != nil {
 		release()

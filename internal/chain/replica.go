@@ -1,6 +1,13 @@
+// Package chain implements chain replication of a key-value store over the
+// kamino persistent heap: the traditional variant (every replica copies
+// data in the critical path, as its undo-logging engine requires) and
+// Kamino-Tx-Chain (paper §5), where f+2 replicas update in place, only the
+// head keeps a backup, and the chain's neighbours serve as the copies that
+// roll an incompletely rebooted replica forward or back.
 package chain
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -10,10 +17,10 @@ import (
 	"time"
 
 	"kaminotx/internal/halving"
-	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
 	"kaminotx/internal/nvm"
 	"kaminotx/internal/obs"
+	"kaminotx/internal/phash"
 	"kaminotx/internal/pqueue"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/transport"
@@ -69,16 +76,8 @@ type Config struct {
 	// arguments; nothing waits for it to fill. Default 1: batches of one.
 	BatchOps int
 
-	Registry  *Registry
 	Transport transport.Transport
 	Manager   *membership.Manager
-
-	// Setup prepares application state on the replica's pool, once,
-	// before the replica goes on the air. On a fresh pool it creates the
-	// state (e.g. the hash table), deterministically, so that every
-	// replica's is identical; on a joiner's pool it runs after the
-	// transferred image is in place and attaches to what arrived.
-	Setup func(pool *kamino.Pool) error
 
 	// Trace, when non-nil, records the replica's chain protocol events
 	// (forward, apply, ack — actor "chain/<id>") and its local pool's
@@ -107,7 +106,10 @@ type Replica struct {
 	id  transport.NodeID
 	cfg Config
 
-	pool    *kamino.Pool
+	pool *kamino.Pool
+	// kv is the store the replicated writes update, set before the replica
+	// goes on the air and never written after, so no lock guards it.
+	kv      *phash.Map
 	ring    *pqueue.Queue // pending and in-flight records (see pqueue)
 	ringReg *nvm.Region
 	// power orders whatever touches this replica's regions from outside
@@ -170,19 +172,23 @@ type Replica struct {
 	headMu   sync.Mutex
 	nextSeq  uint64
 	lockCond *sync.Cond
-	lockedBy map[uint64]struct{}   // held abstract lock keys
-	seqLocks map[uint64][]uint64   // in-flight seq -> its lock keys
-	waiters  map[uint64]chan error // seq -> client completion
-	seqTrace map[uint64]uint64     // in-flight seq -> its trace id
+	lockedBy map[uint64]struct{}   // held admission-lock keys
+	inflight map[uint64]inflightOp // seq -> its write, executed and not yet acknowledged
 	execErr  error                 // fatal replica error
 }
 
-// submitReq is one admitted client operation waiting for the head batcher.
+// inflightOp is what the head keeps of one write in flight down the chain.
+type inflightOp struct {
+	lock  uint64     // its admission-lock key
+	trace uint64     // its trace id
+	done  chan error // its client; nil for a write a promoted head re-drives
+}
+
+// submitReq is one admitted client write waiting for the head batcher: the
+// record it becomes, sequence number and trace id still unset.
 type submitReq struct {
-	name string
-	args []byte
-	fn   WriteFunc
-	keys []uint64
+	rec  pqueue.Record
+	lock uint64
 	done chan error
 }
 
@@ -190,8 +196,8 @@ type submitReq struct {
 // initial view decides its role; the head gets a backup per cfg.Alpha.
 func NewReplica(id transport.NodeID, cfg Config) (*Replica, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Registry == nil || cfg.Transport == nil || cfg.Manager == nil {
-		return nil, errors.New("chain: Registry, Transport and Manager are required")
+	if cfg.Transport == nil || cfg.Manager == nil {
+		return nil, errors.New("chain: Transport and Manager are required")
 	}
 	view := cfg.Manager.View()
 	if view.Index(id) < 0 {
@@ -213,9 +219,10 @@ func NewReplica(id transport.NodeID, cfg Config) (*Replica, error) {
 // observability but leaves it offline: no transport handler, no membership
 // watcher, no pipeline. NewReplica brings members online immediately;
 // JoinAsTail (rejoin.go) keeps a replacement replica offline until state
-// transfer has filled its heap. runSetup is false for joiners, which run
-// Setup themselves once the copied image is in place.
-func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Replica, error) {
+// transfer has filled its heap. A member creates its store here; a joiner
+// (member false) attaches to the one in the copied image once it is in
+// place.
+func newReplicaCore(id transport.NodeID, cfg Config, isHead, member bool) (*Replica, error) {
 	var mode kamino.Mode
 	switch cfg.Mode {
 	case ModeKamino:
@@ -264,10 +271,9 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 	if err != nil {
 		return nil, err
 	}
-	// Last of what can fail: Setup may leave state keyed by the pool (the
-	// KV map cache) that only Close drops.
-	if cfg.Setup != nil && runSetup {
-		if err := cfg.Setup(pool); err != nil {
+	var kv *phash.Map
+	if member {
+		if kv, err = kvSetup(pool); err != nil {
 			return nil, err
 		}
 	}
@@ -277,6 +283,7 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		id:         id,
 		cfg:        cfg,
 		pool:       pool,
+		kv:         kv,
 		ring:       ring,
 		ringReg:    ringReg,
 		obs:        o,
@@ -296,9 +303,7 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, runSetup bool) (*Re
 		submitCh:   make(chan *submitReq, 1024),
 		stop:       make(chan struct{}),
 		lockedBy:   make(map[uint64]struct{}),
-		seqLocks:   make(map[uint64][]uint64),
-		waiters:    make(map[uint64]chan error),
-		seqTrace:   make(map[uint64]uint64),
+		inflight:   make(map[uint64]inflightOp),
 	}
 	// The ring region's device counters surface the persist cost of the
 	// chain protocol itself (batching exists to shrink these).
@@ -369,8 +374,9 @@ func (r *Replica) LockedKeys() int {
 }
 
 // DebugInfo is the structured repair-relevant state of a replica:
-// execution floor, sequence counter, queue spans, and the admission-lock
-// table. String() renders the one-line form a wedge dump prints.
+// execution floor, sequence counter, ring spans and occupancy, and the
+// admission-lock table. String() renders the one-line form a wedge dump
+// prints.
 type DebugInfo struct {
 	// LastExec is the highest locally executed sequence number.
 	LastExec uint64 `json:"last_exec"`
@@ -384,73 +390,67 @@ type DebugInfo struct {
 	Inflight      int    `json:"inflight"`
 	InflightFloor uint64 `json:"inflight_floor"`
 	InflightLast  uint64 `json:"inflight_last"`
-	// Waiters counts transactions parked on admission locks.
+	// InputBytes/InputHigh and InflightBytes/InflightHigh are the
+	// occupancy and high-water mark of the ring's two ranges, pending input
+	// and in flight; RingCap is the capacity they share. Once the load
+	// stops, acknowledged-prefix truncation must empty both.
+	InputBytes    uint64 `json:"input_bytes"`
+	InputHigh     uint64 `json:"input_high"`
+	InflightBytes uint64 `json:"inflight_bytes"`
+	InflightHigh  uint64 `json:"inflight_high"`
+	RingCap       uint64 `json:"ring_cap"`
+	// Waiters counts clients waiting for their write's tail acknowledgment.
 	Waiters int `json:"waiters"`
-	// LockedKeys are the admission-lock keys currently held, sorted;
-	// LockSeqs the sequence numbers holding them, sorted.
+	// LockedKeys are the admission-lock keys currently held, sorted.
 	LockedKeys []uint64 `json:"locked_keys"`
-	// LockSeqs are the sequence numbers holding admission locks, sorted.
+	// LockSeqs are the sequence numbers of the writes in flight, each
+	// holding one admission lock, sorted.
 	LockSeqs []uint64 `json:"lock_seqs"`
 }
 
 // String renders the info as one line.
 func (d DebugInfo) String() string {
 	return fmt.Sprintf(
-		"lastExec=%d nextSeq=%d input.last=%d inflight=%d[%d..%d] waiters=%d lockedKeys=%v lockSeqs=%v",
+		"lastExec=%d nextSeq=%d input.last=%d inflight=%d[%d..%d] ring=%d+%d/%d B waiters=%d lockedKeys=%v lockSeqs=%v",
 		d.LastExec, d.NextSeq, d.InputLast, d.Inflight, d.InflightFloor, d.InflightLast,
-		d.Waiters, d.LockedKeys, d.LockSeqs)
+		d.InputBytes, d.InflightBytes, d.RingCap, d.Waiters, d.LockedKeys, d.LockSeqs)
 }
 
 // DebugInfo samples the replica's repair-relevant state. Safe to call from
 // any goroutine at any time, a reboot included: the ring is read with the
-// power held, so the queue spans are the pre-crash ring's or the recovered
-// one's.
+// power held, so the ring's spans and occupancy are the pre-crash ring's or
+// the recovered one's.
 func (r *Replica) DebugInfo() DebugInfo {
 	r.power.RLock()
 	ring := r.getRing()
 	recs, _ := ring.Inflight()
-	inputLast := ring.LastSeq()
+	fl, in := ring.Usage()
+	d := DebugInfo{
+		LastExec: r.lastExecSeq(), InputLast: ring.LastSeq(), Inflight: len(recs),
+		InputBytes: in.Bytes, InputHigh: in.HighWater,
+		InflightBytes: fl.Bytes, InflightHigh: fl.HighWater, RingCap: ring.Capacity(),
+	}
 	r.power.RUnlock()
-	var flFloor, flLast uint64
 	if len(recs) > 0 {
-		flFloor, flLast = recs[0].Seq, recs[len(recs)-1].Seq
+		d.InflightFloor, d.InflightLast = recs[0].Seq, recs[len(recs)-1].Seq
 	}
 	r.headMu.Lock()
-	locked := make([]uint64, 0, len(r.lockedBy))
+	d.NextSeq = r.nextSeq
+	d.LockedKeys = make([]uint64, 0, len(r.lockedBy))
 	for k := range r.lockedBy {
-		locked = append(locked, k)
+		d.LockedKeys = append(d.LockedKeys, k)
 	}
-	seqs := make([]uint64, 0, len(r.seqLocks))
-	for s := range r.seqLocks {
-		seqs = append(seqs, s)
+	d.LockSeqs = make([]uint64, 0, len(r.inflight))
+	for seq, op := range r.inflight {
+		d.LockSeqs = append(d.LockSeqs, seq)
+		if op.done != nil {
+			d.Waiters++
+		}
 	}
-	nextSeq := r.nextSeq
-	waiters := len(r.waiters)
 	r.headMu.Unlock()
-	slices.Sort(locked)
-	slices.Sort(seqs)
-	return DebugInfo{
-		LastExec:      r.lastExecSeq(),
-		NextSeq:       nextSeq,
-		InputLast:     inputLast,
-		Inflight:      len(recs),
-		InflightFloor: flFloor,
-		InflightLast:  flLast,
-		Waiters:       waiters,
-		LockedKeys:    locked,
-		LockSeqs:      seqs,
-	}
-}
-
-// QueueUsage samples the ring's two ranges (pending input, in-flight) and
-// the capacity they share; the chaos schedule reads it to show
-// acknowledged-prefix truncation empties the ring once the load stops. It reads
-// the ring's volatile cursors only, never its region, so it needs no
-// ordering against a reboot beyond getRing's.
-func (r *Replica) QueueUsage() (input, inflight pqueue.Usage, capacity uint64) {
-	q := r.getRing()
-	inflight, input = q.Usage()
-	return input, inflight, q.Capacity()
+	slices.Sort(d.LockedKeys)
+	slices.Sort(d.LockSeqs)
+	return d
 }
 
 // ringCounts is how many records each range of the ring holds (0, 0 on a
@@ -540,7 +540,7 @@ func (r *Replica) currentView() membership.View {
 	return r.view
 }
 
-// Close stops the replica. Clients blocked in Submit are failed with a
+// Close stops the replica. Clients waiting on a write are failed with a
 // redirect so they can retry against the chain's current head.
 func (r *Replica) Close() error {
 	if r.watchCancel != nil {
@@ -549,27 +549,22 @@ func (r *Replica) Close() error {
 	r.stopExecutor()
 	r.cfg.Transport.Unregister(r.id)
 	r.failWaiters(&RedirectError{ViewID: r.cfg.Manager.View().ID, Head: r.cfg.Manager.View().Head()})
-	// The KV operations cache their attached map per pool; without this the
-	// cache would keep the closed pool and its NVM regions reachable.
-	kvMaps.Delete(r.pool)
 	return r.pool.Close()
 }
 
-// failWaiters errors every pending head submission — both those already
-// assigned a sequence number (waiters) and those still queued for the
-// batcher — releasing their admission locks. Used when this replica stops
-// being able to complete them: removal from the view, or Close.
+// failWaiters errors every pending head submission — both those in flight
+// with a client waiting and those still queued for the batcher — releasing
+// their admission locks. Used when this replica stops being able to
+// complete them: removal from the view, or Close.
 func (r *Replica) failWaiters(err error) {
 	r.headMu.Lock()
 	var dones []chan error
-	for seq, ch := range r.waiters {
-		dones = append(dones, ch)
-		delete(r.waiters, seq)
-		delete(r.seqTrace, seq)
-		for _, k := range r.seqLocks[seq] {
-			delete(r.lockedBy, k)
+	for seq, op := range r.inflight {
+		if op.done != nil {
+			dones = append(dones, op.done)
+			delete(r.lockedBy, op.lock)
+			delete(r.inflight, seq)
 		}
-		delete(r.seqLocks, seq)
 	}
 	r.lockCond.Broadcast()
 	r.headMu.Unlock()
@@ -580,7 +575,7 @@ func (r *Replica) failWaiters(err error) {
 	for {
 		select {
 		case req := <-r.submitCh:
-			r.releaseKeys(req.keys)
+			r.release(req.lock)
 			req.done <- err
 		default:
 			return
@@ -632,7 +627,7 @@ func (r *Replica) Err() error {
 // ---------------------------------------------------------------------------
 // Head API
 
-// ErrNotHead reports a Submit on a non-head replica.
+// ErrNotHead reports a write or read on a non-head replica.
 var ErrNotHead = errors.New("chain: not the head")
 
 // RedirectError tells a client its operation reached a non-head replica
@@ -659,11 +654,9 @@ func (r *Replica) redirect(v membership.View) error {
 	return &RedirectError{ViewID: v.ID, Head: v.Head()}
 }
 
-// Submit executes a registered write operation through the chain and waits
-// until the tail acknowledges it. Only the head accepts submissions;
-// elsewhere a RedirectError carries the current view so the client can
-// retry against the real head instead of silently failing.
-func (r *Replica) Submit(name string, args []byte) error {
+// submit runs one write through the chain (Put, Delete): it executes at the
+// head, then down the chain, and returns once the tail acknowledges it.
+func (r *Replica) submit(rec pqueue.Record) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -671,17 +664,10 @@ func (r *Replica) Submit(name string, args []byte) error {
 	if view.Head() != r.id {
 		return r.redirect(view)
 	}
-	fn, keysFn, err := r.cfg.Registry.write(name)
-	if err != nil {
-		return err
-	}
-	keys := keysFn(r.pool, args)
-	slices.Sort(keys)
-
-	// Admission control (paper §5.1): a transaction whose lock keys
-	// intersect an in-flight transaction's waits here until the tail
-	// acknowledgment releases them.
-	r.admit(keys)
+	// Admission control (paper §5.1): a write whose lock key an in-flight
+	// write holds waits here until the tail acknowledgment releases it.
+	lock := r.lockKey(rec.Args)
+	r.admit(lock)
 
 	// Hand off to the batcher, which executes, assigns the sequence
 	// number, and forwards — possibly coalesced with concurrent
@@ -694,11 +680,11 @@ func (r *Replica) Submit(name string, args []byte) error {
 	// completes it, a reboot's re-drive completes it after recovery, and
 	// removal or Close fails it through failWaiters.
 	stop := r.stopped()
-	req := &submitReq{name: name, args: args, fn: fn, keys: keys, done: make(chan error, 1)}
+	req := &submitReq{rec: rec, lock: lock, done: make(chan error, 1)}
 	select {
 	case r.submitCh <- req:
 	case <-stop:
-		r.releaseKeys(keys)
+		r.release(lock)
 		return r.redirect(r.currentView())
 	}
 	for {
@@ -755,11 +741,11 @@ func (r *Replica) gather(stop <-chan struct{}, batch []*submitReq) ([]*submitReq
 	case first = <-r.submitCh:
 	}
 	batch = append(batch, first)
-	for bytes := len(first.args); !full(len(batch), bytes, r.cfg.BatchOps); {
+	for bytes := len(first.rec.Args); !full(len(batch), bytes, r.cfg.BatchOps); {
 		select {
 		case req := <-r.submitCh:
 			batch = append(batch, req)
-			bytes += len(req.args)
+			bytes += len(req.rec.Args)
 		default:
 			return batch, true
 		}
@@ -770,7 +756,7 @@ func (r *Replica) gather(stop <-chan struct{}, batch []*submitReq) ([]*submitReq
 // applyReqs executes admitted submissions against the local pool, all in one
 // transaction when possible: one intent-log slot, one commit persist, one
 // backup reconciliation for the whole batch. Admission control guarantees
-// batch members touch disjoint lock keys, so combining them changes no
+// batch members hold distinct lock keys, so combining them changes no
 // outcome. If the combined transaction fails — one operation aborts, or the
 // write set overflows a log slot — the batch splits in half and retries,
 // converging to per-operation execution and per-operation errors, which it
@@ -779,7 +765,7 @@ func (r *Replica) applyReqs(reqs []*submitReq) (failed map[*submitReq]error) {
 	_ = halving.Run(reqs, func(reqs []*submitReq) error {
 		err := r.pool.Update(func(tx *kamino.Tx) error {
 			for _, req := range reqs {
-				if err := req.fn(tx, r.pool, req.args); err != nil {
+				if err := r.apply(tx, req.rec); err != nil {
 					return err
 				}
 			}
@@ -807,7 +793,7 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 	for _, req := range reqs {
 		if err, ok := failed[req]; ok {
 			// Aborted at the head: never admitted downstream.
-			r.releaseKeys(req.keys)
+			r.release(req.lock)
 			req.done <- err
 			continue
 		}
@@ -818,16 +804,16 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.headMu.Lock()
 		r.nextSeq++
 		seq := r.nextSeq
-		r.seqLocks[seq] = req.keys
-		r.waiters[seq] = req.done
-		r.seqTrace[seq] = traceID
+		r.inflight[seq] = inflightOp{lock: req.lock, trace: traceID, done: req.done}
 		r.headMu.Unlock()
 		r.mu.Lock()
 		r.lastExec = seq
 		r.mu.Unlock()
 		r.cSubmits.Add(1)
 		r.tr.ChainApply(traceID, seq)
-		recs = append(recs, pqueue.Record{Seq: seq, Trace: traceID, Name: req.name, Args: req.args})
+		rec := req.rec
+		rec.Seq, rec.Trace = seq, traceID
+		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
 		return
@@ -845,12 +831,8 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		// would stall every later one.
 		r.nextSeq = recs[0].Seq - 1
 		for _, rec := range recs {
-			for _, k := range r.seqLocks[rec.Seq] {
-				delete(r.lockedBy, k)
-			}
-			delete(r.seqLocks, rec.Seq)
-			delete(r.waiters, rec.Seq)
-			delete(r.seqTrace, rec.Seq)
+			delete(r.lockedBy, r.inflight[rec.Seq].lock)
+			delete(r.inflight, rec.Seq)
 		}
 		r.lockCond.Broadcast()
 		r.headMu.Unlock()
@@ -905,21 +887,15 @@ func (r *Replica) completeThrough(ackSeq uint64) {
 	}
 	var dones []completion
 	r.headMu.Lock()
-	for seq, ch := range r.waiters {
-		if seq <= ackSeq {
-			dones = append(dones, completion{seq, r.seqTrace[seq], ch})
-			delete(r.waiters, seq)
-			delete(r.seqTrace, seq)
-		}
-	}
-	// Locks release for every covered seq, waiter or not (a promoted head
+	// Locks release for every covered seq, client or not (a promoted head
 	// holds lock entries for re-driven transactions with no client).
-	for seq, keys := range r.seqLocks {
+	for seq, op := range r.inflight {
 		if seq <= ackSeq {
-			for _, k := range keys {
-				delete(r.lockedBy, k)
+			if op.done != nil {
+				dones = append(dones, completion{seq, op.trace, op.done})
 			}
-			delete(r.seqLocks, seq)
+			delete(r.lockedBy, op.lock)
+			delete(r.inflight, seq)
 		}
 	}
 	r.lockCond.Broadcast()
@@ -931,63 +907,34 @@ func (r *Replica) completeThrough(ackSeq uint64) {
 	}
 }
 
-// Read executes a registered read operation at the tail and returns its
-// payload. Like Submit, a non-head returns a RedirectError naming the
-// current head.
-func (r *Replica) Read(name string, args []byte) ([]byte, error) {
-	view := r.currentView()
-	if view.Head() != r.id {
-		return nil, r.redirect(view)
-	}
-	if view.Tail() == r.id {
-		fn, err := r.cfg.Registry.read(name)
-		if err != nil {
-			return nil, err
-		}
-		return fn(r.pool, args)
-	}
-	reply, err := r.cfg.Transport.Call(view.Tail(), &transport.Message{
-		Kind: transport.KindRead, From: r.id, ViewID: view.ID,
-		Name: name, Args: args,
-	})
+// call sends msg to a neighbour and returns the payload of its reply, or
+// the error either the call or the reply carries.
+func (r *Replica) call(to transport.NodeID, msg *transport.Message) ([]byte, error) {
+	reply, err := r.cfg.Transport.Call(to, msg)
 	if err != nil {
 		return nil, err
 	}
-	if err := reply.Error(); err != nil {
-		return nil, err
-	}
-	return reply.Payload, nil
+	return reply.Payload, reply.Error()
 }
 
-// admit acquires the abstract locks, blocking while any key is held by an
-// in-flight transaction (a dependent transaction, in the paper's terms).
-func (r *Replica) admit(keys []uint64) {
+// admit acquires an admission lock, blocking while an in-flight write holds
+// it (a dependent transaction, in the paper's terms).
+func (r *Replica) admit(lock uint64) {
 	r.headMu.Lock()
 	defer r.headMu.Unlock()
 	for {
-		free := true
-		for _, k := range keys {
-			if _, held := r.lockedBy[k]; held {
-				free = false
-				break
-			}
-		}
-		if free {
+		if _, held := r.lockedBy[lock]; !held {
 			break
 		}
 		r.lockCond.Wait()
 	}
-	for _, k := range keys {
-		r.lockedBy[k] = struct{}{}
-	}
+	r.lockedBy[lock] = struct{}{}
 }
 
-// releaseKeys frees admission locks directly (abort path: no seq assigned).
-func (r *Replica) releaseKeys(keys []uint64) {
+// release frees an admission lock directly (abort path: no seq assigned).
+func (r *Replica) release(lock uint64) {
 	r.headMu.Lock()
-	for _, k := range keys {
-		delete(r.lockedBy, k)
-	}
+	delete(r.lockedBy, lock)
 	r.lockCond.Broadcast()
 	r.headMu.Unlock()
 }
@@ -1098,36 +1045,40 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 	case transport.KindStateDone:
 		return r.serveStateDone(msg)
 	case transport.KindRead:
-		fn, err := r.cfg.Registry.read(msg.Name)
-		if err != nil {
-			return &transport.Message{Kind: transport.KindReadReply, Err: err.Error()}
-		}
-		payload, err := fn(r.pool, msg.Args)
-		if err != nil {
-			return &transport.Message{Kind: transport.KindReadReply, Err: err.Error()}
-		}
-		return &transport.Message{Kind: transport.KindReadReply, Payload: payload}
+		payload, err := r.read(msg.Key)
+		return answer(transport.KindReadReply, payload, err)
 	}
 	return nil
 }
 
-// serveFetch returns block images for a recovering neighbour (§5.3).
+// answer builds a reply carrying payload, or err.
+func answer(kind transport.Kind, payload []byte, err error) *transport.Message {
+	if err != nil {
+		return &transport.Message{Kind: kind, Err: err.Error()}
+	}
+	return &transport.Message{Kind: kind, Payload: payload}
+}
+
+// serveFetch returns a block image for a recovering neighbour (§5.3).
 func (r *Replica) serveFetch(msg *transport.Message) *transport.Message {
 	r.cFetches.Add(1)
-	reply := &transport.Message{Kind: transport.KindFetchReply}
-	hp := r.pool.Engine().Heap()
-	for i, obj := range msg.Objs {
-		class := int(msg.Classes[i])
-		n := heap.BlockHeaderSize + class
-		b, err := hp.Region().ReadSlice(int(obj)-heap.BlockHeaderSize, n)
-		if err != nil {
-			return &transport.Message{Kind: transport.KindFetchReply, Err: err.Error()}
-		}
-		img := make([]byte, n)
-		copy(img, b)
-		reply.Blocks = append(reply.Blocks, img)
+	b, err := r.heapRange(msg.Off, msg.Len)
+	return answer(transport.KindFetchReply, b, err)
+}
+
+// heapRange copies n bytes at offset off of the pool's heap, for a
+// recovery fetch or a state-transfer chunk. Both come off the wire, so the
+// range is checked against the heap, overflow included.
+func (r *Replica) heapRange(off, n uint64) ([]byte, error) {
+	reg := r.pool.Engine().Heap().Region()
+	if size := uint64(reg.Size()); off > size || n > size-off {
+		return nil, fmt.Errorf("chain: range [%d,+%d) beyond heap size %d", off, n, size)
 	}
-	return reply
+	b, err := reg.ReadSlice(int(off), int(n))
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1217,11 +1168,7 @@ func (r *Replica) executeBatch(recs []pqueue.Record) error {
 	return halving.Run(recs, func(recs []pqueue.Record) error {
 		err := r.pool.Update(func(tx *kamino.Tx) error {
 			for _, rec := range recs {
-				fn, _, err := r.cfg.Registry.write(rec.Name)
-				if err != nil {
-					return err
-				}
-				if err := fn(tx, r.pool, rec.Args); err != nil {
+				if err := r.apply(tx, rec); err != nil {
 					return err
 				}
 			}

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
 	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
@@ -90,8 +90,8 @@ func newHookedChain(tb testing.TB, alpha float64, strict bool, hop time.Duration
 	return hookedChain(tb, hop, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: alpha, Strict: strict, BatchOps: batchOps})
 }
 
-// hookedChain builds three KV replicas n0→n1→n2 from cfg (the KV registry
-// unless cfg names one) over a hookTransport with the given hop latency.
+// hookedChain builds three KV replicas n0→n1→n2 from cfg over a
+// hookTransport with the given hop latency.
 func hookedChain(tb testing.TB, hop time.Duration, cfg Config) (*testChain, *hookTransport) {
 	tb.Helper()
 	ht := &hookTransport{InProc: transport.NewInProc(hop)}
@@ -101,10 +101,7 @@ func hookedChain(tb testing.TB, hop time.Duration, cfg Config) (*testChain, *hoo
 		tb.Fatal(err)
 	}
 	tc := &testChain{tr: ht.InProc, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
-	if cfg.Registry == nil {
-		cfg.Registry = NewKVRegistry()
-	}
-	cfg.Transport, cfg.Manager, cfg.Setup = ht, mgr, KVSetup
+	cfg.Transport, cfg.Manager = ht, mgr
 	tc.cfg = cfg
 	for _, id := range ids {
 		rep, err := NewReplica(id, tc.cfg)
@@ -113,7 +110,7 @@ func hookedChain(tb testing.TB, hop time.Duration, cfg Config) (*testChain, *hoo
 		}
 		tc.replicas[id] = rep
 	}
-	tc.client = NewKVClient(func() *Replica { return tc.get(mgr.View().Head()) })
+	tc.client = headClient(func() *Replica { return tc.get(mgr.View().Head()) })
 	tb.Cleanup(func() {
 		ht.set(nil)
 		ht.receive(nil)
@@ -263,8 +260,8 @@ func TestRebootBetweenSendAndCursorPersist(t *testing.T) {
 
 // A reboot's power failure excludes whatever reaches the replica's regions
 // from outside its pipeline. With a record held in flight at the head (every
-// forward of it lost), a goroutine that samples DebugInfo, or QueueUsage,
-// or the registry's ring gauges, or delivers a message to the handler,
+// forward of it lost), a goroutine that samples DebugInfo, or the
+// registry's ring gauges, or delivers a message to the handler,
 // through head reboots sees the pre-crash ring or the recovered one — the
 // record is in both. Under -race this fails if any of them touches a region
 // while Crash rewinds it.
@@ -287,7 +284,7 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 		return fl.Bytes > 0
 	})
 
-	root := uint64(head.Pool().Root()) // an object every incarnation of the heap has
+	root := uint64(head.Pool().Root()) - heap.BlockHeaderSize // a block every incarnation of the heap has
 	// One path at a time: the detector keeps a word's last few accesses
 	// only, so a path with its ordering intact would hide one without.
 	for _, path := range []struct {
@@ -295,13 +292,8 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 		run  func()
 	}{
 		{"DebugInfo", func() {
-			if info := head.DebugInfo(); info.Inflight != 1 {
-				t.Errorf("DebugInfo: %d records in flight, want the 1 held", info.Inflight)
-			}
-		}},
-		{"QueueUsage", func() {
-			if _, fl, _ := head.QueueUsage(); fl.Bytes == 0 {
-				t.Error("QueueUsage: no bytes in flight")
+			if info := head.DebugInfo(); info.Inflight != 1 || info.InflightBytes == 0 {
+				t.Errorf("DebugInfo: %d records, %d B in flight, want the 1 held", info.Inflight, info.InflightBytes)
 			}
 		}},
 		{"gauges", func() {
@@ -317,11 +309,10 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 		}},
 		{"fetch handler", func() {
 			reply := head.handle(&transport.Message{
-				Kind: transport.KindFetch, From: "n1",
-				Objs: []uint64{root}, Classes: []uint32{64},
+				Kind: transport.KindFetch, From: "n1", Off: root, Len: heap.BlockHeaderSize + 64,
 			})
-			if err := reply.Error(); err != nil {
-				t.Errorf("fetch of the root block: %v", err)
+			if err := reply.Error(); err != nil || len(reply.Payload) != heap.BlockHeaderSize+64 {
+				t.Errorf("fetch of the root block: %d bytes, %v", len(reply.Payload), err)
 			}
 		}},
 	} {
@@ -464,7 +455,7 @@ func TestAckNeverPrunesUnexecuted(t *testing.T) {
 	view := tc.mgr.View()
 	mid.handle(&transport.Message{
 		Kind: transport.KindOpBatch, From: "n0", ViewID: view.ID, Seq: seq,
-		Batch: []pqueue.Record{{Seq: seq, Name: "put", Args: EncodeKV(2, []byte("two"))}},
+		Batch: []pqueue.Record{{Seq: seq, Name: "put", Args: encodeKV(2, []byte("two"))}},
 	})
 	mid.handle(&transport.Message{Kind: transport.KindCleanup, From: "n2", ViewID: view.ID, Seq: seq})
 	if _, pending, err := mid.getRing().Counts(); err != nil || pending != 1 {
@@ -481,20 +472,39 @@ func TestAckNeverPrunesUnexecuted(t *testing.T) {
 	waitErrFree(t, tc)
 }
 
-// failingChain builds a hooked chain, batching one record a hop, whose
-// registry adds the write "fail": it fails once on the pool stored in the
-// returned pointer and succeeds everywhere else.
-func failingChain(t *testing.T) (*testChain, *hookTransport, *atomic.Pointer[kamino.Pool]) {
-	failOn := new(atomic.Pointer[kamino.Pool])
-	reg := NewKVRegistry()
-	reg.RegisterWrite("fail", func(_ *kamino.Tx, pool *kamino.Pool, _ []byte) error {
-		if failOn.CompareAndSwap(pool, nil) {
-			return errors.New("injected apply failure")
+// failingChain builds a hooked chain, batching one record a hop, with the
+// keys behind..2*behind-1 stored. failPut puts a fresh key, in a bucket of
+// its own, on the head; fill a replica's heap (fillHeap) before the put
+// reaches it and its apply fails there, and only there, while an overwrite
+// of a stored key still succeeds.
+func failingChain(t *testing.T, behind int) (tc *testChain, ht *hookTransport, failPut func()) {
+	tc, ht = hookedChain(t, 0, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 0.5, BatchOps: 1})
+	head := tc.get("n0")
+	buckets := map[uint64]bool{}
+	for k := behind; k < 2*behind; k++ {
+		putRetry(t, tc, uint64(k), []byte("v"))
+		buckets[head.lockKey(encodeKV(uint64(k), nil))] = true
+	}
+	fresh := uint64(1000)
+	for buckets[head.lockKey(encodeKV(fresh, nil))] {
+		fresh++
+	}
+	// The put completes only when Close fails it.
+	failPut = func() { go head.Put(fresh, []byte("v")) }
+	return tc, ht, failPut
+}
+
+// fillHeap allocates from rep's pool outside the chain until its heap has
+// no room left for even the smallest block: a put of a fresh key, which
+// allocates its entry, fails there.
+func fillHeap(rep *Replica) {
+	for size := heap.MaxAlloc; size > 0; size /= 2 {
+		for rep.Pool().Update(func(tx *kamino.Tx) error {
+			_, err := tx.Alloc(size)
+			return err
+		}) == nil {
 		}
-		return nil
-	}, func(*kamino.Pool, []byte) []uint64 { return []uint64{^uint64(0)} })
-	tc, ht := hookedChain(t, 0, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 0.5, BatchOps: 1, Registry: reg})
-	return tc, ht, failOn
+	}
 }
 
 // forwardedMax records the highest sequence number the middle sends the
@@ -535,19 +545,20 @@ func checkStoppedAt(t *testing.T, rep *Replica, seq uint64, sent func() uint64) 
 // must neither run, nor go on to the tail, nor carry the durable done cursor
 // past a record this replica never ran.
 func TestFailedApplyStopsPipeline(t *testing.T) {
-	tc, ht, failOn := failingChain(t)
+	const behind = 4
+	tc, ht, failPut := failingChain(t, behind)
 	head, mid := tc.get("n0"), tc.get("n1")
-	putRetry(t, tc, 1, []byte("one"))
 	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
 	sent := forwardedMax(ht)
 
-	failOn.Store(mid.Pool())
+	fillHeap(mid)
 	failSeq := head.getRing().LastSeq() + 1
-	go head.Submit("fail", nil) // completes only when Close fails it
+	failPut()
 	waitFor(t, "the head to take the failing write", func() bool { return head.getRing().LastSeq() == failSeq })
-	const behind = 4
-	for k := uint64(2); k < 2+behind; k++ {
-		go head.Submit("put", EncodeKV(k, []byte("v")))
+	// Overwrites of stored keys update in place: a cursor wrongly still
+	// live after the failure would run them.
+	for k := uint64(behind); k < 2*behind; k++ {
+		go head.Put(k, []byte("w"))
 	}
 	waitFor(t, "the middle's apply to fail", func() bool { return mid.Err() != nil })
 	waitFor(t, "the middle to append the puts behind it", func() bool { return mid.getRing().LastSeq() == failSeq+behind })
@@ -564,17 +575,16 @@ func TestFailedApplyStopsPipeline(t *testing.T) {
 // backlog before its batcher starts; a record in it that fails to apply is
 // the replica's fatal error, and nothing from it on runs or is sent.
 func TestPromotionDrainFailureIsFatal(t *testing.T) {
-	tc, ht, failOn := failingChain(t)
+	tc, ht, failPut := failingChain(t, 1)
 	head, mid := tc.get("n0"), tc.get("n1")
-	putRetry(t, tc, 1, []byte("one"))
 	waitFor(t, "middle ring to settle", func() bool { return ringEmpty(mid) })
 	sent := forwardedMax(ht)
 
 	mid.stopExecutor() // the backlog only appends
 	failSeq := head.getRing().LastSeq() + 1
-	go head.Submit("fail", nil)
+	failPut()
 	waitFor(t, "the middle to append the failing write", func() bool { return mid.getRing().LastSeq() == failSeq })
-	failOn.Store(mid.Pool())
+	fillHeap(mid)
 	if _, err := tc.mgr.ReportFailure("n0"); err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +593,27 @@ func TestPromotionDrainFailureIsFatal(t *testing.T) {
 		t.Fatalf("head is %s after n0 failed, want n1", tc.mgr.View().Head())
 	}
 	checkStoppedAt(t, mid, failSeq, sent)
-	if err := mid.Submit("put", EncodeKV(2, []byte("v"))); err == nil {
+	if err := mid.Put(1, []byte("w")); err == nil {
 		t.Error("the failed head admitted a put")
+	}
+}
+
+// TestFetchRangeChecked: a recovery fetch names its heap range off the
+// wire, so one past the heap's end, or one whose end overflows, is refused
+// rather than read.
+func TestFetchRangeChecked(t *testing.T) {
+	tc, _ := newHookedChain(t, 0.5, false, 0, 1)
+	head := tc.get("n0")
+	size := uint64(head.Pool().Engine().Heap().Region().Size())
+	fetch := func(off, n uint64) *transport.Message {
+		return head.handle(&transport.Message{Kind: transport.KindFetch, From: "n1", Off: off, Len: n})
+	}
+	if reply := fetch(size-64, 64); reply.Error() != nil || len(reply.Payload) != 64 {
+		t.Errorf("fetch of the heap's last 64 bytes: %d bytes, %v", len(reply.Payload), reply.Error())
+	}
+	for _, r := range [][2]uint64{{size - 8, 16}, {size + 1, 0}, {^uint64(0) - 4, 8}, {8, ^uint64(0)}} {
+		if reply := fetch(r[0], r[1]); reply.Error() == nil {
+			t.Errorf("fetch of %d bytes at %d answered %d bytes", r[1], r[0], len(reply.Payload))
+		}
 	}
 }

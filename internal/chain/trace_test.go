@@ -26,17 +26,14 @@ func TestTraceIDPropagatesHeadToTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
 	replicas := make(map[transport.NodeID]*Replica, n)
 	for _, id := range ids {
 		rep, err := NewReplica(id, Config{
 			Mode:      ModeKamino,
 			HeapSize:  8 << 20,
 			Alpha:     0.5,
-			Registry:  reg,
 			Transport: tr,
 			Manager:   mgr,
-			Setup:     KVSetup,
 			Trace:     rec,
 		})
 		if err != nil {
@@ -50,7 +47,7 @@ func TestTraceIDPropagatesHeadToTail(t *testing.T) {
 		}
 		tr.Close()
 	}()
-	client := NewKVClient(func() *Replica {
+	client := headClient(func() *Replica {
 		return replicas[mgr.View().Head()]
 	})
 

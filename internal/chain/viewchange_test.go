@@ -211,8 +211,7 @@ func TestTailKillNoLockLeak(t *testing.T) {
 	waitFor(t, "admission locks to drain", func() bool { return head.LockedKeys() == 0 })
 	newTail := tc.replicas[tc.mgr.View().Tail()]
 	waitFor(t, "new tail in-flight queue to truncate", func() bool {
-		_, inflight, _ := newTail.QueueUsage()
-		return inflight.Bytes == 0
+		return newTail.DebugInfo().InflightBytes == 0
 	})
 	waitErrFree(t, tc)
 }
@@ -227,12 +226,11 @@ func TestKillMidBatchConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
 		Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 0.5,
-		BatchOps: 8,
-		Registry: reg, Transport: tr, Manager: mgr, Setup: KVSetup,
+		BatchOps:  8,
+		Transport: tr, Manager: mgr,
 	}
 	for _, id := range ids {
 		rep, err := NewReplica(id, tc.cfg)
@@ -241,7 +239,7 @@ func TestKillMidBatchConverges(t *testing.T) {
 		}
 		tc.replicas[id] = rep
 	}
-	tc.client = NewKVClient(func() *Replica { return tc.get(mgr.View().Head()) })
+	tc.client = headClient(func() *Replica { return tc.get(mgr.View().Head()) })
 	t.Cleanup(func() {
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
@@ -431,7 +429,7 @@ func TestCleanupReleasesPromotedHeadLocks(t *testing.T) {
 	seq := head.getRing().LastSeq()
 	head.headMu.Lock()
 	head.lockedBy[7] = struct{}{}
-	head.seqLocks[seq] = []uint64{7}
+	head.inflight[seq] = inflightOp{lock: 7}
 	head.headMu.Unlock()
 
 	// The tail's direct ack died with the old head; only the cleanup
@@ -454,24 +452,7 @@ func dumpChainState(t *testing.T, tc *testChain) {
 	tc.mu.RLock()
 	defer tc.mu.RUnlock()
 	for id, rep := range tc.replicas {
-		recs, _ := rep.getRing().Inflight()
-		var fl []uint64
-		for _, rec := range recs {
-			fl = append(fl, rec.Seq)
-		}
-		rep.headMu.Lock()
-		locked := make([]uint64, 0, len(rep.lockedBy))
-		for k := range rep.lockedBy {
-			locked = append(locked, k)
-		}
-		seqLocks := make(map[uint64][]uint64, len(rep.seqLocks))
-		for s, ks := range rep.seqLocks {
-			seqLocks[s] = ks
-		}
-		nextSeq := rep.nextSeq
-		rep.headMu.Unlock()
-		t.Logf("%s: lastExec=%d nextSeq=%d inputLast=%d inflight=%v lockedBy=%v seqLocks=%v",
-			id, rep.LastExec(), nextSeq, rep.getRing().LastSeq(), fl, locked, seqLocks)
+		t.Logf("%s: %s", id, rep.DebugInfo())
 	}
 }
 
@@ -488,12 +469,11 @@ func TestChaosScheduleLockDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKVRegistry()
 	tc := &testChain{tr: tr, mgr: mgr, replicas: make(map[transport.NodeID]*Replica), order: ids}
 	tc.cfg = Config{
 		Mode: ModeKamino, HeapSize: 16 << 20, Alpha: 0.5, Strict: true,
-		BatchOps: 8,
-		Registry: reg, Transport: tr, Manager: mgr, Setup: KVSetup,
+		BatchOps:  8,
+		Transport: tr, Manager: mgr,
 	}
 	for _, id := range ids {
 		rep, err := NewReplica(id, tc.cfg)
@@ -502,7 +482,7 @@ func TestChaosScheduleLockDrain(t *testing.T) {
 		}
 		tc.replicas[id] = rep
 	}
-	tc.client = NewKVClient(func() *Replica { return tc.get(mgr.View().Head()) })
+	tc.client = headClient(func() *Replica { return tc.get(mgr.View().Head()) })
 	t.Cleanup(func() {
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
@@ -600,7 +580,7 @@ func TestMiddleAnswersProbeWithCleanup(t *testing.T) {
 	// whole chain has completed, and its tail ack is gone for good.
 	head.headMu.Lock()
 	head.lockedBy[9] = struct{}{}
-	head.seqLocks[seq] = []uint64{9}
+	head.inflight[seq] = inflightOp{lock: 9}
 	head.headMu.Unlock()
 
 	// The head's repair ticker would resend the record; deliver that probe
@@ -628,7 +608,7 @@ func TestRemovedReplicaNeverAcksAsTail(t *testing.T) {
 	mid.mu.Lock()
 	mid.view = without
 	mid.mu.Unlock()
-	if err := mid.forwardBatch([]pqueue.Record{{Seq: 1, Name: "put", Args: EncodeKV(1, []byte("v"))}}); err != nil {
+	if err := mid.forwardBatch([]pqueue.Record{{Seq: 1, Name: "put", Args: encodeKV(1, []byte("v"))}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := mid.cTailAcks.Load(); n != 0 {
@@ -651,7 +631,7 @@ func TestOvertakingRecordsAreNotAppended(t *testing.T) {
 	head, tail := tc.order[0], tc.get(tc.order[2])
 	tail.stopExecutor() // hold the ring still: this test is about what is appended
 	op := func(seq uint64) pqueue.Record {
-		return pqueue.Record{Seq: seq, Name: "put", Args: EncodeKV(seq, []byte{byte(seq)})}
+		return pqueue.Record{Seq: seq, Name: "put", Args: encodeKV(seq, []byte{byte(seq)})}
 	}
 	deliver := func(ops ...pqueue.Record) {
 		tail.handle(&transport.Message{

@@ -35,13 +35,14 @@ const (
 	KindTailAck
 	// KindCleanup propagates clean-up acknowledgments up the chain.
 	KindCleanup
-	// KindFetch requests object block images (recovery).
+	// KindFetch requests Len bytes at offset Off of a neighbour's heap
+	// (recovery: one object block with its header).
 	KindFetch
-	// KindFetchReply returns them.
+	// KindFetchReply returns them in Payload.
 	KindFetchReply
-	// KindRead asks the tail to execute a read-only operation.
+	// KindRead asks the tail for Key's value.
 	KindRead
-	// KindReadReply returns its result.
+	// KindReadReply returns a found flag byte, then the value, in Payload.
 	KindReadReply
 	// KindError reports a remote failure.
 	KindError
@@ -68,27 +69,22 @@ type Message struct {
 	// of a KindOpBatch, the prefix a KindTailAck or KindCleanup covers,
 	// a KindStateSnap reply's snapshot floor.
 	Seq uint64
-	// Name and Args select a KindRead's registered operation and carry
-	// its encoded arguments.
-	Name string
-	Args []byte
+	// Key is the key a KindRead looks up.
+	Key uint64
 
 	// Batch holds the records of a KindOpBatch message, or of a
 	// KindStateSnap reply, in chain order (ascending Seq).
 	Batch []pqueue.Record
 
-	// Fetch fields: parallel slices describing object blocks.
-	Objs    []uint64
-	Classes []uint32
-	Blocks  [][]byte
-
-	// Read / generic reply payload.
+	// Payload is a reply's bytes: a heap range (KindFetch,
+	// KindStateChunk) or a read's found flag and value.
 	Payload []byte
 	Err     string
 
-	// State-transfer fields (KindStateSnap / KindStateChunk /
-	// KindStateDone): Snap names one frozen snapshot on the donor, Off and
-	// Len select a byte range of its heap image.
+	// Snap names one frozen snapshot on a state-transfer donor
+	// (KindStateSnap / KindStateChunk / KindStateDone); Off and Len select
+	// a byte range of the heap: of that snapshot's image for a
+	// KindStateChunk, of the live heap for a KindFetch.
 	Snap uint64
 	Off  uint64
 	Len  uint64

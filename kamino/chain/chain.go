@@ -1,8 +1,9 @@
 // Package chain is the public face of the replicated store: Kamino-Tx-Chain
 // (paper §5) and traditional chain replication over the kamino persistent
 // heap. A Cluster bundles the membership manager, an in-process transport
-// with configurable hop latency, and the replicas of one chain; the KV
-// methods run replicated operations through the head.
+// with configurable hop latency, and the replicas of one chain; Put, Delete
+// and Get go to the current head, which runs writes down the chain and
+// reads at the tail.
 //
 // Every replica of a Cluster lives in this process: the one transport
 // (internal/transport) is in-process, its hop latency standing in for the
@@ -90,10 +91,9 @@ type Cluster struct {
 	replicas map[transport.NodeID]*ichain.Replica
 	nextID   int
 
-	order  []transport.NodeID
-	client *ichain.KVClient
-	cfg    ichain.Config // template shared by New and AddReplica
-	retry  time.Duration
+	order []transport.NodeID
+	cfg   ichain.Config // template shared by New and AddReplica
+	retry time.Duration
 }
 
 // New builds and starts a cluster.
@@ -116,7 +116,6 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := ichain.NewKVRegistry()
 	retry := opts.RetryWindow
 	if retry == 0 {
 		retry = 5 * time.Second
@@ -135,10 +134,8 @@ func New(opts Options) (*Cluster, error) {
 			FenceLatency: opts.FenceLatency,
 			Strict:       opts.Strict,
 			BatchOps:     opts.BatchOps,
-			Registry:     reg,
 			Transport:    tr,
 			Manager:      mgr,
-			Setup:        ichain.KVSetup,
 			Trace:        opts.Trace,
 		},
 	}
@@ -150,13 +147,19 @@ func New(opts Options) (*Cluster, error) {
 		}
 		c.replicas[id] = rep
 	}
-	c.client = ichain.NewKVClient(func() *ichain.Replica {
-		head := mgr.View().Head()
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.replicas[head]
-	})
 	return c, nil
+}
+
+// head returns the current view's head replica, or ErrNoHead while the
+// chain repairs and no live replica heads it.
+func (c *Cluster) head() (*ichain.Replica, error) {
+	id := c.mgr.View().Head()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if rep := c.replicas[id]; rep != nil {
+		return rep, nil
+	}
+	return nil, ichain.ErrNoHead
 }
 
 // retriable reports errors worth retrying across a view change: the head
@@ -166,14 +169,17 @@ func retriable(err error) bool {
 	return errors.Is(err, ichain.ErrNotHead) || errors.Is(err, transport.ErrUnknownNode)
 }
 
-// withRetry re-runs op through transient view-change errors until the
-// cluster's retry window expires. Operations are idempotent (registered KV
-// writes; tail reads), so re-running one that may already have committed
-// is safe.
-func (c *Cluster) withRetry(op func() error) error {
+// withRetry runs op on the current head, again through transient
+// view-change errors until the cluster's retry window expires. Operations
+// are idempotent (puts, deletes, tail reads), so re-running one that may
+// already have committed is safe.
+func (c *Cluster) withRetry(op func(head *ichain.Replica) error) error {
 	deadline := time.Now().Add(c.retry)
 	for {
-		err := op()
+		head, err := c.head()
+		if err == nil {
+			err = op(head)
+		}
 		if err == nil || !retriable(err) || time.Now().After(deadline) {
 			return err
 		}
@@ -185,13 +191,13 @@ func (c *Cluster) withRetry(op func() error) error {
 // acknowledged (the operation is then durable on every replica). Redirects
 // from a failed-over head are retried within Options.RetryWindow.
 func (c *Cluster) Put(key uint64, val []byte) error {
-	return c.withRetry(func() error { return c.client.Put(key, val) })
+	return c.withRetry(func(head *ichain.Replica) error { return head.Put(key, val) })
 }
 
 // Get reads key at the tail (linearizable with respect to completed Puts).
 func (c *Cluster) Get(key uint64) (val []byte, ok bool, err error) {
-	err = c.withRetry(func() error {
-		val, ok, err = c.client.Get(key)
+	err = c.withRetry(func(head *ichain.Replica) error {
+		val, ok, err = head.Get(key)
 		return err
 	})
 	return val, ok, err
@@ -199,7 +205,7 @@ func (c *Cluster) Get(key uint64) (val []byte, ok bool, err error) {
 
 // Delete removes key through the chain.
 func (c *Cluster) Delete(key uint64) error {
-	return c.withRetry(func() error { return c.client.Delete(key) })
+	return c.withRetry(func(head *ichain.Replica) error { return head.Delete(key) })
 }
 
 // Members returns the current chain membership, head first.
@@ -240,10 +246,11 @@ type ReplicaDebug struct {
 }
 
 // DebugInfos samples every live replica's structured repair-relevant
-// state (execution floor, queue spans, admission-lock table), in current
-// chain order. Safe to call while replicas are killed, rejoined or
-// rebooted: a rebooting replica reports its pre-crash ring or its
-// recovered one. The chaos schedule samples it through every repair.
+// state (execution floor, ring spans and occupancy, admission-lock table),
+// in current chain order. Safe to call while replicas are killed, rejoined
+// or rebooted: a rebooting replica reports its pre-crash ring or its
+// recovered one. The chaos schedule samples it through every repair, and
+// requires every ring to drain once its clients stop.
 func (c *Cluster) DebugInfos() []ReplicaDebug {
 	v := c.mgr.View()
 	c.mu.RLock()
@@ -276,43 +283,6 @@ func (c *Cluster) DebugState() string {
 		fmt.Fprintf(&b, "%s (%s): %s\n", rd.ID, rd.Role, rd.Info)
 	}
 	return b.String()
-}
-
-// QueueStat reports, in bytes, the occupancy and high-water marks of the two
-// ranges of one replica's persistent ring — pending input and in-flight —
-// and the ring's capacity, which the two share (InputCap == InflightCap).
-type QueueStat struct {
-	ID            string `json:"id"`
-	InputBytes    uint64 `json:"input_bytes"`
-	InputHigh     uint64 `json:"input_high"`
-	InputCap      uint64 `json:"input_cap"`
-	InflightBytes uint64 `json:"inflight_bytes"`
-	InflightHigh  uint64 `json:"inflight_high"`
-	InflightCap   uint64 `json:"inflight_cap"`
-}
-
-// QueueStats returns the live replicas' queue occupancy in current chain
-// order, and is as safe against repair as DebugInfos. The chaos schedule
-// requires every ring to drain to empty once its clients stop: the
-// acknowledged-prefix truncation keeps working through failures.
-func (c *Cluster) QueueStats() []QueueStat {
-	v := c.mgr.View()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []QueueStat
-	for _, id := range v.Members {
-		rep, ok := c.replicas[id]
-		if !ok {
-			continue
-		}
-		in, fl, capacity := rep.QueueUsage()
-		out = append(out, QueueStat{
-			ID: string(id), InputBytes: in.Bytes, InputHigh: in.HighWater,
-			InflightBytes: fl.Bytes, InflightHigh: fl.HighWater,
-			InputCap: capacity, InflightCap: capacity,
-		})
-	}
-	return out
 }
 
 // AddReplica builds a fresh replica, catches it up by state transfer from

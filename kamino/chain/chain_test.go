@@ -132,10 +132,10 @@ func TestClusterDebugIntrospection(t *testing.T) {
 	if !strings.Contains(s, "lastExec=") || !strings.Contains(s, "head") {
 		t.Fatalf("DebugState = %q", s)
 	}
-	// Queue stats expose occupancy and capacity for every replica.
-	for _, qs := range c.QueueStats() {
-		if qs.InputCap == 0 || qs.InflightCap == 0 {
-			t.Fatalf("queue stats missing capacity: %+v", qs)
+	// Every replica exposes its ring's occupancy and capacity.
+	for _, rd := range infos {
+		if rd.Info.RingCap == 0 {
+			t.Fatalf("%s: ring capacity missing: %+v", rd.ID, rd.Info)
 		}
 	}
 }

@@ -94,7 +94,6 @@ func sampleIntrospection(cl *Cluster, stop <-chan struct{}) <-chan struct{} {
 			case <-tick.C:
 			}
 			cl.DebugInfos()
-			cl.QueueStats()
 			for _, reg := range cl.Obs() {
 				reg.Snapshot()
 			}
@@ -111,9 +110,9 @@ func awaitRingsDrained(t *testing.T, cl *Cluster) {
 	deadline := time.Now().Add(chaosDrainTimeout)
 	for {
 		var held []string
-		for _, qs := range cl.QueueStats() {
-			if n := qs.InputBytes + qs.InflightBytes; n > 0 {
-				held = append(held, fmt.Sprintf("%s holds %d B", qs.ID, n))
+		for _, rd := range cl.DebugInfos() {
+			if n := rd.Info.InputBytes + rd.Info.InflightBytes; n > 0 {
+				held = append(held, fmt.Sprintf("%s holds %d B", rd.ID, n))
 			}
 		}
 		if len(held) == 0 {
