@@ -125,25 +125,31 @@ bench-gate:
 # processes: kaminod serves a file-backed store with tracing on,
 # kaminoload preloads and drives a short open-loop sweep with per-phase
 # breakdowns, /debug/requests must answer with valid JSON holding at least
-# one captured request, /metrics — the one rendering of the registries —
+# one captured request, each with a phase_ns object keyed by exactly the
+# six phase names, /metrics — the one rendering of the registries —
 # must answer Prometheus text carrying both the server registry's and the
 # engine registry's series and the slow ring's floor gauge (what a
 # slow-request alert keys on) while / answers 404, then SIGTERM drains the
 # server — the target fails unless kaminod exits 0 (clean drain and pool
-# close) and the Chrome trace export parses.
+# close) and the Chrome trace export parses and holds a req_tx link and a
+# span named for each of the six phases.
+# SERVE_PHASES_SORTED is transport.KVPhase's six names as jq's keys sorts them.
+SERVE_PHASES_SORTED = ["admission_wait","batch_wait","decode","engine_txn","order_wait","resp_write"]
+
 serve-smoke: build
 	rm -rf out/serve && mkdir -p out/serve
 	$(GO) build -o out/serve/kaminod ./cmd/kaminod
 	$(GO) build -o out/serve/kaminoload ./cmd/kaminoload
 	./out/serve/kaminod -dir out/serve/db -addr 127.0.0.1:17070 -metrics-addr 127.0.0.1:17071 \
-		-trace-out out/serve/trace.json -slow-requests 32 & \
+		-trace-out out/serve/trace.json & \
 	KPID=$$!; \
 	sleep 1; \
 	./out/serve/kaminoload -addr 127.0.0.1:17070 -preload -keys 2000 -value 256 \
 		-rates 2000,5000 -duration 1s -breakdown || { kill $$KPID; exit 1; }; \
 	curl -fsS http://127.0.0.1:17071/debug/requests -o out/serve/requests.json || { kill $$KPID; exit 1; }; \
-	jq -e '.records | length >= 1' out/serve/requests.json >/dev/null || \
-		{ echo "serve-smoke: /debug/requests empty or not JSON"; kill $$KPID; exit 1; }; \
+	jq -e '.records | length >= 1 and all(.phase_ns | keys == $(SERVE_PHASES_SORTED))' \
+		out/serve/requests.json >/dev/null || \
+		{ echo "serve-smoke: /debug/requests empty, not JSON, or a phase_ns not keyed by the six phases"; kill $$KPID; exit 1; }; \
 	curl -fsS http://127.0.0.1:17071/metrics -o out/serve/metrics.txt || { kill $$KPID; exit 1; }; \
 	grep -q '^# TYPE kaminotx_' out/serve/metrics.txt && \
 		grep -q '^kaminotx_[a-z_]*{registry="server"} [1-9]' out/serve/metrics.txt && \
@@ -157,6 +163,9 @@ serve-smoke: build
 	wait $$KPID || { echo "serve-smoke: kaminod did not exit cleanly"; exit 1; }
 	test -s out/serve/trace.json && jq -e '.traceEvents | length >= 1' out/serve/trace.json >/dev/null || \
 		{ echo "serve-smoke: Chrome trace export missing or empty"; exit 1; }
+	jq -e '[.traceEvents[] | select(.ph == "X") | .name] as $$spans | any(.traceEvents[]; .ph == "i" and .name == "req_tx") and ($(SERVE_PHASES_SORTED) | all(IN($$spans[])))' \
+		out/serve/trace.json >/dev/null || \
+		{ echo "serve-smoke: trace export lacks a req_tx link or a span for one of the six phases"; exit 1; }
 	@echo "serve-smoke: clean drain, slow-request ring and /metrics served, trace exported"
 
 # recovery-smoke proves the restart path end to end with real processes

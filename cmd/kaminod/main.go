@@ -47,7 +47,7 @@ import (
 type flags struct {
 	addr, dir, mode, tenants, defTenant, metricsAddr, traceOut string
 
-	heap, appliers, window, maxInflight, batchOps, maxValue, traceBuf, slowN int
+	heap, appliers, window, maxInflight, batchOps, maxValue, traceBuf int
 
 	autoTenant bool
 	drainWait  time.Duration
@@ -72,7 +72,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&f.drainWait, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	fs.StringVar(&f.traceOut, "trace-out", "", "write a Chrome trace_event export of request+engine spans here on shutdown ('' = tracing off)")
 	fs.IntVar(&f.traceBuf, "trace-buf", 1<<18, "trace recorder ring capacity (events)")
-	fs.IntVar(&f.slowN, "slow-requests", 32, "slow-request ring size served at /debug/requests")
 	return f
 }
 
@@ -170,7 +169,6 @@ func main() {
 		AutoTenant:    f.autoTenant,
 		Obs:           srvReg,
 		Trace:         rec,
-		SlowN:         f.slowN,
 	})
 	if err != nil {
 		ln.Close()

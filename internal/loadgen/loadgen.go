@@ -19,13 +19,13 @@ package loadgen
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"kaminotx/internal/server"
 	"kaminotx/internal/stats"
-	"kaminotx/internal/trace"
 	"kaminotx/internal/transport"
 	"kaminotx/internal/workload"
 )
@@ -60,9 +60,6 @@ type Config struct {
 	// response and aggregates it into Result.Phase: end-to-end latency
 	// decomposes into server phases plus the network+queue remainder.
 	Breakdown bool
-	// Trace attaches a recorder to every connection's client, minting
-	// end-to-end trace ids and recording client_req spans.
-	Trace *trace.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -194,9 +191,6 @@ func runConn(cfg Config, ks *workload.KeyState, idx int, start time.Time) connRe
 		return r
 	}
 	defer c.Close()
-	if cfg.Trace != nil {
-		c.EnableTracing(cfg.Trace)
-	}
 	gen := workload.NewGenerator(cfg.Mix, ks, cfg.Seed+int64(idx)*7919)
 	val := make([]byte, cfg.ValueSize)
 	sem := make(chan struct{}, cfg.Window)
@@ -301,58 +295,11 @@ func nextReq(gen *workload.Generator, tenant string, val []byte) *transport.KVRe
 // Preload fills the tenant's keyspace with keys 0..keys-1 using pipelined
 // puts, so reads during a run hit existing records.
 func Preload(addr, tenant string, keys uint64, valueSize, conns int) error {
-	if conns <= 0 {
-		conns = 4
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, conns)
-	per := (keys + uint64(conns) - 1) / uint64(conns)
-	for i := 0; i < conns; i++ {
-		lo, hi := uint64(i)*per, (uint64(i)+1)*per
-		if hi > keys {
-			hi = keys
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			c, err := server.Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			val := make([]byte, valueSize)
-			calls := make([]*server.Call, 0, hi-lo)
-			for k := lo; k < hi; k++ {
-				workload.Value(k, val)
-				call, err := c.Send(&transport.KVRequest{Kind: transport.KVPut, Tenant: tenant, Key: k, Value: val})
-				if err != nil {
-					errs <- err
-					return
-				}
-				calls = append(calls, call)
-				if len(calls) >= 128 { // bounded pipeline
-					if _, err := calls[0].Wait(); err != nil {
-						errs <- err
-						return
-					}
-					calls = calls[1:]
-				}
-			}
-			for _, call := range calls {
-				if _, err := call.Wait(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
+	return eachKey(addr, keys, conns, func(k uint64) *transport.KVRequest {
+		val := make([]byte, valueSize)
+		workload.Value(k, val)
+		return &transport.KVRequest{Kind: transport.KVPut, Tenant: tenant, Key: k, Value: val}
+	}, func(uint64, *transport.KVResponse) error { return nil })
 }
 
 // Verify reads keys 0..keys-1 back with pipelined gets and checks each
@@ -361,73 +308,77 @@ func Preload(addr, tenant string, keys uint64, valueSize, conns int) error {
 // key or payload mismatch — the zero-lost-acked-writes gate the recovery
 // smoke runs against a restarted kaminod.
 func Verify(addr, tenant string, keys uint64, valueSize, conns int) (uint64, error) {
+	return keys, eachKey(addr, keys, conns, func(k uint64) *transport.KVRequest {
+		return &transport.KVRequest{Kind: transport.KVGet, Tenant: tenant, Key: k}
+	}, func(k uint64, resp *transport.KVResponse) error {
+		if !resp.Found {
+			return errors.New("acked write lost (not found)")
+		}
+		want := make([]byte, valueSize)
+		workload.Value(k, want)
+		if !bytes.Equal(resp.Value, want) {
+			return fmt.Errorf("payload mismatch (%d bytes, want %d)", len(resp.Value), len(want))
+		}
+		return nil
+	})
+}
+
+// eachKey sends request(k) for every key 0..keys-1 and passes each
+// successful response to check. The keys are split into one contiguous
+// range per connection (conns ≤ 0 means 4), and each connection keeps up
+// to 128 requests in flight. It returns the first error any connection
+// met.
+func eachKey(addr string, keys uint64, conns int, request func(k uint64) *transport.KVRequest,
+	check func(k uint64, resp *transport.KVResponse) error) error {
 	if conns <= 0 {
 		conns = 4
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
 	per := (keys + uint64(conns) - 1) / uint64(conns)
-	for i := 0; i < conns; i++ {
-		lo, hi := uint64(i)*per, (uint64(i)+1)*per
-		if hi > keys {
-			hi = keys
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := uint64(0); lo < keys; lo += per {
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			c, err := server.Dial(addr)
-			if err != nil {
+			if err := keyRange(addr, lo, hi, request, check); err != nil {
 				errs <- err
-				return
 			}
-			defer c.Close()
-			want := make([]byte, valueSize)
-			type pending struct {
-				key  uint64
-				call *server.Call
-			}
-			check := func(p pending) error {
-				resp, err := p.call.Wait()
-				if err != nil {
-					return fmt.Errorf("get %d: %w", p.key, err)
-				}
-				if !resp.Found {
-					return fmt.Errorf("key %d: acked write lost (not found)", p.key)
-				}
-				workload.Value(p.key, want)
-				if !bytes.Equal(resp.Value, want) {
-					return fmt.Errorf("key %d: payload mismatch (%d bytes, want %d)", p.key, len(resp.Value), len(want))
-				}
-				return nil
-			}
-			calls := make([]pending, 0, 128)
-			for k := lo; k < hi; k++ {
-				call, err := c.Send(&transport.KVRequest{Kind: transport.KVGet, Tenant: tenant, Key: k})
-				if err != nil {
-					errs <- err
-					return
-				}
-				calls = append(calls, pending{key: k, call: call})
-				if len(calls) >= 128 { // bounded pipeline
-					if err := check(calls[0]); err != nil {
-						errs <- err
-						return
-					}
-					calls = calls[1:]
-				}
-			}
-			for _, p := range calls {
-				if err := check(p); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(lo, hi)
+		}(lo, min(lo+per, keys))
 	}
 	wg.Wait()
 	close(errs)
-	return keys, <-errs
+	return <-errs
+}
+
+// keyRange drives keys lo..hi-1 over one connection for eachKey.
+func keyRange(addr string, lo, hi uint64, request func(k uint64) *transport.KVRequest,
+	check func(k uint64, resp *transport.KVResponse) error) error {
+	c, err := server.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	var calls []*server.Call // in flight, for keys next, next+1, ...
+	next := lo
+	for k := lo; k < hi || len(calls) > 0; {
+		// Send while the window has room; otherwise complete the oldest.
+		if k < hi && len(calls) < 128 {
+			call, err := c.Send(request(k))
+			if err != nil {
+				return err
+			}
+			calls = append(calls, call)
+			k++
+			continue
+		}
+		resp, err := calls[0].Wait()
+		if err == nil {
+			err = check(next, resp)
+		}
+		if err != nil {
+			return fmt.Errorf("key %d: %w", next, err)
+		}
+		calls, next = calls[1:], next+1
+	}
+	return nil
 }

@@ -61,26 +61,6 @@ const (
 	// dependent transaction on the same objects would stall.
 	PhaseBackupLag Phase = "backup_lag"
 
-	// Server request phases: the network service path's per-request
-	// latency breakdown (internal/server). They tile a request's server
-	// wall time; the names match transport.KVPhase.
-
-	// PhaseServeDecode is the read and binary decode of a request frame
-	// (includes connection idle time waiting for bytes).
-	PhaseServeDecode Phase = "decode"
-	// PhaseServeAdmission is decode-end to admission-token acquired.
-	PhaseServeAdmission Phase = "admission_wait"
-	// PhaseServeBatchWait is token-acquired to engine-transaction start
-	// (write-batcher queueing; for a read, the wait for the connection's
-	// response writer to reach it).
-	PhaseServeBatchWait Phase = "batch_wait"
-	// PhaseServeEngineTxn is the engine call executing the request.
-	PhaseServeEngineTxn Phase = "engine_txn"
-	// PhaseServeOrderWait is completion to response-writer dequeue.
-	PhaseServeOrderWait Phase = "order_wait"
-	// PhaseServeRespWrite is the response encode + flush.
-	PhaseServeRespWrite Phase = "resp_write"
-
 	// Recovery phases: the stages of a reopen (engine.Base.Reopen). They
 	// tile the time from pool open to the first accepted transaction.
 
@@ -105,12 +85,6 @@ var phaseOrder = []Phase{
 	PhaseCopyBack,
 	PhaseBackupSync,
 	PhaseBackupLag,
-	PhaseServeDecode,
-	PhaseServeAdmission,
-	PhaseServeBatchWait,
-	PhaseServeEngineTxn,
-	PhaseServeOrderWait,
-	PhaseServeRespWrite,
 	PhaseRecoveryRescan,
 	PhaseRecoveryLogReplay,
 	PhaseRecoveryIndexAttach,

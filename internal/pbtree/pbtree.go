@@ -308,15 +308,8 @@ func (t *Tree) PutT(key uint64, val []byte) (uint64, error) {
 // a single transaction — the read-modify-write primitive YCSB workload F
 // exercises. fn returning an error aborts the transaction.
 func (t *Tree) Modify(key uint64, fn func(old []byte, found bool) ([]byte, error)) error {
-	_, err := t.ModifyT(key, fn)
+	_, err := t.put(key, nil, fn)
 	return err
-}
-
-// ModifyT is Modify returning the engine transaction id of the attempt
-// that installed the value (root-split transactions along the way are
-// not reported; the id identifies the write itself).
-func (t *Tree) ModifyT(key uint64, fn func(old []byte, found bool) ([]byte, error)) (uint64, error) {
-	return t.put(key, nil, fn)
 }
 
 // modifyFn computes a key's new value from its current one. Nil stands for

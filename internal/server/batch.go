@@ -6,7 +6,6 @@ import (
 
 	"kaminotx/internal/halving"
 	"kaminotx/internal/kvstore"
-	"kaminotx/internal/obs"
 	"kaminotx/internal/transport"
 )
 
@@ -143,12 +142,10 @@ func (s *Server) applyOne(w *wreq) {
 // markEngineStart closes each member's batch_wait phase (token in hand
 // to engine-transaction start: write-queue time plus batch formation).
 func (s *Server) markEngineStart(batch []*wreq) {
-	tr := s.tracer.Load()
 	for _, w := range batch {
 		p := w.p
-		p.batchNs = time.Since(p.start).Nanoseconds() - p.admitNs
+		s.phase(p, transport.KVPhaseBatchWait, time.Since(p.start).Nanoseconds()-p.ns[transport.KVPhaseAdmissionWait])
 		p.batchLen = len(batch)
-		tr.SpanTrace(string(obs.PhaseServeBatchWait), p.trace, time.Duration(p.batchNs))
 	}
 }
 
@@ -156,13 +153,11 @@ func (s *Server) markEngineStart(batch []*wreq) {
 // member (each waited on the whole transaction) and links each traced
 // request to the engine transaction id that executed it.
 func (s *Server) markEngineDone(batch []*wreq, engineNs int64, txid uint64) {
-	tr := s.tracer.Load()
 	for _, w := range batch {
 		p := w.p
-		p.engineNs = engineNs
-		tr.SpanTrace(string(obs.PhaseServeEngineTxn), p.trace, time.Duration(engineNs))
+		s.phase(p, transport.KVPhaseEngineTxn, engineNs)
 		if p.trace != 0 && txid != 0 {
-			tr.ReqLink(p.trace, txid)
+			s.tracer.ReqLink(p.trace, txid)
 		}
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"kaminotx/internal/trace"
 	"kaminotx/internal/transport"
 )
 
@@ -37,16 +34,10 @@ type Client struct {
 	nextID uint64
 	err    error // sticky transport failure
 
-	tracer *trace.Tracer // nil-safe; set before first Send
-
 	kick        chan struct{} // wakes the flusher; one pending kick covers every Send before it runs
 	readerDone  chan struct{}
 	flusherDone chan struct{}
 }
-
-// clientTraceSeq mints client-side trace ids (top nibble 0xC marks the
-// client as the minting side; unique per process).
-var clientTraceSeq atomic.Uint64
 
 // Call is one in-flight request. Done closes when Resp (or Err) is
 // ready; Err reports a transport failure, while a server-side failure
@@ -55,12 +46,7 @@ type Call struct {
 	Resp transport.KVResponse
 	Err  error
 	Done chan struct{}
-	// Trace is the request's end-to-end trace id: the id the client
-	// sent (minted when tracing is enabled), or 0. After the response
-	// arrives, Resp.Trace additionally carries any server-minted id.
-	Trace  uint64
-	id     uint64
-	sentAt time.Time
+	id   uint64
 }
 
 // Wait blocks for the response and folds both failure layers (transport
@@ -102,17 +88,6 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// EnableTracing attaches rec: every subsequent request without an
-// explicit trace id gets a client-minted one, and the client records a
-// "client_req" span (send to response, keyed by the trace id) under
-// actor "client" — the client leg of the end-to-end timeline the server
-// and engine legs join on. Call before the first Send.
-func (c *Client) EnableTracing(rec *trace.Recorder) {
-	c.mu.Lock()
-	c.tracer = rec.Tracer("client")
-	c.mu.Unlock()
-}
-
 // readLoop matches the server's in-order response stream to the FIFO of
 // in-flight calls.
 func (c *Client) readLoop() {
@@ -132,7 +107,6 @@ func (c *Client) readLoop() {
 		}
 		call := c.queue[0]
 		c.queue = c.queue[1:]
-		tracer := c.tracer
 		c.mu.Unlock()
 		if call.id != resp.ID {
 			call.Err = errors.New("kv client: response correlation id mismatch")
@@ -141,11 +115,6 @@ func (c *Client) readLoop() {
 			return
 		}
 		call.Resp = resp
-		tid := call.Trace
-		if tid == 0 {
-			tid = resp.Trace // server-minted
-		}
-		tracer.SpanTrace("client_req", tid, time.Since(call.sentAt))
 		close(call.Done)
 	}
 }
@@ -197,10 +166,7 @@ func (c *Client) Send(req *transport.KVRequest) (*Call, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	if c.tracer != nil && req.Trace == 0 {
-		req.Trace = 0xC<<60 | clientTraceSeq.Add(1)
-	}
-	call := &Call{Done: make(chan struct{}), id: req.ID, Trace: req.Trace, sentAt: time.Now()}
+	call := &Call{Done: make(chan struct{}), id: req.ID}
 	c.queue = append(c.queue, call)
 	err := c.enc.Request(req)
 	switch {

@@ -102,19 +102,10 @@ type Options struct {
 	Obs *obs.Registry
 
 	// Trace, if set, receives per-request phase spans (actor "server",
-	// keyed by end-to-end trace id) and request-to-transaction link
-	// events joining each write to the engine transaction that executed
-	// it. SetTracer attaches or detaches a recorder at runtime.
+	// keyed by a trace id the server mints for each request) and
+	// request-to-transaction link events joining each write to the engine
+	// transaction that executed it.
 	Trace *trace.Recorder
-
-	// SlowN is the slow-request ring's capacity: the N slowest recent
-	// requests retained for /debug/requests. Default 32.
-	SlowN int
-
-	// SlowWindow bounds how long a slow-request record stays current;
-	// older entries are evicted at snapshot/insert time so the ring
-	// shows recent tail behaviour, not startup artifacts. Default 10m.
-	SlowWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -135,12 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultTenant == "" {
 		o.DefaultTenant = "default"
-	}
-	if o.SlowN == 0 {
-		o.SlowN = 32
-	}
-	if o.SlowWindow == 0 {
-		o.SlowWindow = 10 * time.Minute
 	}
 	return o
 }
@@ -178,7 +163,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 
 	// metrics
-	reg       *obs.Registry // opts.Obs, or a private registry when unset
 	nConns    atomic.Int64
 	cOps      map[transport.KVKind]*obs.Counter
 	cShed     *obs.Counter
@@ -192,19 +176,12 @@ type Server struct {
 	// cheap next to a network round trip)
 	pPhase    [transport.KVPhaseCount]*obs.PhaseStat
 	pKindWall map[transport.KVKind]*obs.PhaseStat
-	tenantMu  sync.RWMutex
-	pTenWall  map[string]*obs.PhaseStat // capped; overflow pools in "_other"
 
-	// tracing (dynamic: SetTracer attaches/detaches at runtime)
-	tracer   atomic.Pointer[trace.Tracer]
+	tracer   *trace.Tracer // nil unless Options.Trace is set
 	traceSeq atomic.Uint64
 
 	slow *SlowLog
 }
-
-// maxTenantTimers bounds per-tenant wall-time label cardinality in the
-// hub; tenants beyond it share the "_other" timer.
-const maxTenantTimers = 16
 
 // New builds a Server over ln. The listener is owned by the server from
 // here on (Drain and Close close it). Tenants named in opts are
@@ -228,11 +205,10 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 		conns:     make(map[net.Conn]struct{}),
 		cOps:      make(map[transport.KVKind]*obs.Counter),
 		pKindWall: make(map[transport.KVKind]*obs.PhaseStat),
-		pTenWall:  make(map[string]*obs.PhaseStat),
-		slow:      NewSlowLog(opts.SlowN, opts.SlowWindow),
+		slow:      NewSlowLog(slowN, slowWindow),
 	}
 	if opts.Trace != nil {
-		s.tracer.Store(opts.Trace.Tracer("server"))
+		s.tracer = opts.Trace.Tracer("server")
 	}
 	for _, name := range append([]string{opts.DefaultTenant}, opts.Tenants...) {
 		if _, err := tenants.Ensure(name); err != nil {
@@ -245,11 +221,6 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// SetTracer attaches (or, with nil, detaches) the tracer receiving the
-// server's request phase spans and request-to-transaction links. Safe
-// under load: emission sites load the pointer per event.
-func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
-
 // Slow returns the slow-request ring (serve it at /debug/requests via
 // SlowLog.Handler).
 func (s *Server) Slow() *SlowLog { return s.slow }
@@ -260,7 +231,6 @@ func (s *Server) initObs() {
 	if reg == nil {
 		reg = obs.New("server")
 	}
-	s.reg = reg
 	for _, k := range []transport.KVKind{transport.KVPing, transport.KVGet, transport.KVPut,
 		transport.KVDelete, transport.KVScan, transport.KVCount} {
 		s.cOps[k] = reg.Counter("ops_" + k.String())
@@ -292,35 +262,12 @@ func (s *Server) initObs() {
 	}
 }
 
-// tenantTimer returns the per-tenant request wall timer, pooling tenants
-// beyond maxTenantTimers into "_other" to bound hub label cardinality.
-func (s *Server) tenantTimer(name string) *obs.PhaseStat {
-	s.tenantMu.RLock()
-	t, ok := s.pTenWall[name]
-	s.tenantMu.RUnlock()
-	if ok {
-		return t
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if t, ok := s.pTenWall[name]; ok {
-		return t
-	}
-	if len(s.pTenWall) >= maxTenantTimers {
-		name = "_other"
-		if t, ok := s.pTenWall[name]; ok {
-			return t
-		}
-	}
-	t = s.reg.Phase(obs.Phase("req_wall_tenant_" + name))
-	s.pTenWall[name] = t
-	return t
-}
-
-// mintTrace issues a server-minted end-to-end trace id (top nibble 0x5
-// marks the server as the minting side; ids are unique per process).
-func (s *Server) mintTrace() uint64 {
-	return 0x5<<60 | s.traceSeq.Add(1)
+// phase records how long p spent in phase ph: its slot in the request's
+// phase vector and, when tracing, the span of the same name. Every phase
+// goes through here, so a span and its slot cannot disagree.
+func (s *Server) phase(p *pending, ph transport.KVPhase, ns int64) {
+	p.ns[ph] = ns
+	s.tracer.SpanTrace(ph.String(), p.trace, time.Duration(ns))
 }
 
 // Addr returns the listener's address.
@@ -357,11 +304,11 @@ func (s *Server) Serve() error {
 // pending is one request's slot in its connection's in-order response
 // queue. finish completes it exactly once.
 //
-// The phase fields form the request's latency timeline. Each is written
-// by the single goroutine that owns the request at that stage (reader →
-// dispatcher → batcher or response writer → finish), and the response
-// writer reads them only after <-done; every handoff is a channel send
-// or close, so the fields need no locks.
+// ns is the request's latency timeline. Each slot is written by the single
+// goroutine that owns the request at that stage (reader → dispatcher →
+// batcher or response writer), and the response writer reads the vector
+// only after <-done; every handoff is a channel send or close, so it needs
+// no lock.
 type pending struct {
 	resp  transport.KVResponse
 	done  chan struct{}
@@ -377,14 +324,11 @@ type pending struct {
 	kind     transport.KVKind
 	tenant   string
 	key      uint64
-	bytes    int // put payload size
-	trace    uint64
+	bytes    int       // put payload size
+	trace    uint64    // server-minted trace id; 0 when not tracing
 	wantNs   bool      // client asked for PhaseNs in the response
 	start    time.Time // decode end: the request's server wall starts here
-	decodeNs int64     // KVPhaseDecode (includes wire wait; outside wall)
-	admitNs  int64     // KVPhaseAdmissionWait
-	batchNs  int64     // KVPhaseBatchWait
-	engineNs int64     // KVPhaseEngineTxn
+	ns       Phases    // decode (wire wait included; outside wall) to resp_write
 	batchLen int       // operations sharing the engine transaction
 	doneAt   time.Time // finish time: order_wait starts here
 }
@@ -482,8 +426,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				err = bw.Flush()
 				<-p.done
 			}
-			orderNs := time.Since(p.doneAt).Nanoseconds()
-			s.fillBreakdown(p, orderNs)
+			s.phase(p, transport.KVPhaseOrderWait, time.Since(p.doneAt).Nanoseconds())
+			if p.wantNs {
+				// resp_write is still 0: a response cannot carry its own
+				// encode time.
+				p.resp.PhaseNs = p.ns[:]
+			}
 			w0 := time.Now()
 			if err == nil {
 				err = s.writeResponse(enc, p)
@@ -491,7 +439,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			if err == nil && len(order) == 0 {
 				err = bw.Flush()
 			}
-			s.completeReq(p, orderNs, time.Since(w0).Nanoseconds())
+			s.phase(p, transport.KVPhaseRespWrite, time.Since(w0).Nanoseconds())
+			s.completeReq(p)
 			if err != nil {
 				break
 			}
@@ -519,22 +468,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		now := time.Now()
 		s.beginReq()
 		p := &pending{
-			done:     make(chan struct{}),
-			kind:     req.Kind,
-			tenant:   req.Tenant,
-			key:      req.Key,
-			bytes:    len(req.Value),
-			trace:    req.Trace,
-			wantNs:   req.Breakdown,
-			start:    now,
-			decodeNs: now.Sub(d0).Nanoseconds(),
+			done:   make(chan struct{}),
+			kind:   req.Kind,
+			tenant: req.Tenant,
+			key:    req.Key,
+			bytes:  len(req.Value),
+			wantNs: req.Breakdown,
+			start:  now,
 		}
-		tr := s.tracer.Load()
-		if p.trace == 0 && tr != nil {
-			p.trace = s.mintTrace()
+		if s.tracer != nil {
+			p.trace = s.traceSeq.Add(1)
 		}
-		req.Trace = p.trace
-		tr.SpanTrace(string(obs.PhaseServeDecode), p.trace, time.Duration(p.decodeNs))
+		s.phase(p, transport.KVPhaseDecode, now.Sub(d0).Nanoseconds())
 		p.resp.ID = req.ID
 		// The slot is fully classified before the writer can see it: a
 		// read it found unmarked would be waited on, never executed.
@@ -552,26 +497,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	conn.Close()
 }
 
-// fillBreakdown publishes the request's phase vector on the response
-// when the client asked for it. Called by the response writer before
-// encoding; resp_write is 0 on the wire (a response cannot carry its own
-// encode time — the server's metrics and spans record it).
-func (s *Server) fillBreakdown(p *pending, orderNs int64) {
-	if p.trace != 0 {
-		p.resp.Trace = p.trace
-	}
-	if !p.wantNs {
-		return
-	}
-	ns := make([]int64, transport.KVPhaseCount)
-	ns[transport.KVPhaseDecode] = p.decodeNs
-	ns[transport.KVPhaseAdmissionWait] = p.admitNs
-	ns[transport.KVPhaseBatchWait] = p.batchNs
-	ns[transport.KVPhaseEngineTxn] = p.engineNs
-	ns[transport.KVPhaseOrderWait] = orderNs
-	p.resp.PhaseNs = ns
-}
-
 // writeResponse encodes p's response. A result too large for one frame (a
 // wide scan of large values) is answered with a bad-request status instead:
 // the encoder wrote none of it, so the stream stays intact.
@@ -580,34 +505,26 @@ func (s *Server) writeResponse(enc *transport.KVEncoder, p *pending) error {
 	if errors.Is(err, transport.ErrKVFrameTooLarge) {
 		r := &p.resp
 		*r = transport.KVResponse{ID: r.ID, Status: transport.KVErrBadRequest, Err: err.Error(),
-			Trace: r.Trace, PhaseNs: r.PhaseNs}
+			PhaseNs: r.PhaseNs}
 		err = enc.Response(r)
 	}
 	return err
 }
 
 // completeReq closes out a request's accounting after its response hit
-// the socket: phase and wall timers, the slow-request ring, and the
-// order_wait/resp_write trace spans.
-func (s *Server) completeReq(p *pending, orderNs, writeNs int64) {
-	wallNs := p.decodeNs + time.Since(p.start).Nanoseconds()
-	s.pPhase[transport.KVPhaseDecode].Observe(time.Duration(p.decodeNs))
-	s.pPhase[transport.KVPhaseAdmissionWait].Observe(time.Duration(p.admitNs))
-	s.pPhase[transport.KVPhaseBatchWait].Observe(time.Duration(p.batchNs))
-	s.pPhase[transport.KVPhaseEngineTxn].Observe(time.Duration(p.engineNs))
-	s.pPhase[transport.KVPhaseOrderWait].Observe(time.Duration(orderNs))
-	s.pPhase[transport.KVPhaseRespWrite].Observe(time.Duration(writeNs))
+// the socket: phase and wall timers and the slow-request ring, all read
+// from the request's phase vector.
+func (s *Server) completeReq(p *pending) {
+	wallNs := p.ns[transport.KVPhaseDecode] + time.Since(p.start).Nanoseconds()
+	for ph, ns := range p.ns {
+		s.pPhase[ph].Observe(time.Duration(ns))
+	}
 	if t, ok := s.pKindWall[p.kind]; ok {
 		t.Observe(time.Duration(wallNs))
 	}
 	tenant := p.tenant
 	if tenant == "" {
 		tenant = s.opts.DefaultTenant
-	}
-	s.tenantTimer(tenant).Observe(time.Duration(wallNs))
-	if tr := s.tracer.Load(); tr != nil && p.trace != 0 {
-		tr.SpanTrace(string(obs.PhaseServeOrderWait), p.trace, time.Duration(orderNs))
-		tr.SpanTrace(string(obs.PhaseServeRespWrite), p.trace, time.Duration(writeNs))
 	}
 	s.slow.Insert(SlowRecord{
 		Trace:  p.trace,
@@ -619,14 +536,7 @@ func (s *Server) completeReq(p *pending, orderNs, writeNs int64) {
 		Status: p.resp.Status.String(),
 		Start:  p.start,
 		WallNs: wallNs,
-		Phases: PhaseBreakdown{
-			DecodeNs:    p.decodeNs,
-			AdmissionNs: p.admitNs,
-			BatchWaitNs: p.batchNs,
-			EngineNs:    p.engineNs,
-			OrderNs:     orderNs,
-			WriteNs:     writeNs,
-		},
+		Phases: p.ns,
 	})
 }
 
@@ -664,8 +574,7 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 	}
 	// admission_wait: decode end to token in hand (covers tenant
 	// resolution and the shed decision).
-	p.admitNs = time.Since(p.start).Nanoseconds()
-	s.tracer.Load().SpanTrace(string(obs.PhaseServeAdmission), p.trace, time.Duration(p.admitNs))
+	s.phase(p, transport.KVPhaseAdmissionWait, time.Since(p.start).Nanoseconds())
 	switch req.Kind {
 	case transport.KVPut, transport.KVDelete:
 		if req.Kind == transport.KVPut && len(req.Value) > s.opts.MaxValueBytes {
@@ -692,9 +601,7 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 // the slot, when every earlier request on the connection has completed.
 func (s *Server) runRead(p *pending) {
 	// batch_wait for a read is the wait for the writer to reach it.
-	p.batchNs = time.Since(p.start).Nanoseconds() - p.admitNs
-	tr := s.tracer.Load()
-	tr.SpanTrace(string(obs.PhaseServeBatchWait), p.trace, time.Duration(p.batchNs))
+	s.phase(p, transport.KVPhaseBatchWait, time.Since(p.start).Nanoseconds()-p.ns[transport.KVPhaseAdmissionWait])
 	ps := p.readFrom
 	e0 := time.Now()
 	var fill func(*transport.KVResponse)
@@ -739,9 +646,8 @@ func (s *Server) runRead(p *pending) {
 	// engine_txn for a read is the store call itself (read-only engine
 	// transactions trace no TxID-keyed events, so there is no req_tx
 	// link; the span carries the duration). Set before finish: the
-	// response writer reads the phase fields once done closes.
-	p.engineNs = time.Since(e0).Nanoseconds()
-	tr.SpanTrace(string(obs.PhaseServeEngineTxn), p.trace, time.Duration(p.engineNs))
+	// response writer reads the phase vector once done closes.
+	s.phase(p, transport.KVPhaseEngineTxn, time.Since(e0).Nanoseconds())
 	if err != nil {
 		s.readFail(p, err)
 		return

@@ -7,12 +7,14 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"kaminotx/internal/kvstore"
+	"kaminotx/internal/obs"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/transport"
 	"kaminotx/kamino"
@@ -594,13 +596,13 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestTraceContinuity drives one traced put through a client, server and
-// engine sharing a single recorder, and checks the pieces join into one
-// timeline: the client span, all six server phases and the engine
-// transaction carry the same trace id, the req_tx event links the trace
-// to the engine txid, and the attributed phases cover at least 90% of
-// the server-measured wall time. The FlushLatency makes engine work
-// dominate so scheduling gaps cannot eat the 10% slack.
+// TestTraceContinuity drives one put through a server and engine sharing
+// a single recorder, and checks the pieces join into one timeline under the
+// trace id the server minted, which the request's slow-ring record names:
+// all six server phases carry that id, the req_tx event links it to the
+// engine transaction, the response's PhaseNs matches the record, and the
+// attributed phases cover at least 90% of the server-measured wall time. The FlushLatency makes engine work dominate so
+// scheduling gaps cannot eat the 10% slack.
 func TestTraceContinuity(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
 	p, err := kamino.Create(kamino.Options{
@@ -616,66 +618,59 @@ func TestTraceContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, Options{Store: st, Trace: rec})
-	c := dial(t, addr)
-	c.EnableTracing(rec)
-
-	call, err := c.Send(&transport.KVRequest{
+	resp, err := dial(t, addr).Do(&transport.KVRequest{
 		Kind: transport.KVPut, Key: 7, Value: []byte("traced"), Breakdown: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := call.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if call.Trace == 0 {
-		t.Fatal("client minted no trace id")
-	}
-	if resp.Trace != call.Trace {
-		t.Fatalf("response trace %#x, request trace %#x", resp.Trace, call.Trace)
-	}
-	if len(resp.PhaseNs) != int(transport.KVPhaseCount) {
-		t.Fatalf("PhaseNs has %d entries, want %d", len(resp.PhaseNs), transport.KVPhaseCount)
-	}
 
-	// The server's order_wait/resp_write spans and the slow-ring insert
-	// land after the response flushes, racing our read: poll briefly.
-	wantSpans := []string{"client_req", "decode", "admission_wait",
-		"batch_wait", "engine_txn", "order_wait"}
-	var linked uint64
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		spans := map[string]bool{}
-		linked = 0
-		for _, ev := range rec.Events() {
-			if ev.Trace == call.Trace {
-				if ev.Kind == trace.KindSpan {
-					spans[ev.Phase] = true
-				}
-				if ev.Kind == trace.KindReqTx {
-					linked = ev.TxID
-				}
-			}
-		}
-		ok := linked != 0
-		for _, ph := range wantSpans {
-			ok = ok && spans[ph]
-		}
-		if ok {
+	// The slow-ring insert lands after the response flushes, racing our
+	// read: poll briefly. Every span is emitted before it.
+	var r SlowRecord
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if recs := srv.Slow().Snapshot(); len(recs) == 1 {
+			r = recs[0]
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timeline incomplete: spans %v, req_tx txid %d", spans, linked)
+			t.Fatal("no slow-ring record for the put")
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if r.Trace == 0 {
+		t.Fatal("a tracing server minted no trace id")
+	}
+	if r.Kind != "put" || r.Bytes != len("traced") {
+		t.Errorf("slow record misdescribes the request: %+v", r)
+	}
+	// The response and the record read one vector; only resp_write, which
+	// a response cannot carry, differs.
+	want := r.Phases
+	want[transport.KVPhaseRespWrite] = 0
+	if !slices.Equal(resp.PhaseNs, want[:]) {
+		t.Errorf("response PhaseNs %v, slow record %v", resp.PhaseNs, r.Phases)
+	}
+	spans := map[string]bool{}
+	var linked uint64
+	for _, ev := range rec.Events() {
+		if ev.Trace == r.Trace && ev.Kind == trace.KindSpan {
+			spans[ev.Phase] = true
+		}
+		if ev.Trace == r.Trace && ev.Kind == trace.KindReqTx {
+			linked = ev.TxID
+		}
+	}
+	for ph := transport.KVPhase(0); ph < transport.KVPhaseCount; ph++ {
+		if !spans[ph.String()] {
+			t.Errorf("no %s span under trace %#x (spans %v)", ph, r.Trace, spans)
+		}
 	}
 
 	// The linked txid must belong to a real engine transaction that the
 	// shared recorder saw commit.
 	var engine bool
 	for _, ev := range rec.Events() {
-		if ev.TxID == linked && ev.Kind == trace.KindCommitMarker {
+		if linked != 0 && ev.TxID == linked && ev.Kind == trace.KindCommitMarker {
 			engine = true
 		}
 	}
@@ -683,26 +678,51 @@ func TestTraceContinuity(t *testing.T) {
 		t.Fatalf("no engine commit_marker under linked txid %d", linked)
 	}
 
-	// Attribution must account for the server-measured wall time: the sum
-	// of the six phases covers >= 90% of WallNs for the slow-ring record
-	// (capacity 32, one request: it is in the ring).
-	var found bool
-	for _, r := range srv.Slow().Snapshot() {
-		if r.Trace != call.Trace {
-			continue
+	// Attribution must account for the server-measured wall time.
+	var sum int64
+	for _, ns := range r.Phases {
+		sum += ns
+	}
+	if sum < r.WallNs*9/10 {
+		t.Errorf("phases sum %dns < 90%% of wall %dns (%v)", sum, r.WallNs, r.Phases)
+	}
+}
+
+// TestClientNamesAddNoSeries: a tenant name is the client's to choose, so
+// it never becomes a metric series. Puts naming unregistered tenants are
+// answered as bad requests, and afterwards the server registry holds the
+// same counter and phase names it held before them.
+func TestClientNamesAddNoSeries(t *testing.T) {
+	reg := obs.New("server")
+	_, addr := startServer(t, Options{Obs: reg})
+	c := dial(t, addr)
+	names := func() []string {
+		snap := reg.Snapshot()
+		out := snap.SortedCounterNames()
+		for _, ph := range snap.SortedPhases() {
+			out = append(out, "phase "+string(ph))
 		}
-		found = true
-		ph := r.Phases
-		sum := ph.DecodeNs + ph.AdmissionNs + ph.BatchWaitNs + ph.EngineNs + ph.OrderNs + ph.WriteNs
-		if sum < r.WallNs*9/10 {
-			t.Errorf("phases sum %dns < 90%% of wall %dns (%+v)", sum, r.WallNs, ph)
+		return out
+	}
+	if err := c.Put("", 1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	before := names()
+	for i := 0; i < 20; i++ {
+		call, err := c.Send(&transport.KVRequest{Kind: transport.KVPut,
+			Tenant: fmt.Sprintf("bogus%d", i), Key: 1, Value: []byte("x")})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Kind != "put" || r.Bytes != len("traced") {
-			t.Errorf("slow record misdescribes the request: %+v", r)
+		if <-call.Done; call.Err != nil || call.Resp.Status != transport.KVErrBadRequest {
+			t.Fatalf("put to unknown tenant: %v, status %s; want bad-request", call.Err, call.Resp.Status)
 		}
 	}
-	if !found {
-		t.Fatalf("no slow-ring record for trace %#x", call.Trace)
+	if err := c.Put("", 2, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if after := names(); !slices.Equal(after, before) {
+		t.Errorf("client-chosen tenant names changed the registry's series\nbefore %v\nafter  %v", before, after)
 	}
 }
 

@@ -4,35 +4,48 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kaminotx/internal/transport"
 )
 
-// PhaseBreakdown is one request's server-side latency split in
-// nanoseconds. The fields tile the request's wall time (decode is the
-// wire read preceding it; see transport.KVPhase for the semantics).
-type PhaseBreakdown struct {
-	// DecodeNs is the read and binary decode of the request frame.
-	DecodeNs int64 `json:"decode_ns"`
-	// AdmissionNs is decode-end to admission-token acquired.
-	AdmissionNs int64 `json:"admission_wait_ns"`
-	// BatchWaitNs is token to engine-transaction start (for a read, the
-	// wait for the response writer to reach it).
-	BatchWaitNs int64 `json:"batch_wait_ns"`
-	// EngineNs is the engine transaction (shared across a batch).
-	EngineNs int64 `json:"engine_txn_ns"`
-	// OrderNs is completion to response-writer dequeue.
-	OrderNs int64 `json:"order_wait_ns"`
-	// WriteNs is the response encode + flush.
-	WriteNs int64 `json:"resp_write_ns"`
+// Phases is one request's server-side latency split in nanoseconds,
+// indexed by transport.KVPhase: the phases tile the request's wall time
+// (decode is the wire read preceding it; see transport.KVPhase for the
+// semantics). It marshals as a JSON object keyed by the phase names.
+type Phases [transport.KVPhaseCount]int64
+
+// MarshalJSON writes the vector as {"decode": ns, "admission_wait": ns, ...}
+// in phase order.
+func (v Phases) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for ph, ns := range v {
+		if ph > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, transport.KVPhase(ph).String())
+		b = append(b, ':')
+		b = strconv.AppendInt(b, ns, 10)
+	}
+	return append(b, '}'), nil
 }
+
+// A server's slow-request ring keeps the slowN slowest requests of the
+// last slowWindow, so it shows recent tail behaviour, not startup artifacts.
+const (
+	slowN      = 32
+	slowWindow = 10 * time.Minute
+)
 
 // SlowRecord is one retained slow request: everything needed to go from
 // a tail-latency symptom to the phase that caused it and, when tracing
 // was on, to the exact timeline in the Chrome export (via Trace).
 type SlowRecord struct {
-	// Trace is the request's end-to-end trace id (0 when untraced).
+	// Trace is the id the server minted for the request's spans (0 when
+	// the server is not tracing).
 	Trace uint64 `json:"trace,omitempty"`
 	// Tenant is the keyspace the request addressed.
 	Tenant string `json:"tenant"`
@@ -52,7 +65,7 @@ type SlowRecord struct {
 	// response-written.
 	WallNs int64 `json:"wall_ns"`
 	// Phases is the per-phase split of WallNs.
-	Phases PhaseBreakdown `json:"phase_ns"`
+	Phases Phases `json:"phase_ns"`
 }
 
 // SlowLog is a bounded ring of the N slowest recent requests, kept
@@ -74,14 +87,8 @@ type SlowLog struct {
 }
 
 // NewSlowLog builds a ring keeping the capacity slowest requests seen in
-// the last window (capacity ≤ 0 defaults to 32, window ≤ 0 to 10m).
+// the last window.
 func NewSlowLog(capacity int, window time.Duration) *SlowLog {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	if window <= 0 {
-		window = 10 * time.Minute
-	}
 	return &SlowLog{capacity: capacity, window: window}
 }
 

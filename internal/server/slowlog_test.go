@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"kaminotx/internal/transport"
 )
 
 func TestSlowLogKeepsSlowest(t *testing.T) {
@@ -96,22 +98,37 @@ func TestSlowLogConcurrent(t *testing.T) {
 	}
 }
 
+// TestSlowLogHandler checks /debug/requests' JSON, whose phase_ns object
+// names each phase by its transport.KVPhase name.
 func TestSlowLogHandler(t *testing.T) {
 	l := NewSlowLog(4, time.Hour)
-	l.Insert(SlowRecord{Trace: 0xC0000001, Kind: "put", Tenant: "t", WallNs: 1234, Start: time.Now()})
+	l.Insert(SlowRecord{Trace: 1, Kind: "put", Tenant: "t", WallNs: 1234, Start: time.Now(),
+		Phases: Phases{1, 2, 3, 4, 5, 6}})
 	rr := httptest.NewRecorder()
 	l.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/requests", nil))
 	if ct := rr.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	var body struct {
-		Capacity int          `json:"capacity"`
-		Records  []SlowRecord `json:"records"`
+		Capacity int `json:"capacity"`
+		Records  []struct {
+			WallNs int64            `json:"wall_ns"`
+			Phases map[string]int64 `json:"phase_ns"`
+		} `json:"records"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
 		t.Fatalf("handler body is not JSON: %v\n%s", err, rr.Body.String())
 	}
 	if body.Capacity != 4 || len(body.Records) != 1 || body.Records[0].WallNs != 1234 {
 		t.Fatalf("handler body wrong: %+v", body)
+	}
+	phases := body.Records[0].Phases
+	if len(phases) != int(transport.KVPhaseCount) {
+		t.Errorf("phase_ns has %d keys, want %d: %v", len(phases), transport.KVPhaseCount, phases)
+	}
+	for ph := transport.KVPhase(0); ph < transport.KVPhaseCount; ph++ {
+		if got, ok := phases[ph.String()]; !ok || got != int64(ph)+1 {
+			t.Errorf("phase_ns[%q] = %d, %v; want %d", ph, got, ok, ph+1)
+		}
 	}
 }

@@ -17,25 +17,24 @@ import (
 // mechanism).
 //
 // A frame is a little-endian u32 body length, then the body. Integers are
-// uvarints (varint: zigzag, for the signed Max, N and PhaseNs), a byte
-// string is a uvarint length and its bytes, and a trace id is a fixed
-// little-endian u64 (its top nibble is always set, so a varint would be
-// longer). A flags byte names the optional fields present; absent fields
-// are zero. Every value has exactly one encoding — a flag is set only for a
-// non-zero field (non-nil for the slices), and varints are minimal — and a
-// decoder rejects anything else, so a frame that decodes re-encodes to the
-// same bytes.
+// uvarints (varint: zigzag, for the signed Max, N and PhaseNs), and a byte
+// string is a uvarint length and its bytes. A flags byte names the
+// optional fields present; absent fields are zero. Every value has exactly
+// one encoding — a flag is set only for a non-zero field (non-nil for the
+// slices), and varints are minimal — and a decoder rejects anything else,
+// so a frame that decodes re-encodes to the same bytes.
 //
 //	request:  kind u8 | flags u8 | ID | Key
-//	          [tenant: bytes] [trace: u64] [max: varint] [value: bytes]
-//	          flags: 1 tenant, 2 trace, 4 max, 8 Breakdown, 16 value
+//	          [tenant: bytes] [max: varint] [value: bytes]
+//	          flags: 1 tenant, 2 max, 4 Breakdown, 8 value
 //	response: status u8 | flags u8 | ID
-//	          [err: bytes] [value: bytes] [trace: u64] [n: varint]
+//	          [err: bytes] [value: bytes] [n: varint]
 //	          [scan: count, count × (key, value bytes)]
 //	          [phases: count, count × varint]
-//	          flags: 1 Found, 2 err, 4 value, 8 trace, 16 n, 32 scan, 64 phases
+//	          flags: 1 Found, 2 err, 4 value, 8 n, 16 scan, 32 phases
 //
-// A body longer than MaxKVFrame is refused by both sides.
+// A body longer than MaxKVFrame is refused by both sides. No trace id
+// crosses the wire: a tracing server mints its own for each request.
 
 // KVKind discriminates KV service requests.
 type KVKind uint8
@@ -151,7 +150,8 @@ const (
 	KVPhaseCount
 )
 
-// String names the phase; matches the obs phase vocabulary.
+// String names the phase: the one name the server gives it in its phase
+// timers, its trace spans and /debug/requests.
 func (p KVPhase) String() string {
 	switch p {
 	case KVPhaseDecode:
@@ -185,10 +185,6 @@ type KVRequest struct {
 	Value []byte
 	// Max bounds a KVScan's result count.
 	Max int
-	// Trace is an optional end-to-end trace id. Zero means untraced; the
-	// server mints one when it is tracing and the client sent none. An
-	// untraced request carries no trace bytes.
-	Trace uint64
 	// Breakdown asks the server to return its per-phase latency split in
 	// KVResponse.PhaseNs.
 	Breakdown bool
@@ -212,9 +208,6 @@ type KVResponse struct {
 	Values [][]byte
 	// N is KVCount's result.
 	N int
-	// Trace echoes the request's trace id (server-minted if the request
-	// carried none and the server is tracing).
-	Trace uint64
 	// PhaseNs is the server-side latency breakdown in nanoseconds,
 	// indexed by KVPhase, present only when the request set Breakdown.
 	// PhaseNs[KVPhaseRespWrite] is always 0 (a response cannot time its
@@ -252,7 +245,6 @@ const kvRetain = 64 << 10
 // Request flag bits.
 const (
 	reqTenant byte = 1 << iota
-	reqTrace
 	reqMax
 	reqBreakdown
 	reqValue
@@ -264,7 +256,6 @@ const (
 	respFound byte = 1 << iota
 	respErr
 	respValue
-	respTrace
 	respN
 	respScan
 	respPhases
@@ -287,9 +278,6 @@ func (e *KVEncoder) Request(req *KVRequest) error {
 	if req.Tenant != "" {
 		flags |= reqTenant
 	}
-	if req.Trace != 0 {
-		flags |= reqTrace
-	}
 	if req.Max != 0 {
 		flags |= reqMax
 	}
@@ -304,9 +292,6 @@ func (e *KVEncoder) Request(req *KVRequest) error {
 	b = binary.AppendUvarint(b, req.Key)
 	if flags&reqTenant != 0 {
 		b = appendBytes(b, req.Tenant)
-	}
-	if flags&reqTrace != 0 {
-		b = binary.LittleEndian.AppendUint64(b, req.Trace)
 	}
 	if flags&reqMax != 0 {
 		b = binary.AppendVarint(b, int64(req.Max))
@@ -330,9 +315,6 @@ func (e *KVEncoder) Response(resp *KVResponse) error {
 	if resp.Value != nil {
 		flags |= respValue
 	}
-	if resp.Trace != 0 {
-		flags |= respTrace
-	}
 	if resp.N != 0 {
 		flags |= respN
 	}
@@ -352,9 +334,6 @@ func (e *KVEncoder) Response(resp *KVResponse) error {
 	}
 	if flags&respValue != 0 {
 		b = appendBytes(b, resp.Value)
-	}
-	if flags&respTrace != 0 {
-		b = binary.LittleEndian.AppendUint64(b, resp.Trace)
 	}
 	if flags&respN != 0 {
 		b = binary.AppendVarint(b, int64(resp.N))
@@ -426,10 +405,6 @@ func (d *KVDecoder) Request(req *KVRequest) error {
 		req.Tenant = string(c.bytes())
 		c.require(req.Tenant != "")
 	}
-	if flags&reqTrace != 0 {
-		req.Trace = c.u64()
-		c.require(req.Trace != 0)
-	}
 	if flags&reqMax != 0 {
 		req.Max = int(c.varint())
 		c.require(req.Max != 0)
@@ -459,10 +434,6 @@ func (d *KVDecoder) Response(resp *KVResponse) error {
 	}
 	if flags&respValue != 0 {
 		resp.Value = bytes.Clone(c.bytes())
-	}
-	if flags&respTrace != 0 {
-		resp.Trace = c.u64()
-		c.require(resp.Trace != 0)
 	}
 	if flags&respN != 0 {
 		resp.N = int(c.varint())
@@ -562,16 +533,6 @@ func (c *kvCursor) uvarint() uint64 {
 func (c *kvCursor) varint() int64 {
 	u := c.uvarint()
 	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (c *kvCursor) u64() uint64 {
-	if len(c.b) < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
 }
 
 // bytes reads a length-prefixed byte string, aliasing the body.

@@ -49,10 +49,10 @@ func TestKVWireRoundTrip(t *testing.T) {
 		{
 			name: "every field",
 			req: KVRequest{ID: 1<<63 + 7, Kind: KVScan, Tenant: "alpha", Key: 1<<48 - 1,
-				Value: []byte("v"), Max: -3, Trace: 0xC<<60 | 3, Breakdown: true},
+				Value: []byte("v"), Max: -3, Breakdown: true},
 			resp: KVResponse{ID: 1<<63 + 7, Status: KVErrInternal, Err: "boom", Found: true,
 				Value: []byte("val"), Keys: []uint64{0, 1 << 40}, Values: [][]byte{[]byte("a"), {}},
-				N: -1, Trace: 0x5<<60 | 1, PhaseNs: []int64{1, -2, 1 << 40, 4, 5, 0}},
+				N: -1, PhaseNs: []int64{1, -2, 1 << 40, 4, 5, 0}},
 		},
 		{
 			name: "zero values",
@@ -88,22 +88,23 @@ func TestKVWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKVWireUntracedStaysZero checks that an untraced round trip carries
-// no trace fields, and no bytes for them.
-func TestKVWireUntracedStaysZero(t *testing.T) {
+// TestKVWirePlainGetIsEightBytes checks that a get with no optional field
+// costs its length, kind, flags, ID and key and nothing more, and decodes
+// with every optional field zero.
+func TestKVWirePlainGetIsEightBytes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewKVEncoder(&buf).Request(&KVRequest{ID: 1, Kind: KVGet, Key: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 8 { // length, kind, flags, ID, Key
-		t.Fatalf("untraced get is %d bytes, want 8", buf.Len())
+		t.Fatalf("plain get is %d bytes, want 8", buf.Len())
 	}
 	var got KVRequest
 	if err := NewKVDecoder(&buf).Request(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Trace != 0 || got.Breakdown {
-		t.Fatalf("untraced request grew trace fields: %+v", got)
+	if want := (KVRequest{ID: 1, Kind: KVGet, Key: 9}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("plain get decoded as %+v, want %+v", got, want)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestKVWireGolden(t *testing.T) {
 	put := []byte{
 		11, 0, 0, 0, // body length
 		2,          // kind: put
-		16,         // flags: value
+		8,          // flags: value
 		1,          // ID
 		0xAC, 0x02, // Key 300
 		5, 'h', 'e', 'l', 'l', 'o', // value
@@ -127,16 +128,16 @@ func TestKVWireGolden(t *testing.T) {
 		t.Errorf("put request\n got % x\nwant % x", buf.Bytes(), put)
 	}
 	buf.Reset()
-	if err := enc.Response(&KVResponse{ID: 1, Found: true, Value: []byte("hi"), Trace: 0x5<<60 | 2}); err != nil {
+	if err := enc.Response(&KVResponse{ID: 1, Found: true, Value: []byte("hi"), PhaseNs: []int64{1, 2, 3, 4, 5, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	get := []byte{
-		14, 0, 0, 0, // body length
+		13, 0, 0, 0, // body length
 		0,           // status: ok
-		1 | 4 | 8,   // flags: found, value, trace
+		1 | 4 | 32,  // flags: found, value, phases
 		1,           // ID
 		2, 'h', 'i', // value
-		2, 0, 0, 0, 0, 0, 0, 0x50, // trace, little-endian
+		6, 2, 4, 6, 8, 10, 0, // phases: count, then zigzag varints
 	}
 	if !bytes.Equal(buf.Bytes(), get) {
 		t.Errorf("get response\n got % x\nwant % x", buf.Bytes(), get)
@@ -161,7 +162,6 @@ func TestKVWireRejects(t *testing.T) {
 		"unknown flag":         {1, 0x80, 1, 0},
 		"trailing byte":        {1, 0, 1, 0, 0},
 		"empty tenant flagged": {1, reqTenant, 1, 0, 0},
-		"zero trace flagged":   {1, reqTrace, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"value past the end":   {2, reqValue, 1, 0, 5, 'a'},
 	} {
 		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
@@ -219,10 +219,10 @@ func FuzzKVWire(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(frames([]KVRequest{{ID: 1, Kind: KVPut, Tenant: "t", Key: 7, Value: []byte("value"), Trace: 0xC<<60 | 1, Breakdown: true}}, nil))
+	f.Add(frames([]KVRequest{{ID: 1, Kind: KVPut, Tenant: "t", Key: 7, Value: []byte("value"), Breakdown: true}}, nil))
 	f.Add(frames([]KVRequest{{ID: 2, Kind: KVGet, Key: 1 << 40}}, nil))
 	f.Add(frames([]KVRequest{{ID: 3, Kind: KVScan, Key: 5, Max: 100}}, nil))
-	f.Add(frames(nil, []KVResponse{{ID: 1, Status: KVOK, Trace: 0x5<<60 | 1, PhaseNs: []int64{1, 2, 3, 4, 5, 0}}}))
+	f.Add(frames(nil, []KVResponse{{ID: 1, Status: KVOK, PhaseNs: []int64{1, 2, 3, 4, 5, 0}}}))
 	f.Add(frames(nil, []KVResponse{{ID: 2, Found: true, Value: []byte("v")}}))
 	f.Add(frames(nil, []KVResponse{{ID: 3, Keys: []uint64{5, 6}, Values: [][]byte{[]byte("a"), []byte("bc")}}}))
 	f.Add(frames(nil, []KVResponse{{ID: 4, Status: KVErrBusy, Err: "admission queue full", N: 3}}))
