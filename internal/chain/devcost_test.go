@@ -93,7 +93,7 @@ func settle(tb testing.TB, reps []*Replica) {
 
 // TestChainPutDeviceCost pins one overwrite of a preloaded 1 KiB key through
 // a three-replica Kamino chain, one client: 23 fences, 139.5 lines flushed
-// and 7620 bytes written, of which the rings take 10 fences and 3328 bytes.
+// and 7596 bytes written, of which the rings take 10 fences and 3304 bytes.
 //
 // Every replica runs the same local transaction — 1 fence, 17 lines, 1028 B
 // on the main heap (the entry's length word and value: the bucket is locked,
@@ -101,13 +101,13 @@ func settle(tb testing.TB, reps []*Replica) {
 // marker, release) — and only the head pays for a copy: 1 fence, 1028 B on
 // its backup. The ring then costs each role:
 //
-//	head    append, done with tail (2 fences, 1072+24 B) + tail ack (1, 16 B)
-//	middle  append (2, 1072+16 B) + done cursor (1, 8 B) + clean-up (1, 16 B)
-//	tail    append (2, 1072+16 B) + retire head and done (1, 16 B)
+//	head    append, done with tail (2 fences, 1064+24 B) + tail ack (1, 16 B)
+//	middle  append (2, 1064+16 B) + done cursor (1, 8 B) + clean-up (1, 16 B)
+//	tail    append (2, 1064+16 B) + retire head and done (1, 16 B)
 //
-// where 1072 B is the record (32 B header, "put", 8 B key, 1 KiB value,
+// where 1064 B is the record (24 B header, "put", 8 B key, 1 KiB value,
 // padded to 8) and spans 17 or 18 lines as its offset walks the ring, 17.5
-// on average over any four consecutive records.
+// on average over any eight consecutive records.
 //
 // The number to beat. Before the one-ring protocol (two queues per replica,
 // bucket intent logged on every put) the same run read 31 fences, 167
@@ -119,7 +119,7 @@ func settle(tb testing.TB, reps []*Replica) {
 func TestChainPutDeviceCost(t *testing.T) {
 	tc, reps := devChain(t, true, 0)
 
-	const puts = 32 // a multiple of 4: whole cycles of the record's alignment
+	const puts = 32 // a multiple of 8: whole cycles of the record's alignment
 	var before [3]replicaCost
 	for i, r := range reps {
 		before[i] = readReplicaCost(r)
@@ -133,7 +133,7 @@ func TestChainPutDeviceCost(t *testing.T) {
 
 	tx := devCost{1, 17, 4 + devValue} // length word + value, on main and on the head's backup
 	log := devCost{3, 4, 20 + 32 + 4 + 4}
-	const rec = 1072
+	const rec = 1064
 	want := [3]replicaCost{
 		{"main": tx, "backup": tx, "log": log, "ring": {3, 0, rec + 24 + 16}},
 		{"main": tx, "backup": {}, "log": log, "ring": {4, 0, rec + 16 + 8 + 16}},
@@ -156,7 +156,7 @@ func TestChainPutDeviceCost(t *testing.T) {
 			total = total.add(got)
 		}
 	}
-	if want := (devCost{23 * puts, puts * 279 / 2, 7620 * puts}); total != want {
+	if want := (devCost{23 * puts, puts * 279 / 2, 7596 * puts}); total != want {
 		t.Errorf("chain: %d puts cost %+v, want %+v", puts, total, want)
 	}
 	waitErrFree(t, tc)

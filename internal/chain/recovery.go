@@ -116,7 +116,7 @@ func (r *Replica) promoteToHead() error {
 	r.headMu.Lock()
 	for _, rec := range recs {
 		op := r.inflight[rec.Seq]
-		op.lock, op.trace = r.lockKey(rec.Args), rec.Trace
+		op.lock = r.lockKey(rec.Args)
 		r.lockedBy[op.lock] = struct{}{}
 		r.inflight[rec.Seq] = op
 	}

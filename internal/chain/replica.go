@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kaminotx/internal/halving"
@@ -81,10 +80,9 @@ type Config struct {
 
 	// Trace, when non-nil, records the replica's chain protocol events
 	// (forward, apply, ack — actor "chain/<id>") and its local pool's
-	// device and transaction events. The head mints a chain-wide trace
-	// id per submitted transaction; it travels with the record in every
-	// KindOpBatch message and in the persistent queues, so one
-	// transaction's events correlate across all replicas.
+	// device and transaction events. A chain event names its record by
+	// the sequence number the head assigned, so one write's events
+	// correlate across all replicas.
 	Trace *trace.Recorder
 }
 
@@ -138,9 +136,7 @@ type Replica struct {
 	cBatchOps  *obs.Counter // ops inside those sends; /batches = mean batch size
 	cSplits    *obs.Counter // combined batch transactions that failed and split
 
-	tr        *trace.Tracer // chain protocol events; nil when untraced
-	traceBase uint64        // high bits of head-minted trace ids
-	traceCtr  atomic.Uint64
+	tr *trace.Tracer // chain protocol events; nil when untraced
 
 	mu       sync.Mutex
 	view     membership.View
@@ -179,13 +175,12 @@ type Replica struct {
 
 // inflightOp is what the head keeps of one write in flight down the chain.
 type inflightOp struct {
-	lock  uint64     // its admission-lock key
-	trace uint64     // its trace id
-	done  chan error // its client; nil for a write a promoted head re-drives
+	lock uint64     // its admission-lock key
+	done chan error // its client; nil for a write a promoted head re-drives
 }
 
 // submitReq is one admitted client write waiting for the head batcher: the
-// record it becomes, sequence number and trace id still unset.
+// record it becomes, its sequence number still unset.
 type submitReq struct {
 	rec  pqueue.Record
 	lock uint64
@@ -321,7 +316,6 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, member bool) (*Repl
 	o.Gauge("inflightq_highwater", func() uint64 { fl, _ := r.getRing().Usage(); return fl.HighWater })
 	if cfg.Trace != nil {
 		r.tr = cfg.Trace.Tracer("chain/" + string(id))
-		r.traceBase = fnv64a(string(id)) &^ 0xFFFFFFFF
 	}
 	r.lockCond = sync.NewCond(&r.headMu)
 	close(r.stop) // offline until startExecutor
@@ -337,17 +331,6 @@ func (r *Replica) goLive() error {
 	r.watchCancel = r.cfg.Manager.Watch(r.onViewChange)
 	r.startExecutor()
 	return nil
-}
-
-// fnv64a hashes a node id into the high bits of its trace-id space, so
-// ids minted by different heads (before/after promotion) never collide.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // ID returns the replica's node id.
@@ -797,22 +780,18 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 			req.done <- err
 			continue
 		}
-		var traceID uint64
-		if r.tr != nil {
-			traceID = r.traceBase | r.traceCtr.Add(1)
-		}
 		r.headMu.Lock()
 		r.nextSeq++
 		seq := r.nextSeq
-		r.inflight[seq] = inflightOp{lock: req.lock, trace: traceID, done: req.done}
+		r.inflight[seq] = inflightOp{lock: req.lock, done: req.done}
 		r.headMu.Unlock()
 		r.mu.Lock()
 		r.lastExec = seq
 		r.mu.Unlock()
 		r.cSubmits.Add(1)
-		r.tr.ChainApply(traceID, seq)
+		r.tr.ChainApply(seq)
 		rec := req.rec
-		rec.Seq, rec.Trace = seq, traceID
+		rec.Seq = seq
 		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
@@ -848,7 +827,7 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 	// send fails: repair resends from the in-flight range.
 	r.send(view, succ, recs)
 	for _, rec := range recs {
-		r.tr.ChainForward(rec.Trace, rec.Seq)
+		r.tr.ChainForward(rec.Seq)
 	}
 	r.cForwarded.Add(uint64(len(recs)))
 }
@@ -881,9 +860,8 @@ func (r *Replica) send(view membership.View, to transport.NodeID, recs []pqueue.
 // message may complete many).
 func (r *Replica) completeThrough(ackSeq uint64) {
 	type completion struct {
-		seq   uint64
-		trace uint64
-		ch    chan error
+		seq uint64
+		ch  chan error
 	}
 	var dones []completion
 	r.headMu.Lock()
@@ -892,7 +870,7 @@ func (r *Replica) completeThrough(ackSeq uint64) {
 	for seq, op := range r.inflight {
 		if seq <= ackSeq {
 			if op.done != nil {
-				dones = append(dones, completion{seq, op.trace, op.done})
+				dones = append(dones, completion{seq, op.done})
 			}
 			delete(r.lockedBy, op.lock)
 			delete(r.inflight, seq)
@@ -902,7 +880,7 @@ func (r *Replica) completeThrough(ackSeq uint64) {
 	r.headMu.Unlock()
 	slices.SortFunc(dones, func(a, b completion) int { return cmp.Compare(a.seq, b.seq) })
 	for _, d := range dones {
-		r.tr.ChainAck(d.trace, d.seq)
+		r.tr.ChainAck(d.seq)
 		d.ch <- nil
 	}
 }
@@ -1179,7 +1157,7 @@ func (r *Replica) executeBatch(recs []pqueue.Record) error {
 		}
 		r.cApplied.Add(uint64(len(recs)))
 		for _, rec := range recs {
-			r.tr.ChainApply(rec.Trace, rec.Seq)
+			r.tr.ChainApply(rec.Seq)
 		}
 		r.mu.Lock()
 		r.lastExec = recs[len(recs)-1].Seq
@@ -1201,7 +1179,7 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	if succ, ok := view.Successor(r.id); ok {
 		r.send(view, succ, recs)
 		for _, rec := range recs {
-			r.tr.ChainForward(rec.Trace, rec.Seq)
+			r.tr.ChainForward(rec.Seq)
 		}
 		r.cForwarded.Add(uint64(len(recs)))
 		return r.getRing().MarkDone(last.Seq)
@@ -1222,7 +1200,7 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 		Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: last.Seq,
 	})
 	for _, rec := range recs {
-		r.tr.ChainAck(rec.Trace, rec.Seq)
+		r.tr.ChainAck(rec.Seq)
 	}
 	r.cTailAcks.Add(uint64(len(recs)))
 	if pred, ok := view.Predecessor(r.id); ok && pred != view.Head() {

@@ -428,6 +428,9 @@ func TestMiddleRegeneratesLostCleanup(t *testing.T) {
 		return to == "n1" && msg.Kind == transport.KindCleanup
 	})
 	putRetry(t, tc, 1, []byte("one"))
+	// The put can complete before the middle moves its done cursor, which
+	// follows its send.
+	waitFor(t, "the middle's done cursor", func() bool { _, pending := mid.getRing().Usage(); return pending.Bytes == 0 })
 	if fl, _ := mid.getRing().Usage(); fl.Bytes == 0 {
 		t.Fatal("nothing in flight at the middle with its clean-up lost")
 	}

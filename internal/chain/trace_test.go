@@ -9,11 +9,10 @@ import (
 	"kaminotx/internal/transport"
 )
 
-// TestTraceIDPropagatesHeadToTail: every operation's head-minted trace id
-// must appear, intact, in the chain events of every replica — applied at
-// all of them, forwarded by all but the tail, and acknowledged at both
-// ends.
-func TestTraceIDPropagatesHeadToTail(t *testing.T) {
+// TestChainEventsFollowEachRecord: every write's sequence number must
+// appear in the chain events of every replica — applied at all of them,
+// forwarded by all but the tail, and acknowledged at both ends.
+func TestChainEventsFollowEachRecord(t *testing.T) {
 	const n = 4
 	const ops = 20
 	rec := trace.NewRecorder(0)
@@ -59,57 +58,58 @@ func TestTraceIDPropagatesHeadToTail(t *testing.T) {
 
 	head := string(mgr.View().Head())
 	tail := string(mgr.View().Tail())
-	type perTrace struct {
+	type perSeq struct {
 		applied   map[string]bool // actor → saw chain_apply
 		forwarded map[string]bool
 		acked     map[string]bool
 	}
-	traces := map[uint64]*perTrace{}
+	seqs := map[uint64]*perSeq{}
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case trace.KindChainApply, trace.KindChainForward, trace.KindChainAck:
 		default:
 			continue // device/tx events from the replicas' pools
 		}
-		if e.Trace == 0 {
-			t.Fatalf("chain event with zero trace id: %+v", e)
+		if e.Obj == 0 {
+			t.Fatalf("chain event with no sequence number: %+v", e)
 		}
-		pt := traces[e.Trace]
-		if pt == nil {
-			pt = &perTrace{applied: map[string]bool{}, forwarded: map[string]bool{}, acked: map[string]bool{}}
-			traces[e.Trace] = pt
+		ps := seqs[e.Obj]
+		if ps == nil {
+			ps = &perSeq{applied: map[string]bool{}, forwarded: map[string]bool{}, acked: map[string]bool{}}
+			seqs[e.Obj] = ps
 		}
 		switch e.Kind {
 		case trace.KindChainApply:
-			pt.applied[e.Actor] = true
+			ps.applied[e.Actor] = true
 		case trace.KindChainForward:
-			pt.forwarded[e.Actor] = true
+			ps.forwarded[e.Actor] = true
 		case trace.KindChainAck:
-			pt.acked[e.Actor] = true
+			ps.acked[e.Actor] = true
 		}
 	}
-	if len(traces) != ops {
-		t.Fatalf("distinct trace ids = %d, want %d", len(traces), ops)
+	if len(seqs) != ops {
+		t.Fatalf("distinct sequence numbers = %d, want %d", len(seqs), ops)
 	}
-	for id, pt := range traces {
-		// The head minted this id; its high bits identify the minting node.
-		if id&^0xFFFFFFFF != fnv64a(head)&^0xFFFFFFFF {
-			t.Errorf("trace %#x not minted by head %s", id, head)
+	for seq := uint64(1); seq <= ops; seq++ {
+		ps := seqs[seq]
+		if ps == nil {
+			t.Errorf("seq %d has no chain events", seq)
+			continue
 		}
 		for _, nid := range ids {
 			actor := "chain/" + string(nid)
-			if !pt.applied[actor] {
-				t.Errorf("trace %#x never applied at %s", id, actor)
+			if !ps.applied[actor] {
+				t.Errorf("seq %d never applied at %s", seq, actor)
 			}
-			if string(nid) != tail && !pt.forwarded[actor] {
-				t.Errorf("trace %#x not forwarded by %s", id, actor)
+			if string(nid) != tail && !ps.forwarded[actor] {
+				t.Errorf("seq %d not forwarded by %s", seq, actor)
 			}
 		}
-		if !pt.acked["chain/"+tail] {
-			t.Errorf("trace %#x not acknowledged at tail", id)
+		if !ps.acked["chain/"+tail] {
+			t.Errorf("seq %d not acknowledged at tail", seq)
 		}
-		if !pt.acked["chain/"+head] {
-			t.Errorf("trace %#x ack never returned to head", id)
+		if !ps.acked["chain/"+head] {
+			t.Errorf("seq %d ack never returned to head", seq)
 		}
 	}
 }

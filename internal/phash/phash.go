@@ -274,26 +274,6 @@ func (m *Map) allocEntry(tx *kamino.Tx, key uint64, val []byte, next kamino.ObjI
 	return ent, tx.Write(ent, entOffVal, val)
 }
 
-// Update atomically applies fn to key's current value within tx: the
-// bucket's write lock is taken before the read, so concurrent updaters of
-// the same bucket serialize instead of racing to upgrade entry read locks.
-// fn receives (nil, false) for an absent key; returning an error aborts the
-// caller's transaction.
-func (m *Map) Update(tx *kamino.Tx, key uint64, fn func(old []byte, found bool) ([]byte, error)) error {
-	if err := tx.Lock(m.bucket(key)); err != nil {
-		return err
-	}
-	old, found, err := m.Get(tx, key)
-	if err != nil {
-		return err
-	}
-	val, err := fn(old, found)
-	if err != nil {
-		return err
-	}
-	return m.Put(tx, key, val)
-}
-
 // Delete removes key within tx, reporting whether it was present. Like
 // Put, it locks the bucket up front.
 func (m *Map) Delete(tx *kamino.Tx, key uint64) (bool, error) {

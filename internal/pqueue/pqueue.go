@@ -43,17 +43,19 @@ const (
 	hOffCursors = hOffHead
 	cursorsLen  = hOffDone + 8 - hOffHead
 
-	// record header: total u32 (aligned length incl. header), seq u64,
-	// trace u64, nameLen u16, argsLen u32
-	recHdr = 4 + 8 + 8 + 2 + 4 + 6 // padded to 32
+	// A record is its header, then name and args, padded to recAlign.
+	rOffSize    = 0  // u32 aligned length, header included
+	rOffSeq     = 4  // u64 sequence number
+	rOffNameLen = 12 // u16 name length
+	rOffArgsLen = 14 // u32 args length
+	recHdr      = 24 // the 18 header bytes, padded to recAlign
 )
 
 // Record is one queued operation.
 type Record struct {
-	Seq   uint64
-	Trace uint64 // chain-wide trace id minted by the head; 0 when untraced
-	Name  string
-	Args  []byte
+	Seq  uint64
+	Name string
+	Args []byte
 }
 
 // Queue is a persistent FIFO of records with an executed-through cursor.
@@ -314,11 +316,10 @@ func (q *Queue) read(off uint64, p []byte) error {
 
 // encodeRecord serializes r into buf, which must be recSize(r) bytes.
 func encodeRecord(buf []byte, r Record) {
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)))
-	binary.LittleEndian.PutUint64(buf[4:], r.Seq)
-	binary.LittleEndian.PutUint64(buf[12:], r.Trace)
-	binary.LittleEndian.PutUint16(buf[20:], uint16(len(r.Name)))
-	binary.LittleEndian.PutUint32(buf[22:], uint32(len(r.Args)))
+	binary.LittleEndian.PutUint32(buf[rOffSize:], uint32(len(buf)))
+	binary.LittleEndian.PutUint64(buf[rOffSeq:], r.Seq)
+	binary.LittleEndian.PutUint16(buf[rOffNameLen:], uint16(len(r.Name)))
+	binary.LittleEndian.PutUint32(buf[rOffArgsLen:], uint32(len(r.Args)))
 	copy(buf[recHdr:], r.Name)
 	copy(buf[recHdr+len(r.Name):], r.Args)
 }
@@ -403,7 +404,7 @@ func (q *Queue) noteUsage() {
 
 // recHeader is a decoded record header.
 type recHeader struct {
-	size, seq, trace uint64
+	size, seq        uint64
 	nameLen, argsLen int
 }
 
@@ -418,11 +419,10 @@ func (q *Queue) headerAt(off uint64) (recHeader, error) {
 		return recHeader{}, err
 	}
 	h := recHeader{
-		size:    uint64(binary.LittleEndian.Uint32(b[0:])),
-		seq:     binary.LittleEndian.Uint64(b[4:]),
-		trace:   binary.LittleEndian.Uint64(b[12:]),
-		nameLen: int(binary.LittleEndian.Uint16(b[20:])),
-		argsLen: int(binary.LittleEndian.Uint32(b[22:])),
+		size:    uint64(binary.LittleEndian.Uint32(b[rOffSize:])),
+		seq:     binary.LittleEndian.Uint64(b[rOffSeq:]),
+		nameLen: int(binary.LittleEndian.Uint16(b[rOffNameLen:])),
+		argsLen: int(binary.LittleEndian.Uint32(b[rOffArgsLen:])),
 	}
 	if h.size < recHdr || h.size%recAlign != 0 || h.size > q.tail-off || uint64(recHdr+h.nameLen+h.argsLen) > h.size {
 		return recHeader{}, fmt.Errorf("pqueue: corrupt record at %d (size %d)", off, h.size)
@@ -462,7 +462,7 @@ func (q *Queue) decodeAt(off uint64) (Record, uint64, error) {
 	if err := q.read(off+recHdr, body); err != nil {
 		return Record{}, 0, err
 	}
-	return Record{Seq: h.seq, Trace: h.trace, Name: string(body[:h.nameLen]), Args: body[h.nameLen:]}, h.size, nil
+	return Record{Seq: h.seq, Name: string(body[:h.nameLen]), Args: body[h.nameLen:]}, h.size, nil
 }
 
 // MarkDone durably moves the done cursor past every pending record with

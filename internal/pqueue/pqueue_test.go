@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -242,11 +243,48 @@ func TestEmptyAndLen(t *testing.T) {
 	}
 }
 
+// TestRecordGolden pins the ring layout of one chain put: a 24-byte header
+// (size, sequence number, name length, argument length), the name, the
+// 8-byte key and a 1 KiB value, padded to 1064 bytes.
+func TestRecordGolden(t *testing.T) {
+	q := newQueue(t, 4096)
+	key := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	val := bytes.Repeat([]byte{0xAB}, 1024)
+	rec := Record{Seq: 0x0102030405060708, Name: "put", Args: append(bytes.Clone(key), val...)}
+	if err := q.AppendBatch([]Record{rec}); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		0x28, 0x04, 0, 0, // size: 1064
+		8, 7, 6, 5, 4, 3, 2, 1, // sequence number
+		3, 0, // name length
+		0x08, 0x04, 0, 0, // argument length: 1032
+		0, 0, 0, 0, 0, 0, // padding to 24
+	}
+	want = append(want, "put"...)
+	want = append(want, key...)
+	want = append(want, val...)
+	want = append(want, make([]byte, 1064-len(want))...)
+	got := make([]byte, len(want))
+	if err := q.reg.Read(hdrSize, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("ring record differs from byte %d\n got % x\nwant % x", i, got[i:min(i+16, len(got))], want[i:min(i+16, len(want))])
+			break
+		}
+	}
+	if q.tail != 1064 || recSize(rec) != 1064 {
+		t.Errorf("record occupies %d bytes (recSize %d), want 1064", q.tail, recSize(rec))
+	}
+}
+
 func TestAppendBatchOrderAndDurability(t *testing.T) {
 	q := newQueue(t, 8192)
 	var recs []Record
 	for i := uint64(1); i <= 8; i++ {
-		recs = append(recs, Record{Seq: i, Trace: i * 100, Name: "op", Args: []byte{byte(i)}})
+		recs = append(recs, Record{Seq: i, Name: "op", Args: []byte{byte(i)}})
 	}
 	if err := q.AppendBatch(recs); err != nil {
 		t.Fatal(err)
@@ -271,7 +309,7 @@ func TestAppendBatchOrderAndDurability(t *testing.T) {
 	}
 	for i, r := range all {
 		want := uint64(i + 1)
-		if r.Seq != want || r.Trace != want*100 || r.Args[0] != byte(want) {
+		if r.Seq != want || r.Args[0] != byte(want) {
 			t.Errorf("record %d = %+v, want seq %d", i, r, want)
 		}
 	}

@@ -24,7 +24,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		tr.DevWrite(0, 64)
 		tr.DevFlush(0, 64)
 		tr.DevFence()
-		tr.ChainForward(1, 1)
+		tr.ChainForward(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f times per run, want 0", allocs)

@@ -42,9 +42,10 @@ type chromeFile struct {
 
 // WriteChrome writes the stream in Chrome trace_event JSON: one pid per
 // actor (engine instance, region, or chain replica; named via
-// process_name metadata), one tid per transaction/trace id, KindSpan
-// events as complete ("X") slices over the obs phase vocabulary, and
-// everything else as instants ("i").
+// process_name metadata), one tid per engine transaction, served request
+// or chain record (a chain event's lane is its sequence number, a batch's
+// its last), KindSpan events as complete ("X") slices over the obs phase
+// vocabulary, and everything else as instants ("i").
 func WriteChrome(w io.Writer, events []Event) error {
 	pids := map[string]int{}
 	var actors []string
@@ -62,7 +63,10 @@ func WriteChrome(w io.Writer, events []Event) error {
 	for _, e := range events {
 		pid := pidOf(e.Actor)
 		tid := e.TxID
-		if tid == 0 {
+		switch {
+		case e.Kind >= KindChainForward && e.Kind <= KindChainAck:
+			tid = e.Obj
+		case tid == 0:
 			tid = e.Trace
 		}
 		us := float64(e.At) / 1e3

@@ -4,7 +4,7 @@
 // and crashes; engines report transaction lifecycle steps (begin,
 // lock-acquire, intent-append, in-place write, commit-marker,
 // backup-sync, abort/rollback); chain replicas report protocol hops
-// (forward, apply, ack) stamped with a trace ID minted at the head.
+// (forward, apply, ack) named by the record's sequence number.
 //
 // The stream is the input to two consumers: the exporters (JSONL and
 // Chrome trace_event JSON, see export.go) and the auditor (audit.go),
@@ -151,7 +151,8 @@ type Event struct {
 	Actor string `json:"actor"`
 	// TxID is the engine transaction id (tx lifecycle kinds).
 	TxID uint64 `json:"txid,omitempty"`
-	// Trace is the chain-wide trace id minted at the head (chain kinds).
+	// Trace is a served request's id, minted by the server (its request
+	// spans and KindReqTx).
 	Trace uint64 `json:"trace,omitempty"`
 	// Obj is the heap object involved (tx kinds), or the chain sequence
 	// number (chain kinds).
@@ -469,19 +470,19 @@ func (t *Tracer) ReqLink(traceID, txid uint64) {
 
 // --- chain protocol emissions (internal/chain) ---
 
-// ChainForward records seq sent downstream under trace id.
-func (t *Tracer) ChainForward(traceID, seq uint64) {
-	t.emit(&Event{Kind: KindChainForward, Trace: traceID, Obj: seq})
+// ChainForward records seq sent downstream.
+func (t *Tracer) ChainForward(seq uint64) {
+	t.emit(&Event{Kind: KindChainForward, Obj: seq})
 }
 
-// ChainApply records seq executed locally under trace id.
-func (t *Tracer) ChainApply(traceID, seq uint64) {
-	t.emit(&Event{Kind: KindChainApply, Trace: traceID, Obj: seq})
+// ChainApply records seq executed locally.
+func (t *Tracer) ChainApply(seq uint64) {
+	t.emit(&Event{Kind: KindChainApply, Obj: seq})
 }
 
-// ChainAck records a tail acknowledgment for seq under trace id.
-func (t *Tracer) ChainAck(traceID, seq uint64) {
-	t.emit(&Event{Kind: KindChainAck, Trace: traceID, Obj: seq})
+// ChainAck records a tail acknowledgment for seq.
+func (t *Tracer) ChainAck(seq uint64) {
+	t.emit(&Event{Kind: KindChainAck, Obj: seq})
 }
 
 // ChainBatch records n operations (one or more) forwarded as one message and

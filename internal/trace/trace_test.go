@@ -49,9 +49,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.DevFlush(0, 8)
 	tr.DevFence()
 	tr.DevCrash(true)
-	tr.ChainForward(1, 2)
-	tr.ChainApply(1, 2)
-	tr.ChainAck(1, 2)
+	tr.ChainForward(2)
+	tr.ChainApply(2)
+	tr.ChainAck(2)
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports Enabled")
 	}
@@ -273,7 +273,7 @@ func TestWriteChrome(t *testing.T) {
 	tr.TxBegin(1)
 	tr.Span("heap_persist", 1, 3*time.Microsecond)
 	tr.IntentAppend(1, 100, 0, 32, "alloc")
-	ch.ChainForward(0xabc0000000000001, 7)
+	ch.ChainForward(7)
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, r.Events()); err != nil {
@@ -312,8 +312,8 @@ func TestWriteChrome(t *testing.T) {
 			sawIntent = true
 		case e.Name == "chain_forward":
 			sawChain = true
-			if e.TID == 0 {
-				t.Fatal("chain event lost its trace id tid")
+			if e.TID != 7 {
+				t.Fatalf("chain event on lane %d, want its sequence number 7", e.TID)
 			}
 		}
 	}

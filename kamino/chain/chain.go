@@ -69,8 +69,8 @@ type Options struct {
 	// batches of one.
 	BatchOps int
 	// Trace, when non-nil, records every replica's chain protocol
-	// events and local engine events; head-minted trace ids correlate
-	// one transaction across the whole chain.
+	// events and local engine events; a chain event names its record by
+	// sequence number, which correlates one write across the whole chain.
 	Trace *trace.Recorder
 	// RetryWindow bounds how long the KV methods retry through view
 	// changes (failed head, repairing chain) before surfacing the
