@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race fuzz-smoke doccheck benchmark-check check bench bench-gate serve-smoke recovery-smoke
+.PHONY: build test vet fmt race fuzz-smoke doccheck benchmark-check bench-smoke check bench bench-gate serve-smoke recovery-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,8 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l is not clean:"; echo "$$out"; exit 1; fi
 
 # race runs the measurement layer, every engine, and the layers under them
-# under the race detector: the shared stats.Collector, the workload
-# generators, the engines' counter/phase instrumentation, the trace
+# under the race detector: the bench harness's closed-loop driver, the
+# workload generators, the engines' counter/phase instrumentation, the trace
 # recorder, and the lock table's buckets and the one mutex each of the heap's
 # free lists, the intent log's free-slot stack and a strict NVM region's line
 # sets has are all touched from multiple goroutines; their contention tests
@@ -56,7 +56,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestResendIsBatched|TestKillMidBatchConverges|TestOvertakingRecordsAreNotAppended|TestDrainCoalescesQueuedAppends|TestFullInboxesDoNotDeadlock' ./internal/chain/
 	$(GO) test -race -count=20 -run 'TestInProcLatency|TestInProcSendsArriveInOrder|TestInProcUnregisterDropsMessages' ./internal/transport/
 	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
-	$(GO) test -race ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
+	$(GO) test -race ./internal/bench/... ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/
 # lacks a godoc comment, any package — including the cmd/ and tools/
@@ -92,12 +92,21 @@ fuzz-smoke:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# bench-smoke runs every kaminobench experiment once at a small scale
+# (about 30 s on a 2-CPU host) and fails if one exits non-zero: an
+# experiment that errors or panics. It compares no numbers; the tables land
+# in out/bench-smoke.txt.
+bench-smoke:
+	mkdir -p out
+	$(GO) run ./cmd/kaminobench -experiment all -keys 500 -ops 200 -threads 2 -value 128 > out/bench-smoke.txt
+
 # check is the full gate: tier-1 build+test plus gofmt, vet, the race pass,
-# the fuzz smoke, the godoc-coverage check, and the benchmark module's own
-# vet and tests; then the chain's tests once more on one processor, where a
-# test that relies on goroutines running in parallel to make its case
-# (a multi-op batch forming, say) fails.
-check: build fmt vet test race fuzz-smoke doccheck benchmark-check
+# the fuzz smoke, the godoc-coverage check, the benchmark module's own vet
+# and tests, and one small run of every kaminobench experiment; then the
+# chain's tests once more on one processor, where a test that relies on
+# goroutines running in parallel to make its case (a multi-op batch
+# forming, say) fails.
+check: build fmt vet test race fuzz-smoke doccheck benchmark-check bench-smoke
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/chain/ ./kamino/chain/
 
 # bench prints one of the paper's figures (EXPERIMENTS.md has the index and

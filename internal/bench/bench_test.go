@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -31,13 +32,65 @@ func TestMeasureYCSBAllModes(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tiny(&out).WithDefaults()
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic, kamino.ModeUndo, kamino.ModeNoLog} {
-		r, err := cfg.measureYCSB(mode, 0.5, 'A', 1)
+		r, _, err := cfg.measureYCSB(mode, 0.5, 'A', 1)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		if r.OpsPerSec <= 0 || r.Mean <= 0 {
 			t.Errorf("%s: degenerate result %+v", mode, r)
 		}
+	}
+}
+
+// TestWarmupIsNotTimed drives a warmup and a measured phase as
+// measureYCSB does, with one client stream across both: the warmup's
+// operations sleep 5 ms each and the measured ones return at once. The
+// measured cell counts neither the warmup's operations nor its time, so its
+// throughput must exceed the measured operations over the warmup's sleep —
+// the most a clock started before the warmup could ever report.
+func TestWarmupIsNotTimed(t *testing.T) {
+	const threads, warmup, ops = 2, 10, 1000
+	const nap = 5 * time.Millisecond
+	done := make([]int, threads) // operations each client has run, across calls
+	clients := func(th int) func(int) error {
+		return func(int) error {
+			if done[th] < warmup {
+				time.Sleep(nap)
+			}
+			done[th]++
+			return nil
+		}
+	}
+	if _, err := closedLoop(threads, warmup, clients); err != nil {
+		t.Fatal(err)
+	}
+	r, err := closedLoop(threads, ops, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := float64(threads*ops) / (warmup * nap).Seconds()
+	if r.OpsPerSec <= ceiling {
+		t.Errorf("ops/s = %.0f, want above %.0f: the warmup's time was counted", r.OpsPerSec, ceiling)
+	}
+	if r.Mean >= nap {
+		t.Errorf("mean = %v, want below %v: a warmup operation was timed", r.Mean, nap)
+	}
+}
+
+// TestClosedLoopReportsClientError: an operation's error ends the call and
+// is returned, with no cell.
+func TestClosedLoopReportsClientError(t *testing.T) {
+	boom := errors.New("boom")
+	r, err := closedLoop(3, 5, func(th int) func(int) error {
+		return func(i int) error {
+			if th == 1 && i == 2 {
+				return boom
+			}
+			return nil
+		}
+	})
+	if !errors.Is(err, boom) || r != (Result{}) {
+		t.Errorf("closedLoop = %+v, %v; want no cell and %v", r, err, boom)
 	}
 }
 
@@ -97,7 +150,7 @@ func TestBreakdownAggregatesAcrossPools(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tiny(&out).WithDefaults()
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo} {
-		if _, err := cfg.measureYCSB(mode, 1, 'A', 1); err != nil {
+		if _, _, err := cfg.measureYCSB(mode, 1, 'A', 1); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 	}
@@ -179,7 +232,7 @@ func TestMeasuredPoolsAreCollectable(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(&mem[0], func(*byte) { collected.Add(1) })
-		if _, err := cfg.runYCSB(store, mix, 1); err != nil {
+		if _, err := closedLoop(1, cfg.OpsPerThread, cfg.ycsbClients(store, mix, 1)); err != nil {
 			t.Fatal(err)
 		}
 		cfg.collect(pool)

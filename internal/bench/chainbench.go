@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"kaminotx/internal/stats"
 	"kaminotx/internal/workload"
 	chainpkg "kaminotx/kamino/chain"
 )
@@ -78,57 +76,10 @@ func (c Config) newClusterN(mode chainpkg.Mode, replicas, batchOps int) (*chainp
 	return cl, nil
 }
 
-// runChainYCSB drives a YCSB mix against a cluster. Reads go to the tail;
+// measureChain loads a fresh cluster for mode and runs one YCSB workload on
+// it with threads clients and no warmup. Reads go to the tail;
 // updates/inserts are chain puts; RMW is a tail read followed by a chain
 // put from the head's client.
-func (c Config) runChainYCSB(cl *chainpkg.Cluster, mix workload.Mix, threads int) (Result, error) {
-	ks := workload.NewKeyState(uint64(c.chainKeys()))
-	ops := c.chainOps()
-	var col stats.Collector
-	var wg sync.WaitGroup
-	errCh := make(chan error, threads)
-	start := time.Now()
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			gen := workload.NewGenerator(mix, ks, seed)
-			var hist stats.Histogram
-			val := make([]byte, c.ValueSize)
-			for i := 0; i < ops; i++ {
-				op := gen.Next()
-				t0 := time.Now()
-				var err error
-				switch op.Kind {
-				case workload.OpRead:
-					_, _, err = cl.Get(op.Key)
-				case workload.OpUpdate, workload.OpInsert:
-					workload.Value(op.Key+1, val)
-					err = cl.Put(op.Key, val)
-				case workload.OpRMW:
-					if _, _, err = cl.Get(op.Key); err == nil {
-						workload.Value(op.Key+2, val)
-						err = cl.Put(op.Key, val)
-					}
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("chain op %v key %d: %w", op.Kind, op.Key, err)
-					return
-				}
-				hist.Record(time.Since(t0))
-			}
-			col.Report(&hist, uint64(ops))
-		}(int64(th + 1))
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return Result{}, err
-	}
-	elapsed := time.Since(start).Seconds()
-	return Result{OpsPerSec: float64(col.Ops()) / elapsed, Mean: col.Histogram().Mean()}, nil
-}
-
 func (c Config) measureChain(mode chainpkg.Mode, w byte, threads int) (Result, error) {
 	mix, err := workload.MixFor(w)
 	if err != nil {
@@ -139,7 +90,31 @@ func (c Config) measureChain(mode chainpkg.Mode, w byte, threads int) (Result, e
 		return Result{}, err
 	}
 	defer cl.Close()
-	r, err := c.runChainYCSB(cl, mix, threads)
+	ks := workload.NewKeyState(uint64(c.chainKeys()))
+	r, err := closedLoop(threads, c.chainOps(), func(th int) func(int) error {
+		gen := workload.NewGenerator(mix, ks, int64(th+1))
+		val := make([]byte, c.ValueSize)
+		return func(int) error {
+			op := gen.Next()
+			var err error
+			switch op.Kind {
+			case workload.OpRead:
+				_, _, err = cl.Get(op.Key)
+			case workload.OpUpdate, workload.OpInsert:
+				workload.Value(op.Key+1, val)
+				err = cl.Put(op.Key, val)
+			case workload.OpRMW:
+				if _, _, err = cl.Get(op.Key); err == nil {
+					workload.Value(op.Key+2, val)
+					err = cl.Put(op.Key, val)
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("chain op %v key %d: %w", op.Kind, op.Key, err)
+			}
+			return nil
+		}
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -234,72 +209,46 @@ func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fences
 	keys := uint64(c.chainKeys())
 	ops := c.chainOps()
 
-	// drive runs one concurrent put phase; ofs keeps the phases' key
+	// putClients builds one put phase's clients; ofs keeps the phases' key
 	// sequences distinct. Keys spread over the key space so admission-
 	// control conflicts stay rare and batching is the bottleneck under
 	// test.
-	var col stats.Collector
-	drive := func(n int, ofs uint64, record bool) error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for th := 0; th < clients; th++ {
-			wg.Add(1)
-			go func(seed uint64) {
-				defer wg.Done()
-				// Staggered starts keep the clients from marching in
-				// lockstep (submit together, ack together), which starves
-				// the batcher of arrivals for whole round trips at a time.
-				time.Sleep(time.Duration(seed%64) * 37 * time.Microsecond)
-				var hist stats.Histogram
-				val := make([]byte, c.ValueSize)
-				for i := 0; i < n; i++ {
-					key := (seed*2654435761 + (ofs+uint64(i))*40503) % keys
-					workload.Value(key+seed, val)
-					t0 := time.Now()
-					if err := cl.Put(key, val); err != nil {
-						errCh <- fmt.Errorf("chainscale put key %d: %w", key, err)
-						return
-					}
-					if record {
-						hist.Record(time.Since(t0))
-					}
+	putClients := func(ofs uint64) func(th int) func(int) error {
+		return func(th int) func(int) error {
+			seed := uint64(th + 1)
+			// Staggered starts keep the clients from marching in
+			// lockstep (submit together, ack together), which starves
+			// the batcher of arrivals for whole round trips at a time.
+			time.Sleep(time.Duration(seed%64) * 37 * time.Microsecond)
+			val := make([]byte, c.ValueSize)
+			return func(i int) error {
+				key := (seed*2654435761 + (ofs+uint64(i))*40503) % keys
+				workload.Value(key+seed, val)
+				if err := cl.Put(key, val); err != nil {
+					return fmt.Errorf("chainscale put key %d: %w", key, err)
 				}
-				if record {
-					col.Report(&hist, uint64(n))
-				}
-			}(uint64(th + 1))
+				return nil
+			}
 		}
-		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			return err
-		}
-		return nil
 	}
 
 	// An unmeasured warmup phase keeps cold-start effects (first-touch
 	// faults, the preload's backup applier backlog) out of the measured
-	// window; the persist totals and the clock are sampled between phases.
-	warmup := ops / 5
-	if warmup < 10 {
-		warmup = 10
-	}
-	if err := drive(warmup, 1<<32, false); err != nil {
+	// window; the persist totals are sampled between phases.
+	if _, err := closedLoop(clients, max(ops/5, 10), putClients(1<<32)); err != nil {
 		return Result{}, 0, 0, err
 	}
 	f0, fl0 := chainPersistTotals(cl)
-	start := time.Now()
-	if err := drive(ops, 0, true); err != nil {
+	r, err = closedLoop(clients, ops, putClients(0))
+	if err != nil {
 		return Result{}, 0, 0, err
 	}
-	elapsed := time.Since(start).Seconds()
 	if cerr := cl.Err(); cerr != nil {
 		return Result{}, 0, 0, cerr
 	}
 	f1, fl1 := chainPersistTotals(cl)
 	c.collectChain(cl)
-	total := float64(col.Ops())
-	r = Result{OpsPerSec: total / elapsed, Mean: col.Histogram().Mean()}
+	total := float64(clients * ops)
 	fencesPerOp = float64(f1-f0) / total
 	flushesPerOp = float64(fl1-fl0) / total
 	return r, fencesPerOp, flushesPerOp, nil

@@ -20,11 +20,11 @@ func Fig1(cfg Config) error {
 		"paper shape: undo logging costs 50-250% on write-heavy workloads, ~0% on read-heavy")
 	fmt.Fprintf(cfg.Out, "%-10s %14s %14s %10s\n", "workload", "no-logging", "undo-logging", "overhead")
 	for _, w := range workload.Workloads {
-		no, err := cfg.measureYCSB(kamino.ModeNoLog, 0, w, cfg.Threads)
+		no, _, err := cfg.measureYCSB(kamino.ModeNoLog, 0, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
-		un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, cfg.Threads)
+		un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
@@ -74,50 +74,19 @@ func (c Config) measureTPCC(mode kamino.Mode) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	type out struct {
-		n   uint64
-		el  time.Duration
-		sum time.Duration
-		err error
+	n := c.OpsPerThread / 10 // TPC-C transactions are heavier
+	if n == 0 {
+		n = 100
 	}
-	ch := make(chan out, c.Threads)
-	for th := 0; th < c.Threads; th++ {
-		go func(seed int64) {
-			w := tpcc.NewWorker(db, seed)
-			n := c.OpsPerThread / 10 // TPC-C transactions are heavier
-			if n == 0 {
-				n = 100
-			}
-			start := time.Now()
-			for i := 0; i < n; i++ {
-				if err := w.RunOne(); err != nil {
-					ch <- out{err: err}
-					return
-				}
-			}
-			el := time.Since(start)
-			ch <- out{n: uint64(n), el: el, sum: el}
-		}(int64(th + 1))
-	}
-	var total uint64
-	var maxEl time.Duration
-	var sum time.Duration
-	for th := 0; th < c.Threads; th++ {
-		o := <-ch
-		if o.err != nil {
-			return Result{}, o.err
-		}
-		total += o.n
-		sum += o.sum
-		if o.el > maxEl {
-			maxEl = o.el
-		}
+	r, err := closedLoop(c.Threads, n, func(th int) func(int) error {
+		w := tpcc.NewWorker(db, int64(th+1))
+		return func(int) error { return w.RunOne() }
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	c.collect(pool)
-	return Result{
-		OpsPerSec: float64(total) / maxEl.Seconds(),
-		Mean:      time.Duration(uint64(sum) / total),
-	}, nil
+	return r, nil
 }
 
 // Fig12 reproduces Figure 12: YCSB throughput, Kamino-Tx-Simple vs
@@ -136,11 +105,11 @@ func Fig12(cfg Config) error {
 	for _, w := range workload.Workloads {
 		fmt.Fprintf(cfg.Out, "YCSB-%c  ", w)
 		for _, th := range threadsList {
-			ka, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, th)
+			ka, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, th)
 			if err != nil {
 				return err
 			}
-			un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, th)
+			un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, th)
 			if err != nil {
 				return err
 			}
@@ -162,11 +131,11 @@ func Fig13(cfg Config) error {
 		"paper shape: Kamino-Tx up to 2.33x faster on writes; identical on read-only C")
 	fmt.Fprintf(cfg.Out, "%-10s %12s %12s %10s\n", "workload", "kamino", "undo", "ratio")
 	for _, w := range workload.Workloads {
-		ka, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, 1)
+		ka, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, 1)
 		if err != nil {
 			return err
 		}
-		un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, 1)
+		un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, 1)
 		if err != nil {
 			return err
 		}
@@ -221,7 +190,7 @@ func dynamicSweep(cfg Config, latency bool) error {
 	for _, w := range sweep {
 		fmt.Fprintf(cfg.Out, "YCSB-%c  ", w)
 		for _, a := range alphas {
-			r, err := cfg.measureYCSB(kamino.ModeDynamic, a, w, cfg.Threads)
+			r, _, err := cfg.measureYCSB(kamino.ModeDynamic, a, w, cfg.Threads)
 			if err != nil {
 				return err
 			}
@@ -231,7 +200,7 @@ func dynamicSweep(cfg Config, latency bool) error {
 				fmt.Fprintf(cfg.Out, " %10.3f", r.OpsPerSec/1e6)
 			}
 		}
-		r, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, cfg.Threads)
+		r, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
@@ -296,56 +265,38 @@ func (c Config) dependentRun(mode kamino.Mode, bursty bool) (avg, insertAvg time
 	const hotKey = 1
 	total := c.OpsPerThread
 	inserts := total / 5
-	val := make([]byte, c.ValueSize)
-	var sum, insSum time.Duration
-	var insN int
-	run := func(isInsert bool, k uint64) error {
-		t0 := time.Now()
-		var err error
-		if isInsert {
-			workload.Value(k, val)
-			err = store.Update(hotKey, val)
-		} else {
-			// Lookups cycle over a small warm set of keys far from
-			// the hot key (disjoint B+Tree leaves), so neither cache
-			// effects nor read-set intersection with the pending hot
-			// object differ between the phases; the experiment
-			// isolates the same-key dependent-wait cost, as in the
-			// paper.
-			_, _, err = store.Read(uint64(c.Keys/2) + k%128)
-		}
-		d := time.Since(t0)
-		sum += d
-		if isInsert {
-			insSum += d
-			insN++
-		}
-		return err
-	}
+	isInsert := func(i int) bool { return i%5 == 0 && i/5 < inserts }
 	if bursty {
 		// All same-key updates back-to-back, then the lookups.
-		for i := 0; i < inserts; i++ {
-			if err := run(true, uint64(i)); err != nil {
-				return 0, 0, err
-			}
-		}
-		for i := inserts; i < total; i++ {
-			if err := run(false, uint64(i%c.Keys)); err != nil {
-				return 0, 0, err
-			}
-		}
-	} else {
-		for i := 0; i < total; i++ {
-			if err := run(i%5 == 0 && i/5 < inserts, uint64(i%c.Keys)); err != nil {
-				return 0, 0, err
-			}
-		}
+		isInsert = func(i int) bool { return i < inserts }
 	}
-	if insN == 0 {
-		insN = 1
+	val := make([]byte, c.ValueSize)
+	var insSum time.Duration
+	r, err := closedLoop(1, total, func(int) func(int) error {
+		return func(i int) error {
+			k := uint64(i % c.Keys)
+			if !isInsert(i) {
+				// Lookups cycle over a small warm set of keys far from
+				// the hot key (disjoint B+Tree leaves), so neither cache
+				// effects nor read-set intersection with the pending hot
+				// object differ between the phases; the experiment
+				// isolates the same-key dependent-wait cost, as in the
+				// paper.
+				_, _, err := store.Read(uint64(c.Keys/2) + k%128)
+				return err
+			}
+			t0 := time.Now()
+			workload.Value(k, val)
+			err := store.Update(hotKey, val)
+			insSum += time.Since(t0)
+			return err
+		}
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	c.collect(pool)
-	return sum / time.Duration(total), insSum / time.Duration(insN), nil
+	return r.Mean, insSum / time.Duration(max(inserts, 1)), nil
 }
 
 // WorstCase reproduces the §7.1 worst-case microbenchmark: threads
@@ -396,20 +347,20 @@ func (c Config) worstCaseRun(mode kamino.Mode, size int) (time.Duration, error) 
 	}
 	pool.Drain()
 	val := make([]byte, size)
-	n := c.OpsPerThread
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		val[0] = byte(i)
-		if err := pool.Update(func(tx *kamino.Tx) error {
-			if err := tx.Add(obj); err != nil {
-				return err
-			}
-			return tx.Write(obj, 0, val)
-		}); err != nil {
-			return 0, err
+	r, err := closedLoop(1, c.OpsPerThread, func(int) func(int) error {
+		return func(i int) error {
+			val[0] = byte(i)
+			return pool.Update(func(tx *kamino.Tx) error {
+				if err := tx.Add(obj); err != nil {
+					return err
+				}
+				return tx.Write(obj, 0, val)
+			})
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
-	el := time.Since(start)
 	c.collect(pool)
-	return el / time.Duration(n), nil
+	return r.Mean, nil
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"kaminotx/internal/kvstore"
-	"kaminotx/internal/stats"
 	"kaminotx/internal/trace"
 	"kaminotx/internal/workload"
 	"kaminotx/kamino"
@@ -136,81 +135,124 @@ type Result struct {
 	Mean      time.Duration
 }
 
-// runYCSB drives the YCSB mix against a loaded store with the given number
-// of worker threads.
-func (c Config) runYCSB(store *kvstore.Store, mix workload.Mix, threads int) (Result, error) {
-	ks := workload.NewKeyState(uint64(c.Keys))
-	var col stats.Collector
+// closedLoop is every experiment's load driver. It runs threads clients on
+// their own goroutines, each issuing n operations back to back: client th
+// is built by newClient(th) on its goroutine, and its operation i is op(i).
+// Throughput is the operations completed over the call's wall time, and
+// the mean latency is the clients' summed time inside op over the same
+// count. A warmup is a call of its own whose Result is dropped, so neither
+// its operations nor its time reach the measured cell.
+func closedLoop(threads, n int, newClient func(th int) (op func(i int) error)) (Result, error) {
+	busy := make([]time.Duration, threads)
+	errs := make([]error, threads)
 	var wg sync.WaitGroup
-	errCh := make(chan error, threads)
-	warmup := c.OpsPerThread / 5
-	if warmup > 1000 {
-		warmup = 1000
-	}
 	start := time.Now()
 	for th := 0; th < threads; th++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			gen := workload.NewGenerator(mix, ks, seed)
-			var hist stats.Histogram
-			val := make([]byte, c.ValueSize)
-			for i := -warmup; i < c.OpsPerThread; i++ {
-				op := gen.Next()
+			op := newClient(th)
+			for i := 0; i < n; i++ {
 				t0 := time.Now()
-				var err error
-				switch op.Kind {
-				case workload.OpRead:
-					_, _, err = store.Read(op.Key)
-				case workload.OpUpdate:
-					workload.Value(op.Key+1, val)
-					err = store.Update(op.Key, val)
-				case workload.OpInsert:
-					workload.Value(op.Key, val)
-					err = store.Insert(op.Key, val)
-				case workload.OpRMW:
-					err = store.ReadModifyWrite(op.Key, func(old []byte, found bool) ([]byte, error) {
-						workload.Value(op.Key+2, val)
-						return val, nil
-					})
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("op %v key %d: %w", op.Kind, op.Key, err)
+				if err := op(i); err != nil {
+					errs[th] = err
 					return
 				}
-				if i >= 0 {
-					hist.Record(time.Since(t0))
-				}
+				busy[th] += time.Since(t0)
 			}
-			col.Report(&hist, uint64(c.OpsPerThread))
-		}(int64(th + 1))
+		}()
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return Result{}, err
+	elapsed := time.Since(start)
+	var sum time.Duration
+	for th := range busy {
+		if errs[th] != nil {
+			return Result{}, errs[th]
+		}
+		sum += busy[th]
 	}
-	elapsed := time.Since(start).Seconds()
-	return Result{OpsPerSec: float64(col.Ops()) / elapsed, Mean: col.Histogram().Mean()}, nil
+	ops := threads * n
+	if ops == 0 {
+		return Result{}, nil
+	}
+	return Result{OpsPerSec: float64(ops) / elapsed.Seconds(), Mean: sum / time.Duration(ops)}, nil
 }
 
-// measureYCSB loads a fresh store for mode and runs one YCSB workload.
-func (c Config) measureYCSB(mode kamino.Mode, alpha float64, w byte, threads int) (Result, error) {
+// ycsbClients builds closedLoop clients that drive mix against store.
+// Client th draws from its own generator, seeded th+1, which outlives one
+// call: a warmup and the measured run after it are one operation stream.
+func (c Config) ycsbClients(store *kvstore.Store, mix workload.Mix, threads int) func(th int) func(int) error {
+	ks := workload.NewKeyState(uint64(c.Keys))
+	gens := make([]*workload.Generator, threads)
+	for th := range gens {
+		gens[th] = workload.NewGenerator(mix, ks, int64(th+1))
+	}
+	return func(th int) func(int) error {
+		gen, val := gens[th], make([]byte, c.ValueSize)
+		return func(int) error {
+			op := gen.Next()
+			var err error
+			switch op.Kind {
+			case workload.OpRead:
+				_, _, err = store.Read(op.Key)
+			case workload.OpUpdate:
+				workload.Value(op.Key+1, val)
+				err = store.Update(op.Key, val)
+			case workload.OpInsert:
+				workload.Value(op.Key, val)
+				err = store.Insert(op.Key, val)
+			case workload.OpRMW:
+				err = store.ReadModifyWrite(op.Key, func(old []byte, found bool) ([]byte, error) {
+					workload.Value(op.Key+2, val)
+					return val, nil
+				})
+			}
+			if err != nil {
+				return fmt.Errorf("op %v key %d: %w", op.Kind, op.Key, err)
+			}
+			return nil
+		}
+	}
+}
+
+// measureYCSB loads a fresh store for mode and runs one YCSB workload on it
+// with threads clients, each warmed up by min(ops/5, 1000) unmeasured
+// operations first. It also returns what the pool's counters gained over
+// both phases, which the ablation tables divide by commits.
+func (c Config) measureYCSB(mode kamino.Mode, alpha float64, w byte, threads int) (Result, kamino.Stats, error) {
 	mix, err := workload.MixFor(w)
 	if err != nil {
-		return Result{}, err
+		return Result{}, kamino.Stats{}, err
 	}
 	pool, store, err := c.loadStore(mode, alpha)
 	if err != nil {
-		return Result{}, err
+		return Result{}, kamino.Stats{}, err
 	}
 	defer pool.Close()
-	r, err := c.runYCSB(store, mix, threads)
+	base := pool.Stats()
+	clients := c.ycsbClients(store, mix, threads)
+	if _, err := closedLoop(threads, min(c.OpsPerThread/5, 1000), clients); err != nil {
+		return Result{}, kamino.Stats{}, err
+	}
+	r, err := closedLoop(threads, c.OpsPerThread, clients)
 	if err != nil {
-		return Result{}, err
+		return Result{}, kamino.Stats{}, err
 	}
 	c.collect(pool)
-	return r, nil
+	return r, since(pool.Stats(), base), nil
+}
+
+// since returns the counts s gained after base.
+func since(s, base kamino.Stats) kamino.Stats {
+	return kamino.Stats{
+		Commits:             s.Commits - base.Commits,
+		Aborts:              s.Aborts - base.Aborts,
+		BytesCopiedCritical: s.BytesCopiedCritical - base.BytesCopiedCritical,
+		BytesCopiedAsync:    s.BytesCopiedAsync - base.BytesCopiedAsync,
+		DependentWaits:      s.DependentWaits - base.DependentWaits,
+		BackupMisses:        s.BackupMisses - base.BackupMisses,
+		BackupEvictions:     s.BackupEvictions - base.BackupEvictions,
+	}
 }
 
 func header(w io.Writer, title, note string) {

@@ -32,10 +32,6 @@ func Table1(cfg Config) error {
 			us(lt), us(lc), us(ln)))
 
 	f := float64(chainF)
-	dep := func(perNode time.Duration, nodes float64, extra float64) float64 {
-		return us(perNode) * nodes * extra
-	}
-	_ = dep
 	rows := []struct {
 		name     string
 		servers  string

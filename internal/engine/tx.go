@@ -454,7 +454,13 @@ func (t *BaseTx) AbortWith(restore func(intentlog.Entry) error) error {
 			return err
 		}
 	}
-	if err := t.end(t.b.aborts); err != nil {
+	// A transaction with no write intent undid nothing: that is how a read
+	// ends (Pool.View), and counting it would make every read an abort.
+	count := t.b.aborts
+	if t.ReadOnly() {
+		count = nil
+	}
+	if err := t.end(count); err != nil {
 		return err
 	}
 	if t.began {
@@ -485,8 +491,8 @@ func (t *BaseTx) unlockReads() {
 	}
 }
 
-// end releases the log slot and every lock, counts the transaction and
-// recycles its state.
+// end releases the log slot and every lock, counts the transaction on
+// count unless it is nil, and recycles its state.
 // Reads release before writes: an upgraded object's read holds are absorbed
 // by its write lock and must not outlive it.
 func (t *BaseTx) end(count *obs.Counter) error {
@@ -499,7 +505,9 @@ func (t *BaseTx) end(count *obs.Counter) error {
 	for obj := range t.ws {
 		t.b.locks.Unlock(uint64(obj), t.Owner())
 	}
-	count.Inc()
+	if count != nil {
+		count.Inc()
+	}
 	t.b.Recycle(t.TxState)
 	t.done, t.TxState = true, nil
 	return nil

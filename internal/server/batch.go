@@ -9,6 +9,10 @@ import (
 	"kaminotx/internal/transport"
 )
 
+// batchBytes caps a batch's total value payload. No caller ever set
+// another value, so it is a constant rather than an Options field.
+const batchBytes = 256 << 10
+
 // wreq is one admitted write on its way to the batcher.
 type wreq struct {
 	p      *pending
@@ -58,7 +62,7 @@ func (s *Server) batcher() {
 func (s *Server) gather(batch *[]*wreq) *wreq {
 	keys := map[uint64]bool{(*batch)[0].key: true}
 	bytes := len((*batch)[0].value)
-	for len(*batch) < s.opts.BatchOps && bytes < s.opts.BatchBytes {
+	for len(*batch) < s.opts.BatchOps && bytes < batchBytes {
 		var w *wreq
 		select {
 		case w = <-s.writeCh:

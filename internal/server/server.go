@@ -71,9 +71,6 @@ type Options struct {
 	// into one engine transaction. Default 32; 1 disables batching.
 	BatchOps int
 
-	// BatchBytes caps a batch's total value payload. Default 256 KiB.
-	BatchBytes int
-
 	// BatchDelay is no longer consulted: the batcher takes what queued
 	// while its previous transaction ran and never waits (batches form
 	// only from genuinely concurrent writes). The field remains so that
@@ -117,9 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchOps == 0 {
 		o.BatchOps = 32
-	}
-	if o.BatchBytes == 0 {
-		o.BatchBytes = 256 << 10
 	}
 	if o.MaxValueBytes == 0 {
 		o.MaxValueBytes = 1 << 20

@@ -1,11 +1,10 @@
-// Package stats provides the latency histograms and throughput counters
-// the benchmark harness uses to report the paper's figures.
+// Package stats provides the latency histogram behind the obs registries'
+// phase tables and the load generator's latency reports.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -133,34 +132,4 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(99), h.max)
-}
-
-// Collector aggregates per-worker histograms thread-safely.
-type Collector struct {
-	mu   sync.Mutex
-	hist Histogram
-	ops  uint64
-}
-
-// Report merges a worker's histogram and op count.
-func (c *Collector) Report(h *Histogram, ops uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hist.Merge(h)
-	c.ops += ops
-}
-
-// Histogram returns the merged histogram.
-func (c *Collector) Histogram() *Histogram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.hist
-	return &h
-}
-
-// Ops returns the total operation count.
-func (c *Collector) Ops() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ops
 }

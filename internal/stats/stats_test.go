@@ -71,30 +71,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestCollectorConcurrent(t *testing.T) {
-	var c Collector
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			var h Histogram
-			for i := 0; i < 1000; i++ {
-				h.Record(time.Microsecond)
-			}
-			c.Report(&h, 1000)
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if c.Ops() != 8000 {
-		t.Errorf("ops = %d", c.Ops())
-	}
-	if c.Histogram().Count() != 8000 {
-		t.Errorf("hist count = %d", c.Histogram().Count())
-	}
-}
-
 // TestPercentileAccuracy is the regression test for the histogram's bucket
 // resolution: with 16 buckets per octave the midpoint estimate must stay
 // within ~4% of the exact percentile computed from the sorted sample.

@@ -72,11 +72,6 @@ type Options struct {
 	// the paper's α ∈ (0, 1). Only used by ModeDynamic. Default 0.5.
 	Alpha float64 `json:"alpha"`
 
-	// RootSize is the size of the root object automatically allocated at
-	// pool creation (the application's entry point into the heap).
-	// Default 256 bytes.
-	RootSize int `json:"root_size"`
-
 	// LogSlots bounds concurrently outstanding transactions (including
 	// Kamino commits awaiting backup sync). Default 128.
 	LogSlots int `json:"log_slots"`
@@ -140,7 +135,6 @@ func (o Options) applyOverrides(ov Options) (Options, error) {
 		{"Mode", ov.Mode, o.Mode, ov.Mode == "", ov.Mode != o.Mode},
 		{"HeapSize", ov.HeapSize, o.HeapSize, ov.HeapSize == 0, ov.HeapSize != o.HeapSize},
 		{"Alpha", ov.Alpha, o.Alpha, ov.Alpha == 0, ov.Alpha != o.Alpha},
-		{"RootSize", ov.RootSize, o.RootSize, ov.RootSize == 0, ov.RootSize != o.RootSize},
 		{"LogSlots", ov.LogSlots, o.LogSlots, ov.LogSlots == 0, ov.LogSlots != o.LogSlots},
 		{"LogEntriesPerSlot", ov.LogEntriesPerSlot, o.LogEntriesPerSlot, ov.LogEntriesPerSlot == 0, ov.LogEntriesPerSlot != o.LogEntriesPerSlot},
 		{"LogDataBytesPerSlot", ov.LogDataBytesPerSlot, o.LogDataBytesPerSlot, ov.LogDataBytesPerSlot == 0, ov.LogDataBytesPerSlot != o.LogDataBytesPerSlot},
@@ -189,9 +183,6 @@ func (o Options) withDefaults() (Options, error) {
 		if o.Mode == ModeDynamic {
 			return o, fmt.Errorf("kamino: Alpha must be in (0,1), got %v", o.Alpha)
 		}
-	}
-	if o.RootSize == 0 {
-		o.RootSize = 256
 	}
 	if o.LogSlots == 0 {
 		o.LogSlots = 128

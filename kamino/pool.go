@@ -49,6 +49,11 @@ type ObjID = heap.ObjID
 // Nil is the null persistent pointer.
 const Nil = heap.Nil
 
+// rootSize is the size of the root object Create allocates (the
+// application's entry point into the heap). No caller ever set another
+// size, so it is a constant rather than an Options field.
+const rootSize = 256
+
 // Stats re-exports engine counters.
 type Stats = engine.Stats
 
@@ -93,7 +98,7 @@ func (p *Pool) create() error {
 	if err != nil {
 		return err
 	}
-	root, err := tx.Alloc(p.opts.RootSize)
+	root, err := tx.Alloc(rootSize)
 	if err != nil {
 		return err
 	}

@@ -102,6 +102,7 @@ func TestUpdateErrorAborts(t *testing.T) {
 	for _, mode := range atomicModes() {
 		t.Run(string(mode), func(t *testing.T) {
 			p := testPool(t, mode)
+			base := p.Stats().Aborts
 			if err := p.Update(func(tx *Tx) error {
 				if err := tx.Add(p.Root()); err != nil {
 					return err
@@ -113,6 +114,9 @@ func TestUpdateErrorAborts(t *testing.T) {
 			}); !errors.Is(err, sentinel) {
 				t.Fatalf("Update error = %v, want sentinel", err)
 			}
+			if got := p.Stats().Aborts; got != base+1 {
+				t.Errorf("aborts = %d after a failed Update, want %d", got, base+1)
+			}
 			var v uint64
 			if err := p.View(func(tx *Tx) error {
 				var err error
@@ -123,6 +127,10 @@ func TestUpdateErrorAborts(t *testing.T) {
 			}
 			if v != 0 {
 				t.Errorf("aborted write visible: %d", v)
+			}
+			// A View ends by Abort but wrote nothing: it is a read, not an abort.
+			if got := p.Stats().Aborts; got != base+1 {
+				t.Errorf("aborts = %d after a View, want %d", got, base+1)
 			}
 		})
 	}

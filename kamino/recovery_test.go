@@ -153,15 +153,15 @@ func TestOpenOverrides(t *testing.T) {
 	}
 	pool.Close()
 
-	// A pool.json written by a binary that still had the two options since
-	// retired opens, serves its keys, and is rewritten without either
-	// field.
+	// A pool.json written by a binary that still had the three options
+	// since retired opens, serves its keys, and is rewritten without any
+	// of those fields.
 	metaPath := filepath.Join(dir, "pool.json")
 	meta, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta = bytes.Replace(meta, []byte("{"), []byte(`{"shards": 4, "group_commit": true,`), 1)
+	meta = bytes.Replace(meta, []byte("{"), []byte(`{"shards": 4, "group_commit": true, "root_size": 256,`), 1)
 	if err := os.WriteFile(metaPath, meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestOpenOverrides(t *testing.T) {
 	if meta, err = os.ReadFile(metaPath); err != nil {
 		t.Fatal(err)
 	}
-	for _, retired := range []string{"shards", "group_commit"} {
+	for _, retired := range []string{"shards", "group_commit", "root_size"} {
 		if bytes.Contains(meta, []byte(retired)) {
 			t.Errorf("open wrote retired field %q back to pool.json:\n%s", retired, meta)
 		}

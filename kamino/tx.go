@@ -25,7 +25,8 @@ func (t *Tx) ID() uint64 { return t.inner.ID() }
 
 // TouchedObjects returns the objects this transaction declared write
 // intents on (via Add, Alloc or Free), in declaration order with possible
-// duplicates. The replication layer uses it for dependency tracking.
+// duplicates. Only tests call it, to check which objects an operation
+// declared.
 func (t *Tx) TouchedObjects() []ObjID { return t.touched }
 
 // Add declares a write intent on obj (NVML TX_ADD). It blocks while a prior

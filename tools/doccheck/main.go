@@ -58,10 +58,10 @@ var documents = []struct {
 	ceiling int
 }{
 	{"README.md", 15455},
-	{"ARCHITECTURE.md", 22840},
-	{"DESIGN.md", 68940},
+	{"ARCHITECTURE.md", 22826},
+	{"DESIGN.md", 68938},
 	{"OPERATIONS.md", 18078},
-	{"EXPERIMENTS.md", 40550},
+	{"EXPERIMENTS.md", 40506},
 }
 
 func main() {
