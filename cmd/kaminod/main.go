@@ -1,7 +1,8 @@
 // Command kaminod serves a persistent key-value store over TCP: the
-// kamino engines behind a network API, with per-connection pipelining,
-// cross-connection write batching, multi-tenant keyspaces, admission
-// control that sheds overload, and graceful drain on SIGTERM.
+// kamino engines behind a network API of get, put and delete on one
+// keyspace, with per-connection pipelining, cross-connection write
+// batching, admission control that sheds overload, and graceful drain on
+// SIGTERM.
 //
 //	kaminod -dir /var/lib/kamino -addr :7070 -metrics-addr :8080
 //
@@ -30,7 +31,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -45,12 +45,11 @@ import (
 // flags holds kaminod's command line. OPERATIONS.md's flag table documents
 // exactly the set defineFlags registers (flags_test.go compares the two).
 type flags struct {
-	addr, dir, mode, tenants, defTenant, metricsAddr, traceOut string
+	addr, dir, mode, metricsAddr, traceOut string
 
 	heap, appliers, window, maxInflight, batchOps, maxValue, traceBuf int
 
-	autoTenant bool
-	drainWait  time.Duration
+	drainWait time.Duration
 }
 
 // defineFlags registers every kaminod flag on fs.
@@ -61,9 +60,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.mode, "mode", string(kamino.ModeSimple), "engine for a new store: "+kamino.ModeNames())
 	fs.IntVar(&f.heap, "heap", 64<<20, "heap size for a new store")
 	fs.IntVar(&f.appliers, "appliers", 0, "backup-sync applier workers for kamino modes (0 = auto)")
-	fs.StringVar(&f.tenants, "tenants", "", "comma-separated tenant names to register at startup")
-	fs.BoolVar(&f.autoTenant, "auto-tenant", false, "register unknown tenant names on first use")
-	fs.StringVar(&f.defTenant, "default-tenant", "default", "tenant used by requests with no tenant name")
 	fs.IntVar(&f.window, "window", 64, "per-connection pipeline window (in-flight requests)")
 	fs.IntVar(&f.maxInflight, "max-inflight", 1024, "server-wide admission budget before shedding")
 	fs.IntVar(&f.batchOps, "batch-ops", 32, "max write operations coalesced per engine transaction (1 disables)")
@@ -143,14 +139,6 @@ func main() {
 		logf("recovery: %-12s %s", st.Stage, st.Duration)
 	}
 
-	var tenantNames []string
-	if f.tenants != "" {
-		for _, name := range strings.Split(f.tenants, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				tenantNames = append(tenantNames, name)
-			}
-		}
-	}
 	srvReg := obs.New("server")
 	hub.Set("server", srvReg)
 	ln, err := net.Listen("tcp", f.addr)
@@ -164,9 +152,6 @@ func main() {
 		MaxInflight:   f.maxInflight,
 		BatchOps:      f.batchOps,
 		MaxValueBytes: f.maxValue,
-		DefaultTenant: f.defTenant,
-		Tenants:       tenantNames,
-		AutoTenant:    f.autoTenant,
 		Obs:           srvReg,
 		Trace:         rec,
 	})
@@ -176,7 +161,7 @@ func main() {
 		fatal(err)
 	}
 	srvPtr.Store(srv)
-	logf("serving KV protocol on %s (tenants: %s)", ln.Addr(), strings.Join(srv.Tenants().Names(), ", "))
+	logf("serving KV protocol on %s", ln.Addr())
 
 	// Prove the recovered store serves transactions before reporting
 	// ready: a read probe claims a log slot, runs and aborts, touching no

@@ -35,7 +35,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "localhost:7070", "kaminod address")
-		tenant    = flag.String("tenant", "", "tenant keyspace ('' = server default)")
 		conns     = flag.Int("conns", 4, "client connections")
 		rate      = flag.Float64("rate", 0, "total offered ops/sec (0 = closed loop at -window)")
 		rates     = flag.String("rates", "", "comma-separated ops/sec sweep (overrides -rate)")
@@ -61,7 +60,7 @@ func main() {
 	if *preload {
 		fmt.Printf("preloading %d keys of %dB over %d connections...\n", *keys, *valueSize, *conns)
 		start := time.Now()
-		if err := loadgen.Preload(*addr, *tenant, *keys, *valueSize, *conns); err != nil {
+		if err := loadgen.Preload(*addr, *keys, *valueSize, *conns); err != nil {
 			fatal(fmt.Errorf("preload: %w", err))
 		}
 		fmt.Printf("preload done in %s\n", time.Since(start).Round(time.Millisecond))
@@ -69,7 +68,7 @@ func main() {
 	if *verify {
 		fmt.Printf("verifying %d keys of %dB over %d connections...\n", *keys, *valueSize, *conns)
 		start := time.Now()
-		n, err := loadgen.Verify(*addr, *tenant, *keys, *valueSize, *conns)
+		n, err := loadgen.Verify(*addr, *keys, *valueSize, *conns)
 		if err != nil {
 			fatal(fmt.Errorf("verify: %w", err))
 		}
@@ -84,7 +83,6 @@ func main() {
 	for _, r := range sweep {
 		res, err := loadgen.Run(loadgen.Config{
 			Addr:      *addr,
-			Tenant:    *tenant,
 			Conns:     *conns,
 			Rate:      r,
 			Window:    *window,

@@ -71,17 +71,12 @@ func (a *obsAgg) write(w io.Writer) {
 // experiment accumulator. Call it before Close, after the measured run.
 func (c Config) collect(p *kamino.Pool) {
 	p.Drain()
-	if c.agg != nil {
-		c.agg.absorb(p.Obs())
-	}
+	c.agg.absorb(p.Obs())
 }
 
 // collectChain does the same for a replicated cluster: each replica
 // contributes its chain-protocol registry and its engine registry.
 func (c Config) collectChain(cl *chainpkg.Cluster) {
-	if c.agg == nil {
-		return
-	}
 	for _, r := range cl.Obs() {
 		c.agg.absorb(r)
 	}
@@ -90,7 +85,5 @@ func (c Config) collectChain(cl *chainpkg.Cluster) {
 // printBreakdown writes the per-phase latency attribution accumulated over
 // the experiment's pools, sourced from the engines' obs registries.
 func (c Config) printBreakdown() {
-	if c.agg != nil {
-		c.agg.write(c.Out)
-	}
+	c.agg.write(c.Out)
 }

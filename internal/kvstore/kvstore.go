@@ -15,9 +15,6 @@ import (
 	"kaminotx/kamino"
 )
 
-// KV is one key-value pair returned by Scan.
-type KV = pbtree.KV
-
 // Store is a transactional persistent key-value store.
 type Store struct {
 	pool *kamino.Pool

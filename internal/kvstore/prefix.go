@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -27,9 +26,9 @@ const MaxTenantKey = (uint64(1) << tenantShift) - 1
 // ErrKeyRange reports a tenant-local key wider than 48 bits.
 var ErrKeyRange = fmt.Errorf("kvstore: tenant key exceeds %d bits", tenantShift)
 
-// PrefixedStore is one tenant's view of a root store: the full KV API over
-// the tenant's own key space, isolated from every other tenant by
-// construction (no key arithmetic can escape the prefix).
+// PrefixedStore is one tenant's view of a root store: point reads and
+// writes over the tenant's own key space, isolated from every other tenant
+// by construction (no key arithmetic can escape the prefix).
 type PrefixedStore struct {
 	root *Store
 	id   TenantID
@@ -82,50 +81,6 @@ func (p *PrefixedStore) Delete(key uint64) (bool, error) {
 	return p.root.Delete(g)
 }
 
-// Scan returns up to max pairs with tenant-local keys >= start, clipped to
-// this tenant's slice of the root key space.
-func (p *PrefixedStore) Scan(start uint64, max int) ([]KV, error) {
-	g, err := p.Global(start)
-	if err != nil {
-		return nil, err
-	}
-	kvs, err := p.root.Scan(g, max)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, 0, len(kvs))
-	for _, kv := range kvs {
-		if kv.Key>>tenantShift != uint64(p.id) {
-			break // walked past the tenant's slice
-		}
-		out = append(out, KV{Key: kv.Key & MaxTenantKey, Value: kv.Value})
-	}
-	return out, nil
-}
-
-// Count walks the tenant's slice and returns its number of keys. O(n) in
-// the tenant's size (paged scans, not a full-store walk).
-func (p *PrefixedStore) Count() (int, error) {
-	const page = 1024
-	n := 0
-	start := uint64(0)
-	for {
-		kvs, err := p.Scan(start, page)
-		if err != nil {
-			return 0, err
-		}
-		n += len(kvs)
-		if len(kvs) < page {
-			return n, nil
-		}
-		last := kvs[len(kvs)-1].Key
-		if last == MaxTenantKey {
-			return n, nil
-		}
-		start = last + 1
-	}
-}
-
 // Tenants is the durable tenant registry of a root store. The name→id
 // table is persisted as records in the reserved id-0 slice (record i holds
 // the name of tenant i+1), so creation is a single crash-atomic insert and
@@ -143,17 +98,20 @@ const registryID TenantID = 0
 // MaxTenants bounds the registry (ids 1..65535 fit in the 16-bit prefix).
 const MaxTenants = 1<<16 - 1
 
-// LoadTenants rebuilds the registry from the store's reserved slice.
+// LoadTenants rebuilds the registry from the store's reserved slice, whose
+// keys start at 0.
 func LoadTenants(root *Store) (*Tenants, error) {
 	t := &Tenants{root: root, byName: make(map[string]TenantID)}
-	reg := &PrefixedStore{root: root, id: registryID}
 	start := uint64(0)
 	for {
-		kvs, err := reg.Scan(start, 1024)
+		kvs, err := root.Scan(start, 1024)
 		if err != nil {
 			return nil, err
 		}
 		for _, kv := range kvs {
+			if TenantID(kv.Key>>tenantShift) != registryID {
+				return t, nil // walked past the registry's slice
+			}
 			t.byName[string(kv.Value)] = TenantID(kv.Key + 1)
 		}
 		if len(kvs) < 1024 {
@@ -161,18 +119,6 @@ func LoadTenants(root *Store) (*Tenants, error) {
 		}
 		start = kvs[len(kvs)-1].Key + 1
 	}
-}
-
-// Names returns the registered tenant names, sorted.
-func (t *Tenants) Names() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.byName))
-	for name := range t.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Lookup returns the tenant's store view, or ok=false when unregistered.

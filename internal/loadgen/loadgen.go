@@ -34,8 +34,6 @@ import (
 type Config struct {
 	// Addr is the kaminod server address. Required.
 	Addr string
-	// Tenant is the keyspace to drive ("" = server default).
-	Tenant string
 	// Conns is the number of client connections. Default 4.
 	Conns int
 	// Rate is the TOTAL offered ops/sec across all connections (open
@@ -261,7 +259,7 @@ func runConn(cfg Config, ks *workload.KeyState, idx int, start time.Time) connRe
 			sched = time.Now()
 		}
 		sem <- struct{}{} // overload backstop; waiting counts into latency
-		req := nextReq(gen, cfg.Tenant, val)
+		req := nextReq(gen, val)
 		req.Breakdown = cfg.Breakdown
 		call, err := c.Send(req)
 		if err != nil {
@@ -278,27 +276,27 @@ func runConn(cfg Config, ks *workload.KeyState, idx int, start time.Time) connRe
 }
 
 // nextReq maps one YCSB op onto the wire protocol.
-func nextReq(gen *workload.Generator, tenant string, val []byte) *transport.KVRequest {
+func nextReq(gen *workload.Generator, val []byte) *transport.KVRequest {
 	op := gen.Next()
 	switch op.Kind {
 	case workload.OpRead:
-		return &transport.KVRequest{Kind: transport.KVGet, Tenant: tenant, Key: op.Key}
+		return &transport.KVRequest{Kind: transport.KVGet, Key: op.Key}
 	default:
 		// Updates, inserts and RMWs are all puts on the wire (the server
 		// has no server-side RMW; kaminoload approximates it as a blind
 		// write of the generated value).
 		workload.Value(op.Key, val)
-		return &transport.KVRequest{Kind: transport.KVPut, Tenant: tenant, Key: op.Key, Value: val}
+		return &transport.KVRequest{Kind: transport.KVPut, Key: op.Key, Value: val}
 	}
 }
 
-// Preload fills the tenant's keyspace with keys 0..keys-1 using pipelined
-// puts, so reads during a run hit existing records.
-func Preload(addr, tenant string, keys uint64, valueSize, conns int) error {
+// Preload fills keys 0..keys-1 using pipelined puts, so reads during a run
+// hit existing records.
+func Preload(addr string, keys uint64, valueSize, conns int) error {
 	return eachKey(addr, keys, conns, func(k uint64) *transport.KVRequest {
 		val := make([]byte, valueSize)
 		workload.Value(k, val)
-		return &transport.KVRequest{Kind: transport.KVPut, Tenant: tenant, Key: k, Value: val}
+		return &transport.KVRequest{Kind: transport.KVPut, Key: k, Value: val}
 	}, func(uint64, *transport.KVResponse) error { return nil })
 }
 
@@ -307,9 +305,9 @@ func Preload(addr, tenant string, keys uint64, valueSize, conns int) error {
 // It returns the number of verified keys and fails on the first missing
 // key or payload mismatch — the zero-lost-acked-writes gate the recovery
 // smoke runs against a restarted kaminod.
-func Verify(addr, tenant string, keys uint64, valueSize, conns int) (uint64, error) {
+func Verify(addr string, keys uint64, valueSize, conns int) (uint64, error) {
 	return keys, eachKey(addr, keys, conns, func(k uint64) *transport.KVRequest {
-		return &transport.KVRequest{Kind: transport.KVGet, Tenant: tenant, Key: k}
+		return &transport.KVRequest{Kind: transport.KVGet, Key: k}
 	}, func(k uint64, resp *transport.KVResponse) error {
 		if !resp.Found {
 			return errors.New("acked write lost (not found)")

@@ -47,10 +47,10 @@ func startServer(t *testing.T) string {
 
 func TestPreloadThenVerify(t *testing.T) {
 	addr := startServer(t)
-	if err := Preload(addr, "", testKeys, testValue, 3); err != nil {
+	if err := Preload(addr, testKeys, testValue, 3); err != nil {
 		t.Fatalf("preload: %v", err)
 	}
-	n, err := Verify(addr, "", testKeys, testValue, 3)
+	n, err := Verify(addr, testKeys, testValue, 3)
 	if err != nil || n != testKeys {
 		t.Fatalf("Verify = %d, %v; want %d keys and no error", n, err, testKeys)
 	}
@@ -66,7 +66,7 @@ func TestPreloadThenVerify(t *testing.T) {
 	if err := c.Put("", victim, make([]byte, testValue)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Verify(addr, "", testKeys, testValue, 3)
+	_, err = Verify(addr, testKeys, testValue, 3)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key %d:", victim)) {
 		t.Fatalf("Verify after overwriting key %d = %v; want an error naming the key", victim, err)
 	}
@@ -74,7 +74,7 @@ func TestPreloadThenVerify(t *testing.T) {
 
 func TestRunClosedLoop(t *testing.T) {
 	addr := startServer(t)
-	if err := Preload(addr, "", testKeys, testValue, 2); err != nil {
+	if err := Preload(addr, testKeys, testValue, 2); err != nil {
 		t.Fatalf("preload: %v", err)
 	}
 	for _, window := range []int{1, 64} {
@@ -105,7 +105,7 @@ func TestRunClosedLoop(t *testing.T) {
 
 func TestRunOpenLoop(t *testing.T) {
 	addr := startServer(t)
-	if err := Preload(addr, "", testKeys, testValue, 2); err != nil {
+	if err := Preload(addr, testKeys, testValue, 2); err != nil {
 		t.Fatalf("preload: %v", err)
 	}
 	const rate = 2000.0

@@ -2,10 +2,27 @@ package pbtree
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"kaminotx/internal/trace"
 	"kaminotx/kamino"
 )
+
+// declared returns the distinct objects a transaction declared write
+// intents on (by Add, Alloc or Free), in log order, read from the
+// intent_append events the recorder holds for its id. An object can have
+// two entries — undo's Free logs the old contents before the free — but is
+// one member of the write set.
+func declared(rec *trace.Recorder, txid uint64) []kamino.ObjID {
+	var objs []kamino.ObjID
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindIntentAppend && e.TxID == txid && !slices.Contains(objs, kamino.ObjID(e.Obj)) {
+			objs = append(objs, kamino.ObjID(e.Obj))
+		}
+	}
+	return objs
+}
 
 // leafOf descends physically to the leaf that holds (or would hold) key.
 func leafOf(t *testing.T, tree *Tree, key uint64) kamino.ObjID {
@@ -32,7 +49,16 @@ func leafOf(t *testing.T, tree *Tree, key uint64) kamino.ObjID {
 // both store into the leaf and must.
 func TestPutInLeafWriteSet(t *testing.T) {
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo, kamino.ModeCoW} {
-		tree := newTree(t, mode, 8)
+		rec := trace.NewRecorder(1 << 16)
+		p, err := kamino.Create(kamino.Options{Mode: mode, HeapSize: 32 << 20, Trace: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		tree, err := Create(p, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := uint64(0); k < 40; k++ {
 			if err := tree.Put(k*10, bytes.Repeat([]byte{byte(k)}, 100)); err != nil {
 				t.Fatal(err)
@@ -53,17 +79,13 @@ func TestPutInLeafWriteSet(t *testing.T) {
 			if nd, err := tree.nodeView(leaf); err != nil || nd.nkeys() == tree.order {
 				t.Fatalf("%s: leaf unusable for the test (full or unreadable: %v)", c.name, err)
 			}
-			var touched []kamino.ObjID
-			err := tree.pool.Update(func(tx *kamino.Tx) error {
-				if err := tree.putInLeaf(tx, leaf, c.key, c.val, nil); err != nil {
-					return err
-				}
-				touched = tx.TouchedObjects()
-				return nil
+			txid, err := tree.pool.UpdateT(func(tx *kamino.Tx) error {
+				return tree.putInLeaf(tx, leaf, c.key, c.val, nil)
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", mode, c.name, err)
 			}
+			touched := declared(rec, txid)
 			gotLeaf := false
 			for _, obj := range touched {
 				gotLeaf = gotLeaf || obj == leaf

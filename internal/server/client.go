@@ -14,7 +14,7 @@ import (
 // flight on one connection; the server answers in request order, and a
 // background reader matches responses to calls positionally (verifying
 // the echoed correlation id). Do is the one-shot convenience wrapper,
-// and Get/Put/Delete/Scan/Count wrap Do for synchronous callers.
+// and Get/Put/Delete wrap Do for synchronous callers.
 //
 // Requests share socket writes: Send encodes into the connection's buffer
 // and, when other calls are in flight, leaves the write to a flusher
@@ -206,46 +206,32 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Get reads key in tenant ("" = server default tenant).
-func (c *Client) Get(tenant string, key uint64) ([]byte, bool, error) {
-	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVGet, Tenant: tenant, Key: key})
+// Get reads key. The unused string argument remains only because the
+// gated benchmark module (benchmark/systems.go) calls Get("", key); it goes
+// when that module next changes.
+func (c *Client) Get(_ string, key uint64) ([]byte, bool, error) {
+	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVGet, Key: key})
 	if err != nil {
 		return nil, false, err
 	}
 	return resp.Value, resp.Found, nil
 }
 
-// Put stores value under key in tenant, acknowledged after durable commit.
-func (c *Client) Put(tenant string, key uint64, value []byte) error {
-	_, err := c.Do(&transport.KVRequest{Kind: transport.KVPut, Tenant: tenant, Key: key, Value: value})
+// Put stores value under key, acknowledged after durable commit. The
+// unused string argument is Get's: benchmark/systems.go calls
+// Put("", key, value).
+func (c *Client) Put(_ string, key uint64, value []byte) error {
+	_, err := c.Do(&transport.KVRequest{Kind: transport.KVPut, Key: key, Value: value})
 	return err
 }
 
-// Delete removes key in tenant, reporting whether it existed.
-func (c *Client) Delete(tenant string, key uint64) (bool, error) {
-	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVDelete, Tenant: tenant, Key: key})
+// Delete removes key, reporting whether it existed.
+func (c *Client) Delete(key uint64) (bool, error) {
+	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVDelete, Key: key})
 	if err != nil {
 		return false, err
 	}
 	return resp.Found, nil
-}
-
-// Scan returns up to max key/value pairs starting at key in tenant.
-func (c *Client) Scan(tenant string, start uint64, max int) ([]uint64, [][]byte, error) {
-	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVScan, Tenant: tenant, Key: start, Max: max})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Keys, resp.Values, nil
-}
-
-// Count returns the tenant's key count.
-func (c *Client) Count(tenant string) (int, error) {
-	resp, err := c.Do(&transport.KVRequest{Kind: transport.KVCount, Tenant: tenant})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, nil
 }
 
 // Close tears the connection down and fails any in-flight calls.

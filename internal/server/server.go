@@ -1,7 +1,7 @@
 // Package server implements the network-facing KV service core behind
-// cmd/kaminod: a concurrent TCP server exposing the kvstore API (get, put,
-// delete, scan, count) over any kamino engine, speaking the length-prefixed
-// binary request/response frames of internal/transport's kvwire layer.
+// cmd/kaminod: a concurrent TCP server exposing one keyspace (get, put,
+// delete) over any kamino engine, speaking the length-prefixed binary
+// request/response frames of internal/transport's kvwire layer.
 //
 // Design (one connection, front to back):
 //
@@ -12,7 +12,7 @@
 //   - admission is a server-wide token budget: a request that cannot get
 //     a token is SHED with an explicit busy error rather than queued, so
 //     overload degrades into fast failures, not latency collapse;
-//   - reads (get/scan/count) execute on the connection's response writer
+//   - reads (gets) execute on the connection's response writer
 //     when it reaches them, so every earlier request on the connection
 //     has completed first (per-connection read-your-writes, by
 //     construction); reads on different connections run concurrently;
@@ -27,10 +27,10 @@
 //     it flushes only when no further response is queued, so a burst of
 //     responses shares one socket write.
 //
-// Tenancy: every request names a tenant; the server maps it to a
-// kvstore.PrefixedStore over one shared root store (48-bit tenant-local
-// keys, 16-bit tenant prefix, durable tenant registry — see
-// internal/kvstore/prefix.go).
+// Keyspace: every request reads and writes the store's "default" tenant,
+// a kvstore.PrefixedStore resolved once in New (48-bit keys under a 16-bit
+// tenant prefix — see internal/kvstore/prefix.go). A store filled below
+// the wire through that tenant serves its keys unchanged.
 //
 // Shutdown: Drain stops accepting connections, rejects new requests with
 // a shutdown error, waits for every in-flight request to complete and its
@@ -55,7 +55,7 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Store is the root store all tenants share. Required.
+	// Store is the root store whose default tenant is served. Required.
 	Store *kvstore.Store
 
 	// Window bounds each connection's pipelined in-flight requests; a
@@ -80,18 +80,6 @@ type Options struct {
 	// MaxValueBytes rejects larger put payloads as bad requests before
 	// they reach the engine. Default 1 MiB.
 	MaxValueBytes int
-
-	// DefaultTenant is the keyspace used by requests with an empty
-	// tenant name. Default "default".
-	DefaultTenant string
-
-	// Tenants are keyspaces to register at startup (in addition to any
-	// already in the store's durable registry).
-	Tenants []string
-
-	// AutoTenant registers unknown tenant names on first use instead of
-	// rejecting them.
-	AutoTenant bool
 
 	// Obs, if set, receives the server's counters and gauges
 	// (connections, admission queue depth, shed/served counters, batch
@@ -118,21 +106,18 @@ func (o Options) withDefaults() Options {
 	if o.MaxValueBytes == 0 {
 		o.MaxValueBytes = 1 << 20
 	}
-	if o.DefaultTenant == "" {
-		o.DefaultTenant = "default"
-	}
 	return o
 }
 
 // Server serves the KV protocol on one listener.
 type Server struct {
-	opts    Options
-	ln      net.Listener
-	tenants *kvstore.Tenants
+	opts     Options
+	ln       net.Listener
+	tenants  *kvstore.Tenants
+	keyspace *kvstore.PrefixedStore // the default tenant: what every request addresses
 
-	// writeMu serializes every writer of the root store: the batcher's
-	// transactions and tenant registration (kvstore.ApplyBatch requires
-	// a single concurrent writer).
+	// writeMu serializes the batcher's transactions on the root store
+	// (kvstore.ApplyBatch requires a single concurrent writer).
 	writeMu sync.Mutex
 
 	admit   chan struct{} // admission tokens (buffered MaxInflight)
@@ -178,8 +163,8 @@ type Server struct {
 }
 
 // New builds a Server over ln. The listener is owned by the server from
-// here on (Drain and Close close it). Tenants named in opts are
-// registered durably before serving starts.
+// here on (Drain and Close close it). The default tenant is registered
+// durably, if it is not already, before serving starts.
 func New(ln net.Listener, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	if opts.Store == nil {
@@ -189,10 +174,15 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: loading tenant registry: %w", err)
 	}
+	keyspace, err := tenants.Ensure("default")
+	if err != nil {
+		return nil, fmt.Errorf("server: registering the default tenant: %w", err)
+	}
 	s := &Server{
 		opts:      opts,
 		ln:        ln,
 		tenants:   tenants,
+		keyspace:  keyspace,
 		admit:     make(chan struct{}, opts.MaxInflight),
 		writeCh:   make(chan *wreq, opts.MaxInflight),
 		stop:      make(chan struct{}),
@@ -204,11 +194,6 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 	if opts.Trace != nil {
 		s.tracer = opts.Trace.Tracer("server")
 	}
-	for _, name := range append([]string{opts.DefaultTenant}, opts.Tenants...) {
-		if _, err := tenants.Ensure(name); err != nil {
-			return nil, fmt.Errorf("server: registering tenant %q: %w", name, err)
-		}
-	}
 	s.initObs()
 	s.batchWG.Add(1)
 	go s.batcher()
@@ -219,14 +204,17 @@ func New(ln net.Listener, opts Options) (*Server, error) {
 // SlowLog.Handler).
 func (s *Server) Slow() *SlowLog { return s.slow }
 
+// kinds are the request kinds the server serves, each with its own counter
+// and wall timer.
+var kinds = []transport.KVKind{transport.KVPing, transport.KVGet, transport.KVPut, transport.KVDelete}
+
 // initObs registers the server's counters and gauges.
 func (s *Server) initObs() {
 	reg := s.opts.Obs
 	if reg == nil {
 		reg = obs.New("server")
 	}
-	for _, k := range []transport.KVKind{transport.KVPing, transport.KVGet, transport.KVPut,
-		transport.KVDelete, transport.KVScan, transport.KVCount} {
+	for _, k := range kinds {
 		s.cOps[k] = reg.Counter("ops_" + k.String())
 	}
 	s.cShed = reg.Counter("shed")
@@ -250,8 +238,7 @@ func (s *Server) initObs() {
 	for i := transport.KVPhase(0); i < transport.KVPhaseCount; i++ {
 		s.pPhase[i] = reg.Phase(obs.Phase(i.String()))
 	}
-	for _, k := range []transport.KVKind{transport.KVPing, transport.KVGet, transport.KVPut,
-		transport.KVDelete, transport.KVScan, transport.KVCount} {
+	for _, k := range kinds {
 		s.pKindWall[k] = reg.Phase(obs.Phase("req_wall_" + k.String()))
 	}
 }
@@ -267,7 +254,8 @@ func (s *Server) phase(p *pending, ph transport.KVPhase, ns int64) {
 // Addr returns the listener's address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Tenants exposes the tenant registry (for the owner's introspection).
+// Tenants exposes the store's tenant registry, whose "default" tenant the
+// server serves; the owner fills it below the wire through Ensure.
 func (s *Server) Tenants() *kvstore.Tenants { return s.tenants }
 
 // Draining reports whether a drain has started (readyz wiring).
@@ -309,14 +297,11 @@ type pending struct {
 	once  sync.Once
 	token bool // holds an admission token until finished
 
-	// readFrom marks an admitted read (get, scan, count): the response
-	// writer executes it against this tenant view when it reaches the
-	// slot. Set before the slot enters the order queue.
-	readFrom *kvstore.PrefixedStore
-	max      int // a scan's result bound
+	// read marks an admitted get: the response writer executes it when it
+	// reaches the slot. Set before the slot enters the order queue.
+	read bool
 
 	kind     transport.KVKind
-	tenant   string
 	key      uint64
 	bytes    int       // put payload size
 	trace    uint64    // server-minted trace id; 0 when not tracing
@@ -407,7 +392,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		enc := transport.NewKVEncoder(bw)
 		for p := range order {
 			var err error
-			if p.readFrom != nil {
+			if p.read {
 				// Every earlier slot on the connection has completed, so
 				// the read sees the connection's earlier writes.
 				s.runRead(p)
@@ -445,7 +430,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// nobody will execute now is failed, which returns its admission
 		// token and ends it for Drain.
 		for p := range order {
-			if p.readFrom != nil {
+			if p.read {
 				s.fail(p, transport.KVErrShutdown, errors.New("connection closed"))
 			}
 			<-p.done
@@ -464,7 +449,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		p := &pending{
 			done:   make(chan struct{}),
 			kind:   req.Kind,
-			tenant: req.Tenant,
 			key:    req.Key,
 			bytes:  len(req.Value),
 			wantNs: req.Breakdown,
@@ -492,8 +476,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // writeResponse encodes p's response. A result too large for one frame (a
-// wide scan of large values) is answered with a bad-request status instead:
-// the encoder wrote none of it, so the stream stays intact.
+// value stored below the wire, past any put's limit) is answered with a
+// bad-request status instead: the encoder wrote none of it, so the stream
+// stays intact.
 func (s *Server) writeResponse(enc *transport.KVEncoder, p *pending) error {
 	err := enc.Response(&p.resp)
 	if errors.Is(err, transport.ErrKVFrameTooLarge) {
@@ -516,13 +501,8 @@ func (s *Server) completeReq(p *pending) {
 	if t, ok := s.pKindWall[p.kind]; ok {
 		t.Observe(time.Duration(wallNs))
 	}
-	tenant := p.tenant
-	if tenant == "" {
-		tenant = s.opts.DefaultTenant
-	}
 	s.slow.Insert(SlowRecord{
 		Trace:  p.trace,
-		Tenant: tenant,
 		Kind:   p.kind.String(),
 		Key:    p.key,
 		Bytes:  p.bytes,
@@ -552,11 +532,6 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 		s.finish(p, func(r *transport.KVResponse) { r.Status = transport.KVOK })
 		return nil
 	}
-	ps, err := s.tenant(req.Tenant)
-	if err != nil {
-		s.fail(p, transport.KVErrBadRequest, err)
-		return nil
-	}
 	// Admission: overload sheds instead of queueing.
 	select {
 	case s.admit <- struct{}{}:
@@ -566,8 +541,8 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 		s.fail(p, transport.KVErrBusy, errors.New("admission queue full"))
 		return nil
 	}
-	// admission_wait: decode end to token in hand (covers tenant
-	// resolution and the shed decision).
+	// admission_wait: decode end to token in hand (covers the shed
+	// decision).
 	s.phase(p, transport.KVPhaseAdmissionWait, time.Since(p.start).Nanoseconds())
 	switch req.Kind {
 	case transport.KVPut, transport.KVDelete:
@@ -576,14 +551,14 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 				fmt.Errorf("value %d bytes exceeds limit %d", len(req.Value), s.opts.MaxValueBytes))
 			return nil
 		}
-		gkey, err := ps.Global(req.Key)
+		gkey, err := s.keyspace.Global(req.Key)
 		if err != nil {
 			s.fail(p, transport.KVErrBadRequest, err)
 			return nil
 		}
 		return &wreq{p: p, key: gkey, value: req.Value, delete: req.Kind == transport.KVDelete}
-	case transport.KVGet, transport.KVScan, transport.KVCount:
-		p.readFrom, p.max = ps, req.Max
+	case transport.KVGet:
+		p.read = true
 		return nil
 	default:
 		s.fail(p, transport.KVErrBadRequest, fmt.Errorf("unknown request kind %d", req.Kind))
@@ -591,89 +566,30 @@ func (s *Server) dispatch(req *transport.KVRequest, p *pending) *wreq {
 	}
 }
 
-// runRead executes a read slot. The response writer calls it on reaching
+// runRead executes a get slot. The response writer calls it on reaching
 // the slot, when every earlier request on the connection has completed.
 func (s *Server) runRead(p *pending) {
 	// batch_wait for a read is the wait for the writer to reach it.
 	s.phase(p, transport.KVPhaseBatchWait, time.Since(p.start).Nanoseconds()-p.ns[transport.KVPhaseAdmissionWait])
-	ps := p.readFrom
 	e0 := time.Now()
-	var fill func(*transport.KVResponse)
-	var err error
-	switch p.kind {
-	case transport.KVGet:
-		var v []byte
-		var ok bool
-		if v, ok, err = ps.Read(p.key); err == nil {
-			fill = func(r *transport.KVResponse) {
-				r.Status = transport.KVOK
-				r.Found = ok
-				r.Value = v
-			}
-		}
-	case transport.KVScan:
-		max := p.max
-		if max <= 0 || max > 10_000 {
-			max = 10_000
-		}
-		var kvs []kvstore.KV
-		if kvs, err = ps.Scan(p.key, max); err == nil {
-			fill = func(r *transport.KVResponse) {
-				r.Status = transport.KVOK
-				r.Keys = make([]uint64, len(kvs))
-				r.Values = make([][]byte, len(kvs))
-				for i, kv := range kvs {
-					r.Keys[i] = kv.Key
-					r.Values[i] = kv.Value
-				}
-			}
-		}
-	case transport.KVCount:
-		var n int
-		if n, err = ps.Count(); err == nil {
-			fill = func(r *transport.KVResponse) {
-				r.Status = transport.KVOK
-				r.N = n
-			}
-		}
-	}
+	v, ok, err := s.keyspace.Read(p.key)
 	// engine_txn for a read is the store call itself (read-only engine
 	// transactions trace no TxID-keyed events, so there is no req_tx
 	// link; the span carries the duration). Set before finish: the
 	// response writer reads the phase vector once done closes.
 	s.phase(p, transport.KVPhaseEngineTxn, time.Since(e0).Nanoseconds())
-	if err != nil {
-		s.readFail(p, err)
-		return
-	}
-	s.finish(p, fill)
-}
-
-// readFail maps a read error to its response status.
-func (s *Server) readFail(p *pending, err error) {
-	if errors.Is(err, kvstore.ErrKeyRange) {
+	switch {
+	case errors.Is(err, kvstore.ErrKeyRange):
 		s.fail(p, transport.KVErrBadRequest, err)
-		return
+	case err != nil:
+		s.fail(p, transport.KVErrInternal, err)
+	default:
+		s.finish(p, func(r *transport.KVResponse) {
+			r.Status = transport.KVOK
+			r.Found = ok
+			r.Value = v
+		})
 	}
-	s.fail(p, transport.KVErrInternal, err)
-}
-
-// tenant resolves a request's tenant name to its store view.
-func (s *Server) tenant(name string) (*kvstore.PrefixedStore, error) {
-	if name == "" {
-		name = s.opts.DefaultTenant
-	}
-	if ps, ok := s.tenants.Lookup(name); ok {
-		return ps, nil
-	}
-	if !s.opts.AutoTenant {
-		return nil, fmt.Errorf("unknown tenant %q", name)
-	}
-	// Tenant registration writes the registry through the root store;
-	// serialize it against the batcher like any other writer.
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return s.tenants.Ensure(name)
 }
 
 // Drain gracefully shuts the server down: stop accepting connections,

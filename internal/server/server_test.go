@@ -75,74 +75,64 @@ func TestBasicOps(t *testing.T) {
 	if _, ok, _ := c.Get("", 2); ok {
 		t.Error("absent key found")
 	}
-	for k := uint64(2); k <= 5; k++ {
-		if err := c.Put("", k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, vals, err := c.Scan("", 2, 3)
-	if err != nil || len(keys) != 3 || len(vals) != 3 {
-		t.Fatalf("Scan = %v %v %v", keys, vals, err)
-	}
-	if keys[0] != 2 || keys[2] != 4 {
-		t.Errorf("scan keys = %v", keys)
-	}
-	n, err := c.Count("")
-	if err != nil || n != 5 {
-		t.Fatalf("Count = %d %v", n, err)
-	}
-	found, err := c.Delete("", 1)
+	found, err := c.Delete(1)
 	if err != nil || !found {
 		t.Fatalf("Delete = %v %v", found, err)
 	}
-	if found, _ := c.Delete("", 1); found {
+	if found, _ := c.Delete(1); found {
 		t.Error("second delete reported found")
 	}
-}
-
-func TestTenantIsolation(t *testing.T) {
-	srv, addr := startServer(t, Options{Tenants: []string{"alpha", "beta"}})
-	c := dial(t, addr)
-	if err := c.Put("alpha", 7, []byte("A")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("beta", 7, []byte("B")); err != nil {
-		t.Fatal(err)
-	}
-	va, _, _ := c.Get("alpha", 7)
-	vb, _, _ := c.Get("beta", 7)
-	if string(va) != "A" || string(vb) != "B" {
-		t.Fatalf("tenant values crossed: alpha=%q beta=%q", va, vb)
-	}
-	if _, ok, _ := c.Get("", 7); ok {
-		t.Error("default tenant sees other tenants' key")
-	}
-	n, err := c.Count("alpha")
-	if err != nil || n != 1 {
-		t.Fatalf("alpha Count = %d %v", n, err)
-	}
-	// Unknown tenants are rejected when AutoTenant is off.
-	if err := c.Put("nobody", 1, []byte("x")); err == nil {
-		t.Error("unknown tenant accepted")
-	}
-	// And out-of-range keys are bad requests, not engine errors.
-	if err := c.Put("alpha", kvstore.MaxTenantKey+1, []byte("x")); err == nil {
-		t.Error("out-of-range key accepted")
-	}
-	if got := srv.Tenants().Names(); len(got) != 3 {
-		t.Errorf("tenant names = %v", got)
+	if _, ok, _ := c.Get("", 1); ok {
+		t.Error("deleted key found")
 	}
 }
 
-func TestAutoTenant(t *testing.T) {
-	_, addr := startServer(t, Options{AutoTenant: true})
+// TestOutOfRangeKeyIsBadRequest: a key wider than the keyspace's 48 bits
+// is the client's error, answered bad-request by puts, deletes and gets
+// alike, not an engine failure.
+func TestOutOfRangeKeyIsBadRequest(t *testing.T) {
+	_, addr := startServer(t, Options{})
 	c := dial(t, addr)
-	if err := c.Put("fresh", 1, []byte("x")); err != nil {
-		t.Fatalf("auto tenant rejected: %v", err)
+	for _, req := range []transport.KVRequest{
+		{Kind: transport.KVPut, Key: kvstore.MaxTenantKey + 1, Value: []byte("x")},
+		{Kind: transport.KVDelete, Key: kvstore.MaxTenantKey + 1},
+		{Kind: transport.KVGet, Key: kvstore.MaxTenantKey + 1},
+	} {
+		call, err := c.Send(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if <-call.Done; call.Err != nil || call.Resp.Status != transport.KVErrBadRequest {
+			t.Errorf("%s of an out-of-range key: %v, status %s; want bad-request", req.Kind, call.Err, call.Resp.Status)
+		}
 	}
-	v, ok, err := c.Get("fresh", 1)
-	if err != nil || !ok || string(v) != "x" {
-		t.Fatalf("Get = %q %v %v", v, ok, err)
+}
+
+// TestServesDefaultTenantFilledBelowTheWire: keys inserted through the
+// default tenant's view, as an owner preloads a store, are what the wire
+// reads and overwrites.
+func TestServesDefaultTenantFilledBelowTheWire(t *testing.T) {
+	srv, addr := startServer(t, Options{})
+	tenant, err := srv.Tenants().Ensure("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 16; k++ {
+		if err := tenant.Insert(k, []byte(fmt.Sprint("below-", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dial(t, addr)
+	for k := uint64(0); k < 16; k++ {
+		if v, ok, err := c.Get("", k); err != nil || !ok || string(v) != fmt.Sprint("below-", k) {
+			t.Fatalf("Get(%d) = %q %v %v, want the value inserted below the wire", k, v, ok, err)
+		}
+	}
+	if err := c.Put("", 3, []byte("over the wire")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := tenant.Read(3); err != nil || !ok || string(v) != "over the wire" {
+		t.Fatalf("tenant.Read(3) = %q %v %v after a put over the wire", v, ok, err)
 	}
 }
 
@@ -226,9 +216,10 @@ func TestBatching(t *testing.T) {
 	}
 	// Every write must be readable regardless of how batches split.
 	c := dial(t, addr)
-	n, err := c.Count("")
-	if err != nil || n != conns*perConn {
-		t.Fatalf("Count = %d %v, want %d", n, err, conns*perConn)
+	for k := uint64(0); k < conns*perConn; k++ {
+		if v, ok, err := c.Get("", k); err != nil || !ok || len(v) != 1 || v[0] != byte(k/perConn) {
+			t.Fatalf("Get(%d) = %v %v %v after batching", k, v, ok, err)
+		}
 	}
 }
 
@@ -688,8 +679,9 @@ func TestTraceContinuity(t *testing.T) {
 	}
 }
 
-// TestClientNamesAddNoSeries: a tenant name is the client's to choose, so
-// it never becomes a metric series. Puts naming unregistered tenants are
+// TestClientNamesAddNoSeries: a request kind is the client's to choose, so
+// an unknown one never becomes a metric series. Requests of kinds the
+// server does not serve — the retired scan and count among them — are
 // answered as bad requests, and afterwards the server registry holds the
 // same counter and phase names it held before them.
 func TestClientNamesAddNoSeries(t *testing.T) {
@@ -709,20 +701,20 @@ func TestClientNamesAddNoSeries(t *testing.T) {
 	}
 	before := names()
 	for i := 0; i < 20; i++ {
-		call, err := c.Send(&transport.KVRequest{Kind: transport.KVPut,
-			Tenant: fmt.Sprintf("bogus%d", i), Key: 1, Value: []byte("x")})
+		kind := transport.KVDelete + 1 + transport.KVKind(i)
+		call, err := c.Send(&transport.KVRequest{Kind: kind, Key: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if <-call.Done; call.Err != nil || call.Resp.Status != transport.KVErrBadRequest {
-			t.Fatalf("put to unknown tenant: %v, status %s; want bad-request", call.Err, call.Resp.Status)
+			t.Fatalf("%s request: %v, status %s; want bad-request", kind, call.Err, call.Resp.Status)
 		}
 	}
 	if err := c.Put("", 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if after := names(); !slices.Equal(after, before) {
-		t.Errorf("client-chosen tenant names changed the registry's series\nbefore %v\nafter  %v", before, after)
+		t.Errorf("client-chosen request kinds changed the registry's series\nbefore %v\nafter  %v", before, after)
 	}
 }
 

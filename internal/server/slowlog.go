@@ -47,11 +47,9 @@ type SlowRecord struct {
 	// Trace is the id the server minted for the request's spans (0 when
 	// the server is not tracing).
 	Trace uint64 `json:"trace,omitempty"`
-	// Tenant is the keyspace the request addressed.
-	Tenant string `json:"tenant"`
 	// Kind is the operation name (get, put, ...).
 	Kind string `json:"kind"`
-	// Key is the tenant-local key.
+	// Key is the request's key.
 	Key uint64 `json:"key"`
 	// Bytes is the put payload size.
 	Bytes int `json:"bytes,omitempty"`

@@ -102,7 +102,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 // names each phase by its transport.KVPhase name.
 func TestSlowLogHandler(t *testing.T) {
 	l := NewSlowLog(4, time.Hour)
-	l.Insert(SlowRecord{Trace: 1, Kind: "put", Tenant: "t", WallNs: 1234, Start: time.Now(),
+	l.Insert(SlowRecord{Trace: 1, Kind: "put", WallNs: 1234, Start: time.Now(),
 		Phases: Phases{1, 2, 3, 4, 5, 6}})
 	rr := httptest.NewRecorder()
 	l.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/requests", nil))

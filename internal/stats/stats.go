@@ -3,7 +3,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -87,9 +86,6 @@ func (h *Histogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
-// Min and Max return the extreme samples.
-func (h *Histogram) Min() time.Duration { return h.min }
-
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration { return h.max }
 
@@ -126,10 +122,4 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// String summarizes the histogram.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.count, h.Mean(), h.Percentile(50), h.Percentile(99), h.max)
 }

@@ -17,21 +17,18 @@ import (
 // mechanism).
 //
 // A frame is a little-endian u32 body length, then the body. Integers are
-// uvarints (varint: zigzag, for the signed Max, N and PhaseNs), and a byte
-// string is a uvarint length and its bytes. A flags byte names the
-// optional fields present; absent fields are zero. Every value has exactly
-// one encoding — a flag is set only for a non-zero field (non-nil for the
-// slices), and varints are minimal — and a decoder rejects anything else,
-// so a frame that decodes re-encodes to the same bytes.
+// uvarints (varint: zigzag, for the signed PhaseNs), and a byte string is
+// a uvarint length and its bytes. A flags byte names the optional fields
+// present; absent fields are zero. Every value has exactly one encoding —
+// a flag is set only for a non-zero field (non-nil for the slices), and
+// varints are minimal — and a decoder rejects anything else, so a frame
+// that decodes re-encodes to the same bytes.
 //
-//	request:  kind u8 | flags u8 | ID | Key
-//	          [tenant: bytes] [max: varint] [value: bytes]
-//	          flags: 1 tenant, 2 max, 4 Breakdown, 8 value
+//	request:  kind u8 | flags u8 | ID | Key [value: bytes]
+//	          flags: 1 Breakdown, 2 value
 //	response: status u8 | flags u8 | ID
-//	          [err: bytes] [value: bytes] [n: varint]
-//	          [scan: count, count × (key, value bytes)]
-//	          [phases: count, count × varint]
-//	          flags: 1 Found, 2 err, 4 value, 8 n, 16 scan, 32 phases
+//	          [err: bytes] [value: bytes] [phases: count, count × varint]
+//	          flags: 1 Found, 2 err, 4 value, 8 phases
 //
 // A body longer than MaxKVFrame is refused by both sides. No trace id
 // crosses the wire: a tracing server mints its own for each request.
@@ -50,10 +47,6 @@ const (
 	KVPut
 	// KVDelete removes Key.
 	KVDelete
-	// KVScan returns up to Max pairs starting at Key.
-	KVScan
-	// KVCount returns the tenant's key count.
-	KVCount
 )
 
 // String names the kind for logs and metrics.
@@ -67,10 +60,6 @@ func (k KVKind) String() string {
 		return "put"
 	case KVDelete:
 		return "delete"
-	case KVScan:
-		return "scan"
-	case KVCount:
-		return "count"
 	default:
 		return fmt.Sprintf("kvkind(%d)", uint8(k))
 	}
@@ -89,8 +78,8 @@ const (
 	// KVErrShutdown rejects the request: the server is draining. The
 	// operation was NOT executed; reconnect elsewhere or later.
 	KVErrShutdown
-	// KVErrBadRequest rejects a malformed request (unknown tenant, key out
-	// of range, oversized value, unknown kind). Retrying cannot succeed.
+	// KVErrBadRequest rejects a malformed request (key out of range,
+	// oversized value, unknown kind). Retrying cannot succeed.
 	KVErrBadRequest
 	// KVErrInternal reports an engine failure executing the operation.
 	KVErrInternal
@@ -177,14 +166,10 @@ type KVRequest struct {
 	ID uint64
 	// Kind selects the operation.
 	Kind KVKind
-	// Tenant names the keyspace ("" = the default tenant).
-	Tenant string
-	// Key is the tenant-local key (48 usable bits).
+	// Key is the key (48 usable bits).
 	Key uint64
 	// Value is the payload for KVPut.
 	Value []byte
-	// Max bounds a KVScan's result count.
-	Max int
 	// Breakdown asks the server to return its per-phase latency split in
 	// KVResponse.PhaseNs.
 	Breakdown bool
@@ -202,12 +187,6 @@ type KVResponse struct {
 	Found bool
 	// Value is KVGet's result.
 	Value []byte
-	// Keys and Values are KVScan's result pairs (parallel slices).
-	Keys []uint64
-	// Values holds the scan payloads.
-	Values [][]byte
-	// N is KVCount's result.
-	N int
 	// PhaseNs is the server-side latency breakdown in nanoseconds,
 	// indexed by KVPhase, present only when the request set Breakdown.
 	// PhaseNs[KVPhaseRespWrite] is always 0 (a response cannot time its
@@ -238,15 +217,13 @@ var ErrKVFrameTooLarge = errors.New("kvwire: frame exceeds MaxKVFrame")
 var errKVMalformed = errors.New("kvwire: malformed frame")
 
 // kvRetain is the largest buffer a codec keeps between frames: a larger
-// frame's buffer is dropped once done with, so one wide scan does not pin
+// frame's buffer is dropped once done with, so one large value does not pin
 // its size for the life of the connection.
 const kvRetain = 64 << 10
 
 // Request flag bits.
 const (
-	reqTenant byte = 1 << iota
-	reqMax
-	reqBreakdown
+	reqBreakdown byte = 1 << iota
 	reqValue
 	reqKnown = 1<<iota - 1
 )
@@ -256,8 +233,6 @@ const (
 	respFound byte = 1 << iota
 	respErr
 	respValue
-	respN
-	respScan
 	respPhases
 	respKnown = 1<<iota - 1
 )
@@ -275,12 +250,6 @@ func NewKVEncoder(w io.Writer) *KVEncoder { return &KVEncoder{w: w} }
 // Request writes one request frame.
 func (e *KVEncoder) Request(req *KVRequest) error {
 	var flags byte
-	if req.Tenant != "" {
-		flags |= reqTenant
-	}
-	if req.Max != 0 {
-		flags |= reqMax
-	}
 	if req.Breakdown {
 		flags |= reqBreakdown
 	}
@@ -290,20 +259,13 @@ func (e *KVEncoder) Request(req *KVRequest) error {
 	b := append(e.buf[:0], 0, 0, 0, 0, byte(req.Kind), flags)
 	b = binary.AppendUvarint(b, req.ID)
 	b = binary.AppendUvarint(b, req.Key)
-	if flags&reqTenant != 0 {
-		b = appendBytes(b, req.Tenant)
-	}
-	if flags&reqMax != 0 {
-		b = binary.AppendVarint(b, int64(req.Max))
-	}
 	if flags&reqValue != 0 {
 		b = appendBytes(b, req.Value)
 	}
 	return e.write(b)
 }
 
-// Response writes one response frame. Keys and Values must be the same
-// length.
+// Response writes one response frame.
 func (e *KVEncoder) Response(resp *KVResponse) error {
 	var flags byte
 	if resp.Found {
@@ -315,15 +277,6 @@ func (e *KVEncoder) Response(resp *KVResponse) error {
 	if resp.Value != nil {
 		flags |= respValue
 	}
-	if resp.N != 0 {
-		flags |= respN
-	}
-	if resp.Keys != nil || resp.Values != nil {
-		if len(resp.Keys) != len(resp.Values) {
-			return fmt.Errorf("kvwire: scan response has %d keys and %d values", len(resp.Keys), len(resp.Values))
-		}
-		flags |= respScan
-	}
 	if resp.PhaseNs != nil {
 		flags |= respPhases
 	}
@@ -334,16 +287,6 @@ func (e *KVEncoder) Response(resp *KVResponse) error {
 	}
 	if flags&respValue != 0 {
 		b = appendBytes(b, resp.Value)
-	}
-	if flags&respN != 0 {
-		b = binary.AppendVarint(b, int64(resp.N))
-	}
-	if flags&respScan != 0 {
-		b = binary.AppendUvarint(b, uint64(len(resp.Keys)))
-		for i, k := range resp.Keys {
-			b = binary.AppendUvarint(b, k)
-			b = appendBytes(b, resp.Values[i])
-		}
 	}
 	if flags&respPhases != 0 {
 		b = binary.AppendUvarint(b, uint64(len(resp.PhaseNs)))
@@ -401,14 +344,6 @@ func (d *KVDecoder) Request(req *KVRequest) error {
 	*req = KVRequest{Kind: KVKind(kind), Breakdown: flags&reqBreakdown != 0}
 	req.ID = c.uvarint()
 	req.Key = c.uvarint()
-	if flags&reqTenant != 0 {
-		req.Tenant = string(c.bytes())
-		c.require(req.Tenant != "")
-	}
-	if flags&reqMax != 0 {
-		req.Max = int(c.varint())
-		c.require(req.Max != 0)
-	}
 	if flags&reqValue != 0 {
 		req.Value = bytes.Clone(c.bytes())
 	}
@@ -435,21 +370,8 @@ func (d *KVDecoder) Response(resp *KVResponse) error {
 	if flags&respValue != 0 {
 		resp.Value = bytes.Clone(c.bytes())
 	}
-	if flags&respN != 0 {
-		resp.N = int(c.varint())
-		c.require(resp.N != 0)
-	}
-	if flags&respScan != 0 {
-		n := c.count(2) // a key and a length, one byte each at least
-		resp.Keys = make([]uint64, n)
-		resp.Values = make([][]byte, n)
-		for i := range resp.Keys {
-			resp.Keys[i] = c.uvarint()
-			resp.Values[i] = bytes.Clone(c.bytes())
-		}
-	}
 	if flags&respPhases != 0 {
-		resp.PhaseNs = make([]int64, c.count(1))
+		resp.PhaseNs = make([]int64, c.count())
 		for i := range resp.PhaseNs {
 			resp.PhaseNs[i] = c.varint()
 		}
@@ -547,12 +469,12 @@ func (c *kvCursor) bytes() []byte {
 	return v
 }
 
-// count reads an element count, refusing one whose elements, at least size
-// bytes each, the rest of the body cannot hold — so a count never sizes an
+// count reads an element count, refusing one whose elements, a byte each
+// at least, the rest of the body cannot hold — so a count never sizes an
 // allocation past the frame.
-func (c *kvCursor) count(size int) int {
+func (c *kvCursor) count() int {
 	n := c.uvarint()
-	if n > uint64(len(c.b)/size) {
+	if n > uint64(len(c.b)) {
 		c.fail()
 		return 0
 	}

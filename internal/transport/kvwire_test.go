@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kaminotx/internal/race"
@@ -48,11 +49,10 @@ func TestKVWireRoundTrip(t *testing.T) {
 	}{
 		{
 			name: "every field",
-			req: KVRequest{ID: 1<<63 + 7, Kind: KVScan, Tenant: "alpha", Key: 1<<48 - 1,
-				Value: []byte("v"), Max: -3, Breakdown: true},
+			req: KVRequest{ID: 1<<63 + 7, Kind: KVPut, Key: 1<<48 - 1,
+				Value: []byte("v"), Breakdown: true},
 			resp: KVResponse{ID: 1<<63 + 7, Status: KVErrInternal, Err: "boom", Found: true,
-				Value: []byte("val"), Keys: []uint64{0, 1 << 40}, Values: [][]byte{[]byte("a"), {}},
-				N: -1, PhaseNs: []int64{1, -2, 1 << 40, 4, 5, 0}},
+				Value: []byte("val"), PhaseNs: []int64{1, -2, 1 << 40, 4, 5, 0}},
 		},
 		{
 			name: "zero values",
@@ -62,7 +62,7 @@ func TestKVWireRoundTrip(t *testing.T) {
 		{
 			name: "empty, not nil",
 			req:  KVRequest{Kind: KVPut, Value: []byte{}},
-			resp: KVResponse{Value: []byte{}, Keys: []uint64{}, Values: [][]byte{}, PhaseNs: []int64{}},
+			resp: KVResponse{Value: []byte{}, PhaseNs: []int64{}},
 		},
 		{
 			name: "found but empty get",
@@ -119,7 +119,7 @@ func TestKVWireGolden(t *testing.T) {
 	put := []byte{
 		11, 0, 0, 0, // body length
 		2,          // kind: put
-		8,          // flags: value
+		2,          // flags: value
 		1,          // ID
 		0xAC, 0x02, // Key 300
 		5, 'h', 'e', 'l', 'l', 'o', // value
@@ -134,7 +134,7 @@ func TestKVWireGolden(t *testing.T) {
 	get := []byte{
 		13, 0, 0, 0, // body length
 		0,           // status: ok
-		1 | 4 | 32,  // flags: found, value, phases
+		1 | 4 | 8,   // flags: found, value, phases
 		1,           // ID
 		2, 'h', 'i', // value
 		6, 2, 4, 6, 8, 10, 0, // phases: count, then zigzag varints
@@ -158,19 +158,26 @@ func TestKVWireRejects(t *testing.T) {
 		t.Errorf("truncated body: %v, want io.ErrUnexpectedEOF", err)
 	}
 	for name, body := range map[string][]byte{
-		"overlong varint":      {1, 0, 0x81, 0x00, 0},
-		"unknown flag":         {1, 0x80, 1, 0},
-		"trailing byte":        {1, 0, 1, 0, 0},
-		"empty tenant flagged": {1, reqTenant, 1, 0, 0},
-		"value past the end":   {2, reqValue, 1, 0, 5, 'a'},
+		"overlong varint":        {1, 0, 0x81, 0x00, 0},
+		"unknown flag":           {1, 0x80, 1, 0},
+		"first flag past known":  {1, reqKnown + 1, 1, 0},
+		"trailing byte":          {1, 0, 1, 0, 0},
+		"value past the end":     {2, reqValue, 1, 0, 5, 'a'},
+		"response: empty err":    {0, respErr, 1, 0},
+		"response: unknown flag": {0, respKnown + 1, 1},
+		"response: phases count": {0, respPhases, 1, 3, 2},
 	} {
 		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-		if err := NewKVDecoder(bytes.NewReader(append(frame, body...))).Request(&req); !errors.Is(err, errKVMalformed) {
+		r := bytes.NewReader(append(frame, body...))
+		var err error
+		if strings.HasPrefix(name, "response: ") {
+			err = NewKVDecoder(r).Response(new(KVResponse))
+		} else {
+			err = NewKVDecoder(r).Request(&req)
+		}
+		if !errors.Is(err, errKVMalformed) {
 			t.Errorf("%s: %v, want a malformed-frame error", name, err)
 		}
-	}
-	if err := NewKVEncoder(io.Discard).Response(&KVResponse{Keys: []uint64{1}}); err == nil {
-		t.Error("scan response with keys but no values encoded")
 	}
 }
 
@@ -219,13 +226,13 @@ func FuzzKVWire(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(frames([]KVRequest{{ID: 1, Kind: KVPut, Tenant: "t", Key: 7, Value: []byte("value"), Breakdown: true}}, nil))
+	f.Add(frames([]KVRequest{{ID: 1, Kind: KVPut, Key: 7, Value: []byte("value"), Breakdown: true}}, nil))
 	f.Add(frames([]KVRequest{{ID: 2, Kind: KVGet, Key: 1 << 40}}, nil))
-	f.Add(frames([]KVRequest{{ID: 3, Kind: KVScan, Key: 5, Max: 100}}, nil))
+	f.Add(frames([]KVRequest{{ID: 3, Kind: KVDelete, Key: 5}, {ID: 4, Kind: KVPing}}, nil))
 	f.Add(frames(nil, []KVResponse{{ID: 1, Status: KVOK, PhaseNs: []int64{1, 2, 3, 4, 5, 0}}}))
 	f.Add(frames(nil, []KVResponse{{ID: 2, Found: true, Value: []byte("v")}}))
-	f.Add(frames(nil, []KVResponse{{ID: 3, Keys: []uint64{5, 6}, Values: [][]byte{[]byte("a"), []byte("bc")}}}))
-	f.Add(frames(nil, []KVResponse{{ID: 4, Status: KVErrBusy, Err: "admission queue full", N: 3}}))
+	f.Add(frames(nil, []KVResponse{{ID: 3, Found: true}, {ID: 4, Value: []byte{}}}))
+	f.Add(frames(nil, []KVResponse{{ID: 4, Status: KVErrBusy, Err: "admission queue full"}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var frame []byte
 		if len(data) >= 4 {

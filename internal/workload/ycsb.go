@@ -19,7 +19,6 @@ const (
 	OpUpdate
 	OpInsert
 	OpRMW
-	OpScan
 )
 
 // String names the operation kind for logs and reports.
@@ -33,8 +32,6 @@ func (k OpKind) String() string {
 		return "insert"
 	case OpRMW:
 		return "rmw"
-	case OpScan:
-		return "scan"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}

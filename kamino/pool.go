@@ -256,9 +256,7 @@ func (p *Pool) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{inner: inner, pool: p}
-	tx.touched = tx.few[:0]
-	return tx, nil
+	return &Tx{inner: inner, pool: p}, nil
 }
 
 // Update runs fn inside a transaction, committing if fn returns nil and

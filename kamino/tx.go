@@ -14,36 +14,22 @@ import (
 // as the handle is kept — the handle is never reused, though the engine
 // recycles the bookkeeping behind it.
 type Tx struct {
-	inner   engine.Tx
-	pool    *Pool
-	touched []ObjID
-	few     [4]ObjID // touched's first backing: most transactions touch a few objects
+	inner engine.Tx
+	pool  *Pool
 }
 
 // ID returns the transaction id.
 func (t *Tx) ID() uint64 { return t.inner.ID() }
 
-// TouchedObjects returns the objects this transaction declared write
-// intents on (via Add, Alloc or Free), in declaration order with possible
-// duplicates. Only tests call it, to check which objects an operation
-// declared.
-func (t *Tx) TouchedObjects() []ObjID { return t.touched }
-
 // Add declares a write intent on obj (NVML TX_ADD). It blocks while a prior
 // dependent transaction's backup sync is pending.
-func (t *Tx) Add(obj ObjID) error {
-	if err := t.inner.Add(obj); err != nil {
-		return err
-	}
-	t.touched = append(t.touched, obj)
-	return nil
-}
+func (t *Tx) Add(obj ObjID) error { return t.inner.Add(obj) }
 
 // Lock takes obj's write lock without declaring a write intent: nothing is
 // logged, copied or persisted for obj, Write refuses it, and the lock drops
 // when the transaction ends (under Kamino modes it is not held for the
 // backup sync). Writers of a shared structure serialize on it; Add upgrades
-// it if obj turns out to change. obj does not join TouchedObjects.
+// it if obj turns out to change.
 func (t *Tx) Lock(obj ObjID) error { return t.inner.Lock(obj) }
 
 // Write stores data at off within obj's payload. obj must be in the write
@@ -71,23 +57,10 @@ func (t *Tx) ReadAt(obj ObjID, off, n int) ([]byte, error) {
 }
 
 // Alloc transactionally allocates a zeroed object (NVML TX_ZALLOC).
-func (t *Tx) Alloc(size int) (ObjID, error) {
-	obj, err := t.inner.Alloc(size)
-	if err != nil {
-		return obj, err
-	}
-	t.touched = append(t.touched, obj)
-	return obj, nil
-}
+func (t *Tx) Alloc(size int) (ObjID, error) { return t.inner.Alloc(size) }
 
 // Free transactionally deallocates obj (NVML TX_FREE); effective at commit.
-func (t *Tx) Free(obj ObjID) error {
-	if err := t.inner.Free(obj); err != nil {
-		return err
-	}
-	t.touched = append(t.touched, obj)
-	return nil
-}
+func (t *Tx) Free(obj ObjID) error { return t.inner.Free(obj) }
 
 // Commit makes the transaction durable and atomic (NVML TX_COMMIT /
 // TX_END). Under Kamino modes it returns without copying any data; the
