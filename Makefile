@@ -47,16 +47,18 @@ fmt:
 # times too, the last because a delivery loop that races the departure
 # shows only as an occasional extra message. internal/kvstore
 # brings the strict two-writer preload that a power failure must not dent
-# (neighbouring allocations store into shared device lines at once). The
-# allocation pins (internal/kvstore/allocs_test.go, locktable's, both part of
-# `make test`) skip themselves here: testing.AllocsPerRun counts the detector's own
+# (neighbouring allocations store into shared device lines at once), and
+# internal/loadgen drives a loopback server over concurrent connections
+# with collector goroutines. The allocation pins
+# (internal/kvstore/allocs_test.go, locktable's, both part of `make test`)
+# skip themselves here: testing.AllocsPerRun counts the detector's own
 # allocations (internal/race.Enabled is the build-tagged constant they read).
 race:
 	$(GO) test -race -count=20 -run 'TestDrainZeroLoss|TestClientConcurrentSendsAndClose' ./internal/server/
 	$(GO) test -race -count=20 -run 'TestResendIsBatched|TestKillMidBatchConverges|TestOvertakingRecordsAreNotAppended|TestDrainCoalescesQueuedAppends|TestFullInboxesDoNotDeadlock' ./internal/chain/
 	$(GO) test -race -count=20 -run 'TestInProcLatency|TestInProcSendsArriveInOrder|TestInProcUnregisterDropsMessages' ./internal/transport/
 	$(GO) test -race -count=20 -run 'TestConcurrentReserveNoAliasing|TestConcurrentBeginReleaseChurn|TestConcurrentPersistDisjointLines|TestCrashDuringConcurrentPersists' ./internal/heap/ ./internal/intentlog/ ./internal/nvm/
-	$(GO) test -race ./internal/bench/... ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/...
+	$(GO) test -race ./internal/bench/... ./internal/stats/... ./internal/workload/... ./internal/engine/... ./internal/obs/... ./internal/trace/... ./kamino/... ./internal/locktable/... ./internal/heap/... ./internal/intentlog/... ./internal/nvm/... ./internal/simtime/... ./internal/transport/... ./internal/pbtree/... ./internal/chain/... ./internal/membership/... ./internal/pqueue/... ./internal/server/... ./internal/kvstore/... ./internal/loadgen/...
 
 # doccheck fails if any exported identifier under internal/ or kamino/
 # lacks a godoc comment, any package — including the cmd/ and tools/
@@ -154,7 +156,7 @@ serve-smoke: build
 	KPID=$$!; \
 	sleep 1; \
 	./out/serve/kaminoload -addr 127.0.0.1:17070 -preload -keys 2000 -value 256 \
-		-rates 2000,5000 -duration 1s -breakdown || { kill $$KPID; exit 1; }; \
+		-rate 2000,5000 -duration 1s -breakdown || { kill $$KPID; exit 1; }; \
 	curl -fsS http://127.0.0.1:17071/debug/requests -o out/serve/requests.json || { kill $$KPID; exit 1; }; \
 	jq -e '.records | length >= 1 and all(.phase_ns | keys == $(SERVE_PHASES_SORTED))' \
 		out/serve/requests.json >/dev/null || \

@@ -3,19 +3,19 @@
 // server answers, and measures each operation's latency from its
 // scheduled arrival time — so server stalls show up in the latency
 // distribution instead of being hidden by a slowed-down client
-// (coordinated omission). Sweeping -rates produces a latency-under-load
-// curve; -rate 0 runs closed-loop at -window outstanding per connection
-// and measures capacity instead.
+// (coordinated omission). -rate takes one rate or a comma-separated sweep,
+// which produces a latency-under-load curve; a rate of 0 runs closed-loop
+// at -window outstanding per connection and measures capacity instead.
 //
-//	kaminoload -addr localhost:7070 -preload -rates 5000,10000,20000
+//	kaminoload -addr localhost:7070 -preload -rate 5000,10000,20000
 //	kaminoload -addr localhost:7070 -rate 10000 -duration 10s -mix b
 //	kaminoload -addr localhost:7070 -verify -keys 2000 -value 256
 //
 // With -verify, keys 0..keys-1 are read back and checked against the
-// deterministic preload payload before any sweep; a missing key or a
+// deterministic preload payload before any load; a missing key or a
 // mismatched value fails the run (the recovery smoke's
-// zero-lost-acked-writes gate after kill -9). A -verify invocation with
-// no explicit rates runs the gate alone and exits.
+// zero-lost-acked-writes gate after kill -9). A -verify invocation runs
+// load afterwards only if -rate is given.
 package main
 
 import (
@@ -36,8 +36,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "localhost:7070", "kaminod address")
 		conns     = flag.Int("conns", 4, "client connections")
-		rate      = flag.Float64("rate", 0, "total offered ops/sec (0 = closed loop at -window)")
-		rates     = flag.String("rates", "", "comma-separated ops/sec sweep (overrides -rate)")
+		rate      = flag.String("rate", "", "total offered ops/sec, or a comma-separated sweep of them; 0 = closed loop at -window (the default without -verify)")
 		duration  = flag.Duration("duration", 2*time.Second, "offered-load duration per rate")
 		keys      = flag.Uint64("keys", 10_000, "keyspace size reads and updates draw from")
 		valueSize = flag.Int("value", 100, "put payload bytes")
@@ -53,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweep, err := parseRates(*rates, *rate)
+	sweep, err := plan(*rate, *verify)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,9 +72,9 @@ func main() {
 			fatal(fmt.Errorf("verify: %w", err))
 		}
 		fmt.Printf("verified %d keys in %s: no acked write lost\n", n, time.Since(start).Round(time.Millisecond))
-		if *rates == "" && *rate == 0 {
-			return // gate-only invocation (no explicit rates): skip the sweep
-		}
+	}
+	if len(sweep) == 0 {
+		return
 	}
 
 	fmt.Printf("%-10s %10s %10s %9s %9s %9s %9s %7s %7s\n",
@@ -137,25 +136,22 @@ func printAttribution(res *loadgen.Result) {
 	}
 }
 
-// parseRates resolves the sweep: -rates wins, else the single -rate.
-func parseRates(rates string, rate float64) ([]float64, error) {
-	if rates == "" {
-		return []float64{rate}, nil
+// plan resolves -rate into the rates to run, in order. An empty -rate runs
+// one closed loop, except after -verify, which then runs alone.
+func plan(rate string, verify bool) ([]float64, error) {
+	if rate == "" {
+		if verify {
+			return nil, nil
+		}
+		return []float64{0}, nil
 	}
 	var out []float64
-	for _, s := range strings.Split(rates, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %w", s, err)
+	for _, s := range strings.Split(rate, ",") {
+		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || r < 0 {
+			return nil, fmt.Errorf("bad rate %q in -rate %q", s, rate)
 		}
 		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-rates given but empty")
 	}
 	return out, nil
 }

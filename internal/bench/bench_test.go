@@ -159,7 +159,7 @@ func TestBreakdownAggregatesAcrossPools(t *testing.T) {
 	for _, want := range []string{
 		"phase breakdown", "[kamino]", "[undo]",
 		"heap_persist", "commit_persist", "backup_lag", "critical_copy",
-		"commits=", "nvm.main.flushes=",
+		"commits=", "nvm.main.lines_flushed=",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("breakdown missing %q:\n%s", want, s)

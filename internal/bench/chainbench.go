@@ -177,30 +177,30 @@ func Fig18(cfg Config) error {
 // ---------------------------------------------------------------------------
 // Chain scaling: batch size × chain length
 
-// chainPersistTotals sums the cumulative device fence and flush counts over
-// every registry the cluster exposes — each replica's engine regions plus
-// its input/in-flight queue regions. The delta across a run, divided by the
+// chainPersistTotals sums the cumulative device fence and line-flush counts
+// over every registry the cluster exposes — each replica's engine regions
+// plus its ring region. The delta across a run, divided by the
 // ops completed, is the per-operation persist cost batching exists to
 // amortize.
-func chainPersistTotals(cl *chainpkg.Cluster) (fences, flushes uint64) {
+func chainPersistTotals(cl *chainpkg.Cluster) (fences, lines uint64) {
 	for _, r := range cl.Obs() {
 		s := r.Snapshot()
 		for name, v := range s.Gauges {
 			switch {
 			case strings.HasSuffix(name, ".fences"):
 				fences += v
-			case strings.HasSuffix(name, ".flushes"):
-				flushes += v
+			case strings.HasSuffix(name, ".lines_flushed"):
+				lines += v
 			}
 		}
 	}
-	return fences, flushes
+	return fences, lines
 }
 
 // chainScaleRun drives a put-only load from `clients` concurrent clients
 // against a Kamino-Tx-Chain of the given length and batch size, returning
 // throughput and the per-op device persist costs of the measured window.
-func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fencesPerOp, flushesPerOp float64, err error) {
+func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fencesPerOp, linesPerOp float64, err error) {
 	cl, err := c.newClusterN(chainpkg.ModeKamino, replicas, batchOps)
 	if err != nil {
 		return Result{}, 0, 0, err
@@ -250,8 +250,8 @@ func (c Config) chainScaleRun(replicas, batchOps, clients int) (r Result, fences
 	c.collectChain(cl)
 	total := float64(clients * ops)
 	fencesPerOp = float64(f1-f0) / total
-	flushesPerOp = float64(fl1-fl0) / total
-	return r, fencesPerOp, flushesPerOp, nil
+	linesPerOp = float64(fl1-fl0) / total
+	return r, fencesPerOp, linesPerOp, nil
 }
 
 // ChainScaling sweeps hop batch size against chain length for Kamino-Tx-
@@ -269,7 +269,7 @@ func ChainScaling(cfg Config) error {
 	batches := []int{1, 4, 16, 64}
 	const clients = 96
 	fmt.Fprintf(cfg.Out, "%-9s %6s %12s %9s %12s %12s %12s\n",
-		"replicas", "batch", "kops/s", "speedup", "mean (µs)", "fences/op", "flushes/op")
+		"replicas", "batch", "kops/s", "speedup", "mean (µs)", "fences/op", "lines/op")
 	for _, n := range lengths {
 		var base float64
 		for _, b := range batches {

@@ -477,7 +477,7 @@ func TestDrainCoalescesQueuedAppends(t *testing.T) {
 	releaseOnce()
 	waitFor(t, "the middle to drain", func() bool {
 		_, pending := mid.getRing().Usage()
-		return mid.cApplied.Load()-a0 == k && pending.Bytes == 0
+		return mid.cApplied.Load()-a0 == k && pending == 0
 	})
 	if got, want := commits()-c0, uint64(k/batchOps); got != want {
 		t.Errorf("the middle ran %d local transactions for %d queued records, want %d", got, k, want)

@@ -73,7 +73,7 @@ func devChain(tb testing.TB, strict bool, hop time.Duration) (*testChain, []*Rep
 // ringEmpty reports whether a replica's ring holds no record in either range.
 func ringEmpty(r *Replica) bool {
 	inflight, pending := r.getRing().Usage()
-	return inflight.Bytes+pending.Bytes == 0
+	return inflight+pending == 0
 }
 
 // settle waits until every ring is empty and every pool's appliers are idle.

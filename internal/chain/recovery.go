@@ -293,7 +293,7 @@ func (r *Replica) reacker(stop chan struct{}) {
 		if view.Tail() != r.id {
 			continue
 		}
-		if fl, _ := r.getRing().Usage(); fl.Bytes > 0 {
+		if fl, _ := r.getRing().Usage(); fl > 0 {
 			r.ackAllInflight(view)
 		}
 	}

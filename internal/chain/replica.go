@@ -303,17 +303,12 @@ func newReplicaCore(id transport.NodeID, cfg Config, isHead, member bool) (*Repl
 	// The ring region's device counters surface the persist cost of the
 	// chain protocol itself (batching exists to shrink these).
 	ringReg.ExportObs(o, "nvm.ring")
-	// Live depths of the ring's two ranges: records waiting to execute and
-	// records forwarded but not yet acked by the tail. A growing inflight
-	// gauge means the downstream chain is the bottleneck.
-	o.Gauge("input_records", func() uint64 { _, n := r.ringCounts(); return uint64(n) })
-	o.Gauge("inflight_records", func() uint64 { n, _ := r.ringCounts(); return uint64(n) })
-	// Truncation telemetry: each range's live occupancy and high-water
-	// mark prove the acknowledged-prefix pruning keeps the ring bounded.
-	o.Gauge("inputq_bytes", func() uint64 { _, in := r.getRing().Usage(); return in.Bytes })
-	o.Gauge("inputq_highwater", func() uint64 { _, in := r.getRing().Usage(); return in.HighWater })
-	o.Gauge("inflightq_bytes", func() uint64 { fl, _ := r.getRing().Usage(); return fl.Bytes })
-	o.Gauge("inflightq_highwater", func() uint64 { fl, _ := r.getRing().Usage(); return fl.HighWater })
+	// Each range's live occupancy: growing input means this replica is
+	// the bottleneck, growing in-flight bytes the downstream chain; both
+	// fall to zero once the load stops and the tail's acknowledgments
+	// truncate the ring.
+	o.Gauge("inputq_bytes", func() uint64 { _, in := r.getRing().Usage(); return in })
+	o.Gauge("inflightq_bytes", func() uint64 { fl, _ := r.getRing().Usage(); return fl })
 	if cfg.Trace != nil {
 		r.tr = cfg.Trace.Tracer("chain/" + string(id))
 	}
@@ -373,14 +368,12 @@ type DebugInfo struct {
 	Inflight      int    `json:"inflight"`
 	InflightFloor uint64 `json:"inflight_floor"`
 	InflightLast  uint64 `json:"inflight_last"`
-	// InputBytes/InputHigh and InflightBytes/InflightHigh are the
-	// occupancy and high-water mark of the ring's two ranges, pending input
-	// and in flight; RingCap is the capacity they share. Once the load
-	// stops, acknowledged-prefix truncation must empty both.
+	// InputBytes and InflightBytes are the occupancy of the ring's two
+	// ranges, pending input and in flight; RingCap is the capacity they
+	// share. Once the load stops, acknowledged-prefix truncation must
+	// empty both.
 	InputBytes    uint64 `json:"input_bytes"`
-	InputHigh     uint64 `json:"input_high"`
 	InflightBytes uint64 `json:"inflight_bytes"`
-	InflightHigh  uint64 `json:"inflight_high"`
 	RingCap       uint64 `json:"ring_cap"`
 	// Waiters counts clients waiting for their write's tail acknowledgment.
 	Waiters int `json:"waiters"`
@@ -410,8 +403,7 @@ func (r *Replica) DebugInfo() DebugInfo {
 	fl, in := ring.Usage()
 	d := DebugInfo{
 		LastExec: r.lastExecSeq(), InputLast: ring.LastSeq(), Inflight: len(recs),
-		InputBytes: in.Bytes, InputHigh: in.HighWater,
-		InflightBytes: fl.Bytes, InflightHigh: fl.HighWater, RingCap: ring.Capacity(),
+		InputBytes: in, InflightBytes: fl, RingCap: ring.Capacity(),
 	}
 	r.power.RUnlock()
 	if len(recs) > 0 {
@@ -434,15 +426,6 @@ func (r *Replica) DebugInfo() DebugInfo {
 	slices.Sort(d.LockedKeys)
 	slices.Sort(d.LockSeqs)
 	return d
-}
-
-// ringCounts is how many records each range of the ring holds (0, 0 on a
-// read error). Counting walks record headers in the region, hence power.
-func (r *Replica) ringCounts() (inflight, pending int) {
-	r.power.RLock()
-	defer r.power.RUnlock()
-	inflight, pending, _ = r.getRing().Counts()
-	return inflight, pending
 }
 
 // IsHead reports whether this replica currently heads the chain.

@@ -47,9 +47,9 @@ type Base struct {
 	depWaits *obs.Counter
 
 	phStall  *obs.PhaseStat // dependent-lock acquisition time
-	phIntent *obs.PhaseStat // intent-log append persist
+	phIntent *obs.PhaseStat // intent-log append persist (nil with no log)
 	phHeap   *obs.PhaseStat // in-place heap flush+fence at commit
-	phMarker *obs.PhaseStat // commit-marker persist
+	phMarker *obs.PhaseStat // commit-marker persist (nil with no log)
 }
 
 // Format builds the skeleton of a fresh engine called name: it formats the
@@ -96,7 +96,7 @@ func newBase(name string, r Regions, h *heap.Heap, l *intentlog.Log) *Base {
 	if r.Log != nil {
 		r.Log.ExportObs(o, "nvm.log")
 	}
-	return &Base{
+	b := &Base{
 		name: name, heap: h, log: l, locks: locktable.New(), obs: o,
 		states: sync.Pool{New: func() any {
 			return &TxState{ws: make(map[heap.ObjID]WriteEntry)}
@@ -105,10 +105,12 @@ func newBase(name string, r Regions, h *heap.Heap, l *intentlog.Log) *Base {
 		aborts:   o.Counter("aborts"),
 		depWaits: o.Counter("dependent_waits"),
 		phStall:  o.Phase(obs.PhaseDependentStall),
-		phIntent: o.Phase(obs.PhaseIntentPersist),
 		phHeap:   o.Phase(obs.PhaseHeapPersist),
-		phMarker: o.Phase(obs.PhaseCommitPersist),
 	}
+	if l != nil { // no log, no intent or marker to persist
+		b.phIntent, b.phMarker = o.Phase(obs.PhaseIntentPersist), o.Phase(obs.PhaseCommitPersist)
+	}
+	return b
 }
 
 // StageReport records one completed recovery stage of a Reopen.

@@ -133,7 +133,7 @@ func testReadOnlyLeavesNoMark(t *testing.T, f Factory) {
 	rec := trace.NewRecorder(1 << 8)
 	e.SetTracer(rec.Tracer(e.Name() + "#ro"))
 
-	before := deviceCounts(e, "fences", "flushes", "writes")
+	before := deviceCounts(e, "fences", "lines_flushed", "bytes_written")
 	for _, finish := range []func(engine.Tx) error{engine.Tx.Commit, engine.Tx.Abort} {
 		tx, err := e.Begin()
 		if err != nil {
@@ -146,7 +146,7 @@ func testReadOnlyLeavesNoMark(t *testing.T, f Factory) {
 			t.Fatal(err)
 		}
 	}
-	after := deviceCounts(e, "fences", "flushes", "writes")
+	after := deviceCounts(e, "fences", "lines_flushed", "bytes_written")
 	for field, was := range before {
 		if after[field] != was {
 			t.Errorf("read-only transactions moved nvm.*.%s from %d to %d", field, was, after[field])
@@ -181,7 +181,7 @@ func testBareLock(t *testing.T, f Factory) {
 
 	rec := trace.NewRecorder(1 << 8)
 	e.SetTracer(rec.Tracer(e.Name() + "#lock"))
-	before := deviceCounts(e, "fences", "flushes", "writes")
+	before := deviceCounts(e, "fences", "lines_flushed", "bytes_written")
 	for _, finish := range []func(engine.Tx) error{engine.Tx.Commit, engine.Tx.Abort} {
 		tx := begin()
 		if err := tx.Lock(guard); err != nil {

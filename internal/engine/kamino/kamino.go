@@ -189,8 +189,7 @@ func (e *Engine) start(cfg Config) {
 		e.applyChs[i] = make(chan applyReq, e.Log().Config().Slots)
 	}
 	// Live lag gauges: how much committed work the backup appliers still
-	// owe. queue_depth counts requests parked across all worker queues
-	// (with a per-worker breakdown when there is more than one);
+	// owe. queue_depth counts requests parked across all worker queues;
 	// pending_txs additionally includes the ones workers are currently
 	// rolling forward.
 	e.Obs().Gauge("backup_queue_depth", func() uint64 {
@@ -200,14 +199,6 @@ func (e *Engine) start(cfg Config) {
 		}
 		return n
 	})
-	if len(e.applyChs) > 1 {
-		for i := range e.applyChs {
-			ch := e.applyChs[i]
-			e.Obs().Gauge(fmt.Sprintf("backup_queue_depth.%d", i), func() uint64 {
-				return uint64(len(ch))
-			})
-		}
-	}
 	e.Obs().Gauge("backup_pending_txs", func() uint64 {
 		if n := e.pending.Load(); n > 0 {
 			return uint64(n)

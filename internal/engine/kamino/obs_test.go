@@ -53,7 +53,7 @@ func TestObsPhasesRecorded(t *testing.T) {
 			t.Errorf("phase %s total %v implausible", p, ps.Total)
 		}
 	}
-	if s.Gauges["nvm.main.flushes"] == 0 || s.Gauges["nvm.log.flushes"] == 0 {
+	if s.Gauges["nvm.main.lines_flushed"] == 0 || s.Gauges["nvm.log.lines_flushed"] == 0 {
 		t.Errorf("NVM gauges not exported: %v", s.Gauges)
 	}
 }

@@ -76,7 +76,6 @@ type watcher struct {
 // Errors.
 var (
 	ErrNotMember = errors.New("membership: node is not a member")
-	ErrStaleView = errors.New("membership: stale view id")
 	ErrTooSmall  = errors.New("membership: chain would fall below minimum size")
 )
 
@@ -197,14 +196,4 @@ func (m *Manager) Rejoin(node transport.NodeID, believedView uint64) (View, erro
 		return v, fmt.Errorf("membership: node %s claims future view %d (current %d)", node, believedView, m.view.ID)
 	}
 	return v, nil
-}
-
-// Validate reports whether a message stamped with viewID is current.
-func (m *Manager) Validate(viewID uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if viewID != m.view.ID {
-		return fmt.Errorf("%w: got %d, current %d", ErrStaleView, viewID, m.view.ID)
-	}
-	return nil
 }

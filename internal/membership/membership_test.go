@@ -68,12 +68,6 @@ func TestReportFailureBumpsView(t *testing.T) {
 	if notified.ID != 2 {
 		t.Errorf("watcher saw view %d", notified.ID)
 	}
-	if err := m.Validate(1); !errors.Is(err, ErrStaleView) {
-		t.Errorf("Validate(1) = %v", err)
-	}
-	if err := m.Validate(2); err != nil {
-		t.Errorf("Validate(2) = %v", err)
-	}
 }
 
 func TestReportFailureRefusesBelowTwo(t *testing.T) {

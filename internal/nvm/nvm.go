@@ -79,23 +79,15 @@ type LatencyModel struct {
 	FlushPerLine time.Duration
 	// Fence is charged for each Fence call.
 	Fence time.Duration
-	// ReadPerLine is charged for each line read via Read/ReadSlice.
-	ReadPerLine time.Duration
 }
 
-func (l LatencyModel) zero() bool {
-	return l.FlushPerLine == 0 && l.Fence == 0 && l.ReadPerLine == 0
-}
-
-// Stats counts device-level events on a Region. Counters are cumulative
-// since the Region was created; callers snapshot and subtract.
+// Stats counts device-level events on a Region: the three quantities a
+// persist costs. Counters are cumulative since the Region was created;
+// callers snapshot and subtract.
 type Stats struct {
-	Writes       uint64 // Write/Store/Zero/Copy calls
-	BytesWritten uint64
-	Flushes      uint64 // Flush calls
+	BytesWritten uint64 // by Write/Store/Zero/Copy
 	LinesFlushed uint64
 	Fences       uint64
-	BytesRead    uint64
 }
 
 // Options configures a Region.
@@ -120,9 +112,9 @@ type Region struct {
 	durable []byte // durable image (strict mode only)
 
 	// Event counters, one atomic each: every mutation, flush and fence
-	// bumps them, from the client and the applier at once on a shared
+	// bumps one, from the client and the applier at once on a shared
 	// region. Stats assembles the snapshot.
-	writes, bytesWritten, flushes, linesFlushed, fences, bytesRead atomic.Uint64
+	bytesWritten, linesFlushed, fences atomic.Uint64
 
 	// tracer, when attached, receives device-level trace events. Atomic
 	// so SetTracer is safe against concurrent region use; nil when
@@ -171,12 +163,9 @@ func (r *Region) Mode() Mode { return r.mode }
 // not yet in another.
 func (r *Region) Stats() Stats {
 	return Stats{
-		Writes:       r.writes.Load(),
 		BytesWritten: r.bytesWritten.Load(),
-		Flushes:      r.flushes.Load(),
 		LinesFlushed: r.linesFlushed.Load(),
 		Fences:       r.fences.Load(),
-		BytesRead:    r.bytesRead.Load(),
 	}
 }
 
@@ -213,11 +202,6 @@ func (r *Region) mutate(off, n int, apply func()) {
 	r.mu.Unlock()
 }
 
-func (r *Region) countWrite(n int) {
-	r.writes.Add(1)
-	r.bytesWritten.Add(uint64(n))
-}
-
 // Write copies p into the region at off. The data is volatile until flushed
 // and fenced.
 func (r *Region) Write(off int, p []byte) error {
@@ -225,7 +209,7 @@ func (r *Region) Write(off int, p []byte) error {
 		return err
 	}
 	r.mutate(off, len(p), func() { copy(r.mem[off:], p) })
-	r.countWrite(len(p))
+	r.bytesWritten.Add(uint64(len(p)))
 	r.traceWrite(off, len(p))
 	return nil
 }
@@ -236,7 +220,7 @@ func (r *Region) Zero(off, n int) error {
 		return err
 	}
 	r.mutate(off, n, func() { clear(r.mem[off : off+n]) })
-	r.countWrite(n)
+	r.bytesWritten.Add(uint64(n))
 	r.traceWrite(off, n)
 	return nil
 }
@@ -249,7 +233,7 @@ func (r *Region) Store64(off int, v uint64) error {
 		return err
 	}
 	r.mutate(off, 8, func() { binary.LittleEndian.PutUint64(r.mem[off:], v) })
-	r.countWrite(8)
+	r.bytesWritten.Add(8)
 	r.traceWrite(off, 8)
 	return nil
 }
@@ -260,7 +244,7 @@ func (r *Region) Store32(off int, v uint32) error {
 		return err
 	}
 	r.mutate(off, 4, func() { binary.LittleEndian.PutUint32(r.mem[off:], v) })
-	r.countWrite(4)
+	r.bytesWritten.Add(4)
 	r.traceWrite(off, 4)
 	return nil
 }
@@ -287,10 +271,6 @@ func (r *Region) Read(off int, p []byte) error {
 		return err
 	}
 	copy(p, r.mem[off:])
-	r.bytesRead.Add(uint64(len(p)))
-	if r.latency.ReadPerLine > 0 {
-		spin(time.Duration(lines(off, len(p))) * r.latency.ReadPerLine)
-	}
 	return nil
 }
 
@@ -315,9 +295,8 @@ func Copy(dst *Region, doff int, src *Region, soff, n int) error {
 		return err
 	}
 	dst.mutate(doff, n, func() { copy(dst.mem[doff:doff+n], src.mem[soff:soff+n]) })
-	dst.countWrite(n)
+	dst.bytesWritten.Add(uint64(n))
 	dst.traceWrite(doff, n)
-	src.bytesRead.Add(uint64(n))
 	return nil
 }
 
@@ -335,7 +314,6 @@ func (r *Region) Flush(off, n int) error {
 		return err
 	}
 	nl := lines(off, n)
-	r.flushes.Add(1)
 	r.linesFlushed.Add(uint64(nl))
 	if r.mode == ModeStrict && n > 0 {
 		r.mu.Lock()
@@ -488,8 +466,8 @@ func (r *Region) IsPersisted(off, n int) (bool, error) {
 	return true, nil
 }
 
-// spin stalls the calling goroutine for d of device time: a flush, fence
-// or read does not return before the monotonic clock shows d elapsed.
+// spin stalls the calling goroutine for d of device time: a flush or
+// fence does not return before the monotonic clock shows d elapsed.
 // simtime.Wait is the one place that time is spent; it keeps the processor
 // for stalls under a microsecond and offers it to other goroutines
 // (Kamino's backup applier, the other client) at most once per microsecond

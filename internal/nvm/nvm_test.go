@@ -311,15 +311,8 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Fence()
-	s := r.Stats()
-	if s.Writes != 1 || s.BytesWritten != 100 {
-		t.Errorf("writes=%d bytes=%d, want 1/100", s.Writes, s.BytesWritten)
-	}
-	if s.Flushes != 1 || s.LinesFlushed != 2 {
-		t.Errorf("flushes=%d lines=%d, want 1/2", s.Flushes, s.LinesFlushed)
-	}
-	if s.Fences != 1 {
-		t.Errorf("fences=%d, want 1", s.Fences)
+	if s, want := r.Stats(), (Stats{BytesWritten: 100, LinesFlushed: 2, Fences: 1}); s != want {
+		t.Errorf("stats %+v, want %+v", s, want)
 	}
 }
 

@@ -31,22 +31,6 @@ func (h *Hub) Set(label string, r *Registry) {
 	h.regs[label] = r
 }
 
-// Remove unpublishes label.
-func (h *Hub) Remove(label string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.regs[label]; !ok {
-		return
-	}
-	delete(h.regs, label)
-	for i, l := range h.order {
-		if l == label {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // snapshots captures the published registries whose label contains filter
 // (all of them when filter is empty), in publication order.
 func (h *Hub) snapshots(filter string) []Snapshot {

@@ -154,9 +154,4 @@ func TestHubLabelFilter(t *testing.T) {
 	if got := served("/metrics?label=undo"); !slices.Equal(got, []string{"undo"}) {
 		t.Errorf("after replacing a label: %v, want one undo entry", got)
 	}
-	h.Remove("undo")
-	h.Remove("never-published")
-	if got := served("/metrics"); !slices.Equal(got, []string{"kamino-simple", "kamino-dynamic"}) {
-		t.Errorf("after remove: %v", got)
-	}
 }

@@ -329,8 +329,8 @@ func TestViews(t *testing.T) {
 	}
 	fl, in := q.Usage()
 	one := recSize(testRec(1))
-	if fl.Bytes != 2*one || in.Bytes != one || fl.HighWater != 2*one || in.HighWater != 3*one {
-		t.Errorf("usage inflight %+v pending %+v, record size %d", fl, in, one)
+	if fl != 2*one || in != one {
+		t.Errorf("usage inflight %d pending %d, record size %d", fl, in, one)
 	}
 	if nf, np, err := q.Counts(); err != nil || nf != 2 || np != 1 {
 		t.Errorf("Counts = %d, %d, %v; want 2, 1", nf, np, err)

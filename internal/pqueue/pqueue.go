@@ -71,9 +71,6 @@ type Queue struct {
 	acked   uint64 // highest seq acknowledged globally complete (persistent)
 	dirty   bool   // a cursor was stored since the last header persist
 
-	// Max bytes ever occupied, per range (volatile; reset on Attach).
-	hiInflight, hiPending uint64
-
 	// scratch is append's encoding buffer, kept for the next append.
 	scratch []byte
 }
@@ -235,15 +232,13 @@ func (q *Queue) AckThrough(seq uint64) error {
 	return q.dropThroughLocked(seq)
 }
 
-// Usage is one range's byte occupancy and its high-water mark since Attach.
-type Usage struct{ Bytes, HighWater uint64 }
-
-// Usage reports the ring's two ranges: in flight (executed and handed on,
-// unacknowledged) and pending (received, not yet executed and handed on).
-func (q *Queue) Usage() (inflight, pending Usage) {
+// Usage reports the bytes each of the ring's two ranges occupies: in
+// flight (executed and handed on, unacknowledged) and pending (received,
+// not yet executed and handed on).
+func (q *Queue) Usage() (inflight, pending uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Usage{q.done - q.head, q.hiInflight}, Usage{q.tail - q.done, q.hiPending}
+	return q.done - q.head, q.tail - q.done
 }
 
 // Counts returns how many records each range holds.
@@ -392,14 +387,7 @@ func (q *Queue) append(recs []Record, executed bool) error {
 			return err
 		}
 	}
-	q.noteUsage()
 	return q.flush()
-}
-
-// noteUsage raises the high-water marks to the current occupancy.
-func (q *Queue) noteUsage() {
-	q.hiInflight = max(q.hiInflight, q.done-q.head)
-	q.hiPending = max(q.hiPending, q.tail-q.done)
 }
 
 // recHeader is a decoded record header.
@@ -479,7 +467,6 @@ func (q *Queue) MarkDone(seq uint64) error {
 	if err := q.store(hOffDone, &q.done, done); err != nil {
 		return err
 	}
-	q.noteUsage()
 	return q.flush()
 }
 

@@ -230,16 +230,16 @@ func TestAttachRejectsGarbage(t *testing.T) {
 func TestEmptyAndLen(t *testing.T) {
 	q := newQueue(t, 4096)
 	fl, pend := q.Usage()
-	if n := count(t, q); n != 0 || fl.Bytes != 0 || pend.Bytes != 0 {
-		t.Errorf("fresh ring holds %d records, %d+%d bytes", n, fl.Bytes, pend.Bytes)
+	if n := count(t, q); n != 0 || fl != 0 || pend != 0 {
+		t.Errorf("fresh ring holds %d records, %d+%d bytes", n, fl, pend)
 	}
 	if err := q.AppendExecuted([]Record{{Seq: 1, Name: "a"}}); err != nil {
 		t.Fatal(err)
 	}
 	put(t, q, Record{Seq: 2, Name: "b"})
 	fl, pend = q.Usage()
-	if n := count(t, q); n != 2 || fl.Bytes == 0 || pend.Bytes == 0 {
-		t.Errorf("ring with one record in each range holds %d records, %d+%d bytes", n, fl.Bytes, pend.Bytes)
+	if n := count(t, q); n != 2 || fl == 0 || pend == 0 {
+		t.Errorf("ring with one record in each range holds %d records, %d+%d bytes", n, fl, pend)
 	}
 }
 
@@ -541,35 +541,31 @@ func TestSeedSeqRaisesDuplicateFloor(t *testing.T) {
 	}
 }
 
-func TestOccupiedAndHighWater(t *testing.T) {
+func TestOccupancyFollowsTruncation(t *testing.T) {
 	q := newQueue(t, 8192)
-	if fl, pend := q.Usage(); fl != (Usage{}) || pend != (Usage{}) {
-		t.Fatalf("fresh ring usage %+v %+v", fl, pend)
+	if fl, pend := q.Usage(); fl != 0 || pend != 0 {
+		t.Fatalf("fresh ring usage %d+%d", fl, pend)
 	}
 	for i := uint64(1); i <= 8; i++ {
 		put(t, q, Record{Seq: i, Name: "op", Args: make([]byte, 64)})
 	}
-	_, pend := q.Usage()
-	full := pend.Bytes
-	if full == 0 || pend.HighWater != full {
-		t.Fatalf("pending %+v after appends", pend)
+	fl, full := q.Usage()
+	if fl != 0 || full == 0 || full > q.Capacity() {
+		t.Fatalf("usage %d+%d after appends, capacity %d", fl, full, q.Capacity())
 	}
+	// Executing moves the bytes from pending to in flight; acknowledging
+	// truncates them.
 	if err := q.MarkDone(8); err != nil {
 		t.Fatal(err)
 	}
-	// Truncation shrinks occupancy but the watermarks record the peaks.
+	if fl, pend := q.Usage(); fl != full || pend != 0 {
+		t.Fatalf("usage %d+%d after MarkDone, want %d+0", fl, pend, full)
+	}
 	if err := q.AckThrough(8); err != nil {
 		t.Fatal(err)
 	}
-	fl, pend := q.Usage()
-	if fl.Bytes != 0 || pend.Bytes != 0 {
-		t.Fatalf("occupied %d+%d after full ack", fl.Bytes, pend.Bytes)
-	}
-	if fl.HighWater != full || pend.HighWater != full {
-		t.Fatalf("high-water %d/%d changed by truncation, want %d", fl.HighWater, pend.HighWater, full)
-	}
-	if q.Capacity() == 0 || full > q.Capacity() {
-		t.Fatalf("capacity=%d high=%d", q.Capacity(), full)
+	if fl, pend := q.Usage(); fl != 0 || pend != 0 {
+		t.Fatalf("occupied %d+%d after full ack", fl, pend)
 	}
 }
 

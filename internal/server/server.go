@@ -149,7 +149,6 @@ type Server struct {
 	cBatches  *obs.Counter
 	cBatchOps *obs.Counter
 	cSplits   *obs.Counter
-	orderHW   atomic.Int64 // high-water of any connection's order-queue depth
 
 	// request-phase attribution (always on; nanosecond timestamps are
 	// cheap next to a network round trip)
@@ -225,14 +224,7 @@ func (s *Server) initObs() {
 	reg.Gauge("connections", func() uint64 { return uint64(s.nConns.Load()) })
 	reg.Gauge("admitted_inflight", func() uint64 { return uint64(len(s.admit)) })
 	reg.Gauge("write_queue_depth", func() uint64 { return uint64(len(s.writeCh)) })
-	reg.Gauge("order_queue_hw", func() uint64 { return uint64(s.orderHW.Load()) })
 	reg.Gauge("slow_ring_floor_ns", func() uint64 { return uint64(s.slow.Floor()) })
-	reg.Gauge("draining", func() uint64 {
-		if s.draining.Load() {
-			return 1
-		}
-		return 0
-	})
 	// Per-phase request timers (the six serve phases) and per-kind wall
 	// timers: fixed cardinality, so /metrics exposes quantiles for each.
 	for i := transport.KVPhase(0); i < transport.KVPhaseCount; i++ {
@@ -463,9 +455,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		// read it found unmarked would be waited on, never executed.
 		w := s.dispatch(&req, p)
 		order <- p // blocks when the window is full: TCP backpressure
-		if d := int64(len(order)); d > s.orderHW.Load() {
-			s.orderHW.Store(d) // monotonic high-water; lost races only under-report
-		}
 		if w != nil {
 			s.writeCh <- w // buffered to MaxInflight: token holders never block
 		}

@@ -292,7 +292,7 @@ func TestStatsExposed(t *testing.T) {
 	if s.BytesCopiedCritical == 0 {
 		t.Error("undo pool reported zero critical copies")
 	}
-	if p.NVMStats().Flushes == 0 {
+	if p.NVMStats().LinesFlushed == 0 {
 		t.Error("no device flushes recorded")
 	}
 }
