@@ -181,7 +181,8 @@ serve-smoke: build
 
 # recovery-smoke proves the restart path end to end with real processes
 # and real kill -9s, with no checkpoint anywhere: kaminod serves a fresh
-# file-backed store, kaminoload preloads 2000 keys, then each round starts
+# file-backed store, kaminoload preloads 2000 keys (and nothing else: a load
+# table in preload.log fails the run), then each round starts
 # an open-loop run over the same keys and kills kaminod with -9 at a random
 # instant of it — no drain, no close. Every restart must (a) log the staged
 # recovery report, (b) answer /readyz with only "recovering" before it
@@ -199,6 +200,8 @@ recovery-smoke: build
 	for i in $$(seq 1 50); do \
 		curl -fsS http://127.0.0.1:17091/readyz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	./$$R/kaminoload -addr 127.0.0.1:17090 -preload -keys 2000 -value 256 > $$R/preload.log || { kill -9 $$KPID; exit 1; }; \
+	grep -q 'offered/s' $$R/preload.log && \
+		{ cat $$R/preload.log; echo "recovery-smoke: the preload ran load after preloading"; kill -9 $$KPID; exit 1; }; \
 	for n in $$(seq 1 20); do \
 		./$$R/kaminoload -addr 127.0.0.1:17090 -keys 2000 -value 256 -rate 4000 -duration 5s -seed $$n > $$R/load$$n.log 2>&1 & \
 		LPID=$$!; \

@@ -14,8 +14,8 @@
 // With -verify, keys 0..keys-1 are read back and checked against the
 // deterministic preload payload before any load; a missing key or a
 // mismatched value fails the run (the recovery smoke's
-// zero-lost-acked-writes gate after kill -9). A -verify invocation runs
-// load afterwards only if -rate is given.
+// zero-lost-acked-writes gate after kill -9). A -preload or -verify
+// invocation runs load afterwards only if -rate is given.
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "localhost:7070", "kaminod address")
 		conns     = flag.Int("conns", 4, "client connections")
-		rate      = flag.String("rate", "", "total offered ops/sec, or a comma-separated sweep of them; 0 = closed loop at -window (the default without -verify)")
+		rate      = flag.String("rate", "", "total offered ops/sec, or a comma-separated sweep of them; 0 = closed loop at -window (the default without -preload or -verify)")
 		duration  = flag.Duration("duration", 2*time.Second, "offered-load duration per rate")
 		keys      = flag.Uint64("keys", 10_000, "keyspace size reads and updates draw from")
 		valueSize = flag.Int("value", 100, "put payload bytes")
@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sweep, err := plan(*rate, *verify)
+	sweep, err := plan(*rate, *preload, *verify)
 	if err != nil {
 		fatal(err)
 	}
@@ -137,10 +137,10 @@ func printAttribution(res *loadgen.Result) {
 }
 
 // plan resolves -rate into the rates to run, in order. An empty -rate runs
-// one closed loop, except after -verify, which then runs alone.
-func plan(rate string, verify bool) ([]float64, error) {
+// one closed loop, except after -preload or -verify, which then run alone.
+func plan(rate string, preload, verify bool) ([]float64, error) {
 	if rate == "" {
-		if verify {
+		if preload || verify {
 			return nil, nil
 		}
 		return []float64{0}, nil

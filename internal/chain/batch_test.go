@@ -183,12 +183,12 @@ func stageAndReboot(t *testing.T, tc *testChain, pos int, partialSeed int64) map
 	// change) never resent.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, nIn, _ := target.getRing().Counts()
-		if nIn == ops {
+		_, in, _ := target.getRing().Spans()
+		if in.Records == ops {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d records staged at the stalled replica", nIn, ops)
+			t.Fatalf("only %d/%d records staged at the stalled replica", in.Records, ops)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -289,13 +289,13 @@ func TestBatchBoundaryCrashHead(t *testing.T) {
 			// transport-unregistered window has no deliveries to lose.
 			deadline := time.Now().Add(10 * time.Second)
 			for {
-				nFlt, _, _ := head.getRing().Counts()
-				_, nTail, _ := tail.getRing().Counts()
-				if nFlt == ops && nTail == ops {
+				flt, _, _ := head.getRing().Spans()
+				_, atTail, _ := tail.getRing().Spans()
+				if flt.Records == ops && atTail.Records == ops {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("staged %d in flight, %d at tail; want %d each", nFlt, nTail, ops)
+					t.Fatalf("staged %d in flight, %d at tail; want %d each", flt.Records, atTail.Records, ops)
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -271,7 +271,8 @@ func TestUnknownOps(t *testing.T) {
 		{Seq: 1, Name: opPut, Args: []byte{1, 2}},
 		{Seq: 1, Name: opDelete},
 	} {
-		if err := mid.executeBatch([]pqueue.Record{rec}); err == nil {
+		recs := []pqueue.Record{rec}
+		if _, failed := mid.execute(recs, false)[&recs[0]]; !failed {
 			t.Errorf("record %q %v executed", rec.Name, rec.Args)
 		}
 	}

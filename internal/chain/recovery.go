@@ -7,6 +7,7 @@ import (
 
 	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
+	"kaminotx/internal/nvm"
 	"kaminotx/internal/pqueue"
 	"kaminotx/internal/transport"
 	"kaminotx/kamino"
@@ -131,14 +132,14 @@ func (r *Replica) promoteToHead() error {
 	// release yet. Reconcile against the ring now that the locks exist —
 	// anything no longer in flight is complete. An ack landing after this
 	// point sees the populated lock table and releases normally.
-	left, err := r.getRing().Inflight()
+	left, _, err := r.getRing().Spans()
 	if err != nil {
 		return err
 	}
-	if len(left) == 0 {
+	if left.Records == 0 {
 		r.completeThrough(maxSeq)
-	} else if floor := left[0].Seq; floor > 0 {
-		r.completeThrough(floor - 1)
+	} else if left.First > 0 {
+		r.completeThrough(left.First - 1)
 	}
 
 	view := r.currentView()
@@ -165,23 +166,19 @@ func (r *Replica) promoteToHead() error {
 // sequence numbers; now the records are retained and the repair ticker
 // (reacker) retries until a head confirms.
 func (r *Replica) ackAllInflight(v membership.View) {
-	recs, err := r.getRing().Inflight()
+	span, _, err := r.getRing().Spans()
 	if err != nil {
 		r.fatal(err)
 		return
 	}
-	if len(recs) == 0 {
+	if span.Records == 0 {
 		return
 	}
-	last := recs[len(recs)-1]
-	if _, err := r.cfg.Transport.Call(v.Head(), &transport.Message{
-		Kind: transport.KindTailAck, From: r.id, ViewID: v.ID, Seq: last.Seq,
-	}); err != nil {
+	if err := r.ackTail(v, span.Last, span.Records, true); err != nil {
 		// Head unreachable (mid-repair): keep the records; retry later.
 		return
 	}
-	r.cTailAcks.Add(uint64(len(recs)))
-	if err := r.ackThrough(last.Seq); err != nil {
+	if err := r.ackThrough(span.Last); err != nil {
 		r.fatal(err)
 	}
 }
@@ -213,38 +210,19 @@ func (r *Replica) reackIfExecuted(seq uint64) {
 		// and about to be marked so — pass the probe downstream so the
 		// tail can regenerate the acknowledgment.
 		if r.getRing().Acked() >= seq {
-			if pred, ok := view.Predecessor(r.id); ok {
-				_ = r.cfg.Transport.Send(pred, &transport.Message{
-					Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: seq,
-				})
-			}
+			r.cleanUp(view, seq)
 			return
 		}
 		succ, ok := view.Successor(r.id)
 		if !ok {
 			return
 		}
-		recs, err := r.getRing().All()
-		if err != nil {
-			return
-		}
-		for i, rec := range recs {
-			if rec.Seq == seq {
-				r.resend(view, succ, recs[i:i+1])
-				return
-			}
+		if rec, ok, err := r.getRing().Find(seq); ok && err == nil {
+			r.resend(view, succ, []pqueue.Record{rec})
 		}
 		return
 	}
-	_ = r.cfg.Transport.Send(view.Head(), &transport.Message{
-		Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: seq,
-	})
-	r.cTailAcks.Add(1)
-	if pred, ok := view.Predecessor(r.id); ok && pred != view.Head() {
-		_ = r.cfg.Transport.Send(pred, &transport.Message{
-			Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: seq,
-		})
-	}
+	_ = r.ackTail(view, seq, 1, false)
 }
 
 // reacker is the per-incarnation repair ticker. A tail holding retained
@@ -271,13 +249,12 @@ func (r *Replica) reacker(stop chan struct{}) {
 		}
 		view := r.currentView()
 		if succ, ok := view.Successor(r.id); ok {
-			recs, err := r.getRing().Inflight()
-			if err != nil || len(recs) == 0 {
+			span, _, err := r.getRing().Spans()
+			if err != nil || span.Records == 0 {
 				stalledFloor = 0
 				continue
 			}
-			floor := recs[0].Seq
-			if floor == stalledFloor {
+			if span.First == stalledFloor {
 				// Re-drive only the oldest prefix: a stranded record
 				// blocks the floor, and its regenerated ack releases the
 				// whole prefix at once, so convergence does not need the
@@ -285,9 +262,11 @@ func (r *Replica) reacker(stop chan struct{}) {
 				// frozen for state transfer — can back up thousands of
 				// records; resending them all every tick turns the
 				// repair ticker into a storm that starves the transfer.)
-				r.resend(view, succ, recs[:min(len(recs), 16)])
+				if recs, err := r.getRing().Oldest(16); err == nil {
+					r.resend(view, succ, recs)
+				}
 			}
-			stalledFloor = floor
+			stalledFloor = span.First
 			continue
 		}
 		if view.Tail() != r.id {
@@ -362,18 +341,11 @@ func (r *Replica) Reboot() error {
 // exercises recovery from the torn states a fence would have excluded —
 // e.g. a ring append whose records persisted but whose header did not.
 func (r *Replica) RebootPartial(seed int64) error {
-	keep := func(line int) bool {
-		h := uint64(seed)*0x9E3779B97F4A7C15 + uint64(line)
-		h ^= h >> 31
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		return h&1 == 0
-	}
 	return r.reboot(func() error {
 		if err := r.pool.CrashPartial(seed); err != nil {
 			return err
 		}
-		return r.ringReg.CrashPartial(keep)
+		return r.ringReg.CrashPartial(nvm.KeepBySeed(seed))
 	})
 }
 

@@ -43,7 +43,7 @@ const (
 // value, so they are constants rather than Config fields.
 const (
 	queueBytes        = 4 << 20               // each of the ring's two ranges, pending and in flight
-	logEntriesPerSlot = 512                   // so a full hop batch usually commits as one transaction (executeBatch)
+	logEntriesPerSlot = 512                   // so a full hop batch usually commits as one transaction (execute)
 	batchBytes        = 256 << 10             // argument bytes that close a batch (full)
 	resendInterval    = 25 * time.Millisecond // the repair ticker's period (reacker)
 	snapTimeout       = 10 * time.Second      // a donor frozen this long for a vanished joiner resumes
@@ -395,20 +395,19 @@ func (d DebugInfo) String() string {
 // DebugInfo samples the replica's repair-relevant state. Safe to call from
 // any goroutine at any time, a reboot included: the ring is read with the
 // power held, so the ring's spans and occupancy are the pre-crash ring's or
-// the recovered one's.
+// the recovered one's. The in-flight span comes from the record headers
+// alone, so a sample decodes no record.
 func (r *Replica) DebugInfo() DebugInfo {
 	r.power.RLock()
 	ring := r.getRing()
-	recs, _ := ring.Inflight()
+	span, _, _ := ring.Spans()
 	fl, in := ring.Usage()
 	d := DebugInfo{
-		LastExec: r.lastExecSeq(), InputLast: ring.LastSeq(), Inflight: len(recs),
+		LastExec: r.lastExecSeq(), InputLast: ring.LastSeq(),
+		Inflight: span.Records, InflightFloor: span.First, InflightLast: span.Last,
 		InputBytes: in, InflightBytes: fl, RingCap: ring.Capacity(),
 	}
 	r.power.RUnlock()
-	if len(recs) > 0 {
-		d.InflightFloor, d.InflightLast = recs[0].Seq, recs[len(recs)-1].Seq
-	}
 	r.headMu.Lock()
 	d.NextSeq = r.nextSeq
 	d.LockedKeys = make([]uint64, 0, len(r.lockedBy))
@@ -523,30 +522,17 @@ func (r *Replica) Close() error {
 // their admission locks. Used when this replica stops being able to
 // complete them: removal from the view, or Close.
 func (r *Replica) failWaiters(err error) {
-	r.headMu.Lock()
-	var dones []chan error
-	for seq, op := range r.inflight {
-		if op.done != nil {
-			dones = append(dones, op.done)
-			delete(r.lockedBy, op.lock)
-			delete(r.inflight, seq)
-		}
-	}
-	r.lockCond.Broadcast()
-	r.headMu.Unlock()
-	for _, ch := range dones {
-		ch <- err
-	}
 	// Admitted submissions the batcher never picked up.
-	for {
+	var queued []*submitReq
+	for more := true; more; {
 		select {
 		case req := <-r.submitCh:
-			r.release(req.lock)
-			req.done <- err
+			queued = append(queued, req)
 		default:
-			return
+			more = false
 		}
 	}
+	r.release(err, func(_ uint64, op inflightOp) bool { return op.done != nil }, queued...)
 }
 
 // lastExecSeq returns the highest locally executed sequence number.
@@ -650,8 +636,9 @@ func (r *Replica) submit(rec pqueue.Record) error {
 	select {
 	case r.submitCh <- req:
 	case <-stop:
-		r.release(lock)
-		return r.redirect(r.currentView())
+		err := r.redirect(r.currentView())
+		r.release(err, nil, req)
+		return err
 	}
 	for {
 		select {
@@ -719,48 +706,24 @@ func (r *Replica) gather(stop <-chan struct{}, batch []*submitReq) ([]*submitReq
 	return batch, true
 }
 
-// applyReqs executes admitted submissions against the local pool, all in one
-// transaction when possible: one intent-log slot, one commit persist, one
-// backup reconciliation for the whole batch. Admission control guarantees
-// batch members hold distinct lock keys, so combining them changes no
-// outcome. If the combined transaction fails — one operation aborts, or the
-// write set overflows a log slot — the batch splits in half and retries,
-// converging to per-operation execution and per-operation errors, which it
-// returns (nil when every operation succeeded).
-func (r *Replica) applyReqs(reqs []*submitReq) (failed map[*submitReq]error) {
-	_ = halving.Run(reqs, func(reqs []*submitReq) error {
-		err := r.pool.Update(func(tx *kamino.Tx) error {
-			for _, req := range reqs {
-				if err := r.apply(tx, req.rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil && len(reqs) == 1 {
-			if failed == nil {
-				failed = make(map[*submitReq]error)
-			}
-			failed[reqs[0]], err = err, nil // its own error; the rest carry on
-		}
-		return err
-	}, r.cSplits.Inc)
-	return failed
-}
-
 // processBatch executes a batch of admitted submissions in order, persists
 // the survivors to the ring's in-flight range under one flush+fence epoch,
 // and forwards them downstream as one message. Aborted operations (Figure 8)
 // are answered immediately and consume no sequence number.
 func (r *Replica) processBatch(reqs []*submitReq) {
 	view := r.currentView()
-	recs := make([]pqueue.Record, 0, len(reqs))
-	failed := r.applyReqs(reqs)
-	for _, req := range reqs {
-		if err, ok := failed[req]; ok {
+	recs := make([]pqueue.Record, len(reqs))
+	for i, req := range reqs {
+		recs[i] = req.rec
+	}
+	failed := r.execute(recs, true)
+	// The survivors move to the front of recs, numbered; a slot is looked
+	// up in failed before anything moves into it.
+	n := 0
+	for i, req := range reqs {
+		if err, ok := failed[&recs[i]]; ok {
 			// Aborted at the head: never admitted downstream.
-			r.release(req.lock)
-			req.done <- err
+			r.release(err, nil, req)
 			continue
 		}
 		r.headMu.Lock()
@@ -773,46 +736,38 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.mu.Unlock()
 		r.cSubmits.Add(1)
 		r.tr.ChainApply(seq)
-		rec := req.rec
-		rec.Seq = seq
-		recs = append(recs, rec)
+		recs[n] = recs[i]
+		recs[n].Seq = seq
+		n++
 	}
-	if len(recs) == 0 {
+	recs = recs[:n]
+	if n == 0 {
 		return
 	}
-	last := recs[len(recs)-1].Seq
+	first, last := recs[0].Seq, recs[n-1].Seq
 	if len(view.Members) == 1 {
 		// Degenerate single-node chain: complete immediately.
 		r.completeThrough(last)
 		return
 	}
 	if err := r.getRing().AppendExecuted(recs); err != nil {
-		r.headMu.Lock()
 		// The numbers go back with the records: downstream appends only the
 		// record that follows its last, so a number that was never sent
 		// would stall every later one.
-		r.nextSeq = recs[0].Seq - 1
-		for _, rec := range recs {
-			delete(r.lockedBy, r.inflight[rec.Seq].lock)
-			delete(r.inflight, rec.Seq)
-		}
-		r.lockCond.Broadcast()
+		r.headMu.Lock()
+		r.nextSeq = first - 1
 		r.headMu.Unlock()
-		for _, req := range reqs {
-			if _, ok := failed[req]; !ok {
-				req.done <- err
-			}
-		}
+		r.release(err, func(seq uint64, _ inflightOp) bool { return seq >= first })
 		return
 	}
 	succ, _ := view.Successor(r.id)
-	// The clients keep waiting for the tail acknowledgment even if the
-	// send fails: repair resends from the in-flight range.
-	r.send(view, succ, recs)
 	for _, rec := range recs {
 		r.tr.ChainForward(rec.Seq)
 	}
 	r.cForwarded.Add(uint64(len(recs)))
+	// The clients keep waiting for the tail acknowledgment even if the
+	// send fails: repair resends from the in-flight range.
+	r.send(view, succ, recs)
 }
 
 // send ships a run of records to one chain neighbour, cut into full
@@ -837,35 +792,13 @@ func (r *Replica) send(view membership.View, to transport.NodeID, recs []pqueue.
 	}
 }
 
-// completeThrough finishes every in-flight transaction with seq <= ackSeq:
-// admission locks release, clients unblock, and the head emits one ack
-// trace event per transaction (tail acks cover a whole prefix, so a single
-// message may complete many).
+// completeThrough finishes every in-flight transaction with seq <= ackSeq,
+// client or not (a promoted head holds lock entries for re-driven
+// transactions with no client): admission locks release, clients unblock,
+// and the head emits one ack trace event per transaction (tail acks cover
+// a whole prefix, so a single message may complete many).
 func (r *Replica) completeThrough(ackSeq uint64) {
-	type completion struct {
-		seq uint64
-		ch  chan error
-	}
-	var dones []completion
-	r.headMu.Lock()
-	// Locks release for every covered seq, client or not (a promoted head
-	// holds lock entries for re-driven transactions with no client).
-	for seq, op := range r.inflight {
-		if seq <= ackSeq {
-			if op.done != nil {
-				dones = append(dones, completion{seq, op.done})
-			}
-			delete(r.lockedBy, op.lock)
-			delete(r.inflight, seq)
-		}
-	}
-	r.lockCond.Broadcast()
-	r.headMu.Unlock()
-	slices.SortFunc(dones, func(a, b completion) int { return cmp.Compare(a.seq, b.seq) })
-	for _, d := range dones {
-		r.tr.ChainAck(d.seq)
-		d.ch <- nil
-	}
+	r.release(nil, func(seq uint64, _ inflightOp) bool { return seq <= ackSeq })
 }
 
 // call sends msg to a neighbour and returns the payload of its reply, or
@@ -892,12 +825,46 @@ func (r *Replica) admit(lock uint64) {
 	r.lockedBy[lock] = struct{}{}
 }
 
-// release frees an admission lock directly (abort path: no seq assigned).
-func (r *Replica) release(lock uint64) {
+// release is the one place the head frees admission locks. Under headMu
+// it deletes the in-flight writes drop selects (none when drop is nil) and
+// frees their locks and those of the unnumbered writes — admitted, never
+// given a sequence number — then wakes the admissions waiting on any of
+// them with one broadcast. Outside headMu it answers every released client
+// err, in sequence order; nil completes a write, traced as its
+// acknowledgment.
+func (r *Replica) release(err error, drop func(seq uint64, op inflightOp) bool, unnumbered ...*submitReq) {
+	type freed struct {
+		seq uint64
+		inflightOp
+	}
+	fs := make([]freed, 0, len(unnumbered))
+	for _, req := range unnumbered {
+		fs = append(fs, freed{inflightOp: inflightOp{lock: req.lock, done: req.done}})
+	}
 	r.headMu.Lock()
-	delete(r.lockedBy, lock)
+	if drop != nil {
+		for seq, op := range r.inflight {
+			if drop(seq, op) {
+				delete(r.inflight, seq)
+				fs = append(fs, freed{seq, op})
+			}
+		}
+	}
+	for _, f := range fs {
+		delete(r.lockedBy, f.lock)
+	}
 	r.lockCond.Broadcast()
 	r.headMu.Unlock()
+	slices.SortFunc(fs, func(a, b freed) int { return cmp.Compare(a.seq, b.seq) })
+	for _, f := range fs {
+		if f.done == nil {
+			continue
+		}
+		if err == nil {
+			r.tr.ChainAck(f.seq)
+		}
+		f.done <- err
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -986,17 +953,12 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 		// here is the surviving copy of that completion signal, so release
 		// the locks too (no-op on replicas holding none).
 		r.completeThrough(msg.Seq)
-		view := r.currentView()
 		// Propagate upstream including the head. The head normally learns
 		// completion from the tail ack and this hop is a cheap no-op
 		// there, but after a failover the ack may have died with the old
 		// head — the cleanup chain is then the only route that can reach
 		// the promoted head and release its re-admitted admission locks.
-		if pred, ok := view.Predecessor(r.id); ok {
-			_ = r.cfg.Transport.Send(pred, &transport.Message{
-				Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: msg.Seq,
-			})
-		}
+		r.cleanUp(r.currentView(), msg.Seq)
 	case transport.KindFetch:
 		return r.serveFetch(msg)
 	case transport.KindStateSnap:
@@ -1079,7 +1041,10 @@ func (r *Replica) drainStep() bool {
 	}
 	batch, err := r.nextBatch(r.cur)
 	if err == nil && len(batch) > 0 {
-		if err = r.executeBatch(batch); err == nil {
+		for rec, ferr := range r.execute(batch, false) {
+			err = fmt.Errorf("chain: applying seq %d: %w", rec.Seq, ferr)
+		}
+		if err == nil {
 			err = r.forwardBatch(batch)
 		}
 	}
@@ -1116,17 +1081,22 @@ func (r *Replica) nextBatch(cur *pqueue.Cursor) ([]pqueue.Record, error) {
 	return batch, nil
 }
 
-// executeBatch applies a batch of replicated operations as one local
-// transaction: one intent-log slot, one commit persist for the whole batch.
-// The head admits only key-disjoint operations into flight, so combining
-// them is outcome-equivalent to applying them one by one; a crash mid-batch
-// rolls the whole transaction back (or recovery resolves it), and the
-// records — still pending in the durable ring — re-execute on reboot. If the
-// combined transaction fails (one operation aborts, or the write set
-// overflows a log slot), the batch splits in half and retries, converging to
-// per-operation execution, where a failure is fatal to the replica.
-func (r *Replica) executeBatch(recs []pqueue.Record) error {
-	return halving.Run(recs, func(recs []pqueue.Record) error {
+// execute runs recs against the local pool, all in one transaction when
+// possible: one intent-log slot and one commit persist for the whole batch
+// (and at the head one backup reconciliation). The head admits only
+// key-disjoint writes into flight, so combining them changes no outcome; a
+// crash mid-batch rolls the whole transaction back (or recovery resolves
+// it), and a non-head's records, still pending in the durable ring,
+// re-execute on reboot. If the combined transaction fails — one operation
+// aborts, or the write set overflows a log slot — the batch splits in half
+// and retries (halving.Run), converging to per-record execution. failed
+// maps each record that failed alone, by its slot in recs, to its error.
+// With carryOn the others still run: the head answers a failed submission
+// and numbers the rest. Without it nothing after the first failure runs: a
+// non-head executes the chain's records in order, and a failure is fatal to
+// it.
+func (r *Replica) execute(recs []pqueue.Record, carryOn bool) (failed map[*pqueue.Record]error) {
+	_ = halving.Run(recs, func(recs []pqueue.Record) error {
 		err := r.pool.Update(func(tx *kamino.Tx) error {
 			for _, rec := range recs {
 				if err := r.apply(tx, rec); err != nil {
@@ -1135,36 +1105,45 @@ func (r *Replica) executeBatch(recs []pqueue.Record) error {
 			}
 			return nil
 		})
-		if err != nil {
-			return fmt.Errorf("chain: applying seq %d..%d: %w", recs[0].Seq, recs[len(recs)-1].Seq, err)
+		if err != nil && len(recs) == 1 {
+			if failed == nil {
+				failed = make(map[*pqueue.Record]error, 1)
+			}
+			failed[&recs[0]] = err
+			if carryOn {
+				err = nil // its own error; the rest carry on
+			}
 		}
-		r.cApplied.Add(uint64(len(recs)))
-		for _, rec := range recs {
-			r.tr.ChainApply(rec.Seq)
-		}
-		r.mu.Lock()
-		r.lastExec = recs[len(recs)-1].Seq
-		r.mu.Unlock()
-		return nil
+		return err
 	}, r.cSplits.Inc)
+	return failed
 }
 
-// forwardBatch moves one batch of executed records downstream. A middle
-// sends it to the successor and then moves the ring's done cursor past it —
-// the records were durable here before they were executed, so the cursor
+// forwardBatch records one batch as executed and moves it downstream,
+// tracing each step before the message that follows from it leaves, so no
+// chain event of a write trails its client's completion. A middle sends
+// the batch to the successor and then moves the ring's done cursor past it
+// — the records were durable here before they were executed, so the cursor
 // move is the only persist and it follows the send; a crash in between
-// re-executes and re-sends the batch, which the successor deduplicates. The
-// tail acknowledges the whole prefix to the head before retiring it, so a
-// crash can only re-execute and re-ack, never strand a client.
+// re-executes and re-sends the batch, which the successor deduplicates.
+// The tail acknowledges the whole prefix to the head before retiring it,
+// so a crash can only re-execute and re-ack, never strand a client.
 func (r *Replica) forwardBatch(recs []pqueue.Record) error {
-	view := r.currentView()
+	r.cApplied.Add(uint64(len(recs)))
+	for _, rec := range recs {
+		r.tr.ChainApply(rec.Seq)
+	}
 	last := recs[len(recs)-1]
+	r.mu.Lock()
+	r.lastExec = last.Seq
+	r.mu.Unlock()
+	view := r.currentView()
 	if succ, ok := view.Successor(r.id); ok {
-		r.send(view, succ, recs)
 		for _, rec := range recs {
 			r.tr.ChainForward(rec.Seq)
 		}
 		r.cForwarded.Add(uint64(len(recs)))
+		r.send(view, succ, recs)
 		return r.getRing().MarkDone(last.Seq)
 	}
 	if view.Tail() != r.id {
@@ -1179,17 +1158,42 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	}
 	// Tail: one acknowledgment completes the whole prefix at the head,
 	// and one cleanup retires it upstream.
-	_ = r.cfg.Transport.Send(view.Head(), &transport.Message{
-		Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: last.Seq,
-	})
 	for _, rec := range recs {
 		r.tr.ChainAck(rec.Seq)
 	}
-	r.cTailAcks.Add(uint64(len(recs)))
-	if pred, ok := view.Predecessor(r.id); ok && pred != view.Head() {
+	_ = r.ackTail(view, last.Seq, len(recs), false)
+	return r.getRing().DropThrough(last.Seq)
+}
+
+// ackTail is the tail's acknowledgment of every record through seq, n of
+// them: a KindTailAck to the head, which completes them there, and a
+// clean-up to the predecessor unless that is the head, which the
+// acknowledgment has reached. With wait the acknowledgment is a Call that
+// returns once the head has handled it, and an unreachable head is
+// reported, with no clean-up sent; otherwise a failed send is not: the
+// repair ticker regenerates a lost acknowledgment.
+func (r *Replica) ackTail(view membership.View, seq uint64, n int, wait bool) error {
+	ack := &transport.Message{Kind: transport.KindTailAck, From: r.id, ViewID: view.ID, Seq: seq}
+	if wait {
+		if _, err := r.cfg.Transport.Call(view.Head(), ack); err != nil {
+			return err
+		}
+	} else {
+		_ = r.cfg.Transport.Send(view.Head(), ack)
+	}
+	r.cTailAcks.Add(uint64(n))
+	if view.Index(r.id) > 1 { // the predecessor is not the head
+		r.cleanUp(view, seq)
+	}
+	return nil
+}
+
+// cleanUp tells the predecessor, if there is one, that the tail has
+// acknowledged every record through seq. A failed send is not reported.
+func (r *Replica) cleanUp(view membership.View, seq uint64) {
+	if pred, ok := view.Predecessor(r.id); ok {
 		_ = r.cfg.Transport.Send(pred, &transport.Message{
-			Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: last.Seq,
+			Kind: transport.KindCleanup, From: r.id, ViewID: view.ID, Seq: seq,
 		})
 	}
-	return r.getRing().DropThrough(last.Seq)
 }

@@ -11,6 +11,7 @@ import (
 	"kaminotx/internal/heap"
 	"kaminotx/internal/membership"
 	"kaminotx/internal/pqueue"
+	"kaminotx/internal/race"
 	"kaminotx/internal/transport"
 	"kaminotx/kamino"
 )
@@ -347,6 +348,56 @@ func TestRebootExcludesHandlersAndSamplers(t *testing.T) {
 	waitErrFree(t, tc)
 }
 
+// TestDebugInfoAllocsFlat: DebugInfo reads the ring's in-flight span off
+// the record headers, so with 32 records held in flight at the head a
+// sample allocates no more than with one — only the two lock lists, one
+// allocation each whatever their length. It skips itself under -race,
+// which counts the detector's own allocations.
+func TestDebugInfoAllocsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("testing.AllocsPerRun is meaningless under the race detector")
+	}
+	tc, ht := newHookedChain(t, 1, false, 0, 1)
+	putRetry(t, tc, 0, []byte("zero"))
+	head := tc.get("n0")
+	ht.lose(func(to transport.NodeID, msg *transport.Message) bool {
+		return msg.From == "n0" && to == "n1" && msg.Kind == transport.KindOpBatch
+	})
+	var wg sync.WaitGroup
+	locks, key := map[uint64]bool{}, uint64(0)
+	hold := func(n int) { // n more puts in flight, each under its own lock
+		for n > 0 {
+			key++
+			lock := head.lockKey(encodeKV(key, nil))
+			if locks[lock] {
+				continue
+			}
+			locks[lock] = true
+			n--
+			wg.Add(1)
+			go func(key uint64) {
+				defer wg.Done()
+				if err := tc.client.Put(key, make([]byte, 256)); err != nil {
+					t.Errorf("Put(%d): %v", key, err)
+				}
+			}(key)
+		}
+	}
+	var allocs []float64
+	for _, n := range []int{1, 32} {
+		hold(n - len(locks))
+		waitFor(t, fmt.Sprintf("%d puts held in flight", n), func() bool { return head.DebugInfo().Inflight == n })
+		allocs = append(allocs, testing.AllocsPerRun(100, func() { head.DebugInfo() }))
+	}
+	t.Logf("DebugInfo allocates %.0f times with 1 record in flight, %.0f with 32", allocs[0], allocs[1])
+	if allocs[1] > allocs[0] {
+		t.Errorf("DebugInfo allocates %.0f times with 32 records in flight, %.0f with 1", allocs[1], allocs[0])
+	}
+	ht.lose(nil)
+	wg.Wait()
+	waitErrFree(t, tc)
+}
+
 // TestDoneDurableBeforeCleanup: a middle's send, its done-cursor persist and
 // its handling of the tail's clean-up all run on its inbox goroutine, so the
 // clean-up for a record is handled only after the cursor move for it is
@@ -469,8 +520,8 @@ func TestAckNeverPrunesUnexecuted(t *testing.T) {
 		Batch: []pqueue.Record{{Seq: seq, Name: "put", Args: encodeKV(2, []byte("two"))}},
 	})
 	mid.handle(&transport.Message{Kind: transport.KindCleanup, From: "n2", ViewID: view.ID, Seq: seq})
-	if _, pending, err := mid.getRing().Counts(); err != nil || pending != 1 {
-		t.Fatalf("after a clean-up for an unexecuted record: %d pending (%v), want it kept", pending, err)
+	if _, pending, err := mid.getRing().Spans(); err != nil || pending.Records != 1 {
+		t.Fatalf("after a clean-up for an unexecuted record: %d pending (%v), want it kept", pending.Records, err)
 	}
 	if got := mid.getRing().Acked(); got >= seq {
 		t.Fatalf("acked floor %d covers the unexecuted record %d", got, seq)

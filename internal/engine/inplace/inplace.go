@@ -157,20 +157,6 @@ func (e *Engine) ResolvePending(fetch func(obj heap.ObjID, class int) ([]byte, e
 	return e.Heap().Rescan()
 }
 
-// ReadBlock returns the full block image of obj; chain neighbours serve
-// fetches with it.
-func (e *Engine) ReadBlock(obj heap.ObjID, class int) ([]byte, error) {
-	blockOff := int(obj) - heap.BlockHeaderSize
-	n := heap.BlockHeaderSize + class
-	b, err := e.Heap().Region().ReadSlice(blockOff, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, nil
-}
-
 // Begin implements engine.Engine.
 func (e *Engine) Begin() (engine.Tx, error) {
 	if len(e.pending) > 0 {

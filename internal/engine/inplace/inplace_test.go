@@ -196,6 +196,8 @@ func TestPendingRecoveryResolution(t *testing.T) {
 	}
 }
 
+// A committed block reads back whole — header and payload — through the
+// heap region, which is how a chain neighbour serves a recovery fetch.
 func TestReadBlockRoundTrip(t *testing.T) {
 	e, _, _ := newEngine(t)
 	tx, err := e.Begin()
@@ -212,7 +214,7 @@ func TestReadBlockRoundTrip(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := e.ReadBlock(obj, 64)
+	img, err := e.Heap().Region().ReadSlice(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+64)
 	if err != nil {
 		t.Fatal(err)
 	}

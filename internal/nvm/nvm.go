@@ -423,6 +423,19 @@ func (r *Region) CrashPartial(keep func(line int) bool) error {
 	return r.crash(keep)
 }
 
+// KeepBySeed is a CrashPartial outcome drawn from seed: each line survives
+// or not by a hash of seed and the line number, so one seed replays one
+// outcome on every region it crashes.
+func KeepBySeed(seed int64) func(line int) bool {
+	return func(line int) bool {
+		h := uint64(seed)*0x9E3779B97F4A7C15 + uint64(line)
+		h ^= h >> 31
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 27
+		return h&1 == 0
+	}
+}
+
 func (r *Region) crash(keep func(line int) bool) error {
 	if r.mode != ModeStrict {
 		return ErrFastMode

@@ -139,11 +139,7 @@ func checkRing(q *Queue, want ringState) error {
 	if q.head > q.done || q.done > q.tail || q.tail-q.head > q.cap || q.acked > q.lastSeq {
 		return fmt.Errorf("invariants broken: head=%d done=%d tail=%d cap=%d acked=%d lastSeq=%d", q.head, q.done, q.tail, q.cap, q.acked, q.lastSeq)
 	}
-	inflight, err := q.Inflight()
-	if err != nil {
-		return err
-	}
-	pending, err := q.Pending()
+	inflight, pending, err := ranges(q)
 	if err != nil {
 		return err
 	}
@@ -332,8 +328,8 @@ func TestViews(t *testing.T) {
 	if fl != 2*one || in != one {
 		t.Errorf("usage inflight %d pending %d, record size %d", fl, in, one)
 	}
-	if nf, np, err := q.Counts(); err != nil || nf != 2 || np != 1 {
-		t.Errorf("Counts = %d, %d, %v; want 2, 1", nf, np, err)
+	if fl, pend, err := q.Spans(); err != nil || fl != (Span{2, 1, 2}) || pend != (Span{1, 3, 3}) {
+		t.Errorf("Spans = %+v, %+v, %v; want 1..2 in flight, 3 pending", fl, pend, err)
 	}
 	if r, err := q.Cursor().Next(); err != nil || r.Seq != 3 {
 		t.Errorf("cursor starts at %+v %v, want the oldest pending record, seq 3", r, err)
@@ -418,8 +414,8 @@ func TestHeaderStorePrefixesAttach(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: header evicted after the store at %d: %v", st.name, e.Off, err)
 			}
-			if _, err := got.All(); err != nil {
-				t.Fatalf("%s: header evicted after the store at %d: All: %v", st.name, e.Off, err)
+			if _, _, err := ranges(got); err != nil {
+				t.Fatalf("%s: header evicted after the store at %d: %v", st.name, e.Off, err)
 			}
 			prefixes++
 		}
@@ -501,14 +497,10 @@ func FuzzAttach(f *testing.F) {
 		if q.head > q.done || q.done > q.tail || q.tail-q.head > q.cap || q.acked > q.lastSeq {
 			t.Fatalf("invariants broken: head=%d done=%d tail=%d cap=%d acked=%d lastSeq=%d", q.head, q.done, q.tail, q.cap, q.acked, q.lastSeq)
 		}
-		all, err := q.All()
-		must("All", err)
-		nf, np, err := q.Counts()
-		must("Counts", err)
-		if nf+np != len(all) {
-			t.Fatalf("Counts %d+%d, All %d", nf, np, len(all))
-		}
-		for _, r := range all {
+		inflight, pending, err := ranges(q)
+		must("ranges", err)
+		np := len(pending)
+		for _, r := range append(inflight, pending...) {
 			if r.Seq > q.lastSeq {
 				t.Fatalf("record seq %d > lastSeq %d", r.Seq, q.lastSeq)
 			}

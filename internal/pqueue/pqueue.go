@@ -241,16 +241,28 @@ func (q *Queue) Usage() (inflight, pending uint64) {
 	return q.done - q.head, q.tail - q.done
 }
 
-// Counts returns how many records each range holds.
-func (q *Queue) Counts() (inflight, pending int, err error) {
+// Span describes one of the ring's ranges: how many records it holds and
+// the sequence numbers of its oldest and newest (0 and 0 when empty).
+type Span struct {
+	Records     int
+	First, Last uint64
+}
+
+// Spans describes both ranges, in flight and pending, from the record
+// headers alone: it decodes no name or arguments and allocates nothing.
+func (q *Queue) Spans() (inflight, pending Span, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	_, err = q.scan(q.head, func(off uint64, _ recHeader) bool {
+	_, err = q.scan(q.head, func(off uint64, h recHeader) bool {
+		s := &pending
 		if off < q.done {
-			inflight++
-		} else {
-			pending++
+			s = &inflight
 		}
+		if s.Records == 0 {
+			s.First = h.seq
+		}
+		s.Records++
+		s.Last = h.seq
 		return true
 	})
 	return inflight, pending, err
@@ -499,10 +511,11 @@ func (q *Queue) moveHead(head uint64) error {
 	return q.flush()
 }
 
-// records decodes [from, to) oldest-first.
-func (q *Queue) records(from, to uint64) ([]Record, error) {
+// records decodes [from, to) oldest-first, at most n records of it when
+// n > 0.
+func (q *Queue) records(from, to uint64, n int) ([]Record, error) {
 	var out []Record
-	for off := from; off != to; {
+	for off := from; off != to && (n <= 0 || len(out) < n); {
 		r, sz, err := q.decodeAt(off)
 		if err != nil {
 			return nil, err
@@ -513,26 +526,40 @@ func (q *Queue) records(from, to uint64) ([]Record, error) {
 	return out, nil
 }
 
-// All returns every queued record oldest-first without removing them.
-func (q *Queue) All() ([]Record, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.records(q.head, q.tail)
-}
-
 // Inflight returns the records executed and handed on but not yet
 // acknowledged, oldest-first (recovery and resend).
 func (q *Queue) Inflight() ([]Record, error) {
+	return q.Oldest(0)
+}
+
+// Oldest returns the first n records of the in-flight range, all of them
+// when n <= 0 (the repair ticker re-drives a stalled floor's few).
+func (q *Queue) Oldest(n int) ([]Record, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.records(q.head, q.done)
+	return q.records(q.head, q.done, n)
+}
+
+// Find returns the record numbered seq, in flight or pending, decoding
+// that record alone; ok is false when the ring does not hold it.
+func (q *Queue) Find(seq uint64) (rec Record, ok bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	off, err := q.scan(q.head, func(_ uint64, h recHeader) bool { return h.seq < seq })
+	if err != nil || off == q.tail {
+		return Record{}, false, err
+	}
+	if rec, _, err = q.decodeAt(off); err != nil || rec.Seq != seq {
+		return Record{}, false, err
+	}
+	return rec, true, nil
 }
 
 // Pending returns the records not yet executed and handed on, oldest-first.
 func (q *Queue) Pending() ([]Record, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.records(q.done, q.tail)
+	return q.records(q.done, q.tail, 0)
 }
 
 // Cursor iterates the pending records oldest-first without consuming them,

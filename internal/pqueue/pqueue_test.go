@@ -30,24 +30,51 @@ func put(t *testing.T, q *Queue, recs ...Record) {
 	}
 }
 
-// count returns how many records the ring holds, both ranges.
-func count(t *testing.T, q *Queue) int {
+// ranges decodes both of the ring's ranges and checks the header walk
+// against them: Spans must count and bound exactly what Inflight and
+// Pending decode.
+func ranges(q *Queue) (inflight, pending []Record, err error) {
+	if inflight, err = q.Inflight(); err != nil {
+		return nil, nil, err
+	}
+	if pending, err = q.Pending(); err != nil {
+		return nil, nil, err
+	}
+	fl, pend, err := q.Spans()
+	if err != nil {
+		return nil, nil, err
+	}
+	if fl != spanOf(inflight) || pend != spanOf(pending) {
+		return nil, nil, fmt.Errorf("Spans = %+v, %+v; the records decode to %+v, %+v", fl, pend, spanOf(inflight), spanOf(pending))
+	}
+	return inflight, pending, nil
+}
+
+func spanOf(recs []Record) Span {
+	if len(recs) == 0 {
+		return Span{}
+	}
+	return Span{Records: len(recs), First: recs[0].Seq, Last: recs[len(recs)-1].Seq}
+}
+
+// all returns every record the ring holds, oldest first, both ranges.
+func all(t *testing.T, q *Queue) []Record {
 	t.Helper()
-	inflight, pending, err := q.Counts()
+	inflight, pending, err := ranges(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inflight + pending
+	return append(inflight, pending...)
 }
 
 // oldest returns the sequence number at the front of the ring.
 func oldest(t *testing.T, q *Queue) uint64 {
 	t.Helper()
-	all, err := q.All()
-	if err != nil || len(all) == 0 {
-		t.Fatalf("All = %d records, %v; want at least one", len(all), err)
+	recs := all(t, q)
+	if len(recs) == 0 {
+		t.Fatal("the ring is empty; want at least one record")
 	}
-	return all[0].Seq
+	return recs[0].Seq
 }
 
 func TestFIFOOrder(t *testing.T) {
@@ -75,7 +102,7 @@ func TestFIFOOrder(t *testing.T) {
 		if err := q.DropThrough(i); err != nil {
 			t.Fatal(err)
 		}
-		if n := count(t, q); n != int(10-i) {
+		if n := len(all(t, q)); n != int(10-i) {
 			t.Fatalf("%d records after retiring %d, want %d", n, i, 10-i)
 		}
 	}
@@ -97,7 +124,7 @@ func TestPeekDoesNotRemove(t *testing.T) {
 			t.Fatalf("Pending = %+v %v", pend, err)
 		}
 	}
-	if n := count(t, q); n != 1 {
+	if n := len(all(t, q)); n != 1 {
 		t.Errorf("%d records after reading, want 1", n)
 	}
 }
@@ -137,8 +164,68 @@ func TestWrapAround(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := count(t, q); n != 0 {
+	if n := len(all(t, q)); n != 0 {
 		t.Errorf("%d records left", n)
+	}
+}
+
+// The header walk agrees with what the ranges decode to however the ring
+// has wrapped: records of three sizes, both ranges holding some at most
+// steps, checked after every append and cursor move.
+func TestSpansMatchDecodedRanges(t *testing.T) {
+	q := newQueue(t, 2048)
+	check := func(what string) {
+		t.Helper()
+		if _, _, err := ranges(q); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	seq := uint64(0)
+	for round := 0; round < 60; round++ {
+		for i := 0; i <= round%3; i++ {
+			seq++
+			put(t, q, Record{Seq: seq, Name: "op", Args: make([]byte, 40+70*(seq%3))})
+			check(fmt.Sprintf("append %d", seq))
+		}
+		if err := q.MarkDone(seq - 1); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("MarkDone(%d)", seq-1))
+		if seq > 3 {
+			if err := q.AckThrough(seq - 3); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("AckThrough(%d)", seq-3))
+		}
+	}
+	if q.tail < 3*q.cap {
+		t.Fatalf("the ring wrapped %d times, want at least 3", q.tail/q.cap)
+	}
+}
+
+// Find decodes one record wherever the ring holds it; Oldest reads the
+// front of the in-flight range and never past it into the pending one.
+func TestFindAndOldest(t *testing.T) {
+	q := newQueue(t, 4096)
+	for i := uint64(1); i <= 5; i++ {
+		put(t, q, Record{Seq: i, Name: "op", Args: []byte{byte(i)}})
+	}
+	if err := q.MarkDone(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AckThrough(1); err != nil {
+		t.Fatal(err)
+	}
+	for seq, held := range map[uint64]bool{1: false, 2: true, 3: true, 4: true, 5: true, 6: false} {
+		rec, ok, err := q.Find(seq)
+		if err != nil || ok != held || (held && (rec.Seq != seq || rec.Args[0] != byte(seq))) {
+			t.Errorf("Find(%d) = %+v, %v, %v; want held %v", seq, rec, ok, err, held)
+		}
+	}
+	for n, want := range map[int]int{1: 1, 2: 2, 16: 2, 0: 2} {
+		if recs, err := q.Oldest(n); err != nil || len(recs) != want || recs[0].Seq != 2 {
+			t.Errorf("Oldest(%d) = %+v, %v; want %d records from seq 2", n, recs, err, want)
+		}
 	}
 }
 
@@ -183,8 +270,8 @@ func TestDropThrough(t *testing.T) {
 	if got := oldest(t, q); got != 8 {
 		t.Fatalf("oldest after DropThrough(7) = %d", got)
 	}
-	if fl, pend, err := q.Counts(); err != nil || fl != 0 || pend != 3 {
-		t.Errorf("Counts = %d in flight, %d pending, %v; want 0, 3", fl, pend, err)
+	if fl, pend, err := q.Spans(); err != nil || fl.Records != 0 || pend.Records != 3 {
+		t.Errorf("Spans = %+v in flight, %+v pending, %v; want 0, 3 records", fl, pend, err)
 	}
 }
 
@@ -230,7 +317,7 @@ func TestAttachRejectsGarbage(t *testing.T) {
 func TestEmptyAndLen(t *testing.T) {
 	q := newQueue(t, 4096)
 	fl, pend := q.Usage()
-	if n := count(t, q); n != 0 || fl != 0 || pend != 0 {
+	if n := len(all(t, q)); n != 0 || fl != 0 || pend != 0 {
 		t.Errorf("fresh ring holds %d records, %d+%d bytes", n, fl, pend)
 	}
 	if err := q.AppendExecuted([]Record{{Seq: 1, Name: "a"}}); err != nil {
@@ -238,7 +325,7 @@ func TestEmptyAndLen(t *testing.T) {
 	}
 	put(t, q, Record{Seq: 2, Name: "b"})
 	fl, pend = q.Usage()
-	if n := count(t, q); n != 2 || fl == 0 || pend == 0 {
+	if n := len(all(t, q)); n != 2 || fl == 0 || pend == 0 {
 		t.Errorf("ring with one record in each range holds %d records, %d+%d bytes", n, fl, pend)
 	}
 }
@@ -300,10 +387,7 @@ func TestAppendBatchOrderAndDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := q2.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := all(t, q2)
 	if len(all) != 8 {
 		t.Fatalf("after crash: %d records, want 8", len(all))
 	}
@@ -368,10 +452,7 @@ func TestAppendBatchWrapAround(t *testing.T) {
 	if err := q.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	all, err := q.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := all(t, q)
 	if len(all) != 6 || all[0].Seq != 100 || all[5].Seq != 105 {
 		t.Fatalf("after wrap batch: %+v", all)
 	}
@@ -389,7 +470,7 @@ func TestAppendBatchFull(t *testing.T) {
 		t.Fatalf("oversized batch = %v, want ErrFull", err)
 	}
 	// Nothing may have been admitted partially.
-	if n := count(t, q); n != 0 {
+	if n := len(all(t, q)); n != 0 {
 		t.Errorf("%d records after failed batch", n)
 	}
 }
@@ -413,7 +494,7 @@ func TestCursorDoesNotConsume(t *testing.T) {
 		t.Errorf("exhausted cursor = %v, want ErrEmpty", err)
 	}
 	// The records are still all in the queue.
-	if n := count(t, q); n != 5 {
+	if n := len(all(t, q)); n != 5 {
 		t.Errorf("%d records after cursor sweep, want 5", n)
 	}
 	// New records become visible to an exhausted cursor.

@@ -213,9 +213,11 @@ func oneObjectTx(mode kamino.Mode) crashCase {
 		}
 		var oldBlock []byte // what a chain neighbour would serve an in-place replica
 		if ie := pool.InPlaceEngine(); ie != nil {
-			if oldBlock, err = ie.ReadBlock(obj, heap.ClassForSize(size)); err != nil {
+			b, err := ie.Heap().Region().ReadSlice(int(obj)-heap.BlockHeaderSize, heap.BlockHeaderSize+heap.ClassForSize(size))
+			if err != nil {
 				t.Fatal(err)
 			}
+			oldBlock = bytes.Clone(b)
 		}
 		op := func() error {
 			return pool.Update(func(tx *kamino.Tx) error {

@@ -345,50 +345,33 @@ func (p *Pool) Crash() error { return p.crash(nil) }
 
 // CrashPartial is Crash with the weaker loss model: each
 // flushed-but-unfenced cache line independently survives or is lost,
-// decided by a deterministic hash of seed and line number. Fenced lines
-// always survive; unflushed lines never do.
-func (p *Pool) CrashPartial(seed int64) error {
-	return p.crash(func(line int) bool {
-		h := uint64(seed)*0x9E3779B97F4A7C15 + uint64(line)
-		h ^= h >> 31
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		return h&1 == 0
-	})
-}
+// decided by a deterministic hash of seed and line number
+// (nvm.KeepBySeed). Fenced lines always survive; unflushed lines never do.
+func (p *Pool) CrashPartial(seed int64) error { return p.crash(nvm.KeepBySeed(seed)) }
 
+// crash power-fails every region between closing the engine and reopening
+// it, keeping the in-doubt lines keep selects (none when keep is nil).
 func (p *Pool) crash(keep func(line int) bool) error {
 	if !p.opts.Strict {
 		return nvm.ErrFastMode
 	}
-	old := p.Engine()
-	old.Drain()
-	if err := old.Close(); err != nil {
-		return err
-	}
-	for _, r := range []*nvm.Region{p.mainReg, p.backupReg, p.logReg} {
-		if r == nil {
-			continue
+	return p.reopen(func() error {
+		for _, r := range []*nvm.Region{p.mainReg, p.backupReg, p.logReg} {
+			if r == nil {
+				continue
+			}
+			var err error
+			if keep == nil {
+				err = r.Crash()
+			} else {
+				err = r.CrashPartial(keep)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		var err error
-		if keep == nil {
-			err = r.Crash()
-		} else {
-			err = r.CrashPartial(keep)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if err := p.makeEngine(false); err != nil {
-		return err
-	}
-	root, err := p.Engine().Heap().Root()
-	if err != nil {
-		return err
-	}
-	p.root = root
-	return nil
+		return nil
+	})
 }
 
 // Reload reopens the pool's engine over the current region contents and
@@ -398,11 +381,20 @@ func (p *Pool) crash(keep func(line int) bool) error {
 // cursors, lock tables, caches) must be rebuilt from the new image. Unlike
 // Crash it loses nothing and needs no Strict mode — the regions are kept
 // exactly as written.
-func (p *Pool) Reload() error {
+func (p *Pool) Reload() error { return p.reopen(nil) }
+
+// reopen drains and closes the engine, runs between (when non-nil) on the
+// quiet regions, then opens a new engine over them and re-reads the root.
+func (p *Pool) reopen(between func() error) error {
 	old := p.Engine()
 	old.Drain()
 	if err := old.Close(); err != nil {
 		return err
+	}
+	if between != nil {
+		if err := between(); err != nil {
+			return err
+		}
 	}
 	if err := p.makeEngine(false); err != nil {
 		return err
