@@ -32,7 +32,7 @@ func TestMeasureYCSBAllModes(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tiny(&out).WithDefaults()
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeDynamic, kamino.ModeUndo, kamino.ModeNoLog} {
-		r, _, err := cfg.measureYCSB(mode, 0.5, 'A', 1)
+		r, err := cfg.measureYCSB(mode, 0.5, 'A', 1)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -94,46 +94,6 @@ func TestClosedLoopReportsClientError(t *testing.T) {
 	}
 }
 
-func TestWorstCaseRun(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tiny(&out).WithDefaults()
-	d, err := cfg.worstCaseRun(kamino.ModeSimple, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Errorf("latency = %v", d)
-	}
-}
-
-func TestDependentRunBothSpacings(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tiny(&out).WithDefaults()
-	for _, bursty := range []bool{false, true} {
-		avg, ins, err := cfg.dependentRun(kamino.ModeSimple, bursty)
-		if err != nil {
-			t.Fatalf("bursty=%v: %v", bursty, err)
-		}
-		if avg <= 0 || ins <= 0 {
-			t.Errorf("bursty=%v: degenerate %v/%v", bursty, avg, ins)
-		}
-	}
-}
-
-func TestTable1Prints(t *testing.T) {
-	var out bytes.Buffer
-	cfg := tiny(&out)
-	if err := Table1(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Traditional Chain", "Kamino-Tx-Amortized Chain", "f+2"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Table 1 output missing %q", want)
-		}
-	}
-}
-
 func TestCostModelOrdering(t *testing.T) {
 	undo := costFor(kamino.ModeUndo, 0, 50)
 	dyn := costFor(kamino.ModeDynamic, 0.5, 50)
@@ -150,7 +110,7 @@ func TestBreakdownAggregatesAcrossPools(t *testing.T) {
 	var out bytes.Buffer
 	cfg := tiny(&out).WithDefaults()
 	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo} {
-		if _, _, err := cfg.measureYCSB(mode, 1, 'A', 1); err != nil {
+		if _, err := cfg.measureYCSB(mode, 1, 'A', 1); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 	}

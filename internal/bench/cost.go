@@ -74,7 +74,7 @@ func Fig16(cfg Config) error {
 		fmt.Fprintf(cfg.Out, "\n%s\n%-14s %14s %12s %12s\n", wl.name, "variant", "ops/sec", "cost ($)", "norm ops/$")
 		var base float64
 		for i, v := range variants {
-			r, _, err := cfg.measureYCSB(v.mode, v.alpha, wl.w, cfg.Threads)
+			r, err := cfg.measureYCSB(v.mode, v.alpha, wl.w, cfg.Threads)
 			if err != nil {
 				return err
 			}

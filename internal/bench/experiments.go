@@ -20,11 +20,11 @@ func Fig1(cfg Config) error {
 		"paper shape: undo logging costs 50-250% on write-heavy workloads, ~0% on read-heavy")
 	fmt.Fprintf(cfg.Out, "%-10s %14s %14s %10s\n", "workload", "no-logging", "undo-logging", "overhead")
 	for _, w := range workload.Workloads {
-		no, _, err := cfg.measureYCSB(kamino.ModeNoLog, 0, w, cfg.Threads)
+		no, err := cfg.measureYCSB(kamino.ModeNoLog, 0, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
-		un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, cfg.Threads)
+		un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
@@ -105,11 +105,11 @@ func Fig12(cfg Config) error {
 	for _, w := range workload.Workloads {
 		fmt.Fprintf(cfg.Out, "YCSB-%c  ", w)
 		for _, th := range threadsList {
-			ka, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, th)
+			ka, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, th)
 			if err != nil {
 				return err
 			}
-			un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, th)
+			un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, th)
 			if err != nil {
 				return err
 			}
@@ -131,11 +131,11 @@ func Fig13(cfg Config) error {
 		"paper shape: Kamino-Tx up to 2.33x faster on writes; identical on read-only C")
 	fmt.Fprintf(cfg.Out, "%-10s %12s %12s %10s\n", "workload", "kamino", "undo", "ratio")
 	for _, w := range workload.Workloads {
-		ka, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, 1)
+		ka, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, 1)
 		if err != nil {
 			return err
 		}
-		un, _, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, 1)
+		un, err := cfg.measureYCSB(kamino.ModeUndo, 0, w, 1)
 		if err != nil {
 			return err
 		}
@@ -190,7 +190,7 @@ func dynamicSweep(cfg Config, latency bool) error {
 	for _, w := range sweep {
 		fmt.Fprintf(cfg.Out, "YCSB-%c  ", w)
 		for _, a := range alphas {
-			r, _, err := cfg.measureYCSB(kamino.ModeDynamic, a, w, cfg.Threads)
+			r, err := cfg.measureYCSB(kamino.ModeDynamic, a, w, cfg.Threads)
 			if err != nil {
 				return err
 			}
@@ -200,7 +200,7 @@ func dynamicSweep(cfg Config, latency bool) error {
 				fmt.Fprintf(cfg.Out, " %10.3f", r.OpsPerSec/1e6)
 			}
 		}
-		r, _, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, cfg.Threads)
+		r, err := cfg.measureYCSB(kamino.ModeSimple, 1, w, cfg.Threads)
 		if err != nil {
 			return err
 		}
@@ -212,155 +212,4 @@ func dynamicSweep(cfg Config, latency bool) error {
 	}
 	cfg.printBreakdown()
 	return nil
-}
-
-// Dependent reproduces the §7.1 dependent-transaction experiment: 80%
-// lookups, 20% inserts where every insert hits the same key, spaced
-// uniformly or in bursts. Expected shape: undo-logging is unaffected by
-// burstiness; Kamino-Tx's average latency rises a few percent and the
-// insert latency substantially (the paper saw +8% / +30%) because bursty
-// dependent inserts wait for the backup sync.
-func Dependent(cfg Config) error {
-	cfg = cfg.WithDefaults()
-	header(cfg.Out, "Section 7.1: dependent transactions (same-key inserts, uniform vs bursty)",
-		"paper shape: undo unaffected; Kamino-Tx avg +8%, insert latency +30% under bursts")
-	fmt.Fprintf(cfg.Out, "%-22s %12s %14s\n", "config", "avg (µs)", "insert avg (µs)")
-	for _, mode := range []kamino.Mode{kamino.ModeSimple, kamino.ModeUndo} {
-		for _, bursty := range []bool{false, true} {
-			avg, ins, err := cfg.dependentRun(mode, bursty)
-			if err != nil {
-				return err
-			}
-			label := fmt.Sprintf("%s/%s", modeLabel(mode), spacing(bursty))
-			fmt.Fprintf(cfg.Out, "%-22s %12.2f %14.2f\n", label, us(avg), us(ins))
-		}
-	}
-	cfg.printBreakdown()
-	return nil
-}
-
-func modeLabel(m kamino.Mode) string {
-	if m == kamino.ModeSimple {
-		return "kamino"
-	}
-	return string(m)
-}
-
-func spacing(b bool) string {
-	if b {
-		return "bursty"
-	}
-	return "uniform"
-}
-
-// dependentRun performs 80% lookups / 20% same-key updates. In uniform
-// mode updates are spread across the stream; in bursty mode they arrive
-// back-to-back, so each depends on the previous one's pending backup sync.
-func (c Config) dependentRun(mode kamino.Mode, bursty bool) (avg, insertAvg time.Duration, err error) {
-	pool, store, err := c.loadStore(mode, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer pool.Close()
-	const hotKey = 1
-	total := c.OpsPerThread
-	inserts := total / 5
-	isInsert := func(i int) bool { return i%5 == 0 && i/5 < inserts }
-	if bursty {
-		// All same-key updates back-to-back, then the lookups.
-		isInsert = func(i int) bool { return i < inserts }
-	}
-	val := make([]byte, c.ValueSize)
-	var insSum time.Duration
-	r, err := closedLoop(1, total, func(int) func(int) error {
-		return func(i int) error {
-			k := uint64(i % c.Keys)
-			if !isInsert(i) {
-				// Lookups cycle over a small warm set of keys far from
-				// the hot key (disjoint B+Tree leaves), so neither cache
-				// effects nor read-set intersection with the pending hot
-				// object differ between the phases; the experiment
-				// isolates the same-key dependent-wait cost, as in the
-				// paper.
-				_, _, err := store.Read(uint64(c.Keys/2) + k%128)
-				return err
-			}
-			t0 := time.Now()
-			workload.Value(k, val)
-			err := store.Update(hotKey, val)
-			insSum += time.Since(t0)
-			return err
-		}
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	c.collect(pool)
-	return r.Mean, insSum / time.Duration(max(inserts, 1)), nil
-}
-
-// WorstCase reproduces the §7.1 worst-case microbenchmark: threads
-// repeatedly update the same object, for object sizes 64 B – 4 KiB.
-// Expected shape: Kamino-Tx wins below ~1 KiB (no log allocation); the two
-// converge for larger objects where copying dominates either way.
-func WorstCase(cfg Config) error {
-	cfg = cfg.WithDefaults()
-	header(cfg.Out, "Section 7.1: worst case — repeated same-object updates (µs/update)",
-		"paper shape: Kamino-Tx lower latency below 1 KiB; convergence at larger objects")
-	sizes := []int{64, 256, 1024, 4096}
-	fmt.Fprintf(cfg.Out, "%-8s %12s %12s %10s\n", "size", "kamino", "undo", "ratio")
-	for _, size := range sizes {
-		ka, err := cfg.worstCaseRun(kamino.ModeSimple, size)
-		if err != nil {
-			return err
-		}
-		un, err := cfg.worstCaseRun(kamino.ModeUndo, size)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(cfg.Out, "%-8d %12.2f %12.2f %9.2fx\n",
-			size, us(ka), us(un), float64(un)/float64(ka))
-	}
-	cfg.printBreakdown()
-	return nil
-}
-
-func (c Config) worstCaseRun(mode kamino.Mode, size int) (time.Duration, error) {
-	pool, err := kamino.Create(kamino.Options{
-		Mode:         mode,
-		HeapSize:     16 << 20,
-		LogSlots:     64,
-		FlushLatency: c.FlushLatency,
-		FenceLatency: c.FenceLatency,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer pool.Close()
-	var obj kamino.ObjID
-	if err := pool.Update(func(tx *kamino.Tx) error {
-		var e error
-		obj, e = tx.Alloc(size)
-		return e
-	}); err != nil {
-		return 0, err
-	}
-	pool.Drain()
-	val := make([]byte, size)
-	r, err := closedLoop(1, c.OpsPerThread, func(int) func(int) error {
-		return func(i int) error {
-			val[0] = byte(i)
-			return pool.Update(func(tx *kamino.Tx) error {
-				if err := tx.Add(obj); err != nil {
-					return err
-				}
-				return tx.Write(obj, 0, val)
-			})
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.collect(pool)
-	return r.Mean, nil
 }

@@ -217,42 +217,27 @@ func (c Config) ycsbClients(store *kvstore.Store, mix workload.Mix, threads int)
 
 // measureYCSB loads a fresh store for mode and runs one YCSB workload on it
 // with threads clients, each warmed up by min(ops/5, 1000) unmeasured
-// operations first. It also returns what the pool's counters gained over
-// both phases, which the ablation tables divide by commits.
-func (c Config) measureYCSB(mode kamino.Mode, alpha float64, w byte, threads int) (Result, kamino.Stats, error) {
+// operations first.
+func (c Config) measureYCSB(mode kamino.Mode, alpha float64, w byte, threads int) (Result, error) {
 	mix, err := workload.MixFor(w)
 	if err != nil {
-		return Result{}, kamino.Stats{}, err
+		return Result{}, err
 	}
 	pool, store, err := c.loadStore(mode, alpha)
 	if err != nil {
-		return Result{}, kamino.Stats{}, err
+		return Result{}, err
 	}
 	defer pool.Close()
-	base := pool.Stats()
 	clients := c.ycsbClients(store, mix, threads)
 	if _, err := closedLoop(threads, min(c.OpsPerThread/5, 1000), clients); err != nil {
-		return Result{}, kamino.Stats{}, err
+		return Result{}, err
 	}
 	r, err := closedLoop(threads, c.OpsPerThread, clients)
 	if err != nil {
-		return Result{}, kamino.Stats{}, err
+		return Result{}, err
 	}
 	c.collect(pool)
-	return r, since(pool.Stats(), base), nil
-}
-
-// since returns the counts s gained after base.
-func since(s, base kamino.Stats) kamino.Stats {
-	return kamino.Stats{
-		Commits:             s.Commits - base.Commits,
-		Aborts:              s.Aborts - base.Aborts,
-		BytesCopiedCritical: s.BytesCopiedCritical - base.BytesCopiedCritical,
-		BytesCopiedAsync:    s.BytesCopiedAsync - base.BytesCopiedAsync,
-		DependentWaits:      s.DependentWaits - base.DependentWaits,
-		BackupMisses:        s.BackupMisses - base.BackupMisses,
-		BackupEvictions:     s.BackupEvictions - base.BackupEvictions,
-	}
+	return r, nil
 }
 
 func header(w io.Writer, title, note string) {

@@ -393,6 +393,9 @@ func TestResendIsBatched(t *testing.T) {
 	if got := resend(30); fmt.Sprint(got) != "[8 8 8 6]" {
 		t.Errorf("30 in-flight records resent as batches %v, want [8 8 8 6]", got)
 	}
+	if n := head.cResends.Load(); n != 20+30 {
+		t.Errorf("resends = %d, want the two resends' 20 + 30 records", n)
+	}
 	if n := mid.cDedup.Load(); n != 20 {
 		t.Errorf("dedup_dropped = %d, want the 20 records the successor already held", n)
 	}

@@ -408,8 +408,16 @@ func TestQuickRebootMiddleRollsForward(t *testing.T) {
 	}
 	_ = entryObj
 
+	head := tc.replicas[tc.order[0]]
+	fetched := head.cFetches.Load()
 	if err := mid.Reboot(); err != nil {
 		t.Fatalf("Reboot: %v", err)
+	}
+	// One block fetched per intent the torn put logged: the old entry's
+	// write and free, the larger entry's allocation, and the write to the
+	// pointer that names it.
+	if n := head.cFetches.Load() - fetched; n != 4 {
+		t.Errorf("fetches_served = %d at the predecessor, want the torn put's 4 intents", n)
 	}
 	// The middle replica must have rolled forward from its predecessor:
 	// key 3 readable with a consistent value.

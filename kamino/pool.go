@@ -131,6 +131,21 @@ func (p *Pool) regionOptions() nvm.Options {
 	}
 }
 
+// backupOptions are the backup region's options. Kamino-Tx-Simple's backup
+// is written only by the asynchronous applier (and recovery): its
+// write-backs occupy the NVM device, not a CPU's critical path, so injected
+// latency — which models a thread stalling on persistence — does not apply
+// to it. Kamino-Tx-Dynamic's is charged like any region: a backup miss
+// copies the object into it on the critical path, and the model cannot tell
+// that copy from the applier's.
+func (p *Pool) backupOptions() nvm.Options {
+	o := p.regionOptions()
+	if p.opts.Mode == ModeSimple {
+		o.Latency = nvm.LatencyModel{}
+	}
+	return o
+}
+
 // makeRegions builds the mode's regions: in memory, or as fresh files in
 // Options.Dir.
 func (p *Pool) makeRegions() error {
@@ -158,13 +173,7 @@ func (p *Pool) eachRegion(newRegion func(file string, size int, opts nvm.Options
 		return err
 	}
 	if n := p.opts.backupSize(); n > 0 {
-		// The backup region is written only by the asynchronous applier
-		// (and recovery). Its write-backs occupy the NVM device, not a
-		// CPU's critical path, so injected flush latency — which models
-		// a thread stalling on persistence — does not apply to it.
-		bopts := ropts
-		bopts.Latency = nvm.LatencyModel{}
-		p.backupReg, err = newRegion("backup.img", n, bopts)
+		p.backupReg, err = newRegion("backup.img", n, p.backupOptions())
 		if err != nil {
 			return err
 		}
@@ -433,7 +442,7 @@ func (p *Pool) Promote(alpha float64) error {
 	var err error
 	if alpha >= 1 {
 		p.opts.Mode = ModeSimple
-		p.backupReg, err = nvm.New(p.opts.HeapSize, p.regionOptions())
+		p.backupReg, err = nvm.New(p.opts.HeapSize, p.backupOptions())
 		if err != nil {
 			return err
 		}
@@ -447,7 +456,7 @@ func (p *Pool) Promote(alpha float64) error {
 	} else {
 		p.opts.Mode = ModeDynamic
 		p.opts.Alpha = alpha
-		p.backupReg, err = nvm.New(p.opts.backupSize(), p.regionOptions())
+		p.backupReg, err = nvm.New(p.opts.backupSize(), p.backupOptions())
 		if err != nil {
 			return err
 		}

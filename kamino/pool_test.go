@@ -1,9 +1,11 @@
 package kamino
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func allModes() []Mode {
@@ -294,6 +296,59 @@ func TestStatsExposed(t *testing.T) {
 	}
 	if p.NVMStats().LinesFlushed == 0 {
 		t.Error("no device flushes recorded")
+	}
+}
+
+// TestDynamicMissIsCharged: a Kamino-Tx-Dynamic backup miss copies the
+// object into the backup region on the critical path, so the latency model
+// charges that region too. With each fence costing 1 ms, an update of a
+// cold object (no backup copy yet) takes at least the miss's extra fences ×
+// 1 ms longer than the fastest of three warm updates of it. The miss's
+// fences are counted after Drain, where the applier's equal share cancels.
+// Lower bound only: a loaded host can only add to the cold update.
+func TestDynamicMissIsCharged(t *testing.T) {
+	const fence = time.Millisecond
+	p, err := Create(Options{Mode: ModeDynamic, HeapSize: 1 << 20, ApplierWorkers: 1, FenceLatency: fence})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var obj ObjID
+	if err := p.Update(func(tx *Tx) (err error) {
+		obj, err = tx.Alloc(1024)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain()
+	backup := p.Regions()[1]
+	update := func() (took time.Duration, fences uint64) {
+		before := backup.Stats().Fences
+		start := time.Now()
+		if err := p.Update(func(tx *Tx) error {
+			if err := tx.Add(obj); err != nil {
+				return err
+			}
+			return tx.Write(obj, 0, bytes.Repeat([]byte{1}, 1024))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		took = time.Since(start)
+		p.Drain()
+		return took, backup.Stats().Fences - before
+	}
+	cold, coldFences := update()
+	warm, warmFences := update()
+	for i := 0; i < 2; i++ {
+		d, _ := update()
+		warm = min(warm, d)
+	}
+	miss := coldFences - warmFences
+	if miss == 0 {
+		t.Fatalf("the cold update fenced the backup %d times, the warm one %d: no miss", coldFences, warmFences)
+	}
+	if want := time.Duration(miss) * fence; cold-warm < want {
+		t.Errorf("cold update took %v, warm %v: the miss's %d backup fences (%v) were not charged", cold, warm, miss, want)
 	}
 }
 
