@@ -92,8 +92,8 @@ func settle(tb testing.TB, reps []*Replica) {
 }
 
 // TestChainPutDeviceCost pins one overwrite of a preloaded 1 KiB key through
-// a three-replica Kamino chain, one client: 23 fences, 139.5 lines flushed
-// and 7596 bytes written, of which the rings take 10 fences and 3304 bytes.
+// a three-replica Kamino chain, one client: 23 fences, 123.5 lines flushed
+// and 6572 bytes written, of which the rings take 10 fences and 2280 bytes.
 //
 // Every replica runs the same local transaction — 1 fence, 17 lines, 1028 B
 // on the main heap (the entry's length word and value: the bucket is locked,
@@ -101,13 +101,16 @@ func settle(tb testing.TB, reps []*Replica) {
 // marker, release) — and only the head pays for a copy: 1 fence, 1028 B on
 // its backup. The ring then costs each role:
 //
-//	head    append, done with tail (2 fences, 1064+24 B) + tail ack (1, 16 B)
+//	head    append, done with tail (2 fences, 40+24 B) + tail ack (1, 16 B)
 //	middle  append (2, 1064+16 B) + done cursor (1, 8 B) + clean-up (1, 16 B)
 //	tail    append (2, 1064+16 B) + retire head and done (1, 16 B)
 //
 // where 1064 B is the record (24 B header, "put", 8 B key, 1 KiB value,
 // padded to 8) and spans 17 or 18 lines as its offset walks the ring, 17.5
-// on average over any eight consecutive records.
+// on average over any eight consecutive records. The head's ring keeps a
+// reference instead (24 B header, "put*", the key: 40 B, 1.5 lines on
+// average): its store already holds the value a resend needs, so the value
+// is durable six times, not seven.
 //
 // The number to beat. Before the one-ring protocol (two queues per replica,
 // bucket intent logged on every put) the same run read 31 fences, 167
@@ -116,6 +119,7 @@ func settle(tb testing.TB, reps []*Replica) {
 // 1088 B), the input queue's own retire, a second persist in every
 // acknowledgment, and the head's re-persist of an unmoved cursor when the
 // clean-up follows the tail ack — and 4 log fences per replica against 3.
+// Before the head's ring kept references: 139.5 lines, 7596 B.
 func TestChainPutDeviceCost(t *testing.T) {
 	tc, reps := devChain(t, true, 0)
 
@@ -133,21 +137,23 @@ func TestChainPutDeviceCost(t *testing.T) {
 
 	tx := devCost{1, 17, 4 + devValue} // length word + value, on main and on the head's backup
 	log := devCost{3, 4, 20 + 32 + 4 + 4}
-	const rec = 1064
+	const rec, ref = 1064, 40
 	want := [3]replicaCost{
-		{"main": tx, "backup": tx, "log": log, "ring": {3, 0, rec + 24 + 16}},
+		{"main": tx, "backup": tx, "log": log, "ring": {3, 0, ref + 24 + 16}},
 		{"main": tx, "backup": {}, "log": log, "ring": {4, 0, rec + 16 + 8 + 16}},
 		{"main": tx, "backup": {}, "log": log, "ring": {3, 0, rec + 16 + 16}},
 	}
+	// Lines per eight records: 140 for a whole record, 12 for a reference.
+	recLines := [3]uint64{12, 140, 140}
 	var total devCost
 	for i, r := range reps {
 		now := readReplicaCost(r)
 		for region, per := range want[i] {
 			w := devCost{per.fences * puts, per.lines * puts, per.bytes * puts}
 			if region == "ring" {
-				// 17.5 record lines per put, and the header line once
-				// per fence after the append's first.
-				w.lines = puts*35/2 + (per.fences-1)*puts
+				// The record's lines, and the header line once per
+				// fence after the append's first.
+				w.lines = puts*recLines[i]/8 + (per.fences-1)*puts
 			}
 			got := now[region].sub(before[i][region])
 			if got != w {
@@ -156,7 +162,7 @@ func TestChainPutDeviceCost(t *testing.T) {
 			total = total.add(got)
 		}
 	}
-	if want := (devCost{23 * puts, puts * 279 / 2, 7596 * puts}); total != want {
+	if want := (devCost{23 * puts, puts * 247 / 2, 6572 * puts}); total != want {
 		t.Errorf("chain: %d puts cost %+v, want %+v", puts, total, want)
 	}
 	waitErrFree(t, tc)

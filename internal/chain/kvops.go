@@ -3,6 +3,7 @@ package chain
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"kaminotx/internal/phash"
 	"kaminotx/internal/pqueue"
@@ -15,9 +16,14 @@ import (
 // one transaction on each replica, so recovery replay is exactly-once by
 // idempotence. A record's Name is its operation and its Args the 8-byte key
 // followed, for a put, by the value.
+//
+// The head's ring keeps a put as a reference (opPutRef, the key alone): the
+// value is in the head's store, and a resend reads it back from there
+// (expand). A reference is never sent, so apply knows no such operation.
 const (
 	opPut    = "put"
 	opDelete = "delete"
+	opPutRef = "put*"
 )
 
 // kvSetup creates the hash table on a fresh pool, identically on every
@@ -89,6 +95,65 @@ func (r *Replica) apply(tx *kamino.Tx, rec pqueue.Record) error {
 		return err
 	}
 	return fmt.Errorf("chain: unknown operation %q", rec.Name)
+}
+
+// reference is the record the head's ring keeps for rec: a put named by its
+// key, anything else whole. Its Args share rec's, so it allocates nothing.
+func reference(rec pqueue.Record) pqueue.Record {
+	if rec.Name != opPut {
+		return rec
+	}
+	return pqueue.Record{Seq: rec.Seq, Name: opPutRef, Args: rec.Args[:8]}
+}
+
+// expand returns recs with each reference made its put again, the value
+// read from the store; recs itself when it holds none. A reference's put is
+// in flight, and its admission lock keeps every later write off its bucket
+// until the tail acknowledges it, so the store holds exactly its value — if
+// it is still in flight once the value is read. One that left the in-flight
+// set by then may have read a later write's value; it and every record
+// before it are acknowledged, so they are dropped. The power is held for the
+// reads, so they meet the pre-crash store or the recovered one.
+func (r *Replica) expand(recs []pqueue.Record) ([]pqueue.Record, error) {
+	if !slices.ContainsFunc(recs, func(rec pqueue.Record) bool { return rec.Name == opPutRef }) {
+		return recs, nil
+	}
+	r.power.RLock()
+	defer r.power.RUnlock()
+	out := make([]pqueue.Record, 0, len(recs))
+	for _, rec := range recs {
+		if rec.Name != opPutRef {
+			out = append(out, rec)
+			continue
+		}
+		if len(rec.Args) < 8 {
+			return nil, fmt.Errorf("chain: reference %d has %d B of key", rec.Seq, len(rec.Args))
+		}
+		key := binary.LittleEndian.Uint64(rec.Args)
+		var args []byte
+		err := r.pool.View(func(tx *kamino.Tx) error {
+			v, ok, err := r.kv.Get(tx, key)
+			if ok {
+				args = encodeKV(key, v)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.headMu.Lock()
+		_, inflight := r.inflight[rec.Seq]
+		r.headMu.Unlock()
+		if !inflight {
+			out = out[:0]
+			continue
+		}
+		if args == nil {
+			return nil, fmt.Errorf("chain: in-flight put %d of key %d is not in the store", rec.Seq, key)
+		}
+		out = append(out, pqueue.Record{Seq: rec.Seq, Name: opPut, Args: args})
+	}
+	return out, nil
 }
 
 // read looks key up in the local pool and returns a read reply's payload:

@@ -116,7 +116,11 @@ func (r *Replica) promoteToHead() error {
 	maxSeq := max(lastExec, r.getRing().LastSeq())
 	r.headMu.Lock()
 	for _, rec := range recs {
-		op := r.inflight[rec.Seq]
+		op, ok := r.inflight[rec.Seq]
+		if !ok { // a promoted middle's record, whole
+			op.size = pqueue.Size(rec)
+			r.held += op.size
+		}
 		op.lock = r.lockKey(rec.Args)
 		r.lockedBy[op.lock] = struct{}{}
 		r.inflight[rec.Seq] = op
@@ -290,7 +294,14 @@ func (r *Replica) resendInflight(v membership.View, succ transport.NodeID) {
 
 // resend re-forwards records in batches, as the pipeline sends them; the
 // receiver drops the prefix it already holds, so resending is always safe.
+// Every resend of a head's ring passes here, where its references become
+// the puts they name (expand).
 func (r *Replica) resend(v membership.View, succ transport.NodeID, recs []pqueue.Record) {
+	recs, err := r.expand(recs)
+	if err != nil {
+		r.fatal(err)
+		return
+	}
 	r.send(v, succ, recs)
 	r.cResends.Add(uint64(len(recs)))
 }

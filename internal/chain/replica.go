@@ -144,6 +144,7 @@ type Replica struct {
 	promoted bool // head engine active (initial head or promoted later)
 
 	submitCh    chan *submitReq // head: admitted submissions awaiting a batch
+	refs        []pqueue.Record // the batcher's: its batch's ring records, reused
 	stopMu      sync.Mutex
 	stop        chan struct{} // closed while the pipeline is stopped
 	wg          sync.WaitGroup
@@ -170,6 +171,7 @@ type Replica struct {
 	lockCond *sync.Cond
 	lockedBy map[uint64]struct{}   // held admission-lock keys
 	inflight map[uint64]inflightOp // seq -> its write, executed and not yet acknowledged
+	held     uint64                // the in-flight writes' sizes, summed
 	execErr  error                 // fatal replica error
 }
 
@@ -177,6 +179,7 @@ type Replica struct {
 type inflightOp struct {
 	lock uint64     // its admission-lock key
 	done chan error // its client; nil for a write a promoted head re-drives
+	size uint64     // the ring bytes its whole record takes downstream
 }
 
 // submitReq is one admitted client write waiting for the head batcher: the
@@ -709,8 +712,13 @@ func (r *Replica) gather(stop <-chan struct{}, batch []*submitReq) ([]*submitReq
 // processBatch executes a batch of admitted submissions in order, persists
 // the survivors to the ring's in-flight range under one flush+fence epoch,
 // and forwards them downstream as one message. Aborted operations (Figure 8)
-// are answered immediately and consume no sequence number.
+// are answered immediately and consume no sequence number. The ring keeps
+// each put as a reference (the store holds its value), built in r.refs; the
+// message carries the records whole.
 func (r *Replica) processBatch(reqs []*submitReq) {
+	if reqs = r.fit(reqs); len(reqs) == 0 {
+		return
+	}
 	view := r.currentView()
 	recs := make([]pqueue.Record, len(reqs))
 	for i, req := range reqs {
@@ -729,7 +737,9 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.headMu.Lock()
 		r.nextSeq++
 		seq := r.nextSeq
-		r.inflight[seq] = inflightOp{lock: req.lock, done: req.done}
+		size := pqueue.Size(req.rec)
+		r.inflight[seq] = inflightOp{lock: req.lock, done: req.done, size: size}
+		r.held += size
 		r.headMu.Unlock()
 		r.mu.Lock()
 		r.lastExec = seq
@@ -750,7 +760,11 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 		r.completeThrough(last)
 		return
 	}
-	if err := r.getRing().AppendExecuted(recs); err != nil {
+	r.refs = r.refs[:0]
+	for _, rec := range recs {
+		r.refs = append(r.refs, reference(rec))
+	}
+	if err := r.getRing().AppendExecuted(r.refs); err != nil {
 		// The numbers go back with the records: downstream appends only the
 		// record that follows its last, so a number that was never sent
 		// would stall every later one.
@@ -768,6 +782,33 @@ func (r *Replica) processBatch(reqs []*submitReq) {
 	// The clients keep waiting for the tail acknowledgment even if the
 	// send fails: repair resends from the in-flight range.
 	r.send(view, succ, recs)
+}
+
+// fit answers ErrFull, unexecuted, to each submission whose record would
+// take the writes in flight past a ring's capacity, and returns the rest.
+// Every replica downstream holds those writes whole in a ring as large as
+// the head's, whose own ring keeps puts as references; so the head counts
+// them at their whole size.
+func (r *Replica) fit(reqs []*submitReq) []*submitReq {
+	r.headMu.Lock()
+	held := r.held
+	r.headMu.Unlock()
+	capacity := r.getRing().Capacity()
+	kept := reqs[:0]
+	var refused []*submitReq
+	for _, req := range reqs {
+		size := pqueue.Size(req.rec)
+		if held+size > capacity {
+			refused = append(refused, req)
+			continue
+		}
+		held += size
+		kept = append(kept, req)
+	}
+	if len(refused) > 0 {
+		r.release(fmt.Errorf("chain: %w: %d B in flight of %d", pqueue.ErrFull, held, capacity), nil, refused...)
+	}
+	return kept
 }
 
 // send ships a run of records to one chain neighbour, cut into full
@@ -846,6 +887,7 @@ func (r *Replica) release(err error, drop func(seq uint64, op inflightOp) bool, 
 		for seq, op := range r.inflight {
 			if drop(seq, op) {
 				delete(r.inflight, seq)
+				r.held -= op.size
 				fs = append(fs, freed{seq, op})
 			}
 		}

@@ -36,12 +36,39 @@ type backend interface {
 	// (added, never written) costs nothing. The applier, off the critical
 	// path, passes the transaction's extent; recovery of committed
 	// transactions passes the whole block — the log records objects, not
-	// bytes.
-	syncToBackup(obj heap.ObjID, dirty engine.Extent) error
+	// bytes. path decides the counter the bytes go to.
+	syncToBackup(obj heap.ObjID, dirty engine.Extent, path copyPath) error
 
 	// restoreFromBackup copies the backup copy over obj's main-heap
 	// block and persists it. Used by aborts and crash recovery.
 	restoreFromBackup(obj heap.ObjID, class int) error
+}
+
+// copyPath is the path a backup copy is made on, which decides the counter
+// its bytes go to. Only the applier and recovery copy off a commit's
+// critical path, and they pass offPath; every other copy counts as critical
+// (onPath, the zero value), so a sync moved onto the critical path shows in
+// bytes_copied_critical whoever makes it.
+type copyPath int
+
+const (
+	onPath copyPath = iota
+	offPath
+)
+
+// copyCounters count backup-copy bytes by the path they were copied on.
+type copyCounters struct{ critical, async *obs.Counter }
+
+func newCopyCounters(o *obs.Registry) copyCounters {
+	return copyCounters{o.Counter("bytes_copied_critical"), o.Counter("bytes_copied_async")}
+}
+
+func (c copyCounters) add(path copyPath, n int) {
+	if path == offPath {
+		c.async.Add(uint64(n))
+	} else {
+		c.critical.Add(uint64(n))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -50,7 +77,7 @@ type backend interface {
 type simpleBackend struct {
 	main   *nvm.Region
 	backup *nvm.Region
-	synced *obs.Counter
+	copied copyCounters
 }
 
 func newSimpleBackend(main, backup *nvm.Region, o *obs.Registry) (*simpleBackend, error) {
@@ -58,7 +85,7 @@ func newSimpleBackend(main, backup *nvm.Region, o *obs.Registry) (*simpleBackend
 		return nil, fmt.Errorf("kamino: full backup region (%d bytes) smaller than main (%d bytes)",
 			backup.Size(), main.Size())
 	}
-	return &simpleBackend{main: main, backup: backup, synced: o.Counter("bytes_copied_async")}, nil
+	return &simpleBackend{main: main, backup: backup, copied: newCopyCounters(o)}, nil
 }
 
 func (b *simpleBackend) ensure(heap.ObjID, int) (bool, error) { return false, nil }
@@ -66,20 +93,20 @@ func (b *simpleBackend) ensure(heap.ObjID, int) (bool, error) { return false, ni
 // syncToBackup copies each run of lines the transaction stored into and
 // flushes it, then fences once for the object. Bytes between the runs were
 // not stored into, and the object's lock has kept them equal on both sides.
-func (b *simpleBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
-	copied := 0
+func (b *simpleBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent, path copyPath) error {
+	total := 0
 	err := dirty.Runs(obj, func(off, n int) error {
 		if err := nvm.Copy(b.backup, off, b.main, off, n); err != nil {
 			return err
 		}
-		copied += n
+		total += n
 		return b.backup.Flush(off, n)
 	})
-	if err != nil || copied == 0 {
+	if err != nil || total == 0 {
 		return err
 	}
 	b.backup.Fence()
-	b.synced.Add(uint64(copied))
+	b.copied.add(path, total)
 	return nil
 }
 
@@ -118,9 +145,8 @@ type dynamicBackend struct {
 	entries map[heap.ObjID]*dynEntry
 	lru     *list.List // front = most recently used; values are main ObjIDs
 
-	synced     *obs.Counter
+	copied     copyCounters // a miss copies one block on the critical path
 	misses     *obs.Counter
-	missBytes  *obs.Counter // a miss copies one block in the critical path
 	evictions  *obs.Counter
 	phMissCopy *obs.PhaseStat // on-demand backup copy (critical path)
 }
@@ -132,9 +158,8 @@ func newDynamicBackend(main *nvm.Region, bheap *heap.Heap, locks *locktable.Tabl
 		locks:      locks,
 		entries:    make(map[heap.ObjID]*dynEntry),
 		lru:        list.New(),
-		synced:     o.Counter("bytes_copied_async"),
+		copied:     newCopyCounters(o),
 		misses:     o.Counter("backup_misses"),
-		missBytes:  o.Counter("bytes_copied_critical"),
 		evictions:  o.Counter("backup_evictions"),
 		phMissCopy: o.Phase(obs.PhaseCriticalCopy),
 	}
@@ -199,7 +224,7 @@ func (b *dynamicBackend) ensure(obj heap.ObjID, class int) (bool, error) {
 	// Miss: create the copy on demand — the critical-path copy that
 	// makes α < 1 a latency/storage trade-off.
 	b.misses.Add(1)
-	b.missBytes.Add(uint64(blockLen))
+	b.copied.add(onPath, blockLen)
 	missStart := time.Now()
 	defer func() { b.phMissCopy.Observe(time.Since(missStart)) }()
 	backupObj, err := b.allocBlock(dynPrefix + blockLen)
@@ -288,7 +313,7 @@ func (b *dynamicBackend) lookup(obj heap.ObjID) (*dynEntry, bool) {
 
 // syncToBackup copies the extent's covering range — a superset of the lines
 // stored into, equal to them for a single store — with one persist.
-func (b *dynamicBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
+func (b *dynamicBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent, path copyPath) error {
 	off, n := dirty.Range(obj)
 	if n == 0 {
 		return nil
@@ -311,7 +336,7 @@ func (b *dynamicBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error
 	if err := breg.Persist(boff, n); err != nil {
 		return err
 	}
-	b.synced.Add(uint64(n))
+	b.copied.add(path, n)
 	return nil
 }
 

@@ -34,11 +34,11 @@ type heldApplier struct {
 	e *Engine
 }
 
-func (h heldApplier) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
+func (h heldApplier) syncToBackup(obj heap.ObjID, dirty engine.Extent, path copyPath) error {
 	if h.e.pending.Load() == 0 {
-		return h.backend.syncToBackup(obj, dirty)
+		return h.backend.syncToBackup(obj, dirty, path)
 	}
-	return h.gatedBackend.syncToBackup(obj, dirty)
+	return h.gatedBackend.syncToBackup(obj, dirty, path)
 }
 
 // rig is one engine over fresh regions, driven by one client.

@@ -330,7 +330,7 @@ func (e *Engine) applyOne(req applyReq) error {
 	ws := req.st.WriteSet()
 	start := time.Now()
 	for obj, w := range ws {
-		if err := e.backend.syncToBackup(obj, w.Dirty); err != nil {
+		if err := e.backend.syncToBackup(obj, w.Dirty, offPath); err != nil {
 			return err
 		}
 		tr.BackupSync(txid, uint64(obj))
@@ -392,7 +392,7 @@ func (e *Engine) Recover() error {
 			}
 			for _, ent := range v.Entries {
 				obj := heap.ObjID(ent.Obj)
-				if err := e.backend.syncToBackup(obj, engine.WholeBlock(obj, int(ent.Class))); err != nil {
+				if err := e.backend.syncToBackup(obj, engine.WholeBlock(obj, int(ent.Class)), offPath); err != nil {
 					return err
 				}
 			}

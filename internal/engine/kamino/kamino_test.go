@@ -103,7 +103,8 @@ func TestNameReflectsMode(t *testing.T) {
 }
 
 // No data may be copied in the critical path of a commit (the paper's core
-// claim). For the simple backend, BytesCopiedCritical must stay zero.
+// claim). For the simple backend, BytesCopiedCritical must stay zero: it
+// counts every backup copy the applier or recovery did not make.
 func TestNoCriticalPathCopies(t *testing.T) {
 	m, b, l := regions(t, mainSize)
 	e, err := New(m, b, l, testCfg)

@@ -16,10 +16,10 @@ type gatedBackend struct {
 	arrived chan heap.ObjID
 }
 
-func (g gatedBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent) error {
+func (g gatedBackend) syncToBackup(obj heap.ObjID, dirty engine.Extent, path copyPath) error {
 	g.arrived <- obj
 	<-g.gate
-	return g.backend.syncToBackup(obj, dirty)
+	return g.backend.syncToBackup(obj, dirty, path)
 }
 
 // TestWriteSetNotReusedBeforeApplierReleasesIt commits a transaction and

@@ -276,3 +276,38 @@ func TestCreateRejectsOversizedDirectory(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPut is one in-place overwrite of an existing 1 KiB value, each in
+// its own transaction, on the Kamino-Tx-Simple pool a chain head runs: the
+// store's part of a chain put, beside pbtree's BenchmarkPut for kvstore.
+func BenchmarkPut(b *testing.B) {
+	const keys = 1024
+	p, err := kamino.Create(kamino.Options{Mode: kamino.ModeSimple, HeapSize: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	m, err := Create(p, keys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, 1024)
+	put := func(key uint64) error {
+		return p.Update(func(tx *kamino.Tx) error { return m.Put(tx, key, val) })
+	}
+	for k := uint64(0); k < keys; k++ {
+		if err := put(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := put(uint64(i*7919) % keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	p.Drain()
+}

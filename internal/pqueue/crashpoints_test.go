@@ -524,7 +524,16 @@ func FuzzAttach(f *testing.F) {
 
 // BenchmarkAppend1 is the gated benchmark's pqueue.append1 rung: one 1 KiB
 // record appended and, as the acknowledged prefix, dropped — 3 fences.
-func BenchmarkAppend1(b *testing.B) {
+func BenchmarkAppend1(b *testing.B) { benchAppend(b, 1) }
+
+// BenchmarkAppend16 is the gated benchmark's pqueue.append16 rung: a hop
+// batch of sixteen such records — 3 fences an append, whatever it holds.
+func BenchmarkAppend16(b *testing.B) { benchAppend(b, 16) }
+
+// benchAppend appends batch 1 KiB records at a time and drops each batch as
+// the acknowledged prefix, reporting the time a record and the fences and
+// bytes an append.
+func benchAppend(b *testing.B, batch int) {
 	reg, err := nvm.New(4<<20, nvm.Options{Mode: nvm.ModeFast})
 	if err != nil {
 		b.Fatal(err)
@@ -533,20 +542,29 @@ func BenchmarkAppend1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec := []Record{{Name: "kv.put", Args: make([]byte, 1032)}}
+	recs := make([]Record, batch)
+	for j := range recs {
+		recs[j] = Record{Name: "kv.put", Args: make([]byte, 1032)}
+	}
+	var seq uint64
 	before := reg.Stats()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec[0].Seq = uint64(i + 1)
-		if err := q.AppendBatch(rec); err != nil {
+		for j := range recs {
+			seq++
+			recs[j].Seq = seq
+		}
+		if err := q.AppendBatch(recs); err != nil {
 			b.Fatal(err)
 		}
-		if err := q.DropThrough(rec[0].Seq); err != nil {
+		if err := q.DropThrough(seq); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	after := reg.Stats()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/rec")
 	b.ReportMetric(float64(after.Fences-before.Fences)/float64(b.N), "fences/op")
 	b.ReportMetric(float64(after.BytesWritten-before.BytesWritten)/float64(b.N), "B-written/op")
 }

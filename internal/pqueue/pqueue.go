@@ -273,6 +273,11 @@ func (q *Queue) Capacity() uint64 {
 	return q.cap
 }
 
+// Size returns the bytes r takes in a ring.
+func Size(r Record) uint64 {
+	return recSize(r)
+}
+
 func recSize(r Record) uint64 {
 	n := uint64(recHdr + len(r.Name) + len(r.Args))
 	return (n + recAlign - 1) / recAlign * recAlign

@@ -338,3 +338,22 @@ func BenchmarkInProcSend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInProcCall is the gated benchmark's transport.inproc_call rung:
+// a round trip carrying 1 KiB to a handler that echoes it, at the harness's
+// 3 µs hop — both hops are the caller's to wait out, so about 6 µs.
+func BenchmarkInProcCall(b *testing.B) {
+	tr := NewInProc(3 * time.Microsecond)
+	defer tr.Close()
+	if err := tr.Register("echo", func(m *Message) *Message { return m }); err != nil {
+		b.Fatal(err)
+	}
+	msg := &Message{Kind: KindRead, Payload: make([]byte, 1024)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.Call("echo", msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

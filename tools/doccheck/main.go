@@ -60,7 +60,7 @@ var documents = []struct {
 	{"README.md", 15443},
 	{"ARCHITECTURE.md", 22834},
 	{"DESIGN.md", 69083},
-	{"OPERATIONS.md", 18596},
+	{"OPERATIONS.md", 18514},
 	{"EXPERIMENTS.md", 38226},
 }
 
