@@ -92,8 +92,8 @@ func settle(tb testing.TB, reps []*Replica) {
 }
 
 // TestChainPutDeviceCost pins one overwrite of a preloaded 1 KiB key through
-// a three-replica Kamino chain, one client: 23 fences, 123.5 lines flushed
-// and 6572 bytes written, of which the rings take 10 fences and 2280 bytes.
+// a three-replica Kamino chain, one client: 21 fences, 105 lines flushed
+// and 5484 bytes written, of which the rings take 8 fences and 1192 bytes.
 //
 // Every replica runs the same local transaction — 1 fence, 17 lines, 1028 B
 // on the main heap (the entry's length word and value: the bucket is locked,
@@ -103,23 +103,27 @@ func settle(tb testing.TB, reps []*Replica) {
 //
 //	head    append, done with tail (2 fences, 40+24 B) + tail ack (1, 16 B)
 //	middle  append (2, 1064+16 B) + done cursor (1, 8 B) + clean-up (1, 16 B)
-//	tail    append (2, 1064+16 B) + retire head and done (1, 16 B)
+//	tail    duplicate floor, after the commit (1, 8 B)
 //
 // where 1064 B is the record (24 B header, "put", 8 B key, 1 KiB value,
 // padded to 8) and spans 17 or 18 lines as its offset walks the ring, 17.5
 // on average over any eight consecutive records. The head's ring keeps a
 // reference instead (24 B header, "put*", the key: 40 B, 1.5 lines on
-// average): its store already holds the value a resend needs, so the value
-// is durable six times, not seven.
+// average): its store already holds the value a resend needs. A live tail
+// with nothing pending executes what it receives without appending it: the
+// middle holds the record in flight until the tail's clean-up, and resends
+// it if the tail loses it. So the value is durable five times: head main
+// and backup, middle ring and main, tail main.
 //
 // The number to beat. Before the one-ring protocol (two queues per replica,
 // bucket intent logged on every put) the same run read 31 fences, 167
 // lines, 8808 B: ring fences 5 / 7 / 3 (head / middle / tail) against
-// 3 / 4 / 3 now — the middle's second durable copy of the record (2 fences,
+// 3 / 4 / 1 now — the middle's second durable copy of the record (2 fences,
 // 1088 B), the input queue's own retire, a second persist in every
 // acknowledgment, and the head's re-persist of an unmoved cursor when the
 // clean-up follows the tail ack — and 4 log fences per replica against 3.
-// Before the head's ring kept references: 139.5 lines, 7596 B.
+// Before the head's ring kept references: 23 fences, 139.5 lines, 7596 B;
+// before the tail executed without appending: 23, 123.5, 6572.
 func TestChainPutDeviceCost(t *testing.T) {
 	tc, reps := devChain(t, true, 0)
 
@@ -141,19 +145,19 @@ func TestChainPutDeviceCost(t *testing.T) {
 	want := [3]replicaCost{
 		{"main": tx, "backup": tx, "log": log, "ring": {3, 0, ref + 24 + 16}},
 		{"main": tx, "backup": {}, "log": log, "ring": {4, 0, rec + 16 + 8 + 16}},
-		{"main": tx, "backup": {}, "log": log, "ring": {3, 0, rec + 16 + 16}},
+		{"main": tx, "backup": {}, "log": log, "ring": {1, 0, 8}},
 	}
-	// Lines per eight records: 140 for a whole record, 12 for a reference.
-	recLines := [3]uint64{12, 140, 140}
+	// Ring lines per eight puts: the records' (140 for whole ones, 12 for
+	// references, none at the tail), and the header line once per fence
+	// that persists no record.
+	ringLines := [3]uint64{12 + 2*8, 140 + 3*8, 1 * 8}
 	var total devCost
 	for i, r := range reps {
 		now := readReplicaCost(r)
 		for region, per := range want[i] {
 			w := devCost{per.fences * puts, per.lines * puts, per.bytes * puts}
 			if region == "ring" {
-				// The record's lines, and the header line once per
-				// fence after the append's first.
-				w.lines = puts*recLines[i]/8 + (per.fences-1)*puts
+				w.lines = puts * ringLines[i] / 8
 			}
 			got := now[region].sub(before[i][region])
 			if got != w {
@@ -162,7 +166,7 @@ func TestChainPutDeviceCost(t *testing.T) {
 			total = total.add(got)
 		}
 	}
-	if want := (devCost{23 * puts, puts * 247 / 2, 6572 * puts}); total != want {
+	if want := (devCost{21 * puts, 105 * puts, 5484 * puts}); total != want {
 		t.Errorf("chain: %d puts cost %+v, want %+v", puts, total, want)
 	}
 	waitErrFree(t, tc)
@@ -191,13 +195,14 @@ func BenchmarkChainPut(b *testing.B) {
 // chainPutAllocs is the pinned Go-heap allocations of one chain put, the
 // client's and every replica's goroutines counted (35 before each ring kept
 // its encoding buffer, the head its batch slice, and the head's sorts left
-// sort.Slice; 28 before a write's admission lock was one key, not a slice).
-// What is left is per transaction — the client's request, its arguments
-// and done channel, each replica's transaction handles, the head's
-// completion list — or held by a receiver: each hop's op message and its
-// records, each downstream replica's decoded batch, the tail's
-// acknowledgment and the clean-ups.
-const chainPutAllocs = 27
+// sort.Slice; 28 before a write's admission lock was one key, not a slice;
+// 27 before a live tail executed the records it received instead of
+// decoding them back out of its ring). What is left is per transaction —
+// the client's request, its arguments and done channel, each replica's
+// transaction handles, the head's completion list — or held by a
+// receiver: each hop's op message and its records, the middle's decoded
+// batch, the tail's acknowledgment and the clean-ups.
+const chainPutAllocs = 24
 
 // TestChainPutAllocs pins BenchmarkChainPut's allocs/op. It skips itself
 // under -race, which counts the detector's own allocations.

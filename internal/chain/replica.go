@@ -965,10 +965,18 @@ func (r *Replica) handle(msg *transport.Message) *transport.Message {
 			r.cGaps.Add(1)
 			return nil
 		}
+		if r.executeAtTail(recs) {
+			return nil
+		}
 		// Executing and sending them on waits for a drain step, which the
 		// delivery goroutine takes once no other message is waiting: what
-		// queued behind this one is appended first and executes with it.
-		if err := in.AppendBatch(recs); err != nil {
+		// queued behind this one is appended first and executes with it. A
+		// ring too full to take them — a middle whose clean-ups lag — drops
+		// them as it drops a gap: the sender still holds them in flight and
+		// its repair ticker resends them once the clean-ups have made room.
+		if err := in.AppendBatch(recs); errors.Is(err, pqueue.ErrFull) {
+			r.cGaps.Add(1)
+		} else if err != nil {
 			r.fatal(err)
 		}
 	case transport.KindTailAck:
@@ -1073,22 +1081,12 @@ func (r *Replica) drain() {
 func (r *Replica) drainStep() bool {
 	r.drainMu.Lock()
 	defer r.drainMu.Unlock()
-	if r.cur == nil {
+	if !r.live() {
 		return false
-	}
-	select {
-	case <-r.stopped():
-		return false
-	default:
 	}
 	batch, err := r.nextBatch(r.cur)
 	if err == nil && len(batch) > 0 {
-		for rec, ferr := range r.execute(batch, false) {
-			err = fmt.Errorf("chain: applying seq %d: %w", rec.Seq, ferr)
-		}
-		if err == nil {
-			err = r.forwardBatch(batch)
-		}
+		err = r.run(batch, true)
 	}
 	if err != nil {
 		// The cursor has read past the failed batch, so this incarnation
@@ -1099,6 +1097,57 @@ func (r *Replica) drainStep() bool {
 		return false
 	}
 	return len(batch) > 0
+}
+
+// executeAtTail is a live tail's path for a batch that follows its ring's
+// last record with nothing pending ahead of it: the batch executes at once,
+// on the delivery goroutine, and never enters the ring. The predecessor
+// holds each of its records in flight until this replica acknowledges it,
+// so the only thing the tail makes durable is its duplicate floor, once the
+// batch has committed (forwardBatch); a crash before that loses only
+// records the predecessor resends. It reports whether it took the batch: a
+// replica that is not the tail, whose pipeline is stopped — frozen for a
+// joiner, rebooting, being promoted — or whose ring has records pending
+// appends it instead, to run in ring order.
+func (r *Replica) executeAtTail(recs []pqueue.Record) bool {
+	r.drainMu.Lock()
+	defer r.drainMu.Unlock()
+	if !r.live() || r.currentView().Tail() != r.id {
+		return false
+	}
+	if _, pending := r.getRing().Usage(); pending > 0 {
+		return false
+	}
+	if err := r.run(recs, false); err != nil {
+		r.cur = nil // as after a failed drain step
+		r.fatal(err)
+	}
+	return true
+}
+
+// live reports whether the pipeline incarnation takes steps: it has a
+// cursor, which a failed step clears, and has not been stopped. The caller
+// holds drainMu.
+func (r *Replica) live() bool {
+	if r.cur == nil {
+		return false
+	}
+	select {
+	case <-r.stopped():
+		return false
+	default:
+		return true
+	}
+}
+
+// run executes a batch and moves it downstream; inRing tells whether its
+// records are in the ring's pending range or, taken at a live tail, in no
+// ring at all.
+func (r *Replica) run(recs []pqueue.Record, inRing bool) error {
+	for rec, err := range r.execute(recs, false) {
+		return fmt.Errorf("chain: applying seq %d: %w", rec.Seq, err)
+	}
+	return r.forwardBatch(recs, inRing)
 }
 
 // nextBatch takes whatever pending records are ready under the cursor, up to
@@ -1170,7 +1219,13 @@ func (r *Replica) execute(recs []pqueue.Record, carryOn bool) (failed map[*pqueu
 // re-executes and re-sends the batch, which the successor deduplicates.
 // The tail acknowledges the whole prefix to the head before retiring it,
 // so a crash can only re-execute and re-ack, never strand a client.
-func (r *Replica) forwardBatch(recs []pqueue.Record) error {
+//
+// A batch a live tail took from no ring (inRing false) persists first, now
+// that it has committed: nothing is sent on a record this replica's ring
+// does not hold, so if the view has given the tail a successor meanwhile
+// the batch enters the ring in flight; otherwise only the duplicate floor
+// moves, one 8-byte persist that never names an uncommitted record.
+func (r *Replica) forwardBatch(recs []pqueue.Record, inRing bool) error {
 	r.cApplied.Add(uint64(len(recs)))
 	for _, rec := range recs {
 		r.tr.ChainApply(rec.Seq)
@@ -1179,14 +1234,26 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 	r.mu.Lock()
 	r.lastExec = last.Seq
 	r.mu.Unlock()
-	view := r.currentView()
-	if succ, ok := view.Successor(r.id); ok {
+	view, ring := r.currentView(), r.getRing()
+	succ, hasSucc := view.Successor(r.id)
+	if !inRing {
+		var err error
+		if hasSucc {
+			err = ring.AppendExecuted(recs)
+		} else {
+			err = ring.SeedSeq(last.Seq)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if hasSucc {
 		for _, rec := range recs {
 			r.tr.ChainForward(rec.Seq)
 		}
 		r.cForwarded.Add(uint64(len(recs)))
 		r.send(view, succ, recs)
-		return r.getRing().MarkDone(last.Seq)
+		return ring.MarkDone(last.Seq)
 	}
 	if view.Tail() != r.id {
 		// No successor and not the tail: the view no longer holds this
@@ -1204,7 +1271,7 @@ func (r *Replica) forwardBatch(recs []pqueue.Record) error {
 		r.tr.ChainAck(rec.Seq)
 	}
 	_ = r.ackTail(view, last.Seq, len(recs), false)
-	return r.getRing().DropThrough(last.Seq)
+	return ring.DropThrough(last.Seq)
 }
 
 // ackTail is the tail's acknowledgment of every record through seq, n of

@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -438,8 +439,11 @@ func TestDoneDurableBeforeCleanup(t *testing.T) {
 		}
 		checked.Add(1)
 		ring := mid.getRing()
-		if _, pending := ring.Usage(); pending != 0 {
-			t.Errorf("clean-up for %d handled with %d bytes still pending", msg.Seq, pending)
+		// The next put can reach the middle first: the tail sends its
+		// acknowledgment to the head before the clean-up, so only a
+		// pending record the clean-up covers breaks the order.
+		if _, pending, err := ring.Spans(); err != nil || pending.Records > 0 && pending.First <= msg.Seq {
+			t.Errorf("clean-up for %d handled with records %d.. still pending (%v)", msg.Seq, pending.First, err)
 		}
 		if ok, err := mid.ringReg.IsPersisted(0, 64); err != nil || !ok {
 			t.Errorf("clean-up for %d handled before the ring header is durable (%v)", msg.Seq, err)
@@ -499,6 +503,72 @@ func TestMiddleRegeneratesLostCleanup(t *testing.T) {
 		t.Error("the middle's ring emptied without a re-drive")
 	}
 	checkAcked(t, tc, map[uint64]string{1: "one"})
+}
+
+// TestFullMiddleRingDropsTheBatch: the head limits what is in flight by what
+// it has not heard the tail acknowledge, but a middle holds each record
+// until the tail's clean-up, which can lag or be lost. With every clean-up
+// to the middle lost, puts of 256 KiB values fill its ring while each
+// still completes at the head. The batch that finds the ring full is
+// dropped, as a batch past a gap is — its sender still holds it in flight
+// — and counted in gap_dropped; it is not fatal to the middle. Once the
+// clean-ups flow again the ring empties, the head's repair ticker resends
+// the dropped put, and it and the next put complete.
+func TestFullMiddleRingDropsTheBatch(t *testing.T) {
+	tc, ht := hookedChain(t, 0, Config{Mode: ModeKamino, HeapSize: 8 << 20, Alpha: 1, BatchOps: 1})
+	mid := tc.get("n1")
+	ht.lose(func(to transport.NodeID, msg *transport.Message) bool {
+		return to == "n1" && msg.Kind == transport.KindCleanup
+	})
+	const keys, size = 4, 256 << 10
+	capacity := mid.getRing().Capacity()
+	maxPuts := int(capacity/size) + 2*keys // well past a full ring
+	acked := map[uint64]string{}           // the putter's until it is done
+	var stop atomic.Bool
+	putterDone := make(chan struct{})
+	go func() {
+		defer close(putterDone)
+		for i := 0; i < maxPuts && !stop.Load(); i++ {
+			key, val := uint64(i%keys), strings.Repeat(string(rune('a'+i%26)), size)
+			if err := tc.client.Put(key, []byte(val)); err != nil {
+				t.Errorf("Put(%d): %v", key, err)
+				return
+			}
+			acked[key] = val
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for mid.cGaps.Load() == 0 {
+		if err := mid.Err(); err != nil {
+			t.Fatalf("a full ring was fatal to the middle: %v", err)
+		}
+		select {
+		case <-putterDone:
+			t.Fatalf("%d puts of %d B never filled the middle's %d-byte ring", maxPuts, size, capacity)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the middle never dropped a batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	if fl, in := mid.getRing().Usage(); fl+in+size <= capacity {
+		t.Errorf("the middle dropped a batch with %d+%d of %d ring bytes used", fl, in, capacity)
+	}
+	if err := mid.Err(); err != nil {
+		t.Fatalf("the middle went fatal: %v", err)
+	}
+	ht.lose(nil)
+	select {
+	case <-putterDone:
+	case <-time.After(10 * time.Second):
+		dumpChainState(t, tc)
+		t.Fatal("the dropped put never completed once the clean-ups flowed")
+	}
+	putRetry(t, tc, keys, []byte("next"))
+	acked[keys] = "next"
+	checkAcked(t, tc, acked)
 }
 
 // TestAckNeverPrunesUnexecuted: a joiner replays its donor's pending suffix,

@@ -608,7 +608,7 @@ func TestRemovedReplicaNeverAcksAsTail(t *testing.T) {
 	mid.mu.Lock()
 	mid.view = without
 	mid.mu.Unlock()
-	if err := mid.forwardBatch([]pqueue.Record{{Seq: 1, Name: "put", Args: encodeKV(1, []byte("v"))}}); err != nil {
+	if err := mid.forwardBatch([]pqueue.Record{{Seq: 1, Name: "put", Args: encodeKV(1, []byte("v"))}}, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := mid.cTailAcks.Load(); n != 0 {
